@@ -18,7 +18,8 @@
 //!   report both the raw and the minimized counterexample.
 //! * **Failure-seed replay**: every report names the seed; re-run just
 //!   that case with `SEUSS_CHECK_SEED=<seed> cargo test`. Case counts
-//!   scale with `SEUSS_CHECK_CASES=<n>`.
+//!   scale with `SEUSS_CHECK_CASES=<n>`. A value that does not parse (or
+//!   zero cases) panics instead of being ignored.
 //!
 //! # Examples
 //!

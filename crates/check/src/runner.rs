@@ -29,14 +29,32 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        let cases = std::env::var(CASES_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
         Config {
-            cases,
+            cases: parse_cases(std::env::var(CASES_ENV).ok().as_deref()),
             max_shrink_steps: 4096,
         }
+    }
+}
+
+/// Reads `SEUSS_CHECK_CASES`: unset means 64; anything but a positive
+/// integer panics, since zero cases would "pass" every property.
+fn parse_cases(raw: Option<&str>) -> u32 {
+    let Some(raw) = raw else {
+        return 64;
+    };
+    match raw.parse() {
+        Ok(n) if n > 0 => n,
+        _ => panic!("{CASES_ENV}={raw:?} is not a positive case count"),
+    }
+}
+
+/// Reads `SEUSS_CHECK_SEED`: unset means no replay; a value that is not
+/// a `u64` panics rather than silently running the random cases.
+fn parse_seed(raw: Option<&str>) -> Option<u64> {
+    let raw = raw?;
+    match raw.parse() {
+        Ok(seed) => Some(seed),
+        Err(_) => panic!("{SEED_ENV}={raw:?} is not a u64 seed"),
     }
 }
 
@@ -209,7 +227,7 @@ where
     G: Gen,
     F: Fn(&G::Value) -> Result<(), String>,
 {
-    let replay: Option<u64> = std::env::var(SEED_ENV).ok().and_then(|v| v.parse().ok());
+    let replay = parse_seed(std::env::var(SEED_ENV).ok().as_deref());
     let base = fnv1a(name);
     let cases = if replay.is_some() { 1 } else { config.cases };
 
@@ -355,6 +373,32 @@ mod tests {
         )
         .expect("must fail");
         assert_eq!(f.minimized, 4_242, "exact boundary found by binary search");
+    }
+
+    #[test]
+    fn env_knobs_parse_when_well_formed() {
+        assert_eq!(parse_cases(None), 64);
+        assert_eq!(parse_cases(Some("7")), 7);
+        assert_eq!(parse_seed(None), None);
+        assert_eq!(parse_seed(Some("18446744073709551615")), Some(u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "SEUSS_CHECK_CASES=\"lots\" is not a positive case count")]
+    fn non_numeric_case_count_panics() {
+        parse_cases(Some("lots"));
+    }
+
+    #[test]
+    #[should_panic(expected = "SEUSS_CHECK_CASES=\"0\" is not a positive case count")]
+    fn zero_case_count_panics() {
+        parse_cases(Some("0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "SEUSS_CHECK_SEED=\"0xbeef\" is not a u64 seed")]
+    fn non_numeric_seed_panics() {
+        parse_seed(Some("0xbeef"));
     }
 
     #[test]

@@ -1,34 +1,24 @@
 //! The two node caches of §4: function snapshots and idle UCs.
 //!
-//! Both are LRU. The snapshot cache evicts only images the §6 policy
-//! allows deleting (no active UCs); the idle-UC cache is additionally
-//! drained by the OOM daemon under memory pressure.
+//! Both are LRU over one [`Recency`] list each. The snapshot cache evicts
+//! only images the §6 policy allows deleting (no active UCs); the idle-UC
+//! cache is additionally drained by the OOM daemon under memory pressure.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use seuss_mem::PhysMemory;
 use seuss_paging::Mmu;
 use seuss_snapshot::{SnapshotId, SnapshotStore};
 use seuss_unikernel::{ImageStore, UcContext, UcImageId};
+use simcore::lru::{Handle, Recency};
 
 use crate::node::FnId;
 
-/// One cached function image with its recency and insertion order.
-struct FnCacheEntry {
-    img: UcImageId,
-    last_use: u64,
-    /// Monotone insertion sequence — the LRU tie-break. Without it, two
-    /// entries sharing a `last_use` would be ordered by `HashMap`
-    /// iteration, which varies run to run.
-    seq: u64,
-}
-
 /// LRU cache of function-specific UC images, keyed by function identity.
 pub struct FnImageCache {
-    entries: HashMap<FnId, FnCacheEntry>,
+    entries: HashMap<FnId, Handle>,
+    order: Recency<(FnId, UcImageId)>,
     capacity: usize,
-    clock: u64,
-    next_seq: u64,
     /// Lookup hits.
     pub hits: u64,
     /// Lookup misses.
@@ -42,9 +32,8 @@ impl FnImageCache {
     pub fn new(capacity: usize) -> Self {
         FnImageCache {
             entries: HashMap::new(),
+            order: Recency::new(),
             capacity,
-            clock: 0,
-            next_seq: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -63,27 +52,23 @@ impl FnImageCache {
 
     /// Non-mutating lookup (no recency refresh, no stats).
     pub fn peek(&self, f: FnId) -> Option<UcImageId> {
-        self.entries.get(&f).map(|e| e.img)
+        let &h = self.entries.get(&f)?;
+        self.order.get(h).map(|(_, img)| img)
     }
 
     /// Looks up the image for a function, refreshing recency.
     pub fn lookup(&mut self, f: FnId) -> Option<UcImageId> {
-        self.clock += 1;
-        match self.entries.get_mut(&f) {
-            Some(e) => {
-                e.last_use = self.clock;
-                self.hits += 1;
-                Some(e.img)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let Some(&h) = self.entries.get(&f) else {
+            self.misses += 1;
+            return None;
+        };
+        self.order.touch(h);
+        self.hits += 1;
+        self.order.get(h).map(|(_, img)| img)
     }
 
     /// Inserts a function image, evicting LRU deletable images as needed.
-    /// Returns the snapshot ids of every image actually deleted in the
+    /// Returns the snapshot ids of every image that left the cache in the
     /// process (evicted for capacity, or displaced by the new entry) —
     /// the caller's cue to drop any storage-tier state they held.
     pub fn insert(
@@ -95,37 +80,27 @@ impl FnImageCache {
         f: FnId,
         img: UcImageId,
     ) -> Vec<SnapshotId> {
-        self.clock += 1;
-        let mut deleted = Vec::new();
+        let mut dropped = Vec::new();
         while self.entries.len() >= self.capacity {
-            match self.evict_one(mmu, mem, snaps, images) {
-                Some(sid) => deleted.extend(sid),
+            match self.evict_lru(mmu, mem, snaps, images) {
+                Some(sid) => dropped.extend(sid),
                 None => break,
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(old) = self.entries.insert(
-            f,
-            FnCacheEntry {
-                img,
-                last_use: self.clock,
-                seq,
-            },
-        ) {
-            let sid = images.snapshot_of(old.img).ok();
-            if images.delete(mmu, mem, snaps, old.img).is_ok() {
-                deleted.extend(sid);
-            }
+        let h = self.order.push_back((f, img));
+        if let Some(old) = self.entries.insert(f, h) {
+            let (_, old_img) = self.order.remove(old).expect("cached entry is linked");
+            dropped.extend(images.snapshot_of(old_img).ok());
+            let _ = images.delete(mmu, mem, snaps, old_img);
         }
-        deleted
+        dropped
     }
 
     /// Evicts the least-recently-used deletable image (used directly by
     /// the OOM daemon under memory pressure). `None` means nothing was
-    /// evictable; `Some(sid)` carries the deleted image's snapshot id
-    /// when the deletion went through (so the caller can release any
-    /// storage-tier blocks it held).
+    /// evictable; `Some(sid)` carries the evicted image's snapshot id,
+    /// when it resolves, so the caller can release any storage-tier state
+    /// it held. The snapshot itself is gone unless its deletion failed.
     pub fn evict_lru(
         &mut self,
         mmu: &mut Mmu,
@@ -133,71 +108,39 @@ impl FnImageCache {
         snaps: &mut SnapshotStore,
         images: &mut ImageStore,
     ) -> Option<Option<SnapshotId>> {
-        self.evict_one(mmu, mem, snaps, images)
-    }
-
-    fn evict_one(
-        &mut self,
-        mmu: &mut Mmu,
-        mem: &mut PhysMemory,
-        snaps: &mut SnapshotStore,
-        images: &mut ImageStore,
-    ) -> Option<Option<SnapshotId>> {
-        let mut candidates: Vec<(FnId, (u64, u64), UcImageId)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| {
-                images
-                    .snapshot_of(e.img)
-                    .ok()
-                    .and_then(|s| snaps.get(s).ok())
-                    .map(|s| s.active_ucs() == 0)
-                    .unwrap_or(true)
-            })
-            .map(|(f, e)| (*f, (e.last_use, e.seq), e.img))
-            .collect();
-        // Last-use first, then insertion sequence: the tie-break makes the
-        // victim independent of `HashMap` iteration order.
-        candidates.sort_by_key(|&(_, key, _)| key);
-        let &(f, _, img) = candidates.first()?;
+        let (h, (f, img)) = self.order.iter().find(|&(_, (_, img))| {
+            images
+                .snapshot_of(img)
+                .ok()
+                .and_then(|s| snaps.get(s).ok())
+                .is_none_or(|s| s.active_ucs() == 0)
+        })?;
+        self.order.remove(h);
         self.entries.remove(&f);
         self.evictions += 1;
         let sid = images.snapshot_of(img).ok();
-        match images.delete(mmu, mem, snaps, img) {
-            Ok(()) => Some(sid),
-            Err(_) => Some(None),
-        }
-    }
-
-    /// All cached images, in no particular order (callers needing a
-    /// deterministic choice must impose their own total order).
-    pub fn iter_images(&self) -> impl Iterator<Item = UcImageId> + '_ {
-        self.entries.values().map(|e| e.img)
+        let _ = images.delete(mmu, mem, snaps, img);
+        Some(sid)
     }
 
     /// Removes and returns a specific entry without deleting its image.
     pub fn remove(&mut self, f: FnId) -> Option<UcImageId> {
-        self.entries.remove(&f).map(|e| e.img)
-    }
-
-    /// Forces an entry's recency to a given value, fabricating the ties
-    /// the deterministic-eviction tests need.
-    #[cfg(test)]
-    pub(crate) fn force_last_use(&mut self, f: FnId, t: u64) {
-        if let Some(e) = self.entries.get_mut(&f) {
-            e.last_use = t;
-        }
+        let h = self.entries.remove(&f)?;
+        self.order.remove(h).map(|(_, img)| img)
     }
 }
 
 /// Cache of idle ("hot") UCs, per function, with global and per-function
 /// caps and LRU reclaim for the OOM daemon.
 pub struct IdleUcCache {
-    by_fn: HashMap<FnId, Vec<(UcContext, u64)>>,
+    /// Per function, oldest first. Emptied entries stay, so the hot path
+    /// never inserts into or removes from the map.
+    by_fn: HashMap<FnId, VecDeque<(UcContext, Handle)>>,
+    /// Every cached UC in caching order, keyed by its function. A
+    /// function's oldest UC is always its coldest entry here.
+    order: Recency<FnId>,
     per_fn: usize,
     total_cap: usize,
-    total: usize,
-    clock: u64,
     /// Hot hits served.
     pub hits: u64,
     /// UCs reclaimed (by pressure or capacity).
@@ -209,10 +152,9 @@ impl IdleUcCache {
     pub fn new(per_fn: usize, total_cap: usize) -> Self {
         IdleUcCache {
             by_fn: HashMap::new(),
+            order: Recency::new(),
             per_fn,
             total_cap,
-            total: 0,
-            clock: 0,
             hits: 0,
             reclaimed: 0,
         }
@@ -220,12 +162,12 @@ impl IdleUcCache {
 
     /// Total idle UCs cached.
     pub fn len(&self) -> usize {
-        self.total
+        self.order.len()
     }
 
     /// Whether any idle UC is cached.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.order.is_empty()
     }
 
     /// Idle UCs cached for one function.
@@ -233,11 +175,11 @@ impl IdleUcCache {
         self.by_fn.get(&f).map(|v| v.len()).unwrap_or(0)
     }
 
-    /// Takes an idle UC for `f` if one is cached (the hot path).
+    /// Takes an idle UC for `f` if one is cached (the hot path): the most
+    /// recently cached one.
     pub fn take(&mut self, f: FnId) -> Option<UcContext> {
-        let v = self.by_fn.get_mut(&f)?;
-        let (uc, _) = v.pop()?;
-        self.total -= 1;
+        let (uc, h) = self.by_fn.get_mut(&f)?.pop_back()?;
+        self.order.remove(h);
         self.hits += 1;
         Some(uc)
     }
@@ -245,16 +187,16 @@ impl IdleUcCache {
     /// Caches a finished UC for future hot invocations. Returns a UC that
     /// had to be displaced (capacity), which the caller must destroy.
     pub fn put(&mut self, f: FnId, uc: UcContext) -> Option<UcContext> {
-        self.clock += 1;
+        let h = self.order.push_back(f);
         let v = self.by_fn.entry(f).or_default();
-        v.push((uc, self.clock));
-        self.total += 1;
+        v.push_back((uc, h));
         if v.len() > self.per_fn {
-            self.total -= 1;
+            let (uc, h) = v.pop_front().expect("over the per-function cap");
+            self.order.remove(h);
             self.reclaimed += 1;
-            return Some(v.remove(0).0);
+            return Some(uc);
         }
-        if self.total > self.total_cap {
+        if self.order.len() > self.total_cap {
             return self.pop_lru();
         }
         None
@@ -262,18 +204,12 @@ impl IdleUcCache {
 
     /// Removes the least-recently-cached idle UC (OOM-daemon reclaim).
     pub fn pop_lru(&mut self) -> Option<UcContext> {
-        // Tie-break equal cache times by function id: `min_by_key` keeps
-        // the first of equal keys in `HashMap` iteration order, which is
-        // not stable across runs.
-        let f = self
+        let f = self.order.pop_front()?;
+        let (uc, _) = self
             .by_fn
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .min_by_key(|(f, v)| (v.first().map(|(_, t)| *t).unwrap_or(u64::MAX), **f))
-            .map(|(f, _)| *f)?;
-        let v = self.by_fn.get_mut(&f)?;
-        let (uc, _) = v.remove(0);
-        self.total -= 1;
+            .get_mut(&f)
+            .and_then(VecDeque::pop_front)
+            .expect("a linked entry has its UC");
         self.reclaimed += 1;
         Some(uc)
     }
@@ -304,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn fn_cache_eviction_tie_breaks_by_insertion_order() {
+    fn fn_cache_evicts_in_insertion_then_use_order() {
         use miniscript::RuntimeProfile;
         use seuss_snapshot::SnapshotKind;
         use seuss_unikernel::{Layout, UcContext, UcProfile};
@@ -334,7 +270,7 @@ mod tests {
             .unwrap();
 
         let mut cache = FnImageCache::new(8);
-        for f in [10u64, 20, 30] {
+        for f in [10u64, 20, 30, 40] {
             let (mut uc, _) = images.deploy(&mut mmu, &mut mem, &mut snaps, base).unwrap();
             uc.connect(&mut mmu, &mut mem).unwrap();
             uc.import_function(&mut mmu, &mut mem, "function main(a) { return 0; }")
@@ -354,21 +290,23 @@ mod tests {
             cache.insert(&mut mmu, &mut mem, &mut snaps, &mut images, f, img);
         }
 
-        // Fabricate a three-way recency tie; the victim must then be the
-        // earliest-inserted entry, not whatever the map iterates first.
-        for f in [10u64, 20, 30] {
-            cache.force_last_use(f, 7);
-        }
-        assert!(cache
-            .evict_lru(&mut mmu, &mut mem, &mut snaps, &mut images)
-            .is_some());
+        // With no lookups in between, victims come in insertion order.
+        let mut evict = |cache: &mut FnImageCache| {
+            cache
+                .evict_lru(&mut mmu, &mut mem, &mut snaps, &mut images)
+                .is_some()
+        };
+        assert!(evict(&mut cache));
         assert!(cache.peek(10).is_none(), "earliest insertion evicted first");
-        assert!(cache.peek(20).is_some());
-        assert!(cache.peek(30).is_some());
-        assert!(cache
-            .evict_lru(&mut mmu, &mut mem, &mut snaps, &mut images)
-            .is_some());
+        assert!(evict(&mut cache));
         assert!(cache.peek(20).is_none(), "then the next-earliest");
+        // A lookup refreshes 30, so the later-inserted 40 goes first.
+        assert!(cache.lookup(30).is_some());
+        assert!(evict(&mut cache));
+        assert!(cache.peek(40).is_none());
         assert!(cache.peek(30).is_some());
+        assert!(evict(&mut cache));
+        assert!(cache.is_empty());
+        assert!(!evict(&mut cache), "nothing left to evict");
     }
 }

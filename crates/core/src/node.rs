@@ -399,54 +399,57 @@ impl SeussNode {
         n
     }
 
-    /// One DemoteColdest reclaim step: pick the least-recently-deployed
-    /// resident, idle, childless function snapshot and demote its diff to
-    /// the device. The batched write cost accrues to the next deploy.
+    /// One DemoteColdest reclaim step: demote the least-recently-deployed
+    /// resident, idle, childless function snapshot's diff to the device.
+    /// The batched write cost accrues to the next deploy.
     fn try_demote_coldest(&mut self) -> bool {
-        let Some(tier) = self.tier.as_ref() else {
+        let Some(tier) = self.tier.as_mut() else {
             return false;
         };
         if tier.reclaim_mode() != ReclaimMode::DemoteColdest {
             return false;
         }
-        let candidates: Vec<SnapshotId> = self
-            .fn_cache
-            .iter_images()
-            .filter_map(|img| self.images.snapshot_of(img).ok())
-            .filter(|&s| !tier.is_demoted(s))
-            .filter(|&s| {
-                self.snaps
-                    .get(s)
-                    .map(|sn| sn.active_ucs() == 0 && sn.children() == 0)
-                    .unwrap_or(false)
-            })
-            .collect();
-        let mut remaining = candidates;
-        while let Some(victim) = self
-            .tier
-            .as_ref()
-            .and_then(|t| t.coldest(remaining.iter().copied()))
-        {
-            remaining.retain(|&s| s != victim);
-            let tier = self.tier.as_mut().expect("checked above");
-            match tier.demote(&mut self.mmu, &mut self.mem, &self.snaps, victim) {
-                Ok(out) => {
-                    self.tracer
-                        .event(TraceEvent::TierDemote { pages: out.pages });
-                    self.pending_demote_cost += out.cost;
-                    return true;
-                }
-                // Ineligible (e.g. an empty diff) — try the next-coldest.
-                Err(_) => continue,
-            }
-        }
-        false
+        let Some((_, out)) = tier.demote_coldest(&mut self.mmu, &mut self.mem, &self.snaps) else {
+            return false;
+        };
+        self.tracer
+            .event(TraceEvent::TierDemote { pages: out.pages });
+        self.pending_demote_cost += out.cost;
+        true
     }
 
-    /// Drops any storage-tier state held for a deleted snapshot.
+    /// Drops storage-tier state for a snapshot whose image left the
+    /// function cache. A deleted snapshot releases its device blocks; one
+    /// that outlives its image (UCs still deployed from it) keeps them
+    /// for those UCs but stops being a demotion candidate.
     fn forget_tier(&mut self, sid: SnapshotId) {
-        if let Some(t) = self.tier.as_mut() {
+        let Some(t) = self.tier.as_mut() else {
+            return;
+        };
+        if self.snaps.get(sid).is_ok() {
+            t.retire(sid);
+        } else {
             t.forget(sid);
+        }
+    }
+
+    /// Caches `img` as function `f`'s warm-path image — a cold-path
+    /// capture, or a snapshot imported from a peer — and marks its
+    /// snapshot as just used for the storage tier.
+    pub fn install_fn_image(&mut self, f: FnId, img: UcImageId) {
+        let dropped = self.fn_cache.insert(
+            &mut self.mmu,
+            &mut self.mem,
+            &mut self.snaps,
+            &mut self.images,
+            f,
+            img,
+        );
+        for sid in dropped {
+            self.forget_tier(sid);
+        }
+        if let (Some(tier), Ok(sid)) = (self.tier.as_mut(), self.images.snapshot_of(img)) {
+            tier.note_use(sid);
         }
     }
 
@@ -539,14 +542,11 @@ impl SeussNode {
             // once the snapshot itself is gone (a still-deployed UC may
             // yet page against them).
             if let Some(bad) = self.fn_cache.remove(f) {
-                if self
+                let _ = self
                     .images
-                    .delete(&mut self.mmu, &mut self.mem, &mut self.snaps, bad)
-                    .is_ok()
-                {
-                    if let Some(s) = sid {
-                        self.forget_tier(s);
-                    }
+                    .delete(&mut self.mmu, &mut self.mem, &mut self.snaps, bad);
+                if let Some(s) = sid {
+                    self.forget_tier(s);
                 }
             }
         }
@@ -592,22 +592,7 @@ impl SeussNode {
                 .map_err(map_uc_err)?;
             costs.capture = capture_cost;
             self.tracer.advance(costs.capture);
-            let displaced = self.fn_cache.insert(
-                &mut self.mmu,
-                &mut self.mem,
-                &mut self.snaps,
-                &mut self.images,
-                f,
-                fn_img,
-            );
-            for sid in displaced {
-                self.forget_tier(sid);
-            }
-            if let Some(tier) = self.tier.as_mut() {
-                if let Ok(sid) = self.images.snapshot_of(fn_img) {
-                    tier.note_use(sid);
-                }
-            }
+            self.install_fn_image(f, fn_img);
         }
         let exec = self.run_segment_fresh(&mut uc, args, &mut costs)?;
         self.conclude(f, PathKind::Cold, uc, exec, costs, ops_before)

@@ -283,14 +283,7 @@ impl DrSeussCluster {
                 Some(parent),
             )
             .map_err(|e| NodeError::Function(e.to_string()))?;
-        dst.fn_cache.insert(
-            &mut dst.mmu,
-            &mut dst.mem,
-            &mut dst.snaps,
-            &mut dst.images,
-            f,
-            img,
-        );
+        dst.install_fn_image(f, img);
         self.index.entry(f).or_default().push(to);
         self.stats.bytes_transferred += bytes;
         // Install cost: the import's page writes are charged like a

@@ -131,10 +131,17 @@ impl<E> Scheduler<E> {
         None
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        // A cancelled head would make this an over-approximation; that is
-        // acceptable for the `run_until` horizon check, which re-pops.
-        self.heap.peek().map(|e| e.at)
+    /// Time of the next live event, dropping cancelled entries that sit
+    /// at the head so they cannot stand in for it.
+    fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(head) = self.heap.peek() {
+            let (at, id) = (head.at, head.id);
+            if !self.cancelled.remove(&id) {
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+        None
     }
 }
 
@@ -221,19 +228,8 @@ impl<W: World> Simulation<W> {
     /// the last delivered event (≤ horizon).
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         let start = self.handled;
-        loop {
-            match self.sched.peek_time() {
-                Some(t) if t <= horizon => {
-                    if !self.step() {
-                        break;
-                    }
-                }
-                _ => {
-                    // Head is beyond horizon, cancelled-head re-check via pop
-                    // would drop a live event, so stop here.
-                    break;
-                }
-            }
+        while self.sched.peek_time().is_some_and(|t| t <= horizon) {
+            self.step();
         }
         self.handled - start
     }
@@ -337,6 +333,20 @@ mod tests {
         // The later event is still pending and fires on full run.
         sim.run();
         assert_eq!(sim.world().seen.len(), 2);
+    }
+
+    #[test]
+    fn run_until_skips_a_cancelled_head_without_crossing_the_horizon() {
+        let mut sim = Simulation::new(Log::default());
+        let dead = sim.schedule_at(SimTime::from_nanos(10), Ev::A);
+        sim.schedule_at(SimTime::from_nanos(100), Ev::B);
+        assert!(sim.cancel(dead));
+        assert_eq!(sim.run_until(SimTime::from_nanos(50)), 0);
+        assert!(sim.world().seen.is_empty(), "nothing is due by 50 ns");
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!(sim.sched.pending(), 1, "the 100 ns event is still pending");
+        sim.run();
+        assert_eq!(sim.world().seen, vec![(100, "B")]);
     }
 
     #[test]

@@ -46,11 +46,13 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
+pub mod lru;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use engine::{EventId, Scheduler, Simulation, World};
+pub use lru::Recency;
 pub use rng::{stream_seed, SimRng, Zipf};
 pub use stats::{Histogram, OnlineStats, PercentileSummary};
 pub use time::{SimDuration, SimTime};

@@ -14,8 +14,9 @@
 //! rules of the paging crate do the rest. This crate adds the snapshot
 //! objects themselves (register state, lineage, dirty-diff accounting),
 //! the deletion-safety policy from §6 ("only deleting function-specific
-//! snapshots that have no active UCs"), the debug-register-style capture
-//! trigger, and the snapshot cache used by the SEUSS OS node.
+//! snapshots that have no active UCs"), and the debug-register-style
+//! capture trigger. The node's LRU cache of function snapshots lives in
+//! `seuss-core`.
 
 //! # Examples
 //!
@@ -65,13 +66,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod regs;
 pub mod store;
 pub mod transfer;
 pub mod trigger;
 
-pub use cache::SnapshotCache;
 pub use regs::RegisterState;
 pub use store::{Snapshot, SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
 pub use transfer::{

@@ -23,7 +23,8 @@ use std::rc::Rc;
 
 use seuss_mem::{MemError, PhysMemory, VirtAddr, PAGE_SHIFT};
 use seuss_paging::{Mmu, SwapPager, TableId};
-use seuss_snapshot::{SnapshotError, SnapshotId, SnapshotStore};
+use seuss_snapshot::{SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
+use simcore::lru::{Handle, Recency};
 use simcore::SimDuration;
 
 use crate::device::{BlockDevice, DeviceConfig, DeviceStats};
@@ -192,8 +193,9 @@ pub struct TieredStore {
     device: Rc<RefCell<BlockDevice>>,
     read_fault: Rc<Cell<bool>>,
     demoted: HashMap<u32, DemotedMeta>,
-    last_use: HashMap<u32, u64>,
-    clock: u64,
+    /// Snapshots in deploy order, coldest first — the demotion order.
+    recency: Recency<SnapshotId>,
+    handles: HashMap<u32, Handle>,
     stats: TierStats,
 }
 
@@ -209,8 +211,8 @@ impl TieredStore {
             device: Rc::new(RefCell::new(BlockDevice::new(cfg.device))),
             read_fault: Rc::new(Cell::new(false)),
             demoted: HashMap::new(),
-            last_use: HashMap::new(),
-            clock: 0,
+            recency: Recency::new(),
+            handles: HashMap::new(),
             stats: TierStats::default(),
         }
     }
@@ -261,21 +263,53 @@ impl TieredStore {
             .and_then(|m| m.working_set.as_deref())
     }
 
-    /// Bumps `sid`'s LRU clock (call on capture and on every deploy).
+    /// Marks `sid` as the most recently used (call on capture and on
+    /// every deploy).
     pub fn note_use(&mut self, sid: SnapshotId) {
-        self.clock += 1;
-        self.last_use.insert(sid.index(), self.clock);
+        match self.handles.get(&sid.index()) {
+            Some(&h) => self.recency.touch(h),
+            None => {
+                let h = self.recency.push_back(sid);
+                self.handles.insert(sid.index(), h);
+            }
+        }
     }
 
-    /// The least-recently-used snapshot among `candidates` (ties broken
-    /// by lowest id, so the choice is deterministic).
-    pub fn coldest(&self, candidates: impl Iterator<Item = SnapshotId>) -> Option<SnapshotId> {
-        candidates.min_by_key(|sid| {
-            (
-                self.last_use.get(&sid.index()).copied().unwrap_or(0),
-                sid.index(),
-            )
-        })
+    /// Takes `sid` out of the demotion order without touching its device
+    /// blocks: its image left the node's cache, but UCs deployed from it
+    /// may still page against the blocks.
+    pub fn retire(&mut self, sid: SnapshotId) {
+        if let Some(h) = self.handles.remove(&sid.index()) {
+            self.recency.remove(h);
+        }
+    }
+
+    /// Demotes the least-recently-used function snapshot that can be
+    /// demoted, walking from the cold end past runtime snapshots and
+    /// snapshots [`demote`](Self::demote) refuses (already demoted, live
+    /// UCs, children, no private pages, no device room). Returns the
+    /// victim and its outcome, or `None` when nothing was demotable.
+    pub fn demote_coldest(
+        &mut self,
+        mmu: &mut Mmu,
+        mem: &mut PhysMemory,
+        snaps: &SnapshotStore,
+    ) -> Option<(SnapshotId, DemoteOutcome)> {
+        let mut cursor = self.recency.front_handle();
+        while let Some(h) = cursor {
+            cursor = self.recency.next_handle(h);
+            let sid = self.recency.get(h).expect("cursor is linked");
+            let is_function = snaps
+                .get(sid)
+                .is_ok_and(|s| s.kind() == SnapshotKind::Function);
+            if !is_function {
+                continue;
+            }
+            if let Ok(out) = self.demote(mmu, mem, snaps, sid) {
+                return Some((sid, out));
+            }
+        }
+        None
     }
 
     /// Demotes `sid`'s diff pages to the device: every page not shared
@@ -459,7 +493,7 @@ impl TieredStore {
                 dev.free_block(block);
             }
         }
-        self.last_use.remove(&sid.index());
+        self.retire(sid);
     }
 
     /// Monotone tier counters.

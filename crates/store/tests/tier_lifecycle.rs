@@ -229,3 +229,43 @@ fn forget_makes_stale_blocks_unreachable_for_reused_ids() {
     assert!(r.tier.working_set(p2).is_none(), "no inherited working set");
     let _ = (parent, EntryFlags::SWAPPED);
 }
+
+#[test]
+fn demote_coldest_walks_in_use_order_past_ineligible_snapshots() {
+    let mut r = rig(RestorePolicy::WorkingSetPrefetch);
+    // A childless runtime snapshot: demotable, but never a victim.
+    let (runtime, doomed) = stack(&mut r, 2, 1);
+    r.snaps.delete(&mut r.mmu, &mut r.mem, doomed).expect("del");
+    let (_, a) = stack(&mut r, 2, 3);
+    let (_, b) = stack(&mut r, 2, 3);
+    let (_, c) = stack(&mut r, 2, 3);
+    for sid in [runtime, a, b, c, a] {
+        r.tier.note_use(sid);
+    }
+    // A live UC pins b.
+    let (uc, _) = r.snaps.deploy(&mut r.mmu, &mut r.mem, b).expect("deploy");
+    let demote = |r: &mut Rig| {
+        r.tier
+            .demote_coldest(&mut r.mmu, &mut r.mem, &r.snaps)
+            .map(|(sid, _)| sid)
+    };
+    assert_eq!(demote(&mut r), Some(c), "skips the runtime, and b");
+    assert_eq!(demote(&mut r), Some(a), "c is already demoted");
+    assert_eq!(demote(&mut r), None);
+
+    // Retiring b (its image left the cache) keeps it out of the walk even
+    // once its UC is gone; retiring a demoted snapshot keeps its blocks.
+    r.tier.retire(b);
+    r.mmu.destroy_space(&mut r.mem, uc);
+    r.snaps.release_uc(b).expect("release");
+    let blocks = r.tier.used_blocks();
+    r.tier.retire(c);
+    assert_eq!(r.tier.used_blocks(), blocks);
+    assert_eq!(demote(&mut r), None);
+    r.tier.note_use(b);
+    assert_eq!(
+        demote(&mut r),
+        Some(b),
+        "a new use makes b a candidate again"
+    );
+}
