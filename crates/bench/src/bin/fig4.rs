@@ -9,7 +9,7 @@
 //! default stops at 16384 with a 24 GiB node, which shows the whole
 //! shape. Output is a text series plus a log-scale ASCII plot.
 
-use seuss_bench::{positionals, run_fig4, workers_arg, Table};
+use seuss_bench::{run_fig4, BenchArgs, Table};
 
 fn bar(v: f64, max: f64, width: usize) -> String {
     if v <= 0.0 {
@@ -21,13 +21,11 @@ fn bar(v: f64, max: f64, width: usize) -> String {
 }
 
 fn main() {
-    let args = positionals();
-    let max_m: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(16_384);
-    let mem_mib: u64 = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(24 * 1024);
-    let workers = workers_arg(1);
+    let args = BenchArgs::parse(1);
+    let pos = &args.positionals;
+    let max_m: u64 = pos.first().and_then(|s| s.parse().ok()).unwrap_or(16_384);
+    let mem_mib: u64 = pos.get(1).and_then(|s| s.parse().ok()).unwrap_or(24 * 1024);
+    let workers = args.workers;
     let mut sizes = Vec::new();
     let mut m = 64u64;
     while m <= max_m {

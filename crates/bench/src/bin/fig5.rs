@@ -5,14 +5,16 @@
 //! cargo run --release -p seuss-bench --bin fig5 [mem_mib] [--workers N]
 //! ```
 
-use seuss_bench::{positionals, run_fig5, workers_arg, Table};
+use seuss_bench::{run_fig5, BenchArgs, Table};
 
 fn main() {
-    let mem_mib: u64 = positionals()
+    let args = BenchArgs::parse(1);
+    let mem_mib: u64 = args
+        .positionals
         .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(24 * 1024);
-    let workers = workers_arg(1);
+    let workers = args.workers;
     let sizes = [64, 2_048, 16_384];
     eprintln!("running Figure 5 at set sizes {sizes:?} ({workers} worker threads)…");
     let started = std::time::Instant::now();

@@ -12,7 +12,7 @@
 //! backends (see `seuss::faults::spec` for the grammar).
 
 use seuss::faults::RetryPolicy;
-use seuss_bench::{fault_plan_arg, positionals, run_burst_with_faults, workers_arg};
+use seuss_bench::{run_burst_with_faults, BenchArgs};
 use seuss_platform::RequestStatus;
 use seuss_workload::{burst_series_csv, BurstParams};
 
@@ -47,11 +47,12 @@ fn timeline(records: &[seuss_platform::RequestRecord], span_s: f64) -> String {
 }
 
 fn main() {
-    let args = positionals();
-    let period: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(32);
-    let csv_path = args.get(1).cloned();
-    let workers = workers_arg(2);
-    let plan = fault_plan_arg(42);
+    let args = BenchArgs::parse(2);
+    let pos = &args.positionals;
+    let period: u64 = pos.first().and_then(|s| s.parse().ok()).unwrap_or(32);
+    let csv_path = pos.get(1).cloned();
+    let workers = args.workers;
+    let plan = args.fault_plan(42);
     let params = BurstParams::paper(period);
     eprintln!(
         "running burst experiment: {} bursts of {} CPU-bound requests every {period}s over a 72 rps IO background ({workers} worker threads)…",

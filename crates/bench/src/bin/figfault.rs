@@ -16,10 +16,7 @@
 //! on any violation.
 
 use seuss::faults::spec::compile;
-use seuss_bench::cli::{fault_seed_arg, fault_spec_arg};
-use seuss_bench::{
-    availability_csv, default_fault_spec, positionals, run_figfault, workers_arg, FaultOutcome,
-};
+use seuss_bench::{availability_csv, default_fault_spec, run_figfault, BenchArgs, FaultOutcome};
 use seuss_workload::BurstParams;
 
 fn timeline(out: &FaultOutcome) -> String {
@@ -53,20 +50,24 @@ fn timeline(out: &FaultOutcome) -> String {
 }
 
 fn main() {
-    let args = positionals();
-    let period: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(16);
-    let bursts: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
-    let csv_path = args
+    let args = BenchArgs::parse(4);
+    let pos = &args.positionals;
+    let period: u64 = pos.first().and_then(|s| s.parse().ok()).unwrap_or(16);
+    let bursts: u32 = pos.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
+    let csv_path = pos
         .get(2)
         .cloned()
         .unwrap_or_else(|| "results/figfault.csv".to_string());
-    let workers = workers_arg(4);
+    let workers = args.workers;
 
     let mut params = BurstParams::paper(period);
     params.bursts = bursts;
-    let default_spec = fault_spec_arg().is_none();
-    let spec = fault_spec_arg().unwrap_or_else(|| default_fault_spec(&params));
-    let seed = fault_seed_arg().unwrap_or(42);
+    let default_spec = args.fault_spec.is_none();
+    let spec = args
+        .fault_spec
+        .clone()
+        .unwrap_or_else(|| default_fault_spec(&params));
+    let seed = args.fault_seed.unwrap_or(42);
     let plan = match compile(&spec, seed) {
         Ok(p) => p,
         Err(e) => {

@@ -12,8 +12,7 @@
 //! nonzero on any divergence or if the figure's claims (density above
 //! the DRAM cap, prefetch restores under lazy) fail to reproduce.
 
-use seuss_bench::cli::BenchArgs;
-use seuss_bench::{run_figtier, tier_csv, TierParams};
+use seuss_bench::{run_figtier, tier_csv, BenchArgs, TierParams};
 use seuss_trace::PathKind;
 
 fn main() {

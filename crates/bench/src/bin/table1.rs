@@ -5,14 +5,16 @@
 //! cargo run --release -p seuss-bench --bin table1 [iterations] [--workers N]
 //! ```
 
-use seuss_bench::{positionals, ratio, run_table1, workers_arg, Table};
+use seuss_bench::{ratio, run_table1, BenchArgs, Table};
 
 fn main() {
-    let iterations: u32 = positionals()
+    let args = BenchArgs::parse(2);
+    let iterations: u32 = args
+        .positionals
         .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(475);
-    let workers = workers_arg(2);
+    let workers = args.workers;
     eprintln!("running Table 1 microbenchmarks ({iterations} invocations per path, {workers} worker threads)…");
     let started = std::time::Instant::now();
     let r = run_table1(iterations, workers);

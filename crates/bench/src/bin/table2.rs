@@ -4,14 +4,16 @@
 //! cargo run --release -p seuss-bench --bin table2 [iterations] [--workers N]
 //! ```
 
-use seuss_bench::{positionals, ratio, run_table2, workers_arg, Table};
+use seuss_bench::{ratio, run_table2, BenchArgs, Table};
 
 fn main() {
-    let iterations: u32 = positionals()
+    let args = BenchArgs::parse(3);
+    let iterations: u32 = args
+        .positionals
         .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(100);
-    let workers = workers_arg(3);
+    let workers = args.workers;
     eprintln!(
         "running Table 2 AO ablation ({iterations} invocations per cell, {workers} worker threads)…"
     );

@@ -9,15 +9,17 @@
 //! deploys before extrapolating from the (constant) per-UC footprint;
 //! pass 0 to fill all of the 88 GB node with real deploys.
 
-use seuss_bench::{positionals, run_table3, workers_arg, Table};
+use seuss_bench::{run_table3, BenchArgs, Table};
 
 fn main() {
-    let cap: u64 = positionals()
+    let args = BenchArgs::parse(4);
+    let cap: u64 = args
+        .positionals
         .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(8_000);
     let cap = if cap == 0 { None } else { Some(cap) };
-    let workers = workers_arg(4);
+    let workers = args.workers;
     eprintln!(
         "running Table 3 (88 GiB node, 16 cores; SEUSS fill cap {cap:?}; {workers} worker threads)…"
     );

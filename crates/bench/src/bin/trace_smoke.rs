@@ -8,14 +8,16 @@
 //! cargo run --release -p seuss-bench --bin trace_smoke [invocations] [--workers N]
 //! ```
 
-use seuss_bench::{positionals, run_trace_smoke, workers_arg, TRACE_SMOKE_SHARDS};
+use seuss_bench::{run_trace_smoke, BenchArgs, TRACE_SMOKE_SHARDS};
 
 fn main() {
-    let invocations: u64 = positionals()
+    let args = BenchArgs::parse(4);
+    let invocations: u64 = args
+        .positionals
         .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
-    let workers = workers_arg(4);
+    let workers = args.workers;
     eprintln!(
         "running traced trial ({invocations} invocations, {TRACE_SMOKE_SHARDS} shards, \
          workers 1 vs {workers})…"

@@ -1,10 +1,10 @@
 //! Shared argv parsing for the bench binaries.
 //!
-//! Every driver accepts the same flag family, parsed once into a
-//! [`BenchArgs`] value instead of each binary re-scanning `argv`:
+//! Every driver accepts the same flag family, parsed once per process by
+//! [`BenchArgs::parse`] instead of each binary re-scanning `argv`:
 //!
 //! - `--workers N` / `-j N` — OS threads for the experiment sweep
-//!   (fallback: the `SEUSS_EXEC_WORKERS` environment variable). Worker
+//!   (fallback: the [`WORKERS_ENV`] environment variable). Worker
 //!   count is execution speed only — results are byte-identical at
 //!   every value (see `seuss-exec`).
 //! - `--fault-plan <spec>` / `--fault-seed N` — fault schedule (see
@@ -15,11 +15,16 @@
 //!
 //! All flags (and their values) are stripped from
 //! [`BenchArgs::positionals`], so the binaries' positional arguments
-//! keep working unchanged. The free functions below are thin wrappers
-//! over one [`BenchArgs::parse`] for binaries that only need one knob.
+//! keep working unchanged. Malformed values — in a flag or in
+//! [`WORKERS_ENV`] — print a usage error and exit 2.
 
 use seuss::faults::{spec, FaultPlan};
 use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
+
+/// Environment variable supplying the worker-thread count when no
+/// `--workers` flag is given. Execution speed only: artifacts are
+/// byte-identical at every value.
+pub const WORKERS_ENV: &str = "SEUSS_EXEC_WORKERS";
 
 /// Storage-tier flags, already validated.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -118,17 +123,21 @@ fn bad_flag(flag: &str, value: &str, expected: &str) -> ! {
 }
 
 impl BenchArgs {
-    /// Parses a raw argument list (no program name). Malformed flag
-    /// values print a usage error and exit 2.
-    pub fn from_args(args: &[String], default_workers: usize) -> Self {
+    /// Parses a raw argument list (no program name); `env_workers` is the
+    /// value of [`WORKERS_ENV`], if set, which `--workers` overrides.
+    /// Malformed values print a usage error and exit 2.
+    pub fn from_args(args: &[String], env_workers: Option<&str>, default_workers: usize) -> Self {
         let workers = match valued(args, "--workers").or_else(|| valued(args, "-j")) {
             Some(v) => v
                 .parse()
                 .unwrap_or_else(|_| bad_flag("--workers", &v, "a thread count")),
-            None => std::env::var(seuss_exec::WORKERS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default_workers),
+            None => match env_workers {
+                Some(v) => v
+                    .trim()
+                    .parse()
+                    .unwrap_or_else(|_| bad_flag(WORKERS_ENV, v, "a thread count")),
+                None => default_workers,
+            },
         };
         let fault_seed = valued(args, "--fault-seed").map(|v| {
             v.parse()
@@ -167,10 +176,11 @@ impl BenchArgs {
         }
     }
 
-    /// Parses the process argv.
+    /// Parses the process argv and [`WORKERS_ENV`].
     pub fn parse(default_workers: usize) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        BenchArgs::from_args(&args, default_workers)
+        let env_workers = std::env::var(WORKERS_ENV).ok();
+        BenchArgs::from_args(&args, env_workers.as_deref(), default_workers)
     }
 
     /// The fault schedule: `--fault-plan` compiled under `--fault-seed`
@@ -198,31 +208,6 @@ impl BenchArgs {
     }
 }
 
-/// The worker-thread count for this invocation (see [`BenchArgs`]).
-pub fn workers_arg(default: usize) -> usize {
-    BenchArgs::parse(default).workers
-}
-
-/// The positional command-line arguments (all shared flags stripped).
-pub fn positionals() -> Vec<String> {
-    BenchArgs::parse(1).positionals
-}
-
-/// The raw `--fault-plan` spec string, if the flag was given.
-pub fn fault_spec_arg() -> Option<String> {
-    BenchArgs::parse(1).fault_spec
-}
-
-/// The `--fault-seed` value, if the flag was given.
-pub fn fault_seed_arg() -> Option<u64> {
-    BenchArgs::parse(1).fault_seed
-}
-
-/// The compiled fault schedule (see [`BenchArgs::fault_plan`]).
-pub fn fault_plan_arg(default_seed: u64) -> FaultPlan {
-    BenchArgs::parse(1).fault_plan(default_seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,7 +217,7 @@ mod tests {
     }
 
     fn parse(args: &[&str]) -> BenchArgs {
-        BenchArgs::from_args(&v(args), 1)
+        BenchArgs::from_args(&v(args), None, 1)
     }
 
     #[test]
@@ -241,8 +226,18 @@ mod tests {
         assert_eq!(parse(&["--workers=8"]).workers, 8);
         assert_eq!(parse(&["-j", "2"]).workers, 2);
         assert_eq!(parse(&["64", "--workers", "3"]).workers, 3);
-        assert_eq!(BenchArgs::from_args(&v(&["64"]), 5).workers, 5);
+        assert_eq!(BenchArgs::from_args(&v(&["64"]), None, 5).workers, 5);
         assert_eq!(parse(&["--workers", "0"]).workers, 1, "clamped to 1");
+    }
+
+    #[test]
+    fn env_workers_apply_without_a_flag_and_the_flag_wins() {
+        assert_eq!(BenchArgs::from_args(&v(&["64"]), Some("3"), 5).workers, 3);
+        assert_eq!(BenchArgs::from_args(&v(&[]), Some(" 4\n"), 1).workers, 4);
+        let a = BenchArgs::from_args(&v(&["--workers", "2", "64"]), Some("8"), 5);
+        assert_eq!(a.workers, 2);
+        assert_eq!(a.positionals, v(&["64"]));
+        assert_eq!(BenchArgs::from_args(&v(&["-j=6"]), Some("8"), 5).workers, 6);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! | `table3` | cache density and 16-way creation rates, 4 isolation methods |
 //! | `fig4`   | platform throughput vs unique-function set size |
 //! | `fig5`   | end-to-end latency percentiles at three set sizes |
-//! | `fig6`/`fig7`/`fig8` | burst resiliency at 32 s / 16 s / 8 s periods |
+//! | `fig6`   | burst resiliency; `fig6 -- 32` / `16` / `8` is Figure 6 / 7 / 8 |
 //! | `figfault` | availability/latency under injected faults: retry vs ablation vs Linux |
+//! | `figtier` | cache density vs restore latency across the storage-tier policies |
+//! | `trace_smoke` | a validated traced trial, byte-identical across worker counts |
 //!
 //! Micro-benchmarks of the underlying mechanisms live in `benches/`
 //! (snapshot capture/deploy, page-fault service, interpreter
@@ -42,7 +44,7 @@ pub mod table3;
 pub mod timing;
 pub mod traced;
 
-pub use cli::{fault_plan_arg, positionals, workers_arg, BenchArgs, StoreArgs};
+pub use cli::{BenchArgs, StoreArgs};
 pub use fig4::{run_fig4, Fig4Point};
 pub use fig5::{run_fig5, Fig5Row};
 pub use figburst::{run_burst, run_burst_with_faults, BurstOutcome};

@@ -14,10 +14,10 @@
 //! the metrics report covers the recorded segments.
 
 use seuss_core::SeussConfig;
-use seuss_exec::{run_sharded, BackendSpec, ExecConfig, ShardPlan, ShardedOutput};
-use seuss_platform::{FnKind, Registry, WorkloadSpec};
+use seuss_exec::{run_sharded, ExecConfig, ShardPlan};
+use seuss_platform::{BackendKind, FnKind, Registry, TrialOutput, WorkloadSpec};
 use seuss_trace::{validate_jsonl, SpanName};
-use seuss_workload::{sharded_artifacts, TrialArtifacts};
+use seuss_workload::{trial_artifacts, TrialArtifacts};
 use simcore::SimDuration;
 
 /// Logical shard count of the smoke trial. Fixed: it is part of the
@@ -86,13 +86,13 @@ pub fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, S
         .build()
         .map_err(|e| e.to_string())?;
     let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
+        backend: BackendKind::Seuss(Box::new(node)),
         ..ExecConfig::seuss_paper()
     }
     .traced();
     let (reg, spec) = smoke_workload(invocations);
 
-    let run = |w: usize| -> ShardedOutput {
+    let run = |w: usize| -> TrialOutput {
         run_sharded(&cfg, &reg, &spec, ShardPlan::new(TRACE_SMOKE_SHARDS, w))
     };
 
@@ -105,7 +105,7 @@ pub fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, S
     } else {
         let par = run(workers);
         let wall_s = par.wall.as_secs_f64();
-        if let Some(what) = diverges(&sharded_artifacts(&base), &sharded_artifacts(&par)) {
+        if let Some(what) = diverges(&trial_artifacts(&base), &trial_artifacts(&par)) {
             return Err(format!(
                 "{what} diverges between workers=1 and workers={workers} \
                  at {TRACE_SMOKE_SHARDS} shards"

@@ -51,11 +51,6 @@ pub struct SeussConfig {
     pub idle_total: usize,
     /// OOM-daemon reclaim threshold, in frames (None = 2% of capacity).
     pub reclaim_threshold_frames: Option<u64>,
-    /// Host OS threads the sharded trial executor may use when replaying
-    /// a trial against this node configuration. Purely an execution-speed
-    /// knob: artifacts are byte-identical for every value (see
-    /// `seuss-exec`). Must be at least 1.
-    pub exec_workers: usize,
     /// Storage tier for demoted snapshots (`None` = all-DRAM node; the
     /// pre-tier behavior, byte-identical artifacts).
     pub store: Option<StoreConfig>,
@@ -86,8 +81,6 @@ pub enum ConfigError {
     /// An explicit reclaim threshold of zero frames disables the OOM
     /// daemon silently; use `None` for the default instead.
     ZeroReclaimThreshold,
-    /// The trial executor needs at least one worker thread.
-    ZeroExecWorkers,
     /// A storage tier was configured with a zero-block device.
     ZeroDeviceCapacity,
     /// A storage-tier device with zero bandwidth and zero latency would
@@ -116,9 +109,6 @@ impl core::fmt::Display for ConfigError {
                     f,
                     "config: reclaim threshold of 0 frames; use None for default"
                 )
-            }
-            ConfigError::ZeroExecWorkers => {
-                write!(f, "config: exec_workers must be >= 1")
             }
             ConfigError::ZeroDeviceCapacity => {
                 write!(f, "config: store device needs at least one block")
@@ -199,12 +189,6 @@ impl SeussConfigBuilder {
         self
     }
 
-    /// Host threads for the sharded trial executor (default 1).
-    pub fn exec_workers(mut self, n: usize) -> Self {
-        self.cfg.exec_workers = n;
-        self
-    }
-
     /// Storage tier for demoted snapshots (`None` disables tiering).
     pub fn store(mut self, store: Option<StoreConfig>) -> Self {
         self.cfg.store = store;
@@ -243,9 +227,6 @@ impl SeussConfigBuilder {
         if c.reclaim_threshold_frames == Some(0) {
             return Err(ConfigError::ZeroReclaimThreshold);
         }
-        if c.exec_workers == 0 {
-            return Err(ConfigError::ZeroExecWorkers);
-        }
         if let Some(store) = &c.store {
             if store.device.capacity_blocks == 0 {
                 return Err(ConfigError::ZeroDeviceCapacity);
@@ -274,7 +255,6 @@ impl SeussConfig {
                 idle_per_fn: 4,
                 idle_total: 4096,
                 reclaim_threshold_frames: None,
-                exec_workers: 1,
                 store: None,
             },
         }
@@ -390,10 +370,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroReclaimThreshold
         );
-        assert_eq!(
-            SeussConfig::builder().exec_workers(0).build().unwrap_err(),
-            ConfigError::ZeroExecWorkers
-        );
         let mut store = seuss_store::StoreConfig::nvme_prefetch();
         store.device.capacity_blocks = 0;
         assert_eq!(
@@ -425,13 +401,6 @@ mod tests {
         assert_eq!(c.store, Some(seuss_store::StoreConfig::nvme_prefetch()));
         let c2 = c.to_builder().build().unwrap();
         assert_eq!(c2.store, c.store);
-    }
-
-    #[test]
-    fn exec_workers_defaults_to_one_and_is_settable() {
-        assert_eq!(SeussConfig::paper_node().exec_workers, 1);
-        let c = SeussConfig::test_builder().exec_workers(4).build().unwrap();
-        assert_eq!(c.exec_workers, 4);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   **byte-identical at every worker count** — merging is a pure
 //!   function of per-shard results, which are themselves deterministic
 //!   single-threaded simulations, and nothing in the merge observes
-//!   thread scheduling.
+//!   thread scheduling. The library never picks a worker count: it is
+//!   always the explicit [`ShardPlan::workers`] (the bench binaries
+//!   take it from `--workers` or the `SEUSS_EXEC_WORKERS` variable).
 //! * `shards = 1` degenerates to exactly the legacy
 //!   [`seuss_platform::run_trial`]: same seed (stream 0 is the identity
 //!   stream), same single simulation, same record order, same JSONL
@@ -49,47 +51,26 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::Instant;
 
 use seuss_core::{AoLevel, SeussConfig};
 use seuss_faults::{FaultPlan, RetryPolicy};
 use seuss_platform::cluster::{run_trial, BackendKind, ClusterConfig};
-use seuss_platform::{
-    partition_workload, records_jsonl, Registry, RequestRecord, TrialAnalysis, WorkloadSpec,
-};
-use seuss_trace::{merge_jsonl, merge_metrics, MetricsReport, TraceDump, Tracer};
+use seuss_platform::{partition_workload, Registry, TrialAnalysis, TrialOutput, WorkloadSpec};
+use seuss_trace::Tracer;
 use simcore::{stream_seed, SimDuration, SimTime};
 
-/// Environment variable overriding the worker-thread count of every
-/// [`ShardPlan`] built with [`ShardPlan::from_env`]. Execution-speed
-/// only: artifacts are byte-identical at every value.
-pub const WORKERS_ENV: &str = "SEUSS_EXEC_WORKERS";
+/// [`BackendKind`] under the name earlier callers of this crate use.
+pub use seuss_platform::BackendKind as BackendSpec;
 
-/// Which compute backend each shard runs — the `Send` mirror of
-/// [`seuss_platform::BackendKind`] (which is consumed by value per
-/// cluster and therefore can't be shared across shard threads directly).
-#[derive(Clone, Debug)]
-pub enum BackendSpec {
-    /// SEUSS OS node (with the shim process in front).
-    Seuss(Box<SeussConfig>),
-    /// Linux node with Docker containers.
-    Linux {
-        /// OpenWhisk container cache limit (paper: 1024).
-        cache_limit: usize,
-        /// Stemcell pool target (0 disables; paper: 256 for bursts).
-        stemcell_target: usize,
-    },
-}
-
-/// Cluster configuration in `Send` form: everything a worker thread
-/// needs to build its shard's [`ClusterConfig`] locally. The non-`Send`
-/// parts of a cluster (the `Rc`-backed tracer, the node itself) are
-/// constructed *inside* the worker thread; only this description and the
-/// plain-data results cross threads.
+/// Cluster configuration in `Send` form: a [`ClusterConfig`] with the
+/// `Rc`-backed tracer reduced to a flag. Each worker thread builds its
+/// shard's [`ClusterConfig`] (tracer included) from this locally; only
+/// this description and the plain-data [`TrialOutput`]s cross threads.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
     /// Compute backend each shard instantiates.
-    pub backend: BackendSpec,
+    pub backend: BackendKind,
     /// Worker cores per shard node.
     pub cores: u16,
     /// Control-plane round-trip overhead.
@@ -115,21 +96,10 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// The paper's cluster with a SEUSS backend — field-for-field
+    /// The paper's cluster with a SEUSS backend:
     /// [`ClusterConfig::seuss_paper`], untraced.
     pub fn seuss_paper() -> Self {
-        ExecConfig {
-            backend: BackendSpec::Seuss(Box::new(SeussConfig::paper_node())),
-            cores: 16,
-            control_plane_rtt: SimDuration::from_millis(36),
-            timeout: SimDuration::from_secs(60),
-            external_block: SimDuration::from_millis(250),
-            linux_exec_nop: SimDuration::from_millis(1),
-            seed: 42,
-            traced: false,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::resilient(),
-        }
+        Self::from_cluster(ClusterConfig::seuss_paper())
     }
 
     /// A small SEUSS node (2 GiB, full AO) — cheap enough for tests and
@@ -141,19 +111,7 @@ impl ExecConfig {
             .build()
             .expect("static small config is valid");
         ExecConfig {
-            backend: BackendSpec::Seuss(Box::new(cfg)),
-            ..Self::seuss_paper()
-        }
-    }
-
-    /// The paper's cluster with the Linux backend — field-for-field
-    /// [`ClusterConfig::linux_paper`], untraced.
-    pub fn linux_paper() -> Self {
-        ExecConfig {
-            backend: BackendSpec::Linux {
-                cache_limit: 1024,
-                stemcell_target: 0,
-            },
+            backend: BackendKind::Seuss(Box::new(cfg)),
             ..Self::seuss_paper()
         }
     }
@@ -164,21 +122,42 @@ impl ExecConfig {
         self
     }
 
+    /// The `Send` form of `cfg`. Destructures every field, so a field
+    /// added to [`ClusterConfig`] does not compile until it is carried
+    /// here and in [`ExecConfig::cluster_config`].
+    fn from_cluster(cfg: ClusterConfig) -> Self {
+        let ClusterConfig {
+            backend,
+            cores,
+            control_plane_rtt,
+            timeout,
+            external_block,
+            linux_exec_nop,
+            seed,
+            tracer,
+            faults,
+            retry,
+        } = cfg;
+        ExecConfig {
+            backend,
+            cores,
+            control_plane_rtt,
+            timeout,
+            external_block,
+            linux_exec_nop,
+            seed,
+            traced: tracer.is_enabled(),
+            faults,
+            retry,
+        }
+    }
+
     /// Builds shard `shard`'s cluster config (of `shards` total). Called
     /// inside the worker thread that runs the shard, because the result
     /// is not `Send`.
     fn cluster_config(&self, shard: usize, shards: usize) -> ClusterConfig {
         ClusterConfig {
-            backend: match &self.backend {
-                BackendSpec::Seuss(c) => BackendKind::Seuss(c.clone()),
-                BackendSpec::Linux {
-                    cache_limit,
-                    stemcell_target,
-                } => BackendKind::Linux {
-                    cache_limit: *cache_limit,
-                    stemcell_target: *stemcell_target,
-                },
-            },
+            backend: self.backend.clone(),
             cores: self.cores,
             control_plane_rtt: self.control_plane_rtt,
             timeout: self.timeout,
@@ -225,115 +204,47 @@ impl ShardPlan {
     pub fn wide(workers: usize) -> Self {
         ShardPlan::new(workers, workers)
     }
-
-    /// Applies the [`WORKERS_ENV`] override, if set and parseable, to
-    /// the worker count (shards are untouched — the env var must never
-    /// change bytes).
-    pub fn from_env(self) -> Self {
-        match std::env::var(WORKERS_ENV) {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => ShardPlan { workers: n, ..self },
-                _ => self,
-            },
-            Err(_) => self,
-        }
-    }
 }
 
-/// The merged result of a sharded trial — the same artifacts a
-/// single-threaded [`run_trial`] yields, plus the wall-clock time the
-/// execution took (the only field that may vary with `workers`).
-pub struct ShardedOutput {
-    /// All request records, ordered by `(virtual completion time, shard
-    /// index)` — for one shard, exactly the legacy record order.
-    pub records: Vec<RequestRecord>,
-    /// Aggregates over the merged records.
-    pub analysis: TrialAnalysis,
-    /// Latest virtual finish time across shards.
-    pub finished_at: SimTime,
-    /// Total simulation events processed across shards.
-    pub events: u64,
-    /// Per-shard trace dumps, in shard order (empty when untraced).
-    pub trace_dumps: Vec<TraceDump>,
-    /// Real time the execution took. **Not** part of the deterministic
-    /// artifact set.
-    pub wall: Duration,
-}
-
-impl ShardedOutput {
-    /// The merged trace as validated JSONL (empty string when untraced).
-    pub fn trace_jsonl(&self) -> String {
-        merge_jsonl(&self.trace_dumps)
-    }
-
-    /// The merged metrics report (empty when untraced).
-    pub fn metrics_report(&self) -> MetricsReport {
-        merge_metrics(&self.trace_dumps)
-    }
-
-    /// The records rendered with [`seuss_platform::records_jsonl`] — a
-    /// convenient canonical byte-string for determinism comparisons.
-    pub fn records_jsonl(&self) -> String {
-        records_jsonl(&self.records)
-    }
-}
-
-/// What one shard's worker thread hands back: the plain-data subset of
-/// [`seuss_platform::TrialOutput`] (the tracer is snapshotted into a
-/// [`TraceDump`] so nothing `Rc`-backed crosses the thread boundary).
-struct ShardResult {
-    records: Vec<RequestRecord>,
-    finished_at: SimTime,
-    events: u64,
-    dump: Option<TraceDump>,
-}
-
-/// Runs one trial decomposed per `plan` and merges the shards.
+/// Runs one trial decomposed per `plan` and merges the shards' outputs
+/// into one [`TrialOutput`].
 ///
 /// See the crate docs for the determinism contract. The merge is:
 /// records stable-sorted by exact virtual completion time (shard index
 /// breaking ties, which the stable sort provides since shards are
 /// concatenated in order); `finished_at` is the max; `events` the sum;
-/// traces and metrics merge via [`merge_jsonl`] / [`merge_metrics`].
+/// trace dumps are kept in shard order, so the output's trace and
+/// metrics merge across shards. `wall` covers the whole run.
 pub fn run_sharded(
     cfg: &ExecConfig,
     registry: &Registry,
     spec: &WorkloadSpec,
     plan: ShardPlan,
-) -> ShardedOutput {
-    let started = std::time::Instant::now();
+) -> TrialOutput {
+    let started = Instant::now();
     let parts = partition_workload(registry, spec, plan.shards);
-    let results = ordered_parallel(parts, plan.workers, |shard, (reg, sub_spec)| {
-        let out = run_trial(cfg.cluster_config(shard, plan.shards), reg, &sub_spec);
-        ShardResult {
-            records: out.records,
-            finished_at: out.finished_at,
-            events: out.events,
-            dump: out.tracer.dump(),
-        }
+    let shards = ordered_parallel(parts, plan.workers, |shard, (reg, sub_spec)| {
+        run_trial(cfg.cluster_config(shard, plan.shards), reg, &sub_spec)
     });
 
     let mut records = Vec::new();
     let mut finished_at = SimTime::ZERO;
     let mut events = 0u64;
     let mut trace_dumps = Vec::new();
-    for r in results {
-        records.extend(r.records);
-        finished_at = finished_at.max(r.finished_at);
-        events += r.events;
-        if let Some(d) = r.dump {
-            trace_dumps.push(d);
-        }
+    for out in shards {
+        records.extend(out.records);
+        finished_at = finished_at.max(out.finished_at);
+        events += out.events;
+        trace_dumps.extend(out.trace_dumps);
     }
     // Per-shard record vectors are already completion-ordered (the sim
     // clock is monotone), so a stable sort on the exact completion nanos
     // yields (done_ns, shard) order — and is the identity for one shard.
     records.sort_by_key(|r| r.done_ns);
-    let analysis = TrialAnalysis::from_records(&records);
 
-    ShardedOutput {
+    TrialOutput {
+        analysis: TrialAnalysis::from_records(&records),
         records,
-        analysis,
         finished_at,
         events,
         trace_dumps,
@@ -400,44 +311,54 @@ mod tests {
         (reg, WorkloadSpec::closed_loop(order, 8))
     }
 
-    fn legacy_config(traced: bool) -> ClusterConfig {
-        let cfg = ExecConfig::seuss_small();
-        ClusterConfig {
-            backend: BackendKind::Seuss(match cfg.backend {
-                BackendSpec::Seuss(c) => c,
-                _ => unreachable!(),
-            }),
-            cores: cfg.cores,
-            control_plane_rtt: cfg.control_plane_rtt,
-            timeout: cfg.timeout,
-            external_block: cfg.external_block,
-            linux_exec_nop: cfg.linux_exec_nop,
-            seed: cfg.seed,
-            tracer: if traced {
-                Tracer::enabled()
-            } else {
-                Tracer::disabled()
+    /// A crash, a packet-loss window and a targeted snapshot corruption,
+    /// all inside the sample trial.
+    fn faulted_plan() -> FaultPlan {
+        use seuss_faults::{FaultEvent, FaultKind};
+        FaultPlan::from_events(vec![
+            FaultEvent {
+                at: SimTime::from_millis(150),
+                kind: FaultKind::NodeCrash {
+                    reboot: SimDuration::from_millis(200),
+                },
             },
-            faults: cfg.faults,
-            retry: cfg.retry,
-        }
+            FaultEvent {
+                at: SimTime::from_millis(50),
+                kind: FaultKind::PacketLoss {
+                    prob: 0.3,
+                    span: SimDuration::from_millis(400),
+                },
+            },
+            FaultEvent {
+                at: SimTime::from_millis(100),
+                kind: FaultKind::SnapshotCorruption { fn_id: 3 },
+            },
+        ])
     }
 
     #[test]
     fn one_shard_reproduces_legacy_run_trial() {
         let (reg, spec) = sample();
-        let legacy = run_trial(legacy_config(true), reg.clone(), &spec);
-        let cfg = ExecConfig::seuss_small().traced();
-        let sharded = run_sharded(&cfg, &reg, &spec, ShardPlan::single());
-
-        assert_eq!(sharded.records_jsonl(), records_jsonl(&legacy.records));
-        assert_eq!(sharded.finished_at, legacy.finished_at);
-        assert_eq!(sharded.events, legacy.events);
-        assert_eq!(sharded.trace_jsonl(), legacy.tracer.export_jsonl());
-        assert_eq!(
-            sharded.metrics_report().to_json(),
-            legacy.tracer.metrics_report().to_json()
-        );
+        let seuss = ExecConfig::seuss_small().traced();
+        let faulted = ExecConfig {
+            faults: faulted_plan(),
+            ..seuss.clone()
+        };
+        let linux = ExecConfig::from_cluster(ClusterConfig::linux_paper()).traced();
+        for (name, cfg) in [("seuss", seuss), ("faulted", faulted), ("linux", linux)] {
+            let legacy = run_trial(cfg.cluster_config(0, 1), reg.clone(), &spec);
+            let sharded = run_sharded(&cfg, &reg, &spec, ShardPlan::single());
+            assert_eq!(sharded.records_jsonl(), legacy.records_jsonl(), "{name}");
+            assert_eq!(sharded.trace_jsonl(), legacy.trace_jsonl(), "{name}");
+            assert_eq!(
+                sharded.metrics_report().to_json(),
+                legacy.metrics_report().to_json(),
+                "{name}"
+            );
+            assert_eq!(sharded.finished_at, legacy.finished_at, "{name}");
+            assert_eq!(sharded.events, legacy.events, "{name}");
+            assert!(!legacy.trace_jsonl().is_empty(), "{name}: traced");
+        }
     }
 
     #[test]
@@ -497,28 +418,9 @@ mod tests {
 
     #[test]
     fn faulted_trials_are_byte_identical_at_every_worker_count() {
-        use seuss_faults::{FaultEvent, FaultKind};
         let (reg, spec) = sample();
         let mut cfg = ExecConfig::seuss_small().traced();
-        cfg.faults = FaultPlan::from_events(vec![
-            FaultEvent {
-                at: SimTime::from_millis(150),
-                kind: FaultKind::NodeCrash {
-                    reboot: SimDuration::from_millis(200),
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_millis(50),
-                kind: FaultKind::PacketLoss {
-                    prob: 0.3,
-                    span: SimDuration::from_millis(400),
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_millis(100),
-                kind: FaultKind::SnapshotCorruption { fn_id: 3 },
-            },
-        ]);
+        cfg.faults = faulted_plan();
         cfg.retry = RetryPolicy::resilient();
         let w1 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1));
         let w2 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 2));
@@ -548,13 +450,5 @@ mod tests {
             "without faults the retry policy must be unobservable"
         );
         assert_eq!(a.trace_jsonl(), b.trace_jsonl());
-    }
-
-    #[test]
-    fn env_override_touches_only_workers() {
-        let plan = ShardPlan::new(4, 1);
-        // No env set in tests: from_env is the identity.
-        let same = plan.from_env();
-        assert_eq!(same.shards, 4);
     }
 }

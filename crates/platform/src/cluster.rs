@@ -17,19 +17,23 @@
 //! connection failures once the endpoint count saturates the bridge.
 
 use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 use seuss_baseline::{ContainerId, DockerEngine, DockerError};
 use seuss_core::{Invocation, IoToken, NodeError, PathKind, SeussConfig, SeussNode, ShimProcess};
 use seuss_faults::{FaultKind, FaultPlan, RetryPolicy, FAULT_EXEC_STREAM};
 use seuss_net::ExternalServer;
-use seuss_trace::{SpanName, TraceEvent, Tracer};
+use seuss_trace::{
+    merge_jsonl, merge_metrics, MetricsReport, SpanName, TraceDump, TraceEvent, Tracer,
+};
 use simcore::{stream_seed, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 
 use crate::cores::CorePool;
-use crate::record::{record, RequestRecord, RequestStatus, ServedBy, TrialAnalysis};
+use crate::record::{record, records_jsonl, RequestRecord, RequestStatus, ServedBy, TrialAnalysis};
 use crate::spec::{FnId, FnKind, Registry, WorkloadSpec};
 
 /// Which compute backend the cluster runs.
+#[derive(Clone, Debug)]
 pub enum BackendKind {
     /// SEUSS OS node (with the shim process in front).
     Seuss(Box<SeussConfig>),
@@ -1004,9 +1008,10 @@ impl World for Cluster {
     }
 }
 
-/// Output of one trial.
+/// Output of one trial — of [`run_trial`], and of every sharded run
+/// (which merges one of these per shard).
 pub struct TrialOutput {
-    /// Raw per-request records.
+    /// Raw per-request records, in virtual completion order.
     pub records: Vec<RequestRecord>,
     /// Aggregates.
     pub analysis: TrialAnalysis,
@@ -1014,13 +1019,36 @@ pub struct TrialOutput {
     pub finished_at: SimTime,
     /// Events processed.
     pub events: u64,
-    /// The trial's tracer — export spans/metrics from here. Disabled
-    /// (empty) unless the [`ClusterConfig`] carried an enabled one.
-    pub tracer: Tracer,
+    /// Trace dumps, one per traced simulation: none when the
+    /// [`ClusterConfig`] carried a disabled tracer, one from
+    /// [`run_trial`] with an enabled one, one per shard after a merge.
+    pub trace_dumps: Vec<TraceDump>,
+    /// Real time the run took. **Not** part of the deterministic
+    /// artifact set.
+    pub wall: Duration,
+}
+
+impl TrialOutput {
+    /// The trace as validated JSONL (empty string when untraced).
+    pub fn trace_jsonl(&self) -> String {
+        merge_jsonl(&self.trace_dumps)
+    }
+
+    /// The aggregated metrics report (empty when untraced).
+    pub fn metrics_report(&self) -> MetricsReport {
+        merge_metrics(&self.trace_dumps)
+    }
+
+    /// The records rendered with [`records_jsonl`] — the canonical
+    /// byte-string for determinism comparisons.
+    pub fn records_jsonl(&self) -> String {
+        records_jsonl(&self.records)
+    }
 }
 
 /// Runs one trial to completion and analyzes it.
 pub fn run_trial(config: ClusterConfig, registry: Registry, spec: &WorkloadSpec) -> TrialOutput {
+    let started = Instant::now();
     let workers = spec.workers;
     let open = spec.open_arrivals.clone();
     let cluster = Cluster::new(config, registry, spec);
@@ -1065,7 +1093,8 @@ pub fn run_trial(config: ClusterConfig, registry: Registry, spec: &WorkloadSpec)
         analysis,
         finished_at,
         events,
-        tracer: world.tracer.clone(),
+        trace_dumps: world.tracer.dump().into_iter().collect(),
+        wall: started.elapsed(),
     }
 }
 
@@ -1329,7 +1358,7 @@ mod tests {
         let out = run_trial(resilient, reg, &spec);
         assert_eq!(out.analysis.errors, 0, "retry + reboot recovers everyone");
         assert_eq!(out.analysis.completed, 24);
-        let events = out.tracer.events();
+        let events = &out.trace_dumps[0].events;
         let count = |ev: TraceEvent| events.iter().filter(|e| e.event == ev).count();
         assert_eq!(count(TraceEvent::FaultNodeCrash), 1);
         assert_eq!(count(TraceEvent::FaultNodeRestart), 1);
@@ -1371,15 +1400,13 @@ mod tests {
             "4 attempts beat 50% loss almost always: {:?}",
             out.analysis
         );
-        let dropped = out
-            .tracer
-            .events()
+        let dropped = out.trace_dumps[0]
+            .events
             .iter()
             .filter(|e| e.event == TraceEvent::FaultPacketDrop)
             .count();
-        let retried = out
-            .tracer
-            .events()
+        let retried = out.trace_dumps[0]
+            .events
             .iter()
             .filter(|e| e.event == TraceEvent::FaultRetry)
             .count();
@@ -1437,9 +1464,8 @@ mod tests {
         cfg.tracer = Tracer::enabled();
         let out = run_trial(cfg, reg, &spec);
         assert_eq!(out.analysis.completed, 48, "{:?}", out.analysis);
-        let pressured = out
-            .tracer
-            .events()
+        let pressured = out.trace_dumps[0]
+            .events
             .iter()
             .any(|e| matches!(e.event, TraceEvent::FaultMemPressure { .. }));
         assert!(pressured);
@@ -1472,9 +1498,8 @@ mod tests {
         assert_eq!(out.analysis.errors, 0);
         // One extra cold start: the two originals plus the repair.
         assert_eq!(out.analysis.paths.0, 3, "paths: {:?}", out.analysis.paths);
-        let detected = out
-            .tracer
-            .events()
+        let detected = out.trace_dumps[0]
+            .events
             .iter()
             .filter(|e| e.event == TraceEvent::FaultSnapshotCorrupt)
             .count();
@@ -1502,9 +1527,8 @@ mod tests {
             out.analysis
         );
         // Containers were recreated after the crash (cold starts resume).
-        let crashes = out
-            .tracer
-            .events()
+        let crashes = out.trace_dumps[0]
+            .events
             .iter()
             .filter(|e| e.event == TraceEvent::FaultNodeCrash)
             .count();

@@ -13,10 +13,11 @@
 //! page table (`seuss-paging::Mmu::shallow_clone`); the refcounted COW
 //! rules of the paging crate do the rest. This crate adds the snapshot
 //! objects themselves (register state, lineage, dirty-diff accounting),
-//! the deletion-safety policy from §6 ("only deleting function-specific
-//! snapshots that have no active UCs"), and the debug-register-style
-//! capture trigger. The node's LRU cache of function snapshots lives in
-//! `seuss-core`.
+//! and the deletion-safety policy from §6 ("only deleting function-specific
+//! snapshots that have no active UCs"). The capture points themselves are
+//! fixed instruction addresses of the UC layout
+//! (`seuss-unikernel`'s `Layout::driver_listen_rip` / `post_import_rip`),
+//! and the node's LRU cache of function snapshots lives in `seuss-core`.
 
 //! # Examples
 //!
@@ -69,7 +70,6 @@
 pub mod regs;
 pub mod store;
 pub mod transfer;
-pub mod trigger;
 
 pub use regs::RegisterState;
 pub use store::{Snapshot, SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
@@ -77,4 +77,3 @@ pub use transfer::{
     export_diff, export_full, export_lazy, import, import_lazy, LazyImage, LazyResidue,
     SnapshotImage,
 };
-pub use trigger::SnapshotTrigger;

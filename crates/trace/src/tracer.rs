@@ -250,9 +250,10 @@ impl Tracer {
 }
 
 /// An owned snapshot of one tracer's buffer: spans, events, and metric
-/// state. Plain data (no `Rc`), so it crosses threads — the unit the
-/// sharded executor merges via [`crate::merge_jsonl`] /
-/// [`crate::merge_metrics`].
+/// state. Plain data (no `Rc`), so it crosses threads — the unit a
+/// trial's output carries and renders via [`crate::merge_jsonl`] /
+/// [`crate::merge_metrics`] (which, for one dump, give the same bytes as
+/// the tracer it came from).
 #[derive(Clone)]
 pub struct TraceDump {
     /// All recorded spans, in creation order.
@@ -260,19 +261,6 @@ pub struct TraceDump {
     /// All recorded events, in emission order.
     pub events: Vec<EventRecord>,
     pub(crate) metrics: Metrics,
-}
-
-impl TraceDump {
-    /// This dump's aggregated metrics, alone.
-    pub fn metrics_report(&self) -> MetricsReport {
-        self.metrics.report()
-    }
-
-    /// This dump's trace as JSONL, alone (same bytes as
-    /// [`Tracer::export_jsonl`] on the tracer it came from).
-    pub fn export_jsonl(&self) -> String {
-        export::export_jsonl(&self.spans, &self.events)
-    }
 }
 
 /// RAII guard for an open span; the span exits when this drops (also on

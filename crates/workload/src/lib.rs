@@ -22,9 +22,6 @@ pub mod trace;
 pub mod trial;
 
 pub use burst::BurstParams;
-pub use report::{
-    burst_series_csv, fmt_duration_ms, records_csv, records_jsonl, sharded_artifacts,
-    trial_artifacts, TrialArtifacts,
-};
+pub use report::{burst_series_csv, fmt_duration_ms, records_csv, trial_artifacts, TrialArtifacts};
 pub use trace::{parse_trace, render_trace, TraceError};
-pub use trial::{run_workload_sharded, TrialParams, ZipfTrial};
+pub use trial::{TrialParams, ZipfTrial};

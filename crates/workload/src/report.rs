@@ -22,29 +22,16 @@ pub fn records_csv(records: &[RequestRecord]) -> String {
     out
 }
 
-/// Dumps request records as JSON Lines — one flat object per request,
-/// the same fields as [`records_csv`].
-pub fn records_jsonl(records: &[RequestRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&format!(
-            "{{\"sent_s\":{:.3},\"latency_ms\":{:.3},\"fn\":{},\"status\":\"{:?}\",\"served_by\":\"{:?}\",\"burst\":{}}}\n",
-            r.sent_at_s, r.latency_ms, r.fn_id, r.status, r.served_by, r.burst
-        ));
-    }
-    out
-}
-
 /// Everything one trial produces, rendered and ready to write to disk.
 ///
-/// The trace members are `Some` only when the cluster ran with an
-/// enabled [`seuss_trace::Tracer`]; a default (disabled) tracer costs
-/// nothing and yields `None` here.
+/// The trace members are `Some` only when the trial ran traced (an
+/// enabled [`seuss_trace::Tracer`], or a traced sharded run); a default
+/// (disabled) tracer costs nothing and yields `None` here.
 #[derive(Clone, Debug)]
 pub struct TrialArtifacts {
     /// Request records as CSV ([`records_csv`]).
     pub records_csv: String,
-    /// Request records as JSON Lines ([`records_jsonl`]).
+    /// Request records as JSON Lines ([`TrialOutput::records_jsonl`]).
     pub records_jsonl: String,
     /// Structured trace of the trial as span/event JSONL.
     pub trace_jsonl: Option<String>,
@@ -52,27 +39,14 @@ pub struct TrialArtifacts {
     pub metrics_json: Option<String>,
 }
 
-/// Bundles a finished trial's outputs: the record dumps always, the
-/// trace JSONL and metrics JSON when tracing was enabled.
+/// Bundles a finished trial's outputs — single-threaded or sharded: the
+/// record dumps always, the trace JSONL and metrics JSON when it ran
+/// traced.
 pub fn trial_artifacts(out: &TrialOutput) -> TrialArtifacts {
-    let traced = out.tracer.is_enabled();
-    TrialArtifacts {
-        records_csv: records_csv(&out.records),
-        records_jsonl: records_jsonl(&out.records),
-        trace_jsonl: traced.then(|| out.tracer.export_jsonl()),
-        metrics_json: traced.then(|| out.tracer.metrics_report().to_json()),
-    }
-}
-
-/// Bundles a sharded trial's outputs, the parallel-executor sibling of
-/// [`trial_artifacts`]. With one shard the rendered strings are
-/// byte-identical to those of the legacy single-threaded trial; with a
-/// fixed shard count they are byte-identical at every worker count.
-pub fn sharded_artifacts(out: &seuss_exec::ShardedOutput) -> TrialArtifacts {
     let traced = !out.trace_dumps.is_empty();
     TrialArtifacts {
         records_csv: records_csv(&out.records),
-        records_jsonl: records_jsonl(&out.records),
+        records_jsonl: out.records_jsonl(),
         trace_jsonl: traced.then(|| out.trace_jsonl()),
         metrics_json: traced.then(|| out.metrics_report().to_json()),
     }
@@ -240,14 +214,6 @@ mod tests {
     #[test]
     fn fmt_helpers() {
         assert_eq!(fmt_duration_ms(SimDuration::from_micros(7_540)), "7.5 ms");
-    }
-
-    #[test]
-    fn jsonl_mirrors_csv() {
-        let jsonl = records_jsonl(&[rec(false, true, 0.5), rec(true, false, 1.0)]);
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.starts_with("{\"sent_s\":0.500,"));
-        assert!(jsonl.contains("\"status\":\"Error\""));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Closed-loop trials: N invocations over M functions from C workers.
 
-use seuss_core::SeussConfig;
-use seuss_exec::{run_sharded, BackendSpec, ExecConfig, ShardPlan, ShardedOutput};
 use seuss_platform::{FnKind, Registry, WorkloadSpec};
 use simcore::{SimRng, Zipf};
 
@@ -46,36 +44,6 @@ impl TrialParams {
         rng.shuffle(&mut order);
         (registry, WorkloadSpec::closed_loop(order, self.workers))
     }
-}
-
-/// Runs a built workload on a SEUSS node through the sharded executor.
-///
-/// The worker-thread count comes from the node's `exec_workers` knob
-/// (set with `SeussConfig::builder().exec_workers(n)`), optionally
-/// overridden by the `SEUSS_EXEC_WORKERS` environment variable. Workers
-/// are pure execution speed; `shards` is part of the experiment — for a
-/// fixed shard count the output is byte-identical at every worker
-/// count, and `shards = 1` reproduces the legacy single-threaded
-/// `run_trial` exactly.
-pub fn run_workload_sharded(
-    node: SeussConfig,
-    registry: &Registry,
-    spec: &WorkloadSpec,
-    shards: usize,
-    traced: bool,
-) -> ShardedOutput {
-    let workers = node.exec_workers;
-    let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
-        traced,
-        ..ExecConfig::seuss_paper()
-    };
-    run_sharded(
-        &cfg,
-        registry,
-        spec,
-        ShardPlan::new(shards, workers).from_env(),
-    )
 }
 
 /// A popularity-skewed trial: function popularity follows a Zipf law
@@ -221,44 +189,6 @@ mod tests {
             skewed.2,
             uniform.2
         );
-    }
-
-    #[test]
-    fn sharded_runner_reproduces_legacy_artifacts() {
-        use crate::report::{sharded_artifacts, trial_artifacts};
-        use seuss_platform::{run_trial, BackendKind, ClusterConfig};
-        let p = TrialParams {
-            invocations: 48,
-            set_size: 6,
-            workers: 4,
-            kind: FnKind::Nop,
-            seed: 42,
-        };
-        let (reg, spec) = p.build();
-        let node = || {
-            SeussConfig::builder()
-                .mem_mib(2048)
-                .exec_workers(2)
-                .build()
-                .expect("valid test config")
-        };
-        let legacy = run_trial(
-            ClusterConfig {
-                backend: BackendKind::Seuss(Box::new(node())),
-                tracer: seuss_trace::Tracer::enabled(),
-                ..ClusterConfig::seuss_paper()
-            },
-            reg.clone(),
-            &spec,
-        );
-        let want = trial_artifacts(&legacy);
-        // One shard on two worker threads: must still be the legacy bytes.
-        let sharded = run_workload_sharded(node(), &reg, &spec, 1, true);
-        let got = sharded_artifacts(&sharded);
-        assert_eq!(got.records_csv, want.records_csv);
-        assert_eq!(got.records_jsonl, want.records_jsonl);
-        assert_eq!(got.trace_jsonl, want.trace_jsonl);
-        assert_eq!(got.metrics_json, want.metrics_json);
     }
 
     #[test]

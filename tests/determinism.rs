@@ -3,9 +3,9 @@
 //! in EXPERIMENTS.md reproducible.
 
 use seuss::core::SeussConfig;
-use seuss::exec::{run_sharded, BackendSpec, ExecConfig, ShardPlan};
+use seuss::exec::{run_sharded, ExecConfig, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig};
-use seuss::workload::{records_csv, sharded_artifacts, BurstParams, TrialParams};
+use seuss::workload::{records_csv, trial_artifacts, BurstParams, TrialParams};
 
 fn seuss_cfg() -> ClusterConfig {
     let node = SeussConfig::builder()
@@ -121,13 +121,13 @@ fn sharded_executor_is_byte_identical_across_worker_counts() {
         .build()
         .expect("valid config");
     let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
+        backend: BackendKind::Seuss(Box::new(node)),
         ..ExecConfig::seuss_paper()
     }
     .traced();
     let run = |workers: usize| {
         let out = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers));
-        (sharded_artifacts(&out), out.finished_at, out.events)
+        (trial_artifacts(&out), out.finished_at, out.events)
     };
     let (a1, fin1, ev1) = run(1);
     for workers in [2usize, 4] {
@@ -173,7 +173,7 @@ fn one_shard_reproduces_the_legacy_single_threaded_trial() {
         .build()
         .expect("valid config");
     let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
+        backend: BackendKind::Seuss(Box::new(node)),
         ..ExecConfig::seuss_paper()
     };
     for workers in [1usize, 4] {

@@ -11,10 +11,10 @@
 //!   and 4 worker threads.
 
 use seuss::core::{Invocation, PathKind, SeussConfig, SeussNode};
-use seuss::exec::{run_sharded, BackendSpec, ExecConfig, ShardPlan};
+use seuss::exec::{run_sharded, ExecConfig, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig, FnKind};
 use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
-use seuss::workload::{sharded_artifacts, TrialParams};
+use seuss::workload::{trial_artifacts, TrialParams};
 use simcore::SimDuration;
 
 /// A function whose result depends on a multi-page data literal, so a
@@ -223,7 +223,7 @@ fn pressured_sharded_trial_is_byte_identical_at_1_2_and_4_workers() {
         .build()
         .expect("valid pressured config");
     let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
+        backend: BackendKind::Seuss(Box::new(node)),
         traced: true,
         ..ExecConfig::seuss_paper()
     };
@@ -236,14 +236,14 @@ fn pressured_sharded_trial_is_byte_identical_at_1_2_and_4_workers() {
     }
     .build();
 
-    let base = sharded_artifacts(&run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1)));
+    let base = trial_artifacts(&run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1)));
     let metrics = base.metrics_json.as_deref().expect("traced run");
     assert!(
         metrics.contains("tier:demote"),
         "pressure never reached the tier; the test is vacuous"
     );
     for workers in [2, 4] {
-        let got = sharded_artifacts(&run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers)));
+        let got = trial_artifacts(&run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers)));
         assert_eq!(
             base.records_csv, got.records_csv,
             "records diverged at workers={workers}"

@@ -33,20 +33,20 @@ fn traced_trial() -> seuss::platform::TrialOutput {
 fn traced_trial_produces_validated_jsonl() {
     let out = traced_trial();
     assert_eq!(out.analysis.completed, 40);
-    assert!(out.tracer.is_enabled());
+    assert_eq!(out.trace_dumps.len(), 1, "one traced simulation");
 
-    let doc = out.tracer.export_jsonl();
+    let doc = out.trace_jsonl();
     let v = validate_jsonl(&doc).expect("trial trace must validate");
     assert!(v.enters > 0, "trial must record spans");
     assert_eq!(v.enters, v.exits, "every span must close");
     assert!(v.events > 0, "trial must record events");
-    assert_eq!(out.tracer.open_spans(), 0);
+    assert!(out.trace_dumps[0].spans.iter().all(|s| s.end.is_some()));
 }
 
 #[test]
 fn every_segment_is_exactly_covered_by_its_phase_spans() {
     let out = traced_trial();
-    let spans = out.tracer.spans();
+    let spans = &out.trace_dumps[0].spans;
     let mut segments = 0;
     for root in spans.iter().filter(|s| s.parent.is_none()) {
         if !matches!(root.name, SpanName::Invoke | SpanName::Resume) {
@@ -73,7 +73,7 @@ fn every_segment_is_exactly_covered_by_its_phase_spans() {
 #[test]
 fn trial_metrics_cover_all_three_paths() {
     let out = traced_trial();
-    let report = out.tracer.metrics_report();
+    let report = out.metrics_report();
     assert!(report.segments >= 40);
     // A closed-loop trial over 5 functions serves cold, then warm/hot.
     let by_path: Vec<&str> = report
