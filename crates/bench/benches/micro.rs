@@ -6,6 +6,8 @@
 //! virtual-time costs the experiments report are separate, produced by
 //! the calibrated cost model).
 
+use std::cell::RefCell;
+
 use seuss_bench::{BatchSize, Harness};
 
 use miniscript::{HostHeap, Interpreter, RuntimeProfile};
@@ -178,9 +180,32 @@ fn bench_node_paths(h: &mut Harness) {
     const NOP: &str = "function main(args) { return 0; }";
 
     g.bench_function("invoke_hot", |b| {
-        let (mut node, _) = SeussNode::new(SeussConfig::test_node()).expect("node");
-        node.invoke(1, NOP, &[]).expect("prime");
-        b.iter(|| node.invoke(1, NOP, &[]).expect("hot"));
+        let (node, _) = SeussNode::new(SeussConfig::test_node()).expect("node");
+        let node = RefCell::new(node);
+        node.borrow_mut().invoke(1, NOP, &[]).expect("prime");
+        // A UC's interpreter heap fills after ~10^7 hot invocations, so
+        // the untimed setup swaps in a fresh idle UC (one warm invoke)
+        // every `UC_BUDGET` setups. The harness sets up at most one batch
+        // (≤ 2^20 iterations) ahead of its routines, so no UC serves more
+        // than 2 · 2^20 hot invocations.
+        const UC_BUDGET: u64 = 1 << 20;
+        let mut scheduled = 0u64;
+        b.iter_batched(
+            || {
+                scheduled += 1;
+                if scheduled > UC_BUDGET {
+                    let node = &mut *node.borrow_mut();
+                    while let Some(uc) = node.idle.take(1) {
+                        node.images
+                            .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+                    }
+                    node.invoke(1, NOP, &[]).expect("warm");
+                    scheduled = 1;
+                }
+            },
+            |()| node.borrow_mut().invoke(1, NOP, &[]).expect("hot"),
+            BatchSize::SmallInput,
+        );
     });
 
     g.bench_function("invoke_warm", |b| {

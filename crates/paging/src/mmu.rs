@@ -148,23 +148,7 @@ impl Mmu {
         idx: usize,
         child: TableId,
     ) -> Result<TableId, MemError> {
-        let new = self.store.clone_node(mem, child)?;
-        // The clone re-references every child table / frame.
-        let refs: Vec<Entry> = self
-            .store
-            .node(new)
-            .entries
-            .iter()
-            .copied()
-            .filter(|e| e.is_present())
-            .collect();
-        for entry in refs {
-            if entry.is_table() {
-                self.store.inc_ref(entry.next_table());
-            } else {
-                mem.inc_ref(entry.frame());
-            }
-        }
+        let new = self.store.clone_referencing(mem, child)?;
         // Parent drops its reference on the shared original.
         self.release_root(mem, child);
         self.store.node_mut(parent).entries[idx] = Entry::table(new);
@@ -572,22 +556,7 @@ impl Mmu {
         mem: &mut PhysMemory,
         root: TableId,
     ) -> Result<TableId, MemError> {
-        let new = self.store.clone_node(mem, root)?;
-        let refs: Vec<Entry> = self
-            .store
-            .node(new)
-            .entries
-            .iter()
-            .copied()
-            .filter(|e| e.is_present())
-            .collect();
-        for entry in refs {
-            if entry.is_table() {
-                self.store.inc_ref(entry.next_table());
-            } else {
-                mem.inc_ref(entry.frame());
-            }
-        }
+        let new = self.store.clone_referencing(mem, root)?;
         self.stats.shallow_clones += 1;
         self.stats.entries_copied += TABLE_ENTRIES as u64;
         Ok(new)

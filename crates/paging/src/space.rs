@@ -6,8 +6,11 @@
 //! side structure rather than in the shared PTEs because PTE dirty bits
 //! are shared between a snapshot and every UC deployed from it, while
 //! capture needs *this UC's* writes only.
-
-use std::collections::BTreeSet;
+//!
+//! The dirty set is a sorted, deduplicated `Vec` of page numbers. Boot
+//! commits, resume touches and heap commits all write ascending runs, so
+//! recording a new page is almost always a compare against the last
+//! element and a push; only a write at or below it pays a binary search.
 
 use seuss_mem::{VirtAddr, PAGE_SIZE};
 
@@ -61,8 +64,9 @@ impl Region {
 pub struct AddressSpace {
     root: TableId,
     regions: Vec<Region>,
-    /// Virtual page numbers written since creation (or last [`Self::take_dirty`]).
-    dirty: BTreeSet<u64>,
+    /// Virtual page numbers written since creation (or last
+    /// [`Self::take_dirty`]), ascending and without duplicates.
+    dirty: Vec<u64>,
     /// Frames made private to this space since creation/capture
     /// (COW clones + demand-zero allocations). This is the footprint the
     /// paper reports per invocation path.
@@ -76,7 +80,7 @@ impl AddressSpace {
         AddressSpace {
             root,
             regions: Vec::new(),
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
             private_pages: 0,
         }
     }
@@ -117,7 +121,15 @@ impl AddressSpace {
 
     /// Records a write to the page containing `va`.
     pub(crate) fn note_write(&mut self, va: VirtAddr) {
-        self.dirty.insert(va.page_number());
+        let page = va.page_number();
+        match self.dirty.last() {
+            Some(&last) if last >= page => {
+                if let Err(pos) = self.dirty.binary_search(&page) {
+                    self.dirty.insert(pos, page);
+                }
+            }
+            _ => self.dirty.push(page),
+        }
     }
 
     /// Records that a frame became private to this space.
@@ -130,13 +142,14 @@ impl AddressSpace {
         self.dirty.len() as u64
     }
 
-    /// The dirty virtual page numbers, without draining.
+    /// The dirty virtual page numbers in ascending order, without draining.
     pub fn dirty_pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.dirty.iter().copied()
     }
 
-    /// Drains and returns the dirty set (capture does this).
-    pub fn take_dirty(&mut self) -> BTreeSet<u64> {
+    /// Drains and returns the dirty set in ascending order (capture does
+    /// this).
+    pub fn take_dirty(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.dirty)
     }
 
@@ -197,10 +210,11 @@ mod tests {
         let mut a = AddressSpace::from_root(TableId::from_index(0));
         a.note_write(VirtAddr::new(0x1000));
         a.note_write(VirtAddr::new(0x1008)); // same page
-        a.note_write(VirtAddr::new(0x2000));
-        assert_eq!(a.dirty_count(), 2);
-        let drained = a.take_dirty();
-        assert_eq!(drained.len(), 2);
+        a.note_write(VirtAddr::new(0x4000));
+        a.note_write(VirtAddr::new(0x2000)); // out of order
+        a.note_write(VirtAddr::new(0x4010)); // repeat
+        assert_eq!(a.dirty_count(), 3);
+        assert_eq!(a.take_dirty(), vec![1, 2, 4]);
         assert_eq!(a.dirty_count(), 0);
     }
 

@@ -74,19 +74,41 @@ impl TableStore {
 
     /// Clones `src` into a fresh table (same level, entries copied verbatim),
     /// backed by a new frame, refcount 1. Child reference counts are *not*
-    /// adjusted here — the MMU layer owns that bookkeeping.
+    /// adjusted here; `clone_referencing` adjusts them.
     pub fn clone_node(&mut self, mem: &mut PhysMemory, src: TableId) -> Result<TableId, MemError> {
+        let node = self.copy_node(mem, src)?;
+        Ok(self.insert(node))
+    }
+
+    /// [`Self::clone_node`] plus the copy's own references: one more on
+    /// every child table and every mapped frame it points at. This is
+    /// the whole of a shallow clone or a table split.
+    pub(crate) fn clone_referencing(
+        &mut self,
+        mem: &mut PhysMemory,
+        src: TableId,
+    ) -> Result<TableId, MemError> {
+        let node = self.copy_node(mem, src)?;
+        for entry in node.entries.iter().filter(|e| e.is_present()) {
+            if entry.is_table() {
+                self.inc_ref(entry.next_table());
+            } else {
+                mem.inc_ref(entry.frame());
+            }
+        }
+        Ok(self.insert(node))
+    }
+
+    /// A detached copy of `src` on a new page-table frame, refcount 1.
+    fn copy_node(&self, mem: &mut PhysMemory, src: TableId) -> Result<TableNode, MemError> {
         let frame = mem.alloc(FrameKind::PageTable)?;
-        let (level, entries) = {
-            let n = self.node(src);
-            (n.level, n.entries.clone())
-        };
-        Ok(self.insert(TableNode {
-            level,
+        let n = self.node(src);
+        Ok(TableNode {
+            level: n.level,
             refcount: 1,
             frame,
-            entries,
-        }))
+            entries: n.entries.clone(),
+        })
     }
 
     fn insert(&mut self, node: TableNode) -> TableId {

@@ -12,6 +12,9 @@
 //! underlying frames are refcounted, so even a policy violation could not
 //! corrupt memory — the policy exists to keep cache accounting honest.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use seuss_mem::{MemError, PhysMemory, PAGE_SIZE};
 use seuss_paging::{AddressSpace, Mmu, Region};
 use seuss_trace::{TraceEvent, Tracer};
@@ -189,9 +192,13 @@ impl Snapshot {
 }
 
 /// Owner of all snapshots on a node.
+///
+/// A capture takes the lowest free slot, so ids are reused lowest-first.
 #[derive(Default)]
 pub struct SnapshotStore {
     snaps: Vec<Option<Snapshot>>,
+    /// Indices of the `None` slots in `snaps`, lowest on top.
+    free: BinaryHeap<Reverse<u32>>,
     /// Tracing handle (disabled by default; the node installs a live one).
     pub tracer: Tracer,
 }
@@ -204,7 +211,7 @@ impl SnapshotStore {
 
     /// Number of live snapshots.
     pub fn len(&self) -> usize {
-        self.snaps.iter().flatten().count()
+        self.snaps.len() - self.free.len()
     }
 
     /// Whether the store holds no snapshots.
@@ -276,14 +283,16 @@ impl SnapshotStore {
             children: 0,
             checksum,
         };
-        for (idx, slot) in self.snaps.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(snap);
-                return Ok(SnapshotId(idx as u32));
+        match self.free.pop() {
+            Some(Reverse(idx)) => {
+                self.snaps[idx as usize] = Some(snap);
+                Ok(SnapshotId(idx))
+            }
+            None => {
+                self.snaps.push(Some(snap));
+                Ok(SnapshotId(self.snaps.len() as u32 - 1))
             }
         }
-        self.snaps.push(Some(snap));
-        Ok(SnapshotId(self.snaps.len() as u32 - 1))
     }
 
     /// Deploys a new UC address space from a snapshot.
@@ -334,6 +343,7 @@ impl SnapshotStore {
             return Err(SnapshotError::HasChildren(snap.children));
         }
         let snap = self.snaps[id.0 as usize].take().expect("checked live");
+        self.free.push(Reverse(id.0));
         if let Some(p) = snap.parent {
             if let Ok(parent) = self.get_mut(p) {
                 parent.children -= 1;
@@ -725,5 +735,28 @@ mod tests {
             store.release_uc(base).unwrap();
         }
         assert_eq!(mem.stats().used_frames, before);
+    }
+
+    #[test]
+    fn freed_ids_are_reused_lowest_first() {
+        let (mut mem, mut mmu, mut space) = setup();
+        let mut store = SnapshotStore::new();
+        let mut capture = |store: &mut SnapshotStore, mmu: &mut Mmu, mem: &mut PhysMemory| {
+            let regs = RegisterState::default();
+            let id = store.capture(mmu, mem, &mut space, regs, SnapshotKind::Runtime, "s", None);
+            id.unwrap().index()
+        };
+        for want in 0..5 {
+            assert_eq!(capture(&mut store, &mut mmu, &mut mem), want);
+        }
+        for id in [3, 1] {
+            store.delete(&mut mmu, &mut mem, SnapshotId(id)).unwrap();
+        }
+        assert_eq!(store.len(), 3);
+        let next: Vec<u32> = (0..3)
+            .map(|_| capture(&mut store, &mut mmu, &mut mem))
+            .collect();
+        assert_eq!(next, [1, 3, 5]);
+        assert_eq!(store.len(), 6);
     }
 }

@@ -7,6 +7,8 @@
 //! copies materialize only when a descendant mutates), deploy clones the
 //! `Rc` into the new UC and replays the driver's resume writes.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use miniscript::{Interpreter, ProgId};
@@ -68,9 +70,13 @@ impl UcImagePackage {
 }
 
 /// Store of deployable UC images (snapshot + interpreter mirror).
+///
+/// A new image takes the lowest free slot, so ids are reused lowest-first.
 #[derive(Default)]
 pub struct ImageStore {
     images: Vec<Option<UcImage>>,
+    /// Indices of the `None` slots in `images`, lowest on top.
+    free: BinaryHeap<Reverse<u32>>,
     next_uc_id: u32,
     /// Tracing handle (disabled by default; the node installs a live one).
     pub tracer: Tracer,
@@ -84,7 +90,7 @@ impl ImageStore {
 
     /// Number of live images.
     pub fn len(&self) -> usize {
-        self.images.iter().flatten().count()
+        self.images.len() - self.free.len()
     }
 
     /// Whether the store is empty.
@@ -151,14 +157,16 @@ impl ImageStore {
     }
 
     fn insert(&mut self, image: UcImage) -> UcImageId {
-        for (i, slot) in self.images.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(image);
-                return UcImageId(i as u32);
+        match self.free.pop() {
+            Some(Reverse(idx)) => {
+                self.images[idx as usize] = Some(image);
+                UcImageId(idx)
+            }
+            None => {
+                self.images.push(Some(image));
+                UcImageId(self.images.len() as u32 - 1)
             }
         }
-        self.images.push(Some(image));
-        UcImageId(self.images.len() as u32 - 1)
     }
 
     /// Deploys a new UC from an image: shallow-clones the snapshot's page
@@ -352,6 +360,7 @@ impl ImageStore {
         };
         snaps.delete(mmu, mem, snap)?;
         self.images[id.0 as usize] = None;
+        self.free.push(Reverse(id.0));
         Ok(())
     }
 }
@@ -564,5 +573,24 @@ mod tests {
             .delete(&mut r.mmu, &mut r.mem, &mut r.snaps, base)
             .unwrap();
         assert!(r.images.is_empty());
+    }
+
+    #[test]
+    fn freed_image_ids_are_reused_lowest_first() {
+        let (mut r, mut base_uc) = rig();
+        for want in 0..5 {
+            assert_eq!(capture_base(&mut r, &mut base_uc).0, want);
+        }
+        for id in [3, 1] {
+            r.images
+                .delete(&mut r.mmu, &mut r.mem, &mut r.snaps, UcImageId(id))
+                .unwrap();
+        }
+        assert_eq!(r.images.len(), 3);
+        let next: Vec<u32> = (0..3)
+            .map(|_| capture_base(&mut r, &mut base_uc).0)
+            .collect();
+        assert_eq!(next, [1, 3, 5]);
+        assert_eq!(r.images.len(), 6);
     }
 }
