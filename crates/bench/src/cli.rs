@@ -9,9 +9,8 @@
 //!   every value (see `seuss-exec`).
 //! - `--fault-plan <spec>` / `--fault-seed N` — fault schedule (see
 //!   [`seuss::faults::spec`] for the grammar).
-//! - `--store <lazy|eager|ws>`, `--store-blocks N`,
-//!   `--store-reclaim <evict|demote>` — snapshot storage tier knobs
-//!   (see `seuss::store`). No `--store` flag means no tier.
+//! - `--store-blocks N` — storage-tier device capacity in blocks, for
+//!   the binaries that run a tier (`figtier`).
 //!
 //! All flags (and their values) are stripped from
 //! [`BenchArgs::positionals`], so the binaries' positional arguments
@@ -19,37 +18,11 @@
 //! [`WORKERS_ENV`] — print a usage error and exit 2.
 
 use seuss::faults::{spec, FaultPlan};
-use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
 
 /// Environment variable supplying the worker-thread count when no
 /// `--workers` flag is given. Execution speed only: artifacts are
 /// byte-identical at every value.
 pub const WORKERS_ENV: &str = "SEUSS_EXEC_WORKERS";
-
-/// Storage-tier flags, already validated.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StoreArgs {
-    /// Restore policy from `--store`.
-    pub policy: RestorePolicy,
-    /// Device capacity from `--store-blocks` (default: NVMe's 4 GiB).
-    pub capacity_blocks: u64,
-    /// Reclaim mode from `--store-reclaim` (default: demote-coldest).
-    pub reclaim: ReclaimMode,
-}
-
-impl StoreArgs {
-    /// The `SeussConfig`-ready store configuration these flags select.
-    pub fn to_config(self) -> StoreConfig {
-        StoreConfig {
-            device: DeviceConfig {
-                capacity_blocks: self.capacity_blocks,
-                ..DeviceConfig::nvme()
-            },
-            policy: self.policy,
-            reclaim: self.reclaim,
-        }
-    }
-}
 
 /// Every shared bench flag, parsed once.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,8 +34,8 @@ pub struct BenchArgs {
     pub fault_spec: Option<String>,
     /// `--fault-seed` value, if given.
     pub fault_seed: Option<u64>,
-    /// Storage-tier knobs, `None` without a `--store` flag.
-    pub store: Option<StoreArgs>,
+    /// `--store-blocks` value, if given.
+    pub store_blocks: Option<u64>,
     /// The arguments left over once every flag is stripped.
     pub positionals: Vec<String>,
 }
@@ -89,9 +62,7 @@ const VALUED: &[&str] = &[
     "-j",
     "--fault-plan",
     "--fault-seed",
-    "--store",
     "--store-blocks",
-    "--store-reclaim",
 ];
 
 fn strip_flags(args: &[String]) -> Vec<String> {
@@ -143,35 +114,15 @@ impl BenchArgs {
             v.parse()
                 .unwrap_or_else(|_| bad_flag("--fault-seed", &v, "an integer seed"))
         });
-        let store = valued(args, "--store").map(|v| {
-            let policy = match v.as_str() {
-                "lazy" => RestorePolicy::LazyPaging,
-                "eager" => RestorePolicy::EagerFull,
-                "ws" => RestorePolicy::WorkingSetPrefetch,
-                _ => bad_flag("--store", &v, "lazy, eager, or ws"),
-            };
-            let capacity_blocks = match valued(args, "--store-blocks") {
-                Some(b) => b
-                    .parse()
-                    .unwrap_or_else(|_| bad_flag("--store-blocks", &b, "a block count")),
-                None => DeviceConfig::nvme().capacity_blocks,
-            };
-            let reclaim = match valued(args, "--store-reclaim").as_deref() {
-                None | Some("demote") => ReclaimMode::DemoteColdest,
-                Some("evict") => ReclaimMode::Evict,
-                Some(r) => bad_flag("--store-reclaim", r, "evict or demote"),
-            };
-            StoreArgs {
-                policy,
-                capacity_blocks,
-                reclaim,
-            }
+        let store_blocks = valued(args, "--store-blocks").map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| bad_flag("--store-blocks", &v, "a block count"))
         });
         BenchArgs {
             workers: workers.max(1),
             fault_spec: valued(args, "--fault-plan"),
             fault_seed,
-            store,
+            store_blocks,
             positionals: strip_flags(args),
         }
     }
@@ -200,11 +151,6 @@ impl BenchArgs {
                 }
             },
         }
-    }
-
-    /// The store configuration the `--store` flags select, if any.
-    pub fn store_config(&self) -> Option<StoreConfig> {
-        self.store.map(StoreArgs::to_config)
     }
 }
 
@@ -302,40 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn store_flags_build_a_config() {
-        assert_eq!(parse(&["64"]).store, None);
-        assert_eq!(parse(&["64"]).store_config(), None);
-
-        let a = parse(&["--store", "ws", "--store-blocks=4096", "64"]);
-        let s = a.store.expect("store args");
-        assert_eq!(s.policy, RestorePolicy::WorkingSetPrefetch);
-        assert_eq!(s.capacity_blocks, 4096);
-        assert_eq!(s.reclaim, ReclaimMode::DemoteColdest, "demote by default");
-        let cfg = a.store_config().expect("config");
-        assert_eq!(cfg.device.capacity_blocks, 4096);
-        assert_eq!(
-            cfg.device.read_latency,
-            seuss::store::DeviceConfig::nvme().read_latency,
-            "cost model stays NVMe"
-        );
-        assert_eq!(a.positionals, v(&["64"]));
-
-        let b = parse(&["--store=lazy", "--store-reclaim", "evict"]);
-        let s = b.store.expect("store args");
-        assert_eq!(s.policy, RestorePolicy::LazyPaging);
-        assert_eq!(s.reclaim, ReclaimMode::Evict);
-        assert_eq!(
-            s.capacity_blocks,
-            seuss::store::DeviceConfig::nvme().capacity_blocks
-        );
-        assert_eq!(b.positionals, Vec::<String>::new());
-    }
-
-    #[test]
-    fn store_knobs_without_store_flag_are_ignored() {
-        // `--store-blocks` alone selects no tier, but is still stripped.
+    fn store_blocks_is_applied_and_stripped() {
+        assert_eq!(parse(&["64"]).store_blocks, None);
         let a = parse(&["--store-blocks", "512", "8"]);
-        assert_eq!(a.store, None);
+        assert_eq!(a.store_blocks, Some(512));
         assert_eq!(a.positionals, v(&["8"]));
+        let b = parse(&["8", "--store-blocks=512", "f.csv"]);
+        assert_eq!(b.store_blocks, Some(512));
+        assert_eq!(b.positionals, v(&["8", "f.csv"]));
     }
 }

@@ -74,27 +74,17 @@ fn side(records: Vec<RequestRecord>) -> BurstSide {
     }
 }
 
-/// Runs the burst experiment at `period_s` (32, 16, or 8 in the paper).
+/// Runs the burst experiment at `period_s` (32, 16, or 8 in the paper)
+/// under an injected fault schedule.
 ///
 /// `params` override lets tests shrink the run; `mem_mib` sizes the SEUSS
 /// node. The Linux node runs with the paper's burst configuration: the
-/// stemcell cache enabled at 256. The two backends are independent
+/// stemcell cache enabled at 256. Both backends run the same `faults`
+/// plan and `retry` policy, so the figure shows how each platform's
+/// resiliency interacts with infrastructure failures; [`FaultPlan::none`]
+/// is the paper's fault-free figure. The two backends are independent
 /// trials and run on `workers` threads; results are identical at every
 /// worker count.
-pub fn run_burst(params: BurstParams, mem_mib: u64, workers: usize) -> BurstOutcome {
-    run_burst_with_faults(
-        params,
-        mem_mib,
-        workers,
-        &FaultPlan::none(),
-        RetryPolicy::resilient(),
-    )
-}
-
-/// [`run_burst`] under an injected fault schedule: both backends run
-/// the same `faults` plan and `retry` policy, so the figure shows how
-/// each platform's resiliency interacts with infrastructure failures.
-/// With [`FaultPlan::none`] this is byte-for-byte [`run_burst`].
 pub fn run_burst_with_faults(
     params: BurstParams,
     mem_mib: u64,
@@ -151,7 +141,8 @@ mod tests {
         // the paper's failure mechanism.
         let mut p = BurstParams::paper(8);
         p.bursts = 8;
-        let out = run_burst(p, 4 * 1024, 2);
+        let out =
+            run_burst_with_faults(p, 4 * 1024, 2, &FaultPlan::none(), RetryPolicy::resilient());
         // SEUSS: no request returns an error (the paper's headline).
         assert_eq!(out.seuss.background_err, 0, "SEUSS background errors");
         assert_eq!(out.seuss.burst_err, 0, "SEUSS burst errors");

@@ -44,10 +44,10 @@ pub mod table3;
 pub mod timing;
 pub mod traced;
 
-pub use cli::{BenchArgs, StoreArgs};
+pub use cli::BenchArgs;
 pub use fig4::{run_fig4, Fig4Point};
 pub use fig5::{run_fig5, Fig5Row};
-pub use figburst::{run_burst, run_burst_with_faults, BurstOutcome};
+pub use figburst::{run_burst_with_faults, BurstOutcome};
 pub use figfault::{availability_csv, default_fault_spec, run_figfault, FaultOutcome};
 pub use figtier::{run_figtier, tier_csv, TierOutcome, TierParams};
 pub use render::{ratio, Table};

@@ -10,9 +10,9 @@
 //! * **Seeded generators** built on [`simcore::SimRng`] — every case's
 //!   seed derives from the property name and case index, never the wall
 //!   clock, so runs are hermetic and byte-replayable.
-//! * **A [`Gen`] trait** with integer/vector/tuple/choice combinators and
-//!   generators for the core domain types (virtual addresses, page
-//!   permissions, boot profiles, burst traces) in [`domain`].
+//! * **A [`Gen`] trait** with integer/boolean/vector/tuple/choice
+//!   combinators; each suite composes its own domain generators from
+//!   them.
 //! * **Binary-search shrinking**: integers bisect toward zero, vectors
 //!   drop halving-sized chunks, tuples shrink componentwise. Failures
 //!   report both the raw and the minimized counterexample.
@@ -43,11 +43,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod domain;
 pub mod gen;
 pub mod runner;
 
-pub use gen::{bools, choice, just, one_of, range, unit_f64, vecs, BoxedGen, Gen};
+pub use gen::{bools, choice, just, one_of, range, vecs, BoxedGen, Gen};
 pub use runner::{check, check_with, run_check, Config, Failure, CASES_ENV, SEED_ENV};
 // Custom `Gen` impls need the RNG type; re-export it so test crates
 // don't have to depend on simcore directly.

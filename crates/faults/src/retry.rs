@@ -20,8 +20,8 @@ fn mix64(mut z: u64) -> u64 {
 /// every worker count.
 ///
 /// `budget` caps the total number of retries one trial may spend across
-/// all requests; when it runs out, further failures surface as
-/// [`crate::FaultError::RetryBudgetExhausted`].
+/// all requests; once it runs out, each further failure is recorded as
+/// `RequestStatus::Error` instead of being retried.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum attempts per request, including the first (1 = no retry).

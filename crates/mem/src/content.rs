@@ -134,7 +134,7 @@ impl PageContent {
 
     /// A 64-bit digest of the page's logical bytes (zero-filled holes
     /// included), equal iff the full 4 KiB contents are equal with high
-    /// probability. Used by the KSM-style dedup scanner.
+    /// probability.
     pub fn digest(&self) -> u64 {
         // FNV-1a over the logical page, skipping zero runs cheaply.
         const OFFSET: u64 = 0xcbf29ce484222325;

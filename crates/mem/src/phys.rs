@@ -281,11 +281,6 @@ impl PhysMemory {
         Ok(dst)
     }
 
-    /// Content digest of a frame (see [`PageContent::digest`]).
-    pub fn digest(&self, frame: FrameId) -> u64 {
-        self.meta(frame).content.digest()
-    }
-
     /// A copy of a frame's logical content (snapshot export).
     pub fn content_of(&self, frame: FrameId) -> PageContent {
         self.meta(frame).content.clone()

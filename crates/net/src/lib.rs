@@ -20,7 +20,8 @@
 //!   functions. [`external::ExternalServer`] models it.
 //!
 //! [`tcp::TcpCostModel`] provides the latency arithmetic (handshake,
-//! per-byte transfer) shared by all of the above.
+//! per-byte transfer) for the external endpoint's link and for links
+//! between distributed nodes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,4 +36,4 @@ pub use bridge::{Bridge, BridgeError};
 pub use external::ExternalServer;
 pub use packet::{Packet, PacketKind, Payload};
 pub use proxy::{NetProxy, ProxyError, UcEndpoint};
-pub use tcp::{TcpConn, TcpCostModel, TcpState};
+pub use tcp::TcpCostModel;

@@ -64,7 +64,6 @@
 
 pub mod entry;
 pub mod fault;
-pub mod ksm;
 pub mod mmu;
 pub mod space;
 pub mod stats;
@@ -72,7 +71,6 @@ pub mod table;
 
 pub use entry::{Entry, EntryFlags};
 pub use fault::{AccessKind, PageFault};
-pub use ksm::{KsmScanner, KsmStats};
 pub use mmu::{Mmu, SwapPager};
 pub use space::{AddressSpace, Region, RegionKind};
 pub use stats::OpStats;

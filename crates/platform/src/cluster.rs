@@ -985,6 +985,9 @@ impl World for Cluster {
                 self.finish(now, req, status, sched);
             }
             Ev::Timeout(req) => {
+                // This timeout is being delivered, so it is no longer
+                // pending: `finish` must not cancel it.
+                self.reqs[req].timeout_ev = None;
                 if self.reqs[req].status == ReqStatus::InFlight {
                     self.tracer.event(TraceEvent::Timeout);
                     // Drop from the Linux wait queue if present.

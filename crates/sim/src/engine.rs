@@ -97,13 +97,15 @@ impl<E> Scheduler<E> {
         self.schedule_at(now + after, ev)
     }
 
-    /// Cancels a previously scheduled event.
+    /// Cancels a pending event so it is never delivered.
     ///
-    /// Returns `true` if the event had not yet fired (or been cancelled).
-    /// Cancelling an already-fired id is a harmless no-op returning `false`
-    /// only when the id was never issued; fired ids are indistinguishable,
-    /// so this always returns `true` for issued ids that have not been seen
-    /// cancelled before.
+    /// Only pending ids may be cancelled: scheduled, and neither delivered
+    /// nor cancelled yet. The id stays in the cancelled set until its
+    /// calendar entry is popped, so cancelling an event that has already
+    /// been delivered leaks the id forever; [`Simulation::run`]
+    /// debug-asserts that the set is empty once the calendar drains.
+    /// Returns `false` for an id that was never issued or is already
+    /// cancelled, `true` otherwise.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.0 >= self.next_id {
             return false;
@@ -219,6 +221,11 @@ impl<W: World> Simulation<W> {
     pub fn run(&mut self) -> u64 {
         let start = self.handled;
         while self.step() {}
+        debug_assert!(
+            self.sched.cancelled.is_empty(),
+            "{} ids were cancelled after they were delivered",
+            self.sched.cancelled.len()
+        );
         self.handled - start
     }
 

@@ -18,10 +18,8 @@
 
 pub mod burst;
 pub mod report;
-pub mod trace;
 pub mod trial;
 
 pub use burst::BurstParams;
 pub use report::{burst_series_csv, fmt_duration_ms, records_csv, trial_artifacts, TrialArtifacts};
-pub use trace::{parse_trace, render_trace, TraceError};
 pub use trial::{TrialParams, ZipfTrial};

@@ -56,10 +56,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod error;
-
-pub use error::{Error, Result};
-
 pub use miniscript as interp;
 pub use seuss_baseline as baseline;
 pub use seuss_core as core;
