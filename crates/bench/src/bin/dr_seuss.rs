@@ -14,19 +14,15 @@
 //! * ship the *full* image (what a system without shared runtime
 //!   snapshots would pay).
 
+use seuss_bench::cli::positional;
 use seuss_bench::Table;
 use seuss_core::SeussConfig;
 use seuss_platform::{DrPath, DrSeussCluster};
 
 fn main() {
-    let nodes: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let functions: u64 = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let nodes: usize = positional(&args, 0, "nodes", 4);
+    let functions: u64 = positional(&args, 1, "functions", 64);
     let cfg = SeussConfig::builder()
         .mem_mib(4 * 1024)
         .build()

@@ -22,9 +22,8 @@ fn bar(v: f64, max: f64, width: usize) -> String {
 
 fn main() {
     let args = BenchArgs::parse(1);
-    let pos = &args.positionals;
-    let max_m: u64 = pos.first().and_then(|s| s.parse().ok()).unwrap_or(16_384);
-    let mem_mib: u64 = pos.get(1).and_then(|s| s.parse().ok()).unwrap_or(24 * 1024);
+    let max_m: u64 = args.positional(0, "max_set_size", 16_384);
+    let mem_mib: u64 = args.positional(1, "mem_mib", 24 * 1024);
     let workers = args.workers;
     let mut sizes = Vec::new();
     let mut m = 64u64;

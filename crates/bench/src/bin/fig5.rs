@@ -9,11 +9,7 @@ use seuss_bench::{run_fig5, BenchArgs, Table};
 
 fn main() {
     let args = BenchArgs::parse(1);
-    let mem_mib: u64 = args
-        .positionals
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(24 * 1024);
+    let mem_mib: u64 = args.positional(0, "mem_mib", 24 * 1024);
     let workers = args.workers;
     let sizes = [64, 2_048, 16_384];
     eprintln!("running Figure 5 at set sizes {sizes:?} ({workers} worker threads)…");

@@ -48,9 +48,8 @@ fn timeline(records: &[seuss_platform::RequestRecord], span_s: f64) -> String {
 
 fn main() {
     let args = BenchArgs::parse(2);
-    let pos = &args.positionals;
-    let period: u64 = pos.first().and_then(|s| s.parse().ok()).unwrap_or(32);
-    let csv_path = pos.get(1).cloned();
+    let period: u64 = args.positional(0, "period_s", 32);
+    let csv_path = args.positionals.get(1).cloned();
     let workers = args.workers;
     let plan = args.fault_plan(42);
     let params = BurstParams::paper(period);

@@ -51,10 +51,10 @@ fn timeline(out: &FaultOutcome) -> String {
 
 fn main() {
     let args = BenchArgs::parse(4);
-    let pos = &args.positionals;
-    let period: u64 = pos.first().and_then(|s| s.parse().ok()).unwrap_or(16);
-    let bursts: u32 = pos.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
-    let csv_path = pos
+    let period: u64 = args.positional(0, "period_s", 16);
+    let bursts: u32 = args.positional(1, "bursts", 10);
+    let csv_path = args
+        .positionals
         .get(2)
         .cloned()
         .unwrap_or_else(|| "results/figfault.csv".to_string());

@@ -17,17 +17,10 @@ use seuss_trace::PathKind;
 
 fn main() {
     let args = BenchArgs::parse(4);
-    let pos = &args.positionals;
     let mut p = TierParams::small();
-    if let Some(v) = pos.first() {
-        p.fns = v.parse().expect("fns: a function count");
-    }
-    if let Some(v) = pos.get(1) {
-        p.rounds = v.parse().expect("rounds: a sweep count");
-    }
-    if let Some(v) = pos.get(2) {
-        p.mem_mib = v.parse().expect("mem_mib: a MiB count");
-    }
+    p.fns = args.positional(0, "fns", p.fns);
+    p.rounds = args.positional(1, "rounds", p.rounds);
+    p.mem_mib = args.positional(2, "mem_mib", p.mem_mib);
     if let Some(blocks) = args.store_blocks {
         p.device_blocks = blocks;
     }
@@ -108,7 +101,7 @@ fn main() {
         ok = false;
     }
 
-    if let Some(path) = pos.get(3) {
+    if let Some(path) = args.positionals.get(3) {
         std::fs::write(path, &csv).expect("write csv");
         eprintln!("wrote {path} ({} rows)", csv.lines().count() - 1);
     }

@@ -9,11 +9,7 @@ use seuss_bench::{ratio, run_table1, BenchArgs, Table};
 
 fn main() {
     let args = BenchArgs::parse(2);
-    let iterations: u32 = args
-        .positionals
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(475);
+    let iterations: u32 = args.positional(0, "iterations", 475);
     let workers = args.workers;
     eprintln!("running Table 1 microbenchmarks ({iterations} invocations per path, {workers} worker threads)…");
     let started = std::time::Instant::now();

@@ -8,11 +8,7 @@ use seuss_bench::{ratio, run_table2, BenchArgs, Table};
 
 fn main() {
     let args = BenchArgs::parse(3);
-    let iterations: u32 = args
-        .positionals
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
+    let iterations: u32 = args.positional(0, "iterations", 100);
     let workers = args.workers;
     eprintln!(
         "running Table 2 AO ablation ({iterations} invocations per cell, {workers} worker threads)…"

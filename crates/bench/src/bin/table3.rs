@@ -13,11 +13,7 @@ use seuss_bench::{run_table3, BenchArgs, Table};
 
 fn main() {
     let args = BenchArgs::parse(4);
-    let cap: u64 = args
-        .positionals
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8_000);
+    let cap: u64 = args.positional(0, "seuss_fill_cap", 8_000);
     let cap = if cap == 0 { None } else { Some(cap) };
     let workers = args.workers;
     eprintln!(

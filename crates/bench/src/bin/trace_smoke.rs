@@ -12,11 +12,7 @@ use seuss_bench::{run_trace_smoke, BenchArgs, TRACE_SMOKE_SHARDS};
 
 fn main() {
     let args = BenchArgs::parse(4);
-    let invocations: u64 = args
-        .positionals
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
+    let invocations: u64 = args.positional(0, "invocations", 40);
     let workers = args.workers;
     eprintln!(
         "running traced trial ({invocations} invocations, {TRACE_SMOKE_SHARDS} shards, \

@@ -14,8 +14,11 @@
 //!
 //! All flags (and their values) are stripped from
 //! [`BenchArgs::positionals`], so the binaries' positional arguments
-//! keep working unchanged. Malformed values — in a flag or in
-//! [`WORKERS_ENV`] — print a usage error and exit 2.
+//! keep working unchanged. Malformed values — in a flag, in a positional
+//! argument, or in [`WORKERS_ENV`] — print a usage error naming their
+//! source and exit 2.
+
+use std::str::FromStr;
 
 use seuss::faults::{spec, FaultPlan};
 
@@ -88,9 +91,22 @@ fn strip_flags(args: &[String]) -> Vec<String> {
     out
 }
 
-fn bad_flag(flag: &str, value: &str, expected: &str) -> ! {
-    eprintln!("invalid {flag} {value:?}: expected {expected}");
+/// Prints a usage error naming where the bad value came from, and exits 2.
+fn bad_value(source: &str, value: &str, why: &str) -> ! {
+    eprintln!("invalid {source} {value:?}: {why}");
     std::process::exit(2);
+}
+
+/// Numeric positional argument `index` of `args`, or `default` when
+/// absent. A malformed value prints a usage error naming `name` and
+/// exits 2.
+pub fn positional<T: FromStr>(args: &[String], index: usize, name: &str, default: T) -> T {
+    match args.get(index) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| bad_value(name, v, "expected a number")),
+    }
 }
 
 impl BenchArgs {
@@ -101,22 +117,22 @@ impl BenchArgs {
         let workers = match valued(args, "--workers").or_else(|| valued(args, "-j")) {
             Some(v) => v
                 .parse()
-                .unwrap_or_else(|_| bad_flag("--workers", &v, "a thread count")),
+                .unwrap_or_else(|_| bad_value("--workers", &v, "expected a thread count")),
             None => match env_workers {
                 Some(v) => v
                     .trim()
                     .parse()
-                    .unwrap_or_else(|_| bad_flag(WORKERS_ENV, v, "a thread count")),
+                    .unwrap_or_else(|_| bad_value(WORKERS_ENV, v, "expected a thread count")),
                 None => default_workers,
             },
         };
         let fault_seed = valued(args, "--fault-seed").map(|v| {
             v.parse()
-                .unwrap_or_else(|_| bad_flag("--fault-seed", &v, "an integer seed"))
+                .unwrap_or_else(|_| bad_value("--fault-seed", &v, "expected an integer seed"))
         });
         let store_blocks = valued(args, "--store-blocks").map(|v| {
             v.parse()
-                .unwrap_or_else(|_| bad_flag("--store-blocks", &v, "a block count"))
+                .unwrap_or_else(|_| bad_value("--store-blocks", &v, "expected a block count"))
         });
         BenchArgs {
             workers: workers.max(1),
@@ -125,6 +141,12 @@ impl BenchArgs {
             store_blocks,
             positionals: strip_flags(args),
         }
+    }
+
+    /// Numeric positional argument `index` once flags are stripped, or
+    /// `default` when absent; see [`positional`].
+    pub fn positional<T: FromStr>(&self, index: usize, name: &str, default: T) -> T {
+        positional(&self.positionals, index, name, default)
     }
 
     /// Parses the process argv and [`WORKERS_ENV`].
@@ -245,6 +267,14 @@ mod tests {
         assert_eq!(a.workers, 4);
         assert_eq!(a.fault_spec, Some("crash@1s+2s".to_string()));
         assert_eq!(a.positionals, v(&["8", "f.csv"]));
+    }
+
+    #[test]
+    fn positionals_parse_after_flags_or_fall_back_to_the_default() {
+        let a = parse(&["--workers", "2", "64", "out.csv"]);
+        assert_eq!(a.positional(0, "size", 16u64), 64);
+        assert_eq!(a.positional(2, "rounds", 3u32), 3);
+        assert_eq!(positional(&v(&["4"]), 0, "nodes", 1usize), 4);
     }
 
     #[test]

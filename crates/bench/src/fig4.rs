@@ -7,8 +7,7 @@
 //! after saturation; SEUSS sustains throughput and ends up ~52× ahead on
 //! the mostly-unique workload.
 
-use seuss_core::{AoLevel, SeussConfig};
-use seuss_platform::{run_trial, BackendKind, ClusterConfig};
+use seuss_platform::{run_trial, ClusterConfig};
 use seuss_workload::TrialParams;
 
 /// One set-size point for one backend.
@@ -24,18 +23,6 @@ pub struct Fig4Point {
     pub linux_errors: u64,
     /// Errors on the SEUSS backend.
     pub seuss_errors: u64,
-}
-
-fn seuss_cluster(mem_mib: u64) -> ClusterConfig {
-    let node = SeussConfig::builder()
-        .mem_mib(mem_mib)
-        .ao_level(AoLevel::NetworkAndInterpreter)
-        .build()
-        .expect("valid fig4 config");
-    ClusterConfig {
-        backend: BackendKind::Seuss(Box::new(node)),
-        ..ClusterConfig::seuss_paper()
-    }
 }
 
 /// Runs the Figure 4 sweep over the given set sizes.
@@ -63,7 +50,7 @@ pub fn run_fig4(
         }
         let (reg, spec) = params.build();
         let cfg = if is_seuss {
-            seuss_cluster(mem_mib)
+            crate::paper_seuss_cluster(mem_mib)
         } else {
             ClusterConfig::linux_paper()
         };

@@ -8,7 +8,6 @@
 //! contention visible at the 8 s period.
 
 use seuss::faults::{FaultPlan, RetryPolicy};
-use seuss_core::{AoLevel, SeussConfig};
 use seuss_platform::{run_trial, BackendKind, ClusterConfig, RequestRecord};
 use seuss_workload::{report::burst_counts, BurstParams};
 
@@ -95,16 +94,10 @@ pub fn run_burst_with_faults(
     let mut sides = seuss_exec::ordered_parallel(vec![false, true], workers, |_, is_seuss| {
         let (reg, spec) = params.build();
         let cfg = if is_seuss {
-            let node = SeussConfig::builder()
-                .mem_mib(mem_mib)
-                .ao_level(AoLevel::NetworkAndInterpreter)
-                .build()
-                .expect("valid burst config");
             ClusterConfig {
-                backend: BackendKind::Seuss(Box::new(node)),
                 faults: faults.clone(),
                 retry,
-                ..ClusterConfig::seuss_paper()
+                ..crate::paper_seuss_cluster(mem_mib)
             }
         } else {
             ClusterConfig {

@@ -11,7 +11,6 @@
 //! an error.
 
 use seuss::faults::{FaultPlan, RetryPolicy};
-use seuss_core::{AoLevel, SeussConfig};
 use seuss_platform::{run_trial, BackendKind, ClusterConfig, RequestRecord, RequestStatus};
 use seuss_workload::{
     report::{per_second_series, SecondBucket},
@@ -112,16 +111,10 @@ pub fn run_figfault(
         seuss_exec::ordered_parallel(variants, workers, |_, (label, is_seuss, retry)| {
             let (reg, spec) = params.build();
             let cfg = if is_seuss {
-                let node = SeussConfig::builder()
-                    .mem_mib(mem_mib)
-                    .ao_level(AoLevel::NetworkAndInterpreter)
-                    .build()
-                    .expect("valid fault-figure config");
                 ClusterConfig {
-                    backend: BackendKind::Seuss(Box::new(node)),
                     faults: plan.clone(),
                     retry,
-                    ..ClusterConfig::seuss_paper()
+                    ..crate::paper_seuss_cluster(mem_mib)
                 }
             } else {
                 ClusterConfig {

@@ -56,3 +56,15 @@ pub use table2::{run_table2, Table2Results};
 pub use table3::{run_table3, IsolationRow, Table3Results};
 pub use timing::{BatchSize, Bencher, BenchmarkId, Harness};
 pub use traced::{run_trace_smoke, TraceSmoke, TRACE_SMOKE_SHARDS};
+
+/// The paper's SEUSS cluster with a node of `mem_mib` MiB.
+fn paper_seuss_cluster(mem_mib: u64) -> seuss_platform::ClusterConfig {
+    let node = seuss_core::SeussConfig::builder()
+        .mem_mib(mem_mib)
+        .build()
+        .expect("valid paper SEUSS config");
+    seuss_platform::ClusterConfig {
+        backend: seuss_platform::BackendKind::Seuss(Box::new(node)),
+        ..seuss_platform::ClusterConfig::seuss_paper()
+    }
+}

@@ -1,5 +1,6 @@
-//! A malformed flag value fails loudly: the binary exits 2 and names
-//! where the bad value came from, whether a flag or the environment.
+//! A malformed argument fails loudly: the binary exits 2 and names where
+//! the bad value came from, whether a flag, a positional argument or the
+//! environment.
 
 use std::process::Command;
 
@@ -29,6 +30,16 @@ fn malformed_workers_flag_exits_2_even_with_a_valid_env() {
     cmd.env(seuss_bench::cli::WORKERS_ENV, "2")
         .args(["1", "--workers", "x"]);
     assert_usage_error(cmd, "--workers");
+}
+
+#[test]
+fn malformed_positional_exits_2_and_names_it() {
+    let mut cmd = bench(env!("CARGO_BIN_EXE_table1"));
+    cmd.arg("abc");
+    assert_usage_error(cmd, "iterations");
+    let mut cmd = bench(env!("CARGO_BIN_EXE_figtier"));
+    cmd.args(["96", "x"]);
+    assert_usage_error(cmd, "rounds");
 }
 
 #[test]

@@ -15,10 +15,12 @@ use simcore::lru::{Handle, Recency};
 use crate::node::FnId;
 
 /// LRU cache of function-specific UC images, keyed by function identity.
+/// It has no capacity of its own: memory pressure evicts through the OOM
+/// daemon's [`evict_lru`](Self::evict_lru).
+#[derive(Default)]
 pub struct FnImageCache {
     entries: HashMap<FnId, Handle>,
     order: Recency<(FnId, UcImageId)>,
-    capacity: usize,
     /// Lookup hits.
     pub hits: u64,
     /// Lookup misses.
@@ -28,18 +30,6 @@ pub struct FnImageCache {
 }
 
 impl FnImageCache {
-    /// Creates a cache holding at most `capacity` function images.
-    pub fn new(capacity: usize) -> Self {
-        FnImageCache {
-            entries: HashMap::new(),
-            order: Recency::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
     /// Number of cached images.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -67,10 +57,9 @@ impl FnImageCache {
         self.order.get(h).map(|(_, img)| img)
     }
 
-    /// Inserts a function image, evicting LRU deletable images as needed.
-    /// Returns the snapshot ids of every image that left the cache in the
-    /// process (evicted for capacity, or displaced by the new entry) —
-    /// the caller's cue to drop any storage-tier state they held.
+    /// Inserts a function image. Returns the snapshot id of the image it
+    /// displaced, if `f` had one — the caller's cue to drop any
+    /// storage-tier state it held.
     pub fn insert(
         &mut self,
         mmu: &mut Mmu,
@@ -79,21 +68,13 @@ impl FnImageCache {
         images: &mut ImageStore,
         f: FnId,
         img: UcImageId,
-    ) -> Vec<SnapshotId> {
-        let mut dropped = Vec::new();
-        while self.entries.len() >= self.capacity {
-            match self.evict_lru(mmu, mem, snaps, images) {
-                Some(sid) => dropped.extend(sid),
-                None => break,
-            }
-        }
+    ) -> Option<SnapshotId> {
         let h = self.order.push_back((f, img));
-        if let Some(old) = self.entries.insert(f, h) {
-            let (_, old_img) = self.order.remove(old).expect("cached entry is linked");
-            dropped.extend(images.snapshot_of(old_img).ok());
-            let _ = images.delete(mmu, mem, snaps, old_img);
-        }
-        dropped
+        let old = self.entries.insert(f, h)?;
+        let (_, old_img) = self.order.remove(old).expect("cached entry is linked");
+        let sid = images.snapshot_of(old_img).ok();
+        let _ = images.delete(mmu, mem, snaps, old_img);
+        sid
     }
 
     /// Evicts the least-recently-used deletable image (used directly by
@@ -225,7 +206,7 @@ mod tests {
 
     #[test]
     fn fn_cache_lru_accounting() {
-        let mut c = FnImageCache::new(8);
+        let mut c = FnImageCache::default();
         assert_eq!(c.lookup(1), None);
         assert_eq!(c.misses, 1);
         assert!(c.is_empty());
@@ -269,7 +250,7 @@ mod tests {
             )
             .unwrap();
 
-        let mut cache = FnImageCache::new(8);
+        let mut cache = FnImageCache::default();
         for f in [10u64, 20, 30, 40] {
             let (mut uc, _) = images.deploy(&mut mmu, &mut mem, &mut snaps, base).unwrap();
             uc.connect(&mut mmu, &mut mem).unwrap();

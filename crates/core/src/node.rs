@@ -1,11 +1,13 @@
 //! The SEUSS node: invocation paths, caches, and the OOM daemon.
 //!
-//! [`SeussNode::invoke`] is the heart of §4: look up the idle-UC cache
-//! (hot), else the function-snapshot cache (warm), else deploy from the
-//! base runtime snapshot and build the function snapshot on the way
-//! (cold). All mechanism work is real — the returned [`PathCosts`] are
-//! assembled from measured operation counts plus the fixed overheads of
-//! [`crate::cost::CostModel`].
+//! [`SeussNode::invoke`] is the heart of §4: one deployment pipeline
+//! (deploy, connect, import, capture, exec) with a longer or shorter
+//! prefix skipped. An idle UC (hot) goes straight to exec, the
+//! function snapshot (warm) skips import and capture, and the base
+//! runtime snapshot (cold) runs every phase, building the function
+//! snapshot on the way. All mechanism work is real — the returned
+//! [`PathCosts`] are assembled from measured operation counts plus the
+//! fixed overheads of [`crate::cost::CostModel`].
 
 use std::collections::HashMap;
 
@@ -145,6 +147,32 @@ impl core::fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
+/// Where an invocation starts: how much of the deployment pipeline
+/// (deploy, connect, import, capture) it skips.
+#[derive(Clone, Copy)]
+enum Start {
+    /// An idle UC of the function, already in the segment's slot (hot):
+    /// exec only.
+    Idle,
+    /// The function image, snapshot resident (warm): no import or capture.
+    Function(UcImageId),
+    /// The function image, snapshot diff on the storage tier (warm-tier).
+    Demoted(UcImageId, SnapshotId),
+    /// The runtime image (cold): every phase.
+    Runtime(UcImageId),
+}
+
+impl Start {
+    fn path(&self) -> PathKind {
+        match self {
+            Start::Idle => PathKind::Hot,
+            Start::Function(_) => PathKind::Warm,
+            Start::Demoted(..) => PathKind::WarmTier,
+            Start::Runtime(_) => PathKind::Cold,
+        }
+    }
+}
+
 /// Aggregate node statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NodeStats {
@@ -156,7 +184,7 @@ pub struct NodeStats {
     pub hot: u64,
     /// Warm invocations restored from the storage tier.
     pub warm_tier: u64,
-    /// Invocations that failed.
+    /// Invokes and resumes that returned an error.
     pub errors: u64,
     /// Idle UCs reclaimed by the OOM daemon.
     pub oom_reclaims: u64,
@@ -213,22 +241,21 @@ fn init_runtime(
     ao: AoLevel,
 ) -> Result<(UcImageId, SimDuration), NodeError> {
     let (mut base_uc, mut init_cost) =
-        UcContext::boot(mmu, mem, layout, uc_profile, runtime_profile).map_err(map_uc_err)?;
+        UcContext::boot(mmu, mem, layout, uc_profile, runtime_profile)?;
 
     // Anticipatory optimizations (§3, §7) run before the base capture.
     match ao {
         AoLevel::None => {}
         AoLevel::Network => {
-            init_cost += base_uc.warm_network_request(mmu, mem).map_err(map_uc_err)?;
+            init_cost += base_uc.warm_network_request(mmu, mem)?;
         }
         AoLevel::NetworkAndInterpreter => {
-            init_cost += base_uc.warm_network_request(mmu, mem).map_err(map_uc_err)?;
+            init_cost += base_uc.warm_network_request(mmu, mem)?;
             // Dummy function: interpreted and run pre-capture.
-            init_cost += base_uc.connect(mmu, mem).map_err(map_uc_err)?;
-            init_cost += base_uc
-                .import_function(mmu, mem, "function main(args) { return 'warm'; }")
-                .map_err(map_uc_err)?;
-            let (_, run_cost) = base_uc.invoke(mmu, mem, &[]).map_err(map_uc_err)?;
+            init_cost += base_uc.connect(mmu, mem)?;
+            init_cost +=
+                base_uc.import_function(mmu, mem, "function main(args) { return 'warm'; }")?;
+            let (_, run_cost) = base_uc.invoke(mmu, mem, &[])?;
             init_cost += run_cost;
             // The dummy leaves the UC in Done; reset to Listening so the
             // captured image is a clean runtime snapshot.
@@ -236,17 +263,15 @@ fn init_runtime(
         }
     }
 
-    let (image, capture_cost) = images
-        .capture(
-            mmu,
-            mem,
-            snaps,
-            &mut base_uc,
-            SnapshotKind::Runtime,
-            format!("{}-runtime", kind.name()),
-            None,
-        )
-        .map_err(map_uc_err)?;
+    let (image, capture_cost) = images.capture(
+        mmu,
+        mem,
+        snaps,
+        &mut base_uc,
+        SnapshotKind::Runtime,
+        format!("{}-runtime", kind.name()),
+        None,
+    )?;
     init_cost += capture_cost;
     base_uc.destroy(mmu, mem);
     Ok((image, init_cost))
@@ -308,7 +333,7 @@ impl SeussNode {
             mmu,
             snaps,
             images,
-            fn_cache: FnImageCache::new(usize::MAX >> 1),
+            fn_cache: FnImageCache::default(),
             idle: IdleUcCache::new(config.idle_per_fn, config.idle_total),
             cost: CostModel::paper(),
             stats: NodeStats::default(),
@@ -437,15 +462,14 @@ impl SeussNode {
     /// capture, or a snapshot imported from a peer — and marks its
     /// snapshot as just used for the storage tier.
     pub fn install_fn_image(&mut self, f: FnId, img: UcImageId) {
-        let dropped = self.fn_cache.insert(
+        if let Some(sid) = self.fn_cache.insert(
             &mut self.mmu,
             &mut self.mem,
             &mut self.snaps,
             &mut self.images,
             f,
             img,
-        );
-        for sid in dropped {
+        ) {
             self.forget_tier(sid);
         }
         if let (Some(tier), Ok(sid)) = (self.tier.as_mut(), self.images.snapshot_of(img)) {
@@ -486,52 +510,52 @@ impl SeussNode {
         args: &[(&str, &str)],
     ) -> Result<Invocation, NodeError> {
         let ops_before = self.mmu.stats;
-        let mut costs = PathCosts::default();
         let span = self.tracer.span(SpanName::Invoke);
         span.annotate_fn(f);
+        let mut uc = None;
+        let result = self.resolve(f, runtime, &mut uc).and_then(|start| {
+            span.annotate_path(start.path());
+            self.run_phases(f, start, src, args, &mut uc, ops_before)
+        });
+        self.settle(uc, result)
+    }
 
-        // Hot path: idle UC ready for this function.
-        if let Some(mut uc) = self.idle.take(f) {
+    /// Resolves where an invocation of `f` starts: an idle UC, which goes
+    /// straight into `uc`, else the cached function image (its diff
+    /// resident or on the storage tier), else the runtime image. Emits
+    /// each lookup's cache event. A cached image whose snapshot fails its
+    /// integrity check, or whose device blocks are unreadable, is
+    /// discarded, and the start degrades to cold, whose re-capture
+    /// repairs the cache.
+    fn resolve(
+        &mut self,
+        f: FnId,
+        runtime: RuntimeKind,
+        uc: &mut Option<UcContext>,
+    ) -> Result<Start, NodeError> {
+        *uc = self.idle.take(f);
+        if uc.is_some() {
             self.tracer.event(TraceEvent::CacheHit {
                 cache: CacheKind::IdleUc,
             });
-            span.annotate_path(PathKind::Hot);
-            let exec = self.run_segment_fresh(&mut uc, args, &mut costs)?;
-            return self.conclude(f, PathKind::Hot, uc, exec, costs, ops_before);
+            return Ok(Start::Idle);
         }
         self.tracer.event(TraceEvent::CacheMiss {
             cache: CacheKind::IdleUc,
         });
-
-        // Warm path: deploy from the cached function image. A snapshot
-        // whose diff lives on the storage tier takes the warm-from-tier
-        // variant instead. Either degrades to the cold path — whose
-        // re-capture repairs the cache — when the cached snapshot fails
-        // its integrity check or its device blocks are unreadable.
         if let Some(img) = self.fn_cache.lookup(f) {
             let sid = self.images.snapshot_of(img).ok();
-            let demoted_sid = match (&self.tier, sid) {
-                (Some(t), Some(s)) if t.is_demoted(s) => Some(s),
-                _ => None,
-            };
+            let demoted = sid.filter(|&s| self.tier.as_ref().is_some_and(|t| t.is_demoted(s)));
             let device_faulted =
-                demoted_sid.is_some() && self.tier.as_ref().is_some_and(|t| t.read_fault_active());
+                demoted.is_some() && self.tier.as_ref().is_some_and(|t| t.read_fault_active());
             if self.snapshot_intact(img) && !device_faulted {
                 self.tracer.event(TraceEvent::CacheHit {
                     cache: CacheKind::FnSnapshot,
                 });
-                if let Some(s) = demoted_sid {
-                    span.annotate_path(PathKind::WarmTier);
-                    let mut uc = self.deploy_tiered(img, s, &mut costs)?;
-                    self.connect_uc(&mut uc, &mut costs)?;
-                    let exec = self.run_segment_fresh(&mut uc, args, &mut costs)?;
-                    return self.conclude(f, PathKind::WarmTier, uc, exec, costs, ops_before);
-                }
-                span.annotate_path(PathKind::Warm);
-                let mut uc = self.deploy_uc(img, &mut costs)?;
-                self.connect_uc(&mut uc, &mut costs)?;
-                let exec = self.run_segment_fresh(&mut uc, args, &mut costs)?;
-                return self.conclude(f, PathKind::Warm, uc, exec, costs, ops_before);
+                return Ok(match demoted {
+                    Some(s) => Start::Demoted(img, s),
+                    None => Start::Function(img),
+                });
             }
             if device_faulted {
                 self.tracer.event(TraceEvent::TierReadError);
@@ -553,177 +577,157 @@ impl SeussNode {
         self.tracer.event(TraceEvent::CacheMiss {
             cache: CacheKind::FnSnapshot,
         });
-        span.annotate_path(PathKind::Cold);
-
-        // Cold path: runtime snapshot + import + capture.
-        let base = self
-            .runtime_images
+        self.runtime_images
             .get(&runtime)
-            .copied()
-            .ok_or(NodeError::NotInitialized)?;
-        let mut uc = self.deploy_uc(base, &mut costs)?;
-        self.connect_uc(&mut uc, &mut costs)?;
-        {
-            let _import_span = self.tracer.span(SpanName::Phase(Phase::Import));
-            let import_cost = match uc.import_function(&mut self.mmu, &mut self.mem, src) {
-                Ok(c) => c,
-                Err(e) => {
-                    self.destroy_uc(uc);
-                    self.stats.errors += 1;
-                    return Err(map_uc_err(e));
-                }
-            };
-            costs.import = import_cost + self.cost.import_per_byte * src.len() as u64;
-            self.tracer.advance(costs.import);
+            .map(|&base| Start::Runtime(base))
+            .ok_or(NodeError::NotInitialized)
+    }
+
+    /// Runs the phases `start` does not skip: deploy and connect unless
+    /// hot, import and capture only when cold, then exec and
+    /// [`conclude`](Self::conclude). The UC goes into `uc` as soon as it
+    /// exists, so a failure in any later phase leaves it to
+    /// [`settle`](Self::settle).
+    fn run_phases(
+        &mut self,
+        f: FnId,
+        start: Start,
+        src: &str,
+        args: &[(&str, &str)],
+        uc: &mut Option<UcContext>,
+        ops_before: seuss_paging::OpStats,
+    ) -> Result<Invocation, NodeError> {
+        let path = start.path();
+        let mut costs = PathCosts::default();
+        let (ctx, cold_base) = match start {
+            Start::Idle => (uc.as_mut().expect("resolve took the idle UC"), None),
+            Start::Function(img) => (uc.insert(self.deploy(img, None, &mut costs)?), None),
+            Start::Demoted(img, sid) => (uc.insert(self.deploy(img, Some(sid), &mut costs)?), None),
+            Start::Runtime(base) => (uc.insert(self.deploy(base, None, &mut costs)?), Some(base)),
+        };
+        if path != PathKind::Hot {
+            self.phase(Phase::Connect, &mut costs, |n| {
+                Ok(((), ctx.connect(&mut n.mmu, &mut n.mem)?))
+            })?;
         }
-        {
-            let _capture_span = self.tracer.span(SpanName::Phase(Phase::Capture));
-            let (fn_img, capture_cost) = self
-                .images
-                .capture(
-                    &mut self.mmu,
-                    &mut self.mem,
-                    &mut self.snaps,
-                    &mut uc,
+        if let Some(base) = cold_base {
+            self.phase(Phase::Import, &mut costs, |n| {
+                let compile = ctx.import_function(&mut n.mmu, &mut n.mem, src)?;
+                Ok(((), compile + n.cost.import_per_byte * src.len() as u64))
+            })?;
+            let fn_img = self.phase(Phase::Capture, &mut costs, |n| {
+                Ok(n.images.capture(
+                    &mut n.mmu,
+                    &mut n.mem,
+                    &mut n.snaps,
+                    ctx,
                     SnapshotKind::Function,
                     format!("fn-{f}"),
                     Some(base),
-                )
-                .map_err(map_uc_err)?;
-            costs.capture = capture_cost;
-            self.tracer.advance(costs.capture);
+                )?)
+            })?;
             self.install_fn_image(f, fn_img);
         }
-        let exec = self.run_segment_fresh(&mut uc, args, &mut costs)?;
-        self.conclude(f, PathKind::Cold, uc, exec, costs, ops_before)
+        let outcome = self.phase(Phase::Exec, &mut costs, |n| {
+            let (outcome, run) = ctx.invoke(&mut n.mmu, &mut n.mem, args)?;
+            Ok((outcome, n.cost.arg_import + n.cost.dispatch_fixed + run))
+        })?;
+        self.conclude(f, path, uc, outcome, costs, ops_before)
     }
 
-    /// Runs the connect phase under its span, advancing the trace clock
-    /// by exactly the recorded cost.
-    fn connect_uc(&mut self, uc: &mut UcContext, costs: &mut PathCosts) -> Result<(), NodeError> {
-        let _span = self.tracer.span(SpanName::Phase(Phase::Connect));
-        costs.connect = uc
-            .connect(&mut self.mmu, &mut self.mem)
-            .map_err(map_uc_err)?;
-        self.tracer.advance(costs.connect);
-        Ok(())
+    /// Runs one phase of a segment under its span: `work` returns the
+    /// phase's result and cost, and the cost is added to `costs` and
+    /// advances the trace clock, so each phase span lasts exactly its
+    /// booked cost. Every phase of every path is booked here.
+    fn phase<T>(
+        &mut self,
+        phase: Phase,
+        costs: &mut PathCosts,
+        work: impl FnOnce(&mut Self) -> Result<(T, SimDuration), NodeError>,
+    ) -> Result<T, NodeError> {
+        let _span = self.tracer.span(SpanName::Phase(phase));
+        let (out, cost) = work(self)?;
+        costs.set(phase, costs.get(phase) + cost);
+        self.tracer.advance(cost);
+        Ok(out)
     }
 
-    fn deploy_uc(&mut self, img: UcImageId, costs: &mut PathCosts) -> Result<UcContext, NodeError> {
-        let _span = self.tracer.span(SpanName::Phase(Phase::Deploy));
-        // Memory pressure is handled before construction, like the §6
-        // daemon watching the free-frame watermark.
-        self.run_oom_daemon();
-        let (uc, mech_cost) = self
-            .images
-            .deploy(&mut self.mmu, &mut self.mem, &mut self.snaps, img)
-            .map_err(map_uc_err)?;
-        self.finish_deploy(img, uc, mech_cost, costs)
-    }
-
-    /// Shared deploy epilogue: proxy port, LRU bump, pressure-work drain,
-    /// cost booking.
-    fn finish_deploy(
+    /// Builds a UC from `img`: the deploy phase of every start but hot.
+    /// A snapshot whose diff lives on the storage tier (`demoted`) also
+    /// takes the restore its policy asks for: eager promotion before the
+    /// deploy, a recorded working-set prefetch into the UC's fresh root
+    /// mid-deploy, or nothing up front (lazy: every later touch pages in
+    /// one by one through the MMU's pager, and
+    /// [`conclude`](Self::conclude) books the device time).
+    fn deploy(
         &mut self,
         img: UcImageId,
-        uc: UcContext,
-        mech_cost: SimDuration,
+        demoted: Option<SnapshotId>,
         costs: &mut PathCosts,
     ) -> Result<UcContext, NodeError> {
-        // Every UC gets a unique proxy port (identical IP/MAC otherwise).
+        let mut prefetch = None;
+        if let (Some(sid), Some(tier)) = (demoted, &self.tier) {
+            match tier.policy() {
+                // Fully resident again: the rest is a plain warm deploy.
+                RestorePolicy::EagerFull => self.phase(Phase::Restore, costs, |n| {
+                    let tier = n.tier.as_mut().expect("a demoted snapshot has a tier");
+                    let out = tier.promote(&mut n.mmu, &mut n.mem, &n.snaps, sid)?;
+                    n.tracer.event(TraceEvent::TierPromote { pages: out.pages });
+                    Ok(((), out.cost))
+                })?,
+                // Lazy and prefetch deploys run against the still-demoted
+                // snapshot (that is what preserves cache density).
+                RestorePolicy::WorkingSetPrefetch if tier.working_set(sid).is_some() => {
+                    prefetch = Some(sid);
+                }
+                _ => {}
+            }
+        }
+        let mut prefetched = None;
+        let uc = self.phase(Phase::Deploy, costs, |n| {
+            // Memory pressure is handled before construction, like the §6
+            // daemon watching the free-frame watermark.
+            n.run_oom_daemon();
+            let (uc, mech_cost) = n.images.deploy_prepared(
+                &mut n.mmu,
+                &mut n.mem,
+                &mut n.snaps,
+                img,
+                |mmu, mem, root| {
+                    if let Some(sid) = prefetch {
+                        let tier = n.tier.as_mut().expect("a demoted snapshot has a tier");
+                        let out = tier
+                            .prefetch_into(mmu, mem, root, sid)
+                            .map_err(|_| UcError::BadState("working-set prefetch failed"))?;
+                        prefetched = Some(out);
+                    }
+                    Ok(())
+                },
+            )?;
+            n.register_port(&uc);
+            if let (Some(tier), Ok(sid)) = (n.tier.as_mut(), n.images.snapshot_of(img)) {
+                tier.note_use(sid);
+            }
+            // OOM-daemon demotions bill the deploy that triggered them.
+            let demote_cost = std::mem::take(&mut n.pending_demote_cost);
+            Ok((uc, mech_cost + n.cost.uc_construct_fixed + demote_cost))
+        })?;
+        if let Some(out) = prefetched {
+            self.phase(Phase::Restore, costs, |n| {
+                n.tracer
+                    .event(TraceEvent::TierPrefetch { pages: out.pages });
+                Ok(((), out.cost))
+            })?;
+        }
+        Ok(uc)
+    }
+
+    /// Gives a fresh UC its unique proxy port (all UCs share one IP/MAC).
+    fn register_port(&mut self, uc: &UcContext) {
         let _ = self.proxy.register(UcEndpoint {
             core: (uc.uc_id % self.config.cores as u32) as u16,
             uc: uc.uc_id,
         });
-        if let Some(tier) = self.tier.as_mut() {
-            if let Ok(sid) = self.images.snapshot_of(img) {
-                tier.note_use(sid);
-            }
-        }
-        // OOM-daemon demotions bill the deploy that triggered them.
-        let demote_cost = std::mem::take(&mut self.pending_demote_cost);
-        costs.deploy = mech_cost + self.cost.uc_construct_fixed + demote_cost;
-        self.tracer.advance(costs.deploy);
-        Ok(uc)
-    }
-
-    /// Deploys from a function image whose snapshot diff lives on the
-    /// storage tier — the warm-from-tier path. The restore policy decides
-    /// the device work: eager promotion before the deploy, a recorded
-    /// working-set prefetch into the UC's fresh root mid-deploy, or
-    /// nothing up front (lazy — every later touch pages in one-by-one
-    /// through the MMU's pager).
-    fn deploy_tiered(
-        &mut self,
-        img: UcImageId,
-        sid: SnapshotId,
-        costs: &mut PathCosts,
-    ) -> Result<UcContext, NodeError> {
-        let policy = self
-            .tier
-            .as_ref()
-            .expect("tiered deploy needs a tier")
-            .policy();
-        if policy == RestorePolicy::EagerFull {
-            let out = {
-                let _span = self.tracer.span(SpanName::Phase(Phase::Restore));
-                let out = self
-                    .tier
-                    .as_mut()
-                    .expect("checked")
-                    .promote(&mut self.mmu, &mut self.mem, &self.snaps, sid)
-                    .map_err(map_store_err)?;
-                self.tracer
-                    .event(TraceEvent::TierPromote { pages: out.pages });
-                self.tracer.advance(out.cost);
-                out
-            };
-            costs.restore += out.cost;
-            // Fully resident again — the rest is a plain warm deploy.
-            return self.deploy_uc(img, costs);
-        }
-
-        // Lazy and prefetch deploys run against the still-demoted
-        // snapshot (that is what preserves cache density).
-        let want_prefetch = policy == RestorePolicy::WorkingSetPrefetch
-            && self
-                .tier
-                .as_ref()
-                .is_some_and(|t| t.working_set(sid).is_some());
-        let mut prefetched = None;
-        let uc = {
-            let _span = self.tracer.span(SpanName::Phase(Phase::Deploy));
-            self.run_oom_daemon();
-            let tier = self.tier.as_mut().expect("checked");
-            let out_slot = &mut prefetched;
-            let (uc, mech_cost) = self
-                .images
-                .deploy_prepared(
-                    &mut self.mmu,
-                    &mut self.mem,
-                    &mut self.snaps,
-                    img,
-                    |mmu, mem, root| {
-                        if want_prefetch {
-                            let out = tier
-                                .prefetch_into(mmu, mem, root, sid)
-                                .map_err(|_| UcError::BadState("working-set prefetch failed"))?;
-                            *out_slot = Some(out);
-                        }
-                        Ok(())
-                    },
-                )
-                .map_err(map_uc_err)?;
-            self.finish_deploy(img, uc, mech_cost, costs)?
-        };
-        if let Some(out) = prefetched {
-            let _span = self.tracer.span(SpanName::Phase(Phase::Restore));
-            self.tracer
-                .event(TraceEvent::TierPrefetch { pages: out.pages });
-            costs.restore += out.cost;
-            self.tracer.advance(out.cost);
-        }
-        Ok(uc)
     }
 
     /// Destroys a UC, dropping its proxy mapping first.
@@ -733,26 +737,14 @@ impl SeussNode {
             .destroy_uc(&mut self.mmu, &mut self.mem, &mut self.snaps, uc);
     }
 
-    fn run_segment_fresh(
-        &mut self,
-        uc: &mut UcContext,
-        args: &[(&str, &str)],
-        costs: &mut PathCosts,
-    ) -> Result<InvocationOutcome, NodeError> {
-        let _span = self.tracer.span(SpanName::Phase(Phase::Exec));
-        let (outcome, exec_cost) = uc
-            .invoke(&mut self.mmu, &mut self.mem, args)
-            .map_err(map_uc_err)?;
-        costs.exec = self.cost.arg_import + self.cost.dispatch_fixed + exec_cost;
-        self.tracer.advance(costs.exec);
-        Ok(outcome)
-    }
-
+    /// Ends a segment after exec: books the device time of its lazy
+    /// page-ins, then takes the UC out of `uc` and caches it for hot
+    /// starts (completed) or parks it until the IO reply (blocked).
     fn conclude(
         &mut self,
         f: FnId,
         path: PathKind,
-        uc: UcContext,
+        uc: &mut Option<UcContext>,
         outcome: InvocationOutcome,
         mut costs: PathCosts,
         ops_before: seuss_paging::OpStats,
@@ -766,62 +758,72 @@ impl SeussNode {
             .swap_in_nanos
             .saturating_sub(ops_before.swap_in_nanos);
         if swap_nanos > 0 {
-            let _span = self.tracer.span(SpanName::Phase(Phase::Restore));
-            let d = SimDuration::from_nanos(swap_nanos);
-            costs.restore += d;
-            self.tracer.advance(d);
+            self.phase(Phase::Restore, &mut costs, |_| {
+                Ok(((), SimDuration::from_nanos(swap_nanos)))
+            })?;
         }
-        match outcome {
-            InvocationOutcome::Completed { result } => {
-                {
-                    let _span = self.tracer.span(SpanName::Phase(Phase::Respond));
-                    costs.respond = self.cost.respond;
-                    self.tracer.advance(costs.respond);
-                }
-                // REAP-style recording: the first completed run off a
-                // freshly demoted snapshot harvests the pages it touched
-                // (hardware accessed bits) as the restore working set.
-                if let Some(sid) = uc.source_snapshot {
-                    if self.tier.as_ref().is_some_and(|t| t.needs_recording(sid)) {
-                        let accessed = self.mmu.harvest_and_clear_accessed(uc.space.root());
-                        self.tier
-                            .as_mut()
-                            .expect("checked")
-                            .record_working_set(sid, &accessed);
-                    }
-                }
-                self.tracer.record_segment(path, costs.phases());
-                match path {
-                    PathKind::Cold => self.stats.cold += 1,
-                    PathKind::Warm => self.stats.warm += 1,
-                    PathKind::Hot => self.stats.hot += 1,
-                    PathKind::WarmTier => self.stats.warm_tier += 1,
-                }
-                let private_pages = self.mmu.stats.since(&ops_before).pages_copied();
-                // Cache the UC for future hot starts; destroy any displaced.
-                if let Some(victim) = self.idle.put(f, uc) {
-                    self.destroy_uc(victim);
-                }
-                Ok(Invocation::Completed {
-                    path,
-                    result,
-                    costs,
-                    private_pages,
-                })
-            }
+        if matches!(outcome, InvocationOutcome::Completed { .. }) {
+            self.phase(Phase::Respond, &mut costs, |n| Ok(((), n.cost.respond)))?;
+        }
+        self.tracer.record_segment(path, costs.phases());
+        let uc = uc.take().expect("a concluded segment has a UC");
+        let result = match outcome {
+            InvocationOutcome::Completed { result } => result,
             InvocationOutcome::BlockedOnIo { url } => {
-                self.tracer.record_segment(path, costs.phases());
                 let token = IoToken(self.next_token);
                 self.next_token += 1;
                 self.pending.insert(token.0, (f, path, uc));
-                Ok(Invocation::Blocked {
+                return Ok(Invocation::Blocked {
                     path,
                     token,
                     url,
                     costs,
-                })
+                });
+            }
+        };
+        // REAP-style recording: the first completed run off a freshly
+        // demoted snapshot harvests the pages it touched (hardware
+        // accessed bits) as the restore working set.
+        if let (Some(sid), Some(tier)) = (uc.source_snapshot, self.tier.as_mut()) {
+            if tier.needs_recording(sid) {
+                let accessed = self.mmu.harvest_and_clear_accessed(uc.space.root());
+                tier.record_working_set(sid, &accessed);
             }
         }
+        match path {
+            PathKind::Cold => self.stats.cold += 1,
+            PathKind::Warm => self.stats.warm += 1,
+            PathKind::Hot => self.stats.hot += 1,
+            PathKind::WarmTier => self.stats.warm_tier += 1,
+        }
+        let private_pages = self.mmu.stats.since(&ops_before).pages_copied();
+        // Cache the UC for future hot starts; destroy any displaced.
+        if let Some(victim) = self.idle.put(f, uc) {
+            self.destroy_uc(victim);
+        }
+        Ok(Invocation::Completed {
+            path,
+            result,
+            costs,
+            private_pages,
+        })
+    }
+
+    /// The one exit of every invoke and resume. A failed one destroys its
+    /// UC, if it got that far, and counts the error; a successful one has
+    /// already handed its UC to a cache or the pending table.
+    fn settle(
+        &mut self,
+        uc: Option<UcContext>,
+        result: Result<Invocation, NodeError>,
+    ) -> Result<Invocation, NodeError> {
+        if result.is_err() {
+            if let Some(uc) = uc {
+                self.destroy_uc(uc);
+            }
+            self.stats.errors += 1;
+        }
+        result
     }
 
     /// Delivers an external-IO response to a blocked invocation.
@@ -830,25 +832,22 @@ impl SeussNode {
         token: IoToken,
         response: &str,
     ) -> Result<Invocation, NodeError> {
-        let (f, path, mut uc) = self
-            .pending
-            .remove(&token.0)
-            .ok_or(NodeError::UnknownToken)?;
+        let Some((f, path, parked)) = self.pending.remove(&token.0) else {
+            return self.settle(None, Err(NodeError::UnknownToken));
+        };
         let ops_before = self.mmu.stats;
-        let mut costs = PathCosts::default();
         let span = self.tracer.span(SpanName::Resume);
         span.annotate_fn(f);
         span.annotate_path(path);
-        let outcome = {
-            let _exec_span = self.tracer.span(SpanName::Phase(Phase::Exec));
-            let (outcome, exec_cost) = uc
-                .resume_io(&mut self.mmu, &mut self.mem, response)
-                .map_err(map_uc_err)?;
-            costs.exec = exec_cost;
-            self.tracer.advance(costs.exec);
-            outcome
-        };
-        self.conclude(f, path, uc, outcome, costs, ops_before)
+        let mut costs = PathCosts::default();
+        let mut uc = None;
+        let ctx = uc.insert(parked);
+        let result = self
+            .phase(Phase::Exec, &mut costs, |n| {
+                Ok(ctx.resume_io(&mut n.mmu, &mut n.mem, response)?)
+            })
+            .and_then(|outcome| self.conclude(f, path, &mut uc, outcome, costs, ops_before));
+        self.settle(uc, result)
     }
 
     /// Deploys one idle UC from the base runtime image into the idle pool
@@ -857,12 +856,8 @@ impl SeussNode {
         let base = self.runtime_image().ok_or(NodeError::NotInitialized)?;
         let (uc, mech) = self
             .images
-            .deploy(&mut self.mmu, &mut self.mem, &mut self.snaps, base)
-            .map_err(map_uc_err)?;
-        let _ = self.proxy.register(UcEndpoint {
-            core: (uc.uc_id % self.config.cores as u32) as u16,
-            uc: uc.uc_id,
-        });
+            .deploy(&mut self.mmu, &mut self.mem, &mut self.snaps, base)?;
+        self.register_port(&uc);
         if let Some(victim) = self.idle.put(f, uc) {
             self.destroy_uc(victim);
         }
@@ -935,19 +930,23 @@ impl SeussNode {
     }
 }
 
-fn map_store_err(e: StoreError) -> NodeError {
-    match e {
-        StoreError::Mem(_) => NodeError::OutOfMemory,
-        other => NodeError::Function(other.to_string()),
+impl From<StoreError> for NodeError {
+    fn from(e: StoreError) -> Self {
+        match e {
+            StoreError::Mem(_) => NodeError::OutOfMemory,
+            other => NodeError::Function(other.to_string()),
+        }
     }
 }
 
-fn map_uc_err(e: UcError) -> NodeError {
-    match e {
-        UcError::Mem(_) | UcError::Fault(seuss_paging::PageFault::OutOfMemory(_)) => {
-            NodeError::OutOfMemory
+impl From<UcError> for NodeError {
+    fn from(e: UcError) -> Self {
+        match e {
+            UcError::Mem(_) | UcError::Fault(seuss_paging::PageFault::OutOfMemory(_)) => {
+                NodeError::OutOfMemory
+            }
+            other => NodeError::Function(other.to_string()),
         }
-        other => NodeError::Function(other.to_string()),
     }
 }
 
@@ -1229,6 +1228,70 @@ mod fault_tests {
         }
         let (p, _, _) = expect_completed(n.invoke(9, NOP, &[]).unwrap());
         assert_eq!(p, PathKind::Warm);
+    }
+
+    /// Checks the conservation invariants after one failed invoke or
+    /// resume of `f`: the failed UC gave back its proxy port and its
+    /// snapshot reference, and the failure was counted once.
+    fn assert_failure_cleaned_up(n: &SeussNode, f: FnId, errors_before: u64) {
+        assert_eq!(n.stats.errors, errors_before + 1, "one error per failure");
+        assert_eq!(
+            n.proxy.active(),
+            n.idle.len() + n.blocked_count(),
+            "only idle and blocked UCs hold proxy ports"
+        );
+        let img = n.fn_cache.peek(f).expect("fn snapshot cached");
+        let sid = n.images.snapshot_of(img).unwrap();
+        assert_eq!(n.snaps.get(sid).unwrap().active_ucs(), 0);
+    }
+
+    #[test]
+    fn failed_invokes_release_their_uc_on_every_path() {
+        let mut n = node();
+        let spin = "function main(args) { while (true) {} return 0; }";
+
+        // Cold: import and capture succeed, exec runs out of fuel.
+        let errors = n.stats.errors;
+        assert!(n.invoke(1, spin, &[]).is_err());
+        assert_failure_cleaned_up(&n, 1, errors);
+
+        // Warm: the failure left no idle UC, so the snapshot deploys.
+        for _ in 0..3 {
+            let frames = n.mem.stats().used_frames;
+            let errors = n.stats.errors;
+            assert!(n.invoke(1, spin, &[]).is_err());
+            assert_failure_cleaned_up(&n, 1, errors);
+            assert_eq!(
+                n.mem.stats().used_frames,
+                frames,
+                "warm failure frees its frames"
+            );
+        }
+        assert_eq!((n.stats.cold, n.stats.warm), (0, 0));
+
+        // Hot: a successful call leaves an idle UC; the spinning call
+        // fails on it.
+        let maybe_spin =
+            "function main(args) { if (args.spin == '1') { while (true) {} } return 0; }";
+        expect_completed(n.invoke(2, maybe_spin, &[]).unwrap());
+        assert_eq!(n.idle.count_for(2), 1);
+        let errors = n.stats.errors;
+        assert!(n.invoke(2, maybe_spin, &[("spin", "1")]).is_err());
+        assert_eq!(n.stats.hot, 0);
+        assert_eq!(n.idle.count_for(2), 0);
+        assert_failure_cleaned_up(&n, 2, errors);
+
+        // Resume: the segment after the external reply runs out of fuel.
+        let io_spin =
+            "function main(a) { let r = http_get('http://ext'); while (true) {} return r; }";
+        let token = match n.invoke(3, io_spin, &[]).unwrap() {
+            Invocation::Blocked { token, .. } => token,
+            other => panic!("{other:?}"),
+        };
+        let errors = n.stats.errors;
+        assert!(n.resume_invocation(token, "OK").is_err());
+        assert_eq!(n.blocked_count(), 0);
+        assert_failure_cleaned_up(&n, 3, errors);
     }
 
     #[test]

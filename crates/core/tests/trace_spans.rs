@@ -7,7 +7,8 @@
 //! construction; this test keeps it that way.
 
 use seuss_core::{Invocation, PathCosts, PathKind, SeussConfig, SeussNode};
-use seuss_trace::{SpanName, SpanRecord, Tracer};
+use seuss_store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
+use seuss_trace::{Phase, SpanName, SpanRecord, Tracer};
 use simcore::SimDuration;
 
 const NOP: &str = "function main(args) { return 0; }";
@@ -174,5 +175,137 @@ fn per_request_jsonl_durations_sum_to_costs() {
         invoke_ns,
         costs.total().as_nanos(),
         "invoke line spans total"
+    );
+}
+
+/// A traced node with a storage tier restoring under `policy`.
+fn traced_tiered_node(policy: RestorePolicy) -> (SeussNode, Tracer) {
+    let store = StoreConfig {
+        device: DeviceConfig::nvme(),
+        policy,
+        reclaim: ReclaimMode::DemoteColdest,
+    };
+    let cfg = SeussConfig::test_builder()
+        .mem_mib(2048)
+        .store(Some(store))
+        .build()
+        .expect("valid tiered config");
+    let (mut node, _) = SeussNode::new(cfg).expect("node");
+    let tracer = Tracer::enabled();
+    node.set_tracer(tracer.clone());
+    (node, tracer)
+}
+
+/// Invokes `f` and drains its idle UCs, so the next invocation deploys
+/// from the function snapshot.
+fn invoke_fresh(node: &mut SeussNode, f: u64) -> (PathKind, PathCosts) {
+    let out = completed(node.invoke(f, NOP, &[]).expect("invoke"));
+    while let Some(uc) = node.idle.take(f) {
+        node.destroy_uc(uc);
+    }
+    out
+}
+
+/// Demotes function `f`'s cached snapshot to the device by hand.
+fn demote_fn(node: &mut SeussNode, f: u64) {
+    let img = node.fn_cache.peek(f).expect("cached image");
+    let sid = node.images.snapshot_of(img).expect("fn snapshot");
+    let tier = node.tier.as_mut().expect("tiered node");
+    let out = tier
+        .demote(&mut node.mmu, &mut node.mem, &node.snaps, sid)
+        .expect("demote");
+    assert!(out.pages > 0, "diff must have pages to move");
+}
+
+/// The phase spans under the last root, in the order they opened, after
+/// checking that they sum exactly to the segment: per phase and in total.
+fn phase_order(tracer: &Tracer, costs: &PathCosts) -> Vec<Phase> {
+    let (root, children) = last_root(tracer);
+    assert_eq!(root.duration().expect("closed"), costs.total());
+    let mut per_phase = PathCosts::default();
+    let mut order = Vec::new();
+    for child in &children {
+        let SpanName::Phase(p) = child.name else {
+            panic!("non-phase child {:?} under {:?}", child.name, root.name);
+        };
+        per_phase.set(p, per_phase.get(p) + child.duration().expect("closed"));
+        order.push(p);
+    }
+    for (p, d) in costs.phases() {
+        assert_eq!(
+            per_phase.get(p),
+            d,
+            "{p:?} spans must sum to its PathCosts entry"
+        );
+    }
+    assert_eq!(tracer.open_spans(), 0, "no span may leak open");
+    order
+}
+
+/// The phase-span order of a warm-from-tier invocation of a demoted
+/// function under `policy`, after `warmups` earlier warm-from-tier runs.
+fn warm_tier_phases(policy: RestorePolicy, warmups: usize) -> Vec<Phase> {
+    let (mut node, tracer) = traced_tiered_node(policy);
+    assert_eq!(invoke_fresh(&mut node, 1).0, PathKind::Cold);
+    demote_fn(&mut node, 1);
+    for _ in 0..warmups {
+        assert_eq!(invoke_fresh(&mut node, 1).0, PathKind::WarmTier);
+    }
+    tracer.clear();
+    let (path, costs) = invoke_fresh(&mut node, 1);
+    assert_eq!(path, PathKind::WarmTier, "{policy:?}");
+    assert!(
+        costs.restore > SimDuration::ZERO,
+        "{policy:?}: tier work costs"
+    );
+    let (root, _) = last_root(&tracer);
+    assert_eq!(root.path, Some(PathKind::WarmTier));
+    phase_order(&tracer, &costs)
+}
+
+#[test]
+fn warm_tier_eager_restores_before_the_deploy() {
+    let order = warm_tier_phases(RestorePolicy::EagerFull, 0);
+    assert_eq!(
+        order,
+        [
+            Phase::Restore,
+            Phase::Deploy,
+            Phase::Connect,
+            Phase::Exec,
+            Phase::Respond
+        ]
+    );
+}
+
+#[test]
+fn warm_tier_prefetch_restores_after_the_deploy() {
+    // The first run off the demoted snapshot records the working set;
+    // the second prefetches it into the fresh UC mid-deploy.
+    let order = warm_tier_phases(RestorePolicy::WorkingSetPrefetch, 1);
+    assert_eq!(
+        order,
+        [
+            Phase::Deploy,
+            Phase::Restore,
+            Phase::Connect,
+            Phase::Exec,
+            Phase::Respond
+        ]
+    );
+}
+
+#[test]
+fn warm_tier_lazy_books_swap_ins_as_a_restore_before_respond() {
+    let order = warm_tier_phases(RestorePolicy::LazyPaging, 0);
+    assert_eq!(
+        order,
+        [
+            Phase::Deploy,
+            Phase::Connect,
+            Phase::Exec,
+            Phase::Restore,
+            Phase::Respond
+        ]
     );
 }

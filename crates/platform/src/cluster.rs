@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use seuss_baseline::{ContainerId, DockerEngine, DockerError};
-use seuss_core::{Invocation, IoToken, NodeError, PathKind, SeussConfig, SeussNode, ShimProcess};
+use seuss_core::{Invocation, IoToken, PathKind, SeussConfig, SeussNode, ShimProcess};
 use seuss_faults::{FaultKind, FaultPlan, RetryPolicy, FAULT_EXEC_STREAM};
 use seuss_net::ExternalServer;
 use seuss_trace::{
@@ -378,37 +378,57 @@ impl Cluster {
     }
 
     /// Starts `task` on `core` at `now`: runs the mechanism and schedules
-    /// the segment end.
+    /// the segment end. A task that ends without running frees the core
+    /// for the next queued one.
     fn start_task(&mut self, now: SimTime, core: u16, task: Task, sched: &mut Scheduler<Ev>) {
         let req = match task {
             Task::Run(r) | Task::Resume(r) => r,
         };
-        if self.reqs[req].status != ReqStatus::InFlight {
-            // Timed out while queued; free the core for the next task.
+        let Some(duration) = self.run_task(now, req, task, sched) else {
             if let Some((core, task)) = self.cores.release(core) {
                 self.start_task(now, core, task, sched);
             }
             return;
+        };
+        // A straggling core stretches every segment it runs.
+        let factor = self.straggler.get(core as usize).copied().unwrap_or(1.0);
+        let duration = if factor > 1.0 {
+            SimDuration::from_nanos((duration.as_nanos() as f64 * factor).round() as u64)
+        } else {
+            duration
+        };
+        self.cores.record_busy(duration.as_nanos());
+        sched.schedule_at(now + duration, Ev::SegmentEnd { core, req });
+    }
+
+    /// Runs `task` (a segment of request `req`) and returns how long it
+    /// occupies the core, or `None` when it ends without running: it
+    /// timed out while queued, the node is down, its UC died in a crash,
+    /// or the node failed it.
+    fn run_task(
+        &mut self,
+        now: SimTime,
+        req: usize,
+        task: Task,
+        sched: &mut Scheduler<Ev>,
+    ) -> Option<SimDuration> {
+        if self.reqs[req].status != ReqStatus::InFlight {
+            // Timed out while queued.
+            return None;
         }
         if self.node_down(now) {
-            // Crash landed while the task was queued: free the core and
-            // re-deliver the request once the node has rebooted.
+            // Crash landed while the task was queued: re-deliver the
+            // request once the node has rebooted.
             self.shed_to_reboot(now, req, sched);
-            if let Some((core, task)) = self.cores.release(core) {
-                self.start_task(now, core, task, sched);
-            }
-            return;
+            return None;
         }
         if matches!(task, Task::Resume(_)) && self.reqs[req].crash_epoch != self.crash_epoch {
             // The UC this continuation would resume died with the node.
             self.fault_retry(now, req, sched);
-            if let Some((core, task)) = self.cores.release(core) {
-                self.start_task(now, core, task, sched);
-            }
-            return;
+            return None;
         }
         self.reqs[req].crash_epoch = self.crash_epoch;
-        let duration = match &mut self.backend {
+        match &mut self.backend {
             Backend::Seuss { node, .. } => {
                 let r = &mut self.reqs[req];
                 let result = match task {
@@ -416,9 +436,10 @@ impl Cluster {
                         let (src, runtime) = self
                             .registry
                             .get(r.fn_id)
-                            .map(|s| (s.src.clone(), s.runtime))
-                            .unwrap_or((String::new(), seuss_core::RuntimeKind::NodeJs));
-                        node.invoke_on(r.fn_id, runtime, &src, &[])
+                            .map_or(("", seuss_core::RuntimeKind::NodeJs), |s| {
+                                (s.src.as_str(), s.runtime)
+                            });
+                        node.invoke_on(r.fn_id, runtime, src, &[])
                     }
                     Task::Resume(_) => {
                         let token = r.io_token.take().expect("resume without token");
@@ -429,7 +450,7 @@ impl Cluster {
                     Ok(Invocation::Completed { path, costs, .. }) => {
                         r.served_by = path_to_served(path, r.served_by);
                         r.outcome_done = true;
-                        costs.total()
+                        Some(costs.total())
                     }
                     Ok(Invocation::Blocked {
                         path, token, costs, ..
@@ -437,18 +458,12 @@ impl Cluster {
                         r.served_by = path_to_served(path, r.served_by);
                         r.io_token = Some(token);
                         r.outcome_done = false;
-                        costs.total()
+                        Some(costs.total())
                     }
-                    Err(NodeError::OutOfMemory)
-                    | Err(NodeError::Function(_))
-                    | Err(NodeError::UnknownToken)
-                    | Err(NodeError::NotInitialized) => {
-                        // Fail fast: free the core and error the request.
+                    Err(_) => {
+                        // Fail fast: error the request.
                         self.finish(now, req, RequestStatus::Error, sched);
-                        if let Some((core, task)) = self.cores.release(core) {
-                            self.start_task(now, core, task, sched);
-                        }
-                        return;
+                        None
                     }
                 }
             }
@@ -466,18 +481,9 @@ impl Cluster {
                 let span = self.tracer.span(SpanName::Dispatch);
                 span.annotate_fn(r.fn_id);
                 self.tracer.advance(d);
-                d
+                Some(d)
             }
-        };
-        // A straggling core stretches every segment it runs.
-        let factor = self.straggler.get(core as usize).copied().unwrap_or(1.0);
-        let duration = if factor > 1.0 {
-            SimDuration::from_nanos((duration.as_nanos() as f64 * factor).round() as u64)
-        } else {
-            duration
-        };
-        self.cores.record_busy(duration.as_nanos());
-        sched.schedule_at(now + duration, Ev::SegmentEnd { core, req });
+        }
     }
 
     fn submit(&mut self, now: SimTime, task: Task, sched: &mut Scheduler<Ev>) {
