@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the SEUSS mechanisms: page-table
 //! operations, COW faults, snapshot capture/deploy, interpreter
-//! compile/exec, and the node's three invocation paths.
+//! compile/exec, the node's three invocation paths, and the event
+//! engine's per-request timeout bookkeeping.
 //!
 //! These measure *host wall time* of the real data-structure work (the
 //! virtual-time costs the experiments report are separate, produced by
@@ -15,6 +16,7 @@ use seuss_core::{SeussConfig, SeussNode};
 use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_paging::{AddressSpace, Mmu, Region, RegionKind};
 use seuss_snapshot::{RegisterState, SnapshotKind, SnapshotStore};
+use simcore::{EventId, Scheduler, SimDuration, SimTime, Simulation, World};
 
 const BASE: u64 = 0x10_0000;
 
@@ -231,11 +233,68 @@ fn bench_node_paths(h: &mut Harness) {
     g.finish();
 }
 
+/// Closed-loop requests in flight in `sim/timeout_churn`.
+const CHURN_REQUESTS: usize = 32;
+
+/// The platform timeout every request arms (§7's OpenWhisk default).
+const CHURN_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+
+/// A closed loop of requests on the bare engine, with no node behind it:
+/// each request arms a timeout and cancels it when it completes, so the
+/// engine's per-request cost shows apart from the node's.
+struct TimeoutChurn {
+    timers: [Option<EventId>; CHURN_REQUESTS],
+}
+
+enum ChurnEv {
+    /// Request slot `i` completes its request and issues the next one.
+    Complete(usize),
+    /// Slot `i`'s timeout; every one is cancelled before it is due.
+    Timeout(usize),
+}
+
+impl World for TimeoutChurn {
+    type Event = ChurnEv;
+
+    fn handle(&mut self, now: SimTime, ev: ChurnEv, sched: &mut Scheduler<ChurnEv>) {
+        match ev {
+            ChurnEv::Complete(i) => {
+                if let Some(id) = self.timers[i].take() {
+                    assert!(sched.cancel(id), "slot {i}'s timeout was live");
+                }
+                self.timers[i] = Some(sched.arm_timer(now + CHURN_TIMEOUT, ChurnEv::Timeout(i)));
+                // Distinct service times keep the slots out of lockstep.
+                let service = SimDuration::from_micros(500 + 37 * i as u64);
+                sched.schedule_in(now, service, ChurnEv::Complete(i));
+            }
+            ChurnEv::Timeout(i) => panic!("slot {i}'s cancelled timeout fired"),
+        }
+    }
+}
+
+fn bench_sim(h: &mut Harness) {
+    let mut g = h.benchmark_group("sim");
+
+    // One iteration delivers one completion: a cancel, an arm, a
+    // schedule and a pop.
+    g.bench_function("timeout_churn", |b| {
+        let mut sim = Simulation::new(TimeoutChurn {
+            timers: [None; CHURN_REQUESTS],
+        });
+        for i in 0..CHURN_REQUESTS {
+            sim.schedule_at(SimTime::ZERO, ChurnEv::Complete(i));
+        }
+        b.iter(|| sim.run_steps(1));
+    });
+    g.finish();
+}
+
 fn main() {
     let mut h = Harness::from_args();
     bench_paging(&mut h);
     bench_snapshots(&mut h);
     bench_interp(&mut h);
     bench_node_paths(&mut h);
+    bench_sim(&mut h);
     h.finish();
 }

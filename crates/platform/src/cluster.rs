@@ -794,7 +794,9 @@ impl World for Cluster {
             }
             Ev::Arrive(req) => {
                 self.reqs[req].sent_at = now;
-                let ev = sched.schedule_in(now, self.cfg_timeout, Ev::Timeout(req));
+                // The timeout is a constant, so deadlines arrive in order
+                // and fit the scheduler's FIFO timer lane.
+                let ev = sched.arm_timer(now + self.cfg_timeout, Ev::Timeout(req));
                 self.reqs[req].timeout_ev = Some(ev);
                 let hop = self.cfg_cp_oneway + self.shim_oneway();
                 sched.schedule_at(now + hop, Ev::NodeReceive(req));

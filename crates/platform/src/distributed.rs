@@ -231,21 +231,34 @@ impl DrSeussCluster {
     /// global cache.
     pub fn drain(&mut self, node: usize) -> Result<(u64, SimDuration), NodeError> {
         assert!(self.nodes.len() > 1, "cannot drain the last node");
-        let unique: Vec<FnId> = self
+        let mut unique: Vec<FnId> = self
             .index
             .iter()
             .filter(|(_, holders)| holders.contains(&node) && holders.len() == 1)
             .map(|(&f, _)| f)
             .collect();
+        // Migrate in function order, not the index's hash order, so the
+        // same cluster always sends each function to the same peer.
+        unique.sort_unstable();
+        // Each node's index entries: the functions it holds.
+        let mut load = vec![0usize; self.nodes.len()];
+        for holders in self.index.values() {
+            for (n, entries) in load.iter_mut().enumerate() {
+                *entries += usize::from(holders.contains(&n));
+            }
+        }
         let mut cost = SimDuration::ZERO;
         let mut migrated = 0u64;
         for f in unique {
-            // Least-loaded healthy peer = fewest index entries.
+            // Least-loaded healthy peer = fewest index entries; ties go to
+            // the lowest node index.
             let target = (0..self.nodes.len())
                 .filter(|&n| n != node && self.healthy[n])
-                .min_by_key(|&n| self.index.values().filter(|h| h.contains(&n)).count())
+                .min_by_key(|&n| load[n])
                 .expect("healthy peer exists");
             cost += self.fetch(f, node, target)?;
+            // `f` was held by `node` alone, so it is a new entry for `target`.
+            load[target] += 1;
             migrated += 1;
         }
         for holders in self.index.values_mut() {
@@ -371,6 +384,33 @@ mod tests {
                 .expect("serve");
             assert!(matches!(p, DrPath::LocalWarm | DrPath::LocalHot), "{p:?}");
         }
+    }
+
+    #[test]
+    fn drain_spreads_functions_to_the_least_loaded_peers() {
+        let (mut cluster, _) = DrSeussCluster::new(4, small_cfg()).expect("cluster");
+        // Node 1 already holds two functions, node 2 one, node 3 none.
+        for (node, f) in [(1, 20), (1, 21), (2, 22)] {
+            cluster
+                .invoke_at(node, f, NOP, &[])
+                .expect("cold on a peer");
+        }
+        // Functions 1..=5 live only on node 0; function 9 is shared.
+        for f in 1..=5u64 {
+            cluster.invoke_at(0, f, NOP, &[]).expect("cold on 0");
+        }
+        cluster.invoke_at(0, 9, NOP, &[]).expect("cold on 0");
+        cluster.invoke_at(3, 9, NOP, &[]).expect("remote-warm on 3");
+        // Loads before the drain: node 1 = 2, node 2 = 1, node 3 = 1.
+        let (migrated, _) = cluster.drain(0).expect("drain");
+        assert_eq!(migrated, 5);
+        // Each function goes to the peer with the fewest entries at that
+        // moment, the lowest index winning ties (loads of nodes 1, 2, 3
+        // after each move): f1 → 2 (2,2,1), f2 → 3 (2,2,2),
+        // f3 → 1 (3,2,2), f4 → 2 (3,3,2), f5 → 3 (3,3,3).
+        let targets: Vec<&[usize]> = (1..=5u64).map(|f| cluster.holders(f)).collect();
+        assert_eq!(targets, [&[2][..], &[3], &[1], &[2], &[3]]);
+        assert_eq!(cluster.holders(9), &[3], "a shared function stays put");
     }
 
     #[test]

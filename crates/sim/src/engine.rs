@@ -2,17 +2,27 @@
 //!
 //! The design is deliberately minimal. A [`World`] owns all simulation
 //! state and a single typed event enum; the engine owns only the clock and
-//! the pending-event heap. Cancellation is supported by id (events carry a
-//! monotonically increasing [`EventId`]), which the burst and timeout
-//! machinery in the platform crates rely on.
+//! a calendar of two lanes:
+//!
+//! - a binary heap of ordinary events, which cannot be cancelled;
+//! - a FIFO lane of cancellable timers whose deadlines never decrease,
+//!   such as a platform timeout armed a constant delay after each
+//!   arrival. [`Scheduler::arm_timer`] hands out an [`EventId`] ticket
+//!   and [`Scheduler::cancel`] empties the ticket's slot in O(1).
+//!
+//! Both lanes draw sequence numbers from one counter, and the engine
+//! delivers whichever head comes first by `(time, sequence)`. Events
+//! therefore fire in exactly the order one heap holding both lanes would
+//! fire them, but a cancelled timer leaves the calendar as soon as it
+//! reaches the lane's front instead of waiting out its deadline.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
+use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier for a scheduled event, usable for cancellation.
+/// A ticket for an armed timer, usable for cancellation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
@@ -31,13 +41,18 @@ pub trait World {
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    id: EventId,
     ev: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -50,19 +65,21 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         // Ties break on sequence number for determinism.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
 /// The scheduling interface handed to [`World::handle`].
 pub struct Scheduler<E> {
     heap: BinaryHeap<Entry<E>>,
-    cancelled: HashSet<EventId>,
+    /// Armed timers in deadline order; a cancelled slot holds `None`.
+    /// The front slot is always live.
+    timers: VecDeque<Entry<Option<E>>>,
+    /// Ticket of the front slot of `timers`.
+    timer_base: u64,
+    /// Timers armed and neither delivered nor cancelled.
+    live_timers: usize,
     next_seq: u64,
-    next_id: u64,
     scheduled_total: u64,
 }
 
@@ -70,11 +87,19 @@ impl<E> Scheduler<E> {
     fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            timers: VecDeque::new(),
+            timer_base: 0,
+            live_timers: 0,
             next_seq: 0,
-            next_id: 0,
             scheduled_total: 0,
         }
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.scheduled_total += 1;
+        seq
     }
 
     /// Schedules `ev` at absolute time `at`.
@@ -82,68 +107,104 @@ impl<E> Scheduler<E> {
     /// Scheduling in the past is a logic error in the caller; the engine
     /// clamps such events to the current pop time rather than time-travel,
     /// but callers should not rely on that.
-    pub fn schedule_at(&mut self, at: SimTime, ev: E) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.heap.push(Entry { at, seq, id, ev });
-        id
+    pub fn schedule_at(&mut self, at: SimTime, ev: E) {
+        let seq = self.take_seq();
+        self.heap.push(Entry { at, seq, ev });
     }
 
     /// Schedules `ev` to fire `after` the given `now`.
-    pub fn schedule_in(&mut self, now: SimTime, after: SimDuration, ev: E) -> EventId {
+    pub fn schedule_in(&mut self, now: SimTime, after: SimDuration, ev: E) {
         self.schedule_at(now + after, ev)
     }
 
-    /// Cancels a pending event so it is never delivered.
+    /// Arms a cancellable timer that delivers `ev` at `at`, and returns
+    /// its ticket for [`Scheduler::cancel`].
     ///
-    /// Only pending ids may be cancelled: scheduled, and neither delivered
-    /// nor cancelled yet. The id stays in the cancelled set until its
-    /// calendar entry is popped, so cancelling an event that has already
-    /// been delivered leaks the id forever; [`Simulation::run`]
-    /// debug-asserts that the set is empty once the calendar drains.
-    /// Returns `false` for an id that was never issued or is already
-    /// cancelled, `true` otherwise.
+    /// Timers wait in a FIFO lane, so deadlines must never decrease: a
+    /// constant delay after the current time always qualifies.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is earlier than the deadline of a timer still in the lane.
+    pub fn arm_timer(&mut self, at: SimTime, ev: E) -> EventId {
+        if let Some(last) = self.timers.back() {
+            assert!(
+                last.at <= at,
+                "timer deadline {at:?} precedes an armed deadline {:?}",
+                last.at
+            );
+        }
+        let id = EventId(self.timer_base + self.timers.len() as u64);
+        let seq = self.take_seq();
+        self.timers.push_back(Entry {
+            at,
+            seq,
+            ev: Some(ev),
+        });
+        self.live_timers += 1;
+        id
+    }
+
+    /// Cancels an armed timer so it is never delivered.
+    ///
+    /// Returns `false` for a ticket that was never issued, or whose timer
+    /// was already delivered or cancelled; `true` otherwise.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_id {
+        let Some(slot) =
+            id.0.checked_sub(self.timer_base)
+                .and_then(|i| usize::try_from(i).ok())
+                .and_then(|i| self.timers.get_mut(i))
+        else {
+            return false;
+        };
+        if slot.ev.take().is_none() {
             return false;
         }
-        self.cancelled.insert(id)
+        self.live_timers -= 1;
+        self.drop_cancelled_front();
+        true
     }
 
-    /// Number of events currently pending (including cancelled-but-unpopped).
+    /// Number of live events: scheduled events plus armed timers that are
+    /// neither delivered nor cancelled.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.live_timers
     }
 
-    /// Total events scheduled over the lifetime of the simulation.
+    /// Total events scheduled over the lifetime of the simulation, timers
+    /// included.
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            return Some((entry.at, entry.ev));
+    /// Restores the lane's invariant that its front slot is live.
+    fn drop_cancelled_front(&mut self) {
+        while self.timers.front().is_some_and(|t| t.ev.is_none()) {
+            self.timers.pop_front();
+            self.timer_base += 1;
         }
-        None
     }
 
-    /// Time of the next live event, dropping cancelled entries that sit
-    /// at the head so they cannot stand in for it.
-    fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(head) = self.heap.peek() {
-            let (at, id) = (head.at, head.id);
-            if !self.cancelled.remove(&id) {
-                return Some(at);
-            }
-            self.heap.pop();
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let timer_first = self
+            .timers
+            .front()
+            .is_some_and(|t| self.heap.peek().is_none_or(|head| t.key() < head.key()));
+        if !timer_first {
+            return self.heap.pop().map(|e| (e.at, e.ev));
         }
-        None
+        let timer = self.timers.pop_front()?;
+        self.timer_base += 1;
+        self.live_timers -= 1;
+        self.drop_cancelled_front();
+        Some((timer.at, timer.ev.expect("the lane's front timer is live")))
+    }
+
+    /// Time of the next event either lane delivers.
+    fn peek_time(&self) -> Option<SimTime> {
+        let heap = self.heap.peek().map(|e| e.at);
+        let lane = self.timers.front().map(|t| t.at);
+        heap.into_iter().chain(lane).min()
     }
 }
 
@@ -187,16 +248,22 @@ impl<W: World> Simulation<W> {
     }
 
     /// Schedules an event at an absolute time, from outside the world.
-    pub fn schedule_at(&mut self, at: SimTime, ev: W::Event) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, ev: W::Event) {
         self.sched.schedule_at(at, ev)
     }
 
     /// Schedules an event relative to the current clock.
-    pub fn schedule_in(&mut self, after: SimDuration, ev: W::Event) -> EventId {
+    pub fn schedule_in(&mut self, after: SimDuration, ev: W::Event) {
         self.sched.schedule_in(self.now, after, ev)
     }
 
-    /// Cancels a pending event by id.
+    /// Arms a cancellable timer from outside the world; see
+    /// [`Scheduler::arm_timer`].
+    pub fn arm_timer(&mut self, at: SimTime, ev: W::Event) -> EventId {
+        self.sched.arm_timer(at, ev)
+    }
+
+    /// Cancels an armed timer by its ticket; see [`Scheduler::cancel`].
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.sched.cancel(id)
     }
@@ -222,9 +289,10 @@ impl<W: World> Simulation<W> {
         let start = self.handled;
         while self.step() {}
         debug_assert!(
-            self.sched.cancelled.is_empty(),
-            "{} ids were cancelled after they were delivered",
-            self.sched.cancelled.len()
+            self.sched.timers.is_empty() && self.sched.live_timers == 0,
+            "the drained timer lane holds {} slots, {} of them live",
+            self.sched.timers.len(),
+            self.sched.live_timers
         );
         self.handled - start
     }
@@ -307,11 +375,65 @@ mod tests {
     #[test]
     fn cancellation_suppresses_delivery() {
         let mut sim = Simulation::new(Log::default());
-        let id = sim.schedule_at(SimTime::from_nanos(5), Ev::A);
+        let id = sim.arm_timer(SimTime::from_nanos(5), Ev::A);
         sim.schedule_at(SimTime::from_nanos(6), Ev::B);
         assert!(sim.cancel(id));
         sim.run();
         assert_eq!(sim.world().seen, vec![(6, "B")]);
+    }
+
+    #[test]
+    fn cancelling_a_delivered_or_cancelled_timer_is_false_and_leaves_nothing() {
+        let mut sim = Simulation::new(Log::default());
+        let fired = sim.arm_timer(SimTime::from_nanos(5), Ev::A);
+        let dead = sim.arm_timer(SimTime::from_nanos(6), Ev::B);
+        assert_eq!(sim.run_steps(1), 1);
+        assert!(!sim.cancel(fired), "a delivered timer cannot be cancelled");
+        assert!(sim.cancel(dead));
+        assert!(!sim.cancel(dead), "a timer is cancelled once");
+        assert_eq!(sim.sched.pending(), 0);
+        assert!(sim.sched.timers.is_empty(), "no slot is left behind");
+        assert_eq!(sim.run(), 0);
+        assert_eq!(sim.world().seen, vec![(5, "A")]);
+    }
+
+    #[test]
+    fn pending_excludes_cancelled_timers() {
+        let mut sim = Simulation::new(Log::default());
+        sim.schedule_at(SimTime::from_nanos(1), Ev::A);
+        let ids: Vec<EventId> = (10..13)
+            .map(|t| sim.arm_timer(SimTime::from_nanos(t), Ev::B))
+            .collect();
+        assert_eq!(sim.sched.pending(), 4);
+        assert!(sim.cancel(ids[1]));
+        assert_eq!(sim.sched.pending(), 3, "a cancelled slot mid-lane");
+        assert!(sim.cancel(ids[0]));
+        assert_eq!(sim.sched.pending(), 2, "a cancelled front slot");
+        assert_eq!(sim.sched.timers.len(), 1, "empty front slots are dropped");
+        sim.run();
+        assert_eq!(sim.world().seen, vec![(1, "A"), (12, "B")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes an armed deadline")]
+    fn arming_an_earlier_deadline_panics() {
+        let mut sim = Simulation::new(Log::default());
+        sim.arm_timer(SimTime::from_nanos(10), Ev::A);
+        sim.arm_timer(SimTime::from_nanos(9), Ev::B);
+    }
+
+    #[test]
+    fn timers_and_events_interleave_in_schedule_order() {
+        let mut sim = Simulation::new(Log::default());
+        sim.arm_timer(SimTime::from_nanos(5), Ev::A);
+        sim.schedule_at(SimTime::from_nanos(5), Ev::B);
+        sim.arm_timer(SimTime::from_nanos(5), Ev::B);
+        sim.schedule_at(SimTime::from_nanos(4), Ev::A);
+        sim.run();
+        assert_eq!(
+            sim.world().seen,
+            vec![(4, "A"), (5, "A"), (5, "B"), (5, "B")]
+        );
     }
 
     #[test]
@@ -345,7 +467,7 @@ mod tests {
     #[test]
     fn run_until_skips_a_cancelled_head_without_crossing_the_horizon() {
         let mut sim = Simulation::new(Log::default());
-        let dead = sim.schedule_at(SimTime::from_nanos(10), Ev::A);
+        let dead = sim.arm_timer(SimTime::from_nanos(10), Ev::A);
         sim.schedule_at(SimTime::from_nanos(100), Ev::B);
         assert!(sim.cancel(dead));
         assert_eq!(sim.run_until(SimTime::from_nanos(50)), 0);

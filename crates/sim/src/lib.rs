@@ -6,11 +6,18 @@
 //! replayed through the [`Simulation`] engine. Nothing in the workspace
 //! reads the wall clock, so every run is exactly reproducible from a seed.
 //!
-//! The engine follows the classic event-calendar design: a binary heap of
-//! `(time, sequence, event)` entries, popped in order, handed to a
-//! user-supplied [`World`] which mutates its own state and schedules
-//! follow-up events. Sequence numbers break ties so simultaneous events
-//! fire in scheduling order, which keeps runs deterministic.
+//! The engine follows the classic event-calendar design: `(time,
+//! sequence, event)` entries, popped in order, handed to a user-supplied
+//! [`World`] which mutates its own state and schedules follow-up events.
+//! Sequence numbers break ties so simultaneous events fire in scheduling
+//! order, which keeps runs deterministic. The calendar has two lanes: a
+//! binary heap for ordinary events, and a FIFO lane for cancellable
+//! timers whose deadlines never decrease, such as the platform timeout
+//! armed a constant delay after each request. Only a timer can be
+//! cancelled, through the [`EventId`] ticket
+//! [`Scheduler::arm_timer`] returns. Both lanes share the sequence
+//! counter and the engine pops whichever head is earlier, so the order
+//! is the one a single heap would give.
 //!
 //! # Examples
 //!
