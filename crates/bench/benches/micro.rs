@@ -198,8 +198,7 @@ fn bench_node_paths(h: &mut Harness) {
                 if scheduled > UC_BUDGET {
                     let node = &mut *node.borrow_mut();
                     while let Some(uc) = node.idle.take(1) {
-                        node.images
-                            .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+                        node.destroy_uc(uc);
                     }
                     node.invoke(1, NOP, &[]).expect("warm");
                     scheduled = 1;
@@ -215,8 +214,7 @@ fn bench_node_paths(h: &mut Harness) {
         node.invoke(1, NOP, &[]).expect("prime");
         b.iter(|| {
             while let Some(uc) = node.idle.take(1) {
-                node.images
-                    .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+                node.destroy_uc(uc);
             }
             node.invoke(1, NOP, &[]).expect("warm")
         });

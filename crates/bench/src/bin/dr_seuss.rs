@@ -74,10 +74,8 @@ fn main() {
     let (lazy_eager_bytes, lazy_remote_pages) = {
         let node = &cluster.nodes[0];
         // Function 0 cold-started on node 0, so its image is cached there.
-        let img = node.fn_cache.peek(0).expect("fn 0 cached on node 0");
-        let base = node.runtime_image().expect("base");
-        let base_snap = node.images.snapshot_of(base).expect("base snap");
-        let fn_snap = node.images.snapshot_of(img).expect("fn snap");
+        let fn_snap = node.fn_cache.peek(0).expect("fn 0 cached on node 0");
+        let base_snap = node.runtime_image().expect("base");
         let lazy = seuss_snapshot::export_lazy(
             &node.mmu,
             &node.mem,

@@ -178,7 +178,6 @@ fn run_side(label: &'static str, p: TierParams) -> TierSide {
             let prefetched = node
                 .fn_cache
                 .peek(f)
-                .and_then(|img| node.images.snapshot_of(img).ok())
                 .zip(node.tier.as_ref())
                 .is_some_and(|(sid, t)| t.is_demoted(sid) && t.working_set(sid).is_some());
             match node.invoke(f, &sources[f as usize], &[]) {

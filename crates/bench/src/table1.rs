@@ -56,14 +56,12 @@ fn node_with(ao: AoLevel, mem_mib: u64) -> SeussNode {
 
 fn fn_snapshot_mib(node: &mut SeussNode) -> f64 {
     node.invoke(1, NOP, &[]).expect("cold invoke");
-    let img = node.fn_cache.lookup(1).expect("fn snapshot cached");
-    let snap = node.images.snapshot_of(img).expect("snapshot");
+    let snap = node.fn_cache.lookup(1).expect("fn snapshot cached");
     node.snaps.get(snap).expect("live").diff_mib()
 }
 
 fn base_snapshot_mib(node: &SeussNode) -> f64 {
-    let img = node.runtime_image().expect("runtime image");
-    let snap = node.images.snapshot_of(img).expect("snapshot");
+    let snap = node.runtime_image().expect("runtime image");
     node.snaps
         .resident_mib(&node.mmu, snap)
         .expect("resident size")
@@ -71,8 +69,7 @@ fn base_snapshot_mib(node: &SeussNode) -> f64 {
 
 fn drain_idle(node: &mut SeussNode, f: u64) {
     while let Some(uc) = node.idle.take(f) {
-        node.images
-            .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+        node.destroy_uc(uc);
     }
 }
 

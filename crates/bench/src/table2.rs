@@ -48,8 +48,7 @@ fn measure(ao: AoLevel, iterations: u32) -> AoRow {
             other => panic!("{other:?}"),
         }
         while let Some(uc) = node.idle.take(f) {
-            node.images
-                .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+            node.destroy_uc(uc);
         }
     }
     row.cold_ms /= iterations as f64;
@@ -58,8 +57,7 @@ fn measure(ao: AoLevel, iterations: u32) -> AoRow {
     // idle cache so the hot path never fires.
     node.invoke(1, NOP, &[]).expect("prime");
     while let Some(uc) = node.idle.take(1) {
-        node.images
-            .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+        node.destroy_uc(uc);
     }
     for _ in 0..iterations {
         match node.invoke(1, NOP, &[]).expect("warm") {
@@ -69,8 +67,7 @@ fn measure(ao: AoLevel, iterations: u32) -> AoRow {
             other => panic!("{other:?}"),
         }
         while let Some(uc) = node.idle.take(1) {
-            node.images
-                .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+            node.destroy_uc(uc);
         }
     }
     row.warm_ms /= iterations as f64;

@@ -1,26 +1,26 @@
 //! The two node caches of §4: function snapshots and idle UCs.
 //!
-//! Both are LRU over one [`Recency`] list each. The snapshot cache evicts
-//! only images the §6 policy allows deleting (no active UCs); the idle-UC
-//! cache is additionally drained by the OOM daemon under memory pressure.
+//! Both are LRU over one [`Recency`] list each. The snapshot cache only
+//! maps functions to images: the node deletes what it displaces or
+//! evicts. The idle-UC cache is additionally drained by the OOM daemon
+//! under memory pressure.
 
 use std::collections::{HashMap, VecDeque};
 
-use seuss_mem::PhysMemory;
-use seuss_paging::Mmu;
-use seuss_snapshot::{SnapshotId, SnapshotStore};
-use seuss_unikernel::{ImageStore, UcContext, UcImageId};
+use seuss_snapshot::SnapshotId;
+use seuss_unikernel::UcContext;
 use simcore::lru::{Handle, Recency};
 
 use crate::node::FnId;
 
 /// LRU cache of function-specific UC images, keyed by function identity.
 /// It has no capacity of its own: memory pressure evicts through the OOM
-/// daemon's [`evict_lru`](Self::evict_lru).
+/// daemon's [`evict_lru`](Self::evict_lru). It deletes nothing: every
+/// image it gives up goes back to the caller.
 #[derive(Default)]
 pub struct FnImageCache {
     entries: HashMap<FnId, Handle>,
-    order: Recency<(FnId, UcImageId)>,
+    order: Recency<(FnId, SnapshotId)>,
     /// Lookup hits.
     pub hits: u64,
     /// Lookup misses.
@@ -41,13 +41,13 @@ impl FnImageCache {
     }
 
     /// Non-mutating lookup (no recency refresh, no stats).
-    pub fn peek(&self, f: FnId) -> Option<UcImageId> {
+    pub fn peek(&self, f: FnId) -> Option<SnapshotId> {
         let &h = self.entries.get(&f)?;
         self.order.get(h).map(|(_, img)| img)
     }
 
     /// Looks up the image for a function, refreshing recency.
-    pub fn lookup(&mut self, f: FnId) -> Option<UcImageId> {
+    pub fn lookup(&mut self, f: FnId) -> Option<SnapshotId> {
         let Some(&h) = self.entries.get(&f) else {
             self.misses += 1;
             return None;
@@ -57,55 +57,27 @@ impl FnImageCache {
         self.order.get(h).map(|(_, img)| img)
     }
 
-    /// Inserts a function image. Returns the snapshot id of the image it
-    /// displaced, if `f` had one — the caller's cue to drop any
-    /// storage-tier state it held.
-    pub fn insert(
-        &mut self,
-        mmu: &mut Mmu,
-        mem: &mut PhysMemory,
-        snaps: &mut SnapshotStore,
-        images: &mut ImageStore,
-        f: FnId,
-        img: UcImageId,
-    ) -> Option<SnapshotId> {
+    /// Caches `img` as `f`'s image. Returns the image it displaced, if
+    /// `f` had one.
+    pub fn insert(&mut self, f: FnId, img: SnapshotId) -> Option<SnapshotId> {
         let h = self.order.push_back((f, img));
         let old = self.entries.insert(f, h)?;
         let (_, old_img) = self.order.remove(old).expect("cached entry is linked");
-        let sid = images.snapshot_of(old_img).ok();
-        let _ = images.delete(mmu, mem, snaps, old_img);
-        sid
+        Some(old_img)
     }
 
-    /// Evicts the least-recently-used deletable image (used directly by
-    /// the OOM daemon under memory pressure). `None` means nothing was
-    /// evictable; `Some(sid)` carries the evicted image's snapshot id,
-    /// when it resolves, so the caller can release any storage-tier state
-    /// it held. The snapshot itself is gone unless its deletion failed.
-    pub fn evict_lru(
-        &mut self,
-        mmu: &mut Mmu,
-        mem: &mut PhysMemory,
-        snaps: &mut SnapshotStore,
-        images: &mut ImageStore,
-    ) -> Option<Option<SnapshotId>> {
-        let (h, (f, img)) = self.order.iter().find(|&(_, (_, img))| {
-            images
-                .snapshot_of(img)
-                .ok()
-                .and_then(|s| snaps.get(s).ok())
-                .is_none_or(|s| s.active_ucs() == 0)
-        })?;
+    /// Takes the least-recently-used image that `evictable` accepts out
+    /// of the cache and returns it; `None` means nothing was evictable.
+    pub fn evict_lru(&mut self, evictable: impl Fn(SnapshotId) -> bool) -> Option<SnapshotId> {
+        let (h, (f, img)) = self.order.iter().find(|&(_, (_, img))| evictable(img))?;
         self.order.remove(h);
         self.entries.remove(&f);
         self.evictions += 1;
-        let sid = images.snapshot_of(img).ok();
-        let _ = images.delete(mmu, mem, snaps, img);
-        Some(sid)
+        Some(img)
     }
 
-    /// Removes and returns a specific entry without deleting its image.
-    pub fn remove(&mut self, f: FnId) -> Option<UcImageId> {
+    /// Removes and returns a specific entry.
+    pub fn remove(&mut self, f: FnId) -> Option<SnapshotId> {
         let h = self.entries.remove(&f)?;
         self.order.remove(h).map(|(_, img)| img)
     }
@@ -222,72 +194,42 @@ mod tests {
 
     #[test]
     fn fn_cache_evicts_in_insertion_then_use_order() {
-        use miniscript::RuntimeProfile;
-        use seuss_snapshot::SnapshotKind;
-        use seuss_unikernel::{Layout, UcContext, UcProfile};
+        use seuss_mem::PhysMemory;
+        use seuss_paging::Mmu;
+        use seuss_snapshot::{RegisterState, SnapshotKind, SnapshotStore};
 
-        let mut mem = PhysMemory::with_mib(768);
+        let mut mem = PhysMemory::with_mib(64);
         let mut mmu = Mmu::new();
         let mut snaps = SnapshotStore::new();
-        let mut images = ImageStore::new();
-        let (mut base_uc, _) = UcContext::boot(
-            &mut mmu,
-            &mut mem,
-            Layout::nodejs(),
-            UcProfile::tiny(),
-            RuntimeProfile::tiny(),
-        )
-        .unwrap();
-        let (base, _) = images
-            .capture(
-                &mut mmu,
-                &mut mem,
-                &mut snaps,
-                &mut base_uc,
-                SnapshotKind::Runtime,
-                "base",
-                None,
-            )
-            .unwrap();
+        let mut space = mmu.create_space(&mut mem).unwrap();
+        let mut snap = || {
+            let regs = RegisterState::default();
+            let kind = SnapshotKind::Function;
+            snaps
+                .capture(&mut mmu, &mut mem, &mut space, regs, kind, "f", None)
+                .unwrap()
+        };
+        let ids: Vec<SnapshotId> = (0..5).map(|_| snap()).collect();
 
         let mut cache = FnImageCache::default();
-        for f in [10u64, 20, 30, 40] {
-            let (mut uc, _) = images.deploy(&mut mmu, &mut mem, &mut snaps, base).unwrap();
-            uc.connect(&mut mmu, &mut mem).unwrap();
-            uc.import_function(&mut mmu, &mut mem, "function main(a) { return 0; }")
-                .unwrap();
-            let (img, _) = images
-                .capture(
-                    &mut mmu,
-                    &mut mem,
-                    &mut snaps,
-                    &mut uc,
-                    SnapshotKind::Function,
-                    format!("f{f}"),
-                    Some(base),
-                )
-                .unwrap();
-            images.destroy_uc(&mut mmu, &mut mem, &mut snaps, uc);
-            cache.insert(&mut mmu, &mut mem, &mut snaps, &mut images, f, img);
+        for (f, &img) in [10u64, 20, 30, 40].iter().zip(&ids) {
+            assert_eq!(cache.insert(*f, img), None);
         }
+        // Re-caching a function hands back the image it displaced.
+        assert_eq!(cache.insert(40, ids[4]), Some(ids[3]));
 
         // With no lookups in between, victims come in insertion order.
-        let mut evict = |cache: &mut FnImageCache| {
-            cache
-                .evict_lru(&mut mmu, &mut mem, &mut snaps, &mut images)
-                .is_some()
-        };
-        assert!(evict(&mut cache));
+        assert_eq!(cache.evict_lru(|_| true), Some(ids[0]));
         assert!(cache.peek(10).is_none(), "earliest insertion evicted first");
-        assert!(evict(&mut cache));
-        assert!(cache.peek(20).is_none(), "then the next-earliest");
-        // A lookup refreshes 30, so the later-inserted 40 goes first.
-        assert!(cache.lookup(30).is_some());
-        assert!(evict(&mut cache));
-        assert!(cache.peek(40).is_none());
-        assert!(cache.peek(30).is_some());
-        assert!(evict(&mut cache));
+        // An image the predicate refuses is stepped over.
+        assert_eq!(cache.evict_lru(|img| img != ids[1]), Some(ids[2]));
+        assert_eq!(cache.peek(20), Some(ids[1]));
+        // A lookup refreshes 20, so the later-inserted 40 goes first.
+        assert_eq!(cache.lookup(20), Some(ids[1]));
+        assert_eq!(cache.evict_lru(|_| true), Some(ids[4]));
+        assert_eq!(cache.evict_lru(|_| true), Some(ids[1]));
         assert!(cache.is_empty());
-        assert!(!evict(&mut cache), "nothing left to evict");
+        assert_eq!(cache.evict_lru(|_| true), None, "nothing left to evict");
+        assert_eq!(cache.evictions, 4);
     }
 }

@@ -3,7 +3,7 @@
 //! [`SeussConfig`] is constructed through [`SeussConfig::builder`] (paper
 //! defaults) or [`SeussConfig::test_builder`] (small test defaults).
 //! [`SeussConfigBuilder::build`] rejects nonsensical combinations — zero
-//! cores, zero memory, empty cache capacities — so a node can assume its
+//! memory, empty cache capacities — so a node can assume its
 //! config is coherent.
 
 use miniscript::RuntimeProfile;
@@ -28,8 +28,6 @@ pub enum AoLevel {
 /// [`SeussConfig::builder`]; the fields stay public for reading.
 #[derive(Clone, Debug)]
 pub struct SeussConfig {
-    /// Worker cores (the paper's VM has 16 VCPUs).
-    pub cores: u16,
     /// Physical memory in MiB (the paper's VM has 88 GB).
     pub mem_mib: u64,
     /// AO level for the base runtime snapshots.
@@ -59,8 +57,6 @@ pub struct SeussConfig {
 /// A rejected [`SeussConfigBuilder::build`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A node needs at least one worker core.
-    ZeroCores,
     /// A node needs physical memory.
     ZeroMemory,
     /// At least one runtime must be configured.
@@ -92,7 +88,6 @@ pub enum ConfigError {
 impl core::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            ConfigError::ZeroCores => write!(f, "config: cores must be >= 1"),
             ConfigError::ZeroMemory => write!(f, "config: mem_mib must be >= 1"),
             ConfigError::NoRuntimes => write!(f, "config: at least one runtime required"),
             ConfigError::DuplicateRuntime(k) => {
@@ -129,12 +124,6 @@ pub struct SeussConfigBuilder {
 }
 
 impl SeussConfigBuilder {
-    /// Worker cores.
-    pub fn cores(mut self, cores: u16) -> Self {
-        self.cfg.cores = cores;
-        self
-    }
-
     /// Physical memory in MiB.
     pub fn mem_mib(mut self, mem_mib: u64) -> Self {
         self.cfg.mem_mib = mem_mib;
@@ -198,9 +187,6 @@ impl SeussConfigBuilder {
     /// Validates and produces the config.
     pub fn build(self) -> Result<SeussConfig, ConfigError> {
         let c = self.cfg;
-        if c.cores == 0 {
-            return Err(ConfigError::ZeroCores);
-        }
         if c.mem_mib == 0 {
             return Err(ConfigError::ZeroMemory);
         }
@@ -240,12 +226,11 @@ impl SeussConfigBuilder {
 }
 
 impl SeussConfig {
-    /// Builder seeded with the paper's evaluation node: 16 cores, 88 GB,
-    /// full AO, Node.js.
+    /// Builder seeded with the paper's evaluation node: 88 GB, full AO,
+    /// Node.js.
     pub fn builder() -> SeussConfigBuilder {
         SeussConfigBuilder {
             cfg: SeussConfig {
-                cores: 16,
                 mem_mib: 88 * 1024,
                 ao: AoLevel::NetworkAndInterpreter,
                 runtimes: vec![RuntimeKind::NodeJs],
@@ -263,7 +248,6 @@ impl SeussConfig {
     /// Builder seeded with a small fast node for unit tests.
     pub fn test_builder() -> SeussConfigBuilder {
         SeussConfig::builder()
-            .cores(4)
             .mem_mib(768)
             .uc_profile(UcProfile::tiny())
             .runtime_profile(RuntimeProfile::tiny())
@@ -304,7 +288,6 @@ mod tests {
     #[test]
     fn paper_node_matches_testbed() {
         let c = SeussConfig::paper_node();
-        assert_eq!(c.cores, 16);
         assert_eq!(c.mem_mib, 88 * 1024);
         assert_eq!(c.ao, AoLevel::NetworkAndInterpreter);
         assert_eq!(c.runtimes, vec![RuntimeKind::NodeJs]);
@@ -325,10 +308,6 @@ mod tests {
 
     #[test]
     fn builder_rejects_nonsense() {
-        assert_eq!(
-            SeussConfig::builder().cores(0).build().unwrap_err(),
-            ConfigError::ZeroCores
-        );
         assert_eq!(
             SeussConfig::builder().mem_mib(0).build().unwrap_err(),
             ConfigError::ZeroMemory
@@ -408,7 +387,6 @@ mod tests {
         let c = SeussConfig::test_node();
         let c2 = c.to_builder().mem_mib(2048).build().unwrap();
         assert_eq!(c2.mem_mib, 2048);
-        assert_eq!(c2.cores, c.cores);
         assert_eq!(c2.idle_total, c.idle_total);
     }
 

@@ -12,12 +12,12 @@
 use std::collections::HashMap;
 
 use seuss_mem::PhysMemory;
-use seuss_net::{NetProxy, UcEndpoint};
+use seuss_net::NetProxy;
 use seuss_paging::Mmu;
-use seuss_snapshot::{SnapshotId, SnapshotKind, SnapshotStore};
+use seuss_snapshot::{SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
 use seuss_store::{ReclaimMode, RestorePolicy, StoreError, TieredStore};
 use seuss_trace::{CacheKind, Phase, SpanName, TraceEvent, Tracer};
-use seuss_unikernel::{ImageStore, InvocationOutcome, RuntimeKind, UcContext, UcError, UcImageId};
+use seuss_unikernel::{ImageStore, InvocationOutcome, RuntimeKind, UcContext, UcError};
 use simcore::SimDuration;
 
 use crate::caches::{FnImageCache, IdleUcCache};
@@ -155,11 +155,11 @@ enum Start {
     /// exec only.
     Idle,
     /// The function image, snapshot resident (warm): no import or capture.
-    Function(UcImageId),
+    Function(SnapshotId),
     /// The function image, snapshot diff on the storage tier (warm-tier).
-    Demoted(UcImageId, SnapshotId),
+    Demoted(SnapshotId),
     /// The runtime image (cold): every phase.
-    Runtime(UcImageId),
+    Runtime(SnapshotId),
 }
 
 impl Start {
@@ -167,7 +167,7 @@ impl Start {
         match self {
             Start::Idle => PathKind::Hot,
             Start::Function(_) => PathKind::Warm,
-            Start::Demoted(..) => PathKind::WarmTier,
+            Start::Demoted(_) => PathKind::WarmTier,
             Start::Runtime(_) => PathKind::Cold,
         }
     }
@@ -198,7 +198,7 @@ pub struct SeussNode {
     pub mmu: Mmu,
     /// Mechanical snapshots.
     pub snaps: SnapshotStore,
-    /// Deployable UC images.
+    /// Deployable UC images, one per snapshot and named by its id.
     pub images: ImageStore,
     /// The function-snapshot cache.
     pub fn_cache: FnImageCache,
@@ -220,14 +220,18 @@ pub struct SeussNode {
     /// deploy's cost (pressure work bills the request that triggers it).
     pending_demote_cost: SimDuration,
     config: SeussConfig,
-    runtime_images: HashMap<RuntimeKind, UcImageId>,
+    runtime_images: HashMap<RuntimeKind, SnapshotId>,
     primary_runtime: RuntimeKind,
+    /// Function images dropped while UCs still ran from them; each is
+    /// deleted when [`destroy_uc`](SeussNode::destroy_uc) releases its
+    /// last UC (the §6 policy).
+    retired: Vec<SnapshotId>,
     pending: HashMap<u64, (FnId, PathKind, UcContext)>,
     next_token: u64,
 }
 
 /// Boots one runtime's base UC, applies the AO level, and captures the
-/// base snapshot. Returns the image id and total cost.
+/// base snapshot. Returns the image's snapshot id and total cost.
 #[allow(clippy::too_many_arguments)]
 fn init_runtime(
     mmu: &mut Mmu,
@@ -239,7 +243,7 @@ fn init_runtime(
     uc_profile: seuss_unikernel::UcProfile,
     runtime_profile: miniscript::RuntimeProfile,
     ao: AoLevel,
-) -> Result<(UcImageId, SimDuration), NodeError> {
+) -> Result<(SnapshotId, SimDuration), NodeError> {
     let (mut base_uc, mut init_cost) =
         UcContext::boot(mmu, mem, layout, uc_profile, runtime_profile)?;
 
@@ -344,6 +348,7 @@ impl SeussNode {
             config,
             runtime_images,
             primary_runtime,
+            retired: Vec::new(),
             pending: HashMap::new(),
             next_token: 0,
         };
@@ -351,12 +356,12 @@ impl SeussNode {
     }
 
     /// The primary runtime's base image id.
-    pub fn runtime_image(&self) -> Option<UcImageId> {
+    pub fn runtime_image(&self) -> Option<SnapshotId> {
         self.runtime_images.get(&self.primary_runtime).copied()
     }
 
     /// The base image for a specific runtime, if configured.
-    pub fn runtime_image_for(&self, kind: RuntimeKind) -> Option<UcImageId> {
+    pub fn runtime_image_for(&self, kind: RuntimeKind) -> Option<SnapshotId> {
         self.runtime_images.get(&kind).copied()
     }
 
@@ -406,15 +411,9 @@ impl SeussNode {
                 n += 1;
                 continue;
             }
-            if let Some(sid) = self.fn_cache.evict_lru(
-                &mut self.mmu,
-                &mut self.mem,
-                &mut self.snaps,
-                &mut self.images,
-            ) {
-                if let Some(sid) = sid {
-                    self.forget_tier(sid);
-                }
+            let idle = |sid| self.snaps.get(sid).is_ok_and(|s| s.active_ucs() == 0);
+            if let Some(sid) = self.fn_cache.evict_lru(idle) {
+                self.drop_fn_image(sid);
                 n += 1;
                 continue;
             }
@@ -443,37 +442,43 @@ impl SeussNode {
         true
     }
 
-    /// Drops storage-tier state for a snapshot whose image left the
-    /// function cache. A deleted snapshot releases its device blocks; one
-    /// that outlives its image (UCs still deployed from it) keeps them
-    /// for those UCs but stops being a demotion candidate.
-    fn forget_tier(&mut self, sid: SnapshotId) {
-        let Some(t) = self.tier.as_mut() else {
-            return;
-        };
-        if self.snaps.get(sid).is_ok() {
-            t.retire(sid);
-        } else {
-            t.forget(sid);
+    /// The one way a function image leaves the node, once the function
+    /// cache has given it up. An image no UC runs from is deleted with
+    /// its snapshot, and its device blocks are freed. One that UCs still
+    /// run from is retired: it stops being a demotion candidate but keeps
+    /// its blocks, which those UCs may yet page against, and
+    /// [`destroy_uc`](Self::destroy_uc) deletes it with its last UC.
+    fn drop_fn_image(&mut self, sid: SnapshotId) {
+        match self
+            .images
+            .delete(&mut self.mmu, &mut self.mem, &mut self.snaps, sid)
+        {
+            Ok(()) => {
+                if let Some(t) = self.tier.as_mut() {
+                    t.forget(sid);
+                }
+            }
+            Err(SnapshotError::ActiveUcs(_)) => {
+                if let Some(t) = self.tier.as_mut() {
+                    t.retire(sid);
+                }
+                self.retired.push(sid);
+            }
+            // Function snapshots have no children, and a dangling id has
+            // nothing left to drop.
+            Err(_) => {}
         }
     }
 
     /// Caches `img` as function `f`'s warm-path image — a cold-path
     /// capture, or a snapshot imported from a peer — and marks its
     /// snapshot as just used for the storage tier.
-    pub fn install_fn_image(&mut self, f: FnId, img: UcImageId) {
-        if let Some(sid) = self.fn_cache.insert(
-            &mut self.mmu,
-            &mut self.mem,
-            &mut self.snaps,
-            &mut self.images,
-            f,
-            img,
-        ) {
-            self.forget_tier(sid);
+    pub fn install_fn_image(&mut self, f: FnId, img: SnapshotId) {
+        if let Some(old) = self.fn_cache.insert(f, img) {
+            self.drop_fn_image(old);
         }
-        if let (Some(tier), Ok(sid)) = (self.tier.as_mut(), self.images.snapshot_of(img)) {
-            tier.note_use(sid);
+        if let Some(tier) = self.tier.as_mut() {
+            tier.note_use(img);
         }
     }
 
@@ -544,17 +549,17 @@ impl SeussNode {
             cache: CacheKind::IdleUc,
         });
         if let Some(img) = self.fn_cache.lookup(f) {
-            let sid = self.images.snapshot_of(img).ok();
-            let demoted = sid.filter(|&s| self.tier.as_ref().is_some_and(|t| t.is_demoted(s)));
+            let demoted = self.tier.as_ref().is_some_and(|t| t.is_demoted(img));
             let device_faulted =
-                demoted.is_some() && self.tier.as_ref().is_some_and(|t| t.read_fault_active());
-            if self.snapshot_intact(img) && !device_faulted {
+                demoted && self.tier.as_ref().is_some_and(|t| t.read_fault_active());
+            if self.snaps.verify(img).unwrap_or(true) && !device_faulted {
                 self.tracer.event(TraceEvent::CacheHit {
                     cache: CacheKind::FnSnapshot,
                 });
-                return Ok(match demoted {
-                    Some(s) => Start::Demoted(img, s),
-                    None => Start::Function(img),
+                return Ok(if demoted {
+                    Start::Demoted(img)
+                } else {
+                    Start::Function(img)
                 });
             }
             if device_faulted {
@@ -562,17 +567,10 @@ impl SeussNode {
             } else {
                 self.tracer.event(TraceEvent::FaultSnapshotCorrupt);
             }
-            // Discard the unusable image; tier blocks are released only
-            // once the snapshot itself is gone (a still-deployed UC may
-            // yet page against them).
-            if let Some(bad) = self.fn_cache.remove(f) {
-                let _ = self
-                    .images
-                    .delete(&mut self.mmu, &mut self.mem, &mut self.snaps, bad);
-                if let Some(s) = sid {
-                    self.forget_tier(s);
-                }
-            }
+            // Discard the unusable image (deferred while a UC still runs
+            // from it).
+            self.fn_cache.remove(f);
+            self.drop_fn_image(img);
         }
         self.tracer.event(TraceEvent::CacheMiss {
             cache: CacheKind::FnSnapshot,
@@ -601,9 +599,9 @@ impl SeussNode {
         let mut costs = PathCosts::default();
         let (ctx, cold_base) = match start {
             Start::Idle => (uc.as_mut().expect("resolve took the idle UC"), None),
-            Start::Function(img) => (uc.insert(self.deploy(img, None, &mut costs)?), None),
-            Start::Demoted(img, sid) => (uc.insert(self.deploy(img, Some(sid), &mut costs)?), None),
-            Start::Runtime(base) => (uc.insert(self.deploy(base, None, &mut costs)?), Some(base)),
+            Start::Function(img) => (uc.insert(self.deploy(img, false, &mut costs)?), None),
+            Start::Demoted(img) => (uc.insert(self.deploy(img, true, &mut costs)?), None),
+            Start::Runtime(base) => (uc.insert(self.deploy(base, false, &mut costs)?), Some(base)),
         };
         if path != PathKind::Hot {
             self.phase(Phase::Connect, &mut costs, |n| {
@@ -653,7 +651,7 @@ impl SeussNode {
     }
 
     /// Builds a UC from `img`: the deploy phase of every start but hot.
-    /// A snapshot whose diff lives on the storage tier (`demoted`) also
+    /// An image whose diff lives on the storage tier (`demoted`) also
     /// takes the restore its policy asks for: eager promotion before the
     /// deploy, a recorded working-set prefetch into the UC's fresh root
     /// mid-deploy, or nothing up front (lazy: every later touch pages in
@@ -661,24 +659,24 @@ impl SeussNode {
     /// [`conclude`](Self::conclude) books the device time).
     fn deploy(
         &mut self,
-        img: UcImageId,
-        demoted: Option<SnapshotId>,
+        img: SnapshotId,
+        demoted: bool,
         costs: &mut PathCosts,
     ) -> Result<UcContext, NodeError> {
-        let mut prefetch = None;
-        if let (Some(sid), Some(tier)) = (demoted, &self.tier) {
+        let mut prefetch = false;
+        if let Some(tier) = self.tier.as_ref().filter(|_| demoted) {
             match tier.policy() {
                 // Fully resident again: the rest is a plain warm deploy.
                 RestorePolicy::EagerFull => self.phase(Phase::Restore, costs, |n| {
                     let tier = n.tier.as_mut().expect("a demoted snapshot has a tier");
-                    let out = tier.promote(&mut n.mmu, &mut n.mem, &n.snaps, sid)?;
+                    let out = tier.promote(&mut n.mmu, &mut n.mem, &n.snaps, img)?;
                     n.tracer.event(TraceEvent::TierPromote { pages: out.pages });
                     Ok(((), out.cost))
                 })?,
                 // Lazy and prefetch deploys run against the still-demoted
                 // snapshot (that is what preserves cache density).
-                RestorePolicy::WorkingSetPrefetch if tier.working_set(sid).is_some() => {
-                    prefetch = Some(sid);
+                RestorePolicy::WorkingSetPrefetch if tier.working_set(img).is_some() => {
+                    prefetch = true;
                 }
                 _ => {}
             }
@@ -694,10 +692,10 @@ impl SeussNode {
                 &mut n.snaps,
                 img,
                 |mmu, mem, root| {
-                    if let Some(sid) = prefetch {
+                    if prefetch {
                         let tier = n.tier.as_mut().expect("a demoted snapshot has a tier");
                         let out = tier
-                            .prefetch_into(mmu, mem, root, sid)
+                            .prefetch_into(mmu, mem, root, img)
                             .map_err(|_| UcError::BadState("working-set prefetch failed"))?;
                         prefetched = Some(out);
                     }
@@ -705,8 +703,8 @@ impl SeussNode {
                 },
             )?;
             n.register_port(&uc);
-            if let (Some(tier), Ok(sid)) = (n.tier.as_mut(), n.images.snapshot_of(img)) {
-                tier.note_use(sid);
+            if let Some(tier) = n.tier.as_mut() {
+                tier.note_use(img);
             }
             // OOM-daemon demotions bill the deploy that triggered them.
             let demote_cost = std::mem::take(&mut n.pending_demote_cost);
@@ -724,17 +722,21 @@ impl SeussNode {
 
     /// Gives a fresh UC its unique proxy port (all UCs share one IP/MAC).
     fn register_port(&mut self, uc: &UcContext) {
-        let _ = self.proxy.register(UcEndpoint {
-            core: (uc.uc_id % self.config.cores as u32) as u16,
-            uc: uc.uc_id,
-        });
+        let _ = self.proxy.register(uc.uc_id);
     }
 
-    /// Destroys a UC, dropping its proxy mapping first.
+    /// Destroys a UC, dropping its proxy mapping first. The last UC of a
+    /// retired image takes the image with it.
     pub fn destroy_uc(&mut self, uc: UcContext) {
+        let source = uc.source_snapshot;
         self.proxy.unregister(uc.uc_id);
         self.images
             .destroy_uc(&mut self.mmu, &mut self.mem, &mut self.snaps, uc);
+        if let Some(i) = source.and_then(|s| self.retired.iter().position(|&r| r == s)) {
+            // Deletes the image, or retires it again while UCs remain.
+            let sid = self.retired.swap_remove(i);
+            self.drop_fn_image(sid);
+        }
     }
 
     /// Ends a segment after exec: books the device time of its lazy
@@ -869,27 +871,13 @@ impl SeussNode {
         self.pending.len()
     }
 
-    /// Whether the snapshot behind a deployable image passes its
-    /// integrity check. Images without a resolvable snapshot count as
-    /// intact (nothing to verify).
-    fn snapshot_intact(&self, img: UcImageId) -> bool {
-        self.images
-            .snapshot_of(img)
-            .ok()
-            .and_then(|sid| self.snaps.verify(sid).ok())
-            .unwrap_or(true)
-    }
-
     /// Damages the cached function snapshot for `f` in place (fault
     /// injection). Returns whether a cached snapshot existed to corrupt;
     /// detection happens on the function's next warm-path lookup.
     pub fn corrupt_fn_snapshot(&mut self, f: FnId) -> bool {
-        if let Some(img) = self.fn_cache.peek(f) {
-            if let Ok(sid) = self.images.snapshot_of(img) {
-                return self.snaps.corrupt(sid).is_ok();
-            }
-        }
-        false
+        self.fn_cache
+            .peek(f)
+            .is_some_and(|img| self.snaps.corrupt(img).is_ok())
     }
 
     /// Crashes the node: every pending (IO-blocked) invocation, idle UC,
@@ -914,15 +902,8 @@ impl SeussNode {
             self.destroy_uc(uc);
             lost += 1;
         }
-        while let Some(sid) = self.fn_cache.evict_lru(
-            &mut self.mmu,
-            &mut self.mem,
-            &mut self.snaps,
-            &mut self.images,
-        ) {
-            if let Some(sid) = sid {
-                self.forget_tier(sid);
-            }
+        while let Some(sid) = self.fn_cache.evict_lru(|_| true) {
+            self.drop_fn_image(sid);
             lost += 1;
         }
         self.tracer.event(TraceEvent::FaultNodeCrash);
@@ -988,15 +969,9 @@ mod tests {
         assert_eq!(c2.import, SimDuration::ZERO);
 
         // Drain the idle cache; the snapshot now serves it warm.
-        while n
-            .idle
-            .take(1)
-            .map(|uc| {
-                n.images
-                    .destroy_uc(&mut n.mmu, &mut n.mem, &mut n.snaps, uc)
-            })
-            .is_some()
-        {}
+        while let Some(uc) = n.idle.take(1) {
+            n.destroy_uc(uc);
+        }
         let (p3, _, c3) = expect_completed(n.invoke(1, NOP, &[]).unwrap());
         assert_eq!(p3, PathKind::Warm);
         assert!(c3.deploy > SimDuration::ZERO);
@@ -1011,15 +986,9 @@ mod tests {
         let mut n = node();
         let (_, _, cold) = expect_completed(n.invoke(7, NOP, &[]).unwrap());
         let (_, _, hot) = expect_completed(n.invoke(7, NOP, &[]).unwrap());
-        while n
-            .idle
-            .take(7)
-            .map(|uc| {
-                n.images
-                    .destroy_uc(&mut n.mmu, &mut n.mem, &mut n.snaps, uc)
-            })
-            .is_some()
-        {}
+        while let Some(uc) = n.idle.take(7) {
+            n.destroy_uc(uc);
+        }
         let (_, _, warm) = expect_completed(n.invoke(7, NOP, &[]).unwrap());
         assert!(cold.total() > warm.total());
         assert!(warm.total() > hot.total());
@@ -1188,8 +1157,11 @@ mod proxy_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use seuss_mem::MemStats;
+    use seuss_store::{DeviceConfig, StoreConfig};
 
     const NOP: &str = "function main(args) { return 0; }";
+    const IO: &str = "function main(a) { let r = http_get('http://ext'); return r; }";
 
     fn node() -> SeussNode {
         SeussNode::new(SeussConfig::test_node()).unwrap().0
@@ -1205,6 +1177,120 @@ mod fault_tests {
             } => (path, result, costs),
             other => panic!("expected completion, got {other:?}"),
         }
+    }
+
+    fn expect_blocked(inv: Invocation, want: PathKind) -> IoToken {
+        match inv {
+            Invocation::Blocked { path, token, .. } => {
+                assert_eq!(path, want);
+                token
+            }
+            other => panic!("expected a {want:?} block, got {other:?}"),
+        }
+    }
+
+    /// The frame counts of `m`, without its lifetime counters.
+    fn live_frames(m: MemStats) -> MemStats {
+        MemStats {
+            total_allocs: 0,
+            total_frees: 0,
+            ..m
+        }
+    }
+
+    /// Destroys every idle UC and empties the function cache through the
+    /// node's one exit, then checks that only the runtime images are
+    /// left: no snapshot, image, frame, proxy port or device block
+    /// outlives the functions that used it. `boot` is `mem.stats()`
+    /// right after the node came up.
+    fn drain_and_count(n: &mut SeussNode, boot: MemStats) {
+        assert_eq!(n.blocked_count(), 0, "resume every blocked invoke first");
+        while let Some(uc) = n.idle.pop_lru() {
+            n.destroy_uc(uc);
+        }
+        while let Some(img) = n.fn_cache.evict_lru(|_| true) {
+            n.drop_fn_image(img);
+        }
+        let runtimes = n.runtimes().len();
+        assert_eq!(n.snaps.len(), runtimes, "only runtime snapshots remain");
+        assert_eq!(n.images.len(), runtimes, "only runtime images remain");
+        assert_eq!(live_frames(n.mem.stats()), live_frames(boot), "frames");
+        assert_eq!(n.proxy.active(), 0, "every proxy port is released");
+        if let Some(t) = &n.tier {
+            assert_eq!(t.used_blocks(), 0, "every device block is freed");
+        }
+    }
+
+    #[test]
+    fn discarded_image_goes_with_its_last_uc() {
+        let mut n = node();
+        let boot = n.mem.stats();
+        // Cold, then warm twice: no UC is idle while the others are
+        // blocked, so each later invoke deploys from the function image.
+        let cold = expect_blocked(n.invoke(1, IO, &[]).unwrap(), PathKind::Cold);
+        let warm = expect_blocked(n.invoke(1, IO, &[]).unwrap(), PathKind::Warm);
+        let warm2 = expect_blocked(n.invoke(1, IO, &[]).unwrap(), PathKind::Warm);
+        // The corrupt image is discarded while the warm UCs run from it,
+        // so its delete waits for the last of them.
+        assert!(n.corrupt_fn_snapshot(1));
+        let again = expect_blocked(n.invoke(1, IO, &[]).unwrap(), PathKind::Cold);
+        assert_eq!(n.images.len(), 3, "runtime, retired and fresh image");
+        for token in [cold, warm, again, warm2] {
+            let (_, r, _) = expect_completed(n.resume_invocation(token, "OK").unwrap());
+            assert_eq!(r, "OK");
+        }
+        drain_and_count(&mut n, boot);
+    }
+
+    #[test]
+    fn unreadable_demoted_image_frees_its_blocks_with_its_last_uc() {
+        let store = StoreConfig {
+            device: DeviceConfig::nvme(),
+            policy: RestorePolicy::LazyPaging,
+            reclaim: ReclaimMode::DemoteColdest,
+        };
+        let cfg = SeussConfig::test_builder().store(Some(store)).build();
+        let (mut n, _) = SeussNode::new(cfg.unwrap()).unwrap();
+        let boot = n.mem.stats();
+        let cold = expect_blocked(n.invoke(1, IO, &[]).unwrap(), PathKind::Cold);
+        expect_completed(n.resume_invocation(cold, "OK").unwrap());
+        while let Some(uc) = n.idle.pop_lru() {
+            n.destroy_uc(uc);
+        }
+        let img = n.fn_cache.peek(1).unwrap();
+        let tier = n.tier.as_mut().unwrap();
+        tier.demote(&mut n.mmu, &mut n.mem, &n.snaps, img).unwrap();
+        // A warm-tier UC blocks while it pages against the device; then
+        // the device fails, and the next invoke discards the image.
+        let warm = expect_blocked(n.invoke(1, IO, &[]).unwrap(), PathKind::WarmTier);
+        assert!(n.set_device_read_fault(true));
+        let again = expect_blocked(n.invoke(1, IO, &[]).unwrap(), PathKind::Cold);
+        assert!(
+            n.tier.as_ref().unwrap().used_blocks() > 0,
+            "the UC keeps them"
+        );
+        assert!(n.set_device_read_fault(false));
+        for token in [warm, again] {
+            expect_completed(n.resume_invocation(token, "OK").unwrap());
+        }
+        drain_and_count(&mut n, boot);
+    }
+
+    #[test]
+    fn oom_eviction_deletes_whole_images() {
+        let mut n = node();
+        let boot = n.mem.stats();
+        for f in 0..6 {
+            expect_completed(n.invoke(f, NOP, &[]).unwrap());
+        }
+        // A threshold nothing can meet: the daemon reclaims every idle UC
+        // and evicts every function image.
+        let capacity = n.mem.stats().capacity_frames;
+        n.mem.set_reclaim_threshold_frames(capacity);
+        n.run_oom_daemon();
+        assert_eq!(n.fn_cache.evictions, 6);
+        assert!(n.fn_cache.is_empty() && n.idle.is_empty());
+        drain_and_count(&mut n, boot);
     }
 
     #[test]
@@ -1241,13 +1327,13 @@ mod fault_tests {
             "only idle and blocked UCs hold proxy ports"
         );
         let img = n.fn_cache.peek(f).expect("fn snapshot cached");
-        let sid = n.images.snapshot_of(img).unwrap();
-        assert_eq!(n.snaps.get(sid).unwrap().active_ucs(), 0);
+        assert_eq!(n.snaps.get(img).unwrap().active_ucs(), 0);
     }
 
     #[test]
     fn failed_invokes_release_their_uc_on_every_path() {
         let mut n = node();
+        let boot = n.mem.stats();
         let spin = "function main(args) { while (true) {} return 0; }";
 
         // Cold: import and capture succeed, exec runs out of fuel.
@@ -1292,6 +1378,9 @@ mod fault_tests {
         assert!(n.resume_invocation(token, "OK").is_err());
         assert_eq!(n.blocked_count(), 0);
         assert_failure_cleaned_up(&n, 3, errors);
+
+        // No failure left anything behind.
+        drain_and_count(&mut n, boot);
     }
 
     #[test]
@@ -1303,6 +1392,7 @@ mod fault_tests {
     #[test]
     fn crash_loses_caches_and_pending_work() {
         let mut n = node();
+        let boot = n.mem.stats();
         expect_completed(n.invoke(1, NOP, &[]).unwrap());
         expect_completed(n.invoke(2, NOP, &[]).unwrap());
         let src = "function main(a) { let r = http_get('http://ext'); return r; }";
@@ -1325,6 +1415,7 @@ mod fault_tests {
             Some(NodeError::UnknownToken),
             "replies to pre-crash invocations are orphaned"
         );
+        drain_and_count(&mut n, boot);
 
         // The rebooted node still serves requests — from a cold start.
         let (p, _, _) = expect_completed(n.invoke(1, NOP, &[]).unwrap());

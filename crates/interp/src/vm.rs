@@ -192,11 +192,6 @@ impl Interpreter {
         self.did_first_compile
     }
 
-    /// Whether the one-time execution path has been exercised.
-    pub fn warmed_exec(&self) -> bool {
-        self.did_first_exec
-    }
-
     /// Whether a run is currently suspended.
     pub fn is_suspended(&self) -> bool {
         self.suspended.is_some()

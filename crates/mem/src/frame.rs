@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-use crate::addr::{PhysAddr, PAGE_SHIFT};
 use crate::content::PageContent;
 
 /// Identifier of a 4 KiB physical frame in the simulated pool.
@@ -10,11 +9,6 @@ use crate::content::PageContent;
 pub struct FrameId(pub(crate) u32);
 
 impl FrameId {
-    /// The physical address of the start of this frame.
-    pub fn base_addr(self) -> PhysAddr {
-        PhysAddr::new((self.0 as u64) << PAGE_SHIFT)
-    }
-
     /// Raw index of this frame in the pool.
     pub fn index(self) -> u32 {
         self.0

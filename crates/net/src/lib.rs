@@ -3,11 +3,11 @@
 //! Three networks matter to the SEUSS evaluation:
 //!
 //! * **The UC network** (§6 "Networking"): every UC is configured with an
-//!   identical IP and MAC address, so a per-core [`proxy::NetProxy`]
-//!   masquerades traffic and uses the TCP destination port as the unique
-//!   key mapping packets to the UC they belong to. Only outgoing TCP
-//!   connections initiated inside the unikernel are supported — exactly
-//!   the restriction the prototype documents.
+//!   identical IP and MAC address, so a per-core proxy uses the TCP
+//!   destination port as the unique key mapping packets to the UC they
+//!   belong to. [`proxy::NetProxy`] is that port table: every live UC
+//!   holds one port. No trial sends a packet, so the table is all the
+//!   simulation keeps of the proxy.
 //! * **The Linux bridge** (§7 "Linux Container Limit"): container
 //!   deployments attach veth endpoints to a bridge where every broadcast
 //!   packet is processed N times (once per endpoint). Past ~1024
@@ -28,12 +28,10 @@
 
 pub mod bridge;
 pub mod external;
-pub mod packet;
 pub mod proxy;
 pub mod tcp;
 
 pub use bridge::{Bridge, BridgeError};
 pub use external::ExternalServer;
-pub use packet::{Packet, PacketKind, Payload};
-pub use proxy::{NetProxy, ProxyError, UcEndpoint};
+pub use proxy::{NetProxy, ProxyError};
 pub use tcp::TcpCostModel;

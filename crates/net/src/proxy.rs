@@ -1,61 +1,39 @@
-//! The per-core network proxy: masquerading and port-keyed UC routing.
+//! The per-core network proxy's port table.
 //!
 //! "Each UC is configured with an identical IP and MAC address … A
 //! per-core network proxy maintains mappings for both the internal and
 //! external networks for each unikernel instance active on that core.
 //! TCP destination ports act as the unique key for mapping packets to an
 //! active UC" (§6). This module is that table: registration assigns each
-//! UC a unique external port; incoming packets resolve through it to the
-//! `(core, uc)` the traffic belongs to; outgoing packets are masqueraded
-//! by rewriting their source port.
+//! live UC a unique external port, and unregistration frees it.
 
-use std::collections::HashMap;
-
-use crate::packet::{Packet, PacketKind};
-
-/// Identity of a UC endpoint behind the proxy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UcEndpoint {
-    /// Worker core the UC is resident on.
-    pub core: u16,
-    /// Node-local UC slot id.
-    pub uc: u32,
-}
+use std::collections::{HashMap, HashSet};
 
 /// Proxy errors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProxyError {
     /// All 64k-ish mapping ports are in use.
     PortsExhausted,
-    /// Packet's destination port maps to no registered UC.
-    NoRoute(u16),
-    /// Unsupported traffic (the prototype only port-maps TCP).
-    Unsupported,
 }
 
 impl core::fmt::Display for ProxyError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ProxyError::PortsExhausted => write!(f, "proxy port space exhausted"),
-            ProxyError::NoRoute(p) => write!(f, "no UC registered for port {p}"),
-            ProxyError::Unsupported => write!(f, "only TCP traffic is port-mapped"),
         }
     }
 }
 
 impl std::error::Error for ProxyError {}
 
-/// The node's NAT/masquerade table (logically per-core, one instance per
-/// node in the simulation with the core recorded per mapping).
+/// The node's port table (logically per-core, one instance per node in
+/// the simulation): each live UC, by node-local id, holds one port.
 pub struct NetProxy {
-    by_port: HashMap<u16, UcEndpoint>,
+    /// Ports held by live UCs.
+    ports: HashSet<u16>,
     port_of_uc: HashMap<u32, u16>,
     next_port: u16,
     first_port: u16,
-    /// Packets routed inbound.
-    pub routed_in: u64,
-    /// Packets masqueraded outbound.
-    pub masqueraded_out: u64,
 }
 
 impl Default for NetProxy {
@@ -68,23 +46,21 @@ impl NetProxy {
     /// Creates a proxy with the ephemeral mapping range 20000..=64000.
     pub fn new() -> Self {
         NetProxy {
-            by_port: HashMap::new(),
+            ports: HashSet::new(),
             port_of_uc: HashMap::new(),
             next_port: 20000,
             first_port: 20000,
-            routed_in: 0,
-            masqueraded_out: 0,
         }
     }
 
     /// Number of active mappings.
     pub fn active(&self) -> usize {
-        self.by_port.len()
+        self.ports.len()
     }
 
-    /// Registers a UC, assigning it a unique external port.
-    pub fn register(&mut self, endpoint: UcEndpoint) -> Result<u16, ProxyError> {
-        if self.by_port.len() >= (64000 - self.first_port as usize) {
+    /// Registers UC `uc`, assigning it a unique external port.
+    pub fn register(&mut self, uc: u32) -> Result<u16, ProxyError> {
+        if self.ports.len() >= (64000 - self.first_port as usize) {
             return Err(ProxyError::PortsExhausted);
         }
         // Linear probe over the ring of mapping ports.
@@ -95,9 +71,8 @@ impl NetProxy {
             } else {
                 self.next_port + 1
             };
-            if let std::collections::hash_map::Entry::Vacant(slot) = self.by_port.entry(p) {
-                slot.insert(endpoint);
-                self.port_of_uc.insert(endpoint.uc, p);
+            if self.ports.insert(p) {
+                self.port_of_uc.insert(uc, p);
                 return Ok(p);
             }
         }
@@ -107,50 +82,11 @@ impl NetProxy {
     pub fn unregister(&mut self, uc: u32) -> bool {
         match self.port_of_uc.remove(&uc) {
             Some(p) => {
-                self.by_port.remove(&p);
+                self.ports.remove(&p);
                 true
             }
             None => false,
         }
-    }
-
-    /// The external port assigned to a UC, if registered.
-    pub fn port_of(&self, uc: u32) -> Option<u16> {
-        self.port_of_uc.get(&uc).copied()
-    }
-
-    /// Routes an incoming packet to its UC by destination port.
-    pub fn route_in(&mut self, packet: &Packet) -> Result<UcEndpoint, ProxyError> {
-        match packet.kind {
-            // "We currently do not support port mapping of UDP or IPv6
-            // packets" (§6); broadcasts are likewise never UC traffic.
-            PacketKind::Broadcast | PacketKind::Udp | PacketKind::Ipv6 => {
-                Err(ProxyError::Unsupported)
-            }
-            _ => {
-                let ep = self
-                    .by_port
-                    .get(&packet.dst_port)
-                    .copied()
-                    .ok_or(ProxyError::NoRoute(packet.dst_port))?;
-                self.routed_in += 1;
-                Ok(ep)
-            }
-        }
-    }
-
-    /// Masquerades an outgoing packet from `uc`: rewrites the source port
-    /// to the UC's external mapping (all UCs share one IP, so the port is
-    /// the only distinguishing field).
-    pub fn masquerade_out(&mut self, uc: u32, mut packet: Packet) -> Result<Packet, ProxyError> {
-        let p = self
-            .port_of_uc
-            .get(&uc)
-            .copied()
-            .ok_or(ProxyError::NoRoute(0))?;
-        packet.src_port = p;
-        self.masqueraded_out += 1;
-        Ok(packet)
     }
 }
 
@@ -161,78 +97,25 @@ mod tests {
     #[test]
     fn register_assigns_unique_ports() {
         let mut p = NetProxy::new();
-        let a = p.register(UcEndpoint { core: 0, uc: 1 }).unwrap();
-        let b = p.register(UcEndpoint { core: 1, uc: 2 }).unwrap();
+        let a = p.register(1).unwrap();
+        let b = p.register(2).unwrap();
         assert_ne!(a, b);
         assert_eq!(p.active(), 2);
-        assert_eq!(p.port_of(1), Some(a));
-    }
-
-    #[test]
-    fn route_in_by_dst_port() {
-        let mut p = NetProxy::new();
-        let port = p.register(UcEndpoint { core: 3, uc: 9 }).unwrap();
-        let ep = p.route_in(&Packet::syn(50000, port)).unwrap();
-        assert_eq!(ep, UcEndpoint { core: 3, uc: 9 });
-        assert_eq!(p.routed_in, 1);
-    }
-
-    #[test]
-    fn unknown_port_is_no_route() {
-        let mut p = NetProxy::new();
-        assert_eq!(
-            p.route_in(&Packet::syn(1, 4242)),
-            Err(ProxyError::NoRoute(4242))
-        );
-    }
-
-    #[test]
-    fn broadcasts_are_not_port_mapped() {
-        let mut p = NetProxy::new();
-        assert_eq!(
-            p.route_in(&Packet::broadcast()),
-            Err(ProxyError::Unsupported)
-        );
-    }
-
-    #[test]
-    fn masquerade_rewrites_source() {
-        let mut p = NetProxy::new();
-        let port = p.register(UcEndpoint { core: 0, uc: 5 }).unwrap();
-        let out = p
-            .masquerade_out(5, Packet::data(8080, 443, &b"GET"[..]))
-            .unwrap();
-        assert_eq!(out.src_port, port);
-        assert_eq!(out.dst_port, 443);
     }
 
     #[test]
     fn unregister_frees_port_for_reuse() {
         let mut p = NetProxy::new();
-        let port = p.register(UcEndpoint { core: 0, uc: 1 }).unwrap();
+        p.register(1).unwrap();
         assert!(p.unregister(1));
         assert!(!p.unregister(1));
-        assert_eq!(
-            p.route_in(&Packet::syn(1, port)),
-            Err(ProxyError::NoRoute(port))
-        );
+        assert_eq!(p.active(), 0);
         // Port ring eventually reuses the slot.
         for i in 0..40_000u32 {
-            p.register(UcEndpoint {
-                core: 0,
-                uc: 10 + i,
-            })
-            .unwrap();
+            p.register(10 + i).unwrap();
         }
         assert_eq!(p.active(), 40_000);
-        assert!(
-            p.register(UcEndpoint {
-                core: 0,
-                uc: 999_999
-            })
-            .is_ok(),
-            "freed port is reusable"
-        );
+        assert!(p.register(999_999).is_ok(), "freed port is reusable");
     }
 
     #[test]
@@ -241,13 +124,7 @@ mod tests {
         let mut p = NetProxy::new();
         let mut ports = std::collections::HashSet::new();
         for uc in 0..1000 {
-            ports.insert(
-                p.register(UcEndpoint {
-                    core: (uc % 16) as u16,
-                    uc,
-                })
-                .unwrap(),
-            );
+            ports.insert(p.register(uc).unwrap());
         }
         assert_eq!(ports.len(), 1000);
     }

@@ -595,24 +595,6 @@ impl Mmu {
         self.tracer.event(TraceEvent::TlbFlush);
     }
 
-    /// Counts mapped data pages reachable from `root` (deduplicated walk —
-    /// shared subtrees are visited once, matching resident-set semantics).
-    pub fn mapped_pages(&mut self, root: TableId) -> u64 {
-        let mut count = 0u64;
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            for entry in self.store.node(id).entries.iter() {
-                if entry.is_table() {
-                    stack.push(entry.next_table());
-                } else if entry.is_page() {
-                    count += 1;
-                    self.stats.dirty_scanned += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Collects all leaf mappings reachable from `root` as
     /// `(virtual page number, frame)` pairs, in address order.
     pub fn collect_mapped(&self, root: TableId) -> Vec<(u64, FrameId)> {

@@ -242,11 +242,6 @@ impl<W: World> Simulation<W> {
         &mut self.world
     }
 
-    /// Number of events handled so far.
-    pub fn events_handled(&self) -> u64 {
-        self.handled
-    }
-
     /// Schedules an event at an absolute time, from outside the world.
     pub fn schedule_at(&mut self, at: SimTime, ev: W::Event) {
         self.sched.schedule_at(at, ev)

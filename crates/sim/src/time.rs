@@ -112,11 +112,6 @@ impl SimDuration {
         self.0
     }
 
-    /// This duration expressed as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// This duration expressed as fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6

@@ -251,11 +251,6 @@ impl TieredStore {
         self.demoted.contains_key(&sid.index())
     }
 
-    /// Pages `sid` holds on the device, if demoted.
-    pub fn demoted_pages(&self, sid: SnapshotId) -> Option<u64> {
-        self.demoted.get(&sid.index()).map(|m| m.pages.len() as u64)
-    }
-
     /// The recorded working set of `sid`, if one has been harvested.
     pub fn working_set(&self, sid: SnapshotId) -> Option<&[u64]> {
         self.demoted

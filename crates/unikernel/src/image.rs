@@ -2,13 +2,12 @@
 //!
 //! A snapshot in `seuss-snapshot` is pages + registers. A *deployable UC
 //! image* additionally needs the interpreter state those pages encode —
-//! the host-side mirror of the guest heap. [`ImageStore`] keeps the two
-//! in lockstep: capture stores an `Rc` of the UC's interpreter (cheap —
-//! copies materialize only when a descendant mutates), deploy clones the
-//! `Rc` into the new UC and replays the driver's resume writes.
+//! the host-side mirror of the guest heap. [`ImageStore`] keeps that
+//! mirror beside the snapshot, under the snapshot's own id: capture
+//! stores an `Rc` of the UC's interpreter (cheap — copies materialize
+//! only when a descendant mutates), deploy clones the `Rc` into the new
+//! UC and replays the driver's resume writes.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use miniscript::{Interpreter, ProgId};
@@ -25,12 +24,7 @@ use crate::context::{UcContext, UcError, UcState};
 use crate::layout::Layout;
 use crate::profile::UcProfile;
 
-/// Identifier of a deployable UC image.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct UcImageId(u32);
-
 struct UcImage {
-    snap: SnapshotId,
     interp: Rc<Interpreter>,
     net_warmed: bool,
     driver_warmed: bool,
@@ -71,12 +65,12 @@ impl UcImagePackage {
 
 /// Store of deployable UC images (snapshot + interpreter mirror).
 ///
-/// A new image takes the lowest free slot, so ids are reused lowest-first.
+/// An image *is* its snapshot: it has no id of its own, and the
+/// [`SnapshotId`] the snapshot store hands out names both.
 #[derive(Default)]
 pub struct ImageStore {
+    /// Interpreter mirrors, indexed by snapshot index.
     images: Vec<Option<UcImage>>,
-    /// Indices of the `None` slots in `images`, lowest on top.
-    free: BinaryHeap<Reverse<u32>>,
     next_uc_id: u32,
     /// Tracing handle (disabled by default; the node installs a live one).
     pub tracer: Tracer,
@@ -90,7 +84,7 @@ impl ImageStore {
 
     /// Number of live images.
     pub fn len(&self) -> usize {
-        self.images.len() - self.free.len()
+        self.images.iter().flatten().count()
     }
 
     /// Whether the store is empty.
@@ -98,26 +92,37 @@ impl ImageStore {
         self.len() == 0
     }
 
-    fn image(&self, id: UcImageId) -> Result<&UcImage, UcError> {
+    fn image(&self, id: SnapshotId) -> Result<&UcImage, UcError> {
         self.images
-            .get(id.0 as usize)
+            .get(id.index() as usize)
             .and_then(|i| i.as_ref())
             .ok_or(UcError::BadState("dangling image id"))
     }
 
-    /// The mechanical snapshot behind an image.
-    pub fn snapshot_of(&self, id: UcImageId) -> Result<SnapshotId, UcError> {
-        Ok(self.image(id)?.snap)
+    /// Stores `image` as the mirror of snapshot `id`.
+    fn put(&mut self, id: SnapshotId, image: UcImage) {
+        let i = id.index() as usize;
+        if self.images.len() <= i {
+            self.images.resize_with(i + 1, || None);
+        }
+        self.images[i] = Some(image);
+    }
+
+    /// The mechanical snapshot behind an image: `id` itself, once it names
+    /// a live image. Callers that hold an image id already hold its
+    /// snapshot; this stays for code written when the two differed.
+    pub fn snapshot_of(&self, id: SnapshotId) -> Result<SnapshotId, UcError> {
+        self.image(id).map(|_| id)
     }
 
     /// Whether the image has a compiled function (deploys land Ready).
-    pub fn is_function_image(&self, id: UcImageId) -> Result<bool, UcError> {
+    pub fn is_function_image(&self, id: SnapshotId) -> Result<bool, UcError> {
         Ok(self.image(id)?.main_prog.is_some())
     }
 
     /// Captures a UC into a new image. The UC keeps running. Returns the
-    /// image id and the capture cost (the eager dirty-page clone the
-    /// paper charges ≈0.8 µs per page for).
+    /// image's snapshot id and the capture cost (the eager dirty-page
+    /// clone the paper charges ≈0.8 µs per page for).
     #[allow(clippy::too_many_arguments)]
     pub fn capture(
         &mut self,
@@ -127,21 +132,16 @@ impl ImageStore {
         uc: &mut UcContext,
         kind: SnapshotKind,
         label: impl Into<String>,
-        parent: Option<UcImageId>,
-    ) -> Result<(UcImageId, SimDuration), UcError> {
-        let parent_snap = match parent {
-            Some(p) => Some(self.image(p)?.snap),
-            None => None,
-        };
+        parent: Option<SnapshotId>,
+    ) -> Result<(SnapshotId, SimDuration), UcError> {
+        if let Some(p) = parent {
+            self.image(p)?;
+        }
         let dirty_pages = uc.space.dirty_count();
         let snap = snaps
-            .capture(mmu, mem, &mut uc.space, uc.regs, kind, label, parent_snap)
-            .map_err(|e| match e {
-                SnapshotError::OutOfMemory => UcError::Mem(seuss_mem::MemError::OutOfFrames),
-                other => UcError::Script(other.to_string()),
-            })?;
+            .capture(mmu, mem, &mut uc.space, uc.regs, kind, label, parent)
+            .map_err(map_snap_err)?;
         let image = UcImage {
-            snap,
             interp: Rc::clone(&uc.interp),
             net_warmed: uc.net_warmed,
             driver_warmed: uc.driver_warmed,
@@ -149,24 +149,11 @@ impl ImageStore {
             layout: uc.layout,
             profile: uc.profile,
         };
-        let id = self.insert(image);
+        self.put(snap, image);
         // 0.8 µs per cloned dirty page (400 µs for the paper's 2 MiB NOP
         // snapshot), plus a fixed #DB-exception entry/exit.
         let cost = SimDuration::from_nanos(800) * dirty_pages + SimDuration::from_micros(15);
-        Ok((id, cost))
-    }
-
-    fn insert(&mut self, image: UcImage) -> UcImageId {
-        match self.free.pop() {
-            Some(Reverse(idx)) => {
-                self.images[idx as usize] = Some(image);
-                UcImageId(idx)
-            }
-            None => {
-                self.images.push(Some(image));
-                UcImageId(self.images.len() as u32 - 1)
-            }
-        }
+        Ok((snap, cost))
     }
 
     /// Deploys a new UC from an image: shallow-clones the snapshot's page
@@ -177,7 +164,7 @@ impl ImageStore {
         mmu: &mut Mmu,
         mem: &mut PhysMemory,
         snaps: &mut SnapshotStore,
-        id: UcImageId,
+        id: SnapshotId,
     ) -> Result<(UcContext, SimDuration), UcError> {
         self.deploy_prepared(mmu, mem, snaps, id, |_, _, _| Ok(()))
     }
@@ -192,13 +179,12 @@ impl ImageStore {
         mmu: &mut Mmu,
         mem: &mut PhysMemory,
         snaps: &mut SnapshotStore,
-        id: UcImageId,
+        id: SnapshotId,
         prepare: impl FnOnce(&mut Mmu, &mut PhysMemory, seuss_paging::TableId) -> Result<(), UcError>,
     ) -> Result<(UcContext, SimDuration), UcError> {
-        let (snap_id, interp, net_warmed, driver_warmed, main_prog, layout, profile) = {
+        let (interp, net_warmed, driver_warmed, main_prog, layout, profile) = {
             let img = self.image(id)?;
             (
-                img.snap,
                 Rc::clone(&img.interp),
                 img.net_warmed,
                 img.driver_warmed,
@@ -208,20 +194,17 @@ impl ImageStore {
             )
         };
         let ops_before = mmu.stats;
-        let (space, regs) = snaps.deploy(mmu, mem, snap_id).map_err(|e| match e {
-            SnapshotError::OutOfMemory => UcError::Mem(seuss_mem::MemError::OutOfFrames),
-            other => UcError::Script(other.to_string()),
-        })?;
+        let (space, regs) = snaps.deploy(mmu, mem, id).map_err(map_snap_err)?;
         if let Err(e) = prepare(mmu, mem, space.root()) {
             mmu.release_root(mem, space.root());
-            let _ = snaps.release_uc(snap_id);
+            let _ = snaps.release_uc(id);
             return Err(e);
         }
         let kmeta = match mem.alloc_many(FrameKind::KernelMeta, profile.kmeta_pages) {
             Ok(k) => k,
             Err(e) => {
                 mmu.release_root(mem, space.root());
-                let _ = snaps.release_uc(snap_id);
+                let _ = snaps.release_uc(id);
                 return Err(UcError::Mem(e));
             }
         };
@@ -239,7 +222,7 @@ impl ImageStore {
             driver_warmed,
             layout,
             profile,
-            snap_id,
+            id,
             main_prog,
             kmeta,
         );
@@ -251,7 +234,7 @@ impl ImageStore {
         for i in 0..profile.resume_touch_pages {
             let va = VirtAddr::new(layout.data_base.as_u64() + i * PAGE_SIZE as u64);
             if let Err(e) = mmu.touch_write(mem, &mut uc.space, va) {
-                let _ = snaps.release_uc(snap_id);
+                let _ = snaps.release_uc(id);
                 uc.destroy(mmu, mem);
                 return Err(UcError::Fault(e));
             }
@@ -279,16 +262,18 @@ impl ImageStore {
         mmu: &Mmu,
         mem: &PhysMemory,
         snaps: &SnapshotStore,
-        id: UcImageId,
-        parent: Option<UcImageId>,
+        id: SnapshotId,
+        parent: Option<SnapshotId>,
     ) -> Result<UcImagePackage, UcError> {
         let img = self.image(id)?;
         let snapshot = match parent {
             Some(p) => {
-                export_diff(mmu, mem, snaps, img.snap, self.image(p)?.snap).map_err(map_snap_err)?
+                self.image(p)?;
+                export_diff(mmu, mem, snaps, id, p)
             }
-            None => export_full(mmu, mem, snaps, img.snap).map_err(map_snap_err)?,
-        };
+            None => export_full(mmu, mem, snaps, id),
+        }
+        .map_err(map_snap_err)?;
         Ok(UcImagePackage {
             snapshot,
             interp: Rc::clone(&img.interp),
@@ -308,16 +293,14 @@ impl ImageStore {
         mem: &mut PhysMemory,
         snaps: &mut SnapshotStore,
         package: &UcImagePackage,
-        parent: Option<UcImageId>,
-    ) -> Result<UcImageId, UcError> {
-        let parent_snap = match parent {
-            Some(p) => Some(self.image(p)?.snap),
-            None => None,
-        };
-        let snap = import_snapshot(mmu, mem, snaps, &package.snapshot, parent_snap)
-            .map_err(map_snap_err)?;
+        parent: Option<SnapshotId>,
+    ) -> Result<SnapshotId, UcError> {
+        if let Some(p) = parent {
+            self.image(p)?;
+        }
+        let snap =
+            import_snapshot(mmu, mem, snaps, &package.snapshot, parent).map_err(map_snap_err)?;
         let image = UcImage {
-            snap,
             interp: Rc::clone(&package.interp),
             net_warmed: package.net_warmed,
             driver_warmed: package.driver_warmed,
@@ -325,7 +308,8 @@ impl ImageStore {
             layout: package.layout,
             profile: package.profile,
         };
-        Ok(self.insert(image))
+        self.put(snap, image);
+        Ok(snap)
     }
 
     /// Destroys a UC deployed from this store, fixing snapshot accounting.
@@ -342,25 +326,20 @@ impl ImageStore {
         uc.destroy(mmu, mem);
     }
 
-    /// Deletes an image (and its snapshot, subject to the safety policy).
+    /// Deletes an image and its snapshot, subject to the §6 safety
+    /// policy: a refused snapshot delete leaves the image in place.
     pub fn delete(
         &mut self,
         mmu: &mut Mmu,
         mem: &mut PhysMemory,
         snaps: &mut SnapshotStore,
-        id: UcImageId,
+        id: SnapshotId,
     ) -> Result<(), SnapshotError> {
-        let snap = {
-            let img = self
-                .images
-                .get(id.0 as usize)
-                .and_then(|i| i.as_ref())
-                .ok_or(SnapshotError::Dangling)?;
-            img.snap
-        };
-        snaps.delete(mmu, mem, snap)?;
-        self.images[id.0 as usize] = None;
-        self.free.push(Reverse(id.0));
+        if self.image(id).is_err() {
+            return Err(SnapshotError::Dangling);
+        }
+        snaps.delete(mmu, mem, id)?;
+        self.images[id.index() as usize] = None;
         Ok(())
     }
 }
@@ -407,7 +386,7 @@ mod tests {
         )
     }
 
-    fn capture_base(r: &mut Rig, uc: &mut UcContext) -> UcImageId {
+    fn capture_base(r: &mut Rig, uc: &mut UcContext) -> SnapshotId {
         r.images
             .capture(
                 &mut r.mmu,
@@ -578,19 +557,23 @@ mod tests {
     #[test]
     fn freed_image_ids_are_reused_lowest_first() {
         let (mut r, mut base_uc) = rig();
-        for want in 0..5 {
-            assert_eq!(capture_base(&mut r, &mut base_uc).0, want);
-        }
-        for id in [3, 1] {
+        let ids: Vec<SnapshotId> = (0..5).map(|_| capture_base(&mut r, &mut base_uc)).collect();
+        assert_eq!(
+            ids.iter().map(|i| i.index()).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        for i in [3, 1] {
             r.images
-                .delete(&mut r.mmu, &mut r.mem, &mut r.snaps, UcImageId(id))
+                .delete(&mut r.mmu, &mut r.mem, &mut r.snaps, ids[i])
                 .unwrap();
+            assert!(r.snaps.get(ids[i]).is_err(), "the snapshot went with it");
         }
         assert_eq!(r.images.len(), 3);
         let next: Vec<u32> = (0..3)
-            .map(|_| capture_base(&mut r, &mut base_uc).0)
+            .map(|_| capture_base(&mut r, &mut base_uc).index())
             .collect();
         assert_eq!(next, [1, 3, 5]);
         assert_eq!(r.images.len(), 6);
+        assert_eq!(r.snaps.len(), 6);
     }
 }

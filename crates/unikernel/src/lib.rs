@@ -32,7 +32,7 @@ pub mod runtime;
 pub mod solo5;
 
 pub use context::{InvocationOutcome, UcContext, UcError, UcState};
-pub use image::{ImageStore, UcImageId, UcImagePackage};
+pub use image::{ImageStore, UcImagePackage};
 pub use layout::Layout;
 pub use memory::UcMemory;
 pub use profile::UcProfile;

@@ -29,8 +29,8 @@ fn main() {
         .build()
         .expect("valid node config");
     println!(
-        "booting SEUSS node ({} cores, {} MiB, AO: {:?})…",
-        cfg.cores, cfg.mem_mib, cfg.ao
+        "booting SEUSS node ({} MiB, AO: {:?})…",
+        cfg.mem_mib, cfg.ao
     );
     let (mut node, init) = SeussNode::new(cfg).expect("node init");
     println!(
@@ -56,16 +56,14 @@ fn main() {
     // Drop the idle UC to force the warm path: deploy from the captured
     // function snapshot (no import, no compile).
     while let Some(uc) = node.idle.take(1) {
-        node.images
-            .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+        node.destroy_uc(uc);
     }
     show("warm (no idle UC)", node.invoke(1, src, &[]).expect("warm"));
 
     let base = node.runtime_image().expect("runtime image");
-    let snap = node.images.snapshot_of(base).expect("snapshot");
     println!(
         "\nbase runtime snapshot: {:.1} MiB resident, shared by every UC on the node",
-        node.snaps.resident_mib(&node.mmu, snap).expect("size")
+        node.snaps.resident_mib(&node.mmu, base).expect("size")
     );
     println!(
         "node stats: {} cold / {} warm / {} hot, {:.1} MiB in use",

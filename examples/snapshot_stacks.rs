@@ -34,8 +34,7 @@ fn main() {
     node.invoke(200, bar_src, &[]).expect("bar cold");
 
     // Inspect the snapshot stack.
-    let base_img = node.runtime_image().expect("runtime image");
-    let base = node.images.snapshot_of(base_img).expect("base snapshot");
+    let base = node.runtime_image().expect("runtime image");
     println!("snapshot stack contents:");
     println!(
         "  base runtime snapshot : {:>8.1} MiB resident ({:.1} MiB diff over boot)",
@@ -43,8 +42,7 @@ fn main() {
         node.snaps.get(base).expect("live").diff_mib(),
     );
     for (f, name) in [(100u64, "foo"), (200, "bar")] {
-        let img = node.fn_cache.lookup(f).expect("cached");
-        let snap = node.images.snapshot_of(img).expect("snapshot");
+        let snap = node.fn_cache.lookup(f).expect("cached");
         let s = node.snaps.get(snap).expect("live");
         println!(
             "  {name} function snapshot : {:>8.1} MiB diff on parent (stack: {:?})",

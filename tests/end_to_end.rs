@@ -52,8 +52,7 @@ fn function_state_resets_per_uc_but_persists_within_one() {
     // Drop the idle UC: a warm deploy starts from the snapshot (captured
     // before the first run), so the counter restarts.
     while let Some(uc) = node.idle.take(5) {
-        node.images
-            .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+        node.destroy_uc(uc);
     }
     assert_eq!(completed(node.invoke(5, src, &[]).expect("warm")), "1");
 }

@@ -69,7 +69,7 @@ fn gc_before_capture_bloats_the_snapshot_diff() {
         if gc {
             uc.run_gc(&mut node.mmu, &mut node.mem).expect("gc");
         }
-        let (img, _) = node
+        let (snap, _) = node
             .images
             .capture(
                 &mut node.mmu,
@@ -81,10 +81,8 @@ fn gc_before_capture_bloats_the_snapshot_diff() {
                 Some(base),
             )
             .expect("capture");
-        let snap = node.images.snapshot_of(img).expect("snap");
         let pages = node.snaps.get(snap).expect("live").diff_pages();
-        node.images
-            .destroy_uc(&mut node.mmu, &mut node.mem, &mut node.snaps, uc);
+        node.destroy_uc(uc);
         pages
     };
     let without = diff_pages(false);

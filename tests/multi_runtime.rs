@@ -34,14 +34,8 @@ fn one_base_snapshot_per_interpreter() {
     assert_ne!(js, py);
     // Distinct images resolve to distinctly-sized resident sets (the
     // CPython stack is smaller than the Node.js one).
-    let js_mib = node
-        .snaps
-        .resident_mib(&node.mmu, node.images.snapshot_of(js).expect("snap"))
-        .expect("size");
-    let py_mib = node
-        .snaps
-        .resident_mib(&node.mmu, node.images.snapshot_of(py).expect("snap"))
-        .expect("size");
+    let js_mib = node.snaps.resident_mib(&node.mmu, js).expect("size");
+    let py_mib = node.snaps.resident_mib(&node.mmu, py).expect("size");
     assert!(js_mib > py_mib + 20.0, "js {js_mib} vs py {py_mib}");
 }
 

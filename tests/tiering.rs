@@ -73,8 +73,7 @@ fn invoke_fresh(node: &mut SeussNode, f: u64, src: &str) -> (PathKind, String, S
 /// Demotes function `f`'s snapshot to the device by hand (no pressure
 /// staging), returning its id.
 fn demote_fn(node: &mut SeussNode, f: u64) -> seuss::snapshot::SnapshotId {
-    let img = node.fn_cache.peek(f).expect("cached image");
-    let sid = node.images.snapshot_of(img).expect("fn snapshot");
+    let sid = node.fn_cache.peek(f).expect("cached image");
     let tier = node.tier.as_mut().expect("tiered node");
     let out = tier
         .demote(&mut node.mmu, &mut node.mem, &node.snaps, sid)
