@@ -15,7 +15,7 @@
 //! time, and eviction (deletion) must precede creation once the cache
 //! limit is reached.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use seuss_net::Bridge;
 use seuss_trace::{TraceEvent, Tracer};
@@ -77,7 +77,9 @@ impl std::error::Error for DockerError {}
 
 /// The Docker engine on the Linux compute node.
 pub struct DockerEngine {
-    containers: HashMap<ContainerId, Container>,
+    /// Keyed by id, which counts up from creation, so every scan (and
+    /// every pick it makes) goes in creation order and replays exactly.
+    containers: BTreeMap<ContainerId, Container>,
     /// The shared bridge all veth endpoints attach to.
     pub bridge: Bridge,
     /// Maximum containers the node will keep (OpenWhisk cache limit).
@@ -115,7 +117,7 @@ impl DockerEngine {
     /// Calibrated to §7 with the paper's 1 024-container cache limit.
     pub fn paper(seed: u64) -> Self {
         DockerEngine {
-            containers: HashMap::new(),
+            containers: BTreeMap::new(),
             bridge: Bridge::new(seed),
             cache_limit: 1024,
             footprint_mib: 29.3,
@@ -136,10 +138,11 @@ impl DockerEngine {
     }
 
     /// Variant with a custom cache limit (the paper also tried ~3 000,
-    /// with catastrophic results).
+    /// with catastrophic results). Raises the bridge's endpoint limit to
+    /// match; the bridge keeps the engine's seed.
     pub fn with_cache_limit(mut self, limit: usize) -> Self {
         self.cache_limit = limit;
-        self.bridge = Bridge::new(7).with_max_endpoints(limit.max(1024) * 2);
+        self.bridge = self.bridge.with_max_endpoints(limit.max(1024) * 2);
         self
     }
 
@@ -440,6 +443,64 @@ mod tests {
             failures > 50,
             "only {failures} bridge failures at 3000 endpoints"
         );
+    }
+
+    /// The same operations pick the same containers in every engine:
+    /// `idle_for` and `any_stemcell` return the first match in creation
+    /// order, never in hash order.
+    #[test]
+    fn picks_replay_in_creation_order() {
+        let drive = || {
+            let mut e = DockerEngine::paper(9);
+            for bound in [Some(1), Some(2), None].repeat(3) {
+                e.start_create().unwrap();
+                e.finish_create(bound).unwrap();
+            }
+            let mut picks = Vec::new();
+            for f in [1, 2] {
+                while let Some(c) = e.idle_for(f) {
+                    e.dispatch(c).unwrap();
+                    picks.push(c.0);
+                }
+            }
+            while let Some(c) = e.any_stemcell() {
+                e.bind(c, 3).unwrap();
+                picks.push(c.0);
+            }
+            picks
+        };
+        let first = drive();
+        assert_eq!(first, [0, 3, 6, 1, 4, 7, 2, 5, 8]);
+        for _ in 0..4 {
+            assert_eq!(drive(), first);
+        }
+    }
+
+    /// The trial seed reaches the bridge: a custom cache limit raises the
+    /// endpoint limit but keeps the engine's seeded drop stream.
+    #[test]
+    fn cache_limit_keeps_the_bridge_seed() {
+        let connects = |seed: u64| {
+            let mut e = DockerEngine::paper(seed).with_cache_limit(1500);
+            for _ in 0..1500 {
+                e.start_create().unwrap();
+                e.finish_create(Some(1)).unwrap();
+            }
+            let c = e.idle_for(1).unwrap();
+            (0..200)
+                .map(|_| {
+                    let ok = e.dispatch(c).is_ok();
+                    if ok {
+                        e.release(c).unwrap();
+                    }
+                    ok
+                })
+                .collect::<Vec<bool>>()
+        };
+        let a = connects(1);
+        assert!(a.contains(&false), "1500 endpoints drop some connects");
+        assert_eq!(a, connects(1), "one seed, one drop stream");
+        assert_ne!(a, connects(2), "another seed, another drop stream");
     }
 
     #[test]

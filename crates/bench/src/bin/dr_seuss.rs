@@ -74,18 +74,17 @@ fn main() {
     let (lazy_eager_bytes, lazy_remote_pages) = {
         let node = &cluster.nodes[0];
         // Function 0 cold-started on node 0, so its image is cached there.
-        let fn_snap = node.fn_cache.peek(0).expect("fn 0 cached on node 0");
-        let base_snap = node.runtime_image().expect("base");
-        let lazy = seuss_snapshot::export_lazy(
-            &node.mmu,
-            &node.mem,
-            &node.snaps,
-            fn_snap,
-            base_snap,
-            360, // the driver's resume working set
-        )
-        .expect("lazy export");
-        (lazy.eager_wire_bytes(), lazy.remote_pages())
+        let fn_img = node.fn_cache.peek(0).expect("fn 0 cached on node 0");
+        let runtime = node.runtime_image().expect("runtime image");
+        let mut diff = node
+            .images
+            .export(&node.mmu, &node.mem, &node.snaps, fn_img, Some(runtime))
+            .expect("export diff")
+            .snapshot;
+        // The diff lists pages in address order; the driver's resume
+        // working set is its lowest 360 pages.
+        let tail = diff.pages.split_off(diff.pages.len().min(360));
+        (diff.wire_bytes(), tail.len())
     };
 
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;

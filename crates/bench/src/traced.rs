@@ -14,9 +14,9 @@
 //! the metrics report covers the recorded segments.
 
 use seuss_core::SeussConfig;
-use seuss_exec::{run_sharded, ExecConfig, ShardPlan};
-use seuss_platform::{BackendKind, FnKind, Registry, TrialOutput, WorkloadSpec};
-use seuss_trace::{validate_jsonl, SpanName};
+use seuss_exec::{run_sharded, ShardPlan};
+use seuss_platform::{BackendKind, ClusterConfig, FnKind, Registry, TrialOutput, WorkloadSpec};
+use seuss_trace::{validate_jsonl, SpanName, Tracer};
 use seuss_workload::{trial_artifacts, TrialArtifacts};
 use simcore::SimDuration;
 
@@ -85,11 +85,11 @@ pub fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, S
         .mem_mib(2048)
         .build()
         .map_err(|e| e.to_string())?;
-    let cfg = ExecConfig {
+    let cfg = ClusterConfig {
         backend: BackendKind::Seuss(Box::new(node)),
-        ..ExecConfig::seuss_paper()
-    }
-    .traced();
+        tracer: Tracer::enabled(),
+        ..ClusterConfig::seuss_paper()
+    };
     let (reg, spec) = smoke_workload(invocations);
 
     let run = |w: usize| -> TrialOutput {

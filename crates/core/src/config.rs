@@ -8,7 +8,7 @@
 
 use miniscript::RuntimeProfile;
 use seuss_store::StoreConfig;
-use seuss_unikernel::{Layout, RuntimeKind, UcProfile};
+use seuss_unikernel::{RuntimeKind, UcProfile};
 use simcore::SimDuration;
 
 /// Which anticipatory optimizations to apply before capturing the base
@@ -33,12 +33,10 @@ pub struct SeussConfig {
     /// AO level for the base runtime snapshots.
     pub ao: AoLevel,
     /// Runtimes to boot and snapshot (one base snapshot each, §4).
-    /// `layout`/`uc_profile`/`runtime_profile` below configure the
-    /// *primary* (first) runtime; additional runtimes use their
-    /// [`RuntimeKind`] defaults.
+    /// `uc_profile`/`runtime_profile` below configure the *primary*
+    /// (first) runtime; additional runtimes use their [`RuntimeKind`]
+    /// defaults. Every runtime takes its [`RuntimeKind::layout`].
     pub runtimes: Vec<RuntimeKind>,
-    /// UC address-space layout of the primary runtime.
-    pub layout: Layout,
     /// UC sizing profile of the primary runtime.
     pub uc_profile: UcProfile,
     /// Interpreter sizing profile of the primary runtime.
@@ -142,12 +140,6 @@ impl SeussConfigBuilder {
         self
     }
 
-    /// Address-space layout of the primary runtime.
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.cfg.layout = layout;
-        self
-    }
-
     /// UC sizing profile of the primary runtime.
     pub fn uc_profile(mut self, p: UcProfile) -> Self {
         self.cfg.uc_profile = p;
@@ -234,7 +226,6 @@ impl SeussConfig {
                 mem_mib: 88 * 1024,
                 ao: AoLevel::NetworkAndInterpreter,
                 runtimes: vec![RuntimeKind::NodeJs],
-                layout: Layout::nodejs(),
                 uc_profile: UcProfile::nodejs(),
                 runtime_profile: RuntimeProfile::nodejs(),
                 idle_per_fn: 4,

@@ -239,13 +239,12 @@ fn init_runtime(
     snaps: &mut SnapshotStore,
     images: &mut ImageStore,
     kind: RuntimeKind,
-    layout: seuss_unikernel::Layout,
     uc_profile: seuss_unikernel::UcProfile,
     runtime_profile: miniscript::RuntimeProfile,
     ao: AoLevel,
 ) -> Result<(SnapshotId, SimDuration), NodeError> {
     let (mut base_uc, mut init_cost) =
-        UcContext::boot(mmu, mem, layout, uc_profile, runtime_profile)?;
+        UcContext::boot(mmu, mem, kind.layout(), uc_profile, runtime_profile)?;
 
     // Anticipatory optimizations (§3, §7) run before the base capture.
     match ao {
@@ -305,10 +304,10 @@ impl SeussNode {
         let mut runtime_images = HashMap::new();
         let mut init_cost = SimDuration::ZERO;
         for (i, kind) in runtimes.iter().enumerate() {
-            let (layout, ucp, rp) = if i == 0 {
-                (config.layout, config.uc_profile, config.runtime_profile)
+            let (ucp, rp) = if i == 0 {
+                (config.uc_profile, config.runtime_profile)
             } else {
-                (kind.layout(), kind.uc_profile(), kind.runtime_profile())
+                (kind.uc_profile(), kind.runtime_profile())
             };
             let (image, cost) = init_runtime(
                 &mut mmu,
@@ -316,7 +315,6 @@ impl SeussNode {
                 &mut snaps,
                 &mut images,
                 *kind,
-                layout,
                 ucp,
                 rp,
                 config.ao,

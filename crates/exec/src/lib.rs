@@ -33,14 +33,19 @@
 //! # Example
 //!
 //! ```
-//! use seuss_exec::{run_sharded, ExecConfig, ShardPlan};
-//! use seuss_platform::{FnKind, Registry, WorkloadSpec};
+//! use seuss_core::SeussConfig;
+//! use seuss_exec::{run_sharded, ShardPlan};
+//! use seuss_platform::{BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec};
 //!
 //! let mut reg = Registry::new();
 //! reg.register_many(0, 4, FnKind::Nop);
 //! let order: Vec<u64> = (0..32).map(|i| i % 4).collect();
 //! let spec = WorkloadSpec::closed_loop(order, 4);
-//! let cfg = ExecConfig::seuss_small();
+//! let node = SeussConfig::builder().mem_mib(2048).build().unwrap();
+//! let cfg = ClusterConfig {
+//!     backend: BackendKind::Seuss(Box::new(node)),
+//!     ..ClusterConfig::seuss_paper()
+//! };
 //! let a = run_sharded(&cfg, &reg, &spec, ShardPlan::new(2, 1));
 //! let b = run_sharded(&cfg, &reg, &spec, ShardPlan::new(2, 2));
 //! assert_eq!(a.records_jsonl(), b.records_jsonl()); // workers never change bytes
@@ -53,127 +58,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use seuss_core::{AoLevel, SeussConfig};
-use seuss_faults::{FaultPlan, RetryPolicy};
-use seuss_platform::cluster::{run_trial, BackendKind, ClusterConfig};
+use seuss_platform::cluster::{run_trial, ClusterConfig};
 use seuss_platform::{partition_workload, Registry, TrialAnalysis, TrialOutput, WorkloadSpec};
 use seuss_trace::Tracer;
-use simcore::{stream_seed, SimDuration, SimTime};
+use simcore::{stream_seed, SimTime};
 
-/// [`BackendKind`] under the name earlier callers of this crate use.
+/// [`seuss_platform::BackendKind`] under the name earlier callers of
+/// this crate use.
 pub use seuss_platform::BackendKind as BackendSpec;
-
-/// Cluster configuration in `Send` form: a [`ClusterConfig`] with the
-/// `Rc`-backed tracer reduced to a flag. Each worker thread builds its
-/// shard's [`ClusterConfig`] (tracer included) from this locally; only
-/// this description and the plain-data [`TrialOutput`]s cross threads.
-#[derive(Clone, Debug)]
-pub struct ExecConfig {
-    /// Compute backend each shard instantiates.
-    pub backend: BackendKind,
-    /// Worker cores per shard node.
-    pub cores: u16,
-    /// Control-plane round-trip overhead.
-    pub control_plane_rtt: SimDuration,
-    /// Platform invocation timeout.
-    pub timeout: SimDuration,
-    /// Block time of the external HTTP endpoint.
-    pub external_block: SimDuration,
-    /// CPU occupancy of a NOP function on the Linux backend.
-    pub linux_exec_nop: SimDuration,
-    /// Trial seed; shard `s` runs on [`stream_seed`]`(seed, s)`.
-    pub seed: u64,
-    /// Whether each shard records a trace (merged after the run).
-    pub traced: bool,
-    /// Fault schedule for the trial. Global faults (crash, loss, memory
-    /// pressure, stragglers) hit every shard's node; targeted snapshot
-    /// corruption follows its function to the owning shard via
-    /// [`FaultPlan::shard_view`], so the plan a function observes is
-    /// independent of the shard count's ownership layout.
-    pub faults: FaultPlan,
-    /// Retry policy each shard's platform applies to faulted requests.
-    pub retry: RetryPolicy,
-}
-
-impl ExecConfig {
-    /// The paper's cluster with a SEUSS backend:
-    /// [`ClusterConfig::seuss_paper`], untraced.
-    pub fn seuss_paper() -> Self {
-        Self::from_cluster(ClusterConfig::seuss_paper())
-    }
-
-    /// A small SEUSS node (2 GiB, full AO) — cheap enough for tests and
-    /// doctests while exercising all three paths.
-    pub fn seuss_small() -> Self {
-        let cfg = SeussConfig::builder()
-            .mem_mib(2048)
-            .ao_level(AoLevel::NetworkAndInterpreter)
-            .build()
-            .expect("static small config is valid");
-        ExecConfig {
-            backend: BackendKind::Seuss(Box::new(cfg)),
-            ..Self::seuss_paper()
-        }
-    }
-
-    /// Enables per-shard tracing (merged into one stream by the run).
-    pub fn traced(mut self) -> Self {
-        self.traced = true;
-        self
-    }
-
-    /// The `Send` form of `cfg`. Destructures every field, so a field
-    /// added to [`ClusterConfig`] does not compile until it is carried
-    /// here and in [`ExecConfig::cluster_config`].
-    fn from_cluster(cfg: ClusterConfig) -> Self {
-        let ClusterConfig {
-            backend,
-            cores,
-            control_plane_rtt,
-            timeout,
-            external_block,
-            linux_exec_nop,
-            seed,
-            tracer,
-            faults,
-            retry,
-        } = cfg;
-        ExecConfig {
-            backend,
-            cores,
-            control_plane_rtt,
-            timeout,
-            external_block,
-            linux_exec_nop,
-            seed,
-            traced: tracer.is_enabled(),
-            faults,
-            retry,
-        }
-    }
-
-    /// Builds shard `shard`'s cluster config (of `shards` total). Called
-    /// inside the worker thread that runs the shard, because the result
-    /// is not `Send`.
-    fn cluster_config(&self, shard: usize, shards: usize) -> ClusterConfig {
-        ClusterConfig {
-            backend: self.backend.clone(),
-            cores: self.cores,
-            control_plane_rtt: self.control_plane_rtt,
-            timeout: self.timeout,
-            external_block: self.external_block,
-            linux_exec_nop: self.linux_exec_nop,
-            seed: stream_seed(self.seed, shard as u64),
-            tracer: if self.traced {
-                Tracer::enabled()
-            } else {
-                Tracer::disabled()
-            },
-            faults: self.faults.shard_view(shard as u64, shards as u64),
-            retry: self.retry,
-        }
-    }
-}
+/// [`ClusterConfig`] under the name earlier callers of this crate use.
+pub use seuss_platform::ClusterConfig as ExecConfig;
 
 /// How a trial is decomposed and executed: `shards` is part of the
 /// experiment (it determines the bytes), `workers` is not (it only
@@ -215,16 +109,47 @@ impl ShardPlan {
 /// concatenated in order); `finished_at` is the max; `events` the sum;
 /// trace dumps are kept in shard order, so the output's trace and
 /// metrics merge across shards. `wall` covers the whole run.
+///
+/// Of `cfg.tracer` the run reads only whether it is enabled: each shard
+/// records into a tracer of its own, built on the thread that runs the
+/// shard, and `cfg.tracer` itself records nothing. Shard `s` runs on
+/// [`stream_seed`]`(cfg.seed, s)` and sees `cfg.faults` through
+/// [`seuss_faults::FaultPlan::shard_view`], so targeted snapshot
+/// corruption follows its function to the owning shard.
 pub fn run_sharded(
-    cfg: &ExecConfig,
+    cfg: &ClusterConfig,
     registry: &Registry,
     spec: &WorkloadSpec,
     plan: ShardPlan,
 ) -> TrialOutput {
     let started = Instant::now();
+    // Names every field, so a field added to `ClusterConfig` does not
+    // compile until the shard configs below carry it. The tracer is
+    // `Rc`-backed and stays on this thread; the rest is plain data.
+    let ClusterConfig {
+        backend,
+        cores,
+        seed,
+        tracer,
+        faults,
+        retry,
+    } = cfg;
+    let traced = tracer.is_enabled();
     let parts = partition_workload(registry, spec, plan.shards);
     let shards = ordered_parallel(parts, plan.workers, |shard, (reg, sub_spec)| {
-        run_trial(cfg.cluster_config(shard, plan.shards), reg, &sub_spec)
+        let shard_cfg = ClusterConfig {
+            backend: backend.clone(),
+            cores: *cores,
+            seed: stream_seed(*seed, shard as u64),
+            tracer: if traced {
+                Tracer::enabled()
+            } else {
+                Tracer::disabled()
+            },
+            faults: faults.shard_view(shard as u64, plan.shards as u64),
+            retry: *retry,
+        };
+        run_trial(shard_cfg, reg, &sub_spec)
     });
 
     let mut records = Vec::new();
@@ -301,8 +226,31 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seuss_platform::FnKind;
+    use seuss_core::SeussConfig;
+    use seuss_faults::{FaultPlan, RetryPolicy};
+    use seuss_platform::{BackendKind, FnKind};
     use seuss_trace::validate_jsonl;
+    use simcore::SimDuration;
+
+    /// A small SEUSS node (2 GiB) — cheap enough for tests while
+    /// exercising all three paths.
+    fn small() -> ClusterConfig {
+        let node = SeussConfig::builder()
+            .mem_mib(2048)
+            .build()
+            .expect("static small config is valid");
+        ClusterConfig {
+            backend: BackendKind::Seuss(Box::new(node)),
+            ..ClusterConfig::seuss_paper()
+        }
+    }
+
+    fn traced(cfg: ClusterConfig) -> ClusterConfig {
+        ClusterConfig {
+            tracer: Tracer::enabled(),
+            ..cfg
+        }
+    }
 
     fn sample() -> (Registry, WorkloadSpec) {
         let mut reg = Registry::new();
@@ -339,15 +287,17 @@ mod tests {
     #[test]
     fn one_shard_reproduces_legacy_run_trial() {
         let (reg, spec) = sample();
-        let seuss = ExecConfig::seuss_small().traced();
-        let faulted = ExecConfig {
+        let seuss = || traced(small());
+        let faulted = || ClusterConfig {
             faults: faulted_plan(),
-            ..seuss.clone()
+            ..seuss()
         };
-        let linux = ExecConfig::from_cluster(ClusterConfig::linux_paper()).traced();
-        for (name, cfg) in [("seuss", seuss), ("faulted", faulted), ("linux", linux)] {
-            let legacy = run_trial(cfg.cluster_config(0, 1), reg.clone(), &spec);
-            let sharded = run_sharded(&cfg, &reg, &spec, ShardPlan::single());
+        let linux = || traced(ClusterConfig::linux_paper());
+        let cases: [(&str, &dyn Fn() -> ClusterConfig); 3] =
+            [("seuss", &seuss), ("faulted", &faulted), ("linux", &linux)];
+        for (name, cfg) in cases {
+            let legacy = run_trial(cfg(), reg.clone(), &spec);
+            let sharded = run_sharded(&cfg(), &reg, &spec, ShardPlan::single());
             assert_eq!(sharded.records_jsonl(), legacy.records_jsonl(), "{name}");
             assert_eq!(sharded.trace_jsonl(), legacy.trace_jsonl(), "{name}");
             assert_eq!(
@@ -364,7 +314,7 @@ mod tests {
     #[test]
     fn worker_count_never_changes_bytes() {
         let (reg, spec) = sample();
-        let cfg = ExecConfig::seuss_small().traced();
+        let cfg = traced(small());
         let w1 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1));
         let w2 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 2));
         let w4 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 4));
@@ -382,7 +332,7 @@ mod tests {
     #[test]
     fn sharded_run_completes_the_whole_workload() {
         let (reg, spec) = sample();
-        let cfg = ExecConfig::seuss_small();
+        let cfg = small();
         let out = run_sharded(&cfg, &reg, &spec, ShardPlan::wide(4));
         assert_eq!(out.analysis.completed, 64);
         assert_eq!(out.analysis.errors, 0);
@@ -396,7 +346,7 @@ mod tests {
     #[test]
     fn records_merge_is_completion_ordered() {
         let (reg, spec) = sample();
-        let cfg = ExecConfig::seuss_small();
+        let cfg = small();
         let out = run_sharded(&cfg, &reg, &spec, ShardPlan::wide(4));
         assert!(out.records.windows(2).all(|w| w[0].done_ns <= w[1].done_ns));
     }
@@ -419,7 +369,7 @@ mod tests {
     #[test]
     fn faulted_trials_are_byte_identical_at_every_worker_count() {
         let (reg, spec) = sample();
-        let mut cfg = ExecConfig::seuss_small().traced();
+        let mut cfg = traced(small());
         cfg.faults = faulted_plan();
         cfg.retry = RetryPolicy::resilient();
         let w1 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1));
@@ -439,8 +389,8 @@ mod tests {
     #[test]
     fn empty_fault_plan_reproduces_pre_fault_bytes() {
         let (reg, spec) = sample();
-        let with_default = ExecConfig::seuss_small().traced();
-        let mut no_retry = ExecConfig::seuss_small().traced();
+        let with_default = traced(small());
+        let mut no_retry = traced(small());
         no_retry.retry = RetryPolicy::none();
         let a = run_sharded(&with_default, &reg, &spec, ShardPlan::new(2, 2));
         let b = run_sharded(&no_retry, &reg, &spec, ShardPlan::new(2, 2));

@@ -34,14 +34,6 @@ impl ExternalServer {
         }
     }
 
-    /// A server with a custom block time.
-    pub fn with_block_time(block_time: SimDuration) -> Self {
-        ExternalServer {
-            block_time,
-            ..Self::paper_default()
-        }
-    }
-
     /// Accepts a request sent at `now`; returns when the reply lands back
     /// at the caller. The caller must later call
     /// [`ExternalServer::complete`] at that time.
@@ -83,7 +75,7 @@ mod tests {
 
     #[test]
     fn in_flight_tracking() {
-        let mut s = ExternalServer::with_block_time(SimDuration::from_millis(10));
+        let mut s = ExternalServer::paper_default();
         let t = SimTime::ZERO;
         s.request(t, 1, 1);
         s.request(t, 1, 1);

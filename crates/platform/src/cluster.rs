@@ -46,21 +46,31 @@ pub enum BackendKind {
     },
 }
 
-/// Cluster-level configuration.
+/// One direction of the OpenWhisk control plane (API server,
+/// controller, Kafka): half of a 36 ms round trip. §7 names these hops
+/// but not their cost, so 36 ms is this model's calibration (see
+/// EXPERIMENTS.md, "Known deviations").
+const CP_ONEWAY: SimDuration = SimDuration::from_millis(18);
+
+/// The platform's invocation timeout: OpenWhisk's 60 s default, which
+/// §7's burst experiments count as errors (the ✗ marks of Figures 6–8).
+/// Every request arms exactly one, so it is a request's only timeout.
+const TIMEOUT: SimDuration = SimDuration::from_secs(60);
+
+/// CPU a Linux container spends on a NOP function, and on each side of
+/// an IO function's external call (§7's functions do no other work).
+const LINUX_EXEC_NOP: SimDuration = SimDuration::from_millis(1);
+
+/// Cluster-level configuration: only what a trial varies. The §7
+/// testbed's fixed costs (control plane, timeout, external endpoint,
+/// Linux NOP) are constants of this module.
 pub struct ClusterConfig {
     /// Compute backend.
     pub backend: BackendKind,
     /// Worker cores on the compute node.
     pub cores: u16,
-    /// Control-plane round-trip overhead (API server, controller, Kafka).
-    pub control_plane_rtt: SimDuration,
-    /// Platform invocation timeout (OpenWhisk default 60 s).
-    pub timeout: SimDuration,
-    /// Block time of the external HTTP endpoint.
-    pub external_block: SimDuration,
-    /// CPU occupancy of a NOP function on the Linux backend.
-    pub linux_exec_nop: SimDuration,
-    /// RNG seed (bridge drops).
+    /// RNG seed: the Linux bridge's packet drops, the fault stream and
+    /// the retry backoff jitter.
     pub seed: u64,
     /// Tracing handle; [`Tracer::disabled`] (the default) records nothing.
     /// Pass [`Tracer::enabled`] to capture spans, events, and metrics for
@@ -82,10 +92,6 @@ impl ClusterConfig {
         ClusterConfig {
             backend: BackendKind::Seuss(Box::new(SeussConfig::paper_node())),
             cores: 16,
-            control_plane_rtt: SimDuration::from_millis(36),
-            timeout: SimDuration::from_secs(60),
-            external_block: SimDuration::from_millis(250),
-            linux_exec_nop: SimDuration::from_millis(1),
             seed: 42,
             tracer: Tracer::disabled(),
             faults: FaultPlan::none(),
@@ -212,9 +218,6 @@ pub struct Cluster {
     next_order: usize,
     throttle_interval: Option<SimDuration>,
     next_allowed: SimTime,
-    cfg_cp_oneway: SimDuration,
-    cfg_timeout: SimDuration,
-    cfg_linux_exec_nop: SimDuration,
     /// Requests issued so far.
     pub issued: u64,
     /// The trial's tracing handle (shared with the backend layers).
@@ -262,7 +265,7 @@ impl Cluster {
         Cluster {
             backend,
             cores: CorePool::new(config.cores),
-            external: ExternalServer::with_block_time(config.external_block),
+            external: ExternalServer::paper_default(),
             registry,
             reqs: Vec::new(),
             records: Vec::new(),
@@ -272,9 +275,6 @@ impl Cluster {
                 .throttle_rps
                 .map(|rps| SimDuration::from_secs_f64(1.0 / rps)),
             next_allowed: SimTime::ZERO,
-            cfg_cp_oneway: config.control_plane_rtt / 2,
-            cfg_timeout: config.timeout,
-            cfg_linux_exec_nop: config.linux_exec_nop,
             issued: 0,
             tracer,
             faults: config.faults,
@@ -473,10 +473,9 @@ impl Cluster {
                 let r = &self.reqs[req];
                 let d = match (task, r.kind) {
                     (Task::Run(_), FnKind::Cpu(d)) => d,
-                    (Task::Run(_), FnKind::Nop) => self.cfg_linux_exec_nop,
-                    // IO function: brief CPU before issuing the external
-                    // call, brief CPU after the reply.
-                    (Task::Run(_), FnKind::Io) | (Task::Resume(_), _) => self.cfg_linux_exec_nop,
+                    // A NOP, or an IO function's brief CPU before issuing
+                    // the external call and after the reply.
+                    _ => LINUX_EXEC_NOP,
                 };
                 let span = self.tracer.span(SpanName::Dispatch);
                 span.annotate_fn(r.fn_id);
@@ -521,18 +520,9 @@ impl Cluster {
                     self.submit(now, Task::Run(req), sched);
                     return;
                 }
-                Err(DockerError::Bridge) => {
-                    // TCP connect into the container timed out (§7).
-                    sched.schedule_in(
-                        now,
-                        self.cfg_timeout,
-                        Ev::Complete {
-                            req,
-                            status: RequestStatus::Error,
-                        },
-                    );
-                    return;
-                }
+                // TCP connect into the container timed out (§7): the
+                // request hangs until the platform timer errors it.
+                Err(DockerError::Bridge) => return,
                 Err(_) => {}
             }
         } else {
@@ -796,9 +786,9 @@ impl World for Cluster {
                 self.reqs[req].sent_at = now;
                 // The timeout is a constant, so deadlines arrive in order
                 // and fit the scheduler's FIFO timer lane.
-                let ev = sched.arm_timer(now + self.cfg_timeout, Ev::Timeout(req));
+                let ev = sched.arm_timer(now + TIMEOUT, Ev::Timeout(req));
                 self.reqs[req].timeout_ev = Some(ev);
-                let hop = self.cfg_cp_oneway + self.shim_oneway();
+                let hop = CP_ONEWAY + self.shim_oneway();
                 sched.schedule_at(now + hop, Ev::NodeReceive(req));
             }
             Ev::NodeReceive(req) => {
@@ -849,7 +839,7 @@ impl World for Cluster {
                 match &mut self.backend {
                     Backend::Seuss { .. } => {
                         if self.reqs[req].outcome_done {
-                            let hop = self.cfg_cp_oneway + self.shim_oneway();
+                            let hop = CP_ONEWAY + self.shim_oneway();
                             sched.schedule_at(
                                 now + hop,
                                 Ev::Complete {
@@ -874,7 +864,7 @@ impl World for Cluster {
                             if let Some(c) = self.reqs[req].container {
                                 let _ = docker.release(c);
                             }
-                            let hop = self.cfg_cp_oneway;
+                            let hop = CP_ONEWAY;
                             sched.schedule_at(
                                 now + hop,
                                 Ev::Complete {
@@ -919,21 +909,11 @@ impl World for Cluster {
                             self.linux_pump(now, sched);
                             return;
                         }
-                        match docker.dispatch(c) {
-                            Ok(_lat) => {
-                                self.reqs[req].container = Some(c);
-                                self.submit(now, Task::Run(req), sched);
-                            }
-                            Err(_) => {
-                                sched.schedule_in(
-                                    now,
-                                    self.cfg_timeout,
-                                    Ev::Complete {
-                                        req,
-                                        status: RequestStatus::Error,
-                                    },
-                                );
-                            }
+                        // A failed connect leaves the request to the
+                        // platform timer, which errors it.
+                        if docker.dispatch(c).is_ok() {
+                            self.reqs[req].container = Some(c);
+                            self.submit(now, Task::Run(req), sched);
                         }
                     }
                     Err(_) => {
@@ -963,21 +943,11 @@ impl World for Cluster {
                     self.linux_pump(now, sched);
                     return;
                 }
-                match docker.dispatch(container) {
-                    Ok(_lat) => {
-                        self.reqs[req].container = Some(container);
-                        self.submit(now, Task::Run(req), sched);
-                    }
-                    Err(_) => {
-                        sched.schedule_in(
-                            now,
-                            self.cfg_timeout,
-                            Ev::Complete {
-                                req,
-                                status: RequestStatus::Error,
-                            },
-                        );
-                    }
+                // A failed connect leaves the request to the platform
+                // timer, which errors it.
+                if docker.dispatch(container).is_ok() {
+                    self.reqs[req].container = Some(container);
+                    self.submit(now, Task::Run(req), sched);
                 }
                 // Consuming the stemcell may trigger replenishment.
                 self.linux_replenish_stemcells(now, sched);
@@ -1012,7 +982,7 @@ impl World for Cluster {
                     return;
                 }
                 // The retried request re-traverses the control plane.
-                let hop = self.cfg_cp_oneway + self.shim_oneway();
+                let hop = CP_ONEWAY + self.shim_oneway();
                 sched.schedule_at(now + hop, Ev::NodeReceive(req));
             }
         }

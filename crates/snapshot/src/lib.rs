@@ -73,7 +73,4 @@ pub mod transfer;
 
 pub use regs::RegisterState;
 pub use store::{Snapshot, SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
-pub use transfer::{
-    export_diff, export_full, export_lazy, import, import_lazy, LazyImage, LazyResidue,
-    SnapshotImage,
-};
+pub use transfer::{export_diff, export_full, import, SnapshotImage};

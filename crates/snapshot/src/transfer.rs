@@ -164,120 +164,6 @@ pub fn import(
     Ok(snap)
 }
 
-/// A lazily-migrating snapshot: a small eagerly-shipped working set plus
-/// the rest of the diff held back at the source, fetched page-by-page on
-/// first use — §9's "on-demand paging" accelerator. Page selection by
-/// region role (code/data/heap) is the simple form of Kaleidoscope-style
-/// "VM state coloring" the same passage cites: the driver's resume
-/// working set lives at low data-region addresses, so shipping the
-/// lowest-addressed pages first captures it.
-#[derive(Clone, Debug)]
-pub struct LazyImage {
-    /// The working set, shipped up front (a diff image).
-    pub eager: SnapshotImage,
-    /// Pages still resident only at the source, keyed by vpn.
-    remote: std::collections::HashMap<u64, PageContent>,
-}
-
-impl LazyImage {
-    /// Pages held back at the source.
-    pub fn remote_pages(&self) -> u64 {
-        self.remote.len() as u64
-    }
-
-    /// Wire bytes of the eager part (what the initial transfer costs).
-    pub fn eager_wire_bytes(&self) -> u64 {
-        self.eager.wire_bytes()
-    }
-}
-
-/// Splits a diff export into an eager working set of at most
-/// `working_set_pages` (lowest virtual addresses first — the coloring
-/// heuristic) and a remote remainder.
-pub fn export_lazy(
-    mmu: &Mmu,
-    mem: &PhysMemory,
-    store: &SnapshotStore,
-    id: SnapshotId,
-    parent: SnapshotId,
-    working_set_pages: u64,
-) -> Result<LazyImage, SnapshotError> {
-    let mut full = export_diff(mmu, mem, store, id, parent)?;
-    // collect_mapped returns address order already; keep the head.
-    let tail = full
-        .pages
-        .split_off((working_set_pages as usize).min(full.pages.len()));
-    Ok(LazyImage {
-        eager: full,
-        remote: tail.into_iter().collect(),
-    })
-}
-
-/// A lazily-imported snapshot on the destination: deploys work
-/// immediately, but pages outside the shipped working set must be
-/// [`LazyResidue::page_in`]-ed into a UC before their true contents are
-/// visible (until then the UC sees the parent snapshot's bytes, exactly
-/// like an unfetched on-demand page).
-pub struct LazyResidue {
-    remote: std::collections::HashMap<u64, PageContent>,
-    /// Pages fetched so far.
-    pub faults_served: u64,
-}
-
-impl LazyResidue {
-    /// Whether `vpn` still lives only at the source.
-    pub fn is_remote(&self, vpn: u64) -> bool {
-        self.remote.contains_key(&vpn)
-    }
-
-    /// Remaining unfetched pages.
-    pub fn remaining(&self) -> u64 {
-        self.remote.len() as u64
-    }
-
-    /// Serves a remote fault: writes the true page into `space` (a UC
-    /// deployed from the lazily-imported snapshot) and returns the bytes
-    /// fetched over the wire (0 if the page was local all along).
-    pub fn page_in(
-        &mut self,
-        mmu: &mut Mmu,
-        mem: &mut PhysMemory,
-        space: &mut seuss_paging::AddressSpace,
-        vpn: u64,
-    ) -> Result<u64, SnapshotError> {
-        let Some(content) = self.remote.remove(&vpn) else {
-            return Ok(0);
-        };
-        let va = VirtAddr::from_page_number(vpn);
-        let frame = mmu
-            .touch_write(mem, space, va)
-            .map_err(|_| SnapshotError::OutOfMemory)?;
-        mem.set_content(frame, content);
-        self.faults_served += 1;
-        Ok(PAGE_SIZE as u64 + 16)
-    }
-}
-
-/// Imports a lazy image: the working set is installed into a local
-/// snapshot; the remainder becomes a [`LazyResidue`] serving remote
-/// faults.
-pub fn import_lazy(
-    mmu: &mut Mmu,
-    mem: &mut PhysMemory,
-    store: &mut SnapshotStore,
-    image: LazyImage,
-    parent: SnapshotId,
-) -> Result<(SnapshotId, LazyResidue), SnapshotError> {
-    let snap = import(mmu, mem, store, &image.eager, Some(parent))?;
-    Ok((
-        snap,
-        LazyResidue {
-            remote: image.remote,
-            faults_served: 0,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,147 +363,5 @@ mod tests {
             is_diff: true,
         };
         assert!(import(&mut mmu, &mut mem, &mut store, &image, None).is_err());
-    }
-}
-
-#[cfg(test)]
-mod lazy_tests {
-    use super::*;
-    use seuss_paging::{Region, RegionKind};
-
-    const BASE: u64 = 0x40_0000;
-
-    fn rigged() -> (PhysMemory, Mmu, SnapshotStore, SnapshotId, SnapshotId) {
-        let mut mem = PhysMemory::with_mib(256);
-        let mut mmu = Mmu::new();
-        let mut store = SnapshotStore::new();
-        let mut s = mmu.create_space(&mut mem).expect("space");
-        s.add_region(Region {
-            start: VirtAddr::new(BASE),
-            pages: 4096,
-            kind: RegionKind::Heap,
-            writable: true,
-            demand_zero: true,
-        });
-        for p in 0..10u64 {
-            let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
-            mmu.write_bytes(&mut mem, &mut s, va, format!("base{p}").as_bytes())
-                .expect("seed");
-        }
-        let base = store
-            .capture(
-                &mut mmu,
-                &mut mem,
-                &mut s,
-                RegisterState::default(),
-                SnapshotKind::Runtime,
-                "rt",
-                None,
-            )
-            .expect("base");
-        // Function diff: 8 pages, half "working set", half cold tail.
-        let (mut uc, _) = store.deploy(&mut mmu, &mut mem, base).expect("deploy");
-        for p in 0..8u64 {
-            let va = VirtAddr::new(BASE + (20 + p) * PAGE_SIZE as u64);
-            mmu.write_bytes(&mut mem, &mut uc, va, format!("fn{p}").as_bytes())
-                .expect("write");
-        }
-        let f = store
-            .capture(
-                &mut mmu,
-                &mut mem,
-                &mut uc,
-                RegisterState::default(),
-                SnapshotKind::Function,
-                "f",
-                Some(base),
-            )
-            .expect("fn");
-        mmu.destroy_space(&mut mem, uc);
-        store.release_uc(base).expect("release");
-        (mem, mmu, store, base, f)
-    }
-
-    /// Rebuilds the destination node with the base snapshot pre-installed.
-    fn destination(
-        src: (&Mmu, &PhysMemory, &SnapshotStore, SnapshotId),
-    ) -> (PhysMemory, Mmu, SnapshotStore, SnapshotId) {
-        let (mmu_a, mem_a, store_a, base_a) = src;
-        let mut mem = PhysMemory::with_mib(256);
-        let mut mmu = Mmu::new();
-        let mut store = SnapshotStore::new();
-        let rt = export_full(mmu_a, mem_a, store_a, base_a).expect("rt export");
-        let base = import(&mut mmu, &mut mem, &mut store, &rt, None).expect("rt import");
-        (mem, mmu, store, base)
-    }
-
-    #[test]
-    fn lazy_export_splits_by_address() {
-        let (mem, mmu, store, base, f) = rigged();
-        let lazy = export_lazy(&mmu, &mem, &store, f, base, 3).expect("lazy");
-        assert_eq!(lazy.eager.page_count(), 3);
-        assert_eq!(lazy.remote_pages(), 5);
-        assert!(
-            lazy.eager_wire_bytes()
-                < export_diff(&mmu, &mem, &store, f, base)
-                    .unwrap()
-                    .wire_bytes()
-        );
-    }
-
-    #[test]
-    fn remote_faults_page_in_true_bytes() {
-        let (mem_a, mmu_a, store_a, base_a, f_a) = rigged();
-        let (mut mem, mut mmu, mut store, base) = destination((&mmu_a, &mem_a, &store_a, base_a));
-        let lazy = export_lazy(&mmu_a, &mem_a, &store_a, f_a, base_a, 3).expect("lazy");
-        let (f, mut residue) =
-            import_lazy(&mut mmu, &mut mem, &mut store, lazy, base).expect("import");
-
-        let (mut uc, _) = store.deploy(&mut mmu, &mut mem, f).expect("deploy");
-        // Working-set page: correct immediately, no fault.
-        let ws_vpn = VirtAddr::new(BASE + 20 * PAGE_SIZE as u64).page_number();
-        assert!(!residue.is_remote(ws_vpn));
-        let mut buf = [0u8; 3];
-        mmu.read_bytes(
-            &mut mem,
-            &mut uc,
-            VirtAddr::from_page_number(ws_vpn),
-            &mut buf,
-        )
-        .expect("read");
-        assert_eq!(&buf, b"fn0");
-
-        // Cold-tail page: reads the parent's (stale) view until paged in.
-        let tail_va = VirtAddr::new(BASE + 27 * PAGE_SIZE as u64);
-        let tail_vpn = tail_va.page_number();
-        assert!(residue.is_remote(tail_vpn));
-        let bytes = residue
-            .page_in(&mut mmu, &mut mem, &mut uc, tail_vpn)
-            .expect("page in");
-        assert!(bytes > 0);
-        mmu.read_bytes(&mut mem, &mut uc, tail_va, &mut buf)
-            .expect("read");
-        assert_eq!(&buf, b"fn7");
-        assert_eq!(residue.faults_served, 1);
-        assert_eq!(residue.remaining(), 4);
-        // Re-faulting the same page is free.
-        assert_eq!(
-            residue
-                .page_in(&mut mmu, &mut mem, &mut uc, tail_vpn)
-                .expect("again"),
-            0
-        );
-        mmu.destroy_space(&mut mem, uc);
-        store.release_uc(f).expect("release");
-    }
-
-    #[test]
-    fn lazy_ships_fewer_bytes_when_tail_unused() {
-        let (mem_a, mmu_a, store_a, base_a, f_a) = rigged();
-        let eager = export_diff(&mmu_a, &mem_a, &store_a, f_a, base_a).expect("diff");
-        let lazy = export_lazy(&mmu_a, &mem_a, &store_a, f_a, base_a, 3).expect("lazy");
-        // If an invocation only touches the working set, on-demand paging
-        // ships 3 pages instead of 8 — the §9 win.
-        assert_eq!(lazy.eager_wire_bytes() * 8, eager.wire_bytes() * 3);
     }
 }

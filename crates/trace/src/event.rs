@@ -119,48 +119,48 @@ pub enum TraceEvent {
 /// report emits only non-zero counters).
 pub(crate) const EVENT_KINDS: usize = 33;
 
+/// Kind names in [`TraceEvent::kind_index`] order: the names of trace
+/// output and of the metrics counters.
+pub(crate) const KIND_NAMES: [&str; EVENT_KINDS] = [
+    "page_fault",
+    "cow_break",
+    "tlb_flush",
+    "snapshot_capture",
+    "snapshot_deploy",
+    "frames_copied",
+    "cache_hit:idle_uc",
+    "cache_hit:fn_snapshot",
+    "cache_hit:container",
+    "cache_hit:stemcell",
+    "cache_miss:idle_uc",
+    "cache_miss:fn_snapshot",
+    "cache_miss:container",
+    "cache_miss:stemcell",
+    "shim_hop",
+    "timeout",
+    "core_queued",
+    "container_create",
+    "container_delete",
+    "fault:node_crash",
+    "fault:node_restart",
+    "fault:packet_drop",
+    "fault:mem_pressure",
+    "fault:straggler",
+    "fault:snapshot_corrupt",
+    "fault:retry",
+    "fault:failover",
+    "fault:shed",
+    "tier:page_in",
+    "tier:demote",
+    "tier:promote",
+    "tier:prefetch",
+    "tier:read_error",
+];
+
 impl TraceEvent {
     /// Lowercase kind name used in trace output and metrics.
     pub fn kind_str(&self) -> &'static str {
-        match self {
-            TraceEvent::PageFault => "page_fault",
-            TraceEvent::CowBreak => "cow_break",
-            TraceEvent::TlbFlush => "tlb_flush",
-            TraceEvent::SnapshotCapture { .. } => "snapshot_capture",
-            TraceEvent::SnapshotDeploy => "snapshot_deploy",
-            TraceEvent::FramesCopied { .. } => "frames_copied",
-            TraceEvent::CacheHit { cache } => match cache {
-                CacheKind::IdleUc => "cache_hit:idle_uc",
-                CacheKind::FnSnapshot => "cache_hit:fn_snapshot",
-                CacheKind::Container => "cache_hit:container",
-                CacheKind::Stemcell => "cache_hit:stemcell",
-            },
-            TraceEvent::CacheMiss { cache } => match cache {
-                CacheKind::IdleUc => "cache_miss:idle_uc",
-                CacheKind::FnSnapshot => "cache_miss:fn_snapshot",
-                CacheKind::Container => "cache_miss:container",
-                CacheKind::Stemcell => "cache_miss:stemcell",
-            },
-            TraceEvent::ShimHop => "shim_hop",
-            TraceEvent::Timeout => "timeout",
-            TraceEvent::CoreQueued => "core_queued",
-            TraceEvent::ContainerCreate => "container_create",
-            TraceEvent::ContainerDelete => "container_delete",
-            TraceEvent::FaultNodeCrash => "fault:node_crash",
-            TraceEvent::FaultNodeRestart => "fault:node_restart",
-            TraceEvent::FaultPacketDrop => "fault:packet_drop",
-            TraceEvent::FaultMemPressure { .. } => "fault:mem_pressure",
-            TraceEvent::FaultStraggler => "fault:straggler",
-            TraceEvent::FaultSnapshotCorrupt => "fault:snapshot_corrupt",
-            TraceEvent::FaultRetry => "fault:retry",
-            TraceEvent::FaultFailover => "fault:failover",
-            TraceEvent::FaultShed => "fault:shed",
-            TraceEvent::TierPageIn => "tier:page_in",
-            TraceEvent::TierDemote { .. } => "tier:demote",
-            TraceEvent::TierPromote { .. } => "tier:promote",
-            TraceEvent::TierPrefetch { .. } => "tier:prefetch",
-            TraceEvent::TierReadError => "tier:read_error",
-        }
+        KIND_NAMES[self.kind_index()]
     }
 
     /// Dense index for the metrics counter array.

@@ -11,9 +11,10 @@
 //!   and 4 worker threads.
 
 use seuss::core::{Invocation, PathKind, SeussConfig, SeussNode};
-use seuss::exec::{run_sharded, ExecConfig, ShardPlan};
+use seuss::exec::{run_sharded, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig, FnKind};
 use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
+use seuss::trace::Tracer;
 use seuss::workload::{trial_artifacts, TrialParams};
 use simcore::SimDuration;
 
@@ -221,10 +222,10 @@ fn pressured_sharded_trial_is_byte_identical_at_1_2_and_4_workers() {
         .store(Some(StoreConfig::nvme_prefetch()))
         .build()
         .expect("valid pressured config");
-    let cfg = ExecConfig {
+    let cfg = ClusterConfig {
         backend: BackendKind::Seuss(Box::new(node)),
-        traced: true,
-        ..ExecConfig::seuss_paper()
+        tracer: Tracer::enabled(),
+        ..ClusterConfig::seuss_paper()
     };
     let (reg, spec) = TrialParams {
         invocations: 160,
