@@ -103,12 +103,6 @@ pub struct DockerEngine {
     in_flight_creates: u64,
     next_id: u64,
     clock: u64,
-    /// Containers created over the engine lifetime.
-    pub created: u64,
-    /// Containers deleted.
-    pub deleted: u64,
-    /// Connection attempts that timed out on the bridge.
-    pub connect_failures: u64,
     /// Trace sink for container lifecycle events (disabled by default).
     pub tracer: Tracer,
 }
@@ -130,9 +124,6 @@ impl DockerEngine {
             in_flight_creates: 0,
             next_id: 0,
             clock: 0,
-            created: 0,
-            deleted: 0,
-            connect_failures: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -205,7 +196,6 @@ impl DockerEngine {
                 last_use: self.clock,
             },
         );
-        self.created += 1;
         Ok(id)
     }
 
@@ -226,7 +216,6 @@ impl DockerEngine {
     pub fn delete(&mut self, id: ContainerId) -> Result<SimDuration, DockerError> {
         self.containers.remove(&id).ok_or(DockerError::Unknown)?;
         self.bridge.detach();
-        self.deleted += 1;
         self.tracer.event(TraceEvent::ContainerDelete);
         Ok(self.delete_latency)
     }
@@ -294,7 +283,6 @@ impl DockerEngine {
             return Err(DockerError::Unknown);
         }
         if !self.bridge.connect() {
-            self.connect_failures += 1;
             return Err(DockerError::Bridge);
         }
         let clock = {

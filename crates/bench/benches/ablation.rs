@@ -12,7 +12,7 @@
 //!    the base snapshot. (Virtual-time effects are Table 2's job; this
 //!    shows the mechanism does proportionally more real work too.)
 
-use seuss_bench::{BatchSize, BenchmarkId, Harness};
+use seuss_bench::{BenchmarkId, Harness};
 
 use seuss_core::{AoLevel, SeussConfig, SeussNode};
 use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
@@ -99,7 +99,6 @@ fn ablation_capture(h: &mut Harness) {
                 std::hint::black_box(drained.len());
                 (mem, mmu, uc, r)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -130,7 +129,6 @@ fn ablation_capture(h: &mut Harness) {
                 }
                 (mem, mmu, uc)
             },
-            BatchSize::SmallInput,
         );
     });
     g.finish();

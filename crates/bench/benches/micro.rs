@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 
-use seuss_bench::{BatchSize, Harness};
+use seuss_bench::Harness;
 
 use miniscript::{HostHeap, Interpreter, RuntimeProfile};
 use seuss_core::{SeussConfig, SeussNode};
@@ -55,7 +55,6 @@ fn bench_paging(h: &mut Harness) {
                 mmu.touch_write(&mut mem, &mut space, va).expect("fault");
                 (mem, mmu, space)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -71,7 +70,6 @@ fn bench_paging(h: &mut Harness) {
                 mmu.touch_write(&mut mem, &mut space, va).expect("cow");
                 (mem, mmu, space)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -82,7 +80,6 @@ fn bench_paging(h: &mut Harness) {
                 let r = mmu.shallow_clone(&mut mem, space.root()).expect("clone");
                 (mem, mmu, space, r)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -95,7 +92,6 @@ fn bench_paging(h: &mut Harness) {
                     .expect("clone");
                 (mem, mmu, space, r)
             },
-            BatchSize::SmallInput,
         );
     });
     g.finish();
@@ -122,7 +118,6 @@ fn bench_snapshots(h: &mut Harness) {
                     .expect("capture");
                 (mem, mmu, space, store)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -205,7 +200,6 @@ fn bench_node_paths(h: &mut Harness) {
                 }
             },
             |()| node.borrow_mut().invoke(1, NOP, &[]).expect("hot"),
-            BatchSize::SmallInput,
         );
     });
 

@@ -7,9 +7,6 @@
 //! after saturation; SEUSS sustains throughput and ends up ~52× ahead on
 //! the mostly-unique workload.
 
-use seuss_platform::{run_trial, ClusterConfig};
-use seuss_workload::TrialParams;
-
 /// One set-size point for one backend.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig4Point {
@@ -29,8 +26,7 @@ pub struct Fig4Point {
 ///
 /// `invocations_per_trial` overrides N when `Some` (tests use small N);
 /// `mem_mib` sizes the SEUSS node (the paper's 88 GB for the full run).
-/// The sweep's (set size × backend) cells are independent trials, so
-/// they run on `workers` threads via [`seuss_exec::ordered_parallel`];
+/// The sweep's (set size × backend) cells run on `workers` threads;
 /// results are identical at every worker count.
 pub fn run_fig4(
     set_sizes: &[u64],
@@ -38,34 +34,14 @@ pub fn run_fig4(
     mem_mib: u64,
     workers: usize,
 ) -> Vec<Fig4Point> {
-    // One cell per (set size, backend); results come back in input order.
-    let cells: Vec<(u64, bool)> = set_sizes
-        .iter()
-        .flat_map(|&m| [(m, true), (m, false)])
-        .collect();
-    let measured = seuss_exec::ordered_parallel(cells, workers, |_, (m, is_seuss)| {
-        let mut params = TrialParams::throughput(m, 42);
-        if let Some(n) = invocations_per_trial {
-            params.invocations = n.max(m);
-        }
-        let (reg, spec) = params.build();
-        let cfg = if is_seuss {
-            crate::paper_seuss_cluster(mem_mib)
-        } else {
-            ClusterConfig::linux_paper()
-        };
-        let out = run_trial(cfg, reg, &spec);
-        (out.analysis.steady_throughput_rps, out.analysis.errors)
-    });
-    set_sizes
-        .iter()
-        .zip(measured.chunks_exact(2))
-        .map(|(&m, pair)| Fig4Point {
+    crate::throughput_grid(set_sizes, invocations_per_trial, mem_mib, workers)
+        .into_iter()
+        .map(|(m, seuss, linux)| Fig4Point {
             set_size: m,
-            seuss_rps: pair[0].0,
-            seuss_errors: pair[0].1,
-            linux_rps: pair[1].0,
-            linux_errors: pair[1].1,
+            seuss_rps: seuss.steady_throughput_rps,
+            seuss_errors: seuss.errors,
+            linux_rps: linux.steady_throughput_rps,
+            linux_errors: linux.errors,
         })
         .collect()
 }

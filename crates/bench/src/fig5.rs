@@ -6,8 +6,6 @@
 //! distribution explodes into seconds (every miss is a container create
 //! + evict) while SEUSS moves by single-digit milliseconds.
 
-use seuss_platform::run_trial;
-use seuss_workload::TrialParams;
 use simcore::PercentileSummary;
 
 /// One (backend, set size) row of Figure 5.
@@ -30,32 +28,12 @@ pub fn run_fig5(
     mem_mib: u64,
     workers: usize,
 ) -> Vec<Fig5Row> {
-    use seuss_platform::ClusterConfig;
-
-    let cells: Vec<(u64, bool)> = set_sizes
-        .iter()
-        .flat_map(|&m| [(m, true), (m, false)])
-        .collect();
-    let measured = seuss_exec::ordered_parallel(cells, workers, |_, (m, is_seuss)| {
-        let mut params = TrialParams::throughput(m, 42);
-        if let Some(n) = invocations_per_trial {
-            params.invocations = n.max(m);
-        }
-        let cfg = if is_seuss {
-            crate::paper_seuss_cluster(mem_mib)
-        } else {
-            ClusterConfig::linux_paper()
-        };
-        let (reg, spec) = params.build();
-        run_trial(cfg, reg, &spec).analysis.latency
-    });
-    set_sizes
-        .iter()
-        .zip(measured.chunks_exact(2))
-        .map(|(&m, pair)| Fig5Row {
+    crate::throughput_grid(set_sizes, invocations_per_trial, mem_mib, workers)
+        .into_iter()
+        .map(|(m, seuss, linux)| Fig5Row {
             set_size: m,
-            seuss: pair[0],
-            linux: pair[1],
+            seuss: seuss.latency,
+            linux: linux.latency,
         })
         .collect()
 }

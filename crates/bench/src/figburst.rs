@@ -8,8 +8,9 @@
 //! contention visible at the 8 s period.
 
 use seuss::faults::{FaultPlan, RetryPolicy};
-use seuss_platform::{run_trial, BackendKind, ClusterConfig, RequestRecord};
-use seuss_workload::{report::burst_counts, BurstParams};
+use seuss_platform::{run_trial, RequestRecord};
+use seuss_workload::report::{burst_counts, nearest_rank};
+use seuss_workload::BurstParams;
 
 /// Outcome of one burst run on one backend.
 #[derive(Clone, Debug)]
@@ -55,16 +56,9 @@ fn side(records: Vec<RequestRecord>) -> BurstSide {
         .map(|r| r.latency_ms)
         .collect();
     bu.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let pick = |v: &[f64], q: f64| -> f64 {
-        if v.is_empty() {
-            f64::NAN
-        } else {
-            v[((v.len() - 1) as f64 * q) as usize]
-        }
-    };
     BurstSide {
-        background_p50_ms: pick(&bg, 0.5),
-        burst_p99_ms: pick(&bu, 0.99),
+        background_p50_ms: nearest_rank(&bg, 0.5),
+        burst_p99_ms: nearest_rank(&bu, 0.99),
         records,
         background_ok,
         background_err,
@@ -93,23 +87,7 @@ pub fn run_burst_with_faults(
 ) -> BurstOutcome {
     let mut sides = seuss_exec::ordered_parallel(vec![false, true], workers, |_, is_seuss| {
         let (reg, spec) = params.build();
-        let cfg = if is_seuss {
-            ClusterConfig {
-                faults: faults.clone(),
-                retry,
-                ..crate::paper_seuss_cluster(mem_mib)
-            }
-        } else {
-            ClusterConfig {
-                backend: BackendKind::Linux {
-                    cache_limit: 1024,
-                    stemcell_target: 256,
-                },
-                faults: faults.clone(),
-                retry,
-                ..ClusterConfig::seuss_paper()
-            }
-        };
+        let cfg = crate::burst_cluster(is_seuss, mem_mib, faults, retry);
         side(run_trial(cfg, reg, &spec).records)
     });
 

@@ -11,7 +11,7 @@
 //! an error.
 
 use seuss::faults::{FaultPlan, RetryPolicy};
-use seuss_platform::{run_trial, BackendKind, ClusterConfig, RequestRecord, RequestStatus};
+use seuss_platform::{run_trial, RequestRecord, RequestStatus};
 use seuss_workload::{
     report::{per_second_series, SecondBucket},
     BurstParams,
@@ -110,23 +110,7 @@ pub fn run_figfault(
     let mut sides =
         seuss_exec::ordered_parallel(variants, workers, |_, (label, is_seuss, retry)| {
             let (reg, spec) = params.build();
-            let cfg = if is_seuss {
-                ClusterConfig {
-                    faults: plan.clone(),
-                    retry,
-                    ..crate::paper_seuss_cluster(mem_mib)
-                }
-            } else {
-                ClusterConfig {
-                    backend: BackendKind::Linux {
-                        cache_limit: 1024,
-                        stemcell_target: 256,
-                    },
-                    faults: plan.clone(),
-                    retry,
-                    ..ClusterConfig::seuss_paper()
-                }
-            };
+            let cfg = crate::burst_cluster(is_seuss, mem_mib, plan, retry);
             side(label, run_trial(cfg, reg, &spec).records)
         });
 

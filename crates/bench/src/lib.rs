@@ -54,8 +54,11 @@ pub use render::{ratio, Table};
 pub use table1::{run_table1, Table1Results};
 pub use table2::{run_table2, Table2Results};
 pub use table3::{run_table3, IsolationRow, Table3Results};
-pub use timing::{BatchSize, Bencher, BenchmarkId, Harness};
+pub use timing::{Bencher, BenchmarkId, Harness};
 pub use traced::{run_trace_smoke, TraceSmoke, TRACE_SMOKE_SHARDS};
+
+use seuss::faults::{FaultPlan, RetryPolicy};
+use seuss_platform::{BackendKind, ClusterConfig, TrialAnalysis};
 
 /// The paper's SEUSS cluster with a node of `mem_mib` MiB.
 fn paper_seuss_cluster(mem_mib: u64) -> seuss_platform::ClusterConfig {
@@ -67,4 +70,74 @@ fn paper_seuss_cluster(mem_mib: u64) -> seuss_platform::ClusterConfig {
         backend: seuss_platform::BackendKind::Seuss(Box::new(node)),
         ..seuss_platform::ClusterConfig::seuss_paper()
     }
+}
+
+/// The burst-experiment cluster under `faults` and `retry`: the paper's
+/// SEUSS cluster with a `mem_mib` MiB node, or the Linux node with the
+/// 1 024-container cache and a 256-stemcell pool.
+fn burst_cluster(
+    seuss: bool,
+    mem_mib: u64,
+    faults: &FaultPlan,
+    retry: RetryPolicy,
+) -> ClusterConfig {
+    let base = if seuss {
+        paper_seuss_cluster(mem_mib)
+    } else {
+        ClusterConfig {
+            backend: BackendKind::Linux {
+                cache_limit: 1024,
+                stemcell_target: 256,
+            },
+            ..ClusterConfig::seuss_paper()
+        }
+    };
+    ClusterConfig {
+        faults: faults.clone(),
+        retry,
+        ..base
+    }
+}
+
+/// Runs the (set size × backend) grid of [`TrialParams::throughput`]
+/// trials behind Figures 4 and 5 and returns `(set size, SEUSS, Linux)`
+/// per set size, in input order. `invocations_per_trial` overrides N
+/// when `Some`; `mem_mib` sizes the SEUSS node. The cells are
+/// independent trials run on `workers` threads via
+/// [`seuss_exec::ordered_parallel`]; results are identical at every
+/// worker count.
+///
+/// [`TrialParams::throughput`]: seuss_workload::TrialParams::throughput
+fn throughput_grid(
+    set_sizes: &[u64],
+    invocations_per_trial: Option<u64>,
+    mem_mib: u64,
+    workers: usize,
+) -> Vec<(u64, TrialAnalysis, TrialAnalysis)> {
+    let cells: Vec<(u64, bool)> = set_sizes
+        .iter()
+        .flat_map(|&m| [(m, true), (m, false)])
+        .collect();
+    let mut measured = seuss_exec::ordered_parallel(cells, workers, |_, (m, is_seuss)| {
+        let mut params = seuss_workload::TrialParams::throughput(m, 42);
+        if let Some(n) = invocations_per_trial {
+            params.invocations = n.max(m);
+        }
+        let (reg, spec) = params.build();
+        let cfg = if is_seuss {
+            paper_seuss_cluster(mem_mib)
+        } else {
+            ClusterConfig::linux_paper()
+        };
+        seuss_platform::run_trial(cfg, reg, &spec).analysis
+    })
+    .into_iter();
+    set_sizes
+        .iter()
+        .map(|&m| {
+            let seuss = measured.next().expect("a SEUSS cell per set size");
+            let linux = measured.next().expect("a Linux cell per set size");
+            (m, seuss, linux)
+        })
+        .collect()
 }

@@ -15,16 +15,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Batch-size hint, accepted for criterion API compatibility. The
-/// harness always re-runs setup per measured batch (criterion's
-/// `SmallInput` behavior), which is the only mode the benches use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Setup cost is small relative to the routine.
-    SmallInput,
-    /// Setup cost is comparable to the routine.
-    LargeInput,
-}
+const SAMPLE_MS_ENV: &str = "SEUSS_BENCH_SAMPLE_MS";
 
 /// A named benchmark id with an attached parameter, mirroring
 /// `criterion::BenchmarkId`.
@@ -57,10 +48,6 @@ pub struct Stats {
     pub min_ns: f64,
     /// Slowest sample.
     pub max_ns: f64,
-    /// Samples taken.
-    pub samples: u32,
-    /// Iterations per sample.
-    pub iters_per_sample: u64,
 }
 
 impl Default for Harness {
@@ -77,10 +64,7 @@ impl Harness {
             .skip(1)
             .find(|a| !a.starts_with('-'))
             .filter(|a| !a.is_empty());
-        let sample_ms = std::env::var("SEUSS_BENCH_SAMPLE_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4u64);
+        let sample_ms = parse_sample_ms(std::env::var(SAMPLE_MS_ENV).ok().as_deref());
         Harness {
             filter,
             sample_target: Duration::from_millis(sample_ms),
@@ -117,6 +101,19 @@ impl Harness {
                 fmt_ns(s.max_ns)
             );
         }
+    }
+}
+
+/// Reads `SEUSS_BENCH_SAMPLE_MS`: unset means 4 ms per sample; a value
+/// that is not a whole number of milliseconds panics rather than
+/// silently running at the default.
+fn parse_sample_ms(raw: Option<&str>) -> u64 {
+    let Some(raw) = raw else {
+        return 4;
+    };
+    match raw.parse() {
+        Ok(ms) => ms,
+        Err(_) => panic!("{SAMPLE_MS_ENV}={raw:?} is not a whole number of milliseconds"),
     }
 }
 
@@ -196,12 +193,12 @@ impl Bencher {
     where
         R: FnMut() -> O,
     {
-        self.iter_batched(|| (), |()| routine(), BatchSize::SmallInput);
+        self.iter_batched(|| (), |()| routine());
     }
 
     /// Measures `routine` over fresh `setup` output per batch; setup time
     /// is excluded from the measurement.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
@@ -236,8 +233,6 @@ impl Bencher {
             median_ns: samples_ns[samples_ns.len() / 2],
             min_ns: samples_ns[0],
             max_ns: *samples_ns.last().expect("nonempty"),
-            samples: self.sample_size,
-            iters_per_sample: iters,
         });
     }
 }
@@ -288,10 +283,25 @@ mod tests {
             sample_target: Duration::from_micros(20),
             results: Vec::new(),
         };
-        h.benchmark_group("g").bench_function("b", |b| {
-            b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput)
-        });
+        h.benchmark_group("g")
+            .bench_function("b", |b| b.iter_batched(|| vec![1u8; 16], |v| v.len()));
         assert_eq!(h.results.len(), 1);
+    }
+
+    #[test]
+    fn sample_ms_defaults_when_unset() {
+        assert_eq!(parse_sample_ms(None), 4);
+    }
+
+    #[test]
+    fn sample_ms_reads_a_valid_value() {
+        assert_eq!(parse_sample_ms(Some("600")), 600);
+    }
+
+    #[test]
+    #[should_panic(expected = "SEUSS_BENCH_SAMPLE_MS=\"4ms\"")]
+    fn sample_ms_rejects_a_malformed_value() {
+        parse_sample_ms(Some("4ms"));
     }
 
     #[test]

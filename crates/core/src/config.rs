@@ -264,12 +264,6 @@ impl SeussConfig {
             .build()
             .expect("test preset is valid")
     }
-
-    /// The paper's boot-to-ready budget for the whole node (boot + AO +
-    /// base capture); informational.
-    pub fn expected_init_floor(&self) -> SimDuration {
-        self.uc_profile.boot_time
-    }
 }
 
 #[cfg(test)]
@@ -282,12 +276,6 @@ mod tests {
         assert_eq!(c.mem_mib, 88 * 1024);
         assert_eq!(c.ao, AoLevel::NetworkAndInterpreter);
         assert_eq!(c.runtimes, vec![RuntimeKind::NodeJs]);
-    }
-
-    #[test]
-    fn init_floor_is_the_boot_time() {
-        let c = SeussConfig::paper_node();
-        assert_eq!(c.expected_init_floor(), c.uc_profile.boot_time);
     }
 
     #[test]

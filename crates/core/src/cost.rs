@@ -37,9 +37,6 @@ pub struct CostModel {
     pub respond: SimDuration,
     /// Per-byte cost of streaming function source into the UC.
     pub import_per_byte: SimDuration,
-    /// Cost of destroying a UC (page-table teardown is counted; this is
-    /// the fixed part).
-    pub uc_destroy_fixed: SimDuration,
 }
 
 impl Default for CostModel {
@@ -57,7 +54,6 @@ impl CostModel {
             dispatch_fixed: SimDuration::from_micros(650),
             respond: SimDuration::from_micros(30),
             import_per_byte: SimDuration::from_nanos(2),
-            uc_destroy_fixed: SimDuration::from_micros(120),
         }
     }
 }

@@ -26,10 +26,6 @@ pub struct ShimProcess {
     /// Channel occupancy per UC-creation command (single-TCP bottleneck).
     pub creation_service: SimDuration,
     channel_free_at: SimTime,
-    /// Creation commands forwarded.
-    pub creations: u64,
-    /// Invocations forwarded.
-    pub invocations: u64,
 }
 
 impl Default for ShimProcess {
@@ -45,43 +41,23 @@ impl ShimProcess {
             hop_rtt: SimDuration::from_millis(8),
             creation_service: SimDuration::from_micros(7_776), // 1 / 128.6 s
             channel_free_at: SimTime::ZERO,
-            creations: 0,
-            invocations: 0,
-        }
-    }
-
-    /// A zero-overhead shim (for "what if the shim were native" ablation).
-    pub fn ideal() -> Self {
-        ShimProcess {
-            hop_rtt: SimDuration::ZERO,
-            creation_service: SimDuration::ZERO,
-            channel_free_at: SimTime::ZERO,
-            creations: 0,
-            invocations: 0,
         }
     }
 
     /// Latency added to an invocation request/response pair.
-    pub fn invocation_overhead(&mut self) -> SimDuration {
-        self.invocations += 1;
+    pub fn invocation_overhead(&self) -> SimDuration {
         self.hop_rtt
     }
 
     /// Admits a creation command at `now`; returns when the command has
     /// been delivered to the VM (FIFO over the single TCP connection).
     pub fn admit_creation(&mut self, now: SimTime) -> SimTime {
-        self.creations += 1;
         let start = if self.channel_free_at > now {
             self.channel_free_at
         } else {
             now
         };
         self.channel_free_at = start + self.creation_service;
-        self.channel_free_at
-    }
-
-    /// The earliest time a new creation command could be delivered.
-    pub fn channel_free_at(&self) -> SimTime {
         self.channel_free_at
     }
 }
@@ -122,16 +98,7 @@ mod tests {
 
     #[test]
     fn invocation_overhead_is_the_hop() {
-        let mut s = ShimProcess::paper();
+        let s = ShimProcess::paper();
         assert_eq!(s.invocation_overhead(), SimDuration::from_millis(8));
-        assert_eq!(s.invocations, 1);
-    }
-
-    #[test]
-    fn ideal_shim_is_free() {
-        let mut s = ShimProcess::ideal();
-        assert_eq!(s.invocation_overhead(), SimDuration::ZERO);
-        let t = SimTime::from_secs(1);
-        assert_eq!(s.admit_creation(t), t);
     }
 }

@@ -81,11 +81,6 @@ impl PhysAddr {
     pub const fn as_u64(self) -> u64 {
         self.0
     }
-
-    /// The physical frame number (address >> 12).
-    pub const fn frame_number(self) -> u64 {
-        self.0 >> PAGE_SHIFT
-    }
 }
 
 impl fmt::Debug for VirtAddr {
@@ -103,11 +98,6 @@ impl fmt::Debug for PhysAddr {
 /// Number of pages needed to hold `bytes` bytes.
 pub const fn pages_for(bytes: u64) -> u64 {
     bytes.div_ceil(PAGE_SIZE as u64)
-}
-
-/// Number of bytes in `pages` whole pages.
-pub const fn bytes_for(pages: u64) -> u64 {
-    pages * PAGE_SIZE as u64
 }
 
 #[cfg(test)]
@@ -152,7 +142,6 @@ mod tests {
         assert_eq!(pages_for(1), 1);
         assert_eq!(pages_for(4096), 1);
         assert_eq!(pages_for(4097), 2);
-        assert_eq!(bytes_for(3), 12288);
     }
 
     #[test]

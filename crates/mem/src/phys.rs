@@ -6,8 +6,6 @@
 //! counters maintained here. Refcounting implements page sharing: a frame
 //! referenced by three snapshots and forty UCs is still one frame.
 
-use std::collections::HashMap;
-
 use crate::addr::PAGE_SIZE;
 use crate::content::PageContent;
 use crate::frame::{FrameId, FrameKind, FrameMeta};
@@ -290,15 +288,6 @@ impl PhysMemory {
     pub fn set_content(&mut self, frame: FrameId, content: PageContent) {
         self.meta_mut(frame).content = content;
     }
-
-    /// Distribution of refcounts across live frames (for sharing analysis).
-    pub fn refcount_histogram(&self) -> HashMap<u32, u64> {
-        let mut h = HashMap::new();
-        for meta in self.frames.iter().flatten() {
-            *h.entry(meta.refcount).or_insert(0) += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -442,17 +431,6 @@ mod tests {
         assert_eq!(m.alloc(FrameKind::Data), Err(MemError::OutOfFrames));
         m.release_pressure();
         assert!(m.alloc(FrameKind::Data).is_ok());
-    }
-
-    #[test]
-    fn refcount_histogram_counts_sharers() {
-        let mut m = PhysMemory::with_mib(1);
-        let a = m.alloc(FrameKind::Data).unwrap();
-        let _b = m.alloc(FrameKind::Data).unwrap();
-        m.inc_ref(a);
-        let h = m.refcount_histogram();
-        assert_eq!(h.get(&1), Some(&1));
-        assert_eq!(h.get(&2), Some(&1));
     }
 
     #[test]

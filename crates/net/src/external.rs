@@ -15,11 +15,6 @@ pub struct ExternalServer {
     pub block_time: SimDuration,
     /// Link model between the compute node and the server.
     pub link: TcpCostModel,
-    /// Requests served.
-    pub served: u64,
-    /// Maximum simultaneous in-flight requests observed.
-    pub peak_in_flight: u64,
-    in_flight: u64,
 }
 
 impl ExternalServer {
@@ -28,34 +23,16 @@ impl ExternalServer {
         ExternalServer {
             block_time: SimDuration::from_millis(250),
             link: TcpCostModel::datacenter(),
-            served: 0,
-            peak_in_flight: 0,
-            in_flight: 0,
         }
     }
 
     /// Accepts a request sent at `now`; returns when the reply lands back
-    /// at the caller. The caller must later call
-    /// [`ExternalServer::complete`] at that time.
-    pub fn request(&mut self, now: SimTime, req_bytes: u64, resp_bytes: u64) -> SimTime {
-        self.in_flight += 1;
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
+    /// at the caller.
+    pub fn request(&self, now: SimTime, req_bytes: u64, resp_bytes: u64) -> SimTime {
         now + self.link.handshake()
             + self.link.transfer(req_bytes)
             + self.block_time
             + self.link.transfer(resp_bytes)
-    }
-
-    /// Records a reply delivery.
-    pub fn complete(&mut self) {
-        debug_assert!(self.in_flight > 0, "complete without request");
-        self.in_flight -= 1;
-        self.served += 1;
-    }
-
-    /// Requests currently outstanding.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight
     }
 }
 
@@ -65,25 +42,11 @@ mod tests {
 
     #[test]
     fn reply_lands_after_block_time() {
-        let mut s = ExternalServer::paper_default();
+        let s = ExternalServer::paper_default();
         let t0 = SimTime::from_secs(1);
         let done = s.request(t0, 200, 100);
         let elapsed = done.since(t0);
         assert!(elapsed >= SimDuration::from_millis(250));
         assert!(elapsed < SimDuration::from_millis(252), "{elapsed:?}");
-    }
-
-    #[test]
-    fn in_flight_tracking() {
-        let mut s = ExternalServer::paper_default();
-        let t = SimTime::ZERO;
-        s.request(t, 1, 1);
-        s.request(t, 1, 1);
-        assert_eq!(s.in_flight(), 2);
-        assert_eq!(s.peak_in_flight, 2);
-        s.complete();
-        s.complete();
-        assert_eq!(s.in_flight(), 0);
-        assert_eq!(s.served, 2);
     }
 }

@@ -48,12 +48,6 @@ impl TcpCostModel {
     pub fn transfer(&self, bytes: u64) -> SimDuration {
         self.rtt / 2 + self.per_message + self.per_byte * bytes
     }
-
-    /// Request/response exchange latency (request out, response back),
-    /// excluding remote processing time.
-    pub fn round_trip(&self, req_bytes: u64, resp_bytes: u64) -> SimDuration {
-        self.transfer(req_bytes) + self.transfer(resp_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -76,11 +70,5 @@ mod tests {
         assert!(m.transfer(100_000) > m.transfer(100));
         let small = m.transfer(0);
         assert_eq!(small, m.rtt / 2 + m.per_message);
-    }
-
-    #[test]
-    fn round_trip_sums_directions() {
-        let m = TcpCostModel::local();
-        assert_eq!(m.round_trip(10, 20), m.transfer(10) + m.transfer(20));
     }
 }

@@ -218,8 +218,6 @@ pub struct Cluster {
     next_order: usize,
     throttle_interval: Option<SimDuration>,
     next_allowed: SimTime,
-    /// Requests issued so far.
-    pub issued: u64,
     /// The trial's tracing handle (shared with the backend layers).
     pub tracer: Tracer,
     // Fault injection + resilience (see DESIGN.md "Fault injection").
@@ -275,7 +273,6 @@ impl Cluster {
                 .throttle_rps
                 .map(|rps| SimDuration::from_secs_f64(1.0 / rps)),
             next_allowed: SimTime::ZERO,
-            issued: 0,
             tracer,
             faults: config.faults,
             retry: config.retry,
@@ -326,12 +323,11 @@ impl Cluster {
             attempts: 1,
             crash_epoch: 0,
         });
-        self.issued += 1;
         self.reqs.len() - 1
     }
 
-    fn shim_oneway(&mut self) -> SimDuration {
-        match &mut self.backend {
+    fn shim_oneway(&self) -> SimDuration {
+        match &self.backend {
             Backend::Seuss { shim, .. } => {
                 self.tracer.event(TraceEvent::ShimHop);
                 shim.invocation_overhead() / 2
@@ -397,7 +393,6 @@ impl Cluster {
         } else {
             duration
         };
-        self.cores.record_busy(duration.as_nanos());
         sched.schedule_at(now + duration, Ev::SegmentEnd { core, req });
     }
 
@@ -878,7 +873,6 @@ impl World for Cluster {
                 }
             }
             Ev::IoReply(req) => {
-                self.external.complete();
                 if self.reqs[req].status != ReqStatus::InFlight {
                     if let Backend::Linux { docker, .. } = &mut self.backend {
                         if let Some(c) = self.reqs[req].container.take() {
@@ -968,10 +962,8 @@ impl World for Cluster {
                 self.reqs[req].timeout_ev = None;
                 if self.reqs[req].status == ReqStatus::InFlight {
                     self.tracer.event(TraceEvent::Timeout);
-                    // Drop from the Linux wait queue if present.
-                    if let Backend::Linux { wait_queue, .. } = &mut self.backend {
-                        wait_queue.retain(|&r| r != req);
-                    }
+                    // A Linux request may still sit in the wait queue:
+                    // `linux_pump` skips it once it is no longer in flight.
                     self.finish(now, req, RequestStatus::Error, sched);
                 }
             }

@@ -13,10 +13,6 @@ pub struct CorePool<T> {
     free: Vec<u16>,
     queue: VecDeque<T>,
     total: u16,
-    /// Maximum queue depth observed.
-    pub peak_queue: usize,
-    /// Busy-time accumulator in nanoseconds (for utilization reporting).
-    pub busy_ns: u128,
 }
 
 impl<T> CorePool<T> {
@@ -26,8 +22,6 @@ impl<T> CorePool<T> {
             free: (0..n).rev().collect(),
             queue: VecDeque::new(),
             total: n,
-            peak_queue: 0,
-            busy_ns: 0,
         }
     }
 
@@ -53,7 +47,6 @@ impl<T> CorePool<T> {
             Some(core) => Some((core, task)),
             None => {
                 self.queue.push_back(task);
-                self.peak_queue = self.peak_queue.max(self.queue.len());
                 None
             }
         }
@@ -69,11 +62,6 @@ impl<T> CorePool<T> {
                 None
             }
         }
-    }
-
-    /// Records `ns` of busy time (utilization accounting).
-    pub fn record_busy(&mut self, ns: u64) {
-        self.busy_ns += ns as u128;
     }
 }
 
@@ -104,15 +92,5 @@ mod tests {
         assert_eq!(t, 3);
         assert!(p.release(c).is_none());
         assert_eq!(p.free_count(), 1);
-    }
-
-    #[test]
-    fn peak_queue_tracked() {
-        let mut p: CorePool<u32> = CorePool::new(1);
-        p.submit(1);
-        for i in 0..5 {
-            p.submit(i);
-        }
-        assert_eq!(p.peak_queue, 5);
     }
 }

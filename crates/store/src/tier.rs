@@ -153,8 +153,6 @@ pub struct TierStats {
     pub promotions: u64,
     /// Working-set prefetch batches performed.
     pub prefetches: u64,
-    /// Working sets recorded.
-    pub recorded_sets: u64,
 }
 
 /// The [`SwapPager`] the tier installs on the MMU: single-page reads,
@@ -475,7 +473,6 @@ impl TieredStore {
             .filter(|vpn| meta.pages.binary_search_by_key(vpn, |&(v, _)| v).is_ok())
             .collect();
         meta.working_set = Some(ws);
-        self.stats.recorded_sets += 1;
     }
 
     /// Drops all tier state for `sid`, freeing its device blocks. Call

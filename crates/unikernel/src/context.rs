@@ -15,10 +15,10 @@ use seuss_paging::{AddressSpace, EntryFlags, Mmu, PageFault};
 use seuss_snapshot::RegisterState;
 use simcore::SimDuration;
 
+use crate::image::UcImage;
 use crate::layout::Layout;
 use crate::memory::UcMemory;
 use crate::profile::UcProfile;
-use crate::solo5::{Hypercall, HypercallCounts};
 
 /// Lifecycle state of a UC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,8 +111,6 @@ pub struct UcContext {
     pub net_warmed: bool,
     /// Whether the driver has served a request in this lineage.
     pub driver_warmed: bool,
-    /// Hypercall crossing counters.
-    pub hypercalls: HypercallCounts,
     /// Region layout.
     pub layout: Layout,
     /// Sizing profile.
@@ -164,7 +162,6 @@ impl UcContext {
             state: UcState::Listening,
             net_warmed: false,
             driver_warmed: false,
-            hypercalls: HypercallCounts::new(),
             layout,
             profile,
             source_snapshot: None,
@@ -180,44 +177,52 @@ impl UcContext {
         uc.commit_data(mmu, mem, profile.boot_data_bytes)?;
         uc.commit_data(mmu, mem, profile.runtime_init_bytes)?;
         uc.commit_data(mmu, mem, profile.driver_init_bytes)?;
-        uc.hypercalls.record(Hypercall::MemInfo);
-        uc.hypercalls.record(Hypercall::NetInfo);
-        uc.hypercalls.record(Hypercall::Puts);
 
         Ok((uc, profile.boot_time))
     }
 
-    /// Assembles a UC from deploy parts (used by [`crate::image::ImageStore`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
+    /// Assembles a UC deployed from `image` (used by
+    /// [`crate::image::ImageStore`]). A function image lands `Ready`, a
+    /// runtime image `Listening`.
+    pub(crate) fn from_image(
         space: AddressSpace,
         regs: RegisterState,
-        interp: Rc<Interpreter>,
-        state: UcState,
-        net_warmed: bool,
-        driver_warmed: bool,
-        layout: Layout,
-        profile: UcProfile,
+        image: &UcImage,
         source_snapshot: seuss_snapshot::SnapshotId,
-        main_prog: Option<ProgId>,
         kmeta: Vec<FrameId>,
     ) -> Self {
         UcContext {
             space,
             regs,
-            interp,
-            state,
-            net_warmed,
-            driver_warmed,
-            hypercalls: HypercallCounts::new(),
-            layout,
-            profile,
+            interp: Rc::clone(&image.interp),
+            state: if image.main_prog.is_some() {
+                UcState::Ready
+            } else {
+                UcState::Listening
+            },
+            net_warmed: image.net_warmed,
+            driver_warmed: image.driver_warmed,
+            layout: image.layout,
+            profile: image.profile,
             source_snapshot: Some(source_snapshot),
             uc_id: 0,
-            main_prog,
-            data_brk: layout.data_base.as_u64(),
-            io_brk: layout.io_base.as_u64(),
+            main_prog: image.main_prog,
+            data_brk: image.layout.data_base.as_u64(),
+            io_brk: image.layout.io_base.as_u64(),
             kmeta,
+        }
+    }
+
+    /// The semantic state a snapshot of this UC must carry beside its
+    /// pages (the interpreter is shared, not copied).
+    pub(crate) fn image(&self) -> UcImage {
+        UcImage {
+            interp: Rc::clone(&self.interp),
+            net_warmed: self.net_warmed,
+            driver_warmed: self.driver_warmed,
+            main_prog: self.main_prog,
+            layout: self.layout,
+            profile: self.profile,
         }
     }
 
@@ -258,8 +263,6 @@ impl UcContext {
     /// if it has not been exercised yet. Returns the connection cost.
     pub fn connect(&mut self, mmu: &mut Mmu, mem: &mut PhysMemory) -> Result<SimDuration, UcError> {
         let mut cost = self.profile.net_conn_time;
-        self.hypercalls.record(Hypercall::NetRead);
-        self.hypercalls.record(Hypercall::NetWrite);
         if !self.net_warmed {
             self.net_warmed = true;
             self.commit_io(mmu, mem, self.profile.net_warm_bytes)?;
@@ -310,7 +313,6 @@ impl UcContext {
         if self.state != UcState::Listening {
             return Err(UcError::BadState("import requires a listening UC"));
         }
-        self.hypercalls.record(Hypercall::NetRead);
         let interp = Rc::make_mut(&mut self.interp);
         let before = interp.cycles();
         let prog = {
@@ -345,7 +347,6 @@ impl UcContext {
             return Err(UcError::BadState("invoke requires a ready or idle UC"));
         }
         self.state = UcState::Running;
-        self.hypercalls.record(Hypercall::NetRead);
         let dispatch_warm = self.warm_dispatch(mmu, mem)?;
         let interp = Rc::make_mut(&mut self.interp);
         let before = interp.cycles();
@@ -370,7 +371,6 @@ impl UcContext {
             return Err(UcError::BadState("resume_io requires a blocked UC"));
         }
         self.state = UcState::Running;
-        self.hypercalls.record(Hypercall::NetRead);
         let interp = Rc::make_mut(&mut self.interp);
         let before = interp.cycles();
         let exit = {
@@ -391,14 +391,11 @@ impl UcContext {
         match exit {
             VmExit::Done(v) => {
                 self.state = UcState::Done;
-                self.hypercalls.record(Hypercall::NetWrite);
                 let result = self.interp.display(v);
                 Ok((InvocationOutcome::Completed { result }, cost))
             }
             VmExit::Blocked(HostCall::HttpGet(url)) => {
                 self.state = UcState::Blocked;
-                self.hypercalls.record(Hypercall::NetWrite);
-                self.hypercalls.record(Hypercall::Poll);
                 Ok((InvocationOutcome::BlockedOnIo { url }, cost))
             }
             VmExit::OutOfFuel => {

@@ -20,17 +20,19 @@ use seuss_snapshot::{SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
 use seuss_trace::{TraceEvent, Tracer};
 use simcore::SimDuration;
 
-use crate::context::{UcContext, UcError, UcState};
+use crate::context::{UcContext, UcError};
 use crate::layout::Layout;
 use crate::profile::UcProfile;
 
-struct UcImage {
-    interp: Rc<Interpreter>,
-    net_warmed: bool,
-    driver_warmed: bool,
-    main_prog: Option<ProgId>,
-    layout: Layout,
-    profile: UcProfile,
+/// The semantic mirror a deploy needs beside a snapshot's pages.
+#[derive(Clone)]
+pub(crate) struct UcImage {
+    pub(crate) interp: Rc<Interpreter>,
+    pub(crate) net_warmed: bool,
+    pub(crate) driver_warmed: bool,
+    pub(crate) main_prog: Option<ProgId>,
+    pub(crate) layout: Layout,
+    pub(crate) profile: UcProfile,
 }
 
 /// A UC image serialized for cross-node migration (§9, DR-SEUSS): the
@@ -40,18 +42,7 @@ struct UcImage {
 pub struct UcImagePackage {
     /// The page-level snapshot image (full or diff).
     pub snapshot: SnapshotImage,
-    /// Interpreter mirror as of capture.
-    pub interp: Rc<Interpreter>,
-    /// Network-path warm latch.
-    pub net_warmed: bool,
-    /// Driver-dispatch warm latch.
-    pub driver_warmed: bool,
-    /// The compiled entry program, if this is a function image.
-    pub main_prog: Option<ProgId>,
-    /// Address-space layout.
-    pub layout: Layout,
-    /// UC sizing profile.
-    pub profile: UcProfile,
+    image: UcImage,
 }
 
 impl UcImagePackage {
@@ -115,11 +106,6 @@ impl ImageStore {
         self.image(id).map(|_| id)
     }
 
-    /// Whether the image has a compiled function (deploys land Ready).
-    pub fn is_function_image(&self, id: SnapshotId) -> Result<bool, UcError> {
-        Ok(self.image(id)?.main_prog.is_some())
-    }
-
     /// Captures a UC into a new image. The UC keeps running. Returns the
     /// image's snapshot id and the capture cost (the eager dirty-page
     /// clone the paper charges ≈0.8 µs per page for).
@@ -141,15 +127,7 @@ impl ImageStore {
         let snap = snaps
             .capture(mmu, mem, &mut uc.space, uc.regs, kind, label, parent)
             .map_err(map_snap_err)?;
-        let image = UcImage {
-            interp: Rc::clone(&uc.interp),
-            net_warmed: uc.net_warmed,
-            driver_warmed: uc.driver_warmed,
-            main_prog: uc.main_prog,
-            layout: uc.layout,
-            profile: uc.profile,
-        };
-        self.put(snap, image);
+        self.put(snap, uc.image());
         // 0.8 µs per cloned dirty page (400 µs for the paper's 2 MiB NOP
         // snapshot), plus a fixed #DB-exception entry/exit.
         let cost = SimDuration::from_nanos(800) * dirty_pages + SimDuration::from_micros(15);
@@ -182,17 +160,8 @@ impl ImageStore {
         id: SnapshotId,
         prepare: impl FnOnce(&mut Mmu, &mut PhysMemory, seuss_paging::TableId) -> Result<(), UcError>,
     ) -> Result<(UcContext, SimDuration), UcError> {
-        let (interp, net_warmed, driver_warmed, main_prog, layout, profile) = {
-            let img = self.image(id)?;
-            (
-                Rc::clone(&img.interp),
-                img.net_warmed,
-                img.driver_warmed,
-                img.main_prog,
-                img.layout,
-                img.profile,
-            )
-        };
+        let image = self.image(id)?;
+        let (layout, profile) = (image.layout, image.profile);
         let ops_before = mmu.stats;
         let (space, regs) = snaps.deploy(mmu, mem, id).map_err(map_snap_err)?;
         if let Err(e) = prepare(mmu, mem, space.root()) {
@@ -208,24 +177,7 @@ impl ImageStore {
                 return Err(UcError::Mem(e));
             }
         };
-        let state = if main_prog.is_some() {
-            UcState::Ready
-        } else {
-            UcState::Listening
-        };
-        let mut uc = UcContext::from_parts(
-            space,
-            regs,
-            interp,
-            state,
-            net_warmed,
-            driver_warmed,
-            layout,
-            profile,
-            id,
-            main_prog,
-            kmeta,
-        );
+        let mut uc = UcContext::from_image(space, regs, image, id, kmeta);
         self.next_uc_id += 1;
         uc.uc_id = self.next_uc_id;
         // Resume-to-listening writes: the driver re-enters its accept loop
@@ -276,12 +228,7 @@ impl ImageStore {
         .map_err(map_snap_err)?;
         Ok(UcImagePackage {
             snapshot,
-            interp: Rc::clone(&img.interp),
-            net_warmed: img.net_warmed,
-            driver_warmed: img.driver_warmed,
-            main_prog: img.main_prog,
-            layout: img.layout,
-            profile: img.profile,
+            image: img.clone(),
         })
     }
 
@@ -300,15 +247,7 @@ impl ImageStore {
         }
         let snap =
             import_snapshot(mmu, mem, snaps, &package.snapshot, parent).map_err(map_snap_err)?;
-        let image = UcImage {
-            interp: Rc::clone(&package.interp),
-            net_warmed: package.net_warmed,
-            driver_warmed: package.driver_warmed,
-            main_prog: package.main_prog,
-            layout: package.layout,
-            profile: package.profile,
-        };
-        self.put(snap, image);
+        self.put(snap, package.image.clone());
         Ok(snap)
     }
 
@@ -354,7 +293,7 @@ fn map_snap_err(e: SnapshotError) -> UcError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::InvocationOutcome;
+    use crate::context::{InvocationOutcome, UcState};
     use miniscript::RuntimeProfile;
 
     struct Rig {
@@ -411,7 +350,6 @@ mod tests {
             .unwrap();
         assert_eq!(uc.state, UcState::Listening);
         assert!(cost > SimDuration::ZERO);
-        assert!(!r.images.is_function_image(base).unwrap());
         r.images
             .destroy_uc(&mut r.mmu, &mut r.mem, &mut r.snaps, uc);
     }

@@ -5,10 +5,11 @@
 //! language interpreter configured to import and execute function code"
 //! (§3). A UC here is [`context::UcContext`]: a flat address space laid
 //! out like a Rumprun guest ([`layout`]), a `miniscript` interpreter whose
-//! heap writes land in that address space ([`memory::UcMemory`]), the
-//! Solo5-style 12-hypercall domain interface ([`solo5`]), and a driver
-//! state machine that accepts function code and run arguments over the
-//! internal network.
+//! heap writes land in that address space ([`memory::UcMemory`]), and a
+//! driver state machine that accepts function code and run arguments over
+//! the internal network. The Solo5 guest/host interface itself (§5's
+//! 12-call domain interface) is not modelled: §5 argues from its attack
+//! surface, and no result depends on it.
 //!
 //! Booting a UC really dirties pages: the boot model commits the guest
 //! image, runtime init, and driver startup through the paging crate, so a
@@ -29,7 +30,6 @@ pub mod layout;
 pub mod memory;
 pub mod profile;
 pub mod runtime;
-pub mod solo5;
 
 pub use context::{InvocationOutcome, UcContext, UcError, UcState};
 pub use image::{ImageStore, UcImagePackage};
@@ -37,4 +37,3 @@ pub use layout::Layout;
 pub use memory::UcMemory;
 pub use profile::UcProfile;
 pub use runtime::RuntimeKind;
-pub use solo5::{Hypercall, HypercallCounts};

@@ -89,6 +89,16 @@ pub struct SecondBucket {
     pub p99_ms: f64,
 }
 
+/// The value at quantile `q` of an ascending `sorted` slice: the element
+/// at index `⌊(len − 1) · q⌋`, with no interpolation. NaN when empty.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        f64::NAN
+    } else {
+        sorted[((sorted.len() - 1) as f64 * q) as usize]
+    }
+}
+
 /// Aggregates records into per-second buckets — the resolution at which
 /// Figures 6–8 are drawn. Only seconds with traffic appear.
 pub fn per_second_series(records: &[RequestRecord]) -> Vec<SecondBucket> {
@@ -109,19 +119,12 @@ pub fn per_second_series(records: &[RequestRecord]) -> Vec<SecondBucket> {
         .into_iter()
         .map(|(second, (sent, errors, mut lat))| {
             lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let pick = |q: f64| -> f64 {
-                if lat.is_empty() {
-                    f64::NAN
-                } else {
-                    lat[((lat.len() - 1) as f64 * q) as usize]
-                }
-            };
             SecondBucket {
                 second,
                 sent,
                 errors,
-                p50_ms: pick(0.5),
-                p99_ms: pick(0.99),
+                p50_ms: nearest_rank(&lat, 0.5),
+                p99_ms: nearest_rank(&lat, 0.99),
             }
         })
         .collect()
@@ -209,6 +212,16 @@ mod tests {
         assert_eq!(series[1].errors, 1);
         assert!(series[1].p50_ms.is_nan(), "no successes that second");
         assert_eq!(series[2].second, 3);
+    }
+
+    #[test]
+    fn nearest_rank_floors_the_index_and_is_nan_when_empty() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(nearest_rank(&v, 0.0), 1.0);
+        assert_eq!(nearest_rank(&v, 0.5), 2.0);
+        assert_eq!(nearest_rank(&v, 0.99), 3.0);
+        assert_eq!(nearest_rank(&v, 1.0), 4.0);
+        assert!(nearest_rank(&[], 0.5).is_nan());
     }
 
     #[test]

@@ -172,16 +172,3 @@ fn ao_is_worth_it_end_to_end() {
         "all-cold p50 without AO ({no_ao}) must exceed with-AO ({full}) by the hoisted work"
     );
 }
-
-#[test]
-fn hypercall_surface_is_narrow() {
-    // The whole guest/host interface is 12 calls (§5) — spot-check that a
-    // full boot+invoke flow never leaves that enum.
-    use seuss::unikernel::solo5::HYPERCALL_COUNT;
-    assert_eq!(HYPERCALL_COUNT, 12);
-    let mut node = small_node();
-    node.invoke(1, "function main(a) { return 0; }", &[])
-        .expect("invoke");
-    // (Counters live per-UC; the type system already guarantees the
-    // interface — this test documents the claim at the integration level.)
-}
