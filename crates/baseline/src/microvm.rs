@@ -21,8 +21,6 @@ pub struct FirecrackerEngine {
     pub contention_per_concurrent: SimDuration,
     live: u64,
     in_flight: u64,
-    /// Total creations completed.
-    pub created: u64,
 }
 
 impl Default for FirecrackerEngine {
@@ -40,7 +38,6 @@ impl FirecrackerEngine {
             contention_per_concurrent: SimDuration::from_micros(570_000),
             live: 0,
             in_flight: 0,
-            created: 0,
         }
     }
 
@@ -71,7 +68,6 @@ impl FirecrackerEngine {
         debug_assert!(self.in_flight > 0);
         self.in_flight -= 1;
         self.live += 1;
-        self.created += 1;
     }
 
     /// Destroys a microVM.

@@ -19,8 +19,6 @@ pub struct ProcessEngine {
     pub contention_per_concurrent: SimDuration,
     live: u64,
     in_flight: u64,
-    /// Total creations completed.
-    pub created: u64,
 }
 
 impl Default for ProcessEngine {
@@ -39,7 +37,6 @@ impl ProcessEngine {
             contention_per_concurrent: SimDuration::from_micros(18_500),
             live: 0,
             in_flight: 0,
-            created: 0,
         }
     }
 
@@ -70,7 +67,6 @@ impl ProcessEngine {
         debug_assert!(self.in_flight > 0);
         self.in_flight -= 1;
         self.live += 1;
-        self.created += 1;
     }
 
     /// Kills a process.
@@ -115,7 +111,6 @@ mod tests {
         e.start_create();
         e.finish_create();
         assert_eq!(e.live(), 1);
-        assert_eq!(e.created, 1);
         e.kill();
         assert_eq!(e.live(), 0);
         assert!((e.used_mib() - 0.0).abs() < f64::EPSILON);
