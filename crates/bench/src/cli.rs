@@ -1,178 +1,155 @@
-//! Shared argv parsing for the bench binaries.
+//! Argument parsing for the `reproduce` command.
 //!
-//! Every driver accepts the same flag family, parsed once per process by
-//! [`BenchArgs::parse`] instead of each binary re-scanning `argv`:
+//! Each [`Experiment`](crate::Experiment) spells its command line as one
+//! spec string: `name=default` for a numeric positional, a bare `name`
+//! for an optional output path, and the flags it reads from this family:
 //!
-//! - `--workers N` / `-j N` — OS threads for the experiment sweep
-//!   (fallback: the [`WORKERS_ENV`] environment variable). Worker
-//!   count is execution speed only — results are byte-identical at
-//!   every value (see `seuss-exec`).
 //! - `--fault-plan <spec>` / `--fault-seed N` — fault schedule (see
-//!   [`seuss::faults::spec`] for the grammar).
-//! - `--store-blocks N` — storage-tier device capacity in blocks, for
-//!   the binaries that run a tier (`figtier`).
+//!   [`seuss::faults::spec`] for the grammar);
+//! - `--store-blocks N` — storage-tier device capacity in blocks.
 //!
-//! All flags (and their values) are stripped from
-//! [`BenchArgs::positionals`], so the binaries' positional arguments
-//! keep working unchanged. Malformed values — in a flag, in a positional
-//! argument, or in [`WORKERS_ENV`] — print a usage error naming their
-//! source and exit 2.
-
-use std::str::FromStr;
+//! Every experiment also takes `--workers N` / `-j N` (fallback: the
+//! [`WORKERS_ENV`] environment variable, then [`DEFAULT_WORKERS`]):
+//! worker count is execution speed only, and artifacts are
+//! byte-identical at every value. Flags take their value as `--flag v`
+//! or `--flag=v`. A flag the experiment does not read, a positional past
+//! its spec, and a malformed value — in a flag, in a positional or in
+//! [`WORKERS_ENV`] — are usage errors: `Err` naming the argument, which
+//! `reproduce` reports with exit status 2.
 
 use seuss::faults::{spec, FaultPlan};
 
 /// Environment variable supplying the worker-thread count when no
-/// `--workers` flag is given. Execution speed only: artifacts are
-/// byte-identical at every value.
+/// `--workers` flag is given.
 pub const WORKERS_ENV: &str = "SEUSS_EXEC_WORKERS";
 
-/// Every shared bench flag, parsed once.
+/// Worker threads when neither `--workers` nor [`WORKERS_ENV`] is given.
+pub const DEFAULT_WORKERS: usize = 4;
+
+/// `--fault-seed` when the flag is absent: the burst trials' own seed,
+/// so `?`-randomized instants reproduce.
+const DEFAULT_FAULT_SEED: u64 = 42;
+
+/// The validated arguments of one experiment run (worker count aside).
 #[derive(Clone, Debug, PartialEq)]
-pub struct BenchArgs {
-    /// Worker-thread count (flag, else env, else the driver's default;
-    /// always at least 1).
-    pub workers: usize,
-    /// Raw `--fault-plan` spec string, if given.
+pub struct Args {
+    /// Positional values with defaults filled in.
+    positionals: Vec<String>,
+    /// `--fault-plan` as given, if given.
     pub fault_spec: Option<String>,
-    /// `--fault-seed` value, if given.
-    pub fault_seed: Option<u64>,
-    /// `--store-blocks` value, if given.
+    /// `--fault-seed`, else the burst trials' seed.
+    pub fault_seed: u64,
+    /// `--fault-plan` compiled under `fault_seed`; without the flag,
+    /// [`FaultPlan::none`], the fault-free fast path.
+    pub fault_plan: FaultPlan,
+    /// `--store-blocks`, if given.
     pub store_blocks: Option<u64>,
-    /// The arguments left over once every flag is stripped.
-    pub positionals: Vec<String>,
 }
 
-/// A flag value: `--flag v` or `--flag=v`.
-fn valued(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(flag) {
-            if let Some(v) = v.strip_prefix('=') {
-                return Some(v.to_string());
-            }
-        }
-    }
-    None
+fn invalid(source: &str, value: &str, why: &str) -> String {
+    format!("invalid {source} {value:?}: {why}")
 }
 
-/// The flags that take a value — the strip list for positionals.
-const VALUED: &[&str] = &[
-    "--workers",
-    "-j",
-    "--fault-plan",
-    "--fault-seed",
-    "--store-blocks",
-];
+fn number<T: std::str::FromStr>(source: &str, value: &str, why: &str) -> Result<T, String> {
+    value.parse().map_err(|_| invalid(source, value, why))
+}
 
-fn strip_flags(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut skip_value = false;
-    for a in args {
-        if skip_value {
-            skip_value = false;
+/// Parses `argv` (no program or experiment name) against an experiment's
+/// command-line `spec` (see the module docs). `env_workers` is the value
+/// of [`WORKERS_ENV`], if set; `--workers` overrides it. Returns the
+/// arguments and the worker count (at least 1), or a usage error.
+pub fn parse(
+    argv: &[String],
+    spec: &str,
+    env_workers: Option<&str>,
+) -> Result<(Args, usize), String> {
+    let (flags, params): (Vec<&str>, Vec<&str>) =
+        spec.split_whitespace().partition(|w| w.starts_with("--"));
+    let mut args = Args {
+        positionals: Vec::new(),
+        fault_spec: None,
+        fault_seed: DEFAULT_FAULT_SEED,
+        fault_plan: FaultPlan::none(),
+        store_blocks: None,
+    };
+    let mut workers = None;
+    let mut given = Vec::new();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            given.push(arg.as_str());
             continue;
         }
-        if VALUED.contains(&a.as_str()) {
-            skip_value = true;
-            continue;
-        }
-        if VALUED
-            .iter()
-            .any(|f| a.len() > f.len() && a.starts_with(f) && a.as_bytes()[f.len()] == b'=')
-        {
-            continue;
-        }
-        out.push(a.clone());
-    }
-    out
-}
-
-/// Prints a usage error naming where the bad value came from, and exits 2.
-fn bad_value(source: &str, value: &str, why: &str) -> ! {
-    eprintln!("invalid {source} {value:?}: {why}");
-    std::process::exit(2);
-}
-
-/// Numeric positional argument `index` of `args`, or `default` when
-/// absent. A malformed value prints a usage error naming `name` and
-/// exits 2.
-pub fn positional<T: FromStr>(args: &[String], index: usize, name: &str, default: T) -> T {
-    match args.get(index) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| bad_value(name, v, "expected a number")),
-    }
-}
-
-impl BenchArgs {
-    /// Parses a raw argument list (no program name); `env_workers` is the
-    /// value of [`WORKERS_ENV`], if set, which `--workers` overrides.
-    /// Malformed values print a usage error and exit 2.
-    pub fn from_args(args: &[String], env_workers: Option<&str>, default_workers: usize) -> Self {
-        let workers = match valued(args, "--workers").or_else(|| valued(args, "-j")) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| bad_value("--workers", &v, "expected a thread count")),
-            None => match env_workers {
-                Some(v) => v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| bad_value(WORKERS_ENV, v, "expected a thread count")),
-                None => default_workers,
-            },
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, v)) => (name, Some(v.to_string())),
+            None => (arg.as_str(), None),
         };
-        let fault_seed = valued(args, "--fault-seed").map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| bad_value("--fault-seed", &v, "expected an integer seed"))
-        });
-        let store_blocks = valued(args, "--store-blocks").map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| bad_value("--store-blocks", &v, "expected a block count"))
-        });
-        BenchArgs {
-            workers: workers.max(1),
-            fault_spec: valued(args, "--fault-plan"),
-            fault_seed,
-            store_blocks,
-            positionals: strip_flags(args),
+        let name = if name == "-j" { "--workers" } else { name };
+        if name != "--workers" && !flags.contains(&name) {
+            return Err(format!(
+                "unexpected flag {arg:?}: this experiment does not read it"
+            ));
+        }
+        let value = inline
+            .or_else(|| it.next().cloned())
+            .ok_or_else(|| format!("{name} needs a value"))?;
+        match name {
+            "--workers" => workers = Some(number(name, &value, "expected a thread count")?),
+            "--fault-plan" => args.fault_spec = Some(value),
+            "--fault-seed" => args.fault_seed = number(name, &value, "expected a seed")?,
+            "--store-blocks" => {
+                args.store_blocks = Some(number(name, &value, "expected a block count")?)
+            }
+            _ => return Err(format!("{name} is declared but not a known flag")),
         }
     }
 
-    /// Numeric positional argument `index` once flags are stripped, or
-    /// `default` when absent; see [`positional`].
-    pub fn positional<T: FromStr>(&self, index: usize, name: &str, default: T) -> T {
-        positional(&self.positionals, index, name, default)
+    if let Some(extra) = given.get(params.len()) {
+        return Err(format!(
+            "unexpected argument {extra:?}: this experiment takes {}",
+            params.join(" ")
+        ));
     }
-
-    /// Parses the process argv and [`WORKERS_ENV`].
-    pub fn parse(default_workers: usize) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let env_workers = std::env::var(WORKERS_ENV).ok();
-        BenchArgs::from_args(&args, env_workers.as_deref(), default_workers)
-    }
-
-    /// The fault schedule: `--fault-plan` compiled under `--fault-seed`
-    /// (default `default_seed`, which should be the trial seed so
-    /// `?`-randomized instants reproduce). No flag means
-    /// [`FaultPlan::none`] — the fault-free fast path. A malformed spec
-    /// prints the parse error and exits 2.
-    pub fn fault_plan(&self, default_seed: u64) -> FaultPlan {
-        let seed = self.fault_seed.unwrap_or(default_seed);
-        match &self.fault_spec {
-            None => FaultPlan::none(),
-            Some(s) => match spec::compile(s, seed) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("invalid --fault-plan {s:?}: {e}");
-                    std::process::exit(2);
-                }
-            },
+    for (i, param) in params.iter().enumerate() {
+        let (name, default) = match param.split_once('=') {
+            Some((name, default)) => (name, Some(default)),
+            None => (*param, None),
+        };
+        let Some(value) = given.get(i).copied().or(default) else {
+            break;
+        };
+        if default.is_some() {
+            number::<u32>(name, value, "expected a whole number below 2^32")?;
         }
+        args.positionals.push(value.to_string());
+    }
+
+    if let Some(s) = &args.fault_spec {
+        args.fault_plan = spec::compile(s, args.fault_seed)
+            .map_err(|e| invalid("--fault-plan", s, &e.to_string()))?;
+    }
+    let workers = match (workers, env_workers) {
+        (Some(w), _) => w,
+        (None, Some(v)) => number(WORKERS_ENV, v.trim(), "expected a thread count")?,
+        (None, None) => DEFAULT_WORKERS,
+    };
+    Ok((args, workers.max(1)))
+}
+
+impl Args {
+    /// Numeric positional `i` ([`parse`] validated it).
+    pub fn num<T: From<u32>>(&self, i: usize) -> T {
+        T::from(
+            self.positionals[i]
+                .parse::<u32>()
+                .expect("validated by parse"),
+        )
+    }
+
+    /// Positional `i`, if given or defaulted: how an experiment reads an
+    /// optional output path.
+    pub fn get(&self, i: usize) -> Option<&str> {
+        self.positionals.get(i).map(String::as_str)
     }
 }
 
@@ -184,107 +161,115 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    fn parse(args: &[&str]) -> BenchArgs {
-        BenchArgs::from_args(&v(args), None, 1)
+    fn try_parse(args: &[&str], env: Option<&str>) -> Result<(Args, usize), String> {
+        const SPEC: &str = "size=16 rounds=3 out --fault-plan --fault-seed --store-blocks";
+        parse(&v(args), SPEC, env)
+    }
+
+    fn parse_ok(args: &[&str]) -> Args {
+        try_parse(args, None).expect("valid arguments").0
+    }
+
+    fn workers(args: &[&str], env: Option<&str>) -> usize {
+        try_parse(args, env).expect("valid arguments").1
     }
 
     #[test]
     fn parses_every_flag_spelling() {
-        assert_eq!(parse(&["--workers", "4"]).workers, 4);
-        assert_eq!(parse(&["--workers=8"]).workers, 8);
-        assert_eq!(parse(&["-j", "2"]).workers, 2);
-        assert_eq!(parse(&["64", "--workers", "3"]).workers, 3);
-        assert_eq!(BenchArgs::from_args(&v(&["64"]), None, 5).workers, 5);
-        assert_eq!(parse(&["--workers", "0"]).workers, 1, "clamped to 1");
+        assert_eq!(workers(&["--workers", "4"], None), 4);
+        assert_eq!(workers(&["--workers=8"], None), 8);
+        assert_eq!(workers(&["-j", "2"], None), 2);
+        assert_eq!(workers(&["64", "--workers", "3"], None), 3);
+        assert_eq!(workers(&["64"], None), DEFAULT_WORKERS);
+        assert_eq!(workers(&["--workers", "0"], None), 1, "clamped to 1");
     }
 
     #[test]
     fn env_workers_apply_without_a_flag_and_the_flag_wins() {
-        assert_eq!(BenchArgs::from_args(&v(&["64"]), Some("3"), 5).workers, 3);
-        assert_eq!(BenchArgs::from_args(&v(&[]), Some(" 4\n"), 1).workers, 4);
-        let a = BenchArgs::from_args(&v(&["--workers", "2", "64"]), Some("8"), 5);
-        assert_eq!(a.workers, 2);
-        assert_eq!(a.positionals, v(&["64"]));
-        assert_eq!(BenchArgs::from_args(&v(&["-j=6"]), Some("8"), 5).workers, 6);
+        assert_eq!(workers(&["64"], Some("3")), 3);
+        assert_eq!(workers(&[], Some(" 4\n")), 4);
+        let (a, w) = try_parse(&["--workers", "2", "64"], Some("8")).unwrap();
+        assert_eq!(w, 2);
+        assert_eq!(a.num::<u64>(0), 64);
+        assert_eq!(workers(&["-j=6"], Some("8")), 6);
     }
 
     #[test]
     fn stripping_preserves_positionals() {
-        assert_eq!(
-            parse(&["64", "--workers", "4", "out.csv"]).positionals,
-            v(&["64", "out.csv"])
-        );
-        assert_eq!(parse(&["--workers=4", "64"]).positionals, v(&["64"]));
-        assert_eq!(parse(&["-j", "2"]).positionals, Vec::<String>::new());
-        assert_eq!(parse(&["a", "b"]).positionals, v(&["a", "b"]));
+        let a = parse_ok(&["64", "--workers", "4", "5", "out.csv"]);
+        assert_eq!((a.num::<u64>(0), a.num::<u64>(1)), (64, 5));
+        assert_eq!(a.get(2), Some("out.csv"));
+        assert_eq!(parse_ok(&["--workers=4", "64"]).num::<u64>(0), 64);
+        assert_eq!(parse_ok(&["-j", "2"]).get(2), None);
     }
 
     #[test]
     fn parses_fault_flags_in_every_spelling() {
         assert_eq!(
-            parse(&["--fault-plan", "crash@1s+2s"]).fault_spec,
+            parse_ok(&["--fault-plan", "crash@1s+2s"]).fault_spec,
             Some("crash@1s+2s".to_string())
         );
         assert_eq!(
-            parse(&["64", "--fault-plan=loss@1s+2s:0.5"]).fault_spec,
+            parse_ok(&["64", "--fault-plan=loss@1s+2s:0.5"]).fault_spec,
             Some("loss@1s+2s:0.5".to_string())
         );
-        assert_eq!(parse(&["64"]).fault_spec, None);
-        assert_eq!(parse(&["--fault-plan"]).fault_spec, None);
+        assert_eq!(parse_ok(&["64"]).fault_spec, None);
+        assert!(try_parse(&["--fault-plan"], None)
+            .unwrap_err()
+            .contains("--fault-plan needs a value"));
+        assert!(try_parse(&["--fault-plan", "crash@"], None)
+            .unwrap_err()
+            .contains("invalid --fault-plan"));
 
-        assert_eq!(parse(&["--fault-seed", "7"]).fault_seed, Some(7));
-        assert_eq!(parse(&["--fault-seed=99"]).fault_seed, Some(99));
-        assert_eq!(parse(&["64"]).fault_seed, None);
+        assert_eq!(parse_ok(&["--fault-seed", "7"]).fault_seed, 7);
+        assert_eq!(parse_ok(&["--fault-seed=99"]).fault_seed, 99);
+        assert_eq!(parse_ok(&["64"]).fault_seed, DEFAULT_FAULT_SEED);
     }
 
     #[test]
     fn stripping_removes_fault_flags_and_keeps_positionals() {
+        let a = parse_ok(&["64", "--fault-plan", "crash@1s+2s", "5", "--fault-seed=7"]);
+        assert_eq!((a.num::<u64>(0), a.num::<u64>(1)), (64, 5));
+        assert_eq!(a.fault_plan.len(), 1);
         assert_eq!(
-            parse(&[
-                "64",
-                "--fault-plan",
-                "crash@1s+2s",
-                "out.csv",
-                "--fault-seed=7",
-            ])
-            .positionals,
-            v(&["64", "out.csv"])
+            parse_ok(&["--fault-plan=crash@1s+2s", "--fault-seed", "7"]).num::<u64>(0),
+            16
         );
-        assert_eq!(
-            parse(&["--fault-plan=crash@1s+2s", "--fault-seed", "7"]).positionals,
-            Vec::<String>::new()
-        );
-        // A flag-like positional that merely shares a prefix survives.
-        assert_eq!(
-            parse(&["--fault-planner", "x"]).positionals,
-            v(&["--fault-planner", "x"])
-        );
+        // A flag that merely shares a prefix with a known one is unknown.
+        assert!(try_parse(&["--fault-planner", "x"], None)
+            .unwrap_err()
+            .contains("\"--fault-planner\""));
     }
 
     #[test]
     fn fault_spec_and_seed_compose_with_workers_flags() {
-        let a = parse(&["8", "--workers", "4", "--fault-plan=crash@1s+2s", "f.csv"]);
-        assert_eq!(a.workers, 4);
+        let (a, w) = try_parse(&["8", "--workers", "4", "--fault-plan=crash@1s+2s"], None).unwrap();
+        assert_eq!(w, 4);
         assert_eq!(a.fault_spec, Some("crash@1s+2s".to_string()));
-        assert_eq!(a.positionals, v(&["8", "f.csv"]));
+        assert_eq!(a.num::<u64>(0), 8);
+        assert!(a.fault_plan.len() == 1);
+        assert!(parse_ok(&["8"]).fault_plan.is_empty());
     }
 
     #[test]
     fn positionals_parse_after_flags_or_fall_back_to_the_default() {
-        let a = parse(&["--workers", "2", "64", "out.csv"]);
-        assert_eq!(a.positional(0, "size", 16u64), 64);
-        assert_eq!(a.positional(2, "rounds", 3u32), 3);
-        assert_eq!(positional(&v(&["4"]), 0, "nodes", 1usize), 4);
+        let a = parse_ok(&["--workers", "2", "64"]);
+        assert_eq!(a.num::<u64>(0), 64);
+        assert_eq!(a.num::<u32>(1), 3);
+        assert_eq!(a.get(2), None);
+        assert!(try_parse(&["5000000000"], None)
+            .unwrap_err()
+            .contains("invalid size"));
     }
 
     #[test]
     fn store_blocks_is_applied_and_stripped() {
-        assert_eq!(parse(&["64"]).store_blocks, None);
-        let a = parse(&["--store-blocks", "512", "8"]);
+        assert_eq!(parse_ok(&["64"]).store_blocks, None);
+        let a = parse_ok(&["--store-blocks", "512", "8"]);
         assert_eq!(a.store_blocks, Some(512));
-        assert_eq!(a.positionals, v(&["8"]));
-        let b = parse(&["8", "--store-blocks=512", "f.csv"]);
+        assert_eq!(a.num::<u64>(0), 8);
+        let b = parse_ok(&["8", "--store-blocks=512", "7"]);
         assert_eq!(b.store_blocks, Some(512));
-        assert_eq!(b.positionals, v(&["8", "f.csv"]));
+        assert_eq!((b.num::<u64>(0), b.num::<u64>(1)), (8, 7));
     }
 }

@@ -1,9 +1,5 @@
 //! DR-SEUSS (§9 future work): quantifies distributed snapshot migration.
 //!
-//! ```sh
-//! cargo run --release -p seuss-bench --bin dr_seuss [nodes] [functions]
-//! ```
-//!
 //! Scenario: a cluster where functions go viral — a function cold-starts
 //! on one node, then requests for it land on every other node. Compares
 //! three ways the other nodes can serve it:
@@ -14,25 +10,26 @@
 //! * ship the *full* image (what a system without shared runtime
 //!   snapshots would pay).
 
-use seuss_bench::cli::positional;
-use seuss_bench::Table;
+use std::fmt::Write;
+
 use seuss_core::SeussConfig;
 use seuss_platform::{DrPath, DrSeussCluster};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let nodes: usize = positional(&args, 0, "nodes", 4);
-    let functions: u64 = positional(&args, 1, "functions", 64);
+use crate::cli::Args;
+use crate::render::Table;
+use crate::Artifact;
+
+/// The `dr_seuss` experiment: `functions` functions going viral on a
+/// `nodes`-node cluster of 4 GiB nodes. One sequential cluster, so the
+/// worker count has nothing to fan out.
+pub(crate) fn reproduce(a: &Args, _workers: usize) -> Result<Vec<Artifact>, String> {
+    let nodes: usize = a.num::<u32>(0) as usize;
+    let functions: u64 = a.num(1);
     let cfg = SeussConfig::builder()
         .mem_mib(4 * 1024)
         .build()
         .expect("valid dr-seuss config");
-    eprintln!("building a {nodes}-node DR-SEUSS cluster…");
-    let (mut cluster, init) = DrSeussCluster::new(nodes, cfg).expect("cluster");
-    eprintln!(
-        "cluster ready ({:.0} ms of virtual init per node)\n",
-        init.as_millis_f64()
-    );
+    let (mut cluster, _) = DrSeussCluster::new(nodes, cfg).expect("cluster");
 
     let src = |f: u64| format!("// fn {f}\nfunction main(args) {{ return {f}; }}");
 
@@ -40,7 +37,6 @@ fn main() {
     // requested once on every other node.
     let mut cold = Vec::new();
     let mut remote = Vec::new();
-    let mut hot = Vec::new();
     for f in 0..functions {
         let home = (f % nodes as u64) as usize;
         let (p, c, _) = cluster.invoke_at(home, f, &src(f), &[]).expect("cold");
@@ -53,7 +49,7 @@ fn main() {
             let (p, c, _) = cluster.invoke_at(peer, f, &src(f), &[]).expect("peer");
             match p {
                 DrPath::RemoteWarm => remote.push(c.as_millis_f64()),
-                DrPath::LocalHot => hot.push(c.as_millis_f64()),
+                DrPath::LocalHot => {}
                 other => panic!("unexpected path {other:?}"),
             }
         }
@@ -127,19 +123,23 @@ fn main() {
             lazy_remote_pages
         ),
     ]);
-    println!("{}", t.render());
-    println!(
+    let mut out = String::new();
+    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(
+        out,
         "cluster stats: {} cold / {} remote-warm / {} hot; {:.1} MiB shipped total",
         cluster.stats.local_cold,
         cluster.stats.remote_warm,
         cluster.stats.local_hot,
         cluster.stats.bytes_transferred as f64 / (1024.0 * 1024.0),
     );
-    println!(
+    let _ = writeln!(
+        out,
         "\n§9's claim, quantified: because every node holds the per-interpreter\n\
          runtime snapshot, a function snapshot migrates as a ~2 MiB diff and a\n\
          remote warm start beats recompiling — while shipping whole images\n\
          would cost {:.0}x more wire time.",
         full_ship_ms / mean(&remote).max(0.001)
     );
+    Ok(vec![Artifact::Printed("results/dr_seuss.txt".into(), out)])
 }

@@ -8,6 +8,12 @@
 
 use simcore::PercentileSummary;
 
+use std::fmt::Write;
+
+use crate::cli::Args;
+use crate::render::Table;
+use crate::Artifact;
+
 /// One (backend, set size) row of Figure 5.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig5Row {
@@ -36,6 +42,41 @@ pub fn run_fig5(
             linux: linux.latency,
         })
         .collect()
+}
+
+/// The `fig5` experiment: Figure 5 at set sizes 64, 2048 and 16384 on a
+/// `mem_mib` SEUSS node.
+pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let rows = run_fig5(&[64, 2_048, 16_384], None, a.num(0), workers);
+    let mut out = String::new();
+    for row in &rows {
+        let mut t = Table::new(
+            format!(
+                "Figure 5: latency percentiles, {} functions (ms)",
+                row.set_size
+            ),
+            &["backend", "p1", "p25", "p50", "p75", "p99", "mean"],
+        );
+        for (name, s) in [("SEUSS", row.seuss), ("Linux", row.linux)] {
+            t.row(&[
+                name.into(),
+                format!("{:.1}", s.p1),
+                format!("{:.1}", s.p25),
+                format!("{:.1}", s.p50),
+                format!("{:.1}", s.p75),
+                format!("{:.1}", s.p99),
+                format!("{:.1}", s.mean),
+            ]);
+        }
+        let _ = writeln!(out, "{}", t.render());
+    }
+    let _ = writeln!(
+        out,
+        "paper shape: comparable tens-of-ms distributions at 64 functions\n\
+         (Linux lower — the shim hop); Linux explodes to seconds once its\n\
+         container cache saturates, SEUSS stays within tens of ms."
+    );
+    Ok(vec![Artifact::Printed("results/fig5.txt".into(), out)])
 }
 
 #[cfg(test)]

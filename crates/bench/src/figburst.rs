@@ -7,10 +7,15 @@
 //! background stream; SEUSS serves every request, with only CPU
 //! contention visible at the 8 s period.
 
+use std::fmt::Write;
+
 use seuss::faults::{FaultPlan, RetryPolicy};
-use seuss_platform::{run_trial, RequestRecord};
+use seuss_platform::{run_trial, RequestRecord, RequestStatus};
 use seuss_workload::report::{burst_counts, nearest_rank};
-use seuss_workload::BurstParams;
+use seuss_workload::{burst_series_csv, BurstParams};
+
+use crate::cli::Args;
+use crate::Artifact;
 
 /// Outcome of one burst run on one backend.
 #[derive(Clone, Debug)]
@@ -34,8 +39,6 @@ pub struct BurstSide {
 /// Both backends at one burst period.
 #[derive(Clone, Debug)]
 pub struct BurstOutcome {
-    /// Burst period, seconds.
-    pub period_s: u64,
     /// Linux node results.
     pub linux: BurstSide,
     /// SEUSS node results.
@@ -46,13 +49,13 @@ fn side(records: Vec<RequestRecord>) -> BurstSide {
     let (background_ok, background_err, burst_ok, burst_err) = burst_counts(&records);
     let mut bg: Vec<f64> = records
         .iter()
-        .filter(|r| !r.burst && r.status == seuss_platform::RequestStatus::Ok)
+        .filter(|r| !r.burst && r.status == RequestStatus::Ok)
         .map(|r| r.latency_ms)
         .collect();
     bg.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mut bu: Vec<f64> = records
         .iter()
-        .filter(|r| r.burst && r.status == seuss_platform::RequestStatus::Ok)
+        .filter(|r| r.burst && r.status == RequestStatus::Ok)
         .map(|r| r.latency_ms)
         .collect();
     bu.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -93,11 +96,95 @@ pub fn run_burst_with_faults(
 
     let seuss = sides.pop().expect("seuss side");
     let linux = sides.pop().expect("linux side");
-    BurstOutcome {
-        period_s: params.period_s,
-        linux,
-        seuss,
+    BurstOutcome { linux, seuss }
+}
+
+/// One column per second of `span_s`, marking the worst request sent in
+/// it: 'x' error > '!' slow (>5 s) > '~' elevated (>1 s) > '.' ok.
+pub(crate) fn timeline(records: &[RequestRecord], span_s: f64) -> String {
+    let cols = span_s.ceil() as usize + 1;
+    let mut marks = vec![' '; cols];
+    let sev = |c: char| match c {
+        'x' => 4,
+        '!' => 3,
+        '~' => 2,
+        '.' => 1,
+        _ => 0,
+    };
+    for r in records {
+        let col = (r.sent_at_s as usize).min(cols - 1);
+        let mark = if r.status == RequestStatus::Error {
+            'x'
+        } else if r.latency_ms > 5_000.0 {
+            '!'
+        } else if r.latency_ms > 1_000.0 {
+            '~'
+        } else {
+            '.'
+        };
+        if sev(mark) > sev(marks[col]) {
+            marks[col] = mark;
+        }
     }
+    marks.into_iter().collect()
+}
+
+/// The `fig6`/`fig7`/`fig8` experiments: the burst figure at a burst
+/// every `period_s` seconds (32 / 16 / 8 is Figure 6 / 7 / 8) on a
+/// 16 GiB SEUSS node, both backends under `--fault-plan` with the
+/// resilient retry policy: summary counts and a per-second timeline.
+/// With `csv_path` it also writes the full scatter (every request's send
+/// time, latency and error mark) as CSV for plotting.
+pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let period: u64 = a.num(0);
+    let params = BurstParams::paper(period);
+    let out = run_burst_with_faults(
+        params,
+        16 * 1024,
+        workers,
+        &a.fault_plan,
+        RetryPolicy::resilient(),
+    );
+    let span = params.span().as_secs_f64();
+
+    let mut text = String::new();
+    let _ = writeln!(text, "== Request burst sent every {period} seconds ==\n");
+    for (name, side) in [("Linux", &out.linux), ("SEUSS", &out.seuss)] {
+        let _ = writeln!(
+            text,
+            "{name}: background {} ok / {} err (p50 {:.0} ms) | bursts {} ok / {} err (p99 {:.0} ms)",
+            side.background_ok,
+            side.background_err,
+            side.background_p50_ms,
+            side.burst_ok,
+            side.burst_err,
+            side.burst_p99_ms,
+        );
+        let _ = writeln!(
+            text,
+            "  per-second timeline ('.' ok, '~' >1s, '!' >5s, 'x' error):"
+        );
+        let _ = writeln!(text, "  |{}|", timeline(&side.records, span));
+    }
+    let _ = writeln!(
+        text,
+        "\npaper shape: Linux errors once its container cache saturates and\n\
+         stalls; SEUSS serves every request across all burst frequencies."
+    );
+    let mut artifacts = vec![Artifact::Printed(
+        format!("results/fig_burst_{period}.txt"),
+        text,
+    )];
+
+    if let Some(path) = a.get(1) {
+        let mut csv = String::from("backend,");
+        csv.push_str(&burst_series_csv(&out.linux.records).replace('\n', "\nlinux,"));
+        csv.push('\n');
+        csv.push_str("backend,");
+        csv.push_str(&burst_series_csv(&out.seuss.records).replace('\n', "\nseuss,"));
+        artifacts.push(Artifact::File(path.to_string(), csv));
+    }
+    Ok(artifacts)
 }
 
 #[cfg(test)]

@@ -10,12 +10,18 @@
 //! 100%), while the no-retry ablation surfaces every faulted request as
 //! an error.
 
-use seuss::faults::{FaultPlan, RetryPolicy};
+use std::fmt::Write;
+
+use seuss::faults::{spec::compile, FaultPlan, RetryPolicy};
 use seuss_platform::{run_trial, RequestRecord, RequestStatus};
 use seuss_workload::{
     report::{per_second_series, SecondBucket},
     BurstParams,
 };
+
+use crate::cli::Args;
+use crate::figburst::timeline;
+use crate::Artifact;
 
 /// One platform variant under the fault schedule.
 #[derive(Clone, Debug)]
@@ -36,11 +42,9 @@ pub struct FaultSide {
     pub recovered: bool,
 }
 
-/// The full fault experiment: all three sides plus the schedule size.
+/// The full fault experiment: all three sides.
 #[derive(Clone, Debug)]
 pub struct FaultOutcome {
-    /// Number of injected fault events.
-    pub plan_len: usize,
     /// SEUSS with [`RetryPolicy::resilient`].
     pub resilient: FaultSide,
     /// SEUSS with [`RetryPolicy::none`] — the ablation.
@@ -118,7 +122,6 @@ pub fn run_figfault(
     let no_retry = sides.pop().expect("no-retry side");
     let resilient = sides.pop().expect("resilient side");
     FaultOutcome {
-        plan_len: plan.len(),
         resilient,
         no_retry,
         linux,
@@ -126,8 +129,8 @@ pub fn run_figfault(
 }
 
 /// Renders the per-second availability/latency time series of all three
-/// sides as CSV — the figure's canonical artifact, and the byte string
-/// the CI smoke diffs across worker counts.
+/// sides as CSV — the figure's canonical artifact, which `reproduce
+/// check` compares across worker counts.
 pub fn availability_csv(out: &FaultOutcome) -> String {
     let mut csv = String::from("side,second,sent,errors,availability_pct,p50_ms,p99_ms\n");
     for s in [&out.resilient, &out.no_retry, &out.linux] {
@@ -147,10 +150,85 @@ pub fn availability_csv(out: &FaultOutcome) -> String {
     csv
 }
 
+/// The resilience contract under the default schedule: the resilient
+/// side recovers to 100% availability with a small fraction of the
+/// ablation's errors, while the ablation reports errors. `Err` names the
+/// first clause that failed.
+fn resilience_contract(out: &FaultOutcome) -> Result<(), String> {
+    if !out.resilient.recovered {
+        Err("resilient availability must return to 100% after the faults".into())
+    } else if out.no_retry.errors == 0 {
+        Err("the no-retry ablation should surface errors".into())
+    } else if out.resilient.errors * 5 >= out.no_retry.errors {
+        Err(format!(
+            "retry should absorb most faults (resilient {} errors vs ablation {})",
+            out.resilient.errors, out.no_retry.errors
+        ))
+    } else {
+        Ok(())
+    }
+}
+
+/// The `figfault` experiment: `bursts` bursts every `period_s` seconds
+/// on a 16 GiB SEUSS node, resilient vs no-retry vs Linux, under
+/// `--fault-plan` — by default a node crash (2 s reboot) overlapping a
+/// 30% packet-loss window. Under the default schedule the run checks the
+/// resilience contract and fails, with the timeline, if it does not hold.
+pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let mut params = BurstParams::paper(a.num(0));
+    params.bursts = a.num(1);
+    let spec = a
+        .fault_spec
+        .clone()
+        .unwrap_or_else(|| default_fault_spec(&params));
+    let plan = compile(&spec, a.fault_seed).map_err(|e| e.to_string())?;
+    let out = run_figfault(params, 16 * 1024, workers, &plan);
+
+    let mut report = format!(
+        "== Availability under faults: {spec} (seed {}) ==\n\n",
+        a.fault_seed
+    );
+    report.push_str("  per-second timeline ('.' ok, '~' >1s, '!' >5s, 'x' error):\n");
+    let sides = [&out.resilient, &out.no_retry, &out.linux];
+    for side in sides {
+        let _ = writeln!(
+            report,
+            "  {:>14} |{}| min availability {:5.1}% {}",
+            side.label,
+            timeline(&side.records, params.span().as_secs_f64()),
+            side.min_availability_pct,
+            if side.recovered {
+                "(recovered)"
+            } else {
+                "(NOT recovered)"
+            },
+        );
+    }
+    for side in sides {
+        let _ = writeln!(
+            report,
+            "  {:>14}: {} ok / {} err",
+            side.label, side.completed, side.errors
+        );
+    }
+    if a.fault_spec.is_none() {
+        resilience_contract(&out).map_err(|why| format!("{why}\n{report}"))?;
+        let _ = writeln!(
+            report,
+            "\nresilience contract holds: retry/backoff absorbs the crash and loss window \
+             ({} vs {} errors without retries), availability back to 100% after recovery",
+            out.resilient.errors, out.no_retry.errors
+        );
+    }
+    Ok(vec![
+        Artifact::Report(report),
+        Artifact::File("results/figfault.csv".into(), availability_csv(&out)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seuss::faults::spec::compile;
 
     fn small() -> BurstParams {
         BurstParams {
@@ -214,7 +292,6 @@ mod tests {
     fn empty_plan_matches_the_plain_burst_run() {
         let p = small();
         let out = run_figfault(p, 1024, 2, &FaultPlan::none());
-        assert_eq!(out.plan_len, 0);
         assert_eq!(out.resilient.errors, 0);
         assert!(out.resilient.recovered);
         // Without faults the retry policy is never consulted: both SEUSS

@@ -21,9 +21,14 @@
 //! (latency — one batched device read instead of a latency payment per
 //! page).
 
+use std::fmt::Write;
+
 use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
 use seuss_core::{FnId, Invocation, SeussConfig, SeussNode};
 use seuss_trace::PathKind;
+
+use crate::cli::Args;
+use crate::Artifact;
 
 /// Workload shape of one tier-figure run.
 #[derive(Clone, Copy, Debug)]
@@ -40,8 +45,9 @@ pub struct TierParams {
 }
 
 impl TierParams {
-    /// The configuration the committed figure (and the CI smoke run)
-    /// uses: enough functions to overrun the DRAM cap several times.
+    /// The configuration the committed figure uses (the `figtier`
+    /// experiment's defaults): enough functions to overrun the DRAM cap
+    /// several times.
     pub fn small() -> Self {
         TierParams {
             fns: 96,
@@ -93,8 +99,6 @@ pub struct TierSide {
 /// The whole experiment: all five sides under one [`TierParams`].
 #[derive(Clone, Debug)]
 pub struct TierOutcome {
-    /// Workload shape.
-    pub params: TierParams,
     /// `dram`, `evict`, `lazy`, `eager`, `ws` — in that order.
     pub sides: Vec<TierSide>,
 }
@@ -222,12 +226,11 @@ fn run_side(label: &'static str, p: TierParams) -> TierSide {
 pub fn run_figtier(p: TierParams, workers: usize) -> TierOutcome {
     let labels: Vec<&'static str> = vec!["dram", "evict", "lazy", "eager", "ws"];
     let sides = seuss_exec::ordered_parallel(labels, workers, |_, label| run_side(label, p));
-    TierOutcome { params: p, sides }
+    TierOutcome { sides }
 }
 
 /// Renders every measured re-deploy as CSV — the figure's canonical
-/// artifact, and the byte string the CI smoke diffs across worker
-/// counts.
+/// artifact, which `reproduce check` compares across worker counts.
 pub fn tier_csv(out: &TierOutcome) -> String {
     let mut csv = String::from("side,round,fn,path,prefetched,restore_ns,total_ns\n");
     for s in &out.sides {
@@ -245,6 +248,93 @@ pub fn tier_csv(out: &TierOutcome) -> String {
         }
     }
     csv
+}
+
+/// The figure's claims: every demoting side holds density above the
+/// DRAM cap, and every recorded prefetch restore beats the lazy side's
+/// restore of the same (function, round). Returns the number of
+/// restores compared; `Err` names the first violation.
+fn claims(out: &TierOutcome) -> Result<u64, String> {
+    let dram = out.side("dram");
+    if let Some(side) = ["lazy", "eager", "ws"]
+        .into_iter()
+        .find(|label| out.side(label).density <= dram.density)
+    {
+        return Err(format!("{side} density not above the DRAM cap"));
+    }
+    let lazy = out.side("lazy");
+    let mut compared = 0u64;
+    for wr in out.side("ws").rows.iter().filter(|r| r.prefetched) {
+        if let Some(lr) = lazy
+            .rows
+            .iter()
+            .find(|r| r.round == wr.round && r.f == wr.f && r.path == PathKind::WarmTier)
+        {
+            if wr.restore_nanos >= lr.restore_nanos {
+                return Err(format!(
+                    "fn {} round {}: ws restore {} ns >= lazy {} ns",
+                    wr.f, wr.round, wr.restore_nanos, lr.restore_nanos
+                ));
+            }
+            compared += 1;
+        }
+    }
+    if compared == 0 {
+        return Err("no prefetch/lazy re-deploy pairs to compare".into());
+    }
+    Ok(compared)
+}
+
+/// The `figtier` experiment: `fns` functions populated on a `mem_mib`
+/// node, then `rounds` re-deploy sweeps, on every side; `--store-blocks`
+/// sizes the device. Fails, with the side table, if the figure's claims
+/// do not reproduce.
+pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let p = TierParams {
+        fns: a.num(0),
+        rounds: a.num(1),
+        mem_mib: a.num(2),
+        device_blocks: a.store_blocks.unwrap_or(TierParams::small().device_blocks),
+    };
+    let out = run_figtier(p, workers);
+
+    let mut report =
+        String::from("side     density  cold  warm_tier  demotions  prefetches  mean_restore_us\n");
+    for s in &out.sides {
+        let tier_rows: Vec<_> = s
+            .rows
+            .iter()
+            .filter(|r| r.path == PathKind::WarmTier)
+            .collect();
+        let mean_restore_us = if tier_rows.is_empty() {
+            0.0
+        } else {
+            tier_rows.iter().map(|r| r.restore_nanos).sum::<u64>() as f64
+                / tier_rows.len() as f64
+                / 1_000.0
+        };
+        let _ = writeln!(
+            report,
+            "{:<8} {:>7}  {:>4}  {:>9}  {:>9}  {:>10}  {:>15.2}",
+            s.label,
+            s.density,
+            s.cold_redeploys,
+            s.warm_tier,
+            s.demotions,
+            s.prefetches,
+            mean_restore_us
+        );
+    }
+    let compared = claims(&out).map_err(|why| format!("{why}\n{report}"))?;
+    let _ = writeln!(
+        report,
+        "{} device blocks; {compared} prefetch restores beat lazy",
+        p.device_blocks
+    );
+    Ok(vec![
+        Artifact::Report(report),
+        Artifact::File("results/figtier.csv".into(), tier_csv(&out)),
+    ])
 }
 
 #[cfg(test)]

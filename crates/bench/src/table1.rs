@@ -6,8 +6,14 @@
 //! footprint of NOP invocations over the cold, warm, and hot paths,
 //! averaged across 475 invocations (the paper's count).
 
+use std::fmt::Write;
+
 use seuss_core::{AoLevel, Invocation, Phase, SeussConfig, SeussNode};
 use seuss_mem::PAGE_SIZE;
+
+use crate::cli::Args;
+use crate::render::{ratio, Table};
+use crate::Artifact;
 
 /// One invocation path's measurements.
 #[derive(Clone, Copy, Debug, Default)]
@@ -161,6 +167,69 @@ fn measure_ao_half(iterations: u32) -> Table1Results {
     node.invoke(1, NOP, &[]).expect("prime hot");
     r.hot = measure(&mut node, true, false);
     r
+}
+
+/// The `table1` experiment: Table 1 at `iterations` invocations per path.
+pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let r = run_table1(a.num(0), workers);
+    let mut out = String::new();
+    let mut top = Table::new(
+        "Table 1 (top): snapshot memory footprint",
+        &["Rumprun unikernel", "paper (MB)", "measured (MiB)", "ratio"],
+    );
+    top.row(&[
+        "Node.js driver, before AO".into(),
+        "109.6".into(),
+        format!("{:.1}", r.base_snapshot_mib),
+        ratio(r.base_snapshot_mib, 109.6),
+    ]);
+    top.row(&[
+        "Node.js driver, after AO".into(),
+        "114.5".into(),
+        format!("{:.1}", r.base_snapshot_ao_mib),
+        ratio(r.base_snapshot_ao_mib, 114.5),
+    ]);
+    top.row(&[
+        "JS NOP function, before AO".into(),
+        "4.8".into(),
+        format!("{:.1}", r.fn_snapshot_mib),
+        ratio(r.fn_snapshot_mib, 4.8),
+    ]);
+    top.row(&[
+        "JS NOP function, after AO".into(),
+        "2.0".into(),
+        format!("{:.1}", r.fn_snapshot_ao_mib),
+        ratio(r.fn_snapshot_ao_mib, 2.0),
+    ]);
+    let _ = writeln!(out, "{}", top.render());
+
+    let mut bottom = Table::new(
+        "Table 1 (bottom): NOP invocation, after AO",
+        &[
+            "Invocation",
+            "paper (ms)",
+            "measured (ms)",
+            "ratio",
+            "footprint (MiB)",
+            "pages copied",
+        ],
+    );
+    for (name, paper, row) in [
+        ("Cold start", 7.5, r.cold),
+        ("Warm start", 3.5, r.warm),
+        ("Hot start", 0.8, r.hot),
+    ] {
+        bottom.row(&[
+            name.into(),
+            format!("{paper}"),
+            format!("{:.2}", row.latency_ms),
+            ratio(row.latency_ms, paper),
+            format!("{:.2}", row.footprint_mib),
+            format!("{:.0}", row.pages_copied),
+        ]);
+    }
+    let _ = writeln!(out, "{}", bottom.render());
+    Ok(vec![Artifact::Printed("results/table1.txt".into(), out)])
 }
 
 #[cfg(test)]

@@ -4,7 +4,13 @@
 //! Interpreter AO (paper: 42 → 16.8 → 7.5 ms cold; 7.6 → 5.5 → 3.5 ms
 //! warm).
 
+use std::fmt::Write;
+
 use seuss_core::{AoLevel, Invocation, SeussConfig, SeussNode};
+
+use crate::cli::Args;
+use crate::render::{ratio, Table};
+use crate::Artifact;
 
 /// One AO level's cold/warm latencies, ms.
 #[derive(Clone, Copy, Debug, Default)]
@@ -92,6 +98,48 @@ pub fn run_table2(iterations: u32, workers: usize) -> Table2Results {
         network: rows[1],
         full: rows[2],
     }
+}
+
+/// The `table2` experiment: Table 2 at `iterations` invocations per cell.
+pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let r = run_table2(a.num(0), workers);
+    let mut out = String::new();
+    let mut t = Table::new(
+        "Table 2: latency across anticipatory optimizations",
+        &["", "No AO", "Network AO", "Network + Interpreter AO"],
+    );
+    t.row(&[
+        "Cold start (measured ms)".into(),
+        format!("{:.1}", r.none.cold_ms),
+        format!("{:.1}", r.network.cold_ms),
+        format!("{:.1}", r.full.cold_ms),
+    ]);
+    t.row(&[
+        "Cold start (paper ms)".into(),
+        "42".into(),
+        "16.8".into(),
+        "7.5".into(),
+    ]);
+    t.row(&[
+        "Warm start (measured ms)".into(),
+        format!("{:.1}", r.none.warm_ms),
+        format!("{:.1}", r.network.warm_ms),
+        format!("{:.1}", r.full.warm_ms),
+    ]);
+    t.row(&[
+        "Warm start (paper ms)".into(),
+        "7.6".into(),
+        "5.5".into(),
+        "3.5".into(),
+    ]);
+    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(
+        out,
+        "cold-start reduction from both AOs: {} (paper: {:.1}x)",
+        ratio(r.none.cold_ms, r.full.cold_ms),
+        42.0 / 7.5
+    );
+    Ok(vec![Artifact::Printed("results/table2.txt".into(), out)])
 }
 
 #[cfg(test)]

@@ -13,9 +13,15 @@
 //! OS shim process to communicate an invocation request over the network
 //! to the VM").
 
+use std::fmt::Write;
+
 use seuss_baseline::{DockerEngine, FirecrackerEngine, ProcessEngine};
 use seuss_core::{NodeError, SeussConfig, SeussNode, ShimProcess};
 use simcore::SimTime;
+
+use crate::cli::Args;
+use crate::render::Table;
+use crate::Artifact;
 
 /// One isolation method's row.
 #[derive(Clone, Debug)]
@@ -203,6 +209,51 @@ fn seuss_row(mem_mib: u64, seuss_density_cap: Option<u64>) -> IsolationRow {
         creation_rate: seuss_rate,
         cache_density: seuss_density,
     }
+}
+
+/// The `table3` experiment: Table 3 on an 88 GiB node, the SEUSS density
+/// fill capped at `seuss_fill_cap` real deploys before extrapolating
+/// from the (constant) per-UC footprint; 0 fills the whole node.
+pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let cap: u64 = a.num(0);
+    let r = run_table3(88 * 1024, (cap != 0).then_some(cap), workers);
+    let mut out = String::new();
+    let mut t = Table::new(
+        "Table 3: creation rate and cache density (Node.js environments)",
+        &[
+            "Isolation method",
+            "rate/s (paper)",
+            "rate/s (measured)",
+            "density (paper)",
+            "density (measured)",
+        ],
+    );
+    for (row, paper_rate, paper_density) in [
+        (&r.microvm, 1.3, 450u64),
+        (&r.docker, 5.3, 3_000),
+        (&r.process, 45.0, 4_200),
+        (&r.seuss, 128.6, 54_000),
+    ] {
+        t.row(&[
+            row.method.into(),
+            format!("{paper_rate}"),
+            format!("{:.1}", row.creation_rate),
+            format!("{paper_density}"),
+            format!("{}", row.cache_density),
+        ]);
+    }
+    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(
+        out,
+        "SEUSS vs Linux processes creation rate: {:.1}x (paper: 2.4x)",
+        r.seuss.creation_rate / r.process.creation_rate
+    );
+    let _ = writeln!(
+        out,
+        "SEUSS vs Docker cache density: {:.0}x (paper: 18x)",
+        r.seuss.cache_density as f64 / r.docker.cache_density as f64
+    );
+    Ok(vec![Artifact::Printed("results/table3.txt".into(), out)])
 }
 
 #[cfg(test)]

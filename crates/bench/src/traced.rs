@@ -1,24 +1,24 @@
 //! The observability smoke experiment: a small traced trial whose
 //! output is validated end to end — the CI gate for the tracing
-//! subsystem *and* for the parallel executor's determinism contract.
+//! subsystem, and, through `reproduce check`, for the parallel
+//! executor's determinism contract.
 //!
 //! Runs a closed-loop mixed workload through [`seuss_exec::run_sharded`]
-//! at a fixed shard count, twice: once on a single worker thread (the
-//! reference) and once on the requested worker count. The two runs must
-//! produce **byte-identical** records CSV/JSONL, trace JSONL, and
-//! metrics JSON — any divergence is an error, which makes this binary
-//! the CI tripwire for scheduler-dependent output. On top of that it
-//! checks the invariants the trace format promises: the merged JSONL
-//! parses with monotone timestamps and balanced enter/exit pairs, every
-//! top-level segment's phase spans sum exactly to the segment span, and
-//! the metrics report covers the recorded segments.
+//! at a fixed shard count and checks the invariants the trace format
+//! promises: the merged JSONL parses with monotone timestamps and
+//! balanced enter/exit pairs, every top-level segment's phase spans sum
+//! exactly to the segment span, and the metrics report covers the
+//! recorded segments. `reproduce check` runs it on one and on N worker
+//! threads and requires byte-identical exports.
 
 use seuss_core::SeussConfig;
 use seuss_exec::{run_sharded, ShardPlan};
-use seuss_platform::{BackendKind, ClusterConfig, FnKind, Registry, TrialOutput, WorkloadSpec};
+use seuss_platform::{BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec};
 use seuss_trace::{validate_jsonl, SpanName, Tracer};
-use seuss_workload::{trial_artifacts, TrialArtifacts};
 use simcore::SimDuration;
+
+use crate::cli::Args;
+use crate::Artifact;
 
 /// Logical shard count of the smoke trial. Fixed: it is part of the
 /// experiment definition and decides the artifact bytes (worker count
@@ -34,24 +34,10 @@ pub struct TraceSmoke {
     pub trace_lines: usize,
     /// Top-level invocation segments found in the trace.
     pub segments: usize,
-    /// Worker threads the parallel run used.
-    pub workers: usize,
-    /// Wall-clock seconds of the single-worker reference run.
-    pub wall_base_s: f64,
-    /// Wall-clock seconds of the `workers`-thread run.
-    pub wall_s: f64,
     /// The validated trace document (JSON lines).
     pub trace_jsonl: String,
     /// The metrics report (one JSON object).
     pub metrics_json: String,
-}
-
-impl TraceSmoke {
-    /// Wall-clock speedup of the parallel run over the single-worker
-    /// reference (1.0 when `workers == 1`).
-    pub fn speedup(&self) -> f64 {
-        self.wall_base_s / self.wall_s.max(1e-12)
-    }
 }
 
 fn smoke_workload(invocations: u64) -> (Registry, WorkloadSpec) {
@@ -63,23 +49,9 @@ fn smoke_workload(invocations: u64) -> (Registry, WorkloadSpec) {
     (reg, WorkloadSpec::closed_loop(order, 4))
 }
 
-fn diverges(a: &TrialArtifacts, b: &TrialArtifacts) -> Option<&'static str> {
-    if a.records_csv != b.records_csv {
-        Some("records CSV")
-    } else if a.records_jsonl != b.records_jsonl {
-        Some("records JSONL")
-    } else if a.trace_jsonl != b.trace_jsonl {
-        Some("trace JSONL")
-    } else if a.metrics_json != b.metrics_json {
-        Some("metrics JSON")
-    } else {
-        None
-    }
-}
-
-/// Runs the traced trial at [`TRACE_SMOKE_SHARDS`] shards on 1 and on
-/// `workers` threads, fails on any artifact divergence, and validates
-/// the merged trace; `Err` carries the first violated invariant.
+/// Runs the traced trial at [`TRACE_SMOKE_SHARDS`] shards on `workers`
+/// threads and validates the merged trace; `Err` carries the first
+/// violated invariant.
 pub fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, String> {
     let node = SeussConfig::builder()
         .mem_mib(2048)
@@ -91,28 +63,12 @@ pub fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, S
         ..ClusterConfig::seuss_paper()
     };
     let (reg, spec) = smoke_workload(invocations);
-
-    let run = |w: usize| -> TrialOutput {
-        run_sharded(&cfg, &reg, &spec, ShardPlan::new(TRACE_SMOKE_SHARDS, w))
-    };
-
-    // Reference: same shards, one thread. Then the parallel run, which
-    // must reproduce it byte for byte.
-    let base = run(1);
-    let wall_base_s = base.wall.as_secs_f64();
-    let (out, wall_s) = if workers <= 1 {
-        (base, wall_base_s)
-    } else {
-        let par = run(workers);
-        let wall_s = par.wall.as_secs_f64();
-        if let Some(what) = diverges(&trial_artifacts(&base), &trial_artifacts(&par)) {
-            return Err(format!(
-                "{what} diverges between workers=1 and workers={workers} \
-                 at {TRACE_SMOKE_SHARDS} shards"
-            ));
-        }
-        (par, wall_s)
-    };
+    let out = run_sharded(
+        &cfg,
+        &reg,
+        &spec,
+        ShardPlan::new(TRACE_SMOKE_SHARDS, workers),
+    );
 
     if out.analysis.completed != invocations {
         return Err(format!(
@@ -179,12 +135,27 @@ pub fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, S
         completed: out.analysis.completed,
         trace_lines: v.lines,
         segments,
-        workers: workers.max(1),
-        wall_base_s,
-        wall_s,
         trace_jsonl: doc,
         metrics_json: report.to_json(),
     })
+}
+
+/// The `trace_smoke` experiment: the validated traced trial at
+/// `invocations` requests, exported as trace JSON lines and a metrics
+/// report.
+pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let smoke = run_trace_smoke(a.num(0), workers)?;
+    Ok(vec![
+        Artifact::Report(format!(
+            "trace smoke OK: {} requests, {} trace lines, {} segments\n",
+            smoke.completed, smoke.trace_lines, smoke.segments
+        )),
+        Artifact::File("results/trace_smoke.jsonl".into(), smoke.trace_jsonl),
+        Artifact::File(
+            "results/trace_smoke_metrics.json".into(),
+            smoke.metrics_json,
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -197,14 +168,12 @@ mod tests {
         assert_eq!(s.completed, 15);
         assert!(s.segments >= 15);
         assert!(s.trace_lines > 0);
-        assert!(s.wall_s > 0.0 && s.wall_base_s > 0.0);
     }
 
     #[test]
     fn smoke_artifacts_match_across_worker_counts() {
-        // run_trace_smoke already fails internally on divergence; assert
-        // the stronger cross-call property too: the returned documents
-        // are byte-identical whatever the worker count.
+        // The returned documents are byte-identical whatever the worker
+        // count.
         let a = run_trace_smoke(10, 1).expect("workers=1");
         let b = run_trace_smoke(10, 4).expect("workers=4");
         assert_eq!(a.trace_jsonl, b.trace_jsonl);

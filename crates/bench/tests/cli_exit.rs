@@ -1,50 +1,82 @@
-//! A malformed argument fails loudly: the binary exits 2 and names where
-//! the bad value came from, whether a flag, a positional argument or the
-//! environment.
+//! A malformed or unexpected argument fails loudly: `reproduce run`
+//! exits 2 and names where the bad value came from, whether a flag, a
+//! positional argument or the environment, before running anything.
 
 use std::process::Command;
 
-fn bench(exe: &str) -> Command {
-    let mut cmd = Command::new(exe);
-    cmd.env_remove(seuss_bench::cli::WORKERS_ENV);
+fn reproduce(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+    cmd.env_remove(seuss_bench::cli::WORKERS_ENV).args(args);
     cmd
 }
 
 fn assert_usage_error(mut cmd: Command, names: &str) {
-    let out = cmd.output().expect("spawn bench binary");
+    let out = cmd.output().expect("spawn reproduce");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains(names), "stderr must name {names}: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run: {stderr}");
 }
 
 #[test]
 fn malformed_workers_env_exits_2() {
-    let mut cmd = bench(env!("CARGO_BIN_EXE_table1"));
-    cmd.env(seuss_bench::cli::WORKERS_ENV, "four").arg("1");
+    let mut cmd = reproduce(&["run", "table1", "1"]);
+    cmd.env(seuss_bench::cli::WORKERS_ENV, "four");
     assert_usage_error(cmd, seuss_bench::cli::WORKERS_ENV);
 }
 
 #[test]
 fn malformed_workers_flag_exits_2_even_with_a_valid_env() {
-    let mut cmd = bench(env!("CARGO_BIN_EXE_table1"));
-    cmd.env(seuss_bench::cli::WORKERS_ENV, "2")
-        .args(["1", "--workers", "x"]);
+    let mut cmd = reproduce(&["run", "table1", "1", "--workers", "x"]);
+    cmd.env(seuss_bench::cli::WORKERS_ENV, "2");
     assert_usage_error(cmd, "--workers");
 }
 
 #[test]
 fn malformed_positional_exits_2_and_names_it() {
-    let mut cmd = bench(env!("CARGO_BIN_EXE_table1"));
-    cmd.arg("abc");
-    assert_usage_error(cmd, "iterations");
-    let mut cmd = bench(env!("CARGO_BIN_EXE_figtier"));
-    cmd.args(["96", "x"]);
-    assert_usage_error(cmd, "rounds");
+    assert_usage_error(reproduce(&["run", "table1", "abc"]), "iterations");
+    assert_usage_error(reproduce(&["run", "figtier", "96", "x"]), "rounds");
+    assert_usage_error(reproduce(&["run", "dr_seuss", "x"]), "nodes");
 }
 
 #[test]
 fn malformed_store_blocks_exits_2() {
-    let mut cmd = bench(env!("CARGO_BIN_EXE_figtier"));
-    cmd.args(["--store-blocks", "x"]);
-    assert_usage_error(cmd, "--store-blocks");
+    assert_usage_error(
+        reproduce(&["run", "figtier", "--store-blocks", "x"]),
+        "--store-blocks",
+    );
+}
+
+#[test]
+fn a_flag_the_experiment_does_not_read_exits_2() {
+    assert_usage_error(
+        reproduce(&["run", "table1", "20", "--fault-plan", "crash@1s+2s"]),
+        "--fault-plan",
+    );
+    assert_usage_error(
+        reproduce(&["run", "fig4", "128", "--store-blocks", "9"]),
+        "--store-blocks",
+    );
+    assert_usage_error(
+        reproduce(&["run", "table2", "5", "--fault-seed", "3"]),
+        "--fault-seed",
+    );
+    assert_usage_error(
+        reproduce(&["run", "dr_seuss", "--workerz", "2"]),
+        "--workerz",
+    );
+}
+
+#[test]
+fn a_surplus_positional_exits_2_and_names_it() {
+    assert_usage_error(reproduce(&["run", "table1", "20", "30"]), "\"30\"");
+    assert_usage_error(reproduce(&["run", "dr_seuss", "4", "64", "8"]), "\"8\"");
+}
+
+#[test]
+fn an_unknown_experiment_or_subcommand_exits_2() {
+    assert_usage_error(reproduce(&["run", "fig9"]), "fig9");
+    assert_usage_error(reproduce(&["run"]), "usage");
+    assert_usage_error(reproduce(&["replay"]), "usage");
+    assert_usage_error(reproduce(&["check", "--fault-seed", "1"]), "--fault-seed");
 }

@@ -1,4 +1,4 @@
-//! Virtual and physical address newtypes and page arithmetic.
+//! The virtual address newtype and page arithmetic.
 //!
 //! Virtual addresses follow the x86_64 4-level layout: 48 significant bits,
 //! decomposed into four 9-bit table indices plus a 12-bit page offset. The
@@ -18,10 +18,6 @@ pub const TABLE_ENTRIES: usize = 512;
 /// A virtual address inside a unikernel context's flat address space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtAddr(u64);
-
-/// A physical address in the simulated frame pool.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PhysAddr(u64);
 
 impl VirtAddr {
     /// Creates a virtual address, truncating to the 48-bit canonical range.
@@ -71,27 +67,9 @@ impl VirtAddr {
     }
 }
 
-impl PhysAddr {
-    /// Creates a physical address.
-    pub const fn new(addr: u64) -> Self {
-        PhysAddr(addr)
-    }
-
-    /// The raw address value.
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Debug for VirtAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "VA({:#014x})", self.0)
-    }
-}
-
-impl fmt::Debug for PhysAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PA({:#014x})", self.0)
     }
 }
 

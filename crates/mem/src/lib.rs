@@ -4,8 +4,8 @@
 //! many 4 KiB frames does each cached function context actually pin? This
 //! crate answers it mechanically. It provides a [`PhysMemory`] pool of
 //! reference-counted frames with capacity accounting, the page-size
-//! constants and virtual/physical address newtypes used by the paging
-//! crate, and an out-of-memory threshold signal that drives the SEUSS OOM
+//! constants and the virtual address newtype used by the paging crate,
+//! and an out-of-memory threshold signal that drives the SEUSS OOM
 //! daemon ("reclaim idle UCs as soon as available physical memory drops
 //! below a pre-defined threshold", §6).
 //!
@@ -22,7 +22,7 @@ pub mod content;
 pub mod frame;
 pub mod phys;
 
-pub use addr::{PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
+pub use addr::{VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 pub use content::PageContent;
 pub use frame::{FrameId, FrameKind};
 pub use phys::{MemError, MemStats, PhysMemory};

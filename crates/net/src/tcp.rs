@@ -20,16 +20,6 @@ pub struct TcpCostModel {
 }
 
 impl TcpCostModel {
-    /// A loopback-ish link between the SEUSS kernel and a UC on the same
-    /// machine: no propagation, just stack traversal.
-    pub fn local() -> Self {
-        TcpCostModel {
-            rtt: SimDuration::from_micros(20),
-            per_byte: SimDuration::from_nanos(1),
-            per_message: SimDuration::from_micros(15),
-        }
-    }
-
     /// A 10 GbE datacenter link (the paper's testbed network).
     pub fn datacenter() -> Self {
         TcpCostModel {
@@ -66,7 +56,7 @@ mod tests {
 
     #[test]
     fn transfer_scales_with_bytes() {
-        let m = TcpCostModel::local();
+        let m = TcpCostModel::datacenter();
         assert!(m.transfer(100_000) > m.transfer(100));
         let small = m.transfer(0);
         assert_eq!(small, m.rtt / 2 + m.per_message);
