@@ -22,7 +22,7 @@ use seuss_trace::{TraceEvent, Tracer};
 use simcore::SimDuration;
 
 /// Function identity (mirrors `seuss-core::FnId`).
-pub type FnId = u64;
+pub(crate) type FnId = u64;
 
 /// Identifier of a container.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,7 +30,7 @@ pub struct ContainerId(u64);
 
 /// Lifecycle state of a container.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ContainerState {
+pub(crate) enum ContainerState {
     /// Pre-warmed runtime, no function code imported (stemcell).
     Stemcell,
     /// Code import (/init) in progress; not yet dispatchable.
@@ -45,11 +45,11 @@ pub enum ContainerState {
 #[derive(Clone, Copy, Debug)]
 pub struct Container {
     /// State.
-    pub state: ContainerState,
+    pub(crate) state: ContainerState,
     /// Bound function, if any.
-    pub bound: Option<FnId>,
+    pub(crate) bound: Option<FnId>,
     /// LRU stamp.
-    pub last_use: u64,
+    pub(crate) last_use: u64,
 }
 
 /// Engine errors.
@@ -81,25 +81,25 @@ pub struct DockerEngine {
     /// every pick it makes) goes in creation order and replays exactly.
     containers: BTreeMap<ContainerId, Container>,
     /// The shared bridge all veth endpoints attach to.
-    pub bridge: Bridge,
+    pub(crate) bridge: Bridge,
     /// Maximum containers the node will keep (OpenWhisk cache limit).
-    pub cache_limit: usize,
+    pub(crate) cache_limit: usize,
     /// Resident memory per container, MiB (88 GB / 3 000).
     pub footprint_mib: f64,
     /// Creation latency with an empty, idle node.
-    pub base_create: SimDuration,
+    pub(crate) base_create: SimDuration,
     /// Added creation latency per live container.
-    pub per_live: SimDuration,
+    pub(crate) per_live: SimDuration,
     /// Added creation latency per concurrent creation (jointly calibrated
     /// with `per_live` so a 16-way parallel fill reproduces Table 3's
     /// ≈5.3 creations/s).
-    pub per_concurrent: SimDuration,
+    pub(crate) per_concurrent: SimDuration,
     /// Container deletion latency.
-    pub delete_latency: SimDuration,
+    pub(crate) delete_latency: SimDuration,
     /// Latency to import function code into a stemcell (/init).
-    pub init_latency: SimDuration,
+    pub(crate) init_latency: SimDuration,
     /// Latency of a hot dispatch (container already bound and idle).
-    pub hot_dispatch: SimDuration,
+    pub(crate) hot_dispatch: SimDuration,
     in_flight_creates: u64,
     next_id: u64,
     clock: u64,
@@ -138,13 +138,8 @@ impl DockerEngine {
     }
 
     /// Live container count.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.containers.len()
-    }
-
-    /// Memory in use by containers, MiB.
-    pub fn used_mib(&self) -> f64 {
-        self.live() as f64 * self.footprint_mib
     }
 
     /// How many containers fit in `mem_mib` of memory (density limit).
@@ -153,7 +148,7 @@ impl DockerEngine {
     }
 
     /// Current creation latency, by the two scaling laws.
-    pub fn create_latency(&self) -> SimDuration {
+    pub(crate) fn create_latency(&self) -> SimDuration {
         self.base_create
             + self.per_live * self.live() as u64
             + self.per_concurrent * self.in_flight_creates
@@ -311,11 +306,6 @@ impl DockerEngine {
     pub fn latency_with(&self, concurrent: u64) -> SimDuration {
         self.base_create + self.per_live * self.live() as u64 + self.per_concurrent * concurrent
     }
-
-    /// Container state lookup.
-    pub fn get(&self, id: ContainerId) -> Option<&Container> {
-        self.containers.get(&id)
-    }
 }
 
 #[cfg(test)]
@@ -377,10 +367,10 @@ mod tests {
         let mut e = DockerEngine::paper(5);
         e.start_create().unwrap();
         let c = e.finish_create(None).unwrap();
-        assert_eq!(e.get(c).unwrap().state, ContainerState::Stemcell);
+        assert_eq!(e.containers[&c].state, ContainerState::Stemcell);
         assert!(e.any_stemcell().is_some());
         e.bind(c, 42).unwrap();
-        assert_eq!(e.get(c).unwrap().state, ContainerState::Initializing);
+        assert_eq!(e.containers[&c].state, ContainerState::Initializing);
         assert!(
             e.dispatch(c).is_err(),
             "initializing container not dispatchable"
@@ -388,7 +378,7 @@ mod tests {
         e.finish_bind(c).unwrap();
         assert_eq!(e.idle_for(42), Some(c));
         e.dispatch(c).unwrap();
-        assert_eq!(e.get(c).unwrap().state, ContainerState::Busy);
+        assert_eq!(e.containers[&c].state, ContainerState::Busy);
         assert!(
             e.idle_for(42).is_none(),
             "busy container is not hot-available"

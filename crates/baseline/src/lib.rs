@@ -22,12 +22,13 @@
 //! simulation to reproduce Figures 4–8's Linux curves.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod container;
-pub mod microvm;
-pub mod process;
+mod container;
+mod microvm;
+mod process;
 
-pub use container::{Container, ContainerId, ContainerState, DockerEngine, DockerError};
+pub use container::{Container, ContainerId, DockerEngine, DockerError};
 pub use microvm::FirecrackerEngine;
 pub use process::ProcessEngine;

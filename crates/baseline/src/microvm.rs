@@ -16,10 +16,9 @@ pub struct FirecrackerEngine {
     /// runtime), MiB.
     pub footprint_mib: f64,
     /// Guest kernel boot + container + runtime start, alone.
-    pub base_latency: SimDuration,
+    pub(crate) base_latency: SimDuration,
     /// Added latency per concurrent creation (host KVM/IO contention).
-    pub contention_per_concurrent: SimDuration,
-    live: u64,
+    pub(crate) contention_per_concurrent: SimDuration,
     in_flight: u64,
 }
 
@@ -36,19 +35,8 @@ impl FirecrackerEngine {
             footprint_mib: 195.0,
             base_latency: SimDuration::from_millis(3_200),
             contention_per_concurrent: SimDuration::from_micros(570_000),
-            live: 0,
             in_flight: 0,
         }
-    }
-
-    /// Live microVM count.
-    pub fn live(&self) -> u64 {
-        self.live
-    }
-
-    /// Memory in use, MiB.
-    pub fn used_mib(&self) -> f64 {
-        self.live as f64 * self.footprint_mib
     }
 
     /// Starts a creation; returns its latency given current concurrency.
@@ -67,13 +55,6 @@ impl FirecrackerEngine {
     pub fn finish_create(&mut self) {
         debug_assert!(self.in_flight > 0);
         self.in_flight -= 1;
-        self.live += 1;
-    }
-
-    /// Destroys a microVM.
-    pub fn destroy(&mut self) {
-        debug_assert!(self.live > 0);
-        self.live -= 1;
     }
 
     /// How many microVMs fit in `mem_mib` of memory.

@@ -13,11 +13,10 @@ pub struct ProcessEngine {
     /// Resident private memory per Node.js process, MiB.
     pub footprint_mib: f64,
     /// Base startup latency of one Node.js process, alone.
-    pub base_latency: SimDuration,
+    pub(crate) base_latency: SimDuration,
     /// Added latency per concurrent creation (scheduler/page-cache
     /// contention at 16-way parallelism).
-    pub contention_per_concurrent: SimDuration,
-    live: u64,
+    pub(crate) contention_per_concurrent: SimDuration,
     in_flight: u64,
 }
 
@@ -35,19 +34,8 @@ impl ProcessEngine {
             footprint_mib: 21.0,
             base_latency: SimDuration::from_millis(60),
             contention_per_concurrent: SimDuration::from_micros(18_500),
-            live: 0,
             in_flight: 0,
         }
-    }
-
-    /// Live process count.
-    pub fn live(&self) -> u64 {
-        self.live
-    }
-
-    /// Memory in use by processes, MiB.
-    pub fn used_mib(&self) -> f64 {
-        self.live as f64 * self.footprint_mib
     }
 
     /// Starts a creation; returns its latency given current concurrency.
@@ -66,13 +54,6 @@ impl ProcessEngine {
     pub fn finish_create(&mut self) {
         debug_assert!(self.in_flight > 0);
         self.in_flight -= 1;
-        self.live += 1;
-    }
-
-    /// Kills a process.
-    pub fn kill(&mut self) {
-        debug_assert!(self.live > 0);
-        self.live -= 1;
     }
 
     /// How many processes fit in `mem_mib` of memory.
@@ -103,16 +84,5 @@ mod tests {
         let lat = e.base_latency + e.contention_per_concurrent * 16;
         let rate = 16.0 / lat.as_secs_f64();
         assert!((42.0..48.0).contains(&rate), "{rate}");
-    }
-
-    #[test]
-    fn lifecycle_counters() {
-        let mut e = ProcessEngine::paper();
-        e.start_create();
-        e.finish_create();
-        assert_eq!(e.live(), 1);
-        e.kill();
-        assert_eq!(e.live(), 0);
-        assert!((e.used_mib() - 0.0).abs() < f64::EPSILON);
     }
 }

@@ -13,9 +13,13 @@
 //! worker count is execution speed only, and artifacts are
 //! byte-identical at every value. Flags take their value as `--flag v`
 //! or `--flag=v`. A flag the experiment does not read, a positional past
-//! its spec, and a malformed value — in a flag, in a positional or in
-//! [`WORKERS_ENV`] — are usage errors: `Err` naming the argument, which
-//! `reproduce` reports with exit status 2.
+//! its spec, a malformed value — in a flag, in a positional or in
+//! [`WORKERS_ENV`] — and a numeric positional of 0 are usage errors:
+//! `Err` naming the argument, which `reproduce` reports with exit
+//! status 2. Every numeric positional is a count, size or period, so
+//! none means anything at 0.
+
+use std::num::NonZeroU32;
 
 use seuss::faults::{spec, FaultPlan};
 
@@ -36,14 +40,14 @@ pub struct Args {
     /// Positional values with defaults filled in.
     positionals: Vec<String>,
     /// `--fault-plan` as given, if given.
-    pub fault_spec: Option<String>,
+    pub(crate) fault_spec: Option<String>,
     /// `--fault-seed`, else the burst trials' seed.
-    pub fault_seed: u64,
+    pub(crate) fault_seed: u64,
     /// `--fault-plan` compiled under `fault_seed`; without the flag,
     /// [`FaultPlan::none`], the fault-free fast path.
-    pub fault_plan: FaultPlan,
+    pub(crate) fault_plan: FaultPlan,
     /// `--store-blocks`, if given.
-    pub store_blocks: Option<u64>,
+    pub(crate) store_blocks: Option<u64>,
 }
 
 fn invalid(source: &str, value: &str, why: &str) -> String {
@@ -119,7 +123,7 @@ pub fn parse(
             break;
         };
         if default.is_some() {
-            number::<u32>(name, value, "expected a whole number below 2^32")?;
+            number::<NonZeroU32>(name, value, "expected a whole number from 1 to 2^32 - 1")?;
         }
         args.positionals.push(value.to_string());
     }
@@ -138,7 +142,7 @@ pub fn parse(
 
 impl Args {
     /// Numeric positional `i` ([`parse`] validated it).
-    pub fn num<T: From<u32>>(&self, i: usize) -> T {
+    pub(crate) fn num<T: From<u32>>(&self, i: usize) -> T {
         T::from(
             self.positionals[i]
                 .parse::<u32>()
@@ -148,7 +152,7 @@ impl Args {
 
     /// Positional `i`, if given or defaulted: how an experiment reads an
     /// optional output path.
-    pub fn get(&self, i: usize) -> Option<&str> {
+    pub(crate) fn get(&self, i: usize) -> Option<&str> {
         self.positionals.get(i).map(String::as_str)
     }
 }

@@ -41,9 +41,9 @@ pub struct Experiment {
     /// The paper artifact it reproduces.
     pub artifact: &'static str,
     /// Its command line, as [`crate::cli::parse`] reads it: `name=default`
-    /// for a numeric positional, a bare `name` for an optional output
-    /// path, and the flags it reads besides `--workers`, which every
-    /// experiment takes.
+    /// for a positive numeric positional, a bare `name` for an optional
+    /// output path, and the flags it reads besides `--workers`, which
+    /// every experiment takes.
     pub args: &'static str,
     /// The committed files its default-argument run writes.
     pub outputs: &'static [&'static str],

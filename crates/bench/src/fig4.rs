@@ -15,15 +15,15 @@ use crate::Artifact;
 
 /// One set-size point for one backend.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig4Point {
+pub(crate) struct Fig4Point {
     /// Unique-function set size (M).
-    pub set_size: u64,
+    pub(crate) set_size: u64,
     /// SEUSS steady-state throughput, requests/s.
-    pub seuss_rps: f64,
+    pub(crate) seuss_rps: f64,
     /// Linux steady-state throughput, requests/s.
-    pub linux_rps: f64,
+    pub(crate) linux_rps: f64,
     /// Errors on the Linux backend.
-    pub linux_errors: u64,
+    pub(crate) linux_errors: u64,
 }
 
 /// Runs the Figure 4 sweep over the given set sizes.
@@ -32,7 +32,7 @@ pub struct Fig4Point {
 /// `mem_mib` sizes the SEUSS node (the paper's 88 GB for the full run).
 /// The sweep's (set size × backend) cells run on `workers` threads;
 /// results are identical at every worker count.
-pub fn run_fig4(
+pub(crate) fn run_fig4(
     set_sizes: &[u64],
     invocations_per_trial: Option<u64>,
     mem_mib: u64,
@@ -62,12 +62,18 @@ fn bar(v: f64, max: f64, width: usize) -> String {
 /// `max_set_size` on a `mem_mib` SEUSS node, as a table plus a
 /// log-scale ASCII plot. The full sweep (… 65536 on an 88 GiB node)
 /// takes a while; the default stops at 16384 on 24 GiB, which shows the
-/// whole shape.
+/// whole shape. A `max_set_size` below 64 leaves no set size to run, so
+/// it is an error rather than an empty table.
 pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
     let max_m: u64 = a.num(0);
     let sizes: Vec<u64> = std::iter::successors(Some(64u64), |m| Some(m * 2))
         .take_while(|&m| m <= max_m)
         .collect();
+    if sizes.is_empty() {
+        return Err(format!(
+            "max_set_size {max_m} is below the first set size, 64"
+        ));
+    }
     let points = run_fig4(&sizes, None, a.num(1), workers);
 
     let mut out = String::new();

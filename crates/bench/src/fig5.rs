@@ -16,19 +16,19 @@ use crate::Artifact;
 
 /// One (backend, set size) row of Figure 5.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig5Row {
+pub(crate) struct Fig5Row {
     /// Unique-function set size.
-    pub set_size: u64,
+    pub(crate) set_size: u64,
     /// SEUSS latency percentiles, ms.
-    pub seuss: PercentileSummary,
+    pub(crate) seuss: PercentileSummary,
     /// Linux latency percentiles, ms.
-    pub linux: PercentileSummary,
+    pub(crate) linux: PercentileSummary,
 }
 
 /// Runs Figure 5 at the given set sizes. The (set size × backend) cells
 /// run on `workers` threads; results are identical at every worker
 /// count.
-pub fn run_fig5(
+pub(crate) fn run_fig5(
     set_sizes: &[u64],
     invocations_per_trial: Option<u64>,
     mem_mib: u64,

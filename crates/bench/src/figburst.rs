@@ -19,30 +19,30 @@ use crate::Artifact;
 
 /// Outcome of one burst run on one backend.
 #[derive(Clone, Debug)]
-pub struct BurstSide {
+pub(crate) struct BurstSide {
     /// Raw records (the Figure 6–8 scatter).
-    pub records: Vec<RequestRecord>,
+    pub(crate) records: Vec<RequestRecord>,
     /// Background stream: successes.
-    pub background_ok: u64,
+    pub(crate) background_ok: u64,
     /// Background stream: errors.
-    pub background_err: u64,
+    pub(crate) background_err: u64,
     /// Burst requests: successes.
-    pub burst_ok: u64,
+    pub(crate) burst_ok: u64,
     /// Burst requests: errors.
-    pub burst_err: u64,
+    pub(crate) burst_err: u64,
     /// Median background latency, ms.
-    pub background_p50_ms: f64,
+    pub(crate) background_p50_ms: f64,
     /// 99th-percentile burst latency, ms.
-    pub burst_p99_ms: f64,
+    pub(crate) burst_p99_ms: f64,
 }
 
 /// Both backends at one burst period.
 #[derive(Clone, Debug)]
-pub struct BurstOutcome {
+pub(crate) struct BurstOutcome {
     /// Linux node results.
-    pub linux: BurstSide,
+    pub(crate) linux: BurstSide,
     /// SEUSS node results.
-    pub seuss: BurstSide,
+    pub(crate) seuss: BurstSide,
 }
 
 fn side(records: Vec<RequestRecord>) -> BurstSide {
@@ -81,7 +81,7 @@ fn side(records: Vec<RequestRecord>) -> BurstSide {
 /// is the paper's fault-free figure. The two backends are independent
 /// trials and run on `workers` threads; results are identical at every
 /// worker count.
-pub fn run_burst_with_faults(
+pub(crate) fn run_burst_with_faults(
     params: BurstParams,
     mem_mib: u64,
     workers: usize,

@@ -5,7 +5,7 @@
 //! [`FaultPlan`] — SEUSS with the resilient retry policy, SEUSS with
 //! retries disabled (the ablation), and the Linux baseline — and the
 //! per-second availability series shows the paper's resilience story:
-//! with retry/backoff/failover the platform absorbs node crashes and
+//! with retry, backoff and shedding the platform absorbs node crashes and
 //! packet loss (availability dips during the outage, then returns to
 //! 100%), while the no-retry ablation surfaces every faulted request as
 //! an error.
@@ -25,39 +25,39 @@ use crate::Artifact;
 
 /// One platform variant under the fault schedule.
 #[derive(Clone, Debug)]
-pub struct FaultSide {
+pub(crate) struct FaultSide {
     /// Stable lowercase label used in the CSV (`seuss`,
     /// `seuss_no_retry`, `linux`).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Raw request records.
-    pub records: Vec<RequestRecord>,
+    pub(crate) records: Vec<RequestRecord>,
     /// Requests that completed successfully.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Requests that errored.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Lowest per-second availability observed, percent.
-    pub min_availability_pct: f64,
+    pub(crate) min_availability_pct: f64,
     /// Whether the final seconds of the run were error-free — i.e. the
     /// platform returned to 100% availability after the faults cleared.
-    pub recovered: bool,
+    pub(crate) recovered: bool,
 }
 
 /// The full fault experiment: all three sides.
 #[derive(Clone, Debug)]
-pub struct FaultOutcome {
+pub(crate) struct FaultOutcome {
     /// SEUSS with [`RetryPolicy::resilient`].
-    pub resilient: FaultSide,
+    pub(crate) resilient: FaultSide,
     /// SEUSS with [`RetryPolicy::none`] — the ablation.
-    pub no_retry: FaultSide,
+    pub(crate) no_retry: FaultSide,
     /// Linux baseline with [`RetryPolicy::resilient`].
-    pub linux: FaultSide,
+    pub(crate) linux: FaultSide,
 }
 
 /// The default fault schedule for a run of `params`: a node crash just
 /// after the second burst (rebooting for two seconds) overlapping a 30%
 /// packet-loss window — both sized off the lead-in so shrunken test
 /// configurations still place the faults inside the run.
-pub fn default_fault_spec(params: &BurstParams) -> String {
+pub(crate) fn default_fault_spec(params: &BurstParams) -> String {
     let crash_at = params.lead_in_s + params.period_s + 1;
     let loss_at = params.lead_in_s;
     let loss_span = params.period_s * 2;
@@ -100,7 +100,7 @@ fn availability_pct(b: &SecondBucket) -> f64 {
 /// baseline, all under `plan`. The three sides are independent trials
 /// run on `workers` threads; results are byte-identical at every worker
 /// count.
-pub fn run_figfault(
+pub(crate) fn run_figfault(
     params: BurstParams,
     mem_mib: u64,
     workers: usize,
@@ -131,7 +131,7 @@ pub fn run_figfault(
 /// Renders the per-second availability/latency time series of all three
 /// sides as CSV — the figure's canonical artifact, which `reproduce
 /// check` compares across worker counts.
-pub fn availability_csv(out: &FaultOutcome) -> String {
+pub(crate) fn availability_csv(out: &FaultOutcome) -> String {
     let mut csv = String::from("side,second,sent,errors,availability_pct,p50_ms,p99_ms\n");
     for s in [&out.resilient, &out.no_retry, &out.linux] {
         for b in per_second_series(&s.records) {

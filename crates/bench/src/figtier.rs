@@ -32,23 +32,23 @@ use crate::Artifact;
 
 /// Workload shape of one tier-figure run.
 #[derive(Clone, Copy, Debug)]
-pub struct TierParams {
+pub(crate) struct TierParams {
     /// Distinct functions to populate.
-    pub fns: u64,
+    pub(crate) fns: u64,
     /// Re-deploy sweeps over every function after populating.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Node DRAM in MiB — small enough that populating `fns` functions
     /// crosses the OOM daemon's reclaim threshold.
-    pub mem_mib: u64,
+    pub(crate) mem_mib: u64,
     /// Device capacity in blocks.
-    pub device_blocks: u64,
+    pub(crate) device_blocks: u64,
 }
 
 impl TierParams {
     /// The configuration the committed figure uses (the `figtier`
     /// experiment's defaults): enough functions to overrun the DRAM cap
     /// several times.
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         TierParams {
             fns: 96,
             rounds: 3,
@@ -60,52 +60,52 @@ impl TierParams {
 
 /// One measured re-deploy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TierRow {
+pub(crate) struct TierRow {
     /// Sweep number (1-based; populate is round 0 and unrecorded).
-    pub round: u64,
+    pub(crate) round: u64,
     /// Function invoked.
-    pub f: FnId,
+    pub(crate) f: FnId,
     /// Path the node served it on.
-    pub path: PathKind,
+    pub(crate) path: PathKind,
     /// Whether this deploy batch-prefetched a previously recorded
     /// working set (only ever true on the `ws` side).
-    pub prefetched: bool,
+    pub(crate) prefetched: bool,
     /// Storage-tier restore time of the segment, virtual nanoseconds.
-    pub restore_nanos: u64,
+    pub(crate) restore_nanos: u64,
     /// Total segment CPU time, virtual nanoseconds.
-    pub total_nanos: u64,
+    pub(crate) total_nanos: u64,
 }
 
 /// One side's full measurement.
 #[derive(Clone, Debug)]
-pub struct TierSide {
+pub(crate) struct TierSide {
     /// Stable lowercase label (`dram`, `evict`, `lazy`, `eager`, `ws`).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Functions still warm-servable on the first re-deploy sweep (the
     /// density number: `fns` minus the functions pressure cost us).
-    pub density: u64,
+    pub(crate) density: u64,
     /// Cold re-deploys across all sweeps (cache losses).
-    pub cold_redeploys: u64,
+    pub(crate) cold_redeploys: u64,
     /// Warm-from-tier deploys across all sweeps.
-    pub warm_tier: u64,
+    pub(crate) warm_tier: u64,
     /// Snapshots demoted to the device over the whole run.
-    pub demotions: u64,
+    pub(crate) demotions: u64,
     /// Working-set prefetch restores issued.
-    pub prefetches: u64,
+    pub(crate) prefetches: u64,
     /// Every measured re-deploy, in (round, f) order.
-    pub rows: Vec<TierRow>,
+    pub(crate) rows: Vec<TierRow>,
 }
 
 /// The whole experiment: all five sides under one [`TierParams`].
 #[derive(Clone, Debug)]
-pub struct TierOutcome {
+pub(crate) struct TierOutcome {
     /// `dram`, `evict`, `lazy`, `eager`, `ws` — in that order.
-    pub sides: Vec<TierSide>,
+    pub(crate) sides: Vec<TierSide>,
 }
 
 impl TierOutcome {
     /// The named side (labels are fixed, so this never misses).
-    pub fn side(&self, label: &str) -> &TierSide {
+    pub(crate) fn side(&self, label: &str) -> &TierSide {
         self.sides
             .iter()
             .find(|s| s.label == label)
@@ -223,7 +223,7 @@ fn run_side(label: &'static str, p: TierParams) -> TierSide {
 
 /// Runs the tier figure: five independent sides on `workers` threads.
 /// Results are byte-identical at every worker count.
-pub fn run_figtier(p: TierParams, workers: usize) -> TierOutcome {
+pub(crate) fn run_figtier(p: TierParams, workers: usize) -> TierOutcome {
     let labels: Vec<&'static str> = vec!["dram", "evict", "lazy", "eager", "ws"];
     let sides = seuss_exec::ordered_parallel(labels, workers, |_, label| run_side(label, p));
     TierOutcome { sides }
@@ -231,7 +231,7 @@ pub fn run_figtier(p: TierParams, workers: usize) -> TierOutcome {
 
 /// Renders every measured re-deploy as CSV — the figure's canonical
 /// artifact, which `reproduce check` compares across worker counts.
-pub fn tier_csv(out: &TierOutcome) -> String {
+pub(crate) fn tier_csv(out: &TierOutcome) -> String {
     let mut csv = String::from("side,round,fn,path,prefetched,restore_ns,total_ns\n");
     for s in &out.sides {
         for r in &s.rows {

@@ -12,10 +12,11 @@
 //! clock depends on the worker count.
 //!
 //! Micro-benchmarks of the underlying mechanisms live in `benches/`,
-//! driven by the in-tree [`timing`] harness — criterion's API surface
+//! driven by the in-tree [`Harness`] — criterion's API surface
 //! without its dependency tree, keeping the workspace offline-buildable.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod cli;
@@ -30,7 +31,7 @@ mod render;
 mod table1;
 mod table2;
 mod table3;
-pub mod timing;
+mod timing;
 mod traced;
 
 pub use experiment::{find, Artifact, Experiment, EXPERIMENTS};

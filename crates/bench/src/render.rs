@@ -1,7 +1,7 @@
 //! Plain-text rendering of experiment results.
 
 /// A fixed-width text table with a title and column headers.
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -9,7 +9,7 @@ pub struct Table {
 
 impl Table {
     /// Starts a table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -18,14 +18,14 @@ impl Table {
     }
 
     /// Adds one row (must match the header arity).
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
         self
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -55,7 +55,7 @@ impl Table {
 }
 
 /// Formats a measured/paper ratio like `1.04x`.
-pub fn ratio(measured: f64, paper: f64) -> String {
+pub(crate) fn ratio(measured: f64, paper: f64) -> String {
     if paper == 0.0 {
         return "-".into();
     }

@@ -17,36 +17,36 @@ use crate::Artifact;
 
 /// One invocation path's measurements.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PathRow {
+pub(crate) struct PathRow {
     /// Mean latency, ms.
-    pub latency_ms: f64,
+    pub(crate) latency_ms: f64,
     /// Mean memory footprint (pages copied × 4 KiB), MiB.
-    pub footprint_mib: f64,
+    pub(crate) footprint_mib: f64,
     /// Mean pages copied per invocation.
-    pub pages_copied: f64,
+    pub(crate) pages_copied: f64,
     /// Mean per-phase latency, ms, indexed by [`Phase::index`]. The
     /// phases sum to `latency_ms`; absent phases (e.g. deploy on the hot
     /// path) stay zero.
-    pub phase_ms: [f64; Phase::COUNT],
+    pub(crate) phase_ms: [f64; Phase::COUNT],
 }
 
 /// All Table 1 measurements.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Table1Results {
+pub(crate) struct Table1Results {
     /// Base runtime snapshot resident size before AO, MiB.
-    pub base_snapshot_mib: f64,
+    pub(crate) base_snapshot_mib: f64,
     /// Base runtime snapshot resident size after AO, MiB.
-    pub base_snapshot_ao_mib: f64,
+    pub(crate) base_snapshot_ao_mib: f64,
     /// NOP function snapshot diff size before AO, MiB.
-    pub fn_snapshot_mib: f64,
+    pub(crate) fn_snapshot_mib: f64,
     /// NOP function snapshot diff size after AO, MiB.
-    pub fn_snapshot_ao_mib: f64,
+    pub(crate) fn_snapshot_ao_mib: f64,
     /// Cold path (after AO).
-    pub cold: PathRow,
+    pub(crate) cold: PathRow,
     /// Warm path (after AO).
-    pub warm: PathRow,
+    pub(crate) warm: PathRow,
     /// Hot path (after AO).
-    pub hot: PathRow,
+    pub(crate) hot: PathRow,
 }
 
 const NOP: &str = "function main(args) { return 0; }";
@@ -85,7 +85,7 @@ fn drain_idle(node: &mut SeussNode, f: u64) {
 /// fewer). Memory is scaled to hold the working set comfortably. The
 /// pre-AO and post-AO halves use separate nodes and run on `workers`
 /// threads; results are identical at every worker count.
-pub fn run_table1(iterations: u32, workers: usize) -> Table1Results {
+pub(crate) fn run_table1(iterations: u32, workers: usize) -> Table1Results {
     let halves = seuss_exec::ordered_parallel(vec![false, true], workers, |_, with_ao| {
         if with_ao {
             measure_ao_half(iterations)

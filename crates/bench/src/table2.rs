@@ -14,22 +14,22 @@ use crate::Artifact;
 
 /// One AO level's cold/warm latencies, ms.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct AoRow {
+pub(crate) struct AoRow {
     /// Mean cold-start latency, ms.
-    pub cold_ms: f64,
+    pub(crate) cold_ms: f64,
     /// Mean warm-start latency, ms.
-    pub warm_ms: f64,
+    pub(crate) warm_ms: f64,
 }
 
 /// The 2×3 grid of Table 2.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Table2Results {
+pub(crate) struct Table2Results {
     /// No anticipatory optimization.
-    pub none: AoRow,
+    pub(crate) none: AoRow,
     /// Network AO only.
-    pub network: AoRow,
+    pub(crate) network: AoRow,
     /// Network + interpreter AO.
-    pub full: AoRow,
+    pub(crate) full: AoRow,
 }
 
 const NOP: &str = "function main(args) { return 0; }";
@@ -83,7 +83,7 @@ fn measure(ao: AoLevel, iterations: u32) -> AoRow {
 /// Runs the Table 2 ablation with `iterations` invocations per cell.
 /// The three AO levels are independent nodes and run on `workers`
 /// threads; results are identical at every worker count.
-pub fn run_table2(iterations: u32, workers: usize) -> Table2Results {
+pub(crate) fn run_table2(iterations: u32, workers: usize) -> Table2Results {
     let rows = seuss_exec::ordered_parallel(
         vec![
             AoLevel::None,

@@ -25,26 +25,26 @@ use crate::Artifact;
 
 /// One isolation method's row.
 #[derive(Clone, Debug)]
-pub struct IsolationRow {
+pub(crate) struct IsolationRow {
     /// Method name.
-    pub method: &'static str,
+    pub(crate) method: &'static str,
     /// 16-way parallel creation rate, instances per second.
-    pub creation_rate: f64,
+    pub(crate) creation_rate: f64,
     /// Maximum idle Node.js environments held in memory.
-    pub cache_density: u64,
+    pub(crate) cache_density: u64,
 }
 
 /// All four rows.
 #[derive(Clone, Debug)]
-pub struct Table3Results {
+pub(crate) struct Table3Results {
     /// Firecracker microVM (Kata backend).
-    pub microvm: IsolationRow,
+    pub(crate) microvm: IsolationRow,
     /// Docker with overlay2.
-    pub docker: IsolationRow,
+    pub(crate) docker: IsolationRow,
     /// Plain Linux processes.
-    pub process: IsolationRow,
+    pub(crate) process: IsolationRow,
     /// SEUSS unikernel contexts.
-    pub seuss: IsolationRow,
+    pub(crate) seuss: IsolationRow,
 }
 
 /// Virtual 16-way-parallel fill: every core repeatedly creates instances,
@@ -82,7 +82,11 @@ fn parallel_fill_rate(
 /// harness extrapolates — the per-UC footprint is constant by then).
 /// The four isolation methods are independent simulations and run on
 /// `workers` threads; results are identical at every worker count.
-pub fn run_table3(mem_mib: u64, seuss_density_cap: Option<u64>, workers: usize) -> Table3Results {
+pub(crate) fn run_table3(
+    mem_mib: u64,
+    seuss_density_cap: Option<u64>,
+    workers: usize,
+) -> Table3Results {
     let mut rows =
         seuss_exec::ordered_parallel((0..4usize).collect(), workers, |_, method| match method {
             0 => firecracker_row(mem_mib),

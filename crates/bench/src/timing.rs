@@ -41,13 +41,13 @@ pub struct Harness {
 
 /// Per-benchmark timing summary, in nanoseconds per iteration.
 #[derive(Clone, Copy, Debug)]
-pub struct Stats {
+pub(crate) struct Stats {
     /// Median across samples.
-    pub median_ns: f64,
+    pub(crate) median_ns: f64,
     /// Fastest sample.
-    pub min_ns: f64,
+    pub(crate) min_ns: f64,
     /// Slowest sample.
-    pub max_ns: f64,
+    pub(crate) max_ns: f64,
 }
 
 impl Default for Harness {

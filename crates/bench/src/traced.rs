@@ -23,21 +23,21 @@ use crate::Artifact;
 /// Logical shard count of the smoke trial. Fixed: it is part of the
 /// experiment definition and decides the artifact bytes (worker count
 /// never does).
-pub const TRACE_SMOKE_SHARDS: usize = 4;
+pub(crate) const TRACE_SMOKE_SHARDS: usize = 4;
 
 /// Outcome of a validated traced trial.
 #[derive(Clone, Debug)]
-pub struct TraceSmoke {
+pub(crate) struct TraceSmoke {
     /// Requests completed.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Trace lines exported.
-    pub trace_lines: usize,
+    pub(crate) trace_lines: usize,
     /// Top-level invocation segments found in the trace.
-    pub segments: usize,
+    pub(crate) segments: usize,
     /// The validated trace document (JSON lines).
-    pub trace_jsonl: String,
+    pub(crate) trace_jsonl: String,
     /// The metrics report (one JSON object).
-    pub metrics_json: String,
+    pub(crate) metrics_json: String,
 }
 
 fn smoke_workload(invocations: u64) -> (Registry, WorkloadSpec) {
@@ -52,7 +52,7 @@ fn smoke_workload(invocations: u64) -> (Registry, WorkloadSpec) {
 /// Runs the traced trial at [`TRACE_SMOKE_SHARDS`] shards on `workers`
 /// threads and validates the merged trace; `Err` carries the first
 /// violated invariant.
-pub fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, String> {
+pub(crate) fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, String> {
     let node = SeussConfig::builder()
         .mem_mib(2048)
         .build()

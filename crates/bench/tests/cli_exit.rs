@@ -40,6 +40,24 @@ fn malformed_positional_exits_2_and_names_it() {
 }
 
 #[test]
+fn a_zero_positional_exits_2_and_names_it() {
+    assert_usage_error(reproduce(&["run", "dr_seuss", "0"]), "nodes");
+    assert_usage_error(reproduce(&["run", "dr_seuss", "4", "0"]), "functions");
+    assert_usage_error(reproduce(&["run", "table1", "0"]), "iterations");
+}
+
+#[test]
+fn a_set_size_below_the_first_fails_and_prints_nothing() {
+    let out = reproduce(&["run", "fig4", "32"])
+        .output()
+        .expect("spawn reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("max_set_size"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "no table may be printed: {stderr}");
+}
+
+#[test]
 fn malformed_store_blocks_exits_2() {
     assert_usage_error(
         reproduce(&["run", "figtier", "--store-blocks", "x"]),

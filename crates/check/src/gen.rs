@@ -46,7 +46,7 @@ pub trait Gen {
 }
 
 /// A boxed, dynamically-dispatched generator.
-pub type BoxedGen<T> = Box<dyn Gen<Value = T>>;
+pub(crate) type BoxedGen<T> = Box<dyn Gen<Value = T>>;
 
 impl<T: Clone + std::fmt::Debug> Gen for BoxedGen<T> {
     type Value = T;

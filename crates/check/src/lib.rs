@@ -41,13 +41,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod gen;
-pub mod runner;
+mod runner;
 
-pub use gen::{bools, choice, just, one_of, range, vecs, BoxedGen, Gen};
-pub use runner::{check, check_with, run_check, Config, Failure, CASES_ENV, SEED_ENV};
+pub use gen::{bools, choice, just, one_of, range, vecs, Gen};
+pub use runner::{check, check_with, run_check, Config};
 // Custom `Gen` impls need the RNG type; re-export it so test crates
 // don't have to depend on simcore directly.
 pub use simcore::SimRng;

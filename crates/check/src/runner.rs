@@ -14,17 +14,17 @@ use simcore::SimRng;
 use crate::gen::Gen;
 
 /// Environment variable that replays one exact failing case.
-pub const SEED_ENV: &str = "SEUSS_CHECK_SEED";
+pub(crate) const SEED_ENV: &str = "SEUSS_CHECK_SEED";
 /// Environment variable that overrides the per-property case count.
-pub const CASES_ENV: &str = "SEUSS_CHECK_CASES";
+pub(crate) const CASES_ENV: &str = "SEUSS_CHECK_CASES";
 
 /// Runner configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
     /// Number of random cases to run (overridden by `SEUSS_CHECK_CASES`).
-    pub cases: u32,
+    pub(crate) cases: u32,
     /// Cap on accepted shrink steps before reporting what we have.
-    pub max_shrink_steps: u32,
+    pub(crate) max_shrink_steps: u32,
 }
 
 impl Default for Config {
@@ -73,11 +73,11 @@ impl Config {
 #[derive(Clone, Debug)]
 pub struct Failure<T> {
     /// Property name.
-    pub property: String,
+    pub(crate) property: String,
     /// Seed that generated the original counterexample.
     pub seed: u64,
     /// 0-based index of the failing case.
-    pub case: u32,
+    pub(crate) case: u32,
     /// The counterexample exactly as generated.
     pub original: T,
     /// The minimized counterexample after shrinking.
@@ -85,7 +85,7 @@ pub struct Failure<T> {
     /// Number of accepted (strictly-simplifying) shrink steps.
     pub shrink_steps: u32,
     /// The property's error message on the minimized value.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl<T: std::fmt::Debug> Failure<T> {

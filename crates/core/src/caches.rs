@@ -14,32 +14,22 @@ use simcore::lru::{Handle, Recency};
 use crate::node::FnId;
 
 /// LRU cache of function-specific UC images, keyed by function identity.
-/// It has no capacity of its own: memory pressure evicts through the OOM
-/// daemon's [`evict_lru`](Self::evict_lru). It deletes nothing: every
-/// image it gives up goes back to the caller.
+/// It has no capacity of its own: under memory pressure the node's OOM
+/// daemon evicts its least-recently-used entries. It deletes nothing:
+/// every image it gives up goes back to the caller.
 #[derive(Default)]
 pub struct FnImageCache {
     entries: HashMap<FnId, Handle>,
     order: Recency<(FnId, SnapshotId)>,
     /// Lookup hits.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookup misses.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Evictions performed.
     pub evictions: u64,
 }
 
 impl FnImageCache {
-    /// Number of cached images.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Non-mutating lookup (no recency refresh, no stats).
     pub fn peek(&self, f: FnId) -> Option<SnapshotId> {
         let &h = self.entries.get(&f)?;
@@ -59,7 +49,7 @@ impl FnImageCache {
 
     /// Caches `img` as `f`'s image. Returns the image it displaced, if
     /// `f` had one.
-    pub fn insert(&mut self, f: FnId, img: SnapshotId) -> Option<SnapshotId> {
+    pub(crate) fn insert(&mut self, f: FnId, img: SnapshotId) -> Option<SnapshotId> {
         let h = self.order.push_back((f, img));
         let old = self.entries.insert(f, h)?;
         let (_, old_img) = self.order.remove(old).expect("cached entry is linked");
@@ -68,7 +58,10 @@ impl FnImageCache {
 
     /// Takes the least-recently-used image that `evictable` accepts out
     /// of the cache and returns it; `None` means nothing was evictable.
-    pub fn evict_lru(&mut self, evictable: impl Fn(SnapshotId) -> bool) -> Option<SnapshotId> {
+    pub(crate) fn evict_lru(
+        &mut self,
+        evictable: impl Fn(SnapshotId) -> bool,
+    ) -> Option<SnapshotId> {
         let (h, (f, img)) = self.order.iter().find(|&(_, (_, img))| evictable(img))?;
         self.order.remove(h);
         self.entries.remove(&f);
@@ -77,7 +70,7 @@ impl FnImageCache {
     }
 
     /// Removes and returns a specific entry.
-    pub fn remove(&mut self, f: FnId) -> Option<SnapshotId> {
+    pub(crate) fn remove(&mut self, f: FnId) -> Option<SnapshotId> {
         let h = self.entries.remove(&f)?;
         self.order.remove(h).map(|(_, img)| img)
     }
@@ -102,7 +95,7 @@ pub struct IdleUcCache {
 
 impl IdleUcCache {
     /// Creates a cache with per-function and global caps.
-    pub fn new(per_fn: usize, total_cap: usize) -> Self {
+    pub(crate) fn new(per_fn: usize, total_cap: usize) -> Self {
         IdleUcCache {
             by_fn: HashMap::new(),
             order: Recency::new(),
@@ -139,7 +132,7 @@ impl IdleUcCache {
 
     /// Caches a finished UC for future hot invocations. Returns a UC that
     /// had to be displaced (capacity), which the caller must destroy.
-    pub fn put(&mut self, f: FnId, uc: UcContext) -> Option<UcContext> {
+    pub(crate) fn put(&mut self, f: FnId, uc: UcContext) -> Option<UcContext> {
         let h = self.order.push_back(f);
         let v = self.by_fn.entry(f).or_default();
         v.push_back((uc, h));
@@ -156,7 +149,7 @@ impl IdleUcCache {
     }
 
     /// Removes the least-recently-cached idle UC (OOM-daemon reclaim).
-    pub fn pop_lru(&mut self) -> Option<UcContext> {
+    pub(crate) fn pop_lru(&mut self) -> Option<UcContext> {
         let f = self.order.pop_front()?;
         let (uc, _) = self
             .by_fn
@@ -181,7 +174,7 @@ mod tests {
         let mut c = FnImageCache::default();
         assert_eq!(c.lookup(1), None);
         assert_eq!(c.misses, 1);
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 
     #[test]
@@ -228,7 +221,7 @@ mod tests {
         assert_eq!(cache.lookup(20), Some(ids[1]));
         assert_eq!(cache.evict_lru(|_| true), Some(ids[4]));
         assert_eq!(cache.evict_lru(|_| true), Some(ids[1]));
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         assert_eq!(cache.evict_lru(|_| true), None, "nothing left to evict");
         assert_eq!(cache.evictions, 4);
     }

@@ -36,20 +36,20 @@ pub struct SeussConfig {
     /// `uc_profile`/`runtime_profile` below configure the *primary*
     /// (first) runtime; additional runtimes use their [`RuntimeKind`]
     /// defaults. Every runtime takes its [`RuntimeKind::layout`].
-    pub runtimes: Vec<RuntimeKind>,
+    pub(crate) runtimes: Vec<RuntimeKind>,
     /// UC sizing profile of the primary runtime.
-    pub uc_profile: UcProfile,
+    pub(crate) uc_profile: UcProfile,
     /// Interpreter sizing profile of the primary runtime.
     pub runtime_profile: RuntimeProfile,
     /// Maximum idle UCs cached per function.
-    pub idle_per_fn: usize,
+    pub(crate) idle_per_fn: usize,
     /// Maximum idle UCs cached in total.
     pub idle_total: usize,
     /// OOM-daemon reclaim threshold, in frames (None = 2% of capacity).
-    pub reclaim_threshold_frames: Option<u64>,
+    pub(crate) reclaim_threshold_frames: Option<u64>,
     /// Storage tier for demoted snapshots (`None` = all-DRAM node; the
     /// pre-tier behavior, byte-identical artifacts).
-    pub store: Option<StoreConfig>,
+    pub(crate) store: Option<StoreConfig>,
 }
 
 /// A rejected [`SeussConfigBuilder::build`].
@@ -141,13 +141,13 @@ impl SeussConfigBuilder {
     }
 
     /// UC sizing profile of the primary runtime.
-    pub fn uc_profile(mut self, p: UcProfile) -> Self {
+    pub(crate) fn uc_profile(mut self, p: UcProfile) -> Self {
         self.cfg.uc_profile = p;
         self
     }
 
     /// Interpreter sizing profile of the primary runtime.
-    pub fn runtime_profile(mut self, p: RuntimeProfile) -> Self {
+    pub(crate) fn runtime_profile(mut self, p: RuntimeProfile) -> Self {
         self.cfg.runtime_profile = p;
         self
     }
@@ -244,11 +244,6 @@ impl SeussConfig {
             .runtime_profile(RuntimeProfile::tiny())
             .idle_per_fn(2)
             .idle_total(16)
-    }
-
-    /// Re-opens this config for modification.
-    pub fn to_builder(&self) -> SeussConfigBuilder {
-        SeussConfigBuilder { cfg: self.clone() }
     }
 
     /// The paper's evaluation node (see [`SeussConfig::builder`]).
@@ -357,16 +352,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.store, Some(seuss_store::StoreConfig::nvme_prefetch()));
-        let c2 = c.to_builder().build().unwrap();
-        assert_eq!(c2.store, c.store);
-    }
-
-    #[test]
-    fn to_builder_round_trips() {
-        let c = SeussConfig::test_node();
-        let c2 = c.to_builder().mem_mib(2048).build().unwrap();
-        assert_eq!(c2.mem_mib, 2048);
-        assert_eq!(c2.idle_total, c.idle_total);
     }
 
     #[test]

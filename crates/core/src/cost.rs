@@ -28,15 +28,15 @@ pub struct CostModel {
     /// page-table and COW work).
     pub uc_construct_fixed: SimDuration,
     /// Importing the run arguments into a UC.
-    pub arg_import: SimDuration,
+    pub(crate) arg_import: SimDuration,
     /// Driver dispatch overhead per invocation (HTTP parse, JSON
     /// marshalling, event-loop turn) — why even a NOP "ran for roughly
     /// 0.5 ms".
-    pub dispatch_fixed: SimDuration,
+    pub(crate) dispatch_fixed: SimDuration,
     /// Returning the result from the UC to the kernel.
-    pub respond: SimDuration,
+    pub(crate) respond: SimDuration,
     /// Per-byte cost of streaming function source into the UC.
-    pub import_per_byte: SimDuration,
+    pub(crate) import_per_byte: SimDuration,
 }
 
 impl Default for CostModel {
@@ -47,7 +47,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Calibrated to Table 1 (see module docs for the arithmetic).
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         CostModel {
             uc_construct_fixed: SimDuration::from_micros(2_350),
             arg_import: SimDuration::from_micros(100),

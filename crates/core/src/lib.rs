@@ -22,17 +22,16 @@
 //! `seuss-platform`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod caches;
-pub mod config;
-pub mod cost;
-pub mod node;
-pub mod shim;
+mod caches;
+mod config;
+mod cost;
+mod node;
+mod shim;
 
-pub use caches::{FnImageCache, IdleUcCache};
-pub use config::{AoLevel, ConfigError, SeussConfig, SeussConfigBuilder};
-pub use cost::CostModel;
+pub use config::{AoLevel, SeussConfig};
 pub use node::{FnId, Invocation, IoToken, NodeError, NodeStats, PathCosts, PathKind, SeussNode};
 pub use shim::ShimProcess;
 

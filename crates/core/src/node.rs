@@ -33,20 +33,20 @@ pub type FnId = u64;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PathCosts {
     /// UC construction (shallow clone, kmeta, resume writes, fixed part).
-    pub deploy: SimDuration,
+    pub(crate) deploy: SimDuration,
     /// Storage-tier restore work (eager promotion or working-set
     /// prefetch); zero on untiered paths.
     pub restore: SimDuration,
     /// Connection setup into the UC (plus any first-use warming).
-    pub connect: SimDuration,
+    pub(crate) connect: SimDuration,
     /// Code import + compile.
-    pub import: SimDuration,
+    pub(crate) import: SimDuration,
     /// Function-snapshot capture.
-    pub capture: SimDuration,
+    pub(crate) capture: SimDuration,
     /// Argument import + driver dispatch + function execution.
-    pub exec: SimDuration,
+    pub(crate) exec: SimDuration,
     /// Result return.
-    pub respond: SimDuration,
+    pub(crate) respond: SimDuration,
 }
 
 impl PathCosts {
@@ -210,7 +210,7 @@ pub struct SeussNode {
     pub stats: NodeStats,
     /// The per-core network proxy: every live UC holds a unique port
     /// mapping (all UCs share one IP/MAC, §6 "Networking").
-    pub proxy: NetProxy,
+    pub(crate) proxy: NetProxy,
     /// Tracing handle (disabled by default; see [`SeussNode::set_tracer`]).
     pub tracer: Tracer,
     /// The storage tier, when `SeussConfig::store` asks for one. `None`
@@ -219,7 +219,6 @@ pub struct SeussNode {
     /// Device time of OOM-daemon demotions, drained into the next
     /// deploy's cost (pressure work bills the request that triggers it).
     pending_demote_cost: SimDuration,
-    config: SeussConfig,
     runtime_images: HashMap<RuntimeKind, SnapshotId>,
     primary_runtime: RuntimeKind,
     /// Function images dropped while UCs still ran from them; each is
@@ -343,7 +342,6 @@ impl SeussNode {
             tracer: Tracer::disabled(),
             tier,
             pending_demote_cost: SimDuration::ZERO,
-            config,
             runtime_images,
             primary_runtime,
             retired: Vec::new(),
@@ -368,11 +366,6 @@ impl SeussNode {
         let mut v: Vec<RuntimeKind> = self.runtime_images.keys().copied().collect();
         v.sort();
         v
-    }
-
-    /// Node configuration.
-    pub fn config(&self) -> &SeussConfig {
-        &self.config
     }
 
     /// Installs a tracer, distributing clones of the shared handle into
@@ -864,11 +857,6 @@ impl SeussNode {
         Ok(mech + self.cost.uc_construct_fixed)
     }
 
-    /// Number of invocations currently blocked on external IO.
-    pub fn blocked_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Damages the cached function snapshot for `f` in place (fault
     /// injection). Returns whether a cached snapshot existed to corrupt;
     /// detection happens on the function's next warm-path lookup.
@@ -999,7 +987,8 @@ mod tests {
             .unwrap();
         n.invoke(2, "function main(a) { return 'two'; }", &[])
             .unwrap();
-        assert_eq!(n.fn_cache.len(), 2);
+        assert!(n.fn_cache.peek(1).is_some());
+        assert_ne!(n.fn_cache.peek(1), n.fn_cache.peek(2));
         let (_, r, _) = expect_completed(n.invoke(1, "", &[]).unwrap());
         assert_eq!(r, "one", "hot path runs the right function");
         let (_, r, _) = expect_completed(n.invoke(2, "", &[]).unwrap());
@@ -1018,10 +1007,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         };
-        assert_eq!(n.blocked_count(), 1);
+        assert_eq!(n.pending.len(), 1);
         let (_, r, _) = expect_completed(n.resume_invocation(token, "OK").unwrap());
         assert_eq!(r, "OK|done");
-        assert_eq!(n.blocked_count(), 0);
+        assert_eq!(n.pending.len(), 0);
     }
 
     #[test]
@@ -1202,7 +1191,7 @@ mod fault_tests {
     /// outlives the functions that used it. `boot` is `mem.stats()`
     /// right after the node came up.
     fn drain_and_count(n: &mut SeussNode, boot: MemStats) {
-        assert_eq!(n.blocked_count(), 0, "resume every blocked invoke first");
+        assert_eq!(n.pending.len(), 0, "resume every blocked invoke first");
         while let Some(uc) = n.idle.pop_lru() {
             n.destroy_uc(uc);
         }
@@ -1287,7 +1276,8 @@ mod fault_tests {
         n.mem.set_reclaim_threshold_frames(capacity);
         n.run_oom_daemon();
         assert_eq!(n.fn_cache.evictions, 6);
-        assert!(n.fn_cache.is_empty() && n.idle.is_empty());
+        assert!((0..6).all(|f| n.fn_cache.peek(f).is_none()));
+        assert!(n.idle.is_empty());
         drain_and_count(&mut n, boot);
     }
 
@@ -1321,7 +1311,7 @@ mod fault_tests {
         assert_eq!(n.stats.errors, errors_before + 1, "one error per failure");
         assert_eq!(
             n.proxy.active(),
-            n.idle.len() + n.blocked_count(),
+            n.idle.len() + n.pending.len(),
             "only idle and blocked UCs hold proxy ports"
         );
         let img = n.fn_cache.peek(f).expect("fn snapshot cached");
@@ -1374,7 +1364,7 @@ mod fault_tests {
         };
         let errors = n.stats.errors;
         assert!(n.resume_invocation(token, "OK").is_err());
-        assert_eq!(n.blocked_count(), 0);
+        assert_eq!(n.pending.len(), 0);
         assert_failure_cleaned_up(&n, 3, errors);
 
         // No failure left anything behind.
@@ -1399,14 +1389,14 @@ mod fault_tests {
             other => panic!("{other:?}"),
         };
         assert!(n.idle.len() >= 2);
-        assert_eq!(n.fn_cache.len(), 3);
-        assert_eq!(n.blocked_count(), 1);
+        assert!((1..=3).all(|f| n.fn_cache.peek(f).is_some()));
+        assert_eq!(n.pending.len(), 1);
 
         let lost = n.crash();
         assert!(lost >= 6, "pending + idle UCs + snapshots all lost: {lost}");
         assert_eq!(n.idle.len(), 0);
-        assert_eq!(n.fn_cache.len(), 0);
-        assert_eq!(n.blocked_count(), 0);
+        assert!((1..=3).all(|f| n.fn_cache.peek(f).is_none()));
+        assert_eq!(n.pending.len(), 0);
         assert_eq!(n.proxy.active(), 0, "every UC port was released");
         assert_eq!(
             n.resume_invocation(token, "late").err(),

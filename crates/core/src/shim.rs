@@ -22,9 +22,9 @@ use simcore::{SimDuration, SimTime};
 #[derive(Clone, Debug)]
 pub struct ShimProcess {
     /// Extra round-trip latency added to every invocation.
-    pub hop_rtt: SimDuration,
+    pub(crate) hop_rtt: SimDuration,
     /// Channel occupancy per UC-creation command (single-TCP bottleneck).
-    pub creation_service: SimDuration,
+    pub(crate) creation_service: SimDuration,
     channel_free_at: SimTime,
 }
 

@@ -19,8 +19,9 @@
 //!   function of per-shard results, which are themselves deterministic
 //!   single-threaded simulations, and nothing in the merge observes
 //!   thread scheduling. The library never picks a worker count: it is
-//!   always the explicit [`ShardPlan::workers`] (the bench binaries
-//!   take it from `--workers` or the `SEUSS_EXEC_WORKERS` variable).
+//!   always the explicit `workers` of [`ShardPlan::new`] (the
+//!   `reproduce` binary takes it from `--workers` or the
+//!   `SEUSS_EXEC_WORKERS` variable).
 //! * `shards = 1` degenerates to exactly the legacy
 //!   [`seuss_platform::run_trial`]: same seed (stream 0 is the identity
 //!   stream), same single simulation, same record order, same JSONL
@@ -52,6 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,9 +77,9 @@ pub use seuss_platform::ClusterConfig as ExecConfig;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Logical shards the function population splits into (≥ 1).
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Worker threads executing the shards (≥ 1; capped at `shards`).
-    pub workers: usize,
+    pub(crate) workers: usize,
 }
 
 impl ShardPlan {
@@ -87,16 +89,6 @@ impl ShardPlan {
             shards: shards.max(1),
             workers: workers.max(1),
         }
-    }
-
-    /// The legacy single-threaded plan: one shard, one worker.
-    pub fn single() -> Self {
-        ShardPlan::new(1, 1)
-    }
-
-    /// `workers` shards on `workers` threads — the usual speedup shape.
-    pub fn wide(workers: usize) -> Self {
-        ShardPlan::new(workers, workers)
     }
 }
 
@@ -297,7 +289,7 @@ mod tests {
             [("seuss", &seuss), ("faulted", &faulted), ("linux", &linux)];
         for (name, cfg) in cases {
             let legacy = run_trial(cfg(), reg.clone(), &spec);
-            let sharded = run_sharded(&cfg(), &reg, &spec, ShardPlan::single());
+            let sharded = run_sharded(&cfg(), &reg, &spec, ShardPlan::new(1, 1));
             assert_eq!(sharded.records_jsonl(), legacy.records_jsonl(), "{name}");
             assert_eq!(sharded.trace_jsonl(), legacy.trace_jsonl(), "{name}");
             assert_eq!(
@@ -333,7 +325,7 @@ mod tests {
     fn sharded_run_completes_the_whole_workload() {
         let (reg, spec) = sample();
         let cfg = small();
-        let out = run_sharded(&cfg, &reg, &spec, ShardPlan::wide(4));
+        let out = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 4));
         assert_eq!(out.analysis.completed, 64);
         assert_eq!(out.analysis.errors, 0);
         // 8 unique functions → 8 cold paths, exactly one per function.
@@ -347,7 +339,7 @@ mod tests {
     fn records_merge_is_completion_ordered() {
         let (reg, spec) = sample();
         let cfg = small();
-        let out = run_sharded(&cfg, &reg, &spec, ShardPlan::wide(4));
+        let out = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 4));
         assert!(out.records.windows(2).all(|w| w[0].done_ns <= w[1].done_ns));
     }
 

@@ -9,7 +9,7 @@
 //!
 //! 1. any randomness used while *compiling* a plan (`?`-placed events)
 //!    comes from a dedicated [`simcore::stream_seed`] stream
-//!    ([`FAULT_PLAN_STREAM`]), never the workload stream; and
+//!    (`FAULT_PLAN_STREAM`), never the workload stream; and
 //! 2. any randomness used while *executing* a plan (per-packet loss
 //!    draws) comes from a second dedicated stream
 //!    ([`FAULT_EXEC_STREAM`]) that is only advanced while a loss window
@@ -22,18 +22,18 @@
 //! it, and records an error otherwise.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod plan;
-pub mod retry;
+mod plan;
+mod retry;
 pub mod spec;
 
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use retry::RetryPolicy;
-pub use spec::SpecError;
 
 /// RNG sub-stream used while compiling `?`-placed plan events.
-pub const FAULT_PLAN_STREAM: u64 = 0xFA_0171;
+pub(crate) const FAULT_PLAN_STREAM: u64 = 0xFA_0171;
 
 /// RNG sub-stream used while executing a plan (per-packet loss draws).
 pub const FAULT_EXEC_STREAM: u64 = 0xFA_0172;

@@ -53,25 +53,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// Window length for windowed kinds (`None` for point faults).
-    pub fn span(&self) -> Option<SimDuration> {
-        match *self {
-            FaultKind::PacketLoss { span, .. }
-            | FaultKind::MemPressure { span, .. }
-            | FaultKind::StragglerCore { span, .. }
-            | FaultKind::DeviceReadError { span } => Some(span),
-            FaultKind::NodeCrash { .. } | FaultKind::SnapshotCorruption { .. } => None,
-        }
-    }
-
-    /// Whether the fault is node-global (observed by every function) as
-    /// opposed to targeting a single function.
-    pub fn is_global(&self) -> bool {
-        !matches!(self, FaultKind::SnapshotCorruption { .. })
-    }
-}
-
 /// One scheduled injection.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
@@ -252,7 +233,7 @@ mod tests {
         assert_eq!(seen.len(), 2);
         assert!(seen
             .iter()
-            .all(|e| e.kind.is_global() || e.kind == FaultKind::SnapshotCorruption { fn_id: 4 }));
+            .all(|e| !matches!(e.kind, FaultKind::SnapshotCorruption { fn_id } if fn_id != 4)));
     }
 
     #[test]

@@ -25,13 +25,13 @@ fn mix64(mut z: u64) -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum attempts per request, including the first (1 = no retry).
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Backoff before the first retry.
-    pub base_backoff: SimDuration,
+    pub(crate) base_backoff: SimDuration,
     /// Cap on any single backoff.
-    pub max_backoff: SimDuration,
+    pub(crate) max_backoff: SimDuration,
     /// Jitter width as a fraction of the backoff, in `[0, 1]`.
-    pub jitter_frac: f64,
+    pub(crate) jitter_frac: f64,
     /// Total retries allowed per trial (`u64::MAX` = unlimited).
     pub budget: u64,
 }

@@ -25,9 +25,9 @@ use crate::FAULT_PLAN_STREAM;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecError {
     /// The offending entry (or fragment).
-    pub entry: String,
+    pub(crate) entry: String,
     /// What was wrong with it.
-    pub reason: &'static str,
+    pub(crate) reason: &'static str,
 }
 
 impl core::fmt::Display for SpecError {

@@ -2,7 +2,7 @@
 
 /// Binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     /// `+` (numeric addition or string concatenation).
     Add,
     /// `-`.
@@ -33,7 +33,7 @@ pub enum BinOp {
 
 /// Unary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnOp {
+pub(crate) enum UnOp {
     /// Numeric negation.
     Neg,
     /// Boolean not.
@@ -42,7 +42,7 @@ pub enum UnOp {
 
 /// Expressions.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Numeric literal.
     Num(f64),
     /// String literal.
@@ -75,7 +75,7 @@ pub enum Expr {
 
 /// Statements.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `let name = expr;`.
     Let(String, Expr),
     /// Bare expression statement.
@@ -96,18 +96,18 @@ pub enum Stmt {
 
 /// A named function declaration.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FunctionDecl {
+pub(crate) struct FunctionDecl {
     /// Function name.
-    pub name: String,
+    pub(crate) name: String,
     /// Parameter names.
-    pub params: Vec<String>,
+    pub(crate) params: Vec<String>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub(crate) body: Vec<Stmt>,
 }
 
 /// A whole parsed script.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Script {
+pub(crate) struct Script {
     /// Top-level statements (including function declarations).
-    pub stmts: Vec<Stmt>,
+    pub(crate) stmts: Vec<Stmt>,
 }

@@ -2,7 +2,7 @@
 
 /// One virtual-machine instruction.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Op {
+pub(crate) enum Op {
     /// Push a number.
     Num(f64),
     /// Push a string constant (index into [`Program::strings`]).
@@ -84,34 +84,34 @@ pub enum Op {
 
 /// A compiled function body (or the script's top level).
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     /// Function name (`<main>` for the top level).
-    pub name: String,
+    pub(crate) name: String,
     /// Number of parameters.
-    pub num_params: u16,
+    pub(crate) num_params: u16,
     /// Total local slots (params + lets).
-    pub num_locals: u16,
+    pub(crate) num_locals: u16,
     /// The instructions.
-    pub code: Vec<Op>,
+    pub(crate) code: Vec<Op>,
 }
 
 /// A compiled script: its chunks, string constants, and global names.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
     /// Chunk 0 is the script top level.
-    pub chunks: Vec<Chunk>,
+    pub(crate) chunks: Vec<Chunk>,
     /// String constant pool.
-    pub strings: Vec<String>,
+    pub(crate) strings: Vec<String>,
     /// Global name pool (identifiers referenced at global scope).
-    pub names: Vec<String>,
+    pub(crate) names: Vec<String>,
     /// Original source length (drives import-cost accounting).
-    pub source_len: usize,
+    pub(crate) source_len: usize,
 }
 
 impl Program {
     /// Approximate compiled size in bytes, used for heap commit accounting
     /// (a rough stand-in for machine code + metadata a JIT would emit).
-    pub fn code_bytes(&self) -> usize {
+    pub(crate) fn code_bytes(&self) -> usize {
         let ops: usize = self.chunks.iter().map(|c| c.code.len()).sum();
         let strings: usize = self.strings.iter().map(|s| s.len()).sum();
         let names: usize = self.names.iter().map(|s| s.len()).sum();

@@ -15,7 +15,7 @@ use crate::parser::{parse, ParseError};
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompileError {
     /// Description.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for CompileError {
@@ -32,7 +32,7 @@ impl From<ParseError> for CompileError {
     }
 }
 
-/// Compiles source text into a [`Program`].
+/// Compiles source text into a bytecode `Program`.
 pub fn compile(src: &str) -> Result<Program, CompileError> {
     let script = parse(src)?;
     let mut c = Compiler {

@@ -56,11 +56,6 @@ impl HostHeap {
         }
     }
 
-    /// The first valid address.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.bytes.len()
@@ -87,67 +82,49 @@ impl HeapBackend for HostHeap {
     }
 }
 
-/// Allocation statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HeapStats {
-    /// Number of allocations.
-    pub allocs: u64,
-    /// Bytes handed out.
-    pub bytes_allocated: u64,
-    /// Bytes written through the backend.
-    pub bytes_written: u64,
-}
-
 /// Bump allocator bookkeeping over a backend-managed region.
 #[derive(Clone, Debug)]
-pub struct BumpHeap {
-    base: u64,
+pub(crate) struct BumpHeap {
     brk: u64,
     limit: u64,
-    stats: HeapStats,
 }
 
 impl BumpHeap {
     /// Creates an allocator over `[base, base + size)`.
-    pub fn new(base: u64, size: u64) -> Self {
+    pub(crate) fn new(base: u64, size: u64) -> Self {
         BumpHeap {
-            base,
             brk: base,
             limit: base + size,
-            stats: HeapStats::default(),
         }
     }
 
     /// Allocates `n` bytes, 8-byte aligned. No free — the region lives and
     /// dies with its UC, like a runtime's semispace before first GC.
-    pub fn alloc(&mut self, n: u64) -> Result<u64, HeapError> {
+    pub(crate) fn alloc(&mut self, n: u64) -> Result<u64, HeapError> {
         let addr = (self.brk + 7) & !7;
         let end = addr.checked_add(n).ok_or(HeapError::OutOfHeap)?;
         if end > self.limit {
             return Err(HeapError::OutOfHeap);
         }
         self.brk = end;
-        self.stats.allocs += 1;
-        self.stats.bytes_allocated += n;
         Ok(addr)
     }
 
     /// Allocates and writes `bytes`, returning the address.
-    pub fn alloc_bytes(
+    pub(crate) fn alloc_bytes(
         &mut self,
         backend: &mut dyn HeapBackend,
         bytes: &[u8],
     ) -> Result<u64, HeapError> {
         let addr = self.alloc(bytes.len() as u64)?;
         backend.write(addr, bytes)?;
-        self.stats.bytes_written += bytes.len() as u64;
         Ok(addr)
     }
 
     /// Allocates `n` bytes and *commits* them: touches one word per 4 KiB
     /// page so every page of the allocation is genuinely written (the
     /// runtime behaviour that makes lazy-init allocations dirty pages).
-    pub fn alloc_committed(
+    pub(crate) fn alloc_committed(
         &mut self,
         backend: &mut dyn HeapBackend,
         n: u64,
@@ -156,30 +133,9 @@ impl BumpHeap {
         let mut off = 0u64;
         while off < n {
             backend.write(addr + off, &1u64.to_le_bytes())?;
-            self.stats.bytes_written += 8;
             off += 4096;
         }
         Ok(addr)
-    }
-
-    /// Current break (next allocation address before alignment).
-    pub fn brk(&self) -> u64 {
-        self.brk
-    }
-
-    /// Bytes still available.
-    pub fn remaining(&self) -> u64 {
-        self.limit - self.brk
-    }
-
-    /// Region base address.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> HeapStats {
-        self.stats
     }
 }
 
@@ -208,13 +164,11 @@ mod tests {
     #[test]
     fn host_heap_round_trip() {
         let mut backend = HostHeap::with_capacity(1024);
-        let mut h = BumpHeap::new(backend.base(), 1024);
+        let mut h = BumpHeap::new(backend.base, 1024);
         let addr = h.alloc_bytes(&mut backend, b"hello").unwrap();
         let mut buf = [0u8; 5];
         backend.read(addr, &mut buf).unwrap();
         assert_eq!(&buf, b"hello");
-        assert_eq!(h.stats().allocs, 1);
-        assert_eq!(h.stats().bytes_written, 5);
     }
 
     #[test]
@@ -230,9 +184,13 @@ mod tests {
     #[test]
     fn alloc_committed_touches_every_page() {
         let mut backend = HostHeap::with_capacity(64 * 1024);
-        let mut h = BumpHeap::new(backend.base(), 64 * 1024);
-        h.alloc_committed(&mut backend, 3 * 4096 + 1).unwrap();
-        // Four pages touched → four word writes.
-        assert_eq!(h.stats().bytes_written, 32);
+        let mut h = BumpHeap::new(backend.base, 64 * 1024);
+        let addr = h.alloc_committed(&mut backend, 3 * 4096 + 1).unwrap();
+        // Four pages touched → one word written at the start of each.
+        for page in 0..4 {
+            let mut word = [0u8; 8];
+            backend.read(addr + page * 4096, &mut word).unwrap();
+            assert_eq!(u64::from_le_bytes(word), 1, "page {page}");
+        }
     }
 }

@@ -4,7 +4,7 @@ use core::fmt;
 
 /// A lexical token.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Numeric literal.
     Num(f64),
     /// String literal (contents, unescaped).
@@ -95,11 +95,11 @@ pub enum Token {
 
 /// A lexing error with byte position.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Byte offset of the offending character.
-    pub at: usize,
+    pub(crate) at: usize,
     /// Description.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for LexError {
@@ -111,7 +111,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenizes a whole source string.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

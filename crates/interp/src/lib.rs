@@ -40,20 +40,21 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod ast;
-pub mod bytecode;
-pub mod compile;
-pub mod heap;
-pub mod lexer;
-pub mod parser;
-pub mod profile;
-pub mod value;
-pub mod vm;
+mod ast;
+mod bytecode;
+mod compile;
+mod heap;
+mod lexer;
+mod parser;
+mod profile;
+mod value;
+mod vm;
 
-pub use compile::{compile, CompileError};
-pub use heap::{BumpHeap, HeapBackend, HeapError, HeapStats, HostHeap};
+pub use compile::compile;
+pub use heap::{HeapBackend, HeapError, HostHeap};
 pub use profile::RuntimeProfile;
-pub use value::{ObjStore, StrRef, Value};
+pub use value::Value;
 pub use vm::{HostCall, Interpreter, LoadError, ProgId, RuntimeError, VmExit};

@@ -7,11 +7,11 @@ use crate::lexer::{lex, LexError, Token};
 
 /// A parse error.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ParseError {
+pub(crate) struct ParseError {
     /// Token index of the failure.
-    pub at: usize,
+    pub(crate) at: usize,
     /// Description.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for ParseError {
@@ -32,7 +32,7 @@ impl From<LexError> for ParseError {
 }
 
 /// Parses a source string into a [`Script`].
-pub fn parse(src: &str) -> Result<Script, ParseError> {
+pub(crate) fn parse(src: &str) -> Result<Script, ParseError> {
     let tokens = lex(src)?;
     let mut p = Parser {
         tokens,

@@ -13,9 +13,9 @@ use crate::heap::{BumpHeap, HeapBackend, HeapError};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StrRef {
     /// Guest heap address of the bytes.
-    pub addr: u64,
+    pub(crate) addr: u64,
     /// Length in bytes.
-    pub len: u32,
+    pub(crate) len: u32,
 }
 
 /// Index into the [`ObjStore`].
@@ -45,7 +45,7 @@ pub enum Value {
 
 impl Value {
     /// JavaScript-style truthiness.
-    pub fn truthy(self) -> bool {
+    pub(crate) fn truthy(self) -> bool {
         match self {
             Value::Num(n) => n != 0.0 && !n.is_nan(),
             Value::Bool(b) => b,
@@ -56,7 +56,7 @@ impl Value {
     }
 
     /// Human-readable type name for error messages.
-    pub fn type_name(self) -> &'static str {
+    pub(crate) fn type_name(self) -> &'static str {
         match self {
             Value::Num(_) => "number",
             Value::Bool(_) => "boolean",
@@ -91,28 +91,18 @@ enum ObjData {
 
 /// Host-side store of arrays and objects, with guest backing traffic.
 #[derive(Clone, Default)]
-pub struct ObjStore {
+pub(crate) struct ObjStore {
     objs: Vec<ObjData>,
 }
 
 impl ObjStore {
     /// Creates an empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ObjStore::default()
     }
 
-    /// Number of live objects (objects live for the runtime's lifetime).
-    pub fn len(&self) -> usize {
-        self.objs.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.objs.is_empty()
-    }
-
     /// Allocates an empty object.
-    pub fn new_object(
+    pub(crate) fn new_object(
         &mut self,
         heap: &mut BumpHeap,
         backend: &mut dyn HeapBackend,
@@ -128,7 +118,7 @@ impl ObjStore {
     }
 
     /// Allocates an empty array.
-    pub fn new_array(
+    pub(crate) fn new_array(
         &mut self,
         heap: &mut BumpHeap,
         backend: &mut dyn HeapBackend,
@@ -188,7 +178,7 @@ impl ObjStore {
     }
 
     /// Sets an object property.
-    pub fn set_prop(
+    pub(crate) fn set_prop(
         &mut self,
         heap: &mut BumpHeap,
         backend: &mut dyn HeapBackend,
@@ -216,7 +206,7 @@ impl ObjStore {
     }
 
     /// Gets an object property (`Null` when absent, like JS `undefined`).
-    pub fn get_prop(&self, id: ObjId, key: &str) -> Value {
+    pub(crate) fn get_prop(&self, id: ObjId, key: &str) -> Value {
         match &self.objs[id.0 as usize] {
             ObjData::Object { props, .. } => props.get(key).copied().unwrap_or(Value::Null),
             ObjData::Array { items, .. } => {
@@ -230,7 +220,7 @@ impl ObjStore {
     }
 
     /// Sets an array element, extending with nulls if needed.
-    pub fn set_index(
+    pub(crate) fn set_index(
         &mut self,
         heap: &mut BumpHeap,
         backend: &mut dyn HeapBackend,
@@ -256,7 +246,7 @@ impl ObjStore {
     }
 
     /// Gets an array element (`Null` out of range).
-    pub fn get_index(&self, id: ObjId, index: u64) -> Value {
+    pub(crate) fn get_index(&self, id: ObjId, index: u64) -> Value {
         match &self.objs[id.0 as usize] {
             ObjData::Array { items, .. } => {
                 items.get(index as usize).copied().unwrap_or(Value::Null)
@@ -266,7 +256,7 @@ impl ObjStore {
     }
 
     /// Appends to an array, returning the new length.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         heap: &mut BumpHeap,
         backend: &mut dyn HeapBackend,
@@ -279,7 +269,7 @@ impl ObjStore {
     }
 
     /// Length of an array (0 for non-arrays).
-    pub fn array_len(&self, id: ObjId) -> u64 {
+    pub(crate) fn array_len(&self, id: ObjId) -> u64 {
         match &self.objs[id.0 as usize] {
             ObjData::Array { items, .. } => items.len() as u64,
             ObjData::Object { .. } => 0,
@@ -295,7 +285,7 @@ impl ObjStore {
     /// effects of COW on a complex function workload"): a moving GC
     /// rewrites pages wholesale, which after a snapshot translates into
     /// COW breaks and bloated function-snapshot diffs.
-    pub fn compact(
+    pub(crate) fn compact(
         &mut self,
         heap: &mut BumpHeap,
         backend: &mut dyn HeapBackend,
@@ -327,7 +317,7 @@ impl ObjStore {
     }
 
     /// Property names of an object (empty for arrays), unordered.
-    pub fn prop_keys(&self, id: ObjId) -> Vec<String> {
+    pub(crate) fn prop_keys(&self, id: ObjId) -> Vec<String> {
         match &self.objs[id.0 as usize] {
             ObjData::Object { props, .. } => props.keys().cloned().collect(),
             ObjData::Array { .. } => Vec::new(),
@@ -335,7 +325,7 @@ impl ObjStore {
     }
 
     /// Number of properties on an object (0 for arrays).
-    pub fn prop_count(&self, id: ObjId) -> u64 {
+    pub(crate) fn prop_count(&self, id: ObjId) -> u64 {
         match &self.objs[id.0 as usize] {
             ObjData::Object { props, .. } => props.len() as u64,
             ObjData::Array { .. } => 0,
@@ -350,7 +340,7 @@ mod tests {
 
     fn rig() -> (HostHeap, BumpHeap, ObjStore) {
         let backend = HostHeap::with_capacity(1 << 20);
-        let heap = BumpHeap::new(backend.base(), 1 << 20);
+        let heap = BumpHeap::new(0x1000, 1 << 20);
         (backend, heap, ObjStore::new())
     }
 
@@ -408,11 +398,11 @@ mod tests {
     fn growth_allocates_backing() {
         let (mut b, mut h, mut store) = rig();
         let a = store.new_array(&mut h, &mut b).unwrap();
-        let before = h.stats().bytes_allocated;
+        let before = h.alloc(0).unwrap();
         for i in 0..100 {
             store.push(&mut h, &mut b, a, Value::Num(i as f64)).unwrap();
         }
-        assert!(h.stats().bytes_allocated > before, "backing regrown");
+        assert!(h.alloc(0).unwrap() > before, "backing regrown");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use crate::bytecode::{Op, Program};
 use crate::compile::{compile, CompileError};
-use crate::heap::{BumpHeap, HeapBackend, HeapError, HeapStats};
+use crate::heap::{BumpHeap, HeapBackend, HeapError};
 use crate::profile::RuntimeProfile;
 use crate::value::{ObjStore, StrRef, Value};
 
@@ -182,21 +182,6 @@ impl Interpreter {
         self.cycles
     }
 
-    /// Heap allocation statistics.
-    pub fn heap_stats(&self) -> HeapStats {
-        self.heap.stats()
-    }
-
-    /// Whether the one-time compile path has been exercised (interpreter AO).
-    pub fn warmed_compile(&self) -> bool {
-        self.did_first_compile
-    }
-
-    /// Whether a run is currently suspended.
-    pub fn is_suspended(&self) -> bool {
-        self.suspended.is_some()
-    }
-
     /// Compiles and loads source, charging compile-time heap traffic and
     /// cycles (including the one-time first-compile initialization).
     pub fn load_source(
@@ -210,7 +195,7 @@ impl Interpreter {
 
     /// Loads a pre-compiled program, charging the same costs as
     /// [`Interpreter::load_source`].
-    pub fn load(
+    pub(crate) fn load(
         &mut self,
         backend: &mut dyn HeapBackend,
         program: Program,
@@ -289,7 +274,7 @@ impl Interpreter {
     }
 
     /// The host-side text of an interned string.
-    pub fn str_text(&self, r: StrRef) -> &str {
+    pub(crate) fn str_text(&self, r: StrRef) -> &str {
         self.strings.get(&r.addr).map(|s| s.as_str()).unwrap_or("")
     }
 
@@ -1158,7 +1143,7 @@ mod tests {
             VmExit::Blocked(HostCall::HttpGet(url)) => assert_eq!(url, "http://x/y"),
             other => panic!("{other:?}"),
         }
-        assert!(interp.is_suspended());
+        assert!(interp.suspended.is_some());
         let ok = interp.make_str(&mut backend, "OK").unwrap();
         match interp.resume(&mut backend, ok, u64::MAX).unwrap() {
             VmExit::Done(v) => assert_eq!(interp.display(v), "OK!"),
@@ -1245,14 +1230,15 @@ mod tests {
     fn first_compile_latch_fires_once() {
         let mut backend = HostHeap::with_capacity(8 << 20);
         let mut interp = Interpreter::new(RuntimeProfile::tiny());
-        assert!(!interp.warmed_compile());
+        assert!(!interp.did_first_compile);
+        let start = interp.heap.alloc(0).unwrap();
         interp.load_source(&mut backend, "1;").unwrap();
-        assert!(interp.warmed_compile());
-        let allocs_after_first = interp.heap_stats().bytes_allocated;
+        assert!(interp.did_first_compile);
+        let after_first = interp.heap.alloc(0).unwrap();
         interp.load_source(&mut backend, "2;").unwrap();
-        let second_cost = interp.heap_stats().bytes_allocated - allocs_after_first;
+        let second_cost = interp.heap.alloc(0).unwrap() - after_first;
         // The second compile skips first_compile_extra_bytes.
-        assert!(second_cost < allocs_after_first);
+        assert!(second_cost < after_first - start);
     }
 
     #[test]

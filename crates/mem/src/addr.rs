@@ -73,11 +73,6 @@ impl fmt::Debug for VirtAddr {
     }
 }
 
-/// Number of pages needed to hold `bytes` bytes.
-pub const fn pages_for(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,14 +107,6 @@ mod tests {
     #[should_panic(expected = "level must be 1..=4")]
     fn bad_level_panics() {
         VirtAddr::new(0).table_index(5);
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        assert_eq!(pages_for(0), 0);
-        assert_eq!(pages_for(1), 1);
-        assert_eq!(pages_for(4096), 1);
-        assert_eq!(pages_for(4097), 2);
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl PageContent {
         *self = PageContent::Dense(page);
     }
 
-    /// Whether nothing has been written.
-    pub fn is_zero(&self) -> bool {
-        matches!(self, PageContent::Zero)
-    }
-
     /// A 64-bit digest of the page's logical bytes (zero-filled holes
     /// included), equal iff the full 4 KiB contents are equal with high
     /// probability.
@@ -183,7 +178,6 @@ mod tests {
         let mut buf = [0xFFu8; 8];
         c.read(100, &mut buf);
         assert_eq!(buf, [0; 8]);
-        assert!(c.is_zero());
     }
 
     #[test]

@@ -42,11 +42,11 @@ pub enum FrameKind {
 #[derive(Debug)]
 pub(crate) struct FrameMeta {
     /// Number of owners (page-table entries, snapshots) referencing the frame.
-    pub refcount: u32,
+    pub(crate) refcount: u32,
     /// Current usage class.
-    pub kind: FrameKind,
+    pub(crate) kind: FrameKind,
     /// Lazily and sparsely materialized byte content.
-    pub content: PageContent,
+    pub(crate) content: PageContent,
 }
 
 impl FrameMeta {

@@ -15,12 +15,13 @@
 //! identically toward capacity, which is what the experiments measure.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod addr;
-pub mod content;
-pub mod frame;
-pub mod phys;
+mod content;
+mod frame;
+mod phys;
 
 pub use addr::{VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 pub use content::PageContent;

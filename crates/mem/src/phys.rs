@@ -48,7 +48,7 @@ pub struct MemStats {
 
 impl MemStats {
     /// Used memory in bytes.
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.used_frames * PAGE_SIZE as u64
     }
 
@@ -130,11 +130,6 @@ impl PhysMemory {
     /// Lifts injected memory pressure.
     pub fn release_pressure(&mut self) {
         self.pressure_frames = 0;
-    }
-
-    /// Frames currently withheld by injected pressure.
-    pub fn pressure_frames(&self) -> u64 {
-        self.pressure_frames
     }
 
     /// Allocates one frame of the given kind with refcount 1.
@@ -232,19 +227,6 @@ impl PhysMemory {
     /// Current reference count of a frame.
     pub fn refcount(&self, frame: FrameId) -> u32 {
         self.meta(frame).refcount
-    }
-
-    /// The usage class of a frame.
-    pub fn kind(&self, frame: FrameId) -> FrameKind {
-        self.meta(frame).kind
-    }
-
-    /// Whether a frame id currently refers to a live frame.
-    pub fn is_live(&self, frame: FrameId) -> bool {
-        self.frames
-            .get(frame.0 as usize)
-            .map(|m| m.is_some())
-            .unwrap_or(false)
     }
 
     /// Writes bytes into a frame at `offset`, materializing content
@@ -345,7 +327,7 @@ mod tests {
         m.dec_ref(f);
         let g = m.alloc(FrameKind::PageTable).unwrap();
         assert_eq!(g.index(), idx);
-        assert_eq!(m.kind(g), FrameKind::PageTable);
+        assert_eq!(m.meta(g).kind, FrameKind::PageTable);
     }
 
     #[test]
@@ -408,7 +390,7 @@ mod tests {
         }
         assert!(!m.below_reclaim_threshold()); // 6 free
         m.apply_pressure(5);
-        assert_eq!(m.pressure_frames(), 5);
+        assert_eq!(m.pressure_frames, 5);
         // 6 free - 5 withheld = 1 available < threshold 2.
         assert!(m.below_reclaim_threshold());
         // One more alloc fits (4 used + 5 pressure = 9 < 10), the next not.
@@ -427,7 +409,7 @@ mod tests {
     fn pressure_clamps_to_capacity() {
         let mut m = PhysMemory::new(4 * PAGE_SIZE as u64);
         m.apply_pressure(1_000_000);
-        assert_eq!(m.pressure_frames(), 4);
+        assert_eq!(m.pressure_frames, 4);
         assert_eq!(m.alloc(FrameKind::Data), Err(MemError::OutOfFrames));
         m.release_pressure();
         assert!(m.alloc(FrameKind::Data).is_ok());

@@ -71,11 +71,6 @@ impl Bridge {
         self
     }
 
-    /// Attached endpoint count.
-    pub fn endpoints(&self) -> usize {
-        self.endpoints
-    }
-
     /// Attaches a veth endpoint (container start).
     pub fn attach(&mut self) -> Result<(), BridgeError> {
         if self.endpoints >= self.max_endpoints {
@@ -91,22 +86,17 @@ impl Bridge {
         self.endpoints = self.endpoints.saturating_sub(1);
     }
 
-    /// Kernel time consumed by one broadcast over the current bridge.
-    pub fn broadcast_cost(&self) -> SimDuration {
-        self.per_endpoint_cost * self.endpoints as u64
-    }
-
     /// The fraction of the kernel consumed by background broadcast churn:
     /// every endpoint broadcasts at `broadcast_rate_per_endpoint`, and each
     /// broadcast is processed once per endpoint — quadratic in N.
-    pub fn background_load(&self) -> f64 {
+    pub(crate) fn background_load(&self) -> f64 {
         let n = self.endpoints as f64;
         let per_second = n * self.broadcast_rate_per_endpoint;
         per_second * n * self.per_endpoint_cost.as_secs_f64()
     }
 
     /// Probability an individual packet is dropped at the current load.
-    pub fn drop_probability(&self) -> f64 {
+    pub(crate) fn drop_probability(&self) -> f64 {
         let load = self.background_load();
         if load <= self.kernel_budget {
             0.0
@@ -118,7 +108,7 @@ impl Bridge {
     }
 
     /// Simulates forwarding one packet. Returns `false` if dropped.
-    pub fn forward(&mut self) -> bool {
+    pub(crate) fn forward(&mut self) -> bool {
         let p = self.drop_probability();
         !self.rng.chance(p)
     }
@@ -143,19 +133,6 @@ mod tests {
         assert_eq!(b.attach(), Err(BridgeError::EndpointLimit(3)));
         b.detach();
         assert!(b.attach().is_ok());
-    }
-
-    #[test]
-    fn broadcast_cost_linear_in_endpoints() {
-        let mut b = Bridge::new(1).with_max_endpoints(4000);
-        for _ in 0..100 {
-            b.attach().unwrap();
-        }
-        let c100 = b.broadcast_cost();
-        for _ in 0..100 {
-            b.attach().unwrap();
-        }
-        assert_eq!(b.broadcast_cost(), c100 * 2);
     }
 
     #[test]

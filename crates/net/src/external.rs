@@ -12,9 +12,9 @@ use crate::tcp::TcpCostModel;
 /// A remote HTTP server with a fixed service (block) time.
 pub struct ExternalServer {
     /// Time the server holds a request before replying.
-    pub block_time: SimDuration,
+    pub(crate) block_time: SimDuration,
     /// Link model between the compute node and the server.
-    pub link: TcpCostModel,
+    pub(crate) link: TcpCostModel,
 }
 
 impl ExternalServer {

@@ -24,14 +24,15 @@
 //! between distributed nodes.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod bridge;
-pub mod external;
-pub mod proxy;
-pub mod tcp;
+mod bridge;
+mod external;
+mod proxy;
+mod tcp;
 
-pub use bridge::{Bridge, BridgeError};
+pub use bridge::Bridge;
 pub use external::ExternalServer;
-pub use proxy::{NetProxy, ProxyError};
+pub use proxy::NetProxy;
 pub use tcp::TcpCostModel;

@@ -11,12 +11,12 @@ use simcore::SimDuration;
 #[derive(Clone, Copy, Debug)]
 pub struct TcpCostModel {
     /// Round-trip time of the link.
-    pub rtt: SimDuration,
+    pub(crate) rtt: SimDuration,
     /// Serialization cost per payload byte.
-    pub per_byte: SimDuration,
+    pub(crate) per_byte: SimDuration,
     /// Fixed per-message software overhead (stack traversal, syscall/
     /// hypercall, interrupt).
-    pub per_message: SimDuration,
+    pub(crate) per_message: SimDuration,
 }
 
 impl TcpCostModel {

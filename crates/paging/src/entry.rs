@@ -17,19 +17,19 @@ pub struct EntryFlags(u64);
 
 impl EntryFlags {
     /// Mapping is present.
-    pub const PRESENT: EntryFlags = EntryFlags(1 << 0);
+    pub(crate) const PRESENT: EntryFlags = EntryFlags(1 << 0);
     /// Mapping permits writes.
-    pub const WRITABLE: EntryFlags = EntryFlags(1 << 1);
+    pub(crate) const WRITABLE: EntryFlags = EntryFlags(1 << 1);
     /// Mapping is accessible from user mode (UCs run in ring 3).
     pub const USER: EntryFlags = EntryFlags(1 << 2);
     /// Hardware-set on any access.
-    pub const ACCESSED: EntryFlags = EntryFlags(1 << 5);
+    pub(crate) const ACCESSED: EntryFlags = EntryFlags(1 << 5);
     /// Hardware-set on write; the capture mechanism scans these.
-    pub const DIRTY: EntryFlags = EntryFlags(1 << 6);
+    pub(crate) const DIRTY: EntryFlags = EntryFlags(1 << 6);
     /// Software bit: write-protected only because the frame is shared.
-    pub const COW: EntryFlags = EntryFlags(1 << 9);
+    pub(crate) const COW: EntryFlags = EntryFlags(1 << 9);
     /// Software bit: the entry points at a next-level table, not a page.
-    pub const TABLE: EntryFlags = EntryFlags(1 << 10);
+    pub(crate) const TABLE: EntryFlags = EntryFlags(1 << 10);
     /// Software bit: the page lives on a block device, not in a frame.
     ///
     /// A swapped entry is *non-present* (PRESENT clear) — hardware would
@@ -38,28 +38,23 @@ impl EntryFlags {
     /// page's pre-demotion permissions so a swap-in can restore them.
     pub const SWAPPED: EntryFlags = EntryFlags(1 << 11);
 
-    /// The empty flag set.
-    pub const fn empty() -> Self {
-        EntryFlags(0)
-    }
-
     /// Union of two flag sets.
-    pub const fn union(self, other: EntryFlags) -> EntryFlags {
+    pub(crate) const fn union(self, other: EntryFlags) -> EntryFlags {
         EntryFlags(self.0 | other.0)
     }
 
     /// Whether all bits of `other` are set in `self`.
-    pub const fn contains(self, other: EntryFlags) -> bool {
+    pub(crate) const fn contains(self, other: EntryFlags) -> bool {
         (self.0 & other.0) == other.0
     }
 
     /// `self` with the bits of `other` removed.
-    pub const fn without(self, other: EntryFlags) -> EntryFlags {
+    pub(crate) const fn without(self, other: EntryFlags) -> EntryFlags {
         EntryFlags(self.0 & !other.0)
     }
 
     /// Raw bit value.
-    pub const fn bits(self) -> u64 {
+    pub(crate) const fn bits(self) -> u64 {
         self.0
     }
 }
@@ -102,10 +97,10 @@ pub struct Entry(u64);
 
 impl Entry {
     /// The empty (non-present) entry.
-    pub const EMPTY: Entry = Entry(0);
+    pub(crate) const EMPTY: Entry = Entry(0);
 
     /// Builds a leaf entry mapping `frame` with `flags` (PRESENT implied).
-    pub fn page(frame: FrameId, flags: EntryFlags) -> Entry {
+    pub(crate) fn page(frame: FrameId, flags: EntryFlags) -> Entry {
         let flags = flags.union(EntryFlags::PRESENT).without(EntryFlags::TABLE);
         Entry(((frame.index() as u64) << TARGET_SHIFT) | flags.bits())
     }
@@ -114,7 +109,7 @@ impl Entry {
     ///
     /// Table entries are created writable/user so that leaf flags alone
     /// decide permissions, like a typical x86_64 kernel does.
-    pub fn table(table: TableId) -> Entry {
+    pub(crate) fn table(table: TableId) -> Entry {
         let flags =
             EntryFlags::PRESENT | EntryFlags::WRITABLE | EntryFlags::USER | EntryFlags::TABLE;
         Entry(((table.index() as u64) << TARGET_SHIFT) | flags.bits())
@@ -123,7 +118,7 @@ impl Entry {
     /// Builds a swapped-out leaf entry: the page's content lives in
     /// device block `block`, and `flags` records the pre-demotion flag
     /// set so promotion can restore it (PRESENT removed, SWAPPED added).
-    pub fn swapped(block: u64, flags: EntryFlags) -> Entry {
+    pub(crate) fn swapped(block: u64, flags: EntryFlags) -> Entry {
         let flags = flags
             .union(EntryFlags::SWAPPED)
             .without(EntryFlags::PRESENT)
@@ -132,12 +127,12 @@ impl Entry {
     }
 
     /// Whether the entry maps anything.
-    pub fn is_present(self) -> bool {
+    pub(crate) fn is_present(self) -> bool {
         self.flags().contains(EntryFlags::PRESENT)
     }
 
     /// Whether the entry is a swapped-out (non-present, on-device) page.
-    pub fn is_swapped(self) -> bool {
+    pub(crate) fn is_swapped(self) -> bool {
         !self.is_present() && self.flags().contains(EntryFlags::SWAPPED)
     }
 
@@ -146,7 +141,7 @@ impl Entry {
     /// # Panics
     ///
     /// Panics if the entry is not swapped.
-    pub fn swap_block(self) -> u64 {
+    pub(crate) fn swap_block(self) -> u64 {
         assert!(self.is_swapped(), "entry is not swapped");
         self.0 >> TARGET_SHIFT
     }
@@ -157,7 +152,7 @@ impl Entry {
     /// # Panics
     ///
     /// Panics if the entry is not swapped.
-    pub fn swap_flags(self) -> EntryFlags {
+    pub(crate) fn swap_flags(self) -> EntryFlags {
         assert!(self.is_swapped(), "entry is not swapped");
         self.flags().without(EntryFlags::SWAPPED)
     }
@@ -173,12 +168,12 @@ impl Entry {
     }
 
     /// The flag set of this entry.
-    pub fn flags(self) -> EntryFlags {
+    pub(crate) fn flags(self) -> EntryFlags {
         EntryFlags(self.0 & FLAGS_MASK)
     }
 
     /// Replaces the flag set, keeping the target.
-    pub fn with_flags(self, flags: EntryFlags) -> Entry {
+    pub(crate) fn with_flags(self, flags: EntryFlags) -> Entry {
         Entry((self.0 & !FLAGS_MASK) | flags.bits())
     }
 

@@ -12,7 +12,7 @@ use seuss_mem::VirtAddr;
 
 /// The kind of memory access being simulated.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum AccessKind {
+pub(crate) enum AccessKind {
     /// Data read (or instruction fetch).
     Read,
     /// Data write.

@@ -4,7 +4,7 @@
 //! SEUSS turns snapshot capture and UC deployment into "simple operations
 //! on address spaces via their backing data structures" (§3). This crate
 //! *is* those data structures: packed 64-bit page-table entries
-//! ([`entry::Entry`]), refcounted table nodes ([`table::TableStore`]), and
+//! ([`entry::Entry`]), refcounted table nodes (`TableStore`), and
 //! an [`Mmu`] that implements mapping, translation, faulting, COW breaks,
 //! shallow cloning, and dirty-page scanning — each operation reporting its
 //! work into [`OpStats`] so the cost model can convert structure
@@ -60,18 +60,19 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod entry;
-pub mod fault;
-pub mod mmu;
-pub mod space;
-pub mod stats;
-pub mod table;
+mod entry;
+mod fault;
+mod mmu;
+mod space;
+mod stats;
+mod table;
 
 pub use entry::{Entry, EntryFlags};
-pub use fault::{AccessKind, PageFault};
+pub use fault::PageFault;
 pub use mmu::{Mmu, SwapPager};
 pub use space::{AddressSpace, Region, RegionKind};
 pub use stats::OpStats;
-pub use table::{TableId, TableStore};
+pub use table::TableId;

@@ -178,45 +178,6 @@ impl Mmu {
         Ok(())
     }
 
-    /// Removes a leaf mapping; returns whether one existed.
-    pub fn unmap_page(
-        &mut self,
-        mem: &mut PhysMemory,
-        space: &mut AddressSpace,
-        va: VirtAddr,
-    ) -> Result<bool, MemError> {
-        if self.translate(space.root(), va).is_none() {
-            return Ok(false);
-        }
-        let l1 = self.exclusive_l1(mem, space.root(), va)?;
-        let idx = va.table_index(1);
-        let old = self.store.node(l1).entries[idx];
-        if old.is_page() {
-            mem.dec_ref(old.frame());
-            self.store.node_mut(l1).entries[idx] = Entry::EMPTY;
-            self.stats.pages_unmapped += 1;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// Resolves an access to the page containing `va`, performing demand
-    /// allocation and COW breaks as needed, and returns the frame the
-    /// access lands on.
-    pub fn touch(
-        &mut self,
-        mem: &mut PhysMemory,
-        space: &mut AddressSpace,
-        va: VirtAddr,
-        kind: AccessKind,
-    ) -> Result<FrameId, PageFault> {
-        match kind {
-            AccessKind::Read => self.touch_read(mem, space, va),
-            AccessKind::Write => self.touch_write(mem, space, va),
-        }
-    }
-
     /// Walks the table chain to the L1 slot covering `va`, without
     /// splitting or allocating. Returns the L1 table and slot index even
     /// when the leaf entry is empty or swapped.
@@ -814,18 +775,6 @@ mod tests {
             mmu.release_root(&mut mem, r);
         }
         assert_eq!(mem.stats().used_frames, base);
-    }
-
-    #[test]
-    fn unmap_releases_frame() {
-        let (mut mem, mut mmu, mut space) = setup();
-        let va = VirtAddr::new(0x10_0000);
-        mmu.touch_write(&mut mem, &mut space, va).unwrap();
-        let data_before = mem.stats().data_frames;
-        assert!(mmu.unmap_page(&mut mem, &mut space, va).unwrap());
-        assert_eq!(mem.stats().data_frames, data_before - 1);
-        assert!(!mmu.unmap_page(&mut mem, &mut space, va).unwrap());
-        assert!(mmu.translate(space.root(), va).is_none());
     }
 
     #[test]

@@ -48,14 +48,14 @@ pub struct Region {
 
 impl Region {
     /// Whether `va` falls inside this region.
-    pub fn contains(&self, va: VirtAddr) -> bool {
+    pub(crate) fn contains(&self, va: VirtAddr) -> bool {
         let start = self.start.as_u64();
         let end = start + self.pages * PAGE_SIZE as u64;
         (start..end).contains(&va.as_u64())
     }
 
     /// Exclusive end address.
-    pub fn end(&self) -> VirtAddr {
+    pub(crate) fn end(&self) -> VirtAddr {
         VirtAddr::new(self.start.as_u64() + self.pages * PAGE_SIZE as u64)
     }
 }

@@ -23,9 +23,7 @@ pub struct OpStats {
     /// Demand-zero data frames allocated.
     pub demand_zero_allocs: u64,
     /// Leaf mappings installed via explicit `map_page`.
-    pub pages_mapped: u64,
-    /// Leaf mappings removed.
-    pub pages_unmapped: u64,
+    pub(crate) pages_mapped: u64,
     /// Shallow root clones performed (deploys + captures).
     pub shallow_clones: u64,
     /// TLB flushes (address-space switches).
@@ -42,7 +40,7 @@ pub struct OpStats {
 
 impl OpStats {
     /// A zeroed counter set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OpStats::default()
     }
 
@@ -59,7 +57,6 @@ impl OpStats {
             snapshot_clones: self.snapshot_clones - earlier.snapshot_clones,
             demand_zero_allocs: self.demand_zero_allocs - earlier.demand_zero_allocs,
             pages_mapped: self.pages_mapped - earlier.pages_mapped,
-            pages_unmapped: self.pages_unmapped - earlier.pages_unmapped,
             shallow_clones: self.shallow_clones - earlier.shallow_clones,
             tlb_flushes: self.tlb_flushes - earlier.tlb_flushes,
             dirty_scanned: self.dirty_scanned - earlier.dirty_scanned,

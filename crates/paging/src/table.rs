@@ -11,7 +11,7 @@ use seuss_mem::{FrameId, FrameKind, MemError, PhysMemory};
 
 use crate::entry::Entry;
 
-/// Identifier of a page-table node in the [`TableStore`] arena.
+/// Identifier of a page-table node in the `TableStore` arena.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TableId(u32);
 
@@ -30,11 +30,11 @@ impl TableId {
 /// One page-table page.
 pub struct TableNode {
     /// Table level: 4 (root) down to 1 (leaf tables mapping data pages).
-    pub level: u8,
+    pub(crate) level: u8,
     /// Number of address spaces / parent tables / snapshots referencing us.
-    pub refcount: u32,
+    pub(crate) refcount: u32,
     /// The physical frame this table occupies.
-    pub frame: FrameId,
+    pub(crate) frame: FrameId,
     /// The 512 entries.
     pub entries: Box<[Entry; TABLE_ENTRIES]>,
 }
@@ -50,7 +50,7 @@ pub struct TableStore {
 
 impl TableStore {
     /// Creates an empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TableStore::default()
     }
 
@@ -61,7 +61,7 @@ impl TableStore {
 
     /// Allocates a fresh, empty table at `level`, backed by a new
     /// page-table frame from `mem`, with refcount 1.
-    pub fn alloc(&mut self, mem: &mut PhysMemory, level: u8) -> Result<TableId, MemError> {
+    pub(crate) fn alloc(&mut self, mem: &mut PhysMemory, level: u8) -> Result<TableId, MemError> {
         let frame = mem.alloc(FrameKind::PageTable)?;
         let node = TableNode {
             level,
@@ -75,7 +75,11 @@ impl TableStore {
     /// Clones `src` into a fresh table (same level, entries copied verbatim),
     /// backed by a new frame, refcount 1. Child reference counts are *not*
     /// adjusted here; `clone_referencing` adjusts them.
-    pub fn clone_node(&mut self, mem: &mut PhysMemory, src: TableId) -> Result<TableId, MemError> {
+    pub(crate) fn clone_node(
+        &mut self,
+        mem: &mut PhysMemory,
+        src: TableId,
+    ) -> Result<TableId, MemError> {
         let node = self.copy_node(mem, src)?;
         Ok(self.insert(node))
     }
@@ -141,21 +145,21 @@ impl TableStore {
     /// # Panics
     ///
     /// Panics if the table has been freed.
-    pub fn node_mut(&mut self, id: TableId) -> &mut TableNode {
+    pub(crate) fn node_mut(&mut self, id: TableId) -> &mut TableNode {
         self.nodes[id.0 as usize]
             .as_mut()
             .expect("use of freed page table")
     }
 
     /// Increments a table's reference count.
-    pub fn inc_ref(&mut self, id: TableId) {
+    pub(crate) fn inc_ref(&mut self, id: TableId) {
         self.node_mut(id).refcount += 1;
     }
 
     /// Decrements a table's reference count. When it hits zero the node is
     /// removed from the arena, its backing frame is released, and the node
     /// is returned so the caller can release children recursively.
-    pub fn dec_ref(&mut self, mem: &mut PhysMemory, id: TableId) -> Option<TableNode> {
+    pub(crate) fn dec_ref(&mut self, mem: &mut PhysMemory, id: TableId) -> Option<TableNode> {
         let node = self.node_mut(id);
         assert!(node.refcount > 0, "table refcount underflow");
         node.refcount -= 1;
@@ -172,14 +176,6 @@ impl TableStore {
     /// Current refcount of a table.
     pub fn refcount(&self, id: TableId) -> u32 {
         self.node(id).refcount
-    }
-
-    /// Whether an id refers to a live table.
-    pub fn is_live(&self, id: TableId) -> bool {
-        self.nodes
-            .get(id.0 as usize)
-            .map(|n| n.is_some())
-            .unwrap_or(false)
     }
 }
 
@@ -206,7 +202,7 @@ mod tests {
         let node = store.dec_ref(&mut mem, t).expect("refcount hit zero");
         assert_eq!(node.level, 1);
         assert_eq!(mem.stats().page_table_frames, 0);
-        assert!(!store.is_live(t));
+        assert!(store.nodes[t.0 as usize].is_none());
     }
 
     #[test]
@@ -216,7 +212,7 @@ mod tests {
         let t = store.alloc(&mut mem, 2).unwrap();
         store.inc_ref(t);
         assert!(store.dec_ref(&mut mem, t).is_none());
-        assert!(store.is_live(t));
+        assert!(store.nodes[t.0 as usize].is_some());
         assert!(store.dec_ref(&mut mem, t).is_some());
     }
 

@@ -184,7 +184,7 @@ struct Req {
 
 /// A core task: run or resume one request's segment.
 #[derive(Clone, Copy, Debug)]
-pub enum Task {
+pub(crate) enum Task {
     /// First (or only) segment of a request.
     Run(usize),
     /// Post-IO continuation segment.
@@ -291,14 +291,6 @@ impl Cluster {
         match &self.backend {
             Backend::Seuss { node, .. } => Some(node),
             Backend::Linux { .. } => None,
-        }
-    }
-
-    /// Immutable access to the Docker engine, if this is a Linux cluster.
-    pub fn docker(&self) -> Option<&DockerEngine> {
-        match &self.backend {
-            Backend::Linux { docker, .. } => Some(docker),
-            Backend::Seuss { .. } => None,
         }
     }
 

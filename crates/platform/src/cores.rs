@@ -9,40 +9,23 @@
 use std::collections::VecDeque;
 
 /// A pool of identical worker cores with a FIFO overflow queue.
-pub struct CorePool<T> {
+pub(crate) struct CorePool<T> {
     free: Vec<u16>,
     queue: VecDeque<T>,
-    total: u16,
 }
 
 impl<T> CorePool<T> {
     /// Creates a pool of `n` cores.
-    pub fn new(n: u16) -> Self {
+    pub(crate) fn new(n: u16) -> Self {
         CorePool {
             free: (0..n).rev().collect(),
             queue: VecDeque::new(),
-            total: n,
         }
-    }
-
-    /// Total cores.
-    pub fn total(&self) -> u16 {
-        self.total
-    }
-
-    /// Cores currently free.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Tasks waiting for a core.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 
     /// Submits a task: returns `Some(core)` if one is free (the caller
     /// starts the task immediately), otherwise queues it.
-    pub fn submit(&mut self, task: T) -> Option<(u16, T)> {
+    pub(crate) fn submit(&mut self, task: T) -> Option<(u16, T)> {
         match self.free.pop() {
             Some(core) => Some((core, task)),
             None => {
@@ -54,7 +37,7 @@ impl<T> CorePool<T> {
 
     /// Releases a core; returns the next queued task to run on it, if
     /// any (otherwise the core goes idle).
-    pub fn release(&mut self, core: u16) -> Option<(u16, T)> {
+    pub(crate) fn release(&mut self, core: u16) -> Option<(u16, T)> {
         match self.queue.pop_front() {
             Some(task) => Some((core, task)),
             None => {
@@ -75,8 +58,8 @@ mod tests {
         assert!(p.submit(1).is_some());
         assert!(p.submit(2).is_some());
         assert!(p.submit(3).is_none());
-        assert_eq!(p.queued(), 1);
-        assert_eq!(p.free_count(), 0);
+        assert_eq!(p.queue.len(), 1);
+        assert_eq!(p.free.len(), 0);
     }
 
     #[test]
@@ -91,6 +74,6 @@ mod tests {
         let (_, t) = p.release(c2).unwrap();
         assert_eq!(t, 3);
         assert!(p.release(c).is_none());
-        assert_eq!(p.free_count(), 1);
+        assert_eq!(p.free.len(), 1);
     }
 }

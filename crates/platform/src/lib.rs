@@ -17,18 +17,18 @@
 //! [`record::RequestRecord`]s for analysis.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod cluster;
-pub mod cores;
-pub mod distributed;
-pub mod record;
-pub mod shard;
-pub mod spec;
+mod cores;
+mod distributed;
+mod record;
+mod shard;
+mod spec;
 
 pub use cluster::{run_trial, BackendKind, Cluster, ClusterConfig, TrialOutput};
-pub use cores::CorePool;
-pub use distributed::{DrPath, DrSeussCluster, DrStats};
+pub use distributed::{DrPath, DrSeussCluster};
 pub use record::{records_jsonl, RequestRecord, RequestStatus, ServedBy, TrialAnalysis};
-pub use shard::{partition_workload, shard_of};
+pub use shard::partition_workload;
 pub use spec::{FnKind, FnSpec, Registry, WorkloadSpec};

@@ -53,7 +53,7 @@ pub struct RequestRecord {
 
 impl RequestStatus {
     /// Stable lowercase name for serialized output.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             RequestStatus::Ok => "ok",
             RequestStatus::Error => "error",
@@ -63,7 +63,7 @@ impl RequestStatus {
 
 impl ServedBy {
     /// Stable lowercase name for serialized output.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ServedBy::Cold => "cold",
             ServedBy::Warm => "warm",
@@ -79,7 +79,7 @@ impl RequestRecord {
     /// `miniscript`'s `json()` builtin uses — no derive machinery). All
     /// fields are numbers, booleans, or the fixed enum names above, so no
     /// string escaping is needed.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         format!(
             "{{\"fn\":{},\"sent_s\":{:.6},\"latency_ms\":{:.6},\"status\":\"{}\",\"served_by\":\"{}\",\"burst\":{}}}",
             self.fn_id,
@@ -110,8 +110,6 @@ pub struct TrialAnalysis {
     pub completed: u64,
     /// Errored request count.
     pub errors: u64,
-    /// Overall throughput: completed / (last completion − first send).
-    pub throughput_rps: f64,
     /// Steady-state throughput over the middle half of completions.
     pub steady_throughput_rps: f64,
     /// Latency percentiles of successful requests (ms).
@@ -165,7 +163,6 @@ impl TrialAnalysis {
         TrialAnalysis {
             completed,
             errors,
-            throughput_rps: throughput,
             steady_throughput_rps: steady,
             latency: hist.summary_ms(),
             paths,
@@ -175,7 +172,7 @@ impl TrialAnalysis {
 
 /// Helper to build a record.
 #[allow(clippy::too_many_arguments)]
-pub fn record(
+pub(crate) fn record(
     fn_id: FnId,
     sent_at: SimTime,
     done_at: SimTime,
@@ -221,8 +218,6 @@ mod tests {
         let a = TrialAnalysis::from_records(&records);
         assert_eq!(a.completed, 10);
         assert_eq!(a.errors, 0);
-        // Span = 0.9 + 0.05 s.
-        assert!((a.throughput_rps - 10.0 / 0.95).abs() < 0.1);
         assert_eq!(a.paths.2, 10);
     }
 
@@ -239,7 +234,7 @@ mod tests {
     fn empty_records_safe() {
         let a = TrialAnalysis::from_records(&[]);
         assert_eq!(a.completed, 0);
-        assert_eq!(a.throughput_rps, 0.0);
+        assert_eq!(a.steady_throughput_rps, 0.0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::spec::{FnId, Registry, WorkloadSpec};
 
 /// Shard index a function belongs to.
-pub fn shard_of(fn_id: FnId, shards: usize) -> usize {
+pub(crate) fn shard_of(fn_id: FnId, shards: usize) -> usize {
     (fn_id % shards as u64) as usize
 }
 
@@ -130,8 +130,9 @@ mod tests {
         assert_eq!(parts.len(), 4);
         let fns: usize = parts.iter().map(|(pr, _)| pr.len()).sum();
         assert_eq!(fns, r.len());
-        let reqs: usize = parts.iter().map(|(_, pw)| pw.total_requests()).sum();
-        assert_eq!(reqs, w.total_requests());
+        let reqs = |w: &WorkloadSpec| w.order.len() + w.open_arrivals.len();
+        let total: usize = parts.iter().map(|(_, pw)| reqs(pw)).sum();
+        assert_eq!(total, reqs(&w));
         // Each order entry landed on the shard owning its function, in
         // its original relative order.
         for (s, (pr, pw)) in parts.iter().enumerate() {

@@ -6,7 +6,7 @@ use seuss_core::RuntimeKind;
 use simcore::{SimDuration, SimTime};
 
 /// Function identity.
-pub type FnId = u64;
+pub(crate) type FnId = u64;
 
 /// The three function shapes the evaluation uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,9 +24,9 @@ pub enum FnKind {
 #[derive(Clone, Debug)]
 pub struct FnSpec {
     /// Behavioural class.
-    pub kind: FnKind,
+    pub(crate) kind: FnKind,
     /// The interpreter this function targets (Node.js by default).
-    pub runtime: RuntimeKind,
+    pub(crate) runtime: RuntimeKind,
     /// Source code (what SEUSS imports and compiles; Linux containers
     /// /init with it).
     pub src: String,
@@ -58,7 +58,7 @@ impl FnSpec {
     }
 
     /// Rebinds the function to another runtime.
-    pub fn on_runtime(mut self, runtime: RuntimeKind) -> Self {
+    pub(crate) fn on_runtime(mut self, runtime: RuntimeKind) -> Self {
         self.runtime = runtime;
         self
     }
@@ -100,19 +100,19 @@ impl Registry {
     /// Inserts an already-built spec under an id (the shard partitioner
     /// uses this to copy specs between registries without re-deriving
     /// them from a kind + salt).
-    pub fn insert_spec(&mut self, id: FnId, spec: FnSpec) {
+    pub(crate) fn insert_spec(&mut self, id: FnId, spec: FnSpec) {
         self.fns.insert(id, spec);
     }
 
     /// Looks up a function.
-    pub fn get(&self, id: FnId) -> Option<&FnSpec> {
+    pub(crate) fn get(&self, id: FnId) -> Option<&FnSpec> {
         self.fns.get(&id)
     }
 
     /// All registered ids in ascending order — the deterministic
     /// iteration the partitioner needs (`HashMap` iteration order is
     /// not).
-    pub fn ids_sorted(&self) -> Vec<FnId> {
+    pub(crate) fn ids_sorted(&self) -> Vec<FnId> {
         let mut ids: Vec<FnId> = self.fns.keys().copied().collect();
         ids.sort_unstable();
         ids
@@ -155,11 +155,6 @@ impl WorkloadSpec {
             open_arrivals: Vec::new(),
         }
     }
-
-    /// Total requests this spec will issue.
-    pub fn total_requests(&self) -> usize {
-        self.order.len() + self.open_arrivals.len()
-    }
 }
 
 #[cfg(test)]
@@ -188,12 +183,5 @@ mod tests {
         assert_eq!(r.len(), 10);
         assert!(r.get(9).is_some());
         assert!(r.get(10).is_none());
-    }
-
-    #[test]
-    fn workload_counts() {
-        let mut w = WorkloadSpec::closed_loop(vec![1, 2, 3], 2);
-        w.open_arrivals.push((SimTime::from_secs(1), 9));
-        assert_eq!(w.total_requests(), 4);
     }
 }

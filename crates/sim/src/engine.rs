@@ -80,7 +80,6 @@ pub struct Scheduler<E> {
     /// Timers armed and neither delivered nor cancelled.
     live_timers: usize,
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Scheduler<E> {
@@ -91,14 +90,12 @@ impl<E> Scheduler<E> {
             timer_base: 0,
             live_timers: 0,
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
     fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         seq
     }
 
@@ -171,12 +168,6 @@ impl<E> Scheduler<E> {
         self.heap.len() + self.live_timers
     }
 
-    /// Total events scheduled over the lifetime of the simulation, timers
-    /// included.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
     /// Restores the lane's invariant that its front slot is live.
     fn drop_cancelled_front(&mut self) {
         while self.timers.front().is_some_and(|t| t.ev.is_none()) {
@@ -247,11 +238,6 @@ impl<W: World> Simulation<W> {
         self.sched.schedule_at(at, ev)
     }
 
-    /// Schedules an event relative to the current clock.
-    pub fn schedule_in(&mut self, after: SimDuration, ev: W::Event) {
-        self.sched.schedule_in(self.now, after, ev)
-    }
-
     /// Arms a cancellable timer from outside the world; see
     /// [`Scheduler::arm_timer`].
     pub fn arm_timer(&mut self, at: SimTime, ev: W::Event) -> EventId {
@@ -264,7 +250,7 @@ impl<W: World> Simulation<W> {
     }
 
     /// Delivers a single event, if any is pending. Returns whether one fired.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         match self.sched.pop() {
             Some((at, ev)) => {
                 // Clamp: never let the clock run backwards.

@@ -50,16 +50,16 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod engine;
+mod engine;
 pub mod lru;
-pub mod rng;
-pub mod stats;
-pub mod time;
+mod rng;
+mod stats;
+mod time;
 
 pub use engine::{EventId, Scheduler, Simulation, World};
-pub use lru::Recency;
 pub use rng::{stream_seed, SimRng, Zipf};
 pub use stats::{Histogram, PercentileSummary};
 pub use time::{SimDuration, SimTime};

@@ -11,7 +11,7 @@
 //! a unique monotone use clock sorts by — ties cannot arise.
 //!
 //! ```
-//! use simcore::Recency;
+//! use simcore::lru::Recency;
 //!
 //! let mut lru = Recency::new();
 //! let a = lru.push_back('a');

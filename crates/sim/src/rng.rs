@@ -3,10 +3,10 @@
 //! This is `xoshiro256**` seeded through SplitMix64 — the standard
 //! recommendation for simulation workloads. We implement it locally (≈50
 //! lines) instead of pulling `rand` into the workspace, keeping the whole
-//! dependency graph free of external crates. The distributions the
-//! workload generators need (exponential inter-arrivals, [`Zipf`]
-//! popularity skew) live here too, so `seuss-workload` and `seuss-check`
-//! share one deterministic randomness source.
+//! dependency graph free of external crates. The distribution the
+//! workload generators need ([`Zipf`] popularity skew) lives here too,
+//! so `seuss-workload` and `seuss-check` share one deterministic
+//! randomness source.
 
 /// Deterministic pseudo-random number generator (`xoshiro256**`).
 #[derive(Clone, Debug)]
@@ -77,7 +77,7 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -100,18 +100,6 @@ impl SimRng {
     pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "range_inclusive requires lo <= hi");
         lo + self.next_below(hi - lo + 1)
-    }
-
-    /// Exponentially distributed value with the given mean (for Poisson
-    /// inter-arrival gaps).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.next_f64(); // in (0, 1]
-        -mean * u.ln()
-    }
-
-    /// Samples a rank from `zipf` (see [`Zipf`]).
-    pub fn zipf(&mut self, dist: &Zipf) -> u64 {
-        dist.sample(self)
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -158,13 +146,8 @@ impl Zipf {
     }
 
     /// Number of ranks.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.cdf.len() as u64
-    }
-
-    /// Always false: the constructor rejects empty distributions.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Draws a rank in `[0, n)`; rank 0 is the most popular.
@@ -235,15 +218,6 @@ mod tests {
         for &b in &buckets {
             assert!((800..1200).contains(&b), "bucket count {b} out of range");
         }
-    }
-
-    #[test]
-    fn exponential_mean_rough() {
-        let mut r = SimRng::new(13);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(5.0)).sum();
-        let mean = sum / n as f64;
-        assert!((4.5..5.5).contains(&mean), "mean {mean}");
     }
 
     #[test]

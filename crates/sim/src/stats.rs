@@ -97,7 +97,7 @@ impl Histogram {
     }
 
     /// Mean duration; zero when empty.
-    pub fn mean(&self) -> SimDuration {
+    pub(crate) fn mean(&self) -> SimDuration {
         if self.total == 0 {
             SimDuration::ZERO
         } else {

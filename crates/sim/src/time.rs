@@ -19,9 +19,6 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The largest representable instant; used as an "end of time" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Creates an instant from raw nanoseconds since the epoch.
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
@@ -45,11 +42,6 @@ impl SimTime {
     /// Raw nanoseconds since the epoch.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// This instant expressed as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// This instant expressed as fractional seconds.
@@ -221,7 +213,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_millis(5).as_nanos(), 5_000_000);
-        assert_eq!(SimTime::from_secs(2).as_millis_f64(), 2000.0);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDuration::from_millis_f64(1.5).as_nanos(), 1_500_000);
     }
@@ -240,8 +231,8 @@ mod tests {
 
     #[test]
     fn saturation_not_wrap() {
-        let t = SimTime::MAX + SimDuration::from_secs(1);
-        assert_eq!(t, SimTime::MAX);
+        let end = SimTime::from_nanos(u64::MAX);
+        assert_eq!(end + SimDuration::from_secs(1), end);
         assert_eq!(
             SimDuration::from_nanos(u64::MAX)
                 .saturating_mul(2)

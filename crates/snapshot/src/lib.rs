@@ -65,12 +65,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod regs;
-pub mod store;
+mod regs;
+mod store;
 pub mod transfer;
 
 pub use regs::RegisterState;
 pub use store::{Snapshot, SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
-pub use transfer::{export_diff, export_full, import, SnapshotImage};

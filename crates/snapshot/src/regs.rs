@@ -16,11 +16,11 @@ pub struct RegisterState {
     /// Instruction pointer: the exact trigger instruction.
     pub rip: VirtAddr,
     /// Stack pointer.
-    pub rsp: VirtAddr,
+    pub(crate) rsp: VirtAddr,
     /// Flags register.
-    pub rflags: u64,
+    pub(crate) rflags: u64,
     /// The 15 remaining general-purpose registers (rax..r15, rbp).
-    pub gpr: [u64; 15],
+    pub(crate) gpr: [u64; 15],
 }
 
 impl RegisterState {

@@ -128,7 +128,7 @@ impl Snapshot {
     }
 
     /// Captured register file.
-    pub fn regs(&self) -> RegisterState {
+    pub(crate) fn regs(&self) -> RegisterState {
         self.regs
     }
 
@@ -173,13 +173,8 @@ impl Snapshot {
         self.children
     }
 
-    /// The capture-time integrity checksum.
-    pub fn checksum(&self) -> u64 {
-        self.checksum
-    }
-
     /// Whether the stored checksum still matches the capture-time state.
-    pub fn is_intact(&self) -> bool {
+    pub(crate) fn is_intact(&self) -> bool {
         self.checksum
             == fold_checksum(
                 self.root,
@@ -383,7 +378,7 @@ impl SnapshotStore {
     /// Total resident pages reachable from a snapshot (full image size,
     /// shared pages counted once). This is the "Snapshot Size" column of
     /// Table 1 for a runtime snapshot.
-    pub fn resident_pages(&self, mmu: &Mmu, id: SnapshotId) -> Result<u64, SnapshotError> {
+    pub(crate) fn resident_pages(&self, mmu: &Mmu, id: SnapshotId) -> Result<u64, SnapshotError> {
         let snap = self.get(id)?;
         Ok(mmu.collect_mapped(snap.root).len() as u64)
     }
@@ -392,18 +387,18 @@ impl SnapshotStore {
     pub fn resident_mib(&self, mmu: &Mmu, id: SnapshotId) -> Result<f64, SnapshotError> {
         Ok((self.resident_pages(mmu, id)? * PAGE_SIZE as u64) as f64 / (1024.0 * 1024.0))
     }
-
-    /// Sum of marginal diff sizes across all live snapshots, in pages —
-    /// the true storage cost of the snapshot cache.
-    pub fn total_diff_pages(&self) -> u64 {
-        self.snaps.iter().flatten().map(|s| s.diff_pages).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use seuss_mem::VirtAddr;
+
+    /// Sum of marginal diff sizes across all live snapshots, in pages:
+    /// the true storage cost of the snapshot cache.
+    fn total_diff_pages(store: &SnapshotStore) -> u64 {
+        store.snaps.iter().flatten().map(|s| s.diff_pages).sum()
+    }
     use seuss_paging::RegionKind;
 
     fn setup() -> (PhysMemory, Mmu, AddressSpace) {
@@ -516,7 +511,7 @@ mod tests {
         // Lineage is base-first.
         assert_eq!(store.stack_of(foo).unwrap(), vec![base, foo]);
         // Storage cost is 105 pages, not 205 (§3's Foo/Bar example).
-        assert_eq!(store.total_diff_pages(), 105);
+        assert_eq!(total_diff_pages(&store), 105);
     }
 
     #[test]
@@ -557,7 +552,7 @@ mod tests {
         }
         // Data frames: 100 shared + 1 per function = 102, not 202.
         assert_eq!(mem.stats().data_frames, frames_shared_image + 2);
-        assert_eq!(store.total_diff_pages(), 102);
+        assert_eq!(total_diff_pages(&store), 102);
     }
 
     #[test]
@@ -685,8 +680,8 @@ mod tests {
         assert!(store.verify(b).unwrap());
         // Checksums depend on the captured state, so siblings differ.
         assert_ne!(
-            store.get(a).unwrap().checksum(),
-            store.get(b).unwrap().checksum()
+            store.get(a).unwrap().checksum,
+            store.get(b).unwrap().checksum
         );
         store.corrupt(b).unwrap();
         assert!(!store.verify(b).unwrap(), "corruption must be detected");

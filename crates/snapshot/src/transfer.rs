@@ -28,17 +28,17 @@ use crate::store::{SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
 #[derive(Clone, Debug)]
 pub struct SnapshotImage {
     /// Snapshot label.
-    pub label: String,
+    pub(crate) label: String,
     /// Runtime or function snapshot.
-    pub kind: SnapshotKind,
+    pub(crate) kind: SnapshotKind,
     /// Captured registers (resume point).
-    pub regs: RegisterState,
+    pub(crate) regs: RegisterState,
     /// Region layout of the source address space.
-    pub regions: Vec<Region>,
+    pub(crate) regions: Vec<Region>,
     /// `(virtual page number, content)` pairs.
     pub pages: Vec<(u64, PageContent)>,
     /// Whether this is a diff (import requires the parent present).
-    pub is_diff: bool,
+    pub(crate) is_diff: bool,
 }
 
 impl SnapshotImage {

@@ -52,19 +52,19 @@ pub struct DeviceStats {
     /// Read IOs issued (a batched prefetch counts once).
     pub reads: u64,
     /// Write IOs issued.
-    pub writes: u64,
+    pub(crate) writes: u64,
     /// Bytes read.
     pub bytes_read: u64,
     /// Bytes written.
     pub bytes_written: u64,
     /// Virtual nanoseconds spent reading.
-    pub read_nanos: u64,
+    pub(crate) read_nanos: u64,
     /// Virtual nanoseconds spent writing.
-    pub write_nanos: u64,
+    pub(crate) write_nanos: u64,
 }
 
 /// The simulated page-granular block device.
-pub struct BlockDevice {
+pub(crate) struct BlockDevice {
     cfg: DeviceConfig,
     blocks: HashMap<u64, PageContent>,
     free: Vec<u64>,
@@ -75,7 +75,7 @@ pub struct BlockDevice {
 
 impl BlockDevice {
     /// An empty device with the given parameters.
-    pub fn new(cfg: DeviceConfig) -> Self {
+    pub(crate) fn new(cfg: DeviceConfig) -> Self {
         BlockDevice {
             cfg,
             blocks: HashMap::new(),
@@ -86,24 +86,19 @@ impl BlockDevice {
         }
     }
 
-    /// The device's configuration.
-    pub fn config(&self) -> DeviceConfig {
-        self.cfg
-    }
-
     /// Blocks currently allocated (written or pending a write).
-    pub fn used_blocks(&self) -> u64 {
+    pub(crate) fn used_blocks(&self) -> u64 {
         self.allocated
     }
 
     /// Blocks still allocatable.
-    pub fn free_blocks(&self) -> u64 {
+    pub(crate) fn free_blocks(&self) -> u64 {
         self.cfg.capacity_blocks - self.allocated
     }
 
     /// Allocates a block number, recycling freed ones first (LIFO, so
     /// allocation order is deterministic). `None` when the device is full.
-    pub fn alloc_block(&mut self) -> Option<u64> {
+    pub(crate) fn alloc_block(&mut self) -> Option<u64> {
         if self.free_blocks() == 0 {
             return None;
         }
@@ -117,18 +112,18 @@ impl BlockDevice {
 
     /// Stores `content` in an allocated block (no cost booked — demotion
     /// batches are booked once via [`BlockDevice::book_write`]).
-    pub fn insert(&mut self, block: u64, content: PageContent) {
+    pub(crate) fn insert(&mut self, block: u64, content: PageContent) {
         let prior = self.blocks.insert(block, content);
         debug_assert!(prior.is_none(), "block {block} double-written");
     }
 
     /// A copy of a block's content, if it holds one.
-    pub fn content(&self, block: u64) -> Option<PageContent> {
+    pub(crate) fn content(&self, block: u64) -> Option<PageContent> {
         self.blocks.get(&block).cloned()
     }
 
     /// Releases a block back to the free pool.
-    pub fn free_block(&mut self, block: u64) {
+    pub(crate) fn free_block(&mut self, block: u64) {
         let prior = self.blocks.remove(&block);
         debug_assert!(prior.is_some(), "block {block} double-freed");
         self.allocated -= 1;
@@ -137,7 +132,7 @@ impl BlockDevice {
 
     /// Books one read IO spanning `pages` blocks and returns its virtual
     /// cost: the fixed latency once, plus the bandwidth term per byte.
-    pub fn book_read(&mut self, pages: u64) -> SimDuration {
+    pub(crate) fn book_read(&mut self, pages: u64) -> SimDuration {
         let cost = self.read_cost(pages);
         self.stats.reads += 1;
         self.stats.bytes_read += pages * PAGE_SIZE as u64;
@@ -146,7 +141,7 @@ impl BlockDevice {
     }
 
     /// Books one write IO spanning `pages` blocks.
-    pub fn book_write(&mut self, pages: u64) -> SimDuration {
+    pub(crate) fn book_write(&mut self, pages: u64) -> SimDuration {
         let cost = self.write_cost(pages);
         self.stats.writes += 1;
         self.stats.bytes_written += pages * PAGE_SIZE as u64;
@@ -155,12 +150,12 @@ impl BlockDevice {
     }
 
     /// The cost of one read IO spanning `pages` blocks (no booking).
-    pub fn read_cost(&self, pages: u64) -> SimDuration {
+    pub(crate) fn read_cost(&self, pages: u64) -> SimDuration {
         self.cfg.read_latency + self.transfer_cost(pages)
     }
 
     /// The cost of one write IO spanning `pages` blocks (no booking).
-    pub fn write_cost(&self, pages: u64) -> SimDuration {
+    pub(crate) fn write_cost(&self, pages: u64) -> SimDuration {
         self.cfg.write_latency + self.transfer_cost(pages)
     }
 
@@ -170,7 +165,7 @@ impl BlockDevice {
     }
 
     /// Monotone IO counters.
-    pub fn stats(&self) -> DeviceStats {
+    pub(crate) fn stats(&self) -> DeviceStats {
         self.stats
     }
 }
@@ -216,7 +211,7 @@ mod tests {
         );
         // Identical bytes move either way; the gap is 15 extra latencies.
         let gap = serial - batched.as_nanos();
-        assert_eq!(gap, 15 * d.config().read_latency.as_nanos());
+        assert_eq!(gap, 15 * d.cfg.read_latency.as_nanos());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! SEUSS caches every snapshot level in DRAM, which caps cacheable
 //! density at the frame pool. This crate adds the second tier: a
-//! simulated [`BlockDevice`] (fixed per-IO latency + per-byte
+//! simulated `BlockDevice` (fixed per-IO latency + per-byte
 //! bandwidth, pure virtual time) behind a [`TieredStore`] that demotes
 //! idle snapshots' diff pages out of `PhysMemory` and restores them on
 //! deploy by one of three [`RestorePolicy`] paths — lazy demand paging,
@@ -21,12 +21,10 @@
 //! numbers from a LIFO free list, and no wall clock is ever consulted.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod device;
-pub mod tier;
+mod device;
+mod tier;
 
-pub use device::{BlockDevice, DeviceConfig, DeviceStats};
-pub use tier::{
-    DemoteOutcome, DevicePager, ReclaimMode, RestoreOutcome, RestorePolicy, StoreConfig,
-    StoreError, TierStats, TieredStore,
-};
+pub use device::DeviceConfig;
+pub use tier::{ReclaimMode, RestorePolicy, StoreConfig, StoreError, TieredStore};

@@ -157,7 +157,7 @@ pub struct TierStats {
 
 /// The [`SwapPager`] the tier installs on the MMU: single-page reads,
 /// each paying the full per-IO latency — the lazy path's cost model.
-pub struct DevicePager {
+pub(crate) struct DevicePager {
     device: Rc<RefCell<BlockDevice>>,
     read_fault: Rc<Cell<bool>>,
 }
@@ -182,7 +182,7 @@ struct DemotedMeta {
     working_set: Option<Vec<u64>>,
 }
 
-/// The two-tier snapshot store: DRAM frames above, [`BlockDevice`]
+/// The two-tier snapshot store: DRAM frames above, `BlockDevice`
 /// blocks below. Owns all block allocations — blocks are freed when the
 /// owning snapshot is promoted or forgotten, never by page-table GC
 /// (snapshot ids are reused, so sweeps would be unsound).

@@ -17,18 +17,6 @@ pub enum CacheKind {
     Stemcell,
 }
 
-impl CacheKind {
-    /// Lowercase name used in trace output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheKind::IdleUc => "idle_uc",
-            CacheKind::FnSnapshot => "fn_snapshot",
-            CacheKind::Container => "container",
-            CacheKind::Stemcell => "stemcell",
-        }
-    }
-}
-
 /// A typed trace event. The taxonomy covers the mechanism operations the
 /// paper attributes time and memory to (see DESIGN.md "Observability").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -88,8 +76,6 @@ pub enum TraceEvent {
     FaultSnapshotCorrupt,
     /// The platform retried a faulted request (backoff scheduled).
     FaultRetry,
-    /// DR-SEUSS rerouted an invocation away from an unhealthy node.
-    FaultFailover,
     /// The platform shed a request to a degraded path instead of erroring.
     FaultShed,
     /// The MMU faulted a swapped-out page back in from the block device.
@@ -117,7 +103,7 @@ pub enum TraceEvent {
 /// appended after the original 19, and storage-tier kinds after those,
 /// so fault-free / tier-free metrics output stays byte-identical (the
 /// report emits only non-zero counters).
-pub(crate) const EVENT_KINDS: usize = 33;
+pub(crate) const EVENT_KINDS: usize = 32;
 
 /// Kind names in [`TraceEvent::kind_index`] order: the names of trace
 /// output and of the metrics counters.
@@ -148,7 +134,6 @@ pub(crate) const KIND_NAMES: [&str; EVENT_KINDS] = [
     "fault:straggler",
     "fault:snapshot_corrupt",
     "fault:retry",
-    "fault:failover",
     "fault:shed",
     "tier:page_in",
     "tier:demote",
@@ -159,7 +144,7 @@ pub(crate) const KIND_NAMES: [&str; EVENT_KINDS] = [
 
 impl TraceEvent {
     /// Lowercase kind name used in trace output and metrics.
-    pub fn kind_str(&self) -> &'static str {
+    pub(crate) fn kind_str(&self) -> &'static str {
         KIND_NAMES[self.kind_index()]
     }
 
@@ -186,18 +171,17 @@ impl TraceEvent {
             TraceEvent::FaultStraggler => 23,
             TraceEvent::FaultSnapshotCorrupt => 24,
             TraceEvent::FaultRetry => 25,
-            TraceEvent::FaultFailover => 26,
-            TraceEvent::FaultShed => 27,
-            TraceEvent::TierPageIn => 28,
-            TraceEvent::TierDemote { .. } => 29,
-            TraceEvent::TierPromote { .. } => 30,
-            TraceEvent::TierPrefetch { .. } => 31,
-            TraceEvent::TierReadError => 32,
+            TraceEvent::FaultShed => 26,
+            TraceEvent::TierPageIn => 27,
+            TraceEvent::TierDemote { .. } => 28,
+            TraceEvent::TierPromote { .. } => 29,
+            TraceEvent::TierPrefetch { .. } => 30,
+            TraceEvent::TierReadError => 31,
         }
     }
 
     /// Attached magnitude, if the event carries one (pages, frames).
-    pub fn magnitude(&self) -> Option<u64> {
+    pub(crate) fn magnitude(&self) -> Option<u64> {
         match self {
             TraceEvent::SnapshotCapture { dirty_pages } => Some(*dirty_pages),
             TraceEvent::FramesCopied { frames } => Some(*frames),

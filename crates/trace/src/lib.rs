@@ -54,16 +54,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod event;
-pub mod export;
-pub mod metrics;
-pub mod span;
-pub mod tracer;
+mod event;
+mod export;
+mod metrics;
+mod span;
+mod tracer;
 
-pub use event::{CacheKind, EventRecord, TraceEvent};
-pub use export::{merge_jsonl, merge_metrics, validate_jsonl, TraceValidation};
-pub use metrics::{EventCount, MetricsReport, Quantiles};
-pub use span::{PathKind, Phase, SpanId, SpanName, SpanRecord};
+pub use event::{CacheKind, TraceEvent};
+pub use export::{merge_jsonl, merge_metrics, validate_jsonl};
+pub use metrics::MetricsReport;
+pub use span::{PathKind, Phase, SpanName, SpanRecord};
 pub use tracer::{SpanGuard, TraceDump, Tracer};

@@ -132,13 +132,13 @@ impl Quantiles {
 
 /// Count (and summed magnitude) of one event kind over a trial.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventCount {
+pub(crate) struct EventCount {
     /// Event kind name (`"page_fault"`, `"cache_hit:idle_uc"`, …).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// How many times it fired.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Summed magnitudes (pages/frames); zero for kinds without one.
-    pub magnitude: u64,
+    pub(crate) magnitude: u64,
 }
 
 /// The aggregated metrics for one trial.
@@ -147,7 +147,7 @@ pub struct MetricsReport {
     /// Invocation segments recorded via `record_segment`.
     pub segments: u64,
     /// Non-zero event counters.
-    pub events: Vec<EventCount>,
+    pub(crate) events: Vec<EventCount>,
     /// Latency quantiles per (path, phase), zero-duration phases skipped.
     pub per_phase: Vec<(PathKind, Phase, Quantiles)>,
     /// End-to-end segment latency quantiles per path.
@@ -156,7 +156,7 @@ pub struct MetricsReport {
 
 impl MetricsReport {
     /// An empty report (what a disabled tracer returns).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::default()
     }
 
@@ -342,7 +342,6 @@ mod tests {
             TraceEvent::FaultStraggler,
             TraceEvent::FaultSnapshotCorrupt,
             TraceEvent::FaultRetry,
-            TraceEvent::FaultFailover,
             TraceEvent::FaultShed,
             TraceEvent::TierPageIn,
             TraceEvent::TierDemote { pages: 1 },
@@ -353,9 +352,6 @@ mod tests {
         assert_eq!(all.len(), EVENT_KINDS, "a variant is missing here");
         for (i, ev) in all.iter().enumerate() {
             assert_eq!(ev.kind_index(), i, "dense index order: {ev:?}");
-            if let TraceEvent::CacheHit { cache } | TraceEvent::CacheMiss { cache } = ev {
-                assert!(ev.kind_str().ends_with(cache.as_str()), "{ev:?}");
-            }
         }
         let mut names = KIND_NAMES.to_vec();
         names.sort_unstable();

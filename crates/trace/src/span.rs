@@ -40,7 +40,7 @@ impl PathKind {
     }
 
     /// Dense index (position in [`PathKind::ALL`]).
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             PathKind::Cold => 0,
             PathKind::Warm => 1,
@@ -89,7 +89,7 @@ impl Phase {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Lowercase name used in trace output.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Phase::Deploy => "deploy",
             Phase::Restore => "restore",
@@ -126,7 +126,7 @@ impl SpanId {
     }
 
     /// Raw numeric value (used by the JSONL exporter).
-    pub fn as_u32(self) -> u32 {
+    pub(crate) fn as_u32(self) -> u32 {
         self.0
     }
 }
@@ -146,7 +146,7 @@ pub enum SpanName {
 
 impl SpanName {
     /// Name used in trace output (`"invoke"`, `"phase:deploy"`, …).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SpanName::Invoke => "invoke",
             SpanName::Resume => "resume",

@@ -271,11 +271,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The underlying span id (`None` when the tracer is disabled).
-    pub fn id(&self) -> Option<SpanId> {
-        self.id
-    }
-
     /// Attaches a function id to the span.
     pub fn annotate_fn(&self, fn_id: u64) {
         self.tracer.annotate(self.id, |r| r.fn_id = Some(fn_id));

@@ -22,7 +22,7 @@ use crate::profile::UcProfile;
 
 /// Lifecycle state of a UC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UcState {
+pub(crate) enum UcState {
     /// Driver listening, no function imported (fresh runtime deploy).
     Listening,
     /// Function code imported and compiled; ready for arguments.
@@ -102,19 +102,19 @@ pub struct UcContext {
     /// The flat guest address space.
     pub space: AddressSpace,
     /// Register file (resume point).
-    pub regs: RegisterState,
+    pub(crate) regs: RegisterState,
     /// Interpreter state (shared with the source image until mutated).
-    pub interp: Rc<Interpreter>,
+    pub(crate) interp: Rc<Interpreter>,
     /// Lifecycle state.
-    pub state: UcState,
+    pub(crate) state: UcState,
     /// Whether the network path has been exercised in this lineage.
-    pub net_warmed: bool,
+    pub(crate) net_warmed: bool,
     /// Whether the driver has served a request in this lineage.
-    pub driver_warmed: bool,
+    pub(crate) driver_warmed: bool,
     /// Region layout.
-    pub layout: Layout,
+    pub(crate) layout: Layout,
     /// Sizing profile.
-    pub profile: UcProfile,
+    pub(crate) profile: UcProfile,
     /// The snapshot this UC deployed from (for active-UC accounting).
     pub source_snapshot: Option<seuss_snapshot::SnapshotId>,
     /// Node-assigned UC id (keys the per-core network proxy mapping).
@@ -427,11 +427,6 @@ impl UcContext {
         self.state = UcState::Listening;
         self.main_prog = None;
         self.regs = RegisterState::at(self.layout.driver_listen_rip(), self.layout.initial_rsp());
-    }
-
-    /// Pages currently private to this UC (its marginal footprint).
-    pub fn private_pages(&self) -> u64 {
-        self.space.private_pages() + self.profile.kmeta_pages
     }
 
     /// Destroys the UC, releasing its address space and kernel metadata.

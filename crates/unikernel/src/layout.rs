@@ -13,25 +13,25 @@ use seuss_paging::{Region, RegionKind};
 #[derive(Clone, Copy, Debug)]
 pub struct Layout {
     /// Read-only text/rodata (rumprun + libc + interpreter binary).
-    pub text_base: VirtAddr,
+    pub(crate) text_base: VirtAddr,
     /// Text span in pages.
-    pub text_pages: u64,
+    pub(crate) text_pages: u64,
     /// Writable initialized data + bss.
-    pub data_base: VirtAddr,
+    pub(crate) data_base: VirtAddr,
     /// Data span in pages.
-    pub data_pages: u64,
+    pub(crate) data_pages: u64,
     /// Managed (interpreter) heap, demand-zero.
-    pub heap_base: VirtAddr,
+    pub(crate) heap_base: VirtAddr,
     /// Heap span in pages.
-    pub heap_pages: u64,
+    pub(crate) heap_pages: u64,
     /// IO buffers (virtio rings, socket buffers), demand-zero.
-    pub io_base: VirtAddr,
+    pub(crate) io_base: VirtAddr,
     /// IO span in pages.
-    pub io_pages: u64,
+    pub(crate) io_pages: u64,
     /// Stacks, demand-zero.
-    pub stack_base: VirtAddr,
+    pub(crate) stack_base: VirtAddr,
     /// Stack span in pages.
-    pub stack_pages: u64,
+    pub(crate) stack_pages: u64,
 }
 
 impl Layout {
@@ -52,7 +52,7 @@ impl Layout {
     }
 
     /// Layout sized for a CPython-class runtime.
-    pub fn python() -> Self {
+    pub(crate) fn python() -> Self {
         Layout {
             text_pages: 6_144, // 24 MiB
             ..Self::nodejs()
@@ -61,22 +61,22 @@ impl Layout {
 
     /// The resume-point instruction address used for the driver-listening
     /// snapshot trigger (a fixed address inside text).
-    pub fn driver_listen_rip(&self) -> VirtAddr {
+    pub(crate) fn driver_listen_rip(&self) -> VirtAddr {
         self.text_base.offset(0x2000)
     }
 
     /// Resume point after function import+compile (function snapshots).
-    pub fn post_import_rip(&self) -> VirtAddr {
+    pub(crate) fn post_import_rip(&self) -> VirtAddr {
         self.text_base.offset(0x3000)
     }
 
     /// Initial stack pointer (top of the stack region).
-    pub fn initial_rsp(&self) -> VirtAddr {
+    pub(crate) fn initial_rsp(&self) -> VirtAddr {
         VirtAddr::new(self.stack_base.as_u64() + self.stack_pages * 4096 - 16)
     }
 
     /// The five regions, ready to install into an address space.
-    pub fn regions(&self) -> Vec<Region> {
+    pub(crate) fn regions(&self) -> Vec<Region> {
         vec![
             Region {
                 start: self.text_base,

@@ -10,18 +10,22 @@ use seuss_mem::{PhysMemory, VirtAddr};
 use seuss_paging::{AddressSpace, Mmu, PageFault};
 
 /// A borrowed view of a UC's memory, usable as an interpreter heap backend.
-pub struct UcMemory<'a> {
+pub(crate) struct UcMemory<'a> {
     /// The node MMU.
-    pub mmu: &'a mut Mmu,
+    pub(crate) mmu: &'a mut Mmu,
     /// The node frame pool.
-    pub mem: &'a mut PhysMemory,
+    pub(crate) mem: &'a mut PhysMemory,
     /// The UC's address space.
-    pub space: &'a mut AddressSpace,
+    pub(crate) space: &'a mut AddressSpace,
 }
 
 impl<'a> UcMemory<'a> {
     /// Wraps the triple.
-    pub fn new(mmu: &'a mut Mmu, mem: &'a mut PhysMemory, space: &'a mut AddressSpace) -> Self {
+    pub(crate) fn new(
+        mmu: &'a mut Mmu,
+        mem: &'a mut PhysMemory,
+        space: &'a mut AddressSpace,
+    ) -> Self {
         UcMemory { mmu, mem, space }
     }
 }

@@ -22,36 +22,36 @@ pub struct UcProfile {
     pub boot_data_bytes: u64,
     /// Bytes the interpreter writes while starting (heap commit, GC
     /// spaces) before any script runs.
-    pub runtime_init_bytes: u64,
+    pub(crate) runtime_init_bytes: u64,
     /// Bytes written while starting the invocation driver (socket setup,
     /// script load).
-    pub driver_init_bytes: u64,
+    pub(crate) driver_init_bytes: u64,
     /// Virtual time to boot the unikernel to the driver-listen point.
-    pub boot_time: SimDuration,
+    pub(crate) boot_time: SimDuration,
     /// Kernel-side frames pinned per live UC (descriptor, kernel stacks,
     /// per-UC packet rings).
-    pub kmeta_pages: u64,
+    pub(crate) kmeta_pages: u64,
     /// Pages the driver dirties when a deployed UC resumes to its
     /// listening state (scattered writes into the data region).
-    pub resume_touch_pages: u64,
+    pub(crate) resume_touch_pages: u64,
     /// Bytes of IO-region state committed by the first network use
     /// (sockets, protocol control blocks, buffer pools).
-    pub net_warm_bytes: u64,
+    pub(crate) net_warm_bytes: u64,
     /// One-time cost of the first network use in a UC lineage — the N
     /// term of the Table 2 decomposition, hoisted by network AO.
-    pub net_first_use_time: SimDuration,
+    pub(crate) net_first_use_time: SimDuration,
     /// One-time cost of the driver handling its first request in a UC
     /// lineage — the D term, also hoisted by network AO (the AO request
     /// exercises the accept/dispatch path).
-    pub driver_first_request_time: SimDuration,
+    pub(crate) driver_first_request_time: SimDuration,
     /// Bytes the driver commits handling its first request.
-    pub driver_first_request_bytes: u64,
+    pub(crate) driver_first_request_bytes: u64,
     /// Per-connection cost once the network path is warm.
-    pub net_conn_time: SimDuration,
+    pub(crate) net_conn_time: SimDuration,
     /// Fuel budget per invocation segment (VM operations). A runaway
     /// script exhausts this and fails instead of wedging the host — the
     /// in-simulation counterpart of the platform's 60 s timeout.
-    pub invocation_fuel: u64,
+    pub(crate) invocation_fuel: u64,
 }
 
 impl UcProfile {
@@ -74,7 +74,7 @@ impl UcProfile {
     }
 
     /// Calibrated to a CPython/Rumprun stack (smaller runtime).
-    pub fn python() -> Self {
+    pub(crate) fn python() -> Self {
         UcProfile {
             boot_data_bytes: 18 << 20,
             runtime_init_bytes: 14 << 20,

@@ -14,12 +14,13 @@
 //! tables and series the paper plots.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod burst;
+mod burst;
 pub mod report;
-pub mod trial;
+mod trial;
 
 pub use burst::BurstParams;
-pub use report::{burst_series_csv, fmt_duration_ms, records_csv, trial_artifacts, TrialArtifacts};
+pub use report::{burst_series_csv, records_csv, trial_artifacts};
 pub use trial::{TrialParams, ZipfTrial};

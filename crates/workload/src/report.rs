@@ -2,12 +2,6 @@
 //! per-trial artifact set (records + optional trace output).
 
 use seuss_platform::{RequestRecord, RequestStatus, TrialOutput};
-use simcore::SimDuration;
-
-/// Formats a duration as fixed-precision milliseconds.
-pub fn fmt_duration_ms(d: SimDuration) -> String {
-    format!("{:.1} ms", d.as_millis_f64())
-}
 
 /// Dumps request records as CSV (`sent_s,latency_ms,fn,status,served_by,
 /// burst`) — the raw series behind Figures 6–8.
@@ -222,11 +216,6 @@ mod tests {
         assert_eq!(nearest_rank(&v, 0.99), 3.0);
         assert_eq!(nearest_rank(&v, 1.0), 4.0);
         assert!(nearest_rank(&[], 0.5).is_nan());
-    }
-
-    #[test]
-    fn fmt_helpers() {
-        assert_eq!(fmt_duration_ms(SimDuration::from_micros(7_540)), "7.5 ms");
     }
 
     #[test]
