@@ -19,7 +19,6 @@ pub struct FirecrackerEngine {
     pub(crate) base_latency: SimDuration,
     /// Added latency per concurrent creation (host KVM/IO contention).
     pub(crate) contention_per_concurrent: SimDuration,
-    in_flight: u64,
 }
 
 impl Default for FirecrackerEngine {
@@ -35,26 +34,13 @@ impl FirecrackerEngine {
             footprint_mib: 195.0,
             base_latency: SimDuration::from_millis(3_200),
             contention_per_concurrent: SimDuration::from_micros(570_000),
-            in_flight: 0,
         }
-    }
-
-    /// Starts a creation; returns its latency given current concurrency.
-    pub fn start_create(&mut self) -> SimDuration {
-        self.in_flight += 1;
-        self.base_latency + self.contention_per_concurrent * self.in_flight
     }
 
     /// Creation latency at an explicit concurrency level (for the
     /// parallel-fill harness).
     pub fn latency_with(&self, concurrent: u64) -> SimDuration {
         self.base_latency + self.contention_per_concurrent * concurrent
-    }
-
-    /// Completes a creation.
-    pub fn finish_create(&mut self) {
-        debug_assert!(self.in_flight > 0);
-        self.in_flight -= 1;
     }
 
     /// How many microVMs fit in `mem_mib` of memory.
@@ -76,19 +62,14 @@ mod tests {
 
     #[test]
     fn single_boot_over_3_seconds() {
-        let mut e = FirecrackerEngine::paper();
-        let lat = e.start_create();
-        assert!(lat > SimDuration::from_secs(3));
+        let e = FirecrackerEngine::paper();
+        assert!(e.latency_with(1) > SimDuration::from_secs(3));
     }
 
     #[test]
     fn sixteen_way_rate_near_1_3_per_second() {
-        let mut e = FirecrackerEngine::paper();
-        for _ in 0..16 {
-            e.start_create();
-        }
-        let lat = e.base_latency + e.contention_per_concurrent * 16;
-        let rate = 16.0 / lat.as_secs_f64();
+        let e = FirecrackerEngine::paper();
+        let rate = 16.0 / e.latency_with(16).as_secs_f64();
         assert!((1.2..1.5).contains(&rate), "{rate}");
     }
 }

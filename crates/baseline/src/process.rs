@@ -17,7 +17,6 @@ pub struct ProcessEngine {
     /// Added latency per concurrent creation (scheduler/page-cache
     /// contention at 16-way parallelism).
     pub(crate) contention_per_concurrent: SimDuration,
-    in_flight: u64,
 }
 
 impl Default for ProcessEngine {
@@ -34,26 +33,13 @@ impl ProcessEngine {
             footprint_mib: 21.0,
             base_latency: SimDuration::from_millis(60),
             contention_per_concurrent: SimDuration::from_micros(18_500),
-            in_flight: 0,
         }
-    }
-
-    /// Starts a creation; returns its latency given current concurrency.
-    pub fn start_create(&mut self) -> SimDuration {
-        self.in_flight += 1;
-        self.base_latency + self.contention_per_concurrent * self.in_flight
     }
 
     /// Creation latency at an explicit concurrency level (for the
     /// parallel-fill harness).
     pub fn latency_with(&self, concurrent: u64) -> SimDuration {
         self.base_latency + self.contention_per_concurrent * concurrent
-    }
-
-    /// Completes a creation.
-    pub fn finish_create(&mut self) {
-        debug_assert!(self.in_flight > 0);
-        self.in_flight -= 1;
     }
 
     /// How many processes fit in `mem_mib` of memory.
@@ -75,14 +61,10 @@ mod tests {
 
     #[test]
     fn sixteen_way_rate_near_45_per_second() {
-        let mut e = ProcessEngine::paper();
         // Steady state: 16 in flight; each creation takes the latency at
         // concurrency 16, so rate = 16 / latency.
-        for _ in 0..16 {
-            e.start_create();
-        }
-        let lat = e.base_latency + e.contention_per_concurrent * 16;
-        let rate = 16.0 / lat.as_secs_f64();
+        let e = ProcessEngine::paper();
+        let rate = 16.0 / e.latency_with(16).as_secs_f64();
         assert!((42.0..48.0).contains(&rate), "{rate}");
     }
 }

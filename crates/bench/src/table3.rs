@@ -108,14 +108,9 @@ pub(crate) fn run_table3(
 
 /// Firecracker baseline: density from footprint, rate from 16-way fill.
 fn firecracker_row(mem_mib: u64) -> IsolationRow {
-    let mut fc = FirecrackerEngine::paper();
+    let fc = FirecrackerEngine::paper();
     let fc_density = fc.density_limit(mem_mib);
-    let fc_rate = parallel_fill_rate(16, fc_density.min(450), || {
-        let lat = fc.latency_with(16);
-        fc.start_create();
-        fc.finish_create();
-        lat
-    });
+    let fc_rate = parallel_fill_rate(16, fc_density.min(450), || fc.latency_with(16));
     IsolationRow {
         method: "Firecracker microVM",
         creation_rate: fc_rate,
@@ -142,14 +137,9 @@ fn docker_row(mem_mib: u64) -> IsolationRow {
 
 /// Plain Linux process baseline.
 fn process_row(mem_mib: u64) -> IsolationRow {
-    let mut pr = ProcessEngine::paper();
+    let pr = ProcessEngine::paper();
     let pr_density = pr.density_limit(mem_mib);
-    let pr_rate = parallel_fill_rate(16, pr_density.min(4_200), || {
-        let lat = pr.latency_with(16);
-        pr.start_create();
-        pr.finish_create();
-        lat
-    });
+    let pr_rate = parallel_fill_rate(16, pr_density.min(4_200), || pr.latency_with(16));
     IsolationRow {
         method: "Linux process",
         creation_rate: pr_rate,

@@ -5,11 +5,22 @@
 //! full 4 KiB buffer per frame would cost the host as much memory as the
 //! simulated machine has, so content is stored sparsely and promoted to a
 //! dense page only when a frame accumulates enough distinct bytes.
+//!
+//! A sparse page is one byte buffer of records, each a little-endian
+//! `u16` offset, a little-endian `u16` length and that many bytes. The
+//! records are sorted by offset and never overlap, so the buffer's
+//! payload is exactly the set of bytes ever written. The first write to
+//! a zero page therefore costs one host allocation, and a rewrite of
+//! bytes already held, or a write past the last record, changes the
+//! buffer in place.
 
 use crate::addr::PAGE_SIZE;
 
 /// How many sparse bytes a frame may hold before promotion to dense.
 const SPARSE_LIMIT: usize = 128;
+
+/// Bytes of a sparse record's header: `u16` offset plus `u16` length.
+const HEADER: usize = 4;
 
 /// Byte content of one frame, lazily and sparsely materialized.
 #[derive(Clone, Debug, Default)]
@@ -17,11 +28,32 @@ pub enum PageContent {
     /// Never written: reads as zeroes, costs nothing.
     #[default]
     Zero,
-    /// A few written fragments: `(offset, bytes)`, non-overlapping,
-    /// sorted by offset.
-    Sparse(Vec<(u16, Vec<u8>)>),
+    /// A few written fragments packed into one buffer of
+    /// `[offset u16][len u16][bytes]` records, sorted by offset and
+    /// non-overlapping. Only [`PageContent::write`] builds one.
+    Sparse(Vec<u8>),
     /// Fully materialized page.
     Dense(Box<[u8; PAGE_SIZE]>),
+}
+
+/// The `(offset, bytes)` records of a packed sparse buffer, in order.
+fn records(buf: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+    let mut rest = buf;
+    core::iter::from_fn(move || {
+        let (head, tail) = rest.split_first_chunk::<HEADER>()?;
+        let offset = u16::from_le_bytes([head[0], head[1]]) as usize;
+        let len = u16::from_le_bytes([head[2], head[3]]) as usize;
+        let (bytes, tail) = tail.split_at(len);
+        rest = tail;
+        Some((offset, bytes))
+    })
+}
+
+/// Appends one record to a packed sparse buffer.
+fn push_record(buf: &mut Vec<u8>, offset: usize, bytes: &[u8]) {
+    buf.extend_from_slice(&(offset as u16).to_le_bytes());
+    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    buf.extend_from_slice(bytes);
 }
 
 impl PageContent {
@@ -47,38 +79,19 @@ impl PageContent {
                     self.promote();
                     self.write(offset, bytes);
                 } else {
-                    *self = PageContent::Sparse(vec![(offset as u16, bytes.to_vec())]);
+                    let mut buf = Vec::with_capacity(HEADER + bytes.len());
+                    push_record(&mut buf, offset, bytes);
+                    *self = PageContent::Sparse(buf);
                 }
             }
-            PageContent::Sparse(frags) => {
-                let total: usize = frags.iter().map(|(_, b)| b.len()).sum();
+            PageContent::Sparse(buf) => {
+                let total: usize = records(buf).map(|(_, b)| b.len()).sum();
                 if total + bytes.len() > SPARSE_LIMIT {
                     self.promote();
                     self.write(offset, bytes);
                     return;
                 }
-                // Remove or trim overlapping fragments, then insert.
-                let start = offset;
-                let end = offset + bytes.len();
-                let mut rebuilt: Vec<(u16, Vec<u8>)> = Vec::with_capacity(frags.len() + 1);
-                for (fo, fb) in frags.drain(..) {
-                    let fs = fo as usize;
-                    let fe = fs + fb.len();
-                    if fe <= start || fs >= end {
-                        rebuilt.push((fo, fb));
-                        continue;
-                    }
-                    // Keep the non-overlapping prefix/suffix.
-                    if fs < start {
-                        rebuilt.push((fo, fb[..start - fs].to_vec()));
-                    }
-                    if fe > end {
-                        rebuilt.push((end as u16, fb[end - fs..].to_vec()));
-                    }
-                }
-                rebuilt.push((start as u16, bytes.to_vec()));
-                rebuilt.sort_by_key(|&(o, _)| o);
-                *frags = rebuilt;
+                write_sparse(buf, offset, bytes);
             }
         }
     }
@@ -98,12 +111,11 @@ impl PageContent {
             PageContent::Dense(page) => {
                 out.copy_from_slice(&page[offset..offset + out.len()]);
             }
-            PageContent::Sparse(frags) => {
+            PageContent::Sparse(buf) => {
                 out.fill(0);
                 let start = offset;
                 let end = offset + out.len();
-                for (fo, fb) in frags {
-                    let fs = *fo as usize;
+                for (fs, fb) in records(buf) {
                     let fe = fs + fb.len();
                     if fe <= start || fs >= end {
                         continue;
@@ -119,9 +131,9 @@ impl PageContent {
 
     fn promote(&mut self) {
         let mut page = Box::new([0u8; PAGE_SIZE]);
-        if let PageContent::Sparse(frags) = self {
-            for (fo, fb) in frags.iter() {
-                page[*fo as usize..*fo as usize + fb.len()].copy_from_slice(fb);
+        if let PageContent::Sparse(buf) = self {
+            for (fs, fb) in records(buf) {
+                page[fs..fs + fb.len()].copy_from_slice(fb);
             }
         }
         *self = PageContent::Dense(page);
@@ -143,7 +155,7 @@ impl PageContent {
                 }
                 h
             }
-            PageContent::Sparse(frags) => {
+            PageContent::Sparse(buf) => {
                 // Hash as if the page were dense: zero bytes between
                 // fragments must contribute exactly like Dense's zeroes.
                 let mut h = OFFSET;
@@ -153,8 +165,7 @@ impl PageContent {
                         *h = h.wrapping_mul(PRIME);
                     }
                 };
-                for (fo, fb) in frags {
-                    let fs = *fo as usize;
+                for (fs, fb) in records(buf) {
                     hash_zeroes(&mut h, fs - pos);
                     for &b in fb {
                         h = (h ^ b as u64).wrapping_mul(PRIME);
@@ -166,6 +177,52 @@ impl PageContent {
             }
         }
     }
+}
+
+/// Writes `bytes` at `start` into a packed sparse buffer, keeping its
+/// records sorted and non-overlapping. A write inside one record or past
+/// the last one edits the buffer in place; any other write rebuilds it,
+/// trimming the records it overlaps.
+fn write_sparse(buf: &mut Vec<u8>, start: usize, bytes: &[u8]) {
+    let end = start + bytes.len();
+    // The first record ending past `start`: where the write lands.
+    let mut pos = 0;
+    let first = records(buf).find_map(|(fs, fb)| {
+        let at = pos;
+        pos += HEADER + fb.len();
+        (fs + fb.len() > start).then_some((at, fs, fs + fb.len()))
+    });
+    match first {
+        None => return push_record(buf, start, bytes),
+        Some((at, fs, fe)) if fs <= start && end <= fe => {
+            let at = at + HEADER + (start - fs);
+            buf[at..at + bytes.len()].copy_from_slice(bytes);
+            return;
+        }
+        Some(_) => {}
+    }
+    let mut out = Vec::with_capacity(buf.len() + 2 * HEADER + bytes.len());
+    let mut placed = false;
+    for (fs, fb) in records(buf) {
+        let fe = fs + fb.len();
+        if fe <= start {
+            push_record(&mut out, fs, fb);
+            continue;
+        }
+        if fs < start {
+            push_record(&mut out, fs, &fb[..start - fs]);
+        }
+        if !placed {
+            push_record(&mut out, start, bytes);
+            placed = true;
+        }
+        if fs >= end {
+            push_record(&mut out, fs, fb);
+        } else if fe > end {
+            push_record(&mut out, end, &fb[end - fs..]);
+        }
+    }
+    *buf = out;
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
-//! Physical frame identity and metadata.
+//! Physical frame identity and usage class.
 
 use core::fmt;
-
-use crate::content::PageContent;
 
 /// Identifier of a 4 KiB physical frame in the simulated pool.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,25 +34,4 @@ pub enum FrameKind {
     Data,
     /// Kernel metadata (UC descriptors, packet buffers, stacks).
     KernelMeta,
-}
-
-/// Per-frame bookkeeping.
-#[derive(Debug)]
-pub(crate) struct FrameMeta {
-    /// Number of owners (page-table entries, snapshots) referencing the frame.
-    pub(crate) refcount: u32,
-    /// Current usage class.
-    pub(crate) kind: FrameKind,
-    /// Lazily and sparsely materialized byte content.
-    pub(crate) content: PageContent,
-}
-
-impl FrameMeta {
-    pub(crate) fn new(kind: FrameKind) -> Self {
-        FrameMeta {
-            refcount: 1,
-            kind,
-            content: PageContent::Zero,
-        }
-    }
 }

@@ -5,10 +5,18 @@
 //! sizes, per-UC footprints, the density limits of Table 3 — reduces to the
 //! counters maintained here. Refcounting implements page sharing: a frame
 //! referenced by three snapshots and forty UCs is still one frame.
+//!
+//! The pool is struct-of-arrays: per frame a `u32` refcount (0 marks a
+//! free slot), a one-byte [`FrameKind`] and a `u32` handle into a slab
+//! of [`PageContent`], where handle 0 means never written. Most frames
+//! on a node are never written (boot-image pages, zero-content COW
+//! copies), so they cost the host nine bytes each and no heap block. A
+//! freed frame returns its content slot to the slab, so a frame index
+//! handed out again reads as zeroes. Frame indices are reused LIFO.
 
 use crate::addr::PAGE_SIZE;
 use crate::content::PageContent;
-use crate::frame::{FrameId, FrameKind, FrameMeta};
+use crate::frame::{FrameId, FrameKind};
 
 /// Errors from the frame pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,10 +71,21 @@ impl MemStats {
     }
 }
 
-/// A fixed-capacity pool of reference-counted 4 KiB frames.
+/// A fixed-capacity pool of reference-counted 4 KiB frames, kept as
+/// parallel arrays indexed by [`FrameId`] (see the module docs).
 pub struct PhysMemory {
-    frames: Vec<Option<FrameMeta>>,
+    /// Owners per frame; 0 marks a free slot.
+    refcounts: Vec<u32>,
+    /// Usage class per frame (stale in free slots).
+    kinds: Vec<FrameKind>,
+    /// Index into `contents` per frame; 0 means never written.
+    content_slots: Vec<u32>,
+    /// Free frame indices, reused last-freed first.
     free_list: Vec<u32>,
+    /// Content slab; slot 0 is a placeholder so that 0 can mean "none".
+    contents: Vec<PageContent>,
+    /// Free slots of `contents`.
+    free_contents: Vec<u32>,
     stats: MemStats,
     /// Free-frame threshold below which [`PhysMemory::below_reclaim_threshold`]
     /// reports true (drives the SEUSS OOM daemon).
@@ -84,8 +103,12 @@ impl PhysMemory {
     pub fn new(capacity_bytes: u64) -> Self {
         let capacity_frames = capacity_bytes / PAGE_SIZE as u64;
         PhysMemory {
-            frames: Vec::new(),
+            refcounts: Vec::new(),
+            kinds: Vec::new(),
+            content_slots: Vec::new(),
             free_list: Vec::new(),
+            contents: vec![PageContent::Zero],
+            free_contents: Vec::new(),
             stats: MemStats {
                 capacity_frames,
                 ..MemStats::default()
@@ -139,12 +162,15 @@ impl PhysMemory {
         }
         let idx = match self.free_list.pop() {
             Some(idx) => {
-                self.frames[idx as usize] = Some(FrameMeta::new(kind));
+                self.refcounts[idx as usize] = 1;
+                self.kinds[idx as usize] = kind;
                 idx
             }
             None => {
-                let idx = self.frames.len() as u32;
-                self.frames.push(Some(FrameMeta::new(kind)));
+                let idx = self.refcounts.len() as u32;
+                self.refcounts.push(1);
+                self.kinds.push(kind);
+                self.content_slots.push(0);
                 idx
             }
         };
@@ -179,16 +205,11 @@ impl PhysMemory {
         }
     }
 
-    fn meta(&self, frame: FrameId) -> &FrameMeta {
-        self.frames[frame.0 as usize]
-            .as_ref()
-            .expect("use of freed frame")
-    }
-
-    fn meta_mut(&mut self, frame: FrameId) -> &mut FrameMeta {
-        self.frames[frame.0 as usize]
-            .as_mut()
-            .expect("use of freed frame")
+    /// The slot index of a live frame.
+    fn live(&self, frame: FrameId) -> usize {
+        let idx = frame.0 as usize;
+        assert!(self.refcounts[idx] > 0, "use of freed frame {frame:?}");
+        idx
     }
 
     /// Increments a frame's reference count (a new sharer).
@@ -197,7 +218,8 @@ impl PhysMemory {
     ///
     /// Panics if the frame has been freed.
     pub fn inc_ref(&mut self, frame: FrameId) {
-        self.meta_mut(frame).refcount += 1;
+        let idx = self.live(frame);
+        self.refcounts[idx] += 1;
     }
 
     /// Drops one reference; frees the frame when the count reaches zero.
@@ -206,27 +228,54 @@ impl PhysMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the frame has been freed already past zero.
+    /// Panics if the frame has been freed already.
     pub fn dec_ref(&mut self, frame: FrameId) -> bool {
-        let meta = self.meta_mut(frame);
-        assert!(meta.refcount > 0, "refcount underflow on {frame:?}");
-        meta.refcount -= 1;
-        if meta.refcount == 0 {
-            let kind = meta.kind;
-            self.frames[frame.0 as usize] = None;
-            self.free_list.push(frame.0);
-            self.stats.used_frames -= 1;
-            self.stats.total_frees += 1;
-            *self.kind_counter(kind) -= 1;
-            true
-        } else {
-            false
+        let idx = self.live(frame);
+        self.refcounts[idx] -= 1;
+        if self.refcounts[idx] > 0 {
+            return false;
         }
+        self.clear_content(idx);
+        self.free_list.push(frame.0);
+        self.stats.used_frames -= 1;
+        self.stats.total_frees += 1;
+        *self.kind_counter(self.kinds[idx]) -= 1;
+        true
     }
 
     /// Current reference count of a frame.
     pub fn refcount(&self, frame: FrameId) -> u32 {
-        self.meta(frame).refcount
+        self.refcounts[self.live(frame)]
+    }
+
+    /// The content of live frame slot `idx`.
+    fn content(&self, idx: usize) -> &PageContent {
+        &self.contents[self.content_slots[idx] as usize]
+    }
+
+    /// The content of live frame slot `idx`, taking a content slot first
+    /// if the frame has none.
+    fn content_mut(&mut self, idx: usize) -> &mut PageContent {
+        if self.content_slots[idx] == 0 {
+            self.content_slots[idx] = match self.free_contents.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.contents.push(PageContent::Zero);
+                    self.contents.len() as u32 - 1
+                }
+            };
+        }
+        &mut self.contents[self.content_slots[idx] as usize]
+    }
+
+    /// Drops the content of frame slot `idx` and returns its content
+    /// slot to the slab, leaving the frame reading as zeroes.
+    fn clear_content(&mut self, idx: usize) {
+        let slot = std::mem::take(&mut self.content_slots[idx]);
+        if slot != 0 {
+            self.contents[slot as usize] = PageContent::Zero;
+            self.free_contents.push(slot);
+        }
     }
 
     /// Writes bytes into a frame at `offset`, materializing content
@@ -236,7 +285,8 @@ impl PhysMemory {
     ///
     /// Panics if the write crosses the frame boundary or the frame is freed.
     pub fn write(&mut self, frame: FrameId, offset: usize, bytes: &[u8]) {
-        self.meta_mut(frame).content.write(offset, bytes);
+        let idx = self.live(frame);
+        self.content_mut(idx).write(offset, bytes);
     }
 
     /// Reads bytes from a frame at `offset`. Unmaterialized content reads as
@@ -246,7 +296,7 @@ impl PhysMemory {
     ///
     /// Panics if the read crosses the frame boundary or the frame is freed.
     pub fn read(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
-        self.meta(frame).content.read(offset, out);
+        self.content(self.live(frame)).read(offset, out);
     }
 
     /// Clones a frame's content into a newly allocated frame of the same kind.
@@ -254,21 +304,27 @@ impl PhysMemory {
     /// This is the COW break / snapshot page-clone primitive. The clone's
     /// refcount is 1; the source keeps its count.
     pub fn clone_frame(&mut self, src: FrameId) -> Result<FrameId, MemError> {
-        let kind = self.meta(src).kind;
-        let dst = self.alloc(kind)?;
-        let content = self.meta(src).content.clone();
-        self.meta_mut(dst).content = content;
+        let src_idx = self.live(src);
+        let dst = self.alloc(self.kinds[src_idx])?;
+        if self.content_slots[src_idx] != 0 {
+            let content = self.content(src_idx).clone();
+            *self.content_mut(dst.0 as usize) = content;
+        }
         Ok(dst)
     }
 
     /// A copy of a frame's logical content (snapshot export).
     pub fn content_of(&self, frame: FrameId) -> PageContent {
-        self.meta(frame).content.clone()
+        self.content(self.live(frame)).clone()
     }
 
     /// Replaces a frame's content wholesale (snapshot import).
     pub fn set_content(&mut self, frame: FrameId, content: PageContent) {
-        self.meta_mut(frame).content = content;
+        let idx = self.live(frame);
+        match content {
+            PageContent::Zero => self.clear_content(idx),
+            content => *self.content_mut(idx) = content,
+        }
     }
 }
 
@@ -327,7 +383,7 @@ mod tests {
         m.dec_ref(f);
         let g = m.alloc(FrameKind::PageTable).unwrap();
         assert_eq!(g.index(), idx);
-        assert_eq!(m.meta(g).kind, FrameKind::PageTable);
+        assert_eq!(m.kinds[g.index() as usize], FrameKind::PageTable);
     }
 
     #[test]

@@ -91,13 +91,13 @@ impl Mmu {
     pub fn translate(&self, root: TableId, va: VirtAddr) -> Option<Entry> {
         let mut cur = root;
         for level in (2..=4).rev() {
-            let entry = self.store.node(cur).entries[va.table_index(level)];
+            let entry = self.store.node(cur).entry(va.table_index(level));
             if !entry.is_table() {
                 return None;
             }
             cur = entry.next_table();
         }
-        let entry = self.store.node(cur).entries[va.table_index(1)];
+        let entry = self.store.node(cur).entry(va.table_index(1));
         entry.is_page().then_some(entry)
     }
 
@@ -119,7 +119,7 @@ impl Mmu {
         for level in (2..=4).rev() {
             self.stats.levels_walked += 1;
             let idx = va.table_index(level);
-            let entry = self.store.node(cur).entries[idx];
+            let entry = self.store.node(cur).entry(idx);
             let child = if entry.is_table() {
                 let child = entry.next_table();
                 if self.store.refcount(child) > 1 {
@@ -131,7 +131,7 @@ impl Mmu {
                 debug_assert!(!entry.is_present(), "huge pages are not modeled");
                 let t = self.store.alloc(mem, level - 1)?;
                 self.stats.tables_allocated += 1;
-                self.store.node_mut(cur).entries[idx] = Entry::table(t);
+                self.store.node_mut(cur).set(idx, Entry::table(t));
                 t
             };
             cur = child;
@@ -151,7 +151,7 @@ impl Mmu {
         let new = self.store.clone_referencing(mem, child)?;
         // Parent drops its reference on the shared original.
         self.release_root(mem, child);
-        self.store.node_mut(parent).entries[idx] = Entry::table(new);
+        self.store.node_mut(parent).set(idx, Entry::table(new));
         self.stats.tables_split += 1;
         self.stats.entries_copied += TABLE_ENTRIES as u64;
         Ok(new)
@@ -169,12 +169,11 @@ impl Mmu {
     ) -> Result<(), MemError> {
         let l1 = self.exclusive_l1(mem, space.root(), va)?;
         let idx = va.table_index(1);
-        let old = self.store.node(l1).entries[idx];
+        let old = self.store.node(l1).entry(idx);
         if old.is_page() {
             mem.dec_ref(old.frame());
         }
-        self.store.node_mut(l1).entries[idx] = Entry::page(frame, flags);
-        self.stats.pages_mapped += 1;
+        self.store.node_mut(l1).set(idx, Entry::page(frame, flags));
         Ok(())
     }
 
@@ -184,7 +183,7 @@ impl Mmu {
     fn walk_l1(&self, root: TableId, va: VirtAddr) -> Option<(TableId, usize)> {
         let mut cur = root;
         for level in (2..=4).rev() {
-            let entry = self.store.node(cur).entries[va.table_index(level)];
+            let entry = self.store.node(cur).entry(va.table_index(level));
             if !entry.is_table() {
                 return None;
             }
@@ -201,14 +200,15 @@ impl Mmu {
         va: VirtAddr,
     ) -> Result<FrameId, PageFault> {
         if let Some((l1, idx)) = self.walk_l1(space.root(), va) {
-            let entry = self.store.node(l1).entries[idx];
+            let entry = self.store.node(l1).entry(idx);
             if entry.is_page() {
                 self.stats.levels_walked += 3;
                 // Hardware sets the accessed bit on every touch; model it
                 // in place (the harvest sweep is the consumer).
                 if !entry.flags().contains(EntryFlags::ACCESSED) {
-                    self.store.node_mut(l1).entries[idx] =
-                        entry.with_flags(entry.flags() | EntryFlags::ACCESSED);
+                    self.store
+                        .node_mut(l1)
+                        .set(idx, entry.with_flags(entry.flags() | EntryFlags::ACCESSED));
                 }
                 return Ok(entry.frame());
             }
@@ -250,7 +250,7 @@ impl Mmu {
         let root = space.root();
         let l1 = self.exclusive_l1(mem, root, va).map_err(|_| self.oom(va))?;
         let idx = va.table_index(1);
-        let entry = self.store.node(l1).entries[idx];
+        let entry = self.store.node(l1).entry(idx);
         let frame = if entry.is_page() {
             let flags = entry.flags();
             if !flags.contains(EntryFlags::WRITABLE) && !flags.contains(EntryFlags::COW) {
@@ -265,7 +265,9 @@ impl Mmu {
                 let new_flags = flags
                     .without(EntryFlags::COW)
                     .union(EntryFlags::WRITABLE | EntryFlags::DIRTY | EntryFlags::ACCESSED);
-                self.store.node_mut(l1).entries[idx] = Entry::page(clone, new_flags);
+                self.store
+                    .node_mut(l1)
+                    .set(idx, Entry::page(clone, new_flags));
                 self.stats.cow_clones += 1;
                 self.tracer.event(TraceEvent::CowBreak);
                 space.note_private_page();
@@ -274,7 +276,9 @@ impl Mmu {
                 let new_flags = flags
                     .without(EntryFlags::COW)
                     .union(EntryFlags::WRITABLE | EntryFlags::DIRTY | EntryFlags::ACCESSED);
-                self.store.node_mut(l1).entries[idx] = entry.with_flags(new_flags);
+                self.store
+                    .node_mut(l1)
+                    .set(idx, entry.with_flags(new_flags));
                 frame
             }
         } else if entry.is_swapped() {
@@ -298,8 +302,7 @@ impl Mmu {
                 .map_err(|_| self.oom(va))?;
             let flags =
                 EntryFlags::USER | EntryFlags::WRITABLE | EntryFlags::DIRTY | EntryFlags::ACCESSED;
-            self.store.node_mut(l1).entries[idx] = Entry::page(frame, flags);
-            self.stats.pages_mapped += 1;
+            self.store.node_mut(l1).set(idx, Entry::page(frame, flags));
             self.stats.demand_zero_allocs += 1;
             self.tracer.event(TraceEvent::PageFault);
             space.note_private_page();
@@ -324,7 +327,7 @@ impl Mmu {
         let root = space.root();
         let l1 = self.exclusive_l1(mem, root, va).map_err(|_| self.oom(va))?;
         let idx = va.table_index(1);
-        let entry = self.store.node(l1).entries[idx];
+        let entry = self.store.node(l1).entry(idx);
         debug_assert!(entry.is_swapped(), "swap_in on a non-swapped entry");
         let mut flags = entry.swap_flags();
         if kind == AccessKind::Write
@@ -352,7 +355,7 @@ impl Mmu {
                 .without(EntryFlags::COW)
                 .union(EntryFlags::WRITABLE | EntryFlags::DIRTY);
         }
-        self.store.node_mut(l1).entries[idx] = Entry::page(frame, flags);
+        self.store.node_mut(l1).set(idx, Entry::page(frame, flags));
         self.stats.swap_ins += 1;
         self.stats.swap_in_nanos += nanos;
         self.tracer.event(TraceEvent::TierPageIn);
@@ -382,11 +385,13 @@ impl Mmu {
     ) -> Result<PageContent, MemError> {
         let l1 = self.exclusive_l1(mem, root, va)?;
         let idx = va.table_index(1);
-        let entry = self.store.node(l1).entries[idx];
+        let entry = self.store.node(l1).entry(idx);
         assert!(entry.is_page(), "demote_page on a non-present entry");
         let frame = entry.frame();
         let content = mem.content_of(frame);
-        self.store.node_mut(l1).entries[idx] = Entry::swapped(block, entry.flags());
+        self.store
+            .node_mut(l1)
+            .set(idx, Entry::swapped(block, entry.flags()));
         mem.dec_ref(frame);
         Ok(content)
     }
@@ -408,11 +413,13 @@ impl Mmu {
     ) -> Result<FrameId, MemError> {
         let l1 = self.exclusive_l1(mem, root, va)?;
         let idx = va.table_index(1);
-        let entry = self.store.node(l1).entries[idx];
+        let entry = self.store.node(l1).entry(idx);
         assert!(entry.is_swapped(), "promote_page on a non-swapped entry");
         let frame = mem.alloc(seuss_mem::FrameKind::Data)?;
         mem.set_content(frame, content);
-        self.store.node_mut(l1).entries[idx] = Entry::page(frame, entry.swap_flags());
+        self.store
+            .node_mut(l1)
+            .set(idx, Entry::page(frame, entry.swap_flags()));
         Ok(frame)
     }
 
@@ -444,8 +451,7 @@ impl Mmu {
         let mut hits: Vec<(TableId, usize, u64)> = Vec::new();
         let mut stack = vec![(root, 0u64, 4u8)];
         while let Some((id, base, level)) = stack.pop() {
-            for i in 0..TABLE_ENTRIES {
-                let entry = self.store.node(id).entries[i];
+            for (i, &entry) in self.store.node(id).entries.iter().enumerate() {
                 let vpn = base | ((i as u64) << (9 * (level as u64 - 1)));
                 if entry.is_table() {
                     stack.push((entry.next_table(), vpn, level - 1));
@@ -456,9 +462,11 @@ impl Mmu {
         }
         let mut vpns: Vec<u64> = hits.iter().map(|&(_, _, vpn)| vpn).collect();
         for (id, i, _) in hits {
-            let entry = self.store.node(id).entries[i];
-            self.store.node_mut(id).entries[i] =
-                entry.with_flags(entry.flags().without(EntryFlags::ACCESSED));
+            let entry = self.store.node(id).entry(i);
+            self.store.node_mut(id).set(
+                i,
+                entry.with_flags(entry.flags().without(EntryFlags::ACCESSED)),
+            );
         }
         vpns.sort_unstable();
         vpns.dedup();
@@ -537,12 +545,12 @@ impl Mmu {
         let new_root = self.store.clone_node(mem, root)?;
         self.stats.entries_copied += TABLE_ENTRIES as u64;
         let level = self.store.node(new_root).level;
-        for idx in 0..TABLE_ENTRIES {
-            let entry = self.store.node(new_root).entries[idx];
+        for idx in 0..self.store.node(new_root).entries.len() {
+            let entry = self.store.node(new_root).entry(idx);
             if entry.is_table() {
                 debug_assert!(level > 1, "table pointer in a leaf table");
                 let child = self.deep_clone_tables(mem, entry.next_table())?;
-                self.store.node_mut(new_root).entries[idx] = Entry::table(child);
+                self.store.node_mut(new_root).set(idx, Entry::table(child));
             } else if entry.is_page() {
                 mem.inc_ref(entry.frame());
             }

@@ -22,8 +22,6 @@ pub struct OpStats {
     pub snapshot_clones: u64,
     /// Demand-zero data frames allocated.
     pub demand_zero_allocs: u64,
-    /// Leaf mappings installed via explicit `map_page`.
-    pub(crate) pages_mapped: u64,
     /// Shallow root clones performed (deploys + captures).
     pub shallow_clones: u64,
     /// TLB flushes (address-space switches).
@@ -56,7 +54,6 @@ impl OpStats {
             cow_clones: self.cow_clones - earlier.cow_clones,
             snapshot_clones: self.snapshot_clones - earlier.snapshot_clones,
             demand_zero_allocs: self.demand_zero_allocs - earlier.demand_zero_allocs,
-            pages_mapped: self.pages_mapped - earlier.pages_mapped,
             shallow_clones: self.shallow_clones - earlier.shallow_clones,
             tlb_flushes: self.tlb_flushes - earlier.tlb_flushes,
             dirty_scanned: self.dirty_scanned - earlier.dirty_scanned,

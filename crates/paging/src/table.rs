@@ -5,8 +5,14 @@
 //! and a reference count. Reference counts implement the lazy shallow copy
 //! that SEUSS deploy/capture relies on: many address spaces point at the
 //! same lower-level tables until someone writes beneath them.
+//!
+//! A node stores its entries only up to the highest index ever set:
+//! reads past that prefix return the empty entry, and a write past it
+//! extends it. Most tables on a node are roots and upper levels holding
+//! one to four entries, so a table costs the host what it maps, not
+//! 4 KiB. The simulated cost does not change: every table still occupies
+//! one page-table frame, and a copy still counts 512 entries.
 
-use seuss_mem::addr::TABLE_ENTRIES;
 use seuss_mem::{FrameId, FrameKind, MemError, PhysMemory};
 
 use crate::entry::Entry;
@@ -35,8 +41,31 @@ pub struct TableNode {
     pub(crate) refcount: u32,
     /// The physical frame this table occupies.
     pub(crate) frame: FrameId,
-    /// The 512 entries.
-    pub entries: Box<[Entry; TABLE_ENTRIES]>,
+    /// The entries up to the highest index ever set; the rest of the
+    /// 512 are empty.
+    pub entries: Vec<Entry>,
+}
+
+impl TableNode {
+    /// The entry at `idx`, empty if past the stored prefix.
+    #[inline]
+    pub(crate) fn entry(&self, idx: usize) -> Entry {
+        self.entries.get(idx).copied().unwrap_or(Entry::EMPTY)
+    }
+
+    /// Sets the entry at `idx`, extending the stored prefix when `idx`
+    /// lies past it. No path clears an entry, so the prefix always ends
+    /// at the last non-empty one.
+    pub(crate) fn set(&mut self, idx: usize, entry: Entry) {
+        debug_assert!(
+            entry != Entry::EMPTY,
+            "page-table entries are never cleared"
+        );
+        if idx >= self.entries.len() {
+            self.entries.resize(idx + 1, Entry::EMPTY);
+        }
+        self.entries[idx] = entry;
+    }
 }
 
 /// Arena of live page-table nodes.
@@ -67,7 +96,7 @@ impl TableStore {
             level,
             refcount: 1,
             frame,
-            entries: Box::new([Entry::EMPTY; TABLE_ENTRIES]),
+            entries: Vec::new(),
         };
         Ok(self.insert(node))
     }
@@ -222,11 +251,13 @@ mod tests {
         let mut store = TableStore::new();
         let t = store.alloc(&mut mem, 1).unwrap();
         let f = mem.alloc(FrameKind::Data).unwrap();
-        store.node_mut(t).entries[7] = Entry::page(f, crate::EntryFlags::WRITABLE);
+        store
+            .node_mut(t)
+            .set(7, Entry::page(f, crate::EntryFlags::WRITABLE));
         store.inc_ref(t); // refcount 2
         let c = store.clone_node(&mut mem, t).unwrap();
         assert_eq!(store.refcount(c), 1);
-        assert_eq!(store.node(c).entries[7].frame(), f);
+        assert_eq!(store.node(c).entry(7).frame(), f);
         assert_eq!(mem.stats().page_table_frames, 2);
     }
 

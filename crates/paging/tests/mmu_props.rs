@@ -7,7 +7,8 @@
 //!    snapshot taken before the write (COW isolation);
 //! 3. translate() agrees with the write path about mapped pages;
 //! 4. every mapped frame's refcount equals the number of address spaces
-//!    sharing it (checked against a brute-force recount);
+//!    sharing it (checked against a brute-force recount), and no table
+//!    stores entries past its last non-empty one;
 //! 5. dirty bits appear exactly on the pages a space wrote.
 //!
 //! A failure prints a minimized op-sequence and a `SEUSS_CHECK_SEED`
@@ -15,7 +16,7 @@
 
 use seuss_check::{check, check_with, ensure, ensure_eq, gen::Gen, Config};
 use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
-use seuss_paging::{AddressSpace, Mmu, Region, RegionKind, TableId};
+use seuss_paging::{AddressSpace, Entry, Mmu, Region, RegionKind, TableId};
 use std::collections::{HashMap, HashSet};
 
 const BASE: u64 = 0x10_0000;
@@ -115,7 +116,9 @@ fn no_leaks_under_any_interleaving() {
 
 #[test]
 fn refcounts_match_sharer_count() {
-    // Invariant 4: recount every reference brute-force. Sharing is
+    // Invariant 4: recount every reference brute-force, and check that
+    // each table stores only the prefix up to its last non-empty entry
+    // (a stored empty tail is host memory spent on nothing). Sharing is
     // hierarchical — a table's refcount must equal the number of roots
     // plus parent-table entries pointing at it, and a data frame's
     // refcount must equal the number of page entries across all
@@ -138,7 +141,13 @@ fn refcounts_match_sharer_count() {
                 if !seen.insert(t) {
                     continue;
                 }
-                for e in mmu.store.node(t).entries.iter() {
+                let entries = &mmu.store.node(t).entries;
+                ensure!(
+                    entries.last() != Some(&Entry::default()),
+                    "table {t:?} stores {} entries, past its last non-empty one",
+                    entries.len()
+                );
+                for e in entries.iter() {
                     if e.is_table() {
                         let child = e.next_table();
                         *table_refs.entry(child).or_insert(0) += 1;
