@@ -16,10 +16,11 @@
 //!
 //! The figure's claims, all from measured virtual-time accounting: the
 //! demoting sides keep *every* function warm-servable where the DRAM cap
-//! loses some (density), and working-set prefetch restores strictly
-//! cheaper than lazy paging on every re-deploy after its recording pass
-//! (latency — one batched device read instead of a latency payment per
-//! page).
+//! loses some (density), and both batched restores — working-set
+//! prefetch after its recording pass, and eager promotion on every
+//! warm-from-tier deploy — are strictly cheaper than lazy paging of the
+//! same re-deploy (latency — one batched device read instead of a
+//! latency payment per page).
 
 use std::fmt::Write;
 
@@ -251,10 +252,11 @@ pub(crate) fn tier_csv(out: &TierOutcome) -> String {
 }
 
 /// The figure's claims: every demoting side holds density above the
-/// DRAM cap, and every recorded prefetch restore beats the lazy side's
-/// restore of the same (function, round). Returns the number of
-/// restores compared; `Err` names the first violation.
-fn claims(out: &TierOutcome) -> Result<u64, String> {
+/// DRAM cap, and every recorded prefetch restore and every eager restore
+/// beats the lazy side's restore of the same (function, round). Returns
+/// the number of prefetch and of eager restores compared; `Err` names
+/// the first violation.
+fn claims(out: &TierOutcome) -> Result<(u64, u64), String> {
     let dram = out.side("dram");
     if let Some(side) = ["lazy", "eager", "ws"]
         .into_iter()
@@ -262,25 +264,39 @@ fn claims(out: &TierOutcome) -> Result<u64, String> {
     {
         return Err(format!("{side} density not above the DRAM cap"));
     }
+    let ws = out.side("ws").rows.iter().filter(|r| r.prefetched);
+    let eager = out.side("eager").rows.iter();
+    let eager = eager.filter(|r| r.path == PathKind::WarmTier);
+    Ok((beats_lazy(out, "ws", ws)?, beats_lazy(out, "eager", eager)?))
+}
+
+/// Checks that each of `rows` restores strictly cheaper than the lazy
+/// side's warm-from-tier restore of the same (function, round), and
+/// that at least one pair was compared. Returns the pairs compared.
+fn beats_lazy<'a>(
+    out: &TierOutcome,
+    label: &str,
+    rows: impl Iterator<Item = &'a TierRow>,
+) -> Result<u64, String> {
     let lazy = out.side("lazy");
     let mut compared = 0u64;
-    for wr in out.side("ws").rows.iter().filter(|r| r.prefetched) {
+    for row in rows {
         if let Some(lr) = lazy
             .rows
             .iter()
-            .find(|r| r.round == wr.round && r.f == wr.f && r.path == PathKind::WarmTier)
+            .find(|r| r.round == row.round && r.f == row.f && r.path == PathKind::WarmTier)
         {
-            if wr.restore_nanos >= lr.restore_nanos {
+            if row.restore_nanos >= lr.restore_nanos {
                 return Err(format!(
-                    "fn {} round {}: ws restore {} ns >= lazy {} ns",
-                    wr.f, wr.round, wr.restore_nanos, lr.restore_nanos
+                    "fn {} round {}: {label} restore {} ns >= lazy {} ns",
+                    row.f, row.round, row.restore_nanos, lr.restore_nanos
                 ));
             }
             compared += 1;
         }
     }
     if compared == 0 {
-        return Err("no prefetch/lazy re-deploy pairs to compare".into());
+        return Err(format!("no {label}/lazy re-deploy pairs to compare"));
     }
     Ok(compared)
 }
@@ -325,10 +341,10 @@ pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, Strin
             mean_restore_us
         );
     }
-    let compared = claims(&out).map_err(|why| format!("{why}\n{report}"))?;
+    let (prefetched, eager) = claims(&out).map_err(|why| format!("{why}\n{report}"))?;
     let _ = writeln!(
         report,
-        "{} device blocks; {compared} prefetch restores beat lazy",
+        "{} device blocks; {prefetched} prefetch and {eager} eager restores beat lazy",
         p.device_blocks
     );
     Ok(vec![
@@ -390,6 +406,10 @@ mod tests {
             }
         }
         assert!(prefetch_rows > 0, "no prefetch/lazy pairs compared");
+        // Eager promotion is one batched read too: every eager restore
+        // beats lazy, and every lazy warm-from-tier deploy has its pair.
+        let (_, eager_pairs) = claims(&out).expect("figure claims hold");
+        assert_eq!(eager_pairs, lazy.warm_tier);
         assert_eq!(
             ws.prefetches,
             ws.rows.iter().filter(|r| r.prefetched).count() as u64

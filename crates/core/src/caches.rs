@@ -15,22 +15,20 @@ use crate::node::FnId;
 
 /// LRU cache of function-specific UC images, keyed by function identity.
 /// It has no capacity of its own: under memory pressure the node's OOM
-/// daemon evicts its least-recently-used entries. It deletes nothing:
-/// every image it gives up goes back to the caller.
+/// daemon demotes (with a storage tier) and evicts its
+/// least-recently-used entries; its order is the only one kept over
+/// function images. It deletes nothing: every image it gives up goes
+/// back to the caller.
 #[derive(Default)]
 pub struct FnImageCache {
     entries: HashMap<FnId, Handle>,
     order: Recency<(FnId, SnapshotId)>,
-    /// Lookup hits.
-    pub(crate) hits: u64,
-    /// Lookup misses.
-    pub(crate) misses: u64,
     /// Evictions performed.
     pub evictions: u64,
 }
 
 impl FnImageCache {
-    /// Non-mutating lookup (no recency refresh, no stats).
+    /// Non-mutating lookup (no recency refresh).
     pub fn peek(&self, f: FnId) -> Option<SnapshotId> {
         let &h = self.entries.get(&f)?;
         self.order.get(h).map(|(_, img)| img)
@@ -38,13 +36,15 @@ impl FnImageCache {
 
     /// Looks up the image for a function, refreshing recency.
     pub fn lookup(&mut self, f: FnId) -> Option<SnapshotId> {
-        let Some(&h) = self.entries.get(&f) else {
-            self.misses += 1;
-            return None;
-        };
+        let &h = self.entries.get(&f)?;
         self.order.touch(h);
-        self.hits += 1;
         self.order.get(h).map(|(_, img)| img)
+    }
+
+    /// Cached images, least-recently-used first: the order the OOM
+    /// daemon demotes and evicts in.
+    pub(crate) fn images(&self) -> impl Iterator<Item = SnapshotId> + '_ {
+        self.order.iter().map(|(_, (_, img))| img)
     }
 
     /// Caches `img` as `f`'s image. Returns the image it displaced, if
@@ -173,7 +173,6 @@ mod tests {
     fn fn_cache_lru_accounting() {
         let mut c = FnImageCache::default();
         assert_eq!(c.lookup(1), None);
-        assert_eq!(c.misses, 1);
         assert!(c.entries.is_empty());
     }
 

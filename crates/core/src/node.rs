@@ -385,11 +385,12 @@ impl SeussNode {
 
     /// Runs the OOM daemon: reclaim idle UCs while free memory is below
     /// the threshold; then, with a [`ReclaimMode::DemoteColdest`] tier,
-    /// demote the least-recently-deployed function snapshot to the device
+    /// demote the least-recently-used function image to the device
     /// (pressure degrades hot → warm-from-SSD, not warm → cold); once
-    /// nothing is demotable, evict LRU function snapshots outright (the
-    /// §6 policy permits deleting function-specific snapshots with no
-    /// active UCs). Returns reclaim actions taken.
+    /// nothing is demotable, evict LRU function images outright (the §6
+    /// policy permits deleting function-specific snapshots with no
+    /// active UCs). Demotion and eviction walk the same order, the
+    /// function cache's. Returns reclaim actions taken.
     pub fn run_oom_daemon(&mut self) -> u64 {
         let mut n = 0;
         while self.mem.below_reclaim_threshold() {
@@ -414,17 +415,22 @@ impl SeussNode {
         n
     }
 
-    /// One DemoteColdest reclaim step: demote the least-recently-deployed
-    /// resident, idle, childless function snapshot's diff to the device.
-    /// The batched write cost accrues to the next deploy.
+    /// One DemoteColdest reclaim step: walk the function cache from its
+    /// cold end and demote the first image the tier accepts (resident,
+    /// no live UCs, a private diff, device room). The batched write cost
+    /// accrues to the next deploy.
     fn try_demote_coldest(&mut self) -> bool {
-        let Some(tier) = self.tier.as_mut() else {
+        let Some(tier) = self
+            .tier
+            .as_mut()
+            .filter(|t| t.reclaim_mode() == ReclaimMode::DemoteColdest)
+        else {
             return false;
         };
-        if tier.reclaim_mode() != ReclaimMode::DemoteColdest {
-            return false;
-        }
-        let Some((_, out)) = tier.demote_coldest(&mut self.mmu, &mut self.mem, &self.snaps) else {
+        let Some(out) = self.fn_cache.images().find_map(|img| {
+            tier.demote(&mut self.mmu, &mut self.mem, &self.snaps, img)
+                .ok()
+        }) else {
             return false;
         };
         self.tracer
@@ -436,9 +442,10 @@ impl SeussNode {
     /// The one way a function image leaves the node, once the function
     /// cache has given it up. An image no UC runs from is deleted with
     /// its snapshot, and its device blocks are freed. One that UCs still
-    /// run from is retired: it stops being a demotion candidate but keeps
-    /// its blocks, which those UCs may yet page against, and
-    /// [`destroy_uc`](Self::destroy_uc) deletes it with its last UC.
+    /// run from is retired: having left the cache it is no demotion
+    /// candidate, but it keeps its blocks, which those UCs may yet page
+    /// against, and [`destroy_uc`](Self::destroy_uc) deletes it with its
+    /// last UC.
     fn drop_fn_image(&mut self, sid: SnapshotId) {
         match self
             .images
@@ -449,12 +456,7 @@ impl SeussNode {
                     t.forget(sid);
                 }
             }
-            Err(SnapshotError::ActiveUcs(_)) => {
-                if let Some(t) = self.tier.as_mut() {
-                    t.retire(sid);
-                }
-                self.retired.push(sid);
-            }
+            Err(SnapshotError::ActiveUcs(_)) => self.retired.push(sid),
             // Function snapshots have no children, and a dangling id has
             // nothing left to drop.
             Err(_) => {}
@@ -462,14 +464,11 @@ impl SeussNode {
     }
 
     /// Caches `img` as function `f`'s warm-path image — a cold-path
-    /// capture, or a snapshot imported from a peer — and marks its
-    /// snapshot as just used for the storage tier.
+    /// capture, or a snapshot imported from a peer — at the hot end of
+    /// the one LRU order that both demotion and eviction walk.
     pub fn install_fn_image(&mut self, f: FnId, img: SnapshotId) {
         if let Some(old) = self.fn_cache.insert(f, img) {
             self.drop_fn_image(old);
-        }
-        if let Some(tier) = self.tier.as_mut() {
-            tier.note_use(img);
         }
     }
 
@@ -694,9 +693,6 @@ impl SeussNode {
                 },
             )?;
             n.register_port(&uc);
-            if let Some(tier) = n.tier.as_mut() {
-                tier.note_use(img);
-            }
             // OOM-daemon demotions bill the deploy that triggered them.
             let demote_cost = std::mem::take(&mut n.pending_demote_cost);
             Ok((uc, mech_cost + n.cost.uc_construct_fixed + demote_cost))
@@ -1154,6 +1150,19 @@ mod fault_tests {
         SeussNode::new(SeussConfig::test_node()).unwrap().0
     }
 
+    /// A test node on `mem_mib` of DRAM with a demote-coldest NVMe tier.
+    fn tiered_node(policy: RestorePolicy, mem_mib: u64) -> SeussNode {
+        let store = StoreConfig {
+            device: DeviceConfig::nvme(),
+            policy,
+            reclaim: ReclaimMode::DemoteColdest,
+        };
+        let cfg = SeussConfig::test_builder()
+            .mem_mib(mem_mib)
+            .store(Some(store));
+        SeussNode::new(cfg.build().unwrap()).unwrap().0
+    }
+
     fn expect_completed(inv: Invocation) -> (PathKind, String, PathCosts) {
         match inv {
             Invocation::Completed {
@@ -1164,6 +1173,21 @@ mod fault_tests {
             } => (path, result, costs),
             other => panic!("expected completion, got {other:?}"),
         }
+    }
+
+    /// Destroys `f`'s idle UCs, so its next invoke deploys from the
+    /// function cache.
+    fn drain_idle(n: &mut SeussNode, f: FnId) {
+        while let Some(uc) = n.idle.take(f) {
+            n.destroy_uc(uc);
+        }
+    }
+
+    /// Invokes `f` to completion, then [`drain_idle`]s it.
+    fn invoke_drained(n: &mut SeussNode, f: FnId, src: &str) -> PathKind {
+        let (path, _, _) = expect_completed(n.invoke(f, src, &[]).unwrap());
+        drain_idle(n, f);
+        path
     }
 
     fn expect_blocked(inv: Invocation, want: PathKind) -> IoToken {
@@ -1231,13 +1255,7 @@ mod fault_tests {
 
     #[test]
     fn unreadable_demoted_image_frees_its_blocks_with_its_last_uc() {
-        let store = StoreConfig {
-            device: DeviceConfig::nvme(),
-            policy: RestorePolicy::LazyPaging,
-            reclaim: ReclaimMode::DemoteColdest,
-        };
-        let cfg = SeussConfig::test_builder().store(Some(store)).build();
-        let (mut n, _) = SeussNode::new(cfg.unwrap()).unwrap();
+        let mut n = tiered_node(RestorePolicy::LazyPaging, 2048);
         let boot = n.mem.stats();
         let cold = expect_blocked(n.invoke(1, IO, &[]).unwrap(), PathKind::Cold);
         expect_completed(n.resume_invocation(cold, "OK").unwrap());
@@ -1279,6 +1297,104 @@ mod fault_tests {
         assert!((0..6).all(|f| n.fn_cache.peek(f).is_none()));
         assert!(n.idle.is_empty());
         drain_and_count(&mut n, boot);
+    }
+
+    #[test]
+    fn demotion_walks_the_function_cache_past_pinned_and_demoted_images() {
+        let mut n = tiered_node(RestorePolicy::WorkingSetPrefetch, 2048);
+        let boot = n.mem.stats();
+        invoke_drained(&mut n, 1, NOP);
+        let cold = expect_blocked(n.invoke(2, IO, &[]).unwrap(), PathKind::Cold);
+        expect_completed(n.resume_invocation(cold, "OK").unwrap());
+        drain_idle(&mut n, 2);
+        invoke_drained(&mut n, 3, NOP);
+        invoke_drained(&mut n, 4, NOP);
+        let img = |n: &SeussNode, f: FnId| n.fn_cache.peek(f).unwrap();
+        let demoted = |n: &SeussNode| -> Vec<FnId> {
+            let tier = n.tier.as_ref().unwrap();
+            (1..=4).filter(|&f| tier.is_demoted(img(n, f))).collect()
+        };
+        // A warm deploy of 1 refreshes it past 2, 3 and 4; a warm
+        // deploy of 2 blocks on IO, pinning 2's image with its UC.
+        assert_eq!(invoke_drained(&mut n, 1, NOP), PathKind::Warm);
+        let pinned = expect_blocked(n.invoke(2, IO, &[]).unwrap(), PathKind::Warm);
+        // 3 is the coldest image, but already demoted.
+        let three = img(&n, 3);
+        let tier = n.tier.as_mut().unwrap();
+        tier.demote(&mut n.mmu, &mut n.mem, &n.snaps, three)
+            .unwrap();
+        let order: Vec<SnapshotId> = [3, 4, 1, 2].iter().map(|&f| img(&n, f)).collect();
+        assert_eq!(n.fn_cache.images().collect::<Vec<_>>(), order);
+
+        // One frame short: 4's warm deploy runs the daemon, which steps
+        // over the demoted 3 and, 4 having just been looked up, takes 1.
+        let free = n.mem.stats().free_frames();
+        n.mem.set_reclaim_threshold_frames(free + 1);
+        assert_eq!(invoke_drained(&mut n, 4, NOP), PathKind::Warm);
+        n.mem.set_reclaim_threshold_frames(0);
+        assert_eq!(demoted(&n), [1, 3], "not the image being deployed");
+        assert!(n.try_demote_coldest());
+        assert_eq!(demoted(&n), [1, 3, 4]);
+        assert!(!n.try_demote_coldest(), "2 is pinned, the rest demoted");
+
+        // Once its UC is gone, 2 is the last candidate.
+        expect_completed(n.resume_invocation(pinned, "OK").unwrap());
+        drain_idle(&mut n, 2);
+        assert!(n.try_demote_coldest());
+        assert_eq!(demoted(&n), [1, 2, 3, 4]);
+        assert_eq!(n.tier.as_ref().unwrap().stats().demotions, 4);
+        drain_and_count(&mut n, boot);
+    }
+
+    #[test]
+    fn eager_restore_survives_its_own_deploys_reclaim() {
+        // 96 functions with page-sized literals overrun 48 MiB, so the
+        // re-deploys below restore from the device, and each promotion
+        // makes its room by demoting other images.
+        let mut n = tiered_node(RestorePolicy::EagerFull, 48);
+        let src = |f: FnId| {
+            let cells: Vec<String> = (0..192).map(|i| (f * 1000 + i).to_string()).collect();
+            format!(
+                "let t = [{}];\nfunction main(a) {{ return t[0]; }}",
+                cells.join(",")
+            )
+        };
+        for f in 0..96 {
+            invoke_drained(&mut n, f, &src(f));
+        }
+        let (mut restores, mut pressured) = (0, 0);
+        for f in 0..96 {
+            let img = n.fn_cache.peek(f).unwrap();
+            let tier = n.tier.as_ref().unwrap();
+            if !tier.is_demoted(img) {
+                continue;
+            }
+            let was_demoted: Vec<SnapshotId> = n
+                .fn_cache
+                .images()
+                .filter(|&i| tier.is_demoted(i))
+                .collect();
+            let demotions = tier.stats().demotions;
+            assert_eq!(invoke_drained(&mut n, f, &src(f)), PathKind::WarmTier);
+
+            let tier = n.tier.as_ref().unwrap();
+            assert!(
+                !tier.is_demoted(img),
+                "fn {f}: promoted image demoted again"
+            );
+            let newly = n.fn_cache.images();
+            let newly = newly.filter(|i| tier.is_demoted(*i) && !was_demoted.contains(i));
+            let during = tier.stats().demotions - demotions;
+            assert_eq!(
+                during,
+                newly.count() as u64,
+                "fn {f}: a demotion went to the image this deploy promoted"
+            );
+            restores += 1;
+            pressured += u64::from(during > 0);
+        }
+        assert!(restores > 0, "pressure never demoted a function");
+        assert!(pressured > 0, "no restore ran the daemon under pressure");
     }
 
     #[test]

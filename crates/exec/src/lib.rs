@@ -120,7 +120,6 @@ pub fn run_sharded(
     // `Rc`-backed and stays on this thread; the rest is plain data.
     let ClusterConfig {
         backend,
-        cores,
         seed,
         tracer,
         faults,
@@ -131,7 +130,6 @@ pub fn run_sharded(
     let shards = ordered_parallel(parts, plan.workers, |shard, (reg, sub_spec)| {
         let shard_cfg = ClusterConfig {
             backend: backend.clone(),
-            cores: *cores,
             seed: stream_seed(*seed, shard as u64),
             tracer: if traced {
                 Tracer::enabled()

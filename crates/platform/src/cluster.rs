@@ -57,18 +57,19 @@ const CP_ONEWAY: SimDuration = SimDuration::from_millis(18);
 /// Every request arms exactly one, so it is a request's only timeout.
 const TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
+/// Worker cores on the compute node (§7's testbed).
+const CORES: u16 = 16;
+
 /// CPU a Linux container spends on a NOP function, and on each side of
 /// an IO function's external call (§7's functions do no other work).
 const LINUX_EXEC_NOP: SimDuration = SimDuration::from_millis(1);
 
 /// Cluster-level configuration: only what a trial varies. The §7
 /// testbed's fixed costs (control plane, timeout, external endpoint,
-/// Linux NOP) are constants of this module.
+/// Linux NOP) and its core count are constants of this module.
 pub struct ClusterConfig {
     /// Compute backend.
     pub backend: BackendKind,
-    /// Worker cores on the compute node.
-    pub cores: u16,
     /// RNG seed: the Linux bridge's packet drops, the fault stream and
     /// the retry backoff jitter.
     pub seed: u64,
@@ -91,7 +92,6 @@ impl ClusterConfig {
     pub fn seuss_paper() -> Self {
         ClusterConfig {
             backend: BackendKind::Seuss(Box::new(SeussConfig::paper_node())),
-            cores: 16,
             seed: 42,
             tracer: Tracer::disabled(),
             faults: FaultPlan::none(),
@@ -259,10 +259,10 @@ impl Cluster {
                 }
             }
         };
-        let straggler = vec![1.0; config.cores as usize];
+        let straggler = vec![1.0; CORES as usize];
         Cluster {
             backend,
-            cores: CorePool::new(config.cores),
+            cores: CorePool::new(CORES),
             external: ExternalServer::paper_default(),
             registry,
             reqs: Vec::new(),
@@ -1142,17 +1142,15 @@ mod tests {
 
     #[test]
     fn io_functions_release_cores() {
-        // 8 concurrent IO functions on 4 cores finish in ~1 block time,
-        // not 2, because blocked invocations do not hold cores.
+        // 32 concurrent IO functions on the 16 cores finish in ~1 block
+        // time, not 2, because blocked invocations do not hold cores.
         let mut reg = Registry::new();
-        reg.register_many(0, 8, FnKind::Io);
-        let mut cfg = small_seuss();
-        cfg.cores = 4;
-        let order: Vec<FnId> = (0..8).collect();
-        let spec = WorkloadSpec::closed_loop(order, 8);
-        let out = run_trial(cfg, reg, &spec);
-        assert_eq!(out.analysis.completed, 8);
-        // All eight overlap their 250 ms blocks.
+        reg.register_many(0, 32, FnKind::Io);
+        let order: Vec<FnId> = (0..32).collect();
+        let spec = WorkloadSpec::closed_loop(order, 32);
+        let out = run_trial(small_seuss(), reg, &spec);
+        assert_eq!(out.analysis.completed, 32);
+        // All 32 overlap their 250 ms blocks.
         assert!(
             out.finished_at < SimTime::from_millis(700),
             "{:?}",
@@ -1220,14 +1218,12 @@ mod tests {
 
     #[test]
     fn cpu_functions_serialize_on_cores() {
-        // 8 CPU-bound (100 ms) invocations on 2 cores need ≥ 400 ms.
+        // 64 CPU-bound (100 ms) invocations on the 16 cores need ≥ 400 ms.
         let mut reg = Registry::new();
         reg.register_many(0, 1, FnKind::Cpu(SimDuration::from_millis(100)));
-        let mut cfg = small_seuss();
-        cfg.cores = 2;
-        let spec = WorkloadSpec::closed_loop(vec![0; 8], 8);
-        let out = run_trial(cfg, reg, &spec);
-        assert_eq!(out.analysis.completed, 8);
+        let spec = WorkloadSpec::closed_loop(vec![0; 64], 64);
+        let out = run_trial(small_seuss(), reg, &spec);
+        assert_eq!(out.analysis.completed, 64);
         assert!(out.finished_at >= SimTime::from_millis(400));
     }
 
@@ -1386,13 +1382,11 @@ mod tests {
     fn straggler_core_stretches_segments() {
         let mut reg = Registry::new();
         reg.register_many(0, 1, FnKind::Cpu(SimDuration::from_millis(100)));
+        // One worker: every segment runs on core 0, the lowest free core.
         let spec = WorkloadSpec::closed_loop(vec![0; 6], 1);
-        let mut base_cfg = small_seuss();
-        base_cfg.cores = 1;
-        let base = run_trial(base_cfg, reg.clone(), &spec);
+        let base = run_trial(small_seuss(), reg.clone(), &spec);
 
         let mut slow_cfg = small_seuss();
-        slow_cfg.cores = 1;
         slow_cfg.faults = FaultPlan::from_events(vec![seuss_faults::FaultEvent {
             at: SimTime::ZERO,
             kind: FaultKind::StragglerCore {
@@ -1405,7 +1399,7 @@ mod tests {
         assert_eq!(slow.analysis.completed, 6);
         assert!(
             slow.finished_at.as_nanos() > base.finished_at.as_nanos() * 2,
-            "3x straggler on the only core: {:?} vs {:?}",
+            "3x straggler on the one busy core: {:?} vs {:?}",
             slow.finished_at,
             base.finished_at
         );

@@ -23,8 +23,7 @@ use std::rc::Rc;
 
 use seuss_mem::{MemError, PhysMemory, VirtAddr, PAGE_SHIFT};
 use seuss_paging::{Mmu, SwapPager, TableId};
-use seuss_snapshot::{SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
-use simcore::lru::{Handle, Recency};
+use seuss_snapshot::{SnapshotError, SnapshotId, SnapshotStore};
 use simcore::SimDuration;
 
 use crate::device::{BlockDevice, DeviceConfig, DeviceStats};
@@ -57,8 +56,8 @@ impl RestorePolicy {
 pub enum ReclaimMode {
     /// Evict function images outright (the pre-tier behavior).
     Evict,
-    /// Demote the least-recently-deployed snapshot to the device first,
-    /// falling back to eviction only when nothing is demotable.
+    /// Demote the least-recently-used function image to the device
+    /// first, falling back to eviction only when nothing is demotable.
     DemoteColdest,
 }
 
@@ -191,9 +190,6 @@ pub struct TieredStore {
     device: Rc<RefCell<BlockDevice>>,
     read_fault: Rc<Cell<bool>>,
     demoted: HashMap<u32, DemotedMeta>,
-    /// Snapshots in deploy order, coldest first — the demotion order.
-    recency: Recency<SnapshotId>,
-    handles: HashMap<u32, Handle>,
     stats: TierStats,
 }
 
@@ -209,8 +205,6 @@ impl TieredStore {
             device: Rc::new(RefCell::new(BlockDevice::new(cfg.device))),
             read_fault: Rc::new(Cell::new(false)),
             demoted: HashMap::new(),
-            recency: Recency::new(),
-            handles: HashMap::new(),
             stats: TierStats::default(),
         }
     }
@@ -254,55 +248,6 @@ impl TieredStore {
         self.demoted
             .get(&sid.index())
             .and_then(|m| m.working_set.as_deref())
-    }
-
-    /// Marks `sid` as the most recently used (call on capture and on
-    /// every deploy).
-    pub fn note_use(&mut self, sid: SnapshotId) {
-        match self.handles.get(&sid.index()) {
-            Some(&h) => self.recency.touch(h),
-            None => {
-                let h = self.recency.push_back(sid);
-                self.handles.insert(sid.index(), h);
-            }
-        }
-    }
-
-    /// Takes `sid` out of the demotion order without touching its device
-    /// blocks: its image left the node's cache, but UCs deployed from it
-    /// may still page against the blocks.
-    pub fn retire(&mut self, sid: SnapshotId) {
-        if let Some(h) = self.handles.remove(&sid.index()) {
-            self.recency.remove(h);
-        }
-    }
-
-    /// Demotes the least-recently-used function snapshot that can be
-    /// demoted, walking from the cold end past runtime snapshots and
-    /// snapshots [`demote`](Self::demote) refuses (already demoted, live
-    /// UCs, children, no private pages, no device room). Returns the
-    /// victim and its outcome, or `None` when nothing was demotable.
-    pub fn demote_coldest(
-        &mut self,
-        mmu: &mut Mmu,
-        mem: &mut PhysMemory,
-        snaps: &SnapshotStore,
-    ) -> Option<(SnapshotId, DemoteOutcome)> {
-        let mut cursor = self.recency.front_handle();
-        while let Some(h) = cursor {
-            cursor = self.recency.next_handle(h);
-            let sid = self.recency.get(h).expect("cursor is linked");
-            let is_function = snaps
-                .get(sid)
-                .is_ok_and(|s| s.kind() == SnapshotKind::Function);
-            if !is_function {
-                continue;
-            }
-            if let Ok(out) = self.demote(mmu, mem, snaps, sid) {
-                return Some((sid, out));
-            }
-        }
-        None
     }
 
     /// Demotes `sid`'s diff pages to the device: every page not shared
@@ -485,7 +430,6 @@ impl TieredStore {
                 dev.free_block(block);
             }
         }
-        self.retire(sid);
     }
 
     /// Monotone tier counters.
