@@ -18,25 +18,8 @@
 
 use simcore::{SimDuration, SimRng};
 
-/// Bridge admission errors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BridgeError {
-    /// The endpoint limit (default 1024 on Linux) is reached.
-    EndpointLimit(usize),
-}
-
-impl core::fmt::Display for BridgeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            BridgeError::EndpointLimit(n) => write!(f, "bridge endpoint limit {n} reached"),
-        }
-    }
-}
-
-impl std::error::Error for BridgeError {}
-
 /// A Linux software bridge with N veth endpoints.
-pub struct Bridge {
+pub(crate) struct Bridge {
     endpoints: usize,
     max_endpoints: usize,
     /// Kernel cost to process one packet for one endpoint.
@@ -51,7 +34,7 @@ pub struct Bridge {
 
 impl Bridge {
     /// A bridge with the Linux-default 1024 endpoint limit.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Bridge {
             endpoints: 0,
             max_endpoints: 1024,
@@ -66,22 +49,23 @@ impl Bridge {
     }
 
     /// Overrides the endpoint limit (the paper also tried ~3000).
-    pub fn with_max_endpoints(mut self, max: usize) -> Self {
+    pub(crate) fn with_max_endpoints(mut self, max: usize) -> Self {
         self.max_endpoints = max;
         self
     }
 
-    /// Attaches a veth endpoint (container start).
-    pub fn attach(&mut self) -> Result<(), BridgeError> {
+    /// Attaches a veth endpoint (container start). Returns `false` once
+    /// the endpoint limit is reached.
+    pub(crate) fn attach(&mut self) -> bool {
         if self.endpoints >= self.max_endpoints {
-            return Err(BridgeError::EndpointLimit(self.max_endpoints));
+            return false;
         }
         self.endpoints += 1;
-        Ok(())
+        true
     }
 
     /// Detaches an endpoint (container removal).
-    pub fn detach(&mut self) {
+    pub(crate) fn detach(&mut self) {
         debug_assert!(self.endpoints > 0, "detach with no endpoints");
         self.endpoints = self.endpoints.saturating_sub(1);
     }
@@ -115,7 +99,7 @@ impl Bridge {
 
     /// Simulates a TCP connection setup across the bridge: the handshake
     /// needs three packets to survive. Returns `false` on timeout.
-    pub fn connect(&mut self) -> bool {
+    pub(crate) fn connect(&mut self) -> bool {
         self.forward() && self.forward() && self.forward()
     }
 }
@@ -128,18 +112,18 @@ mod tests {
     fn endpoint_limit_enforced() {
         let mut b = Bridge::new(1).with_max_endpoints(3);
         for _ in 0..3 {
-            b.attach().unwrap();
+            assert!(b.attach());
         }
-        assert_eq!(b.attach(), Err(BridgeError::EndpointLimit(3)));
+        assert!(!b.attach());
         b.detach();
-        assert!(b.attach().is_ok());
+        assert!(b.attach());
     }
 
     #[test]
     fn small_bridge_never_drops() {
         let mut b = Bridge::new(2);
         for _ in 0..64 {
-            b.attach().unwrap();
+            assert!(b.attach());
         }
         assert_eq!(b.drop_probability(), 0.0);
         for _ in 0..1000 {
@@ -151,7 +135,7 @@ mod tests {
     fn saturated_bridge_drops_and_times_out() {
         let mut b = Bridge::new(3).with_max_endpoints(4000);
         for _ in 0..3000 {
-            b.attach().unwrap();
+            assert!(b.attach());
         }
         // 3000 endpoints: background load = 3000 * 3000 * 2us = 18 s/s ≫ budget.
         assert!(b.drop_probability() > 0.5);
@@ -164,7 +148,7 @@ mod tests {
         // "Even with 1024 containers we still witness connection failures."
         let mut b = Bridge::new(4);
         for _ in 0..1024 {
-            b.attach().unwrap();
+            assert!(b.attach());
         }
         let p = b.drop_probability();
         assert!(p > 0.0, "1024 endpoints should show some loss");
@@ -175,11 +159,11 @@ mod tests {
     fn load_is_quadratic() {
         let mut b = Bridge::new(5).with_max_endpoints(10_000);
         for _ in 0..500 {
-            b.attach().unwrap();
+            assert!(b.attach());
         }
         let l500 = b.background_load();
         for _ in 0..500 {
-            b.attach().unwrap();
+            assert!(b.attach());
         }
         let l1000 = b.background_load();
         assert!((l1000 / l500 - 4.0).abs() < 0.01, "quadratic scaling");

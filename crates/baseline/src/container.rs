@@ -7,7 +7,7 @@
 //!    the number of concurrent creations (multi-second at 16-way).
 //! 2. *Every container is a bridge endpoint.* Broadcast processing is
 //!    O(N) per packet, so past ≈1 000 endpoints connections start timing
-//!    out (`seuss-net::Bridge`).
+//!    out (the `bridge` module).
 //!
 //! The engine also models OpenWhisk's container lifecycle: containers are
 //! bound to one function after code import (an unbound, pre-warmed
@@ -17,9 +17,10 @@
 
 use std::collections::BTreeMap;
 
-use seuss_net::Bridge;
 use seuss_trace::{TraceEvent, Tracer};
 use simcore::SimDuration;
+
+use crate::bridge::Bridge;
 
 /// Function identity (mirrors `seuss-core::FnId`).
 pub(crate) type FnId = u64;
@@ -173,7 +174,7 @@ impl DockerEngine {
     pub fn finish_create(&mut self, bound: Option<FnId>) -> Result<ContainerId, DockerError> {
         debug_assert!(self.in_flight_creates > 0);
         self.in_flight_creates -= 1;
-        if self.bridge.attach().is_err() {
+        if !self.bridge.attach() {
             return Err(DockerError::Bridge);
         }
         let id = ContainerId(self.next_id);

@@ -12,8 +12,8 @@
 //!   number of live containers *and* with the number of concurrent
 //!   creations (§7: 541 ms alone → ≈1.5 s past 1 000 live → multi-second
 //!   under 16-way parallelism); every container attaches a veth endpoint
-//!   to the shared [`seuss_net::Bridge`], whose O(N²) broadcast load is
-//!   what drops connections once the cache grows.
+//!   to a shared Linux bridge (the `bridge` module), whose O(N²)
+//!   broadcast load is what drops connections once the cache grows.
 //! * **Firecracker microVMs** — a full guest-kernel boot (>3 s) before
 //!   the container and runtime start, and ≈195 MiB per instance
 //!   (450 in 88 GB).
@@ -25,6 +25,7 @@
 #![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
+mod bridge;
 mod container;
 mod microvm;
 mod process;

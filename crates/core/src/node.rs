@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 
 use seuss_mem::PhysMemory;
-use seuss_net::NetProxy;
 use seuss_paging::Mmu;
 use seuss_snapshot::{SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
 use seuss_store::{ReclaimMode, RestorePolicy, StoreError, TieredStore};
@@ -208,9 +207,6 @@ pub struct SeussNode {
     pub cost: CostModel,
     /// Statistics.
     pub stats: NodeStats,
-    /// The per-core network proxy: every live UC holds a unique port
-    /// mapping (all UCs share one IP/MAC, §6 "Networking").
-    pub(crate) proxy: NetProxy,
     /// Tracing handle (disabled by default; see [`SeussNode::set_tracer`]).
     pub tracer: Tracer,
     /// The storage tier, when `SeussConfig::store` asks for one. `None`
@@ -338,7 +334,6 @@ impl SeussNode {
             idle: IdleUcCache::new(config.idle_per_fn, config.idle_total),
             cost: CostModel::paper(),
             stats: NodeStats::default(),
-            proxy: NetProxy::new(),
             tracer: Tracer::disabled(),
             tier,
             pending_demote_cost: SimDuration::ZERO,
@@ -390,8 +385,10 @@ impl SeussNode {
     /// nothing is demotable, evict LRU function images outright (the §6
     /// policy permits deleting function-specific snapshots with no
     /// active UCs). Demotion and eviction walk the same order, the
-    /// function cache's. Returns reclaim actions taken.
-    pub fn run_oom_daemon(&mut self) -> u64 {
+    /// function cache's, and both pass over `spare`: a deploy spares the
+    /// image it is about to build a UC from, which has no UC yet.
+    /// Returns reclaim actions taken.
+    pub fn run_oom_daemon(&mut self, spare: Option<SnapshotId>) -> u64 {
         let mut n = 0;
         while self.mem.below_reclaim_threshold() {
             if let Some(uc) = self.idle.pop_lru() {
@@ -399,11 +396,12 @@ impl SeussNode {
                 n += 1;
                 continue;
             }
-            if self.try_demote_coldest() {
+            if self.try_demote_coldest(spare) {
                 n += 1;
                 continue;
             }
-            let idle = |sid| self.snaps.get(sid).is_ok_and(|s| s.active_ucs() == 0);
+            let idle =
+                |sid| Some(sid) != spare && self.snaps.get(sid).is_ok_and(|s| s.active_ucs() == 0);
             if let Some(sid) = self.fn_cache.evict_lru(idle) {
                 self.drop_fn_image(sid);
                 n += 1;
@@ -416,10 +414,10 @@ impl SeussNode {
     }
 
     /// One DemoteColdest reclaim step: walk the function cache from its
-    /// cold end and demote the first image the tier accepts (resident,
-    /// no live UCs, a private diff, device room). The batched write cost
-    /// accrues to the next deploy.
-    fn try_demote_coldest(&mut self) -> bool {
+    /// cold end and demote the first image other than `spare` that the
+    /// tier accepts (resident, no live UCs, a private diff, device room).
+    /// The batched write cost accrues to the next deploy.
+    fn try_demote_coldest(&mut self, spare: Option<SnapshotId>) -> bool {
         let Some(tier) = self
             .tier
             .as_mut()
@@ -427,7 +425,8 @@ impl SeussNode {
         else {
             return false;
         };
-        let Some(out) = self.fn_cache.images().find_map(|img| {
+        let mut candidates = self.fn_cache.images().filter(|&img| Some(img) != spare);
+        let Some(out) = candidates.find_map(|img| {
             tier.demote(&mut self.mmu, &mut self.mem, &self.snaps, img)
                 .ok()
         }) else {
@@ -675,7 +674,7 @@ impl SeussNode {
         let uc = self.phase(Phase::Deploy, costs, |n| {
             // Memory pressure is handled before construction, like the §6
             // daemon watching the free-frame watermark.
-            n.run_oom_daemon();
+            n.run_oom_daemon(Some(img));
             let (uc, mech_cost) = n.images.deploy_prepared(
                 &mut n.mmu,
                 &mut n.mem,
@@ -692,7 +691,6 @@ impl SeussNode {
                     Ok(())
                 },
             )?;
-            n.register_port(&uc);
             // OOM-daemon demotions bill the deploy that triggered them.
             let demote_cost = std::mem::take(&mut n.pending_demote_cost);
             Ok((uc, mech_cost + n.cost.uc_construct_fixed + demote_cost))
@@ -707,16 +705,10 @@ impl SeussNode {
         Ok(uc)
     }
 
-    /// Gives a fresh UC its unique proxy port (all UCs share one IP/MAC).
-    fn register_port(&mut self, uc: &UcContext) {
-        let _ = self.proxy.register(uc.uc_id);
-    }
-
-    /// Destroys a UC, dropping its proxy mapping first. The last UC of a
-    /// retired image takes the image with it.
+    /// Destroys a UC. The last UC of a retired image takes the image
+    /// with it.
     pub fn destroy_uc(&mut self, uc: UcContext) {
         let source = uc.source_snapshot;
-        self.proxy.unregister(uc.uc_id);
         self.images
             .destroy_uc(&mut self.mmu, &mut self.mem, &mut self.snaps, uc);
         if let Some(i) = source.and_then(|s| self.retired.iter().position(|&r| r == s)) {
@@ -846,7 +838,6 @@ impl SeussNode {
         let (uc, mech) = self
             .images
             .deploy(&mut self.mmu, &mut self.mem, &mut self.snaps, base)?;
-        self.register_port(&uc);
         if let Some(victim) = self.idle.put(f, uc) {
             self.destroy_uc(victim);
         }
@@ -1056,7 +1047,7 @@ mod tests {
         for i in 0..64 {
             let _ = n.deploy_idle_uc(i);
         }
-        n.run_oom_daemon();
+        n.run_oom_daemon(None);
         assert!(n.stats.oom_reclaims > 0 || n.idle.len() < 64);
     }
 
@@ -1088,52 +1079,6 @@ mod tests {
             net > full,
             "interpreter AO must cut further ({net:?} vs {full:?})"
         );
-    }
-}
-
-#[cfg(test)]
-mod proxy_tests {
-    use super::*;
-    use crate::config::SeussConfig;
-
-    const NOP: &str = "function main(args) { return 0; }";
-
-    #[test]
-    fn live_ucs_hold_unique_proxy_ports() {
-        let (mut n, _) = SeussNode::new(SeussConfig::test_node()).unwrap();
-        for f in 0..6 {
-            n.invoke(f, NOP, &[]).unwrap();
-        }
-        // Every idle UC holds a mapping.
-        assert_eq!(n.proxy.active(), n.idle.len());
-    }
-
-    #[test]
-    fn destroying_ucs_releases_ports() {
-        let (mut n, _) = SeussNode::new(SeussConfig::test_node()).unwrap();
-        for f in 0..4 {
-            n.invoke(f, NOP, &[]).unwrap();
-        }
-        let before = n.proxy.active();
-        assert!(before >= 4);
-        while let Some(uc) = n.idle.pop_lru() {
-            n.destroy_uc(uc);
-        }
-        assert_eq!(n.proxy.active(), 0);
-    }
-
-    #[test]
-    fn blocked_ucs_keep_their_mapping() {
-        let (mut n, _) = SeussNode::new(SeussConfig::test_node()).unwrap();
-        let src = "function main(a) { let r = http_get('http://x'); return r; }";
-        let token = match n.invoke(1, src, &[]).unwrap() {
-            Invocation::Blocked { token, .. } => token,
-            other => panic!("{other:?}"),
-        };
-        // The blocked UC's port stays mapped (external reply must route back).
-        assert!(n.proxy.active() >= 1);
-        n.resume_invocation(token, "ok").unwrap();
-        assert_eq!(n.proxy.active(), n.idle.len());
     }
 }
 
@@ -1209,11 +1154,24 @@ mod fault_tests {
         }
     }
 
+    /// UCs still running from the node's images (runtime, cached and
+    /// retired): the count the §6 delete policy reads.
+    fn live_ucs(n: &SeussNode) -> usize {
+        let active = |sid| n.snaps.get(sid).map_or(0, |s| s.active_ucs() as usize);
+        n.runtime_images
+            .values()
+            .copied()
+            .chain(n.fn_cache.images())
+            .chain(n.retired.iter().copied())
+            .map(active)
+            .sum()
+    }
+
     /// Destroys every idle UC and empties the function cache through the
     /// node's one exit, then checks that only the runtime images are
-    /// left: no snapshot, image, frame, proxy port or device block
-    /// outlives the functions that used it. `boot` is `mem.stats()`
-    /// right after the node came up.
+    /// left: no UC, snapshot, image, frame or device block outlives the
+    /// functions that used it. `boot` is `mem.stats()` right after the
+    /// node came up.
     fn drain_and_count(n: &mut SeussNode, boot: MemStats) {
         assert_eq!(n.pending.len(), 0, "resume every blocked invoke first");
         while let Some(uc) = n.idle.pop_lru() {
@@ -1226,7 +1184,7 @@ mod fault_tests {
         assert_eq!(n.snaps.len(), runtimes, "only runtime snapshots remain");
         assert_eq!(n.images.len(), runtimes, "only runtime images remain");
         assert_eq!(live_frames(n.mem.stats()), live_frames(boot), "frames");
-        assert_eq!(n.proxy.active(), 0, "every proxy port is released");
+        assert_eq!(live_ucs(n), 0, "every UC is destroyed");
         if let Some(t) = &n.tier {
             assert_eq!(t.used_blocks(), 0, "every device block is freed");
         }
@@ -1292,7 +1250,7 @@ mod fault_tests {
         // and evicts every function image.
         let capacity = n.mem.stats().capacity_frames;
         n.mem.set_reclaim_threshold_frames(capacity);
-        n.run_oom_daemon();
+        n.run_oom_daemon(None);
         assert_eq!(n.fn_cache.evictions, 6);
         assert!((0..6).all(|f| n.fn_cache.peek(f).is_none()));
         assert!(n.idle.is_empty());
@@ -1333,14 +1291,14 @@ mod fault_tests {
         assert_eq!(invoke_drained(&mut n, 4, NOP), PathKind::Warm);
         n.mem.set_reclaim_threshold_frames(0);
         assert_eq!(demoted(&n), [1, 3], "not the image being deployed");
-        assert!(n.try_demote_coldest());
+        assert!(n.try_demote_coldest(None));
         assert_eq!(demoted(&n), [1, 3, 4]);
-        assert!(!n.try_demote_coldest(), "2 is pinned, the rest demoted");
+        assert!(!n.try_demote_coldest(None), "2 is pinned, the rest demoted");
 
         // Once its UC is gone, 2 is the last candidate.
         expect_completed(n.resume_invocation(pinned, "OK").unwrap());
         drain_idle(&mut n, 2);
-        assert!(n.try_demote_coldest());
+        assert!(n.try_demote_coldest(None));
         assert_eq!(demoted(&n), [1, 2, 3, 4]);
         assert_eq!(n.tier.as_ref().unwrap().stats().demotions, 4);
         drain_and_count(&mut n, boot);
@@ -1397,6 +1355,26 @@ mod fault_tests {
         assert!(pressured > 0, "no restore ran the daemon under pressure");
     }
 
+    /// A deploy's own reclaim pass spares the image it deploys: with a
+    /// threshold nothing can meet and nothing else to give up, the warm
+    /// invoke still completes warm, whether the daemon would evict the
+    /// image (untiered, lazy) or demote it first (eager).
+    #[test]
+    fn deploy_reclaim_spares_the_image_it_deploys() {
+        let nodes = [
+            node(),
+            tiered_node(RestorePolicy::LazyPaging, 768),
+            tiered_node(RestorePolicy::EagerFull, 768),
+        ];
+        for mut n in nodes {
+            assert_eq!(invoke_drained(&mut n, 1, NOP), PathKind::Cold);
+            let capacity = n.mem.stats().capacity_frames;
+            n.mem.set_reclaim_threshold_frames(capacity);
+            let (path, r, _) = expect_completed(n.invoke(1, NOP, &[]).unwrap());
+            assert_eq!((path, r.as_str()), (PathKind::Warm, "0"));
+        }
+    }
+
     #[test]
     fn corrupt_snapshot_degrades_warm_to_cold_and_repairs() {
         let mut n = node();
@@ -1421,14 +1399,14 @@ mod fault_tests {
     }
 
     /// Checks the conservation invariants after one failed invoke or
-    /// resume of `f`: the failed UC gave back its proxy port and its
+    /// resume of `f`: the failed UC was destroyed and gave back its
     /// snapshot reference, and the failure was counted once.
     fn assert_failure_cleaned_up(n: &SeussNode, f: FnId, errors_before: u64) {
         assert_eq!(n.stats.errors, errors_before + 1, "one error per failure");
         assert_eq!(
-            n.proxy.active(),
+            live_ucs(n),
             n.idle.len() + n.pending.len(),
-            "only idle and blocked UCs hold proxy ports"
+            "only idle and blocked UCs are live"
         );
         let img = n.fn_cache.peek(f).expect("fn snapshot cached");
         assert_eq!(n.snaps.get(img).unwrap().active_ucs(), 0);
@@ -1513,7 +1491,7 @@ mod fault_tests {
         assert_eq!(n.idle.len(), 0);
         assert!((1..=3).all(|f| n.fn_cache.peek(f).is_none()));
         assert_eq!(n.pending.len(), 0);
-        assert_eq!(n.proxy.active(), 0, "every UC port was released");
+        assert_eq!(live_ucs(&n), 0, "every UC was destroyed");
         assert_eq!(
             n.resume_invocation(token, "late").err(),
             Some(NodeError::UnknownToken),

@@ -20,9 +20,8 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use seuss_baseline::{ContainerId, DockerEngine, DockerError};
-use seuss_core::{Invocation, IoToken, PathKind, SeussConfig, SeussNode, ShimProcess};
+use seuss_core::{Invocation, IoToken, PathKind, SeussConfig, SeussNode};
 use seuss_faults::{FaultKind, FaultPlan, RetryPolicy, FAULT_EXEC_STREAM};
-use seuss_net::ExternalServer;
 use seuss_trace::{
     merge_jsonl, merge_metrics, MetricsReport, SpanName, TraceDump, TraceEvent, Tracer,
 };
@@ -52,6 +51,19 @@ pub enum BackendKind {
 /// EXPERIMENTS.md, "Known deviations").
 const CP_ONEWAY: SimDuration = SimDuration::from_millis(18);
 
+/// One direction of the SEUSS shim's extra hop: half of the "about 8 ms
+/// to the round-trip latency" §6 reports. Invocation messages pipeline
+/// through the shim, so the hop is a fixed latency on each side.
+const SHIM_ONEWAY: SimDuration = SimDuration::from_millis(4);
+
+/// From an IO function's external call to its reply: §7's remote HTTP
+/// server "blocks for 250 ms before sending an OK reply", over the
+/// testbed's 10 GbE link (200 µs RTT, 30 µs per message, 1 ns per byte):
+/// the TCP handshake (1.5 RTT + 2 messages = 360 µs), the 200-byte
+/// request (RTT/2 + 1 message + 200 ns = 130.2 µs), the 250 ms block,
+/// and the 100-byte reply (130.1 µs).
+const IO_REPLY: SimDuration = SimDuration::from_nanos(250_620_300);
+
 /// The platform's invocation timeout: OpenWhisk's 60 s default, which
 /// §7's burst experiments count as errors (the ✗ marks of Figures 6–8).
 /// Every request arms exactly one, so it is a request's only timeout.
@@ -65,8 +77,8 @@ const CORES: u16 = 16;
 const LINUX_EXEC_NOP: SimDuration = SimDuration::from_millis(1);
 
 /// Cluster-level configuration: only what a trial varies. The §7
-/// testbed's fixed costs (control plane, timeout, external endpoint,
-/// Linux NOP) and its core count are constants of this module.
+/// testbed's fixed costs (control plane, shim hop, timeout, external
+/// endpoint, Linux NOP) and its core count are constants of this module.
 pub struct ClusterConfig {
     /// Compute backend.
     pub backend: BackendKind,
@@ -194,7 +206,6 @@ pub(crate) enum Task {
 enum Backend {
     Seuss {
         node: Box<SeussNode>,
-        shim: ShimProcess,
     },
     Linux {
         docker: Box<DockerEngine>,
@@ -208,7 +219,6 @@ enum Backend {
 pub struct Cluster {
     backend: Backend,
     cores: CorePool<Task>,
-    external: ExternalServer,
     registry: Registry,
     reqs: Vec<Req>,
     /// Finished-request records.
@@ -242,7 +252,6 @@ impl Cluster {
                 node.set_tracer(tracer.clone());
                 Backend::Seuss {
                     node: Box::new(node),
-                    shim: ShimProcess::paper(),
                 }
             }
             BackendKind::Linux {
@@ -263,7 +272,6 @@ impl Cluster {
         Cluster {
             backend,
             cores: CorePool::new(CORES),
-            external: ExternalServer::paper_default(),
             registry,
             reqs: Vec::new(),
             records: Vec::new(),
@@ -289,7 +297,7 @@ impl Cluster {
     /// Immutable access to the SEUSS node, if this is a SEUSS cluster.
     pub fn seuss_node(&self) -> Option<&SeussNode> {
         match &self.backend {
-            Backend::Seuss { node, .. } => Some(node),
+            Backend::Seuss { node } => Some(node),
             Backend::Linux { .. } => None,
         }
     }
@@ -320,9 +328,9 @@ impl Cluster {
 
     fn shim_oneway(&self) -> SimDuration {
         match &self.backend {
-            Backend::Seuss { shim, .. } => {
+            Backend::Seuss { .. } => {
                 self.tracer.event(TraceEvent::ShimHop);
-                shim.invocation_overhead() / 2
+                SHIM_ONEWAY
             }
             Backend::Linux { .. } => SimDuration::ZERO,
         }
@@ -416,7 +424,7 @@ impl Cluster {
         }
         self.reqs[req].crash_epoch = self.crash_epoch;
         match &mut self.backend {
-            Backend::Seuss { node, .. } => {
+            Backend::Seuss { node } => {
                 let r = &mut self.reqs[req];
                 let result = match task {
                     Task::Run(_) => {
@@ -633,7 +641,7 @@ impl Cluster {
                 self.crash_epoch += 1;
                 self.node_down_until = Some(now + reboot);
                 match &mut self.backend {
-                    Backend::Seuss { node, .. } => {
+                    Backend::Seuss { node } => {
                         // The node's tracer emits FaultNodeCrash.
                         node.crash();
                     }
@@ -650,9 +658,9 @@ impl Cluster {
             }
             FaultKind::MemPressure { frames, span } => {
                 self.tracer.event(TraceEvent::FaultMemPressure { frames });
-                if let Backend::Seuss { node, .. } = &mut self.backend {
+                if let Backend::Seuss { node } = &mut self.backend {
                     node.mem.apply_pressure(frames);
-                    node.run_oom_daemon();
+                    node.run_oom_daemon(None);
                 }
                 sched.schedule_at(now + span, Ev::FaultEnd(i));
             }
@@ -666,14 +674,14 @@ impl Cluster {
             FaultKind::SnapshotCorruption { fn_id } => {
                 // Silent data damage: detection (and the trace event)
                 // happens on the function's next warm-path lookup.
-                if let Backend::Seuss { node, .. } = &mut self.backend {
+                if let Backend::Seuss { node } = &mut self.backend {
                     node.corrupt_fn_snapshot(fn_id);
                 }
             }
             FaultKind::DeviceReadError { span } => {
                 // Silent until a deploy needs the device: the node emits
                 // TierReadError when it degrades a tiered warm start.
-                if let Backend::Seuss { node, .. } = &mut self.backend {
+                if let Backend::Seuss { node } = &mut self.backend {
                     if node.set_device_read_fault(true) {
                         sched.schedule_at(now + span, Ev::FaultEnd(i));
                     }
@@ -700,7 +708,7 @@ impl Cluster {
                 }
             }
             FaultKind::MemPressure { .. } => {
-                if let Backend::Seuss { node, .. } = &mut self.backend {
+                if let Backend::Seuss { node } = &mut self.backend {
                     node.mem.release_pressure();
                 }
             }
@@ -711,7 +719,7 @@ impl Cluster {
             }
             FaultKind::SnapshotCorruption { .. } => {}
             FaultKind::DeviceReadError { .. } => {
-                if let Backend::Seuss { node, .. } = &mut self.backend {
+                if let Backend::Seuss { node } = &mut self.backend {
                     node.set_device_read_fault(false);
                 }
             }
@@ -779,7 +787,7 @@ impl World for Cluster {
                 sched.schedule_at(now + hop, Ev::NodeReceive(req));
             }
             Ev::NodeReceive(req) => {
-                if req == usize::MAX || self.reqs[req].status != ReqStatus::InFlight {
+                if self.reqs[req].status != ReqStatus::InFlight {
                     return;
                 }
                 // An active loss window may eat the request's packet on
@@ -836,8 +844,7 @@ impl World for Cluster {
                             );
                         } else {
                             // Blocked on external IO.
-                            let reply_at = self.external.request(now, 200, 100);
-                            sched.schedule_at(reply_at, Ev::IoReply(req));
+                            sched.schedule_at(now + IO_REPLY, Ev::IoReply(req));
                         }
                     }
                     Backend::Linux { docker, .. } => {
@@ -845,8 +852,7 @@ impl World for Cluster {
                         let io_pending = r.kind == FnKind::Io && !r.outcome_done;
                         if io_pending {
                             self.reqs[req].outcome_done = true;
-                            let reply_at = self.external.request(now, 200, 100);
-                            sched.schedule_at(reply_at, Ev::IoReply(req));
+                            sched.schedule_at(now + IO_REPLY, Ev::IoReply(req));
                         } else {
                             if let Some(c) = self.reqs[req].container {
                                 let _ = docker.release(c);
@@ -891,7 +897,6 @@ impl World for Cluster {
                         if self.reqs[req].status != ReqStatus::InFlight {
                             // Requester gave up; the container stays as an
                             // idle bound container for future hits.
-                            let _ = c;
                             self.linux_pump(now, sched);
                             return;
                         }

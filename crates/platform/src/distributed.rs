@@ -18,8 +18,16 @@
 use std::collections::HashMap;
 
 use seuss_core::{FnId, Invocation, NodeError, PathKind, SeussConfig, SeussNode};
-use seuss_net::TcpCostModel;
 use simcore::SimDuration;
+
+/// Fixed cost of one snapshot fetch over the 10 GbE datacenter link
+/// (200 µs RTT, 30 µs per message): the TCP handshake (1.5 RTT + 2
+/// messages = 360 µs) and the request's one-way trip (RTT/2 + 1 message
+/// = 130 µs).
+const LINK_SETUP: SimDuration = SimDuration::from_micros(490);
+
+/// Inter-node bandwidth: 10 GbE ≈ 1.25 GB/s.
+const LINK_BYTES_PER_S: f64 = 1.25e9;
 
 /// How a distributed invocation was served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,10 +65,6 @@ pub struct DrSeussCluster {
     pub nodes: Vec<SeussNode>,
     /// Global index: which nodes hold each function's snapshot.
     index: HashMap<FnId, Vec<usize>>,
-    /// Inter-node link model.
-    pub(crate) link: TcpCostModel,
-    /// Inter-node bandwidth (10 GbE ≈ 1.25 GB/s).
-    pub(crate) bandwidth_bytes_per_s: f64,
     /// Statistics.
     pub stats: DrStats,
 }
@@ -82,8 +86,6 @@ impl DrSeussCluster {
             DrSeussCluster {
                 nodes,
                 index: HashMap::new(),
-                link: TcpCostModel::datacenter(),
-                bandwidth_bytes_per_s: 1.25e9,
                 stats: DrStats::default(),
             },
             init,
@@ -92,9 +94,7 @@ impl DrSeussCluster {
 
     /// Time to ship `bytes` between two nodes.
     pub fn transfer_cost(&self, bytes: u64) -> SimDuration {
-        self.link.handshake()
-            + self.link.transfer(0)
-            + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_s)
+        LINK_SETUP + SimDuration::from_secs_f64(bytes as f64 / LINK_BYTES_PER_S)
     }
 
     /// Which nodes currently hold `f`'s snapshot.

@@ -117,8 +117,6 @@ pub struct UcContext {
     pub(crate) profile: UcProfile,
     /// The snapshot this UC deployed from (for active-UC accounting).
     pub source_snapshot: Option<seuss_snapshot::SnapshotId>,
-    /// Node-assigned UC id (keys the per-core network proxy mapping).
-    pub uc_id: u32,
     pub(crate) main_prog: Option<ProgId>,
     kmeta: Vec<FrameId>,
     data_brk: u64,
@@ -165,7 +163,6 @@ impl UcContext {
             layout,
             profile,
             source_snapshot: None,
-            uc_id: 0,
             main_prog: None,
             kmeta: mem.alloc_many(FrameKind::KernelMeta, profile.kmeta_pages)?,
             data_brk: layout.data_base.as_u64(),
@@ -205,7 +202,6 @@ impl UcContext {
             layout: image.layout,
             profile: image.profile,
             source_snapshot: Some(source_snapshot),
-            uc_id: 0,
             main_prog: image.main_prog,
             data_brk: image.layout.data_base.as_u64(),
             io_brk: image.layout.io_base.as_u64(),

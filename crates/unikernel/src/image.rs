@@ -62,7 +62,6 @@ impl UcImagePackage {
 pub struct ImageStore {
     /// Interpreter mirrors, indexed by snapshot index.
     images: Vec<Option<UcImage>>,
-    next_uc_id: u32,
     /// Tracing handle (disabled by default; the node installs a live one).
     pub tracer: Tracer,
 }
@@ -178,8 +177,6 @@ impl ImageStore {
             }
         };
         let mut uc = UcContext::from_image(space, regs, image, id, kmeta);
-        self.next_uc_id += 1;
-        uc.uc_id = self.next_uc_id;
         // Resume-to-listening writes: the driver re-enters its accept loop
         // and dirties a deterministic set of data pages (COW clones of the
         // snapshot's pages).

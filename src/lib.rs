@@ -17,14 +17,15 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`sim`] | `simcore` | deterministic discrete-event engine, virtual time, stats |
+//! | [`trace`] | `seuss-trace` | spans, events, metrics, JSONL trace dumps |
 //! | [`mem`] | `seuss-mem` | physical frame pool with refcounts and OOM accounting |
 //! | [`paging`] | `seuss-paging` | software 4-level page tables, COW, dirty tracking |
 //! | [`interp`] | `miniscript` | JS-like interpreter whose heap lives in guest pages |
-//! | [`net`] | `seuss-net` | TCP model, per-core NAT proxy, Linux-bridge bottleneck |
 //! | [`snapshot`] | `seuss-snapshot` | snapshots, snapshot stacks, capture/deploy |
+//! | [`store`] | `seuss-store` | storage tier: demotion, restore policies, block device |
 //! | [`unikernel`] | `seuss-unikernel` | Rumprun-style UCs with the invocation driver |
 //! | [`core`] | `seuss-core` | the SEUSS OS node: cold/warm/hot paths, AO, caches |
-//! | [`baseline`] | `seuss-baseline` | process / Docker / Firecracker baselines |
+//! | [`baseline`] | `seuss-baseline` | process / Docker / Firecracker baselines, Linux-bridge bottleneck |
 //! | [`platform`] | `seuss-platform` | OpenWhisk-like control-plane simulation |
 //! | [`faults`] | `seuss-faults` | deterministic fault plans, retry/backoff policies |
 //! | [`exec`] | `seuss-exec` | parallel sharded trial executor, byte-deterministic |
@@ -63,7 +64,6 @@ pub use seuss_core as core;
 pub use seuss_exec as exec;
 pub use seuss_faults as faults;
 pub use seuss_mem as mem;
-pub use seuss_net as net;
 pub use seuss_paging as paging;
 pub use seuss_platform as platform;
 pub use seuss_snapshot as snapshot;
