@@ -73,6 +73,37 @@ fn bench_paging(h: &mut Harness) {
         );
     });
 
+    // A deploy's resume run: 349 pages COW-broken through a freshly
+    // shallow-cloned space, crossing one leaf-table boundary.
+    g.bench_function("cow_run_349_after_snapshot", |b| {
+        b.iter_batched(
+            || {
+                let (mut mem, mut mmu, space) = rig(349);
+                let snap = mmu.shallow_clone(&mut mem, space.root()).expect("snap");
+                (mem, mmu, space, snap)
+            },
+            |(mut mem, mut mmu, mut space, _snap)| {
+                let va = VirtAddr::new(BASE);
+                mmu.write_run(&mut mem, &mut space, va, 349, &[])
+                    .expect("cow run");
+                (mem, mmu, space)
+            },
+        );
+    });
+
+    // A heap commit: a demand-zero run writing one word per page.
+    g.bench_function("commit_run_160", |b| {
+        b.iter_batched(
+            || rig(0),
+            |(mut mem, mut mmu, mut space)| {
+                let va = VirtAddr::new(BASE);
+                mmu.write_run(&mut mem, &mut space, va, 160, &1u64.to_le_bytes())
+                    .expect("commit run");
+                (mem, mmu, space)
+            },
+        );
+    });
+
     g.bench_function("shallow_clone_root_512_pages", |b| {
         b.iter_batched(
             || rig(512),

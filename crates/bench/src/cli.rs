@@ -109,9 +109,13 @@ pub fn parse(
     }
 
     if let Some(extra) = given.get(params.len()) {
-        return Err(format!(
-            "unexpected argument {extra:?}: this experiment takes {}",
+        let takes = if params.is_empty() {
+            "no positional argument".to_string()
+        } else {
             params.join(" ")
+        };
+        return Err(format!(
+            "unexpected argument {extra:?}: this experiment takes {takes}"
         ));
     }
     for (i, param) in params.iter().enumerate() {

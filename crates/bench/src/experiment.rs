@@ -72,7 +72,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "table3",
         artifact: "Table 3: cache density and 16-way creation rate, 4 isolation methods",
-        args: "seuss_fill_cap=8000",
+        args: "",
         outputs: &["results/table3.txt"],
         run: table3::reproduce,
     },

@@ -75,24 +75,17 @@ fn parallel_fill_rate(
     created as f64 / finished_at.as_secs_f64()
 }
 
-/// Runs Table 3 on a node of `mem_mib` memory and 16 cores.
-///
-/// `seuss_density_cap` optionally limits how many UCs the SEUSS fill
-/// deploys (the full 88 GB fill takes a while; tests pass a cap and the
-/// harness extrapolates — the per-UC footprint is constant by then).
+/// Runs Table 3 on a node of `mem_mib` memory and 16 cores. The SEUSS
+/// density comes from filling the whole node with real deploys.
 /// The four isolation methods are independent simulations and run on
 /// `workers` threads; results are identical at every worker count.
-pub(crate) fn run_table3(
-    mem_mib: u64,
-    seuss_density_cap: Option<u64>,
-    workers: usize,
-) -> Table3Results {
+pub(crate) fn run_table3(mem_mib: u64, workers: usize) -> Table3Results {
     let mut rows =
         seuss_exec::ordered_parallel((0..4usize).collect(), workers, |_, method| match method {
             0 => firecracker_row(mem_mib),
             1 => docker_row(mem_mib),
             2 => process_row(mem_mib),
-            _ => seuss_row(mem_mib, seuss_density_cap),
+            _ => seuss_row(mem_mib),
         });
     let seuss = rows.pop().expect("seuss row");
     let process = rows.pop().expect("process row");
@@ -148,7 +141,7 @@ fn process_row(mem_mib: u64) -> IsolationRow {
 }
 
 /// SEUSS: real mechanism fill + shim-bottlenecked creation rate.
-fn seuss_row(mem_mib: u64, seuss_density_cap: Option<u64>) -> IsolationRow {
+fn seuss_row(mem_mib: u64) -> IsolationRow {
     let cfg = SeussConfig::builder()
         .mem_mib(mem_mib)
         .idle_per_fn(usize::MAX >> 1)
@@ -160,16 +153,8 @@ fn seuss_row(mem_mib: u64, seuss_density_cap: Option<u64>) -> IsolationRow {
     // Density: deploy idle UCs from the runtime snapshot until the pool
     // saturates (every UC is the Node.js driver sitting in listening
     // state, §7's methodology).
-    let cap = seuss_density_cap.unwrap_or(u64::MAX);
     let mut deployed = 0u64;
-    let before_fill = node.mem.stats().used_frames;
     let seuss_density = loop {
-        if deployed >= cap {
-            // Extrapolate from the measured constant per-UC footprint.
-            let marginal = (node.mem.stats().used_frames - before_fill) / deployed;
-            let free = node.mem.stats().free_frames();
-            break deployed + free / marginal.max(1);
-        }
         match node.deploy_idle_uc(deployed) {
             Ok(_) => deployed += 1,
             Err(NodeError::OutOfMemory) => break deployed,
@@ -206,11 +191,9 @@ fn seuss_row(mem_mib: u64, seuss_density_cap: Option<u64>) -> IsolationRow {
 }
 
 /// The `table3` experiment: Table 3 on an 88 GiB node, the SEUSS density
-/// fill capped at `seuss_fill_cap` real deploys before extrapolating
-/// from the (constant) per-UC footprint; 0 fills the whole node.
-pub(crate) fn reproduce(a: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
-    let cap: u64 = a.num(0);
-    let r = run_table3(88 * 1024, (cap != 0).then_some(cap), workers);
+/// from filling all of it.
+pub(crate) fn reproduce(_: &Args, workers: usize) -> Result<Vec<Artifact>, String> {
+    let r = run_table3(88 * 1024, workers);
     let mut out = String::new();
     let mut t = Table::new(
         "Table 3: creation rate and cache density (Node.js environments)",
@@ -256,8 +239,8 @@ mod tests {
 
     #[test]
     fn table3_shape_holds() {
-        // Full-size memory, capped SEUSS fill with extrapolation.
-        let r = run_table3(88 * 1024, Some(2_000), 4);
+        // Full-size memory, the whole SEUSS fill.
+        let r = run_table3(88 * 1024, 4);
         // Density ordering and magnitudes.
         assert!((400..500).contains(&r.microvm.cache_density));
         assert!((2_800..3_200).contains(&r.docker.cache_density));

@@ -92,6 +92,12 @@ fn a_surplus_positional_exits_2_and_names_it() {
 }
 
 #[test]
+fn table3_takes_no_positional() {
+    assert_usage_error(reproduce(&["run", "table3", "0"]), "\"0\"");
+    assert_usage_error(reproduce(&["run", "table3", "8000"]), "\"8000\"");
+}
+
+#[test]
 fn an_unknown_experiment_or_subcommand_exits_2() {
     assert_usage_error(reproduce(&["run", "fig9"]), "fig9");
     assert_usage_error(reproduce(&["run"]), "usage");

@@ -39,6 +39,18 @@ pub trait HeapBackend {
     fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), HeapError>;
     /// Reads `out.len()` bytes from `addr`.
     fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), HeapError>;
+
+    /// Commits `len` bytes at `addr`: writes the word 1 at `addr` and at
+    /// every 4 KiB step after it below `addr + len`, so every page of the
+    /// allocation is genuinely written.
+    fn commit(&mut self, addr: u64, len: u64) -> Result<(), HeapError> {
+        let mut off = 0u64;
+        while off < len {
+            self.write(addr + off, &1u64.to_le_bytes())?;
+            off += 4096;
+        }
+        Ok(())
+    }
 }
 
 /// Simple growable in-memory backend for tests and host tools.
@@ -130,11 +142,7 @@ impl BumpHeap {
         n: u64,
     ) -> Result<u64, HeapError> {
         let addr = self.alloc(n)?;
-        let mut off = 0u64;
-        while off < n {
-            backend.write(addr + off, &1u64.to_le_bytes())?;
-            off += 4096;
-        }
+        backend.commit(addr, n)?;
         Ok(addr)
     }
 }

@@ -6,13 +6,15 @@
 //! simulated machine has, so content is stored sparsely and promoted to a
 //! dense page only when a frame accumulates enough distinct bytes.
 //!
-//! A sparse page is one byte buffer of records, each a little-endian
-//! `u16` offset, a little-endian `u16` length and that many bytes. The
-//! records are sorted by offset and never overlap, so the buffer's
-//! payload is exactly the set of bytes ever written. The first write to
-//! a zero page therefore costs one host allocation, and a rewrite of
-//! bytes already held, or a write past the last record, changes the
-//! buffer in place.
+//! A page written once, with at most eight bytes (a commit touch, a
+//! slot word), keeps that write inline and costs no heap block. A later
+//! write inside those bytes changes them in place; any other write turns
+//! the page into a sparse one: one byte buffer of records, each a
+//! little-endian `u16` offset, a little-endian `u16` length and that
+//! many bytes. The records are sorted by offset and never overlap, so
+//! the buffer's payload is exactly the set of bytes ever written. A
+//! rewrite of bytes already held, or a write past the last record,
+//! changes the buffer in place.
 
 use crate::addr::PAGE_SIZE;
 
@@ -22,12 +24,25 @@ const SPARSE_LIMIT: usize = 128;
 /// Bytes of a sparse record's header: `u16` offset plus `u16` length.
 const HEADER: usize = 4;
 
+/// The most bytes a page keeps inline from its only write.
+const WORD: usize = 8;
+
 /// Byte content of one frame, lazily and sparsely materialized.
 #[derive(Clone, Debug, Default)]
 pub enum PageContent {
     /// Never written: reads as zeroes, costs nothing.
     #[default]
     Zero,
+    /// Written once, at most 8 bytes: `bytes[..len]` at `offset`,
+    /// held inline. Only [`PageContent::write`] builds one.
+    Word {
+        /// Page offset of the first byte.
+        offset: u16,
+        /// How many of `bytes` were written.
+        len: u8,
+        /// The written bytes, then zero padding.
+        bytes: [u8; WORD],
+    },
     /// A few written fragments packed into one buffer of
     /// `[offset u16][len u16][bytes]` records, sorted by offset and
     /// non-overlapping. Only [`PageContent::write`] builds one.
@@ -74,6 +89,15 @@ impl PageContent {
             PageContent::Dense(page) => {
                 page[offset..offset + bytes.len()].copy_from_slice(bytes);
             }
+            PageContent::Zero if bytes.len() <= WORD => {
+                let mut word = [0; WORD];
+                word[..bytes.len()].copy_from_slice(bytes);
+                *self = PageContent::Word {
+                    offset: offset as u16,
+                    len: bytes.len() as u8,
+                    bytes: word,
+                };
+            }
             PageContent::Zero => {
                 if bytes.len() > SPARSE_LIMIT {
                     self.promote();
@@ -82,6 +106,22 @@ impl PageContent {
                     let mut buf = Vec::with_capacity(HEADER + bytes.len());
                     push_record(&mut buf, offset, bytes);
                     *self = PageContent::Sparse(buf);
+                }
+            }
+            PageContent::Word {
+                offset: at,
+                len,
+                bytes: word,
+            } => {
+                let (start, end) = (*at as usize, *at as usize + *len as usize);
+                let held = &word[..*len as usize];
+                if start <= offset && offset + bytes.len() <= end {
+                    word[offset - start..offset - start + bytes.len()].copy_from_slice(bytes);
+                } else if held.len() + bytes.len() > SPARSE_LIMIT {
+                    self.promote();
+                    self.write(offset, bytes);
+                } else {
+                    *self = PageContent::Sparse(merge_word(start, held, offset, bytes));
                 }
             }
             PageContent::Sparse(buf) => {
@@ -111,11 +151,11 @@ impl PageContent {
             PageContent::Dense(page) => {
                 out.copy_from_slice(&page[offset..offset + out.len()]);
             }
-            PageContent::Sparse(buf) => {
+            PageContent::Word { .. } | PageContent::Sparse(_) => {
                 out.fill(0);
                 let start = offset;
                 let end = offset + out.len();
-                for (fs, fb) in records(buf) {
+                for (fs, fb) in self.fragments() {
                     let fe = fs + fb.len();
                     if fe <= start || fs >= end {
                         continue;
@@ -129,12 +169,23 @@ impl PageContent {
         }
     }
 
+    /// The written fragments of a `Word` or `Sparse` page as
+    /// `(offset, bytes)`, in offset order; none for the other forms.
+    fn fragments(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let (word, buf) = match self {
+            PageContent::Word { offset, len, bytes } => {
+                (Some((*offset as usize, &bytes[..*len as usize])), &[][..])
+            }
+            PageContent::Sparse(buf) => (None, &buf[..]),
+            PageContent::Zero | PageContent::Dense(_) => (None, &[][..]),
+        };
+        word.into_iter().chain(records(buf))
+    }
+
     fn promote(&mut self) {
         let mut page = Box::new([0u8; PAGE_SIZE]);
-        if let PageContent::Sparse(buf) = self {
-            for (fs, fb) in records(buf) {
-                page[fs..fs + fb.len()].copy_from_slice(fb);
-            }
+        for (fs, fb) in self.fragments() {
+            page[fs..fs + fb.len()].copy_from_slice(fb);
         }
         *self = PageContent::Dense(page);
     }
@@ -155,7 +206,7 @@ impl PageContent {
                 }
                 h
             }
-            PageContent::Sparse(buf) => {
+            PageContent::Word { .. } | PageContent::Sparse(_) => {
                 // Hash as if the page were dense: zero bytes between
                 // fragments must contribute exactly like Dense's zeroes.
                 let mut h = OFFSET;
@@ -165,7 +216,7 @@ impl PageContent {
                         *h = h.wrapping_mul(PRIME);
                     }
                 };
-                for (fs, fb) in records(buf) {
+                for (fs, fb) in self.fragments() {
                     hash_zeroes(&mut h, fs - pos);
                     for &b in fb {
                         h = (h ^ b as u64).wrapping_mul(PRIME);
@@ -177,6 +228,23 @@ impl PageContent {
             }
         }
     }
+}
+
+/// A packed sparse buffer holding the inline word `held` at `at` with
+/// `bytes` written over it at `start`: what survives of the word before
+/// the write, the write, and what survives after it.
+fn merge_word(at: usize, held: &[u8], start: usize, bytes: &[u8]) -> Vec<u8> {
+    let (held_end, end) = (at + held.len(), start + bytes.len());
+    let mut buf = Vec::with_capacity(3 * HEADER + held.len() + bytes.len());
+    if at < start {
+        push_record(&mut buf, at, &held[..start.min(held_end) - at]);
+    }
+    push_record(&mut buf, start, bytes);
+    if held_end > end {
+        let from = end.max(at);
+        push_record(&mut buf, from, &held[from - at..]);
+    }
+    buf
 }
 
 /// Writes `bytes` at `start` into a packed sparse buffer, keeping its
@@ -255,6 +323,42 @@ mod tests {
     }
 
     #[test]
+    fn one_short_write_stays_inline() {
+        let mut c = PageContent::Zero;
+        c.write(64, &0xDEAD_BEEF_u64.to_le_bytes());
+        assert!(matches!(
+            c,
+            PageContent::Word {
+                offset: 64,
+                len: 8,
+                ..
+            }
+        ));
+        // A rewrite inside the held bytes edits them in place.
+        c.write(66, &[0xAA]);
+        assert!(matches!(c, PageContent::Word { .. }));
+        let mut buf = [0u8; 10];
+        c.read(63, &mut buf);
+        assert_eq!(buf, [0, 0xEF, 0xBE, 0xAA, 0xDE, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn a_write_outside_the_word_goes_sparse() {
+        for (start, bytes) in [(0usize, &b"ab"[..]), (100, b"xyz"), (14, b"0123456789")] {
+            let mut c = PageContent::Zero;
+            c.write(10, b"hijklmno");
+            c.write(start, bytes);
+            assert!(matches!(c, PageContent::Sparse(_)), "write at {start}");
+            let mut want = [0u8; 128];
+            want[10..18].copy_from_slice(b"hijklmno");
+            want[start..start + bytes.len()].copy_from_slice(bytes);
+            let mut got = [0u8; 128];
+            c.read(0, &mut got);
+            assert_eq!(got, want, "write at {start}");
+        }
+    }
+
+    #[test]
     fn overlapping_sparse_writes_take_latest() {
         let mut c = PageContent::Zero;
         c.write(10, b"aaaaaaaa");
@@ -308,8 +412,10 @@ mod tests {
 
     #[test]
     fn digest_sparse_equals_dense() {
-        let mut sparse = PageContent::Zero;
-        sparse.write(100, b"hello");
+        let mut word = PageContent::Zero;
+        word.write(100, b"hello");
+        assert!(matches!(word, PageContent::Word { .. }));
+        let mut sparse = word.clone();
         sparse.write(4000, b"tail");
         let mut dense = PageContent::Zero;
         dense.write(0, &[0u8; 300]); // force dense
@@ -317,6 +423,10 @@ mod tests {
         dense.write(4000, b"tail");
         assert!(matches!(dense, PageContent::Dense(_)));
         assert_eq!(sparse.digest(), dense.digest());
+        let mut dense_word = PageContent::Zero;
+        dense_word.write(0, &[0u8; 300]);
+        dense_word.write(100, b"hello");
+        assert_eq!(word.digest(), dense_word.digest());
     }
 
     #[test]

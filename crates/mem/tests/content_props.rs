@@ -1,6 +1,6 @@
-//! Property tests (driven by `seuss-check`): sparse page content must
-//! behave exactly like a dense 4 KiB byte array under any write/read
-//! sequence.
+//! Property tests (driven by `seuss-check`): inline and sparse page
+//! content must behave exactly like a dense 4 KiB byte array under any
+//! write/read sequence.
 
 use seuss_check::{check_with, ensure_eq, gen::Gen, Config};
 use seuss_mem::{PageContent, PAGE_SIZE};
@@ -22,6 +22,17 @@ fn write_ops(max_ops: usize) -> impl Gen<Value = Vec<WriteOp>> {
             WriteOp { offset, bytes }
         });
     seuss_check::vecs(op, 0, max_ops)
+}
+
+/// 1–12 byte writes within the first 64 bytes: a page often keeps its
+/// first write inline, rewrites it in place, or overlaps it.
+fn short_write_ops(max_ops: usize) -> impl Gen<Value = Vec<WriteOp>> {
+    let op = (
+        seuss_check::range(0usize, 63),
+        seuss_check::vecs(seuss_check::range(0u8, 255), 1, 12),
+    )
+        .map(|(offset, bytes)| WriteOp { offset, bytes });
+    seuss_check::vecs(op, 1, max_ops)
 }
 
 fn apply(ops: &[WriteOp]) -> (PageContent, Vec<u8>) {
@@ -95,6 +106,28 @@ fn clone_is_snapshot_isolated() {
             let mut got = vec![0u8; PAGE_SIZE];
             frozen.read(0, &mut got);
             ensure_eq!(got, want);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn inline_word_reads_and_digests_like_dense() {
+    check_with(
+        Config::with_cases(128),
+        "content_inline_dense_equiv",
+        &short_write_ops(6),
+        |ops| {
+            let (content, reference) = apply(ops);
+            let mut dense = PageContent::Zero;
+            dense.write(0, &[0u8; PAGE_SIZE]);
+            for op in ops {
+                dense.write(op.offset, &op.bytes);
+            }
+            let mut full = vec![0u8; PAGE_SIZE];
+            content.read(0, &mut full);
+            ensure_eq!(&full, &reference);
+            ensure_eq!(content.digest(), dense.digest());
             Ok(())
         },
     );

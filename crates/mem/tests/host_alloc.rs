@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use seuss_mem::{FrameKind, PhysMemory};
+use seuss_mem::{FrameKind, PageContent, PhysMemory};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -75,12 +75,33 @@ fn cloning_a_zero_frame_allocates_nothing() {
 }
 
 #[test]
-fn first_word_written_to_a_zero_page_allocates_once() {
+fn first_word_written_to_a_zero_page_allocates_nothing() {
     let mut mem = warm_pool();
     let f = mem.alloc(FrameKind::Data).expect("alloc");
     let n = allocations(|| mem.write(f, 64, &0xDEAD_BEEF_u64.to_le_bytes()));
-    assert_eq!(n, 1, "a sparse page's first fragment must cost one buffer");
+    assert_eq!(n, 0, "a page's first word must stay inline");
     let mut buf = [0; 8];
     mem.read(f, 64, &mut buf);
     assert_eq!(u64::from_le_bytes(buf), 0xDEAD_BEEF);
+}
+
+#[test]
+fn a_second_disjoint_write_allocates_once() {
+    let mut mem = warm_pool();
+    let f = mem.alloc(FrameKind::Data).expect("alloc");
+    mem.write(f, 64, &1u64.to_le_bytes());
+    let n = allocations(|| mem.write(f, 8, b"second"));
+    assert_eq!(n, 1, "leaving the inline word must cost one buffer");
+    let mut buf = [0; 64 + 8];
+    mem.read(f, 0, &mut buf);
+    assert_eq!(&buf[8..14], b"second");
+    assert_eq!(
+        u64::from_le_bytes(buf[64..].try_into().expect("8 bytes")),
+        1
+    );
+}
+
+#[test]
+fn page_content_stays_three_words() {
+    assert_eq!(std::mem::size_of::<PageContent>(), 24);
 }

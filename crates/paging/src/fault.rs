@@ -34,6 +34,18 @@ pub enum PageFault {
     SwappedOut(VirtAddr),
 }
 
+impl PageFault {
+    /// The faulting address.
+    pub fn addr(self) -> VirtAddr {
+        match self {
+            PageFault::Unmapped(va)
+            | PageFault::ProtectionWrite(va)
+            | PageFault::OutOfMemory(va)
+            | PageFault::SwappedOut(va) => va,
+        }
+    }
+}
+
 impl core::fmt::Display for PageFault {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

@@ -8,6 +8,8 @@
 //! increments every mapped frame's count and makes the COW check
 //! (`refcount > 1`) correct afterwards.
 
+use core::ops::Range;
+
 use seuss_mem::addr::TABLE_ENTRIES;
 use seuss_mem::{FrameId, MemError, PageContent, PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_trace::{TraceEvent, Tracer};
@@ -110,45 +112,68 @@ impl Mmu {
         root: TableId,
         va: VirtAddr,
     ) -> Result<TableId, MemError> {
+        let l2 = self.exclusive_l2(mem, root, va)?;
+        self.exclusive_child(mem, l2, va, 2)
+    }
+
+    /// [`Self::exclusive_l1`] stopped one level short: the L2 table for `va`.
+    fn exclusive_l2(
+        &mut self,
+        mem: &mut PhysMemory,
+        root: TableId,
+        va: VirtAddr,
+    ) -> Result<TableId, MemError> {
         debug_assert_eq!(
             self.store.refcount(root),
             1,
             "address-space roots are always exclusive"
         );
-        let mut cur = root;
-        for level in (2..=4).rev() {
-            self.stats.levels_walked += 1;
-            let idx = va.table_index(level);
-            let entry = self.store.node(cur).entry(idx);
-            let child = if entry.is_table() {
-                let child = entry.next_table();
-                if self.store.refcount(child) > 1 {
-                    self.split_table(mem, cur, idx, child)?
-                } else {
-                    child
-                }
+        let l3 = self.exclusive_child(mem, root, va, 4)?;
+        self.exclusive_child(mem, l3, va, 3)
+    }
+
+    /// One level of an exclusive walk: the table that `parent`, at
+    /// `level`, holds for `va`, split if it is shared and created if it
+    /// is missing.
+    fn exclusive_child(
+        &mut self,
+        mem: &mut PhysMemory,
+        parent: TableId,
+        va: VirtAddr,
+        level: u8,
+    ) -> Result<TableId, MemError> {
+        self.stats.levels_walked += 1;
+        let idx = va.table_index(level);
+        let entry = self.store.node(parent).entry(idx);
+        if entry.is_table() {
+            let child = entry.next_table();
+            if self.store.refcount(child) > 1 {
+                self.split_table(mem, parent, idx, child, 0..0)
             } else {
-                debug_assert!(!entry.is_present(), "huge pages are not modeled");
-                let t = self.store.alloc(mem, level - 1)?;
-                self.stats.tables_allocated += 1;
-                self.store.node_mut(cur).set(idx, Entry::table(t));
-                t
-            };
-            cur = child;
+                Ok(child)
+            }
+        } else {
+            debug_assert!(!entry.is_present(), "huge pages are not modeled");
+            let t = self.store.alloc(mem, level - 1)?;
+            self.stats.tables_allocated += 1;
+            self.store.node_mut(parent).set(idx, Entry::table(t));
+            Ok(t)
         }
-        Ok(cur)
     }
 
     /// Clones shared table `child` (referenced from `parent.entries[idx]`)
-    /// into a private copy, adjusting reference counts.
+    /// into a private copy, adjusting reference counts. The copy takes no
+    /// reference on the entries in `unreferenced`: the caller replaces
+    /// them.
     fn split_table(
         &mut self,
         mem: &mut PhysMemory,
         parent: TableId,
         idx: usize,
         child: TableId,
+        unreferenced: Range<usize>,
     ) -> Result<TableId, MemError> {
-        let new = self.store.clone_referencing(mem, child)?;
+        let new = self.store.clone_referencing(mem, child, unreferenced)?;
         // Parent drops its reference on the shared original.
         self.release_root(mem, child);
         self.store.node_mut(parent).set(idx, Entry::table(new));
@@ -213,7 +238,10 @@ impl Mmu {
                 return Ok(entry.frame());
             }
             if entry.is_swapped() {
-                return self.swap_in(mem, space, va, AccessKind::Read);
+                let l1 = self
+                    .exclusive_l1(mem, space.root(), va)
+                    .map_err(|_| self.oom(va))?;
+                return self.swap_in(mem, space, l1, va, AccessKind::Read);
             }
         }
         // Demand-zero read: materialize a zero frame (counts as private).
@@ -240,20 +268,155 @@ impl Mmu {
         Ok(frame)
     }
 
-    /// Resolves a write access (public for direct use by runtimes and tests).
+    /// Resolves a write access (public for direct use by runtimes and
+    /// tests): the one-page [`Mmu::write_run`], returning the page's frame.
     pub fn touch_write(
         &mut self,
         mem: &mut PhysMemory,
         space: &mut AddressSpace,
         va: VirtAddr,
     ) -> Result<FrameId, PageFault> {
-        let root = space.root();
-        let l1 = self.exclusive_l1(mem, root, va).map_err(|_| self.oom(va))?;
-        let idx = va.table_index(1);
+        self.write_leaf_run(mem, space, va, 1, &[])
+    }
+
+    /// Writes `word` at `va`'s page offset in each of `pages` consecutive
+    /// pages, starting with `va`'s; an empty `word` only dirties them.
+    ///
+    /// The outcome is exactly that of a [`Mmu::touch_write`] and a frame
+    /// write per page, in ascending order: the same frames, counters and
+    /// dirty set, and on a fault the same error at the same page, with
+    /// the pages before it written. Only [`OpStats::levels_walked`] is
+    /// lower, because the run walks to each leaf table once. When a leaf
+    /// table is shared and every page of the run in it is a present page
+    /// that allows the write, and the pool can hold the table copy and
+    /// one frame per page, the split and the COW breaks are one pass: the
+    /// copy takes no reference on the pages it is about to replace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word` crosses the page boundary.
+    pub fn write_run(
+        &mut self,
+        mem: &mut PhysMemory,
+        space: &mut AddressSpace,
+        va: VirtAddr,
+        pages: u64,
+        word: &[u8],
+    ) -> Result<(), PageFault> {
+        assert!(
+            va.page_offset() + word.len() <= PAGE_SIZE,
+            "run word crosses a page boundary"
+        );
+        let mut done = 0;
+        while done < pages {
+            let cur = va.offset(done * PAGE_SIZE as u64);
+            let n = (pages - done).min((TABLE_ENTRIES - cur.table_index(1)) as u64);
+            self.write_leaf_run(mem, space, cur, n, word)?;
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// The part of a run under one leaf table: `n >= 1` pages from `va`'s.
+    /// Returns the last page's frame.
+    fn write_leaf_run(
+        &mut self,
+        mem: &mut PhysMemory,
+        space: &mut AddressSpace,
+        va: VirtAddr,
+        n: u64,
+        word: &[u8],
+    ) -> Result<FrameId, PageFault> {
+        let l2 = self
+            .exclusive_l2(mem, space.root(), va)
+            .map_err(|_| self.oom(va))?;
+        let first = va.table_index(1);
+        let run = first..first + n as usize;
+        if let Some(frame) = self.fused_cow_run(mem, space, l2, va, run.clone(), word) {
+            return Ok(frame);
+        }
+        let l1 = self
+            .exclusive_child(mem, l2, va, 2)
+            .map_err(|_| self.oom(va))?;
+        let mut frame = None;
+        for (k, idx) in run.enumerate() {
+            let page = va.offset(k as u64 * PAGE_SIZE as u64);
+            let f = self.write_entry(mem, space, l1, idx, page)?;
+            if !word.is_empty() {
+                mem.write(f, page.page_offset(), word);
+            }
+            frame = Some(f);
+        }
+        Ok(frame.expect("a leaf run holds at least one page"))
+    }
+
+    /// The fused split and COW break of a leaf run (see
+    /// [`Mmu::write_run`]): the last walk level, the table copy, and one
+    /// clone per page in ascending order. Returns `None`, having changed
+    /// nothing, unless the L1 table under `l2` is shared, every entry of
+    /// `run` is a present page that allows the write, and the pool can
+    /// allocate the copy's frame and one frame per page.
+    fn fused_cow_run(
+        &mut self,
+        mem: &mut PhysMemory,
+        space: &mut AddressSpace,
+        l2: TableId,
+        va: VirtAddr,
+        run: Range<usize>,
+        word: &[u8],
+    ) -> Option<FrameId> {
+        let i2 = va.table_index(2);
+        let entry = self.store.node(l2).entry(i2);
+        if !entry.is_table() {
+            return None;
+        }
+        let shared = entry.next_table();
+        if self.store.refcount(shared) == 1 || mem.allocatable() <= run.len() as u64 {
+            return None;
+        }
+        let writable = self.store.node(shared).entries.get(run.clone());
+        if !writable.is_some_and(|es| es.iter().all(|e| e.is_page() && allows_write(e.flags()))) {
+            return None;
+        }
+        self.stats.levels_walked += 1;
+        let l1 = self
+            .split_table(mem, l2, i2, shared, run.clone())
+            .expect("the pool holds the table copy");
+        let node = self.store.node_mut(l1);
+        let mut frame = None;
+        for (k, idx) in run.enumerate() {
+            let entry = node.entries[idx];
+            let clone = mem
+                .clone_frame(entry.frame())
+                .expect("the pool holds every clone");
+            node.entries[idx] = Entry::page(clone, written(entry.flags()));
+            if !word.is_empty() {
+                mem.write(clone, va.page_offset(), word);
+            }
+            self.stats.cow_clones += 1;
+            self.tracer.event(TraceEvent::CowBreak);
+            space.note_private_page();
+            space.note_write(va.offset(k as u64 * PAGE_SIZE as u64));
+            frame = Some(clone);
+        }
+        frame
+    }
+
+    /// Resolves a write to entry `idx` of `l1`, an L1 table exclusive to
+    /// `space`, for the page at `va`: a COW break, a flag update, a
+    /// swap-in or a demand-zero allocation.
+    fn write_entry(
+        &mut self,
+        mem: &mut PhysMemory,
+        space: &mut AddressSpace,
+        l1: TableId,
+        idx: usize,
+        va: VirtAddr,
+    ) -> Result<FrameId, PageFault> {
         let entry = self.store.node(l1).entry(idx);
         let frame = if entry.is_page() {
             let flags = entry.flags();
-            if !flags.contains(EntryFlags::WRITABLE) && !flags.contains(EntryFlags::COW) {
+            if !allows_write(flags) {
                 self.stats.hard_faults += 1;
                 return Err(PageFault::ProtectionWrite(va));
             }
@@ -262,27 +425,21 @@ impl Mmu {
                 // COW break: clone into a private frame.
                 let clone = mem.clone_frame(frame).map_err(|_| self.oom(va))?;
                 mem.dec_ref(frame);
-                let new_flags = flags
-                    .without(EntryFlags::COW)
-                    .union(EntryFlags::WRITABLE | EntryFlags::DIRTY | EntryFlags::ACCESSED);
                 self.store
                     .node_mut(l1)
-                    .set(idx, Entry::page(clone, new_flags));
+                    .set(idx, Entry::page(clone, written(flags)));
                 self.stats.cow_clones += 1;
                 self.tracer.event(TraceEvent::CowBreak);
                 space.note_private_page();
                 clone
             } else {
-                let new_flags = flags
-                    .without(EntryFlags::COW)
-                    .union(EntryFlags::WRITABLE | EntryFlags::DIRTY | EntryFlags::ACCESSED);
                 self.store
                     .node_mut(l1)
-                    .set(idx, entry.with_flags(new_flags));
+                    .set(idx, entry.with_flags(written(flags)));
                 frame
             }
         } else if entry.is_swapped() {
-            return self.swap_in(mem, space, va, AccessKind::Write);
+            return self.swap_in(mem, space, l1, va, AccessKind::Write);
         } else {
             // Unmapped: demand-zero if the region allows it.
             let region = space
@@ -312,28 +469,25 @@ impl Mmu {
         Ok(frame)
     }
 
-    /// Faults a swapped-out page back in through the installed pager:
-    /// splits the path private to `space`, reads the device block, and
-    /// rewrites the entry as a present private frame with its preserved
-    /// pre-demotion flags. The device read's virtual cost accumulates in
-    /// [`OpStats::swap_in_nanos`] for the caller to attribute.
+    /// Faults the swapped-out page at `va`, whose entry sits in `l1` (an
+    /// L1 table exclusive to `space`), back in through the installed
+    /// pager: reads the device block and rewrites the entry as a present
+    /// private frame with its preserved pre-demotion flags. The device
+    /// read's virtual cost accumulates in [`OpStats::swap_in_nanos`] for
+    /// the caller to attribute.
     fn swap_in(
         &mut self,
         mem: &mut PhysMemory,
         space: &mut AddressSpace,
+        l1: TableId,
         va: VirtAddr,
         kind: AccessKind,
     ) -> Result<FrameId, PageFault> {
-        let root = space.root();
-        let l1 = self.exclusive_l1(mem, root, va).map_err(|_| self.oom(va))?;
         let idx = va.table_index(1);
         let entry = self.store.node(l1).entry(idx);
         debug_assert!(entry.is_swapped(), "swap_in on a non-swapped entry");
-        let mut flags = entry.swap_flags();
-        if kind == AccessKind::Write
-            && !flags.contains(EntryFlags::WRITABLE)
-            && !flags.contains(EntryFlags::COW)
-        {
+        let flags = entry.swap_flags();
+        if kind == AccessKind::Write && !allows_write(flags) {
             self.stats.hard_faults += 1;
             return Err(PageFault::ProtectionWrite(va));
         }
@@ -349,12 +503,10 @@ impl Mmu {
             .alloc(seuss_mem::FrameKind::Data)
             .map_err(|_| self.oom(va))?;
         mem.set_content(frame, content);
-        flags = flags.union(EntryFlags::ACCESSED);
-        if kind == AccessKind::Write {
-            flags = flags
-                .without(EntryFlags::COW)
-                .union(EntryFlags::WRITABLE | EntryFlags::DIRTY);
-        }
+        let flags = match kind {
+            AccessKind::Read => flags.union(EntryFlags::ACCESSED),
+            AccessKind::Write => written(flags),
+        };
         self.store.node_mut(l1).set(idx, Entry::page(frame, flags));
         self.stats.swap_ins += 1;
         self.stats.swap_in_nanos += nanos;
@@ -525,7 +677,7 @@ impl Mmu {
         mem: &mut PhysMemory,
         root: TableId,
     ) -> Result<TableId, MemError> {
-        let new = self.store.clone_referencing(mem, root)?;
+        let new = self.store.clone_referencing(mem, root, 0..0)?;
         self.stats.shallow_clones += 1;
         self.stats.entries_copied += TABLE_ENTRIES as u64;
         Ok(new)
@@ -599,6 +751,19 @@ impl Mmu {
         }
         count
     }
+}
+
+/// Whether a page mapped with `flags` may be written, after a COW break
+/// if need be.
+fn allows_write(flags: EntryFlags) -> bool {
+    flags.contains(EntryFlags::WRITABLE) || flags.contains(EntryFlags::COW)
+}
+
+/// The flags of a page once written: private, writable, dirty, accessed.
+fn written(flags: EntryFlags) -> EntryFlags {
+    flags
+        .without(EntryFlags::COW)
+        .union(EntryFlags::WRITABLE | EntryFlags::DIRTY | EntryFlags::ACCESSED)
 }
 
 #[cfg(test)]
@@ -749,6 +914,36 @@ mod tests {
         mmu.touch_write(&mut mem, &mut space, va.offset(8)).unwrap();
         assert_eq!(mmu.stats.cow_clones, clones_after_first, "no second clone");
         mmu.release_root(&mut mem, snap);
+    }
+
+    #[test]
+    fn a_run_over_a_snapshot_splits_once_and_breaks_every_page() {
+        let (mut mem, mut mmu, mut space) = setup();
+        let va = VirtAddr::new(0x10_0000);
+        mmu.write_run(&mut mem, &mut space, va, 100, b"seed")
+            .unwrap();
+        let snap = mmu.shallow_clone(&mut mem, space.root()).unwrap();
+        space.take_dirty();
+        let before = mmu.stats;
+        mmu.write_run(&mut mem, &mut space, va, 100, &[]).unwrap();
+        let ops = mmu.stats.since(&before);
+        // One walk and one split per level; every page broken once.
+        assert_eq!((ops.levels_walked, ops.tables_split), (3, 3));
+        assert_eq!(ops.cow_clones, 100);
+        assert_eq!(space.dirty_count(), 100);
+        for p in [0, 99] {
+            let page = va.offset(p * PAGE_SIZE as u64);
+            let own = mmu.translate(space.root(), page).unwrap().frame();
+            let frozen = mmu.translate(snap, page).unwrap().frame();
+            assert_ne!(own, frozen);
+            assert_eq!((mem.refcount(own), mem.refcount(frozen)), (1, 1));
+            let mut buf = [0u8; 4];
+            mem.read(own, 0, &mut buf);
+            assert_eq!(&buf, b"seed");
+        }
+        mmu.release_root(&mut mem, snap);
+        mmu.destroy_space(&mut mem, space);
+        assert_eq!(mem.stats().used_frames, 0);
     }
 
     #[test]

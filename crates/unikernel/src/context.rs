@@ -228,14 +228,7 @@ impl UcContext {
         mem: &mut PhysMemory,
         bytes: u64,
     ) -> Result<(), UcError> {
-        let pages = bytes.div_ceil(PAGE_SIZE as u64);
-        for _ in 0..pages {
-            let va = VirtAddr::new(self.data_brk);
-            mmu.touch_write(mem, &mut self.space, va)
-                .map_err(UcError::Fault)?;
-            self.data_brk += PAGE_SIZE as u64;
-        }
-        Ok(())
+        commit(mmu, mem, &mut self.space, &mut self.data_brk, bytes)
     }
 
     fn commit_io(
@@ -244,14 +237,7 @@ impl UcContext {
         mem: &mut PhysMemory,
         bytes: u64,
     ) -> Result<(), UcError> {
-        let pages = bytes.div_ceil(PAGE_SIZE as u64);
-        for _ in 0..pages {
-            let va = VirtAddr::new(self.io_brk);
-            mmu.touch_write(mem, &mut self.space, va)
-                .map_err(UcError::Fault)?;
-            self.io_brk += PAGE_SIZE as u64;
-        }
-        Ok(())
+        commit(mmu, mem, &mut self.space, &mut self.io_brk, bytes)
     }
 
     /// Accepts a TCP connection into the driver, paying the lineage's
@@ -434,6 +420,25 @@ impl UcContext {
         mmu.destroy_space(mem, self.space);
         mmu.stats.tlb_flushes += 1;
     }
+}
+
+/// Commits `bytes` of a region at its break `brk`: writes the run of
+/// whole pages from there and advances the break past every page
+/// written, stopping at the page that faulted.
+fn commit(
+    mmu: &mut Mmu,
+    mem: &mut PhysMemory,
+    space: &mut AddressSpace,
+    brk: &mut u64,
+    bytes: u64,
+) -> Result<(), UcError> {
+    let pages = bytes.div_ceil(PAGE_SIZE as u64);
+    let written = mmu.write_run(mem, space, VirtAddr::new(*brk), pages, &[]);
+    *brk = match written {
+        Ok(()) => *brk + pages * PAGE_SIZE as u64,
+        Err(fault) => fault.addr().as_u64(),
+    };
+    written.map_err(UcError::Fault)
 }
 
 #[cfg(test)]

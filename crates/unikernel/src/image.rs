@@ -11,7 +11,7 @@
 use std::rc::Rc;
 
 use miniscript::{Interpreter, ProgId};
-use seuss_mem::{FrameKind, PhysMemory, VirtAddr, PAGE_SIZE};
+use seuss_mem::{FrameKind, PhysMemory};
 use seuss_paging::Mmu;
 use seuss_snapshot::transfer::{
     export_diff, export_full, import as import_snapshot, SnapshotImage,
@@ -178,15 +178,19 @@ impl ImageStore {
         };
         let mut uc = UcContext::from_image(space, regs, image, id, kmeta);
         // Resume-to-listening writes: the driver re-enters its accept loop
-        // and dirties a deterministic set of data pages (COW clones of the
+        // and dirties a deterministic run of data pages (COW clones of the
         // snapshot's pages).
-        for i in 0..profile.resume_touch_pages {
-            let va = VirtAddr::new(layout.data_base.as_u64() + i * PAGE_SIZE as u64);
-            if let Err(e) = mmu.touch_write(mem, &mut uc.space, va) {
-                let _ = snaps.release_uc(id);
-                uc.destroy(mmu, mem);
-                return Err(UcError::Fault(e));
-            }
+        let resumed = mmu.write_run(
+            mem,
+            &mut uc.space,
+            layout.data_base,
+            profile.resume_touch_pages,
+            &[],
+        );
+        if let Err(e) = resumed {
+            let _ = snaps.release_uc(id);
+            uc.destroy(mmu, mem);
+            return Err(UcError::Fault(e));
         }
         let ops = mmu.stats.since(&ops_before);
         self.tracer.event(TraceEvent::FramesCopied {

@@ -2,11 +2,12 @@
 //!
 //! [`UcMemory`] implements `miniscript::HeapBackend` over an
 //! `(Mmu, PhysMemory, AddressSpace)` triple: every interpreter write goes
-//! through [`seuss_paging::Mmu::write_bytes`], so it faults, COW-breaks,
-//! and dirties pages exactly like guest memory traffic.
+//! through [`seuss_paging::Mmu::write_bytes`], and every heap commit
+//! through one [`seuss_paging::Mmu::write_run`], so they fault,
+//! COW-break, and dirty pages exactly like guest memory traffic.
 
 use miniscript::{HeapBackend, HeapError};
-use seuss_mem::{PhysMemory, VirtAddr};
+use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_paging::{AddressSpace, Mmu, PageFault};
 
 /// A borrowed view of a UC's memory, usable as an interpreter heap backend.
@@ -44,6 +45,19 @@ impl HeapBackend for UcMemory<'_> {
     fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), HeapError> {
         self.mmu
             .read_bytes(self.mem, self.space, VirtAddr::new(addr), out)
+            .map_err(map_fault)
+    }
+
+    fn commit(&mut self, addr: u64, len: u64) -> Result<(), HeapError> {
+        let pages = len.div_ceil(PAGE_SIZE as u64);
+        self.mmu
+            .write_run(
+                self.mem,
+                self.space,
+                VirtAddr::new(addr),
+                pages,
+                &1u64.to_le_bytes(),
+            )
             .map_err(map_fault)
     }
 }
