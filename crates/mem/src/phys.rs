@@ -155,17 +155,9 @@ impl PhysMemory {
         self.pressure_frames = 0;
     }
 
-    /// How many more frames [`PhysMemory::alloc`] can hand out before it
-    /// fails. Withheld pressure frames count as unavailable.
-    pub fn allocatable(&self) -> u64 {
-        self.stats
-            .capacity_frames
-            .saturating_sub(self.stats.used_frames + self.pressure_frames)
-    }
-
     /// Allocates one frame of the given kind with refcount 1.
     pub fn alloc(&mut self, kind: FrameKind) -> Result<FrameId, MemError> {
-        if self.allocatable() == 0 {
+        if self.stats.used_frames + self.pressure_frames >= self.stats.capacity_frames {
             return Err(MemError::OutOfFrames);
         }
         let idx = match self.free_list.pop() {
@@ -458,9 +450,7 @@ mod tests {
         // 6 free - 5 withheld = 1 available < threshold 2.
         assert!(m.below_reclaim_threshold());
         // One more alloc fits (4 used + 5 pressure = 9 < 10), the next not.
-        assert_eq!(m.allocatable(), 1);
         held.push(m.alloc(FrameKind::Data).unwrap());
-        assert_eq!(m.allocatable(), 0);
         assert_eq!(m.alloc(FrameKind::Data), Err(MemError::OutOfFrames));
         m.release_pressure();
         assert!(!m.below_reclaim_threshold());

@@ -8,8 +8,6 @@
 //! increments every mapped frame's count and makes the COW check
 //! (`refcount > 1`) correct afterwards.
 
-use core::ops::Range;
-
 use seuss_mem::addr::TABLE_ENTRIES;
 use seuss_mem::{FrameId, MemError, PageContent, PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_trace::{TraceEvent, Tracer};
@@ -112,24 +110,14 @@ impl Mmu {
         root: TableId,
         va: VirtAddr,
     ) -> Result<TableId, MemError> {
-        let l2 = self.exclusive_l2(mem, root, va)?;
-        self.exclusive_child(mem, l2, va, 2)
-    }
-
-    /// [`Self::exclusive_l1`] stopped one level short: the L2 table for `va`.
-    fn exclusive_l2(
-        &mut self,
-        mem: &mut PhysMemory,
-        root: TableId,
-        va: VirtAddr,
-    ) -> Result<TableId, MemError> {
         debug_assert_eq!(
             self.store.refcount(root),
             1,
             "address-space roots are always exclusive"
         );
         let l3 = self.exclusive_child(mem, root, va, 4)?;
-        self.exclusive_child(mem, l3, va, 3)
+        let l2 = self.exclusive_child(mem, l3, va, 3)?;
+        self.exclusive_child(mem, l2, va, 2)
     }
 
     /// One level of an exclusive walk: the table that `parent`, at
@@ -148,7 +136,7 @@ impl Mmu {
         if entry.is_table() {
             let child = entry.next_table();
             if self.store.refcount(child) > 1 {
-                self.split_table(mem, parent, idx, child, 0..0)
+                self.split_table(mem, parent, idx, child)
             } else {
                 Ok(child)
             }
@@ -162,18 +150,15 @@ impl Mmu {
     }
 
     /// Clones shared table `child` (referenced from `parent.entries[idx]`)
-    /// into a private copy, adjusting reference counts. The copy takes no
-    /// reference on the entries in `unreferenced`: the caller replaces
-    /// them.
+    /// into a private copy, adjusting reference counts.
     fn split_table(
         &mut self,
         mem: &mut PhysMemory,
         parent: TableId,
         idx: usize,
         child: TableId,
-        unreferenced: Range<usize>,
     ) -> Result<TableId, MemError> {
-        let new = self.store.clone_referencing(mem, child, unreferenced)?;
+        let new = self.store.clone_referencing(mem, child)?;
         // Parent drops its reference on the shared original.
         self.release_root(mem, child);
         self.store.node_mut(parent).set(idx, Entry::table(new));
@@ -286,11 +271,7 @@ impl Mmu {
     /// write per page, in ascending order: the same frames, counters and
     /// dirty set, and on a fault the same error at the same page, with
     /// the pages before it written. Only [`OpStats::levels_walked`] is
-    /// lower, because the run walks to each leaf table once. When a leaf
-    /// table is shared and every page of the run in it is a present page
-    /// that allows the write, and the pool can hold the table copy and
-    /// one frame per page, the split and the COW breaks are one pass: the
-    /// copy takes no reference on the pages it is about to replace.
+    /// lower, because the run walks to each leaf table once.
     ///
     /// # Panics
     ///
@@ -327,19 +308,12 @@ impl Mmu {
         n: u64,
         word: &[u8],
     ) -> Result<FrameId, PageFault> {
-        let l2 = self
-            .exclusive_l2(mem, space.root(), va)
+        let l1 = self
+            .exclusive_l1(mem, space.root(), va)
             .map_err(|_| self.oom(va))?;
         let first = va.table_index(1);
-        let run = first..first + n as usize;
-        if let Some(frame) = self.fused_cow_run(mem, space, l2, va, run.clone(), word) {
-            return Ok(frame);
-        }
-        let l1 = self
-            .exclusive_child(mem, l2, va, 2)
-            .map_err(|_| self.oom(va))?;
         let mut frame = None;
-        for (k, idx) in run.enumerate() {
+        for (k, idx) in (first..first + n as usize).enumerate() {
             let page = va.offset(k as u64 * PAGE_SIZE as u64);
             let f = self.write_entry(mem, space, l1, idx, page)?;
             if !word.is_empty() {
@@ -348,58 +322,6 @@ impl Mmu {
             frame = Some(f);
         }
         Ok(frame.expect("a leaf run holds at least one page"))
-    }
-
-    /// The fused split and COW break of a leaf run (see
-    /// [`Mmu::write_run`]): the last walk level, the table copy, and one
-    /// clone per page in ascending order. Returns `None`, having changed
-    /// nothing, unless the L1 table under `l2` is shared, every entry of
-    /// `run` is a present page that allows the write, and the pool can
-    /// allocate the copy's frame and one frame per page.
-    fn fused_cow_run(
-        &mut self,
-        mem: &mut PhysMemory,
-        space: &mut AddressSpace,
-        l2: TableId,
-        va: VirtAddr,
-        run: Range<usize>,
-        word: &[u8],
-    ) -> Option<FrameId> {
-        let i2 = va.table_index(2);
-        let entry = self.store.node(l2).entry(i2);
-        if !entry.is_table() {
-            return None;
-        }
-        let shared = entry.next_table();
-        if self.store.refcount(shared) == 1 || mem.allocatable() <= run.len() as u64 {
-            return None;
-        }
-        let writable = self.store.node(shared).entries.get(run.clone());
-        if !writable.is_some_and(|es| es.iter().all(|e| e.is_page() && allows_write(e.flags()))) {
-            return None;
-        }
-        self.stats.levels_walked += 1;
-        let l1 = self
-            .split_table(mem, l2, i2, shared, run.clone())
-            .expect("the pool holds the table copy");
-        let node = self.store.node_mut(l1);
-        let mut frame = None;
-        for (k, idx) in run.enumerate() {
-            let entry = node.entries[idx];
-            let clone = mem
-                .clone_frame(entry.frame())
-                .expect("the pool holds every clone");
-            node.entries[idx] = Entry::page(clone, written(entry.flags()));
-            if !word.is_empty() {
-                mem.write(clone, va.page_offset(), word);
-            }
-            self.stats.cow_clones += 1;
-            self.tracer.event(TraceEvent::CowBreak);
-            space.note_private_page();
-            space.note_write(va.offset(k as u64 * PAGE_SIZE as u64));
-            frame = Some(clone);
-        }
-        frame
     }
 
     /// Resolves a write to entry `idx` of `l1`, an L1 table exclusive to
@@ -677,7 +599,7 @@ impl Mmu {
         mem: &mut PhysMemory,
         root: TableId,
     ) -> Result<TableId, MemError> {
-        let new = self.store.clone_referencing(mem, root, 0..0)?;
+        let new = self.store.clone_referencing(mem, root)?;
         self.stats.shallow_clones += 1;
         self.stats.entries_copied += TABLE_ENTRIES as u64;
         Ok(new)

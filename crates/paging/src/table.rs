@@ -13,8 +13,6 @@
 //! 4 KiB. The simulated cost does not change: every table still occupies
 //! one page-table frame, and a copy still counts 512 entries.
 
-use core::ops::Range;
-
 use seuss_mem::{FrameId, FrameKind, MemError, PhysMemory};
 
 use crate::entry::Entry;
@@ -116,21 +114,15 @@ impl TableStore {
     }
 
     /// [`Self::clone_node`] plus the copy's own references: one more on
-    /// every child table and every mapped frame it points at, except the
-    /// entries at the indices in `unreferenced`, which the caller is about
-    /// to replace. This is the whole of a shallow clone or a table split.
+    /// every child table and every mapped frame it points at. This is
+    /// the whole of a shallow clone or a table split.
     pub(crate) fn clone_referencing(
         &mut self,
         mem: &mut PhysMemory,
         src: TableId,
-        unreferenced: Range<usize>,
     ) -> Result<TableId, MemError> {
         let node = self.copy_node(mem, src)?;
-        let (before, rest) = node
-            .entries
-            .split_at(unreferenced.start.min(node.entries.len()));
-        let after = rest.get(unreferenced.len()..).unwrap_or(&[]);
-        for entry in before.iter().chain(after).filter(|e| e.is_present()) {
+        for entry in node.entries.iter().filter(|e| e.is_present()) {
             if entry.is_table() {
                 self.inc_ref(entry.next_table());
             } else {
