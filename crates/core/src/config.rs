@@ -8,7 +8,7 @@
 
 use miniscript::RuntimeProfile;
 use seuss_store::StoreConfig;
-use seuss_unikernel::{RuntimeKind, UcProfile};
+use seuss_unikernel::UcProfile;
 use simcore::SimDuration;
 
 /// Which anticipatory optimizations to apply before capturing the base
@@ -30,23 +30,16 @@ pub enum AoLevel {
 pub struct SeussConfig {
     /// Physical memory in MiB (the paper's VM has 88 GB).
     pub mem_mib: u64,
-    /// AO level for the base runtime snapshots.
+    /// AO level for the base runtime snapshot.
     pub ao: AoLevel,
-    /// Runtimes to boot and snapshot (one base snapshot each, §4).
-    /// `uc_profile`/`runtime_profile` below configure the *primary*
-    /// (first) runtime; additional runtimes use their [`RuntimeKind`]
-    /// defaults. Every runtime takes its [`RuntimeKind::layout`].
-    pub(crate) runtimes: Vec<RuntimeKind>,
-    /// UC sizing profile of the primary runtime.
+    /// UC sizing profile of the Node.js runtime.
     pub(crate) uc_profile: UcProfile,
-    /// Interpreter sizing profile of the primary runtime.
+    /// Interpreter sizing profile of the Node.js runtime.
     pub runtime_profile: RuntimeProfile,
     /// Maximum idle UCs cached per function.
     pub(crate) idle_per_fn: usize,
     /// Maximum idle UCs cached in total.
     pub idle_total: usize,
-    /// OOM-daemon reclaim threshold, in frames (None = 2% of capacity).
-    pub(crate) reclaim_threshold_frames: Option<u64>,
     /// Storage tier for demoted snapshots (`None` = all-DRAM node; the
     /// pre-tier behavior, byte-identical artifacts).
     pub(crate) store: Option<StoreConfig>,
@@ -57,10 +50,6 @@ pub struct SeussConfig {
 pub enum ConfigError {
     /// A node needs physical memory.
     ZeroMemory,
-    /// At least one runtime must be configured.
-    NoRuntimes,
-    /// The same runtime was listed twice (one base snapshot each, §4).
-    DuplicateRuntime(RuntimeKind),
     /// The idle-UC cache must admit at least one UC per function.
     ZeroIdlePerFn,
     /// The idle-UC cache must admit at least one UC in total.
@@ -72,9 +61,6 @@ pub enum ConfigError {
         /// Configured total capacity.
         total: usize,
     },
-    /// An explicit reclaim threshold of zero frames disables the OOM
-    /// daemon silently; use `None` for the default instead.
-    ZeroReclaimThreshold,
     /// A storage tier was configured with a zero-block device.
     ZeroDeviceCapacity,
     /// A storage-tier device with zero bandwidth and zero latency would
@@ -87,22 +73,12 @@ impl core::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ConfigError::ZeroMemory => write!(f, "config: mem_mib must be >= 1"),
-            ConfigError::NoRuntimes => write!(f, "config: at least one runtime required"),
-            ConfigError::DuplicateRuntime(k) => {
-                write!(f, "config: runtime {} listed twice", k.name())
-            }
             ConfigError::ZeroIdlePerFn => write!(f, "config: idle_per_fn must be >= 1"),
             ConfigError::ZeroIdleTotal => write!(f, "config: idle_total must be >= 1"),
             ConfigError::IdlePerFnExceedsTotal { per_fn, total } => write!(
                 f,
                 "config: idle_per_fn ({per_fn}) exceeds idle_total ({total})"
             ),
-            ConfigError::ZeroReclaimThreshold => {
-                write!(
-                    f,
-                    "config: reclaim threshold of 0 frames; use None for default"
-                )
-            }
             ConfigError::ZeroDeviceCapacity => {
                 write!(f, "config: store device needs at least one block")
             }
@@ -128,25 +104,19 @@ impl SeussConfigBuilder {
         self
     }
 
-    /// AO level for the base runtime snapshots.
+    /// AO level for the base runtime snapshot.
     pub fn ao_level(mut self, ao: AoLevel) -> Self {
         self.cfg.ao = ao;
         self
     }
 
-    /// Runtimes to boot and snapshot (the first is the primary).
-    pub fn runtimes(mut self, runtimes: Vec<RuntimeKind>) -> Self {
-        self.cfg.runtimes = runtimes;
-        self
-    }
-
-    /// UC sizing profile of the primary runtime.
+    /// UC sizing profile of the Node.js runtime.
     pub(crate) fn uc_profile(mut self, p: UcProfile) -> Self {
         self.cfg.uc_profile = p;
         self
     }
 
-    /// Interpreter sizing profile of the primary runtime.
+    /// Interpreter sizing profile of the Node.js runtime.
     pub(crate) fn runtime_profile(mut self, p: RuntimeProfile) -> Self {
         self.cfg.runtime_profile = p;
         self
@@ -164,12 +134,6 @@ impl SeussConfigBuilder {
         self
     }
 
-    /// OOM-daemon reclaim threshold in frames (`None` = 2% of capacity).
-    pub fn reclaim_threshold_frames(mut self, t: Option<u64>) -> Self {
-        self.cfg.reclaim_threshold_frames = t;
-        self
-    }
-
     /// Storage tier for demoted snapshots (`None` disables tiering).
     pub fn store(mut self, store: Option<StoreConfig>) -> Self {
         self.cfg.store = store;
@@ -182,14 +146,6 @@ impl SeussConfigBuilder {
         if c.mem_mib == 0 {
             return Err(ConfigError::ZeroMemory);
         }
-        if c.runtimes.is_empty() {
-            return Err(ConfigError::NoRuntimes);
-        }
-        for (i, k) in c.runtimes.iter().enumerate() {
-            if c.runtimes[..i].contains(k) {
-                return Err(ConfigError::DuplicateRuntime(*k));
-            }
-        }
         if c.idle_per_fn == 0 {
             return Err(ConfigError::ZeroIdlePerFn);
         }
@@ -201,9 +157,6 @@ impl SeussConfigBuilder {
                 per_fn: c.idle_per_fn,
                 total: c.idle_total,
             });
-        }
-        if c.reclaim_threshold_frames == Some(0) {
-            return Err(ConfigError::ZeroReclaimThreshold);
         }
         if let Some(store) = &c.store {
             if store.device.capacity_blocks == 0 {
@@ -225,12 +178,10 @@ impl SeussConfig {
             cfg: SeussConfig {
                 mem_mib: 88 * 1024,
                 ao: AoLevel::NetworkAndInterpreter,
-                runtimes: vec![RuntimeKind::NodeJs],
                 uc_profile: UcProfile::nodejs(),
                 runtime_profile: RuntimeProfile::nodejs(),
                 idle_per_fn: 4,
                 idle_total: 4096,
-                reclaim_threshold_frames: None,
                 store: None,
             },
         }
@@ -270,7 +221,6 @@ mod tests {
         let c = SeussConfig::paper_node();
         assert_eq!(c.mem_mib, 88 * 1024);
         assert_eq!(c.ao, AoLevel::NetworkAndInterpreter);
-        assert_eq!(c.runtimes, vec![RuntimeKind::NodeJs]);
     }
 
     #[test]
@@ -285,17 +235,6 @@ mod tests {
         assert_eq!(
             SeussConfig::builder().mem_mib(0).build().unwrap_err(),
             ConfigError::ZeroMemory
-        );
-        assert_eq!(
-            SeussConfig::builder().runtimes(vec![]).build().unwrap_err(),
-            ConfigError::NoRuntimes
-        );
-        assert_eq!(
-            SeussConfig::builder()
-                .runtimes(vec![RuntimeKind::NodeJs, RuntimeKind::NodeJs])
-                .build()
-                .unwrap_err(),
-            ConfigError::DuplicateRuntime(RuntimeKind::NodeJs)
         );
         assert_eq!(
             SeussConfig::builder().idle_per_fn(0).build().unwrap_err(),
@@ -315,13 +254,6 @@ mod tests {
                 per_fn: 10,
                 total: 5
             }
-        );
-        assert_eq!(
-            SeussConfig::builder()
-                .reclaim_threshold_frames(Some(0))
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroReclaimThreshold
         );
         let mut store = seuss_store::StoreConfig::nvme_prefetch();
         store.device.capacity_blocks = 0;

@@ -36,4 +36,3 @@ pub use node::{FnId, Invocation, IoToken, NodeError, NodeStats, PathCosts, PathK
 pub use shim::ShimProcess;
 
 pub use seuss_trace::{Phase, Tracer};
-pub use seuss_unikernel::RuntimeKind;

@@ -16,7 +16,7 @@ use seuss_paging::Mmu;
 use seuss_snapshot::{SnapshotError, SnapshotId, SnapshotKind, SnapshotStore};
 use seuss_store::{ReclaimMode, RestorePolicy, StoreError, TieredStore};
 use seuss_trace::{CacheKind, Phase, SpanName, TraceEvent, Tracer};
-use seuss_unikernel::{ImageStore, InvocationOutcome, RuntimeKind, UcContext, UcError};
+use seuss_unikernel::{ImageStore, InvocationOutcome, Layout, UcContext, UcError};
 use simcore::SimDuration;
 
 use crate::caches::{FnImageCache, IdleUcCache};
@@ -129,8 +129,6 @@ pub enum NodeError {
     Function(String),
     /// Unknown IO token.
     UnknownToken,
-    /// Node not initialized with a runtime snapshot.
-    NotInitialized,
 }
 
 impl core::fmt::Display for NodeError {
@@ -139,7 +137,6 @@ impl core::fmt::Display for NodeError {
             NodeError::OutOfMemory => write!(f, "node out of memory"),
             NodeError::Function(m) => write!(f, "function error: {m}"),
             NodeError::UnknownToken => write!(f, "unknown IO token"),
-            NodeError::NotInitialized => write!(f, "node missing runtime snapshot"),
         }
     }
 }
@@ -215,8 +212,8 @@ pub struct SeussNode {
     /// Device time of OOM-daemon demotions, drained into the next
     /// deploy's cost (pressure work bills the request that triggers it).
     pending_demote_cost: SimDuration,
-    runtime_images: HashMap<RuntimeKind, SnapshotId>,
-    primary_runtime: RuntimeKind,
+    /// The base runtime image every cold start deploys from.
+    runtime_image: SnapshotId,
     /// Function images dropped while UCs still ran from them; each is
     /// deleted when [`destroy_uc`](SeussNode::destroy_uc) releases its
     /// last UC (the §6 policy).
@@ -225,21 +222,19 @@ pub struct SeussNode {
     next_token: u64,
 }
 
-/// Boots one runtime's base UC, applies the AO level, and captures the
+/// Boots the Node.js base UC, applies the AO level, and captures the
 /// base snapshot. Returns the image's snapshot id and total cost.
-#[allow(clippy::too_many_arguments)]
 fn init_runtime(
     mmu: &mut Mmu,
     mem: &mut PhysMemory,
     snaps: &mut SnapshotStore,
     images: &mut ImageStore,
-    kind: RuntimeKind,
     uc_profile: seuss_unikernel::UcProfile,
     runtime_profile: miniscript::RuntimeProfile,
     ao: AoLevel,
 ) -> Result<(SnapshotId, SimDuration), NodeError> {
     let (mut base_uc, mut init_cost) =
-        UcContext::boot(mmu, mem, kind.layout(), uc_profile, runtime_profile)?;
+        UcContext::boot(mmu, mem, Layout::nodejs(), uc_profile, runtime_profile)?;
 
     // Anticipatory optimizations (§3, §7) run before the base capture.
     match ao {
@@ -267,7 +262,7 @@ fn init_runtime(
         snaps,
         &mut base_uc,
         SnapshotKind::Runtime,
-        format!("{}-runtime", kind.name()),
+        "nodejs-runtime".to_string(),
         None,
     )?;
     init_cost += capture_cost;
@@ -281,45 +276,22 @@ impl SeussNode {
     /// Returns the node and the total initialization cost.
     pub fn new(config: SeussConfig) -> Result<(SeussNode, SimDuration), NodeError> {
         let mut mem = PhysMemory::with_mib(config.mem_mib);
-        if let Some(t) = config.reclaim_threshold_frames {
-            mem.set_reclaim_threshold_frames(t);
-        }
         let mut mmu = Mmu::new();
         let mut snaps = SnapshotStore::new();
         let mut images = ImageStore::new();
 
-        // Boot and snapshot every configured runtime ("only one per
-        // supported interpreter", §4). The first is the primary and uses
-        // the config's explicit profiles; the rest use their defaults.
-        let mut runtimes = config.runtimes.clone();
-        if runtimes.is_empty() {
-            runtimes.push(RuntimeKind::NodeJs);
-        }
-        let primary_runtime = runtimes[0];
-        let mut runtime_images = HashMap::new();
-        let mut init_cost = SimDuration::ZERO;
-        for (i, kind) in runtimes.iter().enumerate() {
-            let (ucp, rp) = if i == 0 {
-                (config.uc_profile, config.runtime_profile)
-            } else {
-                (kind.uc_profile(), kind.runtime_profile())
-            };
-            let (image, cost) = init_runtime(
-                &mut mmu,
-                &mut mem,
-                &mut snaps,
-                &mut images,
-                *kind,
-                ucp,
-                rp,
-                config.ao,
-            )?;
-            runtime_images.insert(*kind, image);
-            init_cost += cost;
-        }
+        let (runtime_image, init_cost) = init_runtime(
+            &mut mmu,
+            &mut mem,
+            &mut snaps,
+            &mut images,
+            config.uc_profile,
+            config.runtime_profile,
+            config.ao,
+        )?;
 
         // The storage tier and its pager come up after runtime init: the
-        // base snapshots are captured all-DRAM either way.
+        // base snapshot is captured all-DRAM either way.
         let tier = config.store.map(TieredStore::new);
         if let Some(t) = &tier {
             mmu.pager = Some(t.make_pager());
@@ -337,8 +309,7 @@ impl SeussNode {
             tracer: Tracer::disabled(),
             tier,
             pending_demote_cost: SimDuration::ZERO,
-            runtime_images,
-            primary_runtime,
+            runtime_image,
             retired: Vec::new(),
             pending: HashMap::new(),
             next_token: 0,
@@ -346,21 +317,10 @@ impl SeussNode {
         Ok((node, init_cost))
     }
 
-    /// The primary runtime's base image id.
+    /// The base runtime image id. Always `Some`: a node is built with
+    /// its runtime snapshot.
     pub fn runtime_image(&self) -> Option<SnapshotId> {
-        self.runtime_images.get(&self.primary_runtime).copied()
-    }
-
-    /// The base image for a specific runtime, if configured.
-    pub fn runtime_image_for(&self, kind: RuntimeKind) -> Option<SnapshotId> {
-        self.runtime_images.get(&kind).copied()
-    }
-
-    /// Runtimes this node serves.
-    pub fn runtimes(&self) -> Vec<RuntimeKind> {
-        let mut v: Vec<RuntimeKind> = self.runtime_images.keys().copied().collect();
-        v.sort();
-        v
+        Some(self.runtime_image)
     }
 
     /// Installs a tracer, distributing clones of the shared handle into
@@ -484,22 +444,10 @@ impl SeussNode {
     }
 
     /// Serves one invocation of function `f` (source `src`, arguments
-    /// `args`) on the primary runtime. Picks hot > warm > cold.
+    /// `args`). Picks hot > warm > cold.
     pub fn invoke(
         &mut self,
         f: FnId,
-        src: &str,
-        args: &[(&str, &str)],
-    ) -> Result<Invocation, NodeError> {
-        self.invoke_on(f, self.primary_runtime, src, args)
-    }
-
-    /// Serves one invocation on an explicit runtime (functions are bound
-    /// to the interpreter their account registered them for).
-    pub fn invoke_on(
-        &mut self,
-        f: FnId,
-        runtime: RuntimeKind,
         src: &str,
         args: &[(&str, &str)],
     ) -> Result<Invocation, NodeError> {
@@ -507,7 +455,7 @@ impl SeussNode {
         let span = self.tracer.span(SpanName::Invoke);
         span.annotate_fn(f);
         let mut uc = None;
-        let result = self.resolve(f, runtime, &mut uc).and_then(|start| {
+        let result = self.resolve(f, &mut uc).and_then(|start| {
             span.annotate_path(start.path());
             self.run_phases(f, start, src, args, &mut uc, ops_before)
         });
@@ -521,12 +469,7 @@ impl SeussNode {
     /// integrity check, or whose device blocks are unreadable, is
     /// discarded, and the start degrades to cold, whose re-capture
     /// repairs the cache.
-    fn resolve(
-        &mut self,
-        f: FnId,
-        runtime: RuntimeKind,
-        uc: &mut Option<UcContext>,
-    ) -> Result<Start, NodeError> {
+    fn resolve(&mut self, f: FnId, uc: &mut Option<UcContext>) -> Result<Start, NodeError> {
         *uc = self.idle.take(f);
         if uc.is_some() {
             self.tracer.event(TraceEvent::CacheHit {
@@ -564,10 +507,7 @@ impl SeussNode {
         self.tracer.event(TraceEvent::CacheMiss {
             cache: CacheKind::FnSnapshot,
         });
-        self.runtime_images
-            .get(&runtime)
-            .map(|&base| Start::Runtime(base))
-            .ok_or(NodeError::NotInitialized)
+        Ok(Start::Runtime(self.runtime_image))
     }
 
     /// Runs the phases `start` does not skip: deploy and connect unless
@@ -834,10 +774,12 @@ impl SeussNode {
     /// Deploys one idle UC from the base runtime image into the idle pool
     /// of function `f` (Table 3's density/creation-rate harness).
     pub fn deploy_idle_uc(&mut self, f: FnId) -> Result<SimDuration, NodeError> {
-        let base = self.runtime_image().ok_or(NodeError::NotInitialized)?;
-        let (uc, mech) = self
-            .images
-            .deploy(&mut self.mmu, &mut self.mem, &mut self.snaps, base)?;
+        let (uc, mech) = self.images.deploy(
+            &mut self.mmu,
+            &mut self.mem,
+            &mut self.snaps,
+            self.runtime_image,
+        )?;
         if let Some(victim) = self.idle.put(f, uc) {
             self.destroy_uc(victim);
         }
@@ -855,8 +797,8 @@ impl SeussNode {
 
     /// Crashes the node: every pending (IO-blocked) invocation, idle UC,
     /// and cached function snapshot is destroyed, exactly what a power
-    /// cycle would take. The base runtime snapshots survive — the reboot
-    /// cost the caller charges covers their re-initialization. Returns
+    /// cycle would take. The base runtime snapshot survives — the reboot
+    /// cost the caller charges covers its re-initialization. Returns
     /// how many cached/in-flight items were lost.
     ///
     /// Destruction order is fixed (pending by token, idle LRU-first,
@@ -1158,9 +1100,7 @@ mod fault_tests {
     /// retired): the count the §6 delete policy reads.
     fn live_ucs(n: &SeussNode) -> usize {
         let active = |sid| n.snaps.get(sid).map_or(0, |s| s.active_ucs() as usize);
-        n.runtime_images
-            .values()
-            .copied()
+        std::iter::once(n.runtime_image)
             .chain(n.fn_cache.images())
             .chain(n.retired.iter().copied())
             .map(active)
@@ -1168,7 +1108,7 @@ mod fault_tests {
     }
 
     /// Destroys every idle UC and empties the function cache through the
-    /// node's one exit, then checks that only the runtime images are
+    /// node's one exit, then checks that only the runtime image is
     /// left: no UC, snapshot, image, frame or device block outlives the
     /// functions that used it. `boot` is `mem.stats()` right after the
     /// node came up.
@@ -1180,9 +1120,8 @@ mod fault_tests {
         while let Some(img) = n.fn_cache.evict_lru(|_| true) {
             n.drop_fn_image(img);
         }
-        let runtimes = n.runtimes().len();
-        assert_eq!(n.snaps.len(), runtimes, "only runtime snapshots remain");
-        assert_eq!(n.images.len(), runtimes, "only runtime images remain");
+        assert_eq!(n.snaps.len(), 1, "only the runtime snapshot remains");
+        assert_eq!(n.images.len(), 1, "only the runtime image remains");
         assert_eq!(live_frames(n.mem.stats()), live_frames(boot), "frames");
         assert_eq!(live_ucs(n), 0, "every UC is destroyed");
         if let Some(t) = &n.tier {

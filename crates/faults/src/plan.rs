@@ -106,14 +106,6 @@ impl FaultPlan {
         self.events.sort_by_key(|e| e.at);
     }
 
-    /// Whether any scheduled event needs per-packet RNG draws while
-    /// executing (i.e. the plan has a packet-loss window).
-    pub fn needs_exec_rng(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::PacketLoss { .. }))
-    }
-
     /// The faults function `fn_id` observes: every node-global event plus
     /// corruption events targeting exactly that function.
     ///
@@ -162,7 +154,6 @@ mod tests {
         let p = FaultPlan::none();
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
-        assert!(!p.needs_exec_rng());
     }
 
     #[test]
@@ -192,24 +183,21 @@ mod tests {
     }
 
     #[test]
-    fn exec_rng_only_for_loss() {
+    fn push_keeps_the_schedule_sorted() {
         let mut p = FaultPlan::none();
-        p.push(
-            SimTime::from_secs(1),
-            FaultKind::MemPressure {
-                frames: 100,
-                span: SimDuration::from_secs(1),
-            },
-        );
-        assert!(!p.needs_exec_rng());
-        p.push(
-            SimTime::from_secs(2),
-            FaultKind::PacketLoss {
-                prob: 0.5,
-                span: SimDuration::from_secs(1),
-            },
-        );
-        assert!(p.needs_exec_rng());
+        let loss = FaultKind::PacketLoss {
+            prob: 0.5,
+            span: SimDuration::from_secs(1),
+        };
+        let pressure = FaultKind::MemPressure {
+            frames: 100,
+            span: SimDuration::from_secs(1),
+        };
+        p.push(SimTime::from_secs(2), loss);
+        p.push(SimTime::from_secs(1), pressure);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.events()[0].kind, pressure);
+        assert_eq!(p.events()[1].kind, loss);
     }
 
     #[test]

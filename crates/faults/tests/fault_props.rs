@@ -5,8 +5,7 @@
 //! 2. plans are shard-stable: for any plan, any shard count, and any
 //!    function, the faults the function observes through its owning
 //!    shard's view equal the faults it observes through the full plan;
-//! 3. plans sort by instant and `needs_exec_rng` is exactly "has a loss
-//!    window";
+//! 3. plans sort by instant;
 //! 4. the generators shrink: a deliberately false property over plans
 //!    minimizes to a single-event plan (the harness's shrinking reaches
 //!    a locally-minimal counterexample).
@@ -105,18 +104,13 @@ fn plans_are_shard_stable() {
 }
 
 #[test]
-fn plans_sort_and_classify_exec_rng() {
-    check("faults::sorted_and_classified", &entries(64), |es| {
+fn plans_sort_by_instant() {
+    check("faults::sorted", &entries(64), |es| {
         let plan = plan_of(es, 7);
         let instants: Vec<SimTime> = plan.events().iter().map(|e| e.at).collect();
         let mut sorted = instants.clone();
         sorted.sort();
         ensure_eq!(instants, sorted, "events must sort by instant");
-        let has_loss = plan
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::PacketLoss { .. }));
-        ensure_eq!(plan.needs_exec_rng(), has_loss);
         Ok(())
     });
 }

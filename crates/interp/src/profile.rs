@@ -70,23 +70,6 @@ impl RuntimeProfile {
         }
     }
 
-    /// Profile calibrated to CPython (used by the Python runtime variant;
-    /// smaller code caches, slower per-byte compile).
-    pub fn python() -> Self {
-        RuntimeProfile {
-            heap_base: 0x1000,
-            heap_size: 256 << 20,
-            per_compile_fixed_bytes: 600_000,
-            per_compile_bytes_per_src_byte: 24,
-            first_compile_extra_bytes: 1_200_000,
-            first_exec_extra_bytes: 900_000,
-            compile_cycles_fixed: 2_500_000,
-            compile_cycles_per_src_byte: 3_500,
-            first_compile_extra_cycles: 3_000_000,
-            first_exec_extra_cycles: 2_500_000,
-        }
-    }
-
     /// Minimal profile for unit tests: no lazy-init bloat, tiny costs.
     pub fn tiny() -> Self {
         RuntimeProfile {

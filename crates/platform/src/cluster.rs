@@ -428,13 +428,8 @@ impl Cluster {
                 let r = &mut self.reqs[req];
                 let result = match task {
                     Task::Run(_) => {
-                        let (src, runtime) = self
-                            .registry
-                            .get(r.fn_id)
-                            .map_or(("", seuss_core::RuntimeKind::NodeJs), |s| {
-                                (s.src.as_str(), s.runtime)
-                            });
-                        node.invoke_on(r.fn_id, runtime, src, &[])
+                        let src = self.registry.get(r.fn_id).map_or("", |s| s.src.as_str());
+                        node.invoke(r.fn_id, src, &[])
                     }
                     Task::Resume(_) => {
                         let token = r.io_token.take().expect("resume without token");

@@ -7,7 +7,7 @@
 //! (§9 — including the footnote obliging the rename to DR-SEUSS.)
 //!
 //! The cluster keeps one SEUSS node per machine. Every node boots the
-//! same per-interpreter runtime snapshots, so a *function* snapshot
+//! same runtime snapshot, so a *function* snapshot
 //! migrates as its ~2 MiB diff: when a request lands on a node without
 //! the function cached but some other node holds it, the diff is fetched
 //! over the datacenter link and installed locally — a **remote-warm**
@@ -183,16 +183,10 @@ impl DrSeussCluster {
         };
         let bytes = package.wire_bytes();
         let dst = &mut self.nodes[to];
-        let parent = dst.runtime_image().ok_or(NodeError::NotInitialized)?;
+        let parent = dst.runtime_image();
         let img = dst
             .images
-            .import(
-                &mut dst.mmu,
-                &mut dst.mem,
-                &mut dst.snaps,
-                &package,
-                Some(parent),
-            )
+            .import(&mut dst.mmu, &mut dst.mem, &mut dst.snaps, &package, parent)
             .map_err(|e| NodeError::Function(e.to_string()))?;
         dst.install_fn_image(f, img);
         self.index.entry(f).or_default().push(to);

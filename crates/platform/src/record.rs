@@ -93,7 +93,7 @@ impl RequestRecord {
 }
 
 /// Dumps records as newline-delimited JSON (one object per line), the
-/// machine-readable sibling of `records_csv`.
+/// machine-readable form of a trial's request records.
 pub fn records_jsonl(records: &[RequestRecord]) -> String {
     let mut out = String::new();
     for r in records {

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use seuss_core::RuntimeKind;
 use simcore::{SimDuration, SimTime};
 
 /// Function identity.
@@ -20,13 +19,11 @@ pub enum FnKind {
     Io,
 }
 
-/// A registered function: its kind, runtime, and its miniscript source.
+/// A registered function: its kind and its miniscript source.
 #[derive(Clone, Debug)]
 pub struct FnSpec {
     /// Behavioural class.
     pub(crate) kind: FnKind,
-    /// The interpreter this function targets (Node.js by default).
-    pub(crate) runtime: RuntimeKind,
     /// Source code (what SEUSS imports and compiles; Linux containers
     /// /init with it).
     pub src: String,
@@ -50,17 +47,7 @@ impl FnSpec {
                 "// fn {salt}\nfunction main(args) {{ let r = http_get('http://ext/{salt}'); return r; }}"
             ),
         };
-        FnSpec {
-            kind,
-            runtime: RuntimeKind::NodeJs,
-            src,
-        }
-    }
-
-    /// Rebinds the function to another runtime.
-    pub(crate) fn on_runtime(mut self, runtime: RuntimeKind) -> Self {
-        self.runtime = runtime;
-        self
+        FnSpec { kind, src }
     }
 }
 
@@ -89,12 +76,6 @@ impl Registry {
     /// Registers one function.
     pub fn register(&mut self, id: FnId, kind: FnKind) {
         self.fns.insert(id, FnSpec::new(kind, id));
-    }
-
-    /// Registers one function bound to a specific runtime.
-    pub fn register_on(&mut self, id: FnId, kind: FnKind, runtime: RuntimeKind) {
-        self.fns
-            .insert(id, FnSpec::new(kind, id).on_runtime(runtime));
     }
 
     /// Inserts an already-built spec under an id (the shard partitioner

@@ -488,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_reinvoke_on_idle_uc() {
+    fn idle_uc_reinvokes_hot() {
         let (mut mem, mut mmu) = rig();
         let mut uc = boot_tiny(&mut mem, &mut mmu);
         uc.connect(&mut mmu, &mut mem).unwrap();

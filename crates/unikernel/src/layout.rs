@@ -51,14 +51,6 @@ impl Layout {
         }
     }
 
-    /// Layout sized for a CPython-class runtime.
-    pub(crate) fn python() -> Self {
-        Layout {
-            text_pages: 6_144, // 24 MiB
-            ..Self::nodejs()
-        }
-    }
-
     /// The resume-point instruction address used for the driver-listening
     /// snapshot trigger (a fixed address inside text).
     pub(crate) fn driver_listen_rip(&self) -> VirtAddr {

@@ -30,10 +30,8 @@ mod image;
 mod layout;
 mod memory;
 mod profile;
-mod runtime;
 
 pub use context::{InvocationOutcome, UcContext, UcError};
 pub use image::ImageStore;
 pub use layout::Layout;
 pub use profile::UcProfile;
-pub use runtime::RuntimeKind;

@@ -73,17 +73,6 @@ impl UcProfile {
         }
     }
 
-    /// Calibrated to a CPython/Rumprun stack (smaller runtime).
-    pub(crate) fn python() -> Self {
-        UcProfile {
-            boot_data_bytes: 18 << 20,
-            runtime_init_bytes: 14 << 20,
-            driver_init_bytes: 3 << 20,
-            boot_time: SimDuration::from_millis(450),
-            ..Self::nodejs()
-        }
-    }
-
     /// Tiny profile for fast unit tests.
     pub fn tiny() -> Self {
         UcProfile {

@@ -22,5 +22,5 @@ pub mod report;
 mod trial;
 
 pub use burst::BurstParams;
-pub use report::{burst_series_csv, records_csv, trial_artifacts};
+pub use report::burst_series_csv;
 pub use trial::{TrialParams, ZipfTrial};

@@ -1,50 +1,6 @@
-//! Result rendering: tables, CSV dumps, figure series, and the bundled
-//! per-trial artifact set (records + optional trace output).
+//! Result rendering: tables, CSV dumps and figure series.
 
-use seuss_platform::{RequestRecord, RequestStatus, TrialOutput};
-
-/// Dumps request records as CSV (`sent_s,latency_ms,fn,status,served_by,
-/// burst`) — the raw series behind Figures 6–8.
-pub fn records_csv(records: &[RequestRecord]) -> String {
-    let mut out = String::from("sent_s,latency_ms,fn,status,served_by,burst\n");
-    for r in records {
-        out.push_str(&format!(
-            "{:.3},{:.3},{},{:?},{:?},{}\n",
-            r.sent_at_s, r.latency_ms, r.fn_id, r.status, r.served_by, r.burst
-        ));
-    }
-    out
-}
-
-/// Everything one trial produces, rendered and ready to write to disk.
-///
-/// The trace members are `Some` only when the trial ran traced (an
-/// enabled [`seuss_trace::Tracer`], or a traced sharded run); a default
-/// (disabled) tracer costs nothing and yields `None` here.
-#[derive(Clone, Debug)]
-pub struct TrialArtifacts {
-    /// Request records as CSV ([`records_csv`]).
-    pub records_csv: String,
-    /// Request records as JSON Lines ([`TrialOutput::records_jsonl`]).
-    pub records_jsonl: String,
-    /// Structured trace of the trial as span/event JSONL.
-    pub trace_jsonl: Option<String>,
-    /// Counter + per-phase/per-path latency quantiles as one JSON object.
-    pub metrics_json: Option<String>,
-}
-
-/// Bundles a finished trial's outputs — single-threaded or sharded: the
-/// record dumps always, the trace JSONL and metrics JSON when it ran
-/// traced.
-pub fn trial_artifacts(out: &TrialOutput) -> TrialArtifacts {
-    let traced = !out.trace_dumps.is_empty();
-    TrialArtifacts {
-        records_csv: records_csv(&out.records),
-        records_jsonl: out.records_jsonl(),
-        trace_jsonl: traced.then(|| out.trace_jsonl()),
-        metrics_json: traced.then(|| out.metrics_report().to_json()),
-    }
-}
+use seuss_platform::{RequestRecord, RequestStatus};
 
 /// Renders the Figure 6–8 scatter as an aligned text series, split into
 /// background and burst streams, marking errors with `x` like the paper.
@@ -161,14 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let csv = records_csv(&[rec(false, true, 0.5)]);
-        assert!(csv.starts_with("sent_s,"));
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.contains("0.500,10.000,1,Ok"));
-    }
-
-    #[test]
     fn burst_series_sorted_and_marked() {
         let csv = burst_series_csv(&[rec(true, false, 2.0), rec(false, true, 1.0)]);
         let lines: Vec<&str> = csv.lines().collect();
@@ -216,46 +164,5 @@ mod tests {
         assert_eq!(nearest_rank(&v, 0.99), 3.0);
         assert_eq!(nearest_rank(&v, 1.0), 4.0);
         assert!(nearest_rank(&[], 0.5).is_nan());
-    }
-
-    #[test]
-    fn artifacts_bundle_trace_when_enabled() {
-        use seuss_platform::{
-            run_trial, BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec,
-        };
-        let node = seuss_core::SeussConfig::builder()
-            .mem_mib(2048)
-            .build()
-            .expect("valid test config");
-        let mut reg = Registry::new();
-        reg.register_many(0, 2, FnKind::Nop);
-        let spec = WorkloadSpec::closed_loop(vec![0, 1, 0, 1], 2);
-        let cfg = ClusterConfig {
-            backend: BackendKind::Seuss(Box::new(node)),
-            tracer: seuss_trace::Tracer::enabled(),
-            ..ClusterConfig::seuss_paper()
-        };
-        let out = run_trial(cfg, reg, &spec);
-        let a = trial_artifacts(&out);
-        assert_eq!(a.records_jsonl.lines().count(), out.records.len());
-        let trace = a.trace_jsonl.expect("tracing was enabled");
-        let v = seuss_trace::validate_jsonl(&trace).expect("well-formed trace");
-        assert!(v.enters > 0 && v.enters == v.exits);
-        assert!(a.metrics_json.expect("metrics").starts_with('{'));
-
-        // A disabled tracer produces records but no trace members.
-        let node = seuss_core::SeussConfig::builder()
-            .mem_mib(2048)
-            .build()
-            .expect("valid test config");
-        let mut reg = Registry::new();
-        reg.register_many(0, 1, FnKind::Nop);
-        let cfg = ClusterConfig {
-            backend: BackendKind::Seuss(Box::new(node)),
-            ..ClusterConfig::seuss_paper()
-        };
-        let out = run_trial(cfg, reg, &WorkloadSpec::closed_loop(vec![0], 1));
-        let a = trial_artifacts(&out);
-        assert!(a.trace_jsonl.is_none() && a.metrics_json.is_none());
     }
 }

@@ -6,7 +6,7 @@ use seuss::core::SeussConfig;
 use seuss::exec::{run_sharded, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig};
 use seuss::trace::Tracer;
-use seuss::workload::{records_csv, trial_artifacts, BurstParams, TrialParams};
+use seuss::workload::{BurstParams, TrialParams};
 
 fn seuss_cfg() -> ClusterConfig {
     let node = SeussConfig::builder()
@@ -46,7 +46,7 @@ fn seuss_trials_are_deterministic() {
         }
         .build();
         let out = run_trial(seuss_cfg(), reg, &spec);
-        (records_csv(&out.records), out.finished_at, out.events)
+        (out.records_jsonl(), out.finished_at, out.events)
     };
     let a = run();
     let b = run();
@@ -69,7 +69,7 @@ fn linux_trials_are_deterministic_with_fixed_seed() {
         }
         .build();
         let out = run_trial(ClusterConfig::linux_paper(), reg, &spec);
-        records_csv(&out.records)
+        out.records_jsonl()
     };
     assert_eq!(run(), run());
 }
@@ -82,7 +82,7 @@ fn burst_runs_are_deterministic() {
         p.burst_size = 32;
         let (reg, spec) = p.build();
         let out = run_trial(seuss_cfg(), reg, &spec);
-        records_csv(&out.records)
+        out.records_jsonl()
     };
     assert_eq!(run(), run());
 }
@@ -91,8 +91,8 @@ fn burst_runs_are_deterministic() {
 fn cross_run_replay_is_byte_identical_for_both_backends() {
     // The replay contract, stated once for every backend: a fresh
     // `run_trial` with an identical seed must reproduce the full record
-    // stream byte-for-byte — in both the CSV and the JSON-lines
-    // renderings — with nothing shared between the two invocations.
+    // stream byte-for-byte, with nothing shared between the two
+    // invocations.
     type CfgFn = fn() -> ClusterConfig;
     let backends: [(&str, CfgFn); 3] = [
         ("seuss", seuss_cfg as CfgFn),
@@ -112,24 +112,15 @@ fn cross_run_replay_is_byte_identical_for_both_backends() {
                 seed: 1234,
             }
             .build();
-            let out = run_trial(cfg(), reg, &spec);
-            (
-                records_csv(&out.records),
-                seuss::platform::records_jsonl(&out.records),
-            )
+            run_trial(cfg(), reg, &spec).records_jsonl()
         };
         // Several replays: a pick that depends on a map's hash order
         // can agree with the first run by chance, but not every time.
-        let (csv_a, jsonl_a) = run();
+        let a = run();
         for _ in 0..4 {
-            let (csv_b, jsonl_b) = run();
-            assert_eq!(csv_a, csv_b, "{name}: records_csv differs across runs");
-            assert_eq!(
-                jsonl_a, jsonl_b,
-                "{name}: records_jsonl differs across runs"
-            );
+            assert_eq!(a, run(), "{name}: records_jsonl differs across runs");
         }
-        assert!(!csv_a.is_empty(), "{name}: trial produced no records");
+        assert!(!a.is_empty(), "{name}: trial produced no records");
     }
 }
 
@@ -137,8 +128,8 @@ fn cross_run_replay_is_byte_identical_for_both_backends() {
 fn sharded_executor_is_byte_identical_across_worker_counts() {
     // The parallel executor's contract: for a fixed shard count, the
     // worker-thread count is pure execution speed — a seeded fig4-style
-    // trial renders byte-identical records CSV, records JSONL, trace
-    // JSONL, and metrics JSON at workers ∈ {1, 2, 4}.
+    // trial renders byte-identical records JSONL, trace JSONL, and
+    // metrics JSON at workers ∈ {1, 2, 4}.
     let (reg, spec) = TrialParams::throughput(64, 7).build();
     let node = SeussConfig::builder()
         .mem_mib(2048)
@@ -149,33 +140,35 @@ fn sharded_executor_is_byte_identical_across_worker_counts() {
         tracer: Tracer::enabled(),
         ..ClusterConfig::seuss_paper()
     };
-    let run = |workers: usize| {
-        let out = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers));
-        (trial_artifacts(&out), out.finished_at, out.events)
-    };
-    let (a1, fin1, ev1) = run(1);
+    let run = |workers: usize| run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers));
+    let a1 = run(1);
     for workers in [2usize, 4] {
-        let (a, fin, ev) = run(workers);
+        let a = run(workers);
         assert_eq!(
-            a.records_csv, a1.records_csv,
-            "records CSV diverges at workers={workers}"
-        );
-        assert_eq!(
-            a.records_jsonl, a1.records_jsonl,
+            a.records_jsonl(),
+            a1.records_jsonl(),
             "records JSONL diverges at workers={workers}"
         );
         assert_eq!(
-            a.trace_jsonl, a1.trace_jsonl,
+            a.trace_jsonl(),
+            a1.trace_jsonl(),
             "trace JSONL diverges at workers={workers}"
         );
         assert_eq!(
-            a.metrics_json, a1.metrics_json,
+            a.metrics_report().to_json(),
+            a1.metrics_report().to_json(),
             "metrics report diverges at workers={workers}"
         );
-        assert_eq!(fin, fin1, "finished_at diverges at workers={workers}");
-        assert_eq!(ev, ev1, "event count diverges at workers={workers}");
+        assert_eq!(
+            a.finished_at, a1.finished_at,
+            "finished_at diverges at workers={workers}"
+        );
+        assert_eq!(
+            a.events, a1.events,
+            "event count diverges at workers={workers}"
+        );
     }
-    assert!(!a1.records_csv.is_empty());
+    assert!(!a1.records.is_empty());
 }
 
 #[test]
@@ -203,8 +196,8 @@ fn one_shard_reproduces_the_legacy_single_threaded_trial() {
     for workers in [1usize, 4] {
         let sharded = run_sharded(&cfg, &reg, &spec, ShardPlan::new(1, workers));
         assert_eq!(
-            records_csv(&sharded.records),
-            records_csv(&legacy.records),
+            sharded.records_jsonl(),
+            legacy.records_jsonl(),
             "one-shard run diverges from legacy at workers={workers}"
         );
         assert_eq!(sharded.finished_at, legacy.finished_at);
@@ -231,5 +224,5 @@ fn different_seeds_change_the_order_not_the_aggregates() {
     assert_eq!(a.analysis.completed, b.analysis.completed);
     assert_eq!(a.analysis.paths.0, b.analysis.paths.0);
     // …but a genuinely different interleaving.
-    assert_ne!(records_csv(&a.records), records_csv(&b.records));
+    assert_ne!(a.records_jsonl(), b.records_jsonl());
 }

@@ -15,7 +15,7 @@ use seuss::exec::{run_sharded, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig, FnKind};
 use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
 use seuss::trace::Tracer;
-use seuss::workload::{trial_artifacts, TrialParams};
+use seuss::workload::TrialParams;
 use simcore::SimDuration;
 
 /// A function whose result depends on a multi-page data literal, so a
@@ -198,12 +198,7 @@ fn unpressured_tiered_trial_is_byte_identical_to_the_in_memory_path() {
         }
         .build();
         let out = run_trial(cfg, reg, &spec);
-        (
-            seuss::workload::records_csv(&out.records),
-            seuss::platform::records_jsonl(&out.records),
-            out.finished_at,
-            out.events,
-        )
+        (out.records_jsonl(), out.finished_at, out.events)
     };
     let untiered = run(None);
     let tiered = run(Some(StoreConfig::nvme_prefetch()));
@@ -212,13 +207,13 @@ fn unpressured_tiered_trial_is_byte_identical_to_the_in_memory_path() {
 
 #[test]
 fn pressured_sharded_trial_is_byte_identical_at_1_2_and_4_workers() {
-    // Small shard nodes with an aggressive reclaim threshold: every
-    // shard's OOM daemon demotes through its own store view during the
-    // trial. Shard count is fixed (it determines the bytes); the worker
-    // count must not matter.
+    // Shard nodes with barely more DRAM than boot needs (a 44 MiB node
+    // fails to boot), so free memory sits near the default 2 % reclaim
+    // threshold from the start: every shard's OOM daemon demotes through
+    // its own store view during the trial. Shard count is fixed (it
+    // determines the bytes); the worker count must not matter.
     let node = SeussConfig::test_builder()
-        .mem_mib(48)
-        .reclaim_threshold_frames(Some(1200))
+        .mem_mib(45)
         .store(Some(StoreConfig::nvme_prefetch()))
         .build()
         .expect("valid pressured config");
@@ -236,28 +231,27 @@ fn pressured_sharded_trial_is_byte_identical_at_1_2_and_4_workers() {
     }
     .build();
 
-    let base = trial_artifacts(&run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1)));
-    let metrics = base.metrics_json.as_deref().expect("traced run");
+    let base = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1));
+    let metrics = base.metrics_report().to_json();
     assert!(
         metrics.contains("tier:demote"),
         "pressure never reached the tier; the test is vacuous"
     );
     for workers in [2, 4] {
-        let got = trial_artifacts(&run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers)));
+        let got = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers));
         assert_eq!(
-            base.records_csv, got.records_csv,
+            base.records_jsonl(),
+            got.records_jsonl(),
             "records diverged at workers={workers}"
         );
         assert_eq!(
-            base.records_jsonl, got.records_jsonl,
-            "jsonl diverged at workers={workers}"
-        );
-        assert_eq!(
-            base.trace_jsonl, got.trace_jsonl,
+            base.trace_jsonl(),
+            got.trace_jsonl(),
             "trace diverged at workers={workers}"
         );
         assert_eq!(
-            base.metrics_json, got.metrics_json,
+            metrics,
+            got.metrics_report().to_json(),
             "metrics diverged at workers={workers}"
         );
     }
