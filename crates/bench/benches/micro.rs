@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the SEUSS mechanisms: page-table
-//! operations, COW faults, snapshot capture/deploy, interpreter
-//! compile/exec, the node's three invocation paths, and the event
-//! engine's per-request timeout bookkeeping.
+//! operations, COW faults, snapshot capture/deploy, a function image's
+//! demotion to the storage tier and back, interpreter compile/exec, the
+//! node's three invocation paths, and the event engine's per-request
+//! timeout bookkeeping.
 //!
 //! These measure *host wall time* of the real data-structure work (the
 //! virtual-time costs the experiments report are separate, produced by
@@ -16,6 +17,8 @@ use seuss_core::{SeussConfig, SeussNode};
 use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_paging::{AddressSpace, Mmu, Region, RegionKind};
 use seuss_snapshot::{RegisterState, SnapshotKind, SnapshotStore};
+use seuss_store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig, TieredStore};
+use seuss_unikernel::{ImageStore, Layout, UcContext, UcProfile};
 use simcore::{EventId, Scheduler, SimDuration, SimTime, Simulation, World};
 
 const BASE: u64 = 0x10_0000;
@@ -175,6 +178,69 @@ fn bench_snapshots(h: &mut Harness) {
     g.finish();
 }
 
+fn bench_store(h: &mut Harness) {
+    let mut g = h.benchmark_group("store");
+
+    // A NOP function image over a node-layout runtime image (11 264
+    // text pages): one demotion of its diff and one eager promotion back
+    // per iteration.
+    g.bench_function("demote_fn_image", |b| {
+        let mut mem = PhysMemory::with_mib(512);
+        let mut mmu = Mmu::new();
+        let mut snaps = SnapshotStore::new();
+        let mut images = ImageStore::new();
+        let (mut uc, _) = UcContext::boot(
+            &mut mmu,
+            &mut mem,
+            Layout::nodejs(),
+            UcProfile::nodejs(),
+            RuntimeProfile::nodejs(),
+        )
+        .expect("boot");
+        let (runtime, _) = images
+            .capture(
+                &mut mmu,
+                &mut mem,
+                &mut snaps,
+                &mut uc,
+                SnapshotKind::Runtime,
+                "runtime",
+                None,
+            )
+            .expect("capture runtime");
+        uc.destroy(&mut mmu, &mut mem);
+        let (mut uc, _) = images
+            .deploy(&mut mmu, &mut mem, &mut snaps, runtime)
+            .expect("deploy");
+        uc.import_function(&mut mmu, &mut mem, "function main(args) { return 0; }")
+            .expect("import");
+        let (function, _) = images
+            .capture(
+                &mut mmu,
+                &mut mem,
+                &mut snaps,
+                &mut uc,
+                SnapshotKind::Function,
+                "nop",
+                Some(runtime),
+            )
+            .expect("capture function");
+        images.destroy_uc(&mut mmu, &mut mem, &mut snaps, uc);
+        let mut tier = TieredStore::new(StoreConfig {
+            device: DeviceConfig::nvme(),
+            policy: RestorePolicy::EagerFull,
+            reclaim: ReclaimMode::DemoteColdest,
+        });
+        b.iter(|| {
+            tier.demote(&mut mmu, &mut mem, &snaps, function)
+                .expect("demote");
+            tier.promote(&mut mmu, &mut mem, &snaps, function)
+                .expect("promote")
+        });
+    });
+    g.finish();
+}
+
 fn bench_interp(h: &mut Harness) {
     let mut g = h.benchmark_group("interp");
 
@@ -316,6 +382,7 @@ fn main() {
     let mut h = Harness::from_args();
     bench_paging(&mut h);
     bench_snapshots(&mut h);
+    bench_store(&mut h);
     bench_interp(&mut h);
     bench_node_paths(&mut h);
     bench_sim(&mut h);

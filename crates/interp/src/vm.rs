@@ -12,6 +12,7 @@
 //! [`VmExit::OutOfFuel`]. Both resume via [`Interpreter::resume`].
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::bytecode::{Op, Program};
 use crate::compile::{compile, CompileError};
@@ -140,14 +141,17 @@ struct Suspended {
 /// `Clone` is load-bearing: a snapshot stores the interpreter state as of
 /// capture (the semantic mirror of the captured guest pages), and deploys
 /// clone it. The kernel wraps interpreters in `Rc` so idle deploys stay
-/// cheap and copies materialize only on mutation.
+/// cheap and copies materialize only on mutation. Loaded programs never
+/// change, so they sit behind their own `Rc`: a copy shares every
+/// compiled chunk and pool and duplicates only the mutable state
+/// (objects, globals, interned strings).
 #[derive(Clone)]
 pub struct Interpreter {
     profile: RuntimeProfile,
     heap: BumpHeap,
     objects: ObjStore,
     globals: HashMap<String, Value>,
-    programs: Vec<Program>,
+    programs: Vec<Rc<Program>>,
     /// Host-side mirror of interned strings, keyed by guest address.
     strings: HashMap<u64, String>,
     result: Value,
@@ -213,7 +217,7 @@ impl Interpreter {
         self.heap.alloc_committed(backend, commit)?;
         self.cycles +=
             self.profile.compile_cycles_fixed + self.profile.compile_cycles_per_src_byte * src_len;
-        self.programs.push(program);
+        self.programs.push(Rc::new(program));
         Ok(ProgId(self.programs.len() as u32 - 1))
     }
 

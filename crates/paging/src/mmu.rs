@@ -659,6 +659,45 @@ impl Mmu {
         }
     }
 
+    /// Collects every leaf mapping of `root` whose frame differs from
+    /// `base`'s at the same virtual page, as `(virtual page number,
+    /// frame)` pairs in address order: a snapshot's diff over its parent.
+    /// A page that `base` lacks, or holds swapped out, counts as
+    /// different; with no `base`, this is [`Mmu::collect_mapped`].
+    ///
+    /// The two trees are walked in lockstep, and a subtree both point at
+    /// through the same table is skipped whole, so the walk costs what
+    /// `root` owns, not what it maps.
+    pub fn diff_mapped(&self, root: TableId, base: Option<TableId>) -> Vec<(u64, FrameId)> {
+        let mut out = Vec::new();
+        self.diff_rec(root, base, 0, 4, &mut out);
+        out
+    }
+
+    fn diff_rec(
+        &self,
+        id: TableId,
+        base: Option<TableId>,
+        vpn_prefix: u64,
+        level: u8,
+        out: &mut Vec<(u64, FrameId)>,
+    ) {
+        if base == Some(id) {
+            return;
+        }
+        let base_node = base.map(|b| self.store.node(b));
+        for (i, entry) in self.store.node(id).entries.iter().enumerate() {
+            let vpn = vpn_prefix | ((i as u64) << (9 * (level as u64 - 1)));
+            let theirs = base_node.map_or(Entry::EMPTY, |n| n.entry(i));
+            if entry.is_table() {
+                let sub = theirs.is_table().then(|| theirs.next_table());
+                self.diff_rec(entry.next_table(), sub, vpn, level - 1, out);
+            } else if entry.is_page() && !(theirs.is_page() && theirs.frame() == entry.frame()) {
+                out.push((vpn, entry.frame()));
+            }
+        }
+    }
+
     /// Number of page-table pages reachable from `root` (shared counted once).
     pub fn table_pages(&self, root: TableId) -> u64 {
         let mut count = 0u64;

@@ -90,15 +90,8 @@ pub fn export_diff(
     let snap = store.get(id)?;
     let parent_snap = store.get(parent)?;
     let pages = mmu
-        .collect_mapped(snap.root())
+        .diff_mapped(snap.root(), Some(parent_snap.root()))
         .into_iter()
-        .filter(|&(vpn, frame)| {
-            let va = VirtAddr::from_page_number(vpn);
-            match mmu.translate(parent_snap.root(), va) {
-                Some(e) => e.frame() != frame,
-                None => true,
-            }
-        })
         .map(|(vpn, frame)| (vpn, mem.content_of(frame)))
         .collect();
     Ok(SnapshotImage {

@@ -254,7 +254,9 @@ impl TieredStore {
     /// frame-for-frame with its resident parent is written out in one
     /// batched IO and its PTE rewritten to a swapped placeholder. Pages
     /// the parent still maps (COW shares) stay where they are — the tier
-    /// never duplicates them.
+    /// never duplicates them — and the diff walks only the page tables
+    /// the snapshot owns, skipping every subtree it shares with its
+    /// parent ([`Mmu::diff_mapped`]).
     ///
     /// Requires the snapshot to be idle: no active UCs, no children.
     pub fn demote(
@@ -275,18 +277,8 @@ impl TieredStore {
             return Err(StoreError::NotEligible("other snapshots diff against it"));
         }
         let root = snap.root();
-        let parent_map: HashMap<u64, seuss_mem::FrameId> = match snap.parent() {
-            Some(pid) => mmu
-                .collect_mapped(snaps.get(pid)?.root())
-                .into_iter()
-                .collect(),
-            None => HashMap::new(),
-        };
-        let diff: Vec<(u64, seuss_mem::FrameId)> = mmu
-            .collect_mapped(root)
-            .into_iter()
-            .filter(|&(vpn, frame)| parent_map.get(&vpn) != Some(&frame))
-            .collect();
+        let parent = snap.parent().map(|pid| snaps.get(pid)).transpose()?;
+        let diff = mmu.diff_mapped(root, parent.map(|p| p.root()));
         if diff.is_empty() {
             return Err(StoreError::NotEligible("no private pages to demote"));
         }

@@ -1,9 +1,12 @@
 //! Lifecycle regressions on the tiered store, at the mechanism level
-//! (no node): demote → restore round trips are byte-exact, and deleting
+//! (no node): demote → restore round trips are byte-exact, a function
+//! image demotes exactly its diff over its runtime image, and deleting
 //! a demoted snapshot frees its device blocks without ever touching the
 //! frames demotion already released.
 
-use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
+use std::collections::HashMap;
+
+use seuss_mem::{FrameId, FrameKind, PhysMemory, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 use seuss_paging::{AddressSpace, EntryFlags, Mmu, Region, RegionKind};
 use seuss_snapshot::{RegisterState, SnapshotId, SnapshotKind, SnapshotStore};
 use seuss_store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig, TieredStore};
@@ -91,6 +94,76 @@ fn stack(r: &mut Rig, parent_pages: u64, child_pages: u64) -> (SnapshotId, Snaps
     (parent, child)
 }
 
+/// Read-only runtime text, spanning three leaf tables like a runtime's
+/// binary image.
+const TEXT: u64 = 0x40_0000;
+const TEXT_PAGES: u64 = 1_100;
+
+/// A runtime image (mapped text plus 200 written heap pages) and a
+/// function image captured from a deploy of it that COW-breaks every
+/// third of those pages and writes 40 fresh ones. Returns (runtime,
+/// function).
+fn function_image(r: &mut Rig) -> (SnapshotId, SnapshotId) {
+    let mut space = fresh_space(r);
+    space.add_region(Region {
+        start: VirtAddr::new(TEXT),
+        pages: TEXT_PAGES,
+        kind: RegionKind::Text,
+        writable: false,
+        demand_zero: false,
+    });
+    for i in 0..TEXT_PAGES {
+        let frame = r.mem.alloc(FrameKind::Data).expect("frame");
+        let va = VirtAddr::new(TEXT + i * PAGE_SIZE as u64);
+        r.mmu
+            .map_page(&mut r.mem, &mut space, va, frame, EntryFlags::USER)
+            .expect("map text");
+    }
+    for p in 0..200 {
+        r.mmu
+            .write_bytes(&mut r.mem, &mut space, va_of(p), &[p as u8, 0xAA])
+            .expect("write");
+    }
+    let runtime = r
+        .snaps
+        .capture(
+            &mut r.mmu,
+            &mut r.mem,
+            &mut space,
+            RegisterState::default(),
+            SnapshotKind::Runtime,
+            "runtime",
+            None,
+        )
+        .expect("capture runtime");
+    r.mmu.destroy_space(&mut r.mem, space);
+
+    let (mut uc, _) = r
+        .snaps
+        .deploy(&mut r.mmu, &mut r.mem, runtime)
+        .expect("deploy");
+    for p in (0..200).step_by(3).chain(300..340) {
+        r.mmu
+            .write_bytes(&mut r.mem, &mut uc, va_of(p), &[p as u8, 0xCC])
+            .expect("write");
+    }
+    let function = r
+        .snaps
+        .capture(
+            &mut r.mmu,
+            &mut r.mem,
+            &mut uc,
+            RegisterState::default(),
+            SnapshotKind::Function,
+            "function",
+            Some(runtime),
+        )
+        .expect("capture function");
+    r.mmu.destroy_space(&mut r.mem, uc);
+    r.snaps.release_uc(runtime).expect("release");
+    (runtime, function)
+}
+
 fn digests_under(r: &Rig, sid: SnapshotId) -> Vec<(u64, u64)> {
     let root = r.snaps.get(sid).unwrap().root();
     r.mmu
@@ -126,6 +199,50 @@ fn demote_moves_only_the_diff_and_promote_restores_it_byte_exact() {
         .expect("promote");
     assert_eq!(r.tier.used_blocks(), 0, "promotion frees the blocks");
     assert_eq!(digests_under(&r, child), before, "byte-exact round trip");
+}
+
+#[test]
+fn a_function_image_demotes_its_diff_in_order_and_never_the_runtime_text() {
+    let mut r = rig(RestorePolicy::EagerFull);
+    let (runtime, function) = function_image(&mut r);
+    let runtime_root = r.snaps.get(runtime).unwrap().root();
+    let fn_root = r.snaps.get(function).unwrap().root();
+
+    // The per-page comparison with the runtime's whole mapping: every
+    // page whose frame the runtime does not map at the same address,
+    // numbered with device blocks in address order.
+    let runtime_map: HashMap<u64, FrameId> =
+        r.mmu.collect_mapped(runtime_root).into_iter().collect();
+    let want: Vec<(u64, u64)> = r
+        .mmu
+        .collect_mapped(fn_root)
+        .into_iter()
+        .filter(|(vpn, frame)| runtime_map.get(vpn) != Some(frame))
+        .map(|(vpn, _)| vpn)
+        .zip(0..)
+        .collect();
+    assert_eq!(want.len(), 67 + 40, "the COW breaks and the fresh pages");
+
+    let out = r
+        .tier
+        .demote(&mut r.mmu, &mut r.mem, &r.snaps, function)
+        .expect("demote");
+    assert_eq!(out.pages, want.len() as u64);
+    assert_eq!(r.mmu.collect_swapped(fn_root), want, "(vpn, block) list");
+
+    let text = TEXT >> PAGE_SHIFT..(TEXT >> PAGE_SHIFT) + TEXT_PAGES;
+    assert!(
+        want.iter().all(|(vpn, _)| !text.contains(vpn)),
+        "runtime text reached the device"
+    );
+    let text_mapped = r
+        .mmu
+        .collect_mapped(fn_root)
+        .iter()
+        .filter(|(vpn, _)| text.contains(vpn))
+        .count();
+    assert_eq!(text_mapped as u64, TEXT_PAGES, "text stays shared in DRAM");
+    assert!(r.mmu.collect_swapped(runtime_root).is_empty());
 }
 
 #[test]
