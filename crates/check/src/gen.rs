@@ -1,32 +1,74 @@
-//! The [`Gen`] trait and the combinator zoo.
+//! The [`Gen`] trait, the [`Source`] of draws it reads, and the
+//! combinator zoo.
 //!
-//! A generator produces a value from a seeded [`SimRng`] and, given a
-//! failing value, proposes a list of *strictly simpler* candidates for the
-//! shrinking loop. Shrinking is value-based (QuickCheck style): integers
-//! binary-search toward an origin, vectors drop halving-sized chunks and
-//! then simplify elements in place. Because the runner iterates to a
-//! fixpoint, each `shrink` call only needs to propose a modest, ordered
-//! candidate set — simplest first.
+//! A generator builds its value from bounded draws on a [`Source`]. A
+//! fresh source takes them from a seeded [`SimRng`] and records them; a
+//! replaying source reads a given sequence instead. A case therefore *is*
+//! its recorded choice sequence, and the runner shrinks a failure by
+//! editing that sequence and regenerating (the internal reduction of
+//! Hypothesis). No generator shrinks on its own, so `map`, `one_of` and
+//! custom generators minimize as well as the primitives do. Every encoding
+//! here is chosen so that a lower draw means a simpler value.
+
+use std::ops::Range;
 
 use simcore::SimRng;
 
-/// A deterministic value generator with integrated shrinking.
+/// The bounded draws a [`Gen`] builds its value from.
+#[derive(Default)]
+pub struct Source {
+    /// Fresh mode draws from this RNG; replay mode has none.
+    rng: Option<SimRng>,
+    /// The sequence replay mode reads (empty in fresh mode).
+    replay: Vec<u64>,
+    /// Every draw made so far, as returned.
+    pub(crate) drawn: Vec<u64>,
+    /// The draws of each [`vecs`] element and of the marker after it. The
+    /// runner deletes elements by deleting these.
+    pub(crate) spans: Vec<Range<usize>>,
+}
+
+impl Source {
+    /// A source drawing from `SimRng::new(seed)`.
+    pub(crate) fn fresh(seed: u64) -> Self {
+        Source {
+            rng: Some(SimRng::new(seed)),
+            ..Source::default()
+        }
+    }
+
+    /// A source replaying `choices`: a value past a draw's bound is
+    /// clamped to it, and a draw past the end returns 0.
+    pub(crate) fn replay(choices: Vec<u64>) -> Self {
+        Source {
+            replay: choices,
+            ..Source::default()
+        }
+    }
+
+    /// Draws a value in `[0, max]`, uniformly in fresh mode. A custom
+    /// generator must encode its values so that a lower draw means a
+    /// simpler value: that is the order shrinking moves in.
+    pub fn draw(&mut self, max: u64) -> u64 {
+        let v = match &mut self.rng {
+            Some(rng) if max == u64::MAX => rng.next_u64(),
+            Some(rng) => rng.next_below(max + 1),
+            None => self.replay.get(self.drawn.len()).map_or(0, |&v| v.min(max)),
+        };
+        self.drawn.push(v);
+        v
+    }
+}
+
+/// A deterministic value generator; the runner shrinks what it draws.
 pub trait Gen {
     /// The generated value type.
     type Value: Clone + std::fmt::Debug;
 
-    /// Produces one value from the generator's distribution.
-    fn generate(&self, rng: &mut SimRng) -> Self::Value;
+    /// Builds one value from the source's draws.
+    fn generate(&self, src: &mut Source) -> Self::Value;
 
-    /// Proposes strictly-simpler candidates for a failing value, simplest
-    /// first. An empty vec means the value is fully shrunk.
-    fn shrink(&self, _value: &Self::Value) -> Vec<Self::Value> {
-        Vec::new()
-    }
-
-    /// Maps the generated value through `f`. Mapped generators do not
-    /// shrink (the mapping is not invertible); wrap the *inputs* in
-    /// shrinkable generators instead when minimal counterexamples matter.
+    /// Maps the generated value through `f`.
     fn map<U, F>(self, f: F) -> Map<Self, F>
     where
         Self: Sized,
@@ -47,16 +89,6 @@ pub trait Gen {
 
 /// A boxed, dynamically-dispatched generator.
 pub(crate) type BoxedGen<T> = Box<dyn Gen<Value = T>>;
-
-impl<T: Clone + std::fmt::Debug> Gen for BoxedGen<T> {
-    type Value = T;
-    fn generate(&self, rng: &mut SimRng) -> T {
-        (**self).generate(rng)
-    }
-    fn shrink(&self, value: &T) -> Vec<T> {
-        (**self).shrink(value)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Integers
@@ -98,69 +130,30 @@ pub fn range<T: Int>(lo: T, hi: T) -> IntGen<T> {
     IntGen { lo, hi }
 }
 
-impl<T: Int> IntGen<T> {
-    fn origin(&self) -> i128 {
-        0i128.clamp(self.lo.to_i128(), self.hi.to_i128())
-    }
-}
-
 impl<T: Int> Gen for IntGen<T> {
     type Value = T;
 
-    fn generate(&self, rng: &mut SimRng) -> T {
+    fn generate(&self, src: &mut Source) -> T {
         let (lo, hi) = (self.lo.to_i128(), self.hi.to_i128());
-        let span = (hi - lo) as u128;
-        let off = if span >= u64::MAX as u128 {
-            // Full-width 64-bit span: one raw draw is already uniform.
-            rng.next_u64() as u128
-        } else {
-            rng.next_below(span as u64 + 1) as u128
+        let origin = 0i128.clamp(lo, hi);
+        // The draw is the distance from the origin, zigzagging over both
+        // sides (+1, −1, +2, …) until the shorter side runs out.
+        let d = src.draw((hi - lo) as u64) as i128;
+        let (up, down) = (hi - origin, origin - lo);
+        let both = up.min(down);
+        let off = match d {
+            d if d > 2 * both && up > down => d - both,
+            d if d > 2 * both => both - d,
+            d if d % 2 == 1 => (d + 1) / 2,
+            d => -d / 2,
         };
-        T::from_i128(lo + off as i128)
-    }
-
-    fn shrink(&self, value: &T) -> Vec<T> {
-        let v = value.to_i128();
-        let origin = self.origin();
-        if v == origin {
-            return Vec::new();
-        }
-        let mut out = vec![T::from_i128(origin)];
-        // Binary search between origin and v: origin+d/2, origin+3d/4, …
-        let d = v - origin;
-        let mut step = d / 2;
-        while step != 0 && out.len() < 16 {
-            out.push(T::from_i128(v - step));
-            step /= 2;
-        }
-        out
+        T::from_i128(origin + off)
     }
 }
-
-// ---------------------------------------------------------------------------
-// Booleans
-// ---------------------------------------------------------------------------
 
 /// Uniform boolean, shrinking `true → false`.
-pub fn bools() -> BoolGen {
-    BoolGen
-}
-
-/// See [`bools`].
-pub struct BoolGen;
-
-impl Gen for BoolGen {
-    type Value = bool;
-    fn generate(&self, rng: &mut SimRng) -> bool {
-        rng.next_u64() & 1 == 1
-    }
-    fn shrink(&self, value: &bool) -> Vec<bool> {
-        if *value {
-            vec![false]
-        } else {
-            Vec::new()
-        }
-    }
+pub fn bools() -> impl Gen<Value = bool> {
+    range(0u8, 1).map(|b| b == 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -169,32 +162,19 @@ impl Gen for BoolGen {
 
 /// Uniformly picks one of the listed literal values. Shrinks toward
 /// earlier entries — order the list simplest-first.
-pub fn choice<T: Clone + std::fmt::Debug + PartialEq + 'static>(items: Vec<T>) -> ChoiceGen<T> {
+pub fn choice<T: Clone + std::fmt::Debug + 'static>(items: Vec<T>) -> impl Gen<Value = T> {
     assert!(!items.is_empty(), "choice requires at least one item");
-    ChoiceGen { items }
+    range(0, items.len() - 1).map(move |i| items[i].clone())
 }
 
-/// See [`choice`].
-pub struct ChoiceGen<T> {
-    items: Vec<T>,
-}
-
-impl<T: Clone + std::fmt::Debug + PartialEq + 'static> Gen for ChoiceGen<T> {
-    type Value = T;
-    fn generate(&self, rng: &mut SimRng) -> T {
-        self.items[rng.next_below(self.items.len() as u64) as usize].clone()
-    }
-    fn shrink(&self, value: &T) -> Vec<T> {
-        match self.items.iter().position(|i| i == value) {
-            Some(idx) => self.items[..idx].to_vec(),
-            None => Vec::new(),
-        }
-    }
+/// Always produces `value` (useful inside tuples / `one_of`).
+pub fn just<T: Clone + std::fmt::Debug + 'static>(value: T) -> impl Gen<Value = T> {
+    choice(vec![value])
 }
 
 /// Uniformly delegates to one of the boxed sub-generators (the analogue
-/// of `prop_oneof!`). Shrinking tries every branch's shrinker — branches
-/// simply return nothing for values they don't recognize.
+/// of `prop_oneof!`). Shrinks toward earlier branches, and within the
+/// branch it picked.
 pub fn one_of<T: Clone + std::fmt::Debug + 'static>(gens: Vec<BoxedGen<T>>) -> OneOfGen<T> {
     assert!(!gens.is_empty(), "one_of requires at least one generator");
     OneOfGen { gens }
@@ -207,12 +187,9 @@ pub struct OneOfGen<T> {
 
 impl<T: Clone + std::fmt::Debug + 'static> Gen for OneOfGen<T> {
     type Value = T;
-    fn generate(&self, rng: &mut SimRng) -> T {
-        let idx = rng.next_below(self.gens.len() as u64) as usize;
-        self.gens[idx].generate(rng)
-    }
-    fn shrink(&self, value: &T) -> Vec<T> {
-        self.gens.iter().flat_map(|g| g.shrink(value)).collect()
+    fn generate(&self, src: &mut Source) -> T {
+        let idx = src.draw(self.gens.len() as u64 - 1) as usize;
+        self.gens[idx].generate(src)
     }
 }
 
@@ -233,8 +210,8 @@ where
     F: Fn(G::Value) -> U,
 {
     type Value = U;
-    fn generate(&self, rng: &mut SimRng) -> U {
-        (self.f)(self.inner.generate(rng))
+    fn generate(&self, src: &mut Source) -> U {
+        (self.f)(self.inner.generate(src))
     }
 }
 
@@ -243,42 +220,27 @@ where
 // ---------------------------------------------------------------------------
 
 macro_rules! impl_tuple_gen {
-    ($($G:ident/$v:ident/$i:tt),+) => {
+    ($($G:ident / $i:tt),+) => {
         impl<$($G: Gen),+> Gen for ($($G,)+) {
             type Value = ($($G::Value,)+);
-
-            fn generate(&self, rng: &mut SimRng) -> Self::Value {
-                ($(self.$i.generate(rng),)+)
-            }
-
-            fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
-                let mut out = Vec::new();
-                // Shrink one component at a time, holding the rest fixed.
-                $(
-                    for cand in self.$i.shrink(&value.$i) {
-                        let mut next = value.clone();
-                        next.$i = cand;
-                        out.push(next);
-                    }
-                )+
-                out
+            fn generate(&self, src: &mut Source) -> Self::Value {
+                ($(self.$i.generate(src),)+)
             }
         }
     };
 }
 
-impl_tuple_gen!(G0 / v0 / 0);
-impl_tuple_gen!(G0 / v0 / 0, G1 / v1 / 1);
-impl_tuple_gen!(G0 / v0 / 0, G1 / v1 / 1, G2 / v2 / 2);
-impl_tuple_gen!(G0 / v0 / 0, G1 / v1 / 1, G2 / v2 / 2, G3 / v3 / 3);
+impl_tuple_gen!(G0 / 0, G1 / 1);
+impl_tuple_gen!(G0 / 0, G1 / 1, G2 / 2);
+impl_tuple_gen!(G0 / 0, G1 / 1, G2 / 2, G3 / 3);
 
 // ---------------------------------------------------------------------------
 // Vectors
 // ---------------------------------------------------------------------------
 
 /// A vector of `elem`-generated values with length uniform in
-/// `[min_len, max_len]`. Shrinks by dropping halving-sized chunks (down to
-/// `min_len`), then by shrinking elements in place.
+/// `[min_len, max_len]`. Shrinks by dropping elements (never below
+/// `min_len`) and by simplifying them in place.
 pub fn vecs<G: Gen>(elem: G, min_len: usize, max_len: usize) -> VecGen<G> {
     assert!(min_len <= max_len, "vecs requires min_len <= max_len");
     VecGen {
@@ -298,163 +260,192 @@ pub struct VecGen<G> {
 impl<G: Gen> Gen for VecGen<G> {
     type Value = Vec<G::Value>;
 
-    fn generate(&self, rng: &mut SimRng) -> Vec<G::Value> {
-        let len = rng.range_inclusive(self.min_len as u64, self.max_len as u64) as usize;
-        (0..len).map(|_| self.elem.generate(rng)).collect()
-    }
-
-    fn shrink(&self, value: &Vec<G::Value>) -> Vec<Vec<G::Value>> {
+    fn generate(&self, src: &mut Source) -> Vec<G::Value> {
         let mut out = Vec::new();
-        let len = value.len();
-
-        // Phase 1: structural — drop chunks, biggest first (binary search
-        // on length). An empty/minimal vector is the simplest candidate.
-        if len > self.min_len {
-            let mut chunk = (len - self.min_len).max(1);
-            while chunk >= 1 {
-                let mut start = 0;
-                while start < len && out.len() < 64 {
-                    let end = (start + chunk).min(len);
-                    if len - (end - start) >= self.min_len {
-                        let mut cand = Vec::with_capacity(len - (end - start));
-                        cand.extend_from_slice(&value[..start]);
-                        cand.extend_from_slice(&value[end..]);
-                        out.push(cand);
-                    }
-                    start += chunk;
-                }
-                if chunk == 1 {
-                    break;
-                }
-                chunk /= 2;
+        let mut start = None;
+        loop {
+            // Before each optional element, a marker in [0, max_len − len]
+            // that stops the vector at 0: the length stays uniform.
+            let more = out.len() < self.min_len
+                || (out.len() < self.max_len && src.draw((self.max_len - out.len()) as u64) != 0);
+            // An element's span takes in the marker after it, so deleting
+            // the span deletes just that element.
+            if let Some(start) = start {
+                src.spans.push(start..src.drawn.len());
             }
+            if !more {
+                return out;
+            }
+            start = Some(src.drawn.len());
+            out.push(self.elem.generate(src));
         }
-
-        // Phase 2: element-wise — first shrink candidate per position.
-        for (i, v) in value.iter().enumerate() {
-            if out.len() >= 128 {
-                break;
-            }
-            if let Some(simpler) = self.elem.shrink(v).into_iter().next() {
-                let mut cand = value.clone();
-                cand[i] = simpler;
-                out.push(cand);
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Constants
-// ---------------------------------------------------------------------------
-
-/// Always produces `value` (useful inside tuples / `one_of`).
-pub fn just<T: Clone + std::fmt::Debug + 'static>(value: T) -> JustGen<T> {
-    JustGen { value }
-}
-
-/// See [`just`].
-pub struct JustGen<T> {
-    value: T,
-}
-
-impl<T: Clone + std::fmt::Debug + 'static> Gen for JustGen<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut SimRng) -> T {
-        self.value.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{replay_seed, run_check, Config};
+
+    /// The minimized counterexample of "`fails` never holds".
+    fn minimize<G: Gen>(gen: &G, fails: impl Fn(&G::Value) -> bool) -> G::Value {
+        run_check(Config::with_cases(64), "gen_minimize", gen, &|v| {
+            if fails(v) {
+                Err("failed".into())
+            } else {
+                Ok(())
+            }
+        })
+        .expect("property must fail")
+        .minimized
+    }
 
     #[test]
     fn int_generate_stays_in_range() {
         let g = range(-50i32, 100);
-        let mut rng = SimRng::new(1);
-        for _ in 0..1000 {
-            let v = g.generate(&mut rng);
+        let mut src = Source::fresh(1);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..4000 {
+            let v = g.generate(&mut src);
             assert!((-50..=100).contains(&v));
+            seen.insert(v);
         }
+        assert_eq!(seen.len(), 151, "every value is reachable");
     }
 
     #[test]
     fn int_shrink_targets_zero() {
-        let g = range(0u64, 1000);
-        let c = g.shrink(&700);
-        assert_eq!(c[0], 0);
-        assert!(c.iter().all(|&v| v < 700));
-        assert!(g.shrink(&0).is_empty());
+        assert_eq!(minimize(&range(0u64, 1000), |_| true), 0);
+        assert_eq!(minimize(&range(-500i32, 1000), |_| true), 0);
+        assert_eq!(minimize(&range(0u64, 1000), |&v| v >= 700), 700);
     }
 
     #[test]
     fn negative_range_shrinks_toward_upper_bound_origin() {
-        let g = range(-100i64, -10);
-        let c = g.shrink(&-80);
-        assert_eq!(c[0], -10, "origin clamps to the closest-to-zero bound");
-        assert!(g.shrink(&-10).is_empty());
+        assert_eq!(minimize(&range(-100i64, -10), |_| true), -10);
+        assert_eq!(minimize(&range(-100i64, -10), |&v| v <= -80), -80);
     }
 
     #[test]
     fn full_u64_range_generates() {
         let g = range(0u64, u64::MAX);
-        let mut rng = SimRng::new(3);
-        let a = g.generate(&mut rng);
-        let b = g.generate(&mut rng);
+        let mut src = Source::fresh(3);
+        let a = g.generate(&mut src);
+        let b = g.generate(&mut src);
         assert_ne!(a, b);
+        assert_eq!(minimize(&g, |&v| v > 1 << 40), (1 << 40) + 1);
     }
 
     #[test]
-    fn vec_shrink_proposes_shorter_first() {
+    fn vec_shrink_drops_elements() {
         let g = vecs(range(0u8, 255), 0, 10);
-        let v = vec![5u8, 6, 7, 8];
-        let cands = g.shrink(&v);
-        assert!(!cands.is_empty());
-        assert!(cands[0].len() < v.len());
-        // Every structural candidate is a subsequence-or-equal length.
-        assert!(cands.iter().all(|c| c.len() <= v.len()));
+        assert_eq!(minimize(&g, |_| true), Vec::<u8>::new());
+        assert_eq!(minimize(&g, |v| v.contains(&7)), vec![7]);
     }
 
     #[test]
     fn vec_shrink_respects_min_len() {
         let g = vecs(range(0u8, 255), 2, 10);
-        let v = vec![1u8, 2];
-        assert!(g.shrink(&v).iter().all(|c| c.len() >= 2));
+        assert_eq!(minimize(&g, |_| true), vec![0, 0]);
+    }
+
+    #[test]
+    fn vec_lengths_are_uniform() {
+        let g = vecs(just(()), 2, 5);
+        let mut counts = [0u32; 6];
+        let mut src = Source::fresh(5);
+        for _ in 0..8000 {
+            counts[g.generate(&mut src).len()] += 1;
+        }
+        assert_eq!(counts[..2], [0, 0]);
+        assert!(
+            counts[2..].iter().all(|&c| (1800..2200).contains(&c)),
+            "{counts:?}"
+        );
     }
 
     #[test]
     fn tuple_shrinks_componentwise() {
         let g = (range(0u32, 100), bools());
-        let cands = g.shrink(&(40, true));
-        assert!(cands.contains(&(0, true)));
-        assert!(cands.contains(&(40, false)));
+        assert_eq!(minimize(&g, |&(n, _)| n >= 40), (40, false));
+        assert_eq!(minimize(&g, |&(_, b)| b), (0, true));
     }
 
     #[test]
     fn choice_shrinks_to_earlier_entries() {
         let g = choice(vec!["a", "b", "c"]);
-        assert_eq!(g.shrink(&"c"), vec!["a", "b"]);
-        assert!(g.shrink(&"a").is_empty());
+        assert_eq!(minimize(&g, |_| true), "a");
+        assert_eq!(minimize(&g, |&s| s != "a"), "b");
+    }
+
+    #[test]
+    fn mapped_struct_shrinks() {
+        #[derive(Clone, Debug)]
+        struct Point {
+            x: u32,
+            y: u32,
+        }
+        let g = (range(0u32, 1000), range(0u32, 1000)).map(|(x, y)| Point { x, y });
+        let p = minimize(&g, |p| p.x + p.y >= 500);
+        assert_eq!(p.x + p.y, 500, "{p:?}");
+    }
+
+    #[test]
+    fn one_of_mapped_elements_simplify_in_place() {
+        #[derive(Clone, Debug, PartialEq)]
+        enum Op {
+            Pop,
+            Push(u32),
+        }
+        let op = one_of(vec![
+            just(Op::Pop).boxed(),
+            range(0u32, 1000).map(Op::Push).boxed(),
+        ]);
+        let g = vecs(op, 0, 20);
+        let big_push = |v: &Vec<Op>| v.iter().any(|o| matches!(o, Op::Push(n) if *n >= 10));
+        assert_eq!(minimize(&g, big_push), vec![Op::Push(10)]);
     }
 
     #[test]
     fn one_of_generates_all_branches() {
         let g = one_of(vec![range(0u64, 0).boxed(), range(100u64, 100).boxed()]);
-        let mut rng = SimRng::new(9);
+        let mut src = Source::fresh(9);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..64 {
-            seen.insert(g.generate(&mut rng));
+            seen.insert(g.generate(&mut src));
         }
         assert_eq!(seen.len(), 2);
     }
 
     #[test]
+    fn one_of_shrinks_within_the_chosen_branch() {
+        // Only the second branch fails; its simplest failing value is 101,
+        // a value that branch generates.
+        let g = one_of(vec![range(5u64, 10).boxed(), range(100u64, 200).boxed()]);
+        let f = run_check(Config::with_cases(256), "gen_one_of", &g, &|&v| {
+            if v < 50 || v == 100 {
+                Ok(())
+            } else {
+                Err(format!("{v}"))
+            }
+        })
+        .expect("property must fail");
+        assert_eq!(f.minimized, 101);
+        assert!(f.shrink_steps < 64, "{} steps", f.shrink_steps);
+    }
+
+    #[test]
     fn generation_is_deterministic_per_seed() {
         let g = vecs((range(0u64, 9), bools()), 0, 20);
-        let a = g.generate(&mut SimRng::new(42));
-        let b = g.generate(&mut SimRng::new(42));
-        assert_eq!(a, b);
+        assert_eq!(replay_seed(&g, 42), replay_seed(&g, 42));
+    }
+
+    #[test]
+    fn replay_clamps_and_pads_with_zero() {
+        let mut src = Source::replay(vec![7, 300]);
+        assert_eq!(src.draw(3), 3);
+        assert_eq!(src.draw(u64::MAX), 300);
+        assert_eq!(src.draw(9), 0);
+        assert_eq!(src.drawn, vec![3, 300, 0]);
     }
 }

@@ -12,10 +12,12 @@
 //!   clock, so runs are hermetic and byte-replayable.
 //! * **A [`Gen`] trait** with integer/boolean/vector/tuple/choice
 //!   combinators; each suite composes its own domain generators from
-//!   them.
-//! * **Binary-search shrinking**: integers bisect toward zero, vectors
-//!   drop halving-sized chunks, tuples shrink componentwise. Failures
-//!   report both the raw and the minimized counterexample.
+//!   them, and a custom one draws from a [`Source`].
+//! * **Choice-sequence shrinking**: a case is the sequence of bounded
+//!   draws that generated it. The runner shrinks a failure by deleting,
+//!   zeroing, lowering and sorting draws and replaying them, so every
+//!   generator shrinks, `map` and `one_of` included. Failures report both
+//!   the raw and the minimized counterexample.
 //! * **Failure-seed replay**: every report names the seed; re-run just
 //!   that case with `SEUSS_CHECK_SEED=<seed> cargo test`. Case counts
 //!   scale with `SEUSS_CHECK_CASES=<n>`. A value that does not parse (or
@@ -47,8 +49,5 @@
 pub mod gen;
 mod runner;
 
-pub use gen::{bools, choice, just, one_of, range, vecs, Gen};
-pub use runner::{check, check_with, run_check, Config};
-// Custom `Gen` impls need the RNG type; re-export it so test crates
-// don't have to depend on simcore directly.
-pub use simcore::SimRng;
+pub use gen::{bools, choice, just, one_of, range, vecs, Gen, Source};
+pub use runner::{check, check_with, replay_seed, run_check, Config};

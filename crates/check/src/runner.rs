@@ -9,9 +9,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
-use simcore::SimRng;
-
-use crate::gen::Gen;
+use crate::gen::{Gen, Source};
 
 /// Environment variable that replays one exact failing case.
 pub(crate) const SEED_ENV: &str = "SEUSS_CHECK_SEED";
@@ -23,15 +21,15 @@ pub(crate) const CASES_ENV: &str = "SEUSS_CHECK_CASES";
 pub struct Config {
     /// Number of random cases to run (overridden by `SEUSS_CHECK_CASES`).
     pub(crate) cases: u32,
-    /// Cap on accepted shrink steps before reporting what we have.
-    pub(crate) max_shrink_steps: u32,
 }
+
+/// Cap on accepted shrink steps before reporting what we have.
+const MAX_SHRINK_STEPS: u32 = 4096;
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             cases: parse_cases(std::env::var(CASES_ENV).ok().as_deref()),
-            max_shrink_steps: 4096,
         }
     }
 }
@@ -61,10 +59,7 @@ fn parse_seed(raw: Option<&str>) -> Option<u64> {
 impl Config {
     /// A config running exactly `cases` random cases.
     pub fn with_cases(cases: u32) -> Self {
-        Config {
-            cases,
-            ..Config::default()
-        }
+        Config { cases }
     }
 }
 
@@ -171,32 +166,105 @@ where
     }
 }
 
-/// Greedy shrink loop: keep taking the first strictly-simpler candidate
-/// that still fails until no candidate fails or the step cap is hit.
-fn shrink_failure<G, F>(
-    gen: &G,
-    prop: &F,
-    mut value: G::Value,
-    mut message: String,
-    cap: u32,
-) -> (G::Value, String, u32)
-where
-    G: Gen,
-    F: Fn(&G::Value) -> Result<(), String>,
-{
-    let mut steps = 0u32;
-    'outer: while steps < cap {
-        for cand in gen.shrink(&value) {
-            if let Err(msg) = run_case(prop, &cand) {
-                value = cand;
-                message = msg;
-                steps += 1;
-                continue 'outer;
+/// Shrinks a failing case by editing its recorded draws. Every kept
+/// edit makes the draws shortlex-smaller, so the reduction terminates.
+struct Reducer<'a, G: Gen, F> {
+    gen: &'a G,
+    prop: &'a F,
+    /// The source that generated the smallest failing case so far.
+    best: Source,
+    value: G::Value,
+    message: String,
+    steps: u32,
+}
+
+impl<G: Gen, F: Fn(&G::Value) -> Result<(), String>> Reducer<'_, G, F> {
+    /// Replays `cand` and keeps it if what it draws is simpler and the
+    /// property still fails on what it generates.
+    fn try_draws(&mut self, cand: Vec<u64>) -> bool {
+        let simpler = |c: &[u64]| (c.len(), c) < (self.best.drawn.len(), &self.best.drawn[..]);
+        if self.steps >= MAX_SHRINK_STEPS || !simpler(&cand) {
+            return false;
+        }
+        let mut src = Source::replay(cand);
+        let value = self.gen.generate(&mut src);
+        if !simpler(&src.drawn) {
+            return false;
+        }
+        let Err(message) = run_case(self.prop, &value) else {
+            return false;
+        };
+        (self.best, self.value, self.message) = (src, value, message);
+        self.steps += 1;
+        true
+    }
+
+    /// The best draws with `range` replaced by `with`.
+    fn splice(&self, range: std::ops::Range<usize>, with: &[u64]) -> Vec<u64> {
+        let d = &self.best.drawn;
+        [&d[..range.start], with, &d[range.end..]].concat()
+    }
+
+    /// Runs the passes until none makes progress.
+    fn reduce(&mut self) {
+        let mut before = None;
+        while before != Some(self.steps) {
+            before = Some(self.steps);
+            // Delete runs of adjacent vec elements, halving the run length.
+            for k in halvings(self.best.spans.len()) {
+                let mut i = 0;
+                while let Some(run) = self.best.spans.get(i..i + k) {
+                    let cand = self.splice(run[0].start..run[k - 1].end, &[]);
+                    if !(adjacent(run) && self.try_draws(cand)) {
+                        i += 1;
+                    }
+                }
+            }
+            // Zero aligned blocks of draws, halving the block size.
+            for k in halvings(self.best.drawn.len()) {
+                for i in (0..self.best.drawn.len()).step_by(k) {
+                    let mut cand = self.best.drawn.clone();
+                    cand.iter_mut().skip(i).take(k).for_each(|v| *v = 0);
+                    self.try_draws(cand);
+                }
+            }
+            // Lower each draw by binary search; the zero pass tried 0, so
+            // `lo` starts as a value that passes.
+            for i in 0..self.best.drawn.len() {
+                let mut lo = 0;
+                while let Some(&hi) = self.best.drawn.get(i).filter(|&&hi| lo + 1 < hi) {
+                    let mut cand = self.best.drawn.clone();
+                    cand[i] = lo + (hi - lo) / 2;
+                    if !self.try_draws(cand) {
+                        lo += (hi - lo) / 2;
+                    }
+                }
+            }
+            // Sort each run of adjacent vec elements by its draws.
+            let mut i = 0;
+            while i < self.best.spans.len() {
+                let mut j = i + 1;
+                while self.best.spans.get(i..=j).is_some_and(adjacent) {
+                    j += 1;
+                }
+                let run = &self.best.spans[i..j];
+                let mut parts: Vec<_> = run.iter().map(|s| &self.best.drawn[s.clone()]).collect();
+                parts.sort();
+                self.try_draws(self.splice(run[0].start..run[j - i - 1].end, &parts.concat()));
+                i = j;
             }
         }
-        break; // no candidate fails: local minimum
     }
-    (value, message, steps)
+}
+
+/// `n`, `n / 2`, …, 1 (nothing for 0).
+fn halvings(n: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(n).filter(|&k| k > 0), |&k| (k > 1).then_some(k / 2))
+}
+
+/// Whether each span ends where the next begins.
+fn adjacent(run: &[std::ops::Range<usize>]) -> bool {
+    run.windows(2).all(|w| w[0].end == w[1].start)
 }
 
 /// Runs the property with [`Config::default`]; panics with a replayable
@@ -233,22 +301,36 @@ where
 
     for case in 0..cases {
         let seed = replay.unwrap_or_else(|| case_seed(base, case));
-        let value = gen.generate(&mut SimRng::new(seed));
-        if let Err(message) = run_case(prop, &value) {
-            let (minimized, message, shrink_steps) =
-                shrink_failure(gen, prop, value.clone(), message, config.max_shrink_steps);
+        let mut src = Source::fresh(seed);
+        let original = gen.generate(&mut src);
+        if let Err(message) = run_case(prop, &original) {
+            let mut reducer = Reducer {
+                gen,
+                prop,
+                best: src,
+                value: original.clone(),
+                message,
+                steps: 0,
+            };
+            reducer.reduce();
             return Some(Failure {
                 property: name.to_string(),
                 seed,
                 case,
-                original: value,
-                minimized,
-                shrink_steps,
-                message,
+                original,
+                minimized: reducer.value,
+                shrink_steps: reducer.steps,
+                message: reducer.message,
             });
         }
     }
     None
+}
+
+/// Regenerates the case that `seed` names, exactly as a run that
+/// reported that seed generated it.
+pub fn replay_seed<G: Gen>(gen: &G, seed: u64) -> G::Value {
+    gen.generate(&mut Source::fresh(seed))
 }
 
 /// Returns `Err` with a formatted message when the condition is false —
@@ -256,9 +338,7 @@ where
 #[macro_export]
 macro_rules! ensure {
     ($cond:expr) => {
-        if !$cond {
-            return Err(format!("condition failed: {}", stringify!($cond)));
-        }
+        $crate::ensure!($cond, "condition failed: {}", stringify!($cond))
     };
     ($cond:expr, $($fmt:tt)+) => {
         if !$cond {
@@ -270,18 +350,9 @@ macro_rules! ensure {
 /// Equality counterpart of [`ensure!`], showing both sides on failure.
 #[macro_export]
 macro_rules! ensure_eq {
-    ($a:expr, $b:expr) => {{
-        let (a, b) = (&$a, &$b);
-        if a != b {
-            return Err(format!(
-                "{} != {} ({:?} vs {:?})",
-                stringify!($a),
-                stringify!($b),
-                a,
-                b
-            ));
-        }
-    }};
+    ($a:expr, $b:expr) => {
+        $crate::ensure_eq!($a, $b, "{} != {}", stringify!($a), stringify!($b))
+    };
     ($a:expr, $b:expr, $($fmt:tt)+) => {{
         let (a, b) = (&$a, &$b);
         if a != b {
@@ -341,7 +412,7 @@ mod tests {
         assert!(f.minimized.len() <= 5, "still oversized: {:?}", f.minimized);
         assert!(f.shrink_steps > 0);
         // The reported seed replays to the reported original.
-        let replayed = gen.generate(&mut SimRng::new(f.seed));
+        let replayed = replay_seed(&gen, f.seed);
         assert_eq!(replayed, f.original, "seed does not replay");
         let report = f.report();
         assert!(report.contains(SEED_ENV));

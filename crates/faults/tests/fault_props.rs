@@ -10,9 +10,9 @@
 //!    minimizes to a single-event plan (the harness's shrinking reaches
 //!    a locally-minimal counterexample).
 
-use seuss_check::{check, ensure, ensure_eq, gen::Gen, run_check, Config};
+use seuss_check::{check, ensure, ensure_eq, gen::Gen, replay_seed, run_check, Config};
 use seuss_faults::{spec::compile, FaultEvent, FaultKind, FaultPlan};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimTime};
 
 /// Generates one structured spec entry plus its rendered text form.
 /// Rendering then compiling must reproduce the structured event exactly
@@ -152,7 +152,7 @@ fn failing_plan_properties_shrink_to_minimal_plans() {
     );
     assert!(failure.shrink_steps > 0);
     // The reported seed replays the original counterexample.
-    let replayed = gen.generate(&mut SimRng::new(failure.seed));
+    let replayed = replay_seed(&gen, failure.seed);
     assert_eq!(replayed, failure.original);
 }
 

@@ -6,7 +6,7 @@
 //! 3. fuel-sliced execution produces the same result as one-shot
 //!    execution (resumability is semantics-preserving).
 
-use seuss_check::{check_with, ensure, ensure_eq, gen::Gen, Config, SimRng};
+use seuss_check::{check_with, ensure, ensure_eq, gen::Gen, Config, Source};
 
 use miniscript::{HostHeap, Interpreter, RuntimeProfile, Value, VmExit};
 
@@ -45,22 +45,22 @@ impl E {
     }
 }
 
-/// Bounded-depth recursive expression generator. Shrinking replaces a
-/// node by its subtrees (and numbers by smaller numbers), so failing
-/// expressions minimize toward a single literal.
+/// Bounded-depth recursive expression generator. A zero draw makes a
+/// leaf and numbers draw their distance from zero, so failing
+/// expressions minimize toward a single small literal.
 struct ExprGen {
     max_depth: u32,
 }
 
 impl ExprGen {
-    fn gen_at(&self, depth: u32, rng: &mut SimRng) -> E {
+    fn gen_at(&self, depth: u32, src: &mut Source) -> E {
         // Bias toward leaves as depth grows so trees stay small.
-        if depth >= self.max_depth || rng.next_below(3) == 0 {
-            return E::Num(rng.next_below(200) as i32 - 100);
+        if depth >= self.max_depth || src.draw(2) == 0 {
+            return E::Num(seuss_check::range(-100, 99).generate(src));
         }
-        let a = Box::new(self.gen_at(depth + 1, rng));
-        let b = Box::new(self.gen_at(depth + 1, rng));
-        match rng.next_below(3) {
+        let a = Box::new(self.gen_at(depth + 1, src));
+        let b = Box::new(self.gen_at(depth + 1, src));
+        match src.draw(2) {
             0 => E::Add(a, b),
             1 => E::Sub(a, b),
             _ => E::Mul(a, b),
@@ -71,18 +71,8 @@ impl ExprGen {
 impl Gen for ExprGen {
     type Value = E;
 
-    fn generate(&self, rng: &mut SimRng) -> E {
-        self.gen_at(0, rng)
-    }
-
-    fn shrink(&self, value: &E) -> Vec<E> {
-        match value {
-            E::Num(0) => Vec::new(),
-            E::Num(n) => vec![E::Num(0), E::Num(n / 2)],
-            E::Add(a, b) | E::Sub(a, b) | E::Mul(a, b) => {
-                vec![(**a).clone(), (**b).clone(), E::Num(0)]
-            }
-        }
+    fn generate(&self, src: &mut Source) -> E {
+        self.gen_at(0, src)
     }
 }
 

@@ -84,7 +84,7 @@ enum Step {
 /// `0..heap` are written in the base space; `text` says whether the base
 /// maps the whole text region; `keep_base` whether the base's live space
 /// outlives its snapshot; `capture_at` how many steps run before the
-/// capture. Left as a tuple because a mapped generator does not shrink.
+/// capture.
 type Case = ((u64, bool, bool), Vec<Step>, usize);
 
 fn cases() -> impl Gen<Value = Case> {
