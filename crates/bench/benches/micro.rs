@@ -311,6 +311,26 @@ fn bench_node_paths(h: &mut Harness) {
         });
     });
 
+    // A warm start whose image holds a 192-element top-level array (the
+    // shape of perfbench's `tier_pressure` functions), so the time shows
+    // what a deployed UC's first interpreter write copies.
+    g.bench_function("invoke_warm_table", |b| {
+        let cells: Vec<String> = (0..192).map(|i| i.to_string()).collect();
+        let src = format!(
+            "let table = [{}]; function main(args) {{ let acc = 0; \
+             for (let i = 0; i < 8; i = i + 1) {{ acc = acc + table[i]; }} return acc; }}",
+            cells.join(",")
+        );
+        let (mut node, _) = SeussNode::new(SeussConfig::test_node()).expect("node");
+        node.invoke(1, &src, &[]).expect("prime");
+        b.iter(|| {
+            while let Some(uc) = node.idle.take(1) {
+                node.destroy_uc(uc);
+            }
+            node.invoke(1, &src, &[]).expect("warm")
+        });
+    });
+
     g.bench_function("invoke_cold", |b| {
         let (mut node, _) = SeussNode::new(SeussConfig::test_node()).expect("node");
         let mut f = 0u64;

@@ -71,8 +71,9 @@ pub struct Failure<T> {
     pub(crate) property: String,
     /// Seed that generated the original counterexample.
     pub seed: u64,
-    /// 0-based index of the failing case.
-    pub(crate) case: u32,
+    /// 0-based index of the failing case; `None` when the case was
+    /// replayed from `SEUSS_CHECK_SEED`, which names no index.
+    pub(crate) case: Option<u32>,
     /// The counterexample exactly as generated.
     pub original: T,
     /// The minimized counterexample after shrinking.
@@ -86,14 +87,18 @@ pub struct Failure<T> {
 impl<T: std::fmt::Debug> Failure<T> {
     /// The human-facing report, including the replay incantation.
     pub fn report(&self) -> String {
+        let which = match self.case {
+            Some(case) => format!("case {case}, seed"),
+            None => "replayed seed".to_string(),
+        };
         format!(
-            "seuss-check: property '{}' failed (case {}, seed {})\n\
+            "seuss-check: property '{}' failed ({} {})\n\
              \x20 replay: {}={} cargo test\n\
              \x20 original:  {:?}\n\
              \x20 minimized: {:?} ({} shrink steps)\n\
              \x20 error: {}",
             self.property,
-            self.case,
+            which,
             self.seed,
             SEED_ENV,
             self.seed,
@@ -296,11 +301,30 @@ where
     F: Fn(&G::Value) -> Result<(), String>,
 {
     let replay = parse_seed(std::env::var(SEED_ENV).ok().as_deref());
-    let base = fnv1a(name);
-    let cases = if replay.is_some() { 1 } else { config.cases };
+    run_cases(config, name, gen, prop, replay)
+}
 
-    for case in 0..cases {
-        let seed = replay.unwrap_or_else(|| case_seed(base, case));
+/// [`run_check`] with the replay seed already read: with `Some(seed)`,
+/// runs only the case that seed names.
+fn run_cases<G, F>(
+    config: Config,
+    name: &str,
+    gen: &G,
+    prop: &F,
+    replay: Option<u64>,
+) -> Option<Failure<G::Value>>
+where
+    G: Gen,
+    F: Fn(&G::Value) -> Result<(), String>,
+{
+    let base = fnv1a(name);
+    let cases: Vec<(Option<u32>, u64)> = match replay {
+        Some(seed) => vec![(None, seed)],
+        None => (0..config.cases)
+            .map(|case| (Some(case), case_seed(base, case)))
+            .collect(),
+    };
+    for (case, seed) in cases {
         let mut src = Source::fresh(seed);
         let original = gen.generate(&mut src);
         if let Err(message) = run_case(prop, &original) {
@@ -444,6 +468,37 @@ mod tests {
         )
         .expect("must fail");
         assert_eq!(f.minimized, 4_242, "exact boundary found by binary search");
+    }
+
+    #[test]
+    fn a_replay_reports_its_seed_not_a_case_index() {
+        let gen = range(0u64, 1000);
+        let prop = |&v: &u64| -> Result<(), String> {
+            ensure!(v < 10, "too big: {v}");
+            Ok(())
+        };
+        let first = run_cases(Config::with_cases(64), "runner_replay", &gen, &prop, None)
+            .expect("must fail");
+        let replayed = run_cases(
+            Config::with_cases(64),
+            "runner_replay",
+            &gen,
+            &prop,
+            Some(first.seed),
+        )
+        .expect("the seed replays the failure");
+        assert_eq!(replayed.case, None);
+        assert_eq!(replayed.original, first.original);
+        let header = format!("failed (replayed seed {})", first.seed);
+        assert!(replayed.report().contains(&header), "{}", replayed.report());
+        assert!(
+            !replayed.report().contains("case "),
+            "{}",
+            replayed.report()
+        );
+        let case = first.case.expect("a run names its case");
+        let header = format!("failed (case {case}, seed {})", first.seed);
+        assert!(first.report().contains(&header), "{}", first.report());
     }
 
     #[test]

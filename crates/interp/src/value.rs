@@ -6,6 +6,7 @@
 //! guest-heap backing allocation so the page-level memory traffic is real.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::heap::{BumpHeap, HeapBackend, HeapError};
 
@@ -89,16 +90,67 @@ enum ObjData {
     },
 }
 
+/// One object of an [`ObjStore`].
+#[derive(Clone)]
+enum Slot {
+    /// Created or written since the store's last [`ObjStore::freeze`]:
+    /// inline, and copied with the store.
+    Own(ObjData),
+    /// Frozen by a capture and shared with every copy of the store made
+    /// since; the first write copies this one object back to `Own`.
+    Shared(Rc<ObjData>),
+}
+
 /// Host-side store of arrays and objects, with guest backing traffic.
 #[derive(Clone, Default)]
 pub(crate) struct ObjStore {
-    objs: Vec<ObjData>,
+    objs: Vec<Slot>,
 }
 
 impl ObjStore {
     /// Creates an empty store.
     pub(crate) fn new() -> Self {
         ObjStore::default()
+    }
+
+    fn obj(&self, id: ObjId) -> &ObjData {
+        match &self.objs[id.0 as usize] {
+            Slot::Own(data) => data,
+            Slot::Shared(data) => data,
+        }
+    }
+
+    fn obj_mut(&mut self, id: ObjId) -> &mut ObjData {
+        let slot = &mut self.objs[id.0 as usize];
+        if let Slot::Shared(data) = slot {
+            // The first write since a capture copies this object alone.
+            *slot = Slot::Own(ObjData::clone(data));
+        }
+        match slot {
+            Slot::Own(data) => data,
+            Slot::Shared(_) => unreachable!("a written slot is own"),
+        }
+    }
+
+    /// Moves every inline object behind an `Rc`, so copies of the store
+    /// share it until one of them writes it.
+    pub(crate) fn freeze(&mut self) {
+        self.objs = std::mem::take(&mut self.objs)
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Own(data) => Slot::Shared(Rc::new(data)),
+                shared => shared,
+            })
+            .collect();
+    }
+
+    /// Objects held inline: those created or written since the last
+    /// [`ObjStore::freeze`].
+    pub(crate) fn own_count(&self) -> usize {
+        self.objs
+            .iter()
+            .filter(|slot| matches!(slot, Slot::Own(_)))
+            .count()
     }
 
     /// Allocates an empty object.
@@ -109,11 +161,11 @@ impl ObjStore {
     ) -> Result<ObjId, HeapError> {
         let backing = heap.alloc(INITIAL_SLOTS * SLOT_BYTES)?;
         backend.write(backing, &0u64.to_le_bytes())?;
-        self.objs.push(ObjData::Object {
+        self.objs.push(Slot::Own(ObjData::Object {
             props: HashMap::new(),
             backing,
             cap_slots: INITIAL_SLOTS,
-        });
+        }));
         Ok(ObjId(self.objs.len() as u32 - 1))
     }
 
@@ -125,11 +177,11 @@ impl ObjStore {
     ) -> Result<ObjId, HeapError> {
         let backing = heap.alloc(INITIAL_SLOTS * SLOT_BYTES)?;
         backend.write(backing, &0u64.to_le_bytes())?;
-        self.objs.push(ObjData::Array {
+        self.objs.push(Slot::Own(ObjData::Array {
             items: Vec::new(),
             backing,
             cap_slots: INITIAL_SLOTS,
-        });
+        }));
         Ok(ObjId(self.objs.len() as u32 - 1))
     }
 
@@ -186,7 +238,7 @@ impl ObjStore {
         key: &str,
         value: Value,
     ) -> Result<(), HeapError> {
-        match &mut self.objs[id.0 as usize] {
+        match self.obj_mut(id) {
             ObjData::Object {
                 props,
                 backing,
@@ -207,7 +259,7 @@ impl ObjStore {
 
     /// Gets an object property (`Null` when absent, like JS `undefined`).
     pub(crate) fn get_prop(&self, id: ObjId, key: &str) -> Value {
-        match &self.objs[id.0 as usize] {
+        match self.obj(id) {
             ObjData::Object { props, .. } => props.get(key).copied().unwrap_or(Value::Null),
             ObjData::Array { items, .. } => {
                 if key == "length" {
@@ -228,7 +280,7 @@ impl ObjStore {
         index: u64,
         value: Value,
     ) -> Result<(), HeapError> {
-        match &mut self.objs[id.0 as usize] {
+        match self.obj_mut(id) {
             ObjData::Array {
                 items,
                 backing,
@@ -247,7 +299,7 @@ impl ObjStore {
 
     /// Gets an array element (`Null` out of range).
     pub(crate) fn get_index(&self, id: ObjId, index: u64) -> Value {
-        match &self.objs[id.0 as usize] {
+        match self.obj(id) {
             ObjData::Array { items, .. } => {
                 items.get(index as usize).copied().unwrap_or(Value::Null)
             }
@@ -270,7 +322,7 @@ impl ObjStore {
 
     /// Length of an array (0 for non-arrays).
     pub(crate) fn array_len(&self, id: ObjId) -> u64 {
-        match &self.objs[id.0 as usize] {
+        match self.obj(id) {
             ObjData::Array { items, .. } => items.len() as u64,
             ObjData::Object { .. } => 0,
         }
@@ -292,8 +344,8 @@ impl ObjStore {
     ) -> Result<(u64, u64), HeapError> {
         let mut moved = 0u64;
         let mut bytes = 0u64;
-        for idx in 0..self.objs.len() {
-            let (cap, values): (u64, Vec<Value>) = match &self.objs[idx] {
+        for idx in 0..self.objs.len() as u32 {
+            let (cap, values): (u64, Vec<Value>) = match self.obj(ObjId(idx)) {
                 ObjData::Object {
                     props, cap_slots, ..
                 } => (*cap_slots, props.values().copied().collect()),
@@ -305,7 +357,7 @@ impl ObjStore {
             for (slot, v) in values.iter().enumerate() {
                 Self::write_slot(backend, new_backing, slot as u64, *v)?;
             }
-            match &mut self.objs[idx] {
+            match self.obj_mut(ObjId(idx)) {
                 ObjData::Object { backing, .. } | ObjData::Array { backing, .. } => {
                     *backing = new_backing;
                 }
@@ -318,7 +370,7 @@ impl ObjStore {
 
     /// Property names of an object (empty for arrays), unordered.
     pub(crate) fn prop_keys(&self, id: ObjId) -> Vec<String> {
-        match &self.objs[id.0 as usize] {
+        match self.obj(id) {
             ObjData::Object { props, .. } => props.keys().cloned().collect(),
             ObjData::Array { .. } => Vec::new(),
         }
@@ -326,7 +378,7 @@ impl ObjStore {
 
     /// Number of properties on an object (0 for arrays).
     pub(crate) fn prop_count(&self, id: ObjId) -> u64 {
-        match &self.objs[id.0 as usize] {
+        match self.obj(id) {
             ObjData::Object { props, .. } => props.len() as u64,
             ObjData::Array { .. } => 0,
         }
@@ -403,6 +455,29 @@ mod tests {
             store.push(&mut h, &mut b, a, Value::Num(i as f64)).unwrap();
         }
         assert!(h.alloc(0).unwrap() > before, "backing regrown");
+    }
+
+    #[test]
+    fn a_frozen_copy_copies_only_the_objects_it_writes() {
+        let (mut b, mut h, mut store) = rig();
+        let a = store.new_array(&mut h, &mut b).unwrap();
+        let o = store.new_object(&mut h, &mut b).unwrap();
+        store.push(&mut h, &mut b, a, Value::Num(1.0)).unwrap();
+        assert_eq!(store.own_count(), 2);
+        store.freeze();
+        assert_eq!(store.own_count(), 0);
+
+        let mut copy = store.clone();
+        copy.set_index(&mut h, &mut b, a, 0, Value::Num(2.0))
+            .unwrap();
+        assert_eq!(copy.own_count(), 1, "only the written array is copied");
+        assert_eq!(copy.get_index(a, 0), Value::Num(2.0));
+        assert_eq!(store.get_index(a, 0), Value::Num(1.0));
+        let (Slot::Shared(ours), Slot::Shared(theirs)) = (&store.objs[1], &copy.objs[1]) else {
+            panic!("the unwritten object stays shared");
+        };
+        assert!(Rc::ptr_eq(ours, theirs));
+        assert_eq!(copy.prop_count(o), 0);
     }
 
     #[test]

@@ -141,19 +141,24 @@ struct Suspended {
 /// `Clone` is load-bearing: a snapshot stores the interpreter state as of
 /// capture (the semantic mirror of the captured guest pages), and deploys
 /// clone it. The kernel wraps interpreters in `Rc` so idle deploys stay
-/// cheap and copies materialize only on mutation. Loaded programs never
-/// change, so they sit behind their own `Rc`: a copy shares every
-/// compiled chunk and pool and duplicates only the mutable state
-/// (objects, globals, interned strings).
+/// cheap and copies materialize only on mutation, and a copy shares
+/// structure with its original down to single objects:
+/// - loaded programs never change and sit behind their own `Rc`;
+/// - globals and interned strings sit behind one `Rc` each, copied on the
+///   first write after the copy;
+/// - each object is either *own* (inline, created or written since the
+///   last [`Interpreter::freeze`]) or *shared* (frozen behind an `Rc` by a
+///   capture). A copy bumps the shared objects' counts, and the first
+///   write to a shared object copies that object alone.
 #[derive(Clone)]
 pub struct Interpreter {
     profile: RuntimeProfile,
     heap: BumpHeap,
     objects: ObjStore,
-    globals: HashMap<String, Value>,
+    globals: Rc<HashMap<String, Value>>,
     programs: Vec<Rc<Program>>,
     /// Host-side mirror of interned strings, keyed by guest address.
-    strings: HashMap<u64, String>,
+    strings: Rc<HashMap<u64, String>>,
     result: Value,
     cycles: u64,
     did_first_compile: bool,
@@ -169,9 +174,9 @@ impl Interpreter {
             profile,
             heap: BumpHeap::new(profile.heap_base, profile.heap_size),
             objects: ObjStore::new(),
-            globals: HashMap::new(),
+            globals: Rc::default(),
             programs: Vec::new(),
-            strings: HashMap::new(),
+            strings: Rc::default(),
             result: Value::Null,
             cycles: 0,
             did_first_compile: false,
@@ -179,6 +184,19 @@ impl Interpreter {
             suspended: None,
             rng: 0x5EED_5EED,
         }
+    }
+
+    /// Shares every object created or written so far with the copies
+    /// made from here on: a capture freezes the interpreter it stores, so
+    /// the UCs deployed from it copy only the objects they write.
+    pub fn freeze(&mut self) {
+        self.objects.freeze();
+    }
+
+    /// Objects held inline rather than shared: those created or written
+    /// since the last [`Interpreter::freeze`].
+    pub fn own_objects(&self) -> usize {
+        self.objects.own_count()
     }
 
     /// Total virtual cycles consumed so far (monotone; 1 cycle ≈ 1 ns).
@@ -249,8 +267,7 @@ impl Interpreter {
             .set_prop(&mut self.heap, backend, console, "log", Value::Builtin(0))?;
         self.objects
             .set_prop(&mut self.heap, backend, console, "error", Value::Builtin(0))?;
-        self.globals
-            .insert("console".into(), Value::Object(console));
+        Rc::make_mut(&mut self.globals).insert("console".into(), Value::Object(console));
         let math = self.objects.new_object(&mut self.heap, backend)?;
         for (name, idx) in [
             ("floor", 7u32),
@@ -263,7 +280,7 @@ impl Interpreter {
             self.objects
                 .set_prop(&mut self.heap, backend, math, name, Value::Builtin(idx))?;
         }
-        self.globals.insert("Math".into(), Value::Object(math));
+        Rc::make_mut(&mut self.globals).insert("Math".into(), Value::Object(math));
         Ok(())
     }
 
@@ -273,7 +290,7 @@ impl Interpreter {
             addr,
             len: s.len() as u32,
         };
-        self.strings.insert(addr, s.to_string());
+        Rc::make_mut(&mut self.strings).insert(addr, s.to_string());
         Ok(r)
     }
 
@@ -592,7 +609,7 @@ impl Interpreter {
                 Op::StoreGlobal(n) => {
                     let v = pop!();
                     let name = self.programs[prog_idx as usize].names[n as usize].clone();
-                    self.globals.insert(name, v);
+                    Rc::make_mut(&mut self.globals).insert(name, v);
                 }
                 Op::Add => {
                     let b = pop!();

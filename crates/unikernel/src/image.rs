@@ -4,9 +4,10 @@
 //! image* additionally needs the interpreter state those pages encode —
 //! the host-side mirror of the guest heap. [`ImageStore`] keeps that
 //! mirror beside the snapshot, under the snapshot's own id: capture
-//! stores an `Rc` of the UC's interpreter (cheap — copies materialize
-//! only when a descendant mutates), deploy clones the `Rc` into the new
-//! UC and replays the driver's resume writes.
+//! freezes the UC's interpreter and stores an `Rc` of it, deploy clones
+//! the `Rc` into the new UC and replays the driver's resume writes. A
+//! descendant's first mutation copies the interpreter's top level, and
+//! each object it then writes; the objects it only reads stay shared.
 
 use std::rc::Rc;
 
@@ -126,6 +127,11 @@ impl ImageStore {
         let snap = snaps
             .capture(mmu, mem, &mut uc.space, uc.regs, kind, label, parent)
             .map_err(map_snap_err)?;
+        // An interpreter still shared with an image was frozen when that
+        // image was captured, and has not changed since.
+        if let Some(interp) = Rc::get_mut(&mut uc.interp) {
+            interp.freeze();
+        }
         self.put(snap, uc.image());
         // 0.8 µs per cloned dirty page (400 µs for the paper's 2 MiB NOP
         // snapshot), plus a fixed #DB-exception entry/exit.
@@ -411,6 +417,54 @@ mod tests {
             .destroy_uc(&mut r.mmu, &mut r.mem, &mut r.snaps, warm);
     }
 
+    /// Module state every call mutates: a top-level array, an object and
+    /// a counter global, plus a fresh object and fresh strings per call.
+    const STATEFUL: &str = "let table = [1, 2, 3]; let obj = { n: 10 }; let counter = 0; \
+        function main(a) { counter = counter + 1; table[0] = table[0] + 100; \
+        obj.n = obj.n + 1; obj.tag = 'x' + counter; let fresh = { c: counter }; \
+        return json([counter, table, obj, fresh]); }";
+
+    /// What call number `n` of [`STATEFUL`]'s `main` in one lineage returns.
+    fn stateful_call(n: u64) -> InvocationOutcome {
+        InvocationOutcome::Completed {
+            result: format!(
+                "[{n},[{},2,3],{{\"n\":{},\"tag\":\"x{n}\"}},{{\"c\":{n}}}]",
+                1 + 100 * n,
+                10 + n
+            ),
+        }
+    }
+
+    fn capture_fn(r: &mut Rig, uc: &mut UcContext, parent: SnapshotId) -> SnapshotId {
+        let (id, _) = r
+            .images
+            .capture(
+                &mut r.mmu,
+                &mut r.mem,
+                &mut r.snaps,
+                uc,
+                SnapshotKind::Function,
+                "stateful",
+                Some(parent),
+            )
+            .unwrap();
+        // The stored mirror was frozen: every object is shared.
+        assert_eq!(r.images.image(id).unwrap().interp.own_objects(), 0);
+        id
+    }
+
+    /// Deploys `id`, makes one call and destroys the UC; returns the
+    /// call's outcome.
+    fn first_warm_call(r: &mut Rig, id: SnapshotId) -> InvocationOutcome {
+        let (mut w, _) = r
+            .images
+            .deploy(&mut r.mmu, &mut r.mem, &mut r.snaps, id)
+            .unwrap();
+        let (o, _) = w.invoke(&mut r.mmu, &mut r.mem, &[]).unwrap();
+        r.images.destroy_uc(&mut r.mmu, &mut r.mem, &mut r.snaps, w);
+        o
+    }
+
     #[test]
     fn warm_deploys_do_not_share_mutable_state() {
         let (mut r, mut base_uc) = rig();
@@ -420,38 +474,34 @@ mod tests {
             .deploy(&mut r.mmu, &mut r.mem, &mut r.snaps, base)
             .unwrap();
         uc.connect(&mut r.mmu, &mut r.mem).unwrap();
-        uc.import_function(
-            &mut r.mmu,
-            &mut r.mem,
-            "let counter = 0; function main(a) { counter = counter + 1; return counter; }",
-        )
-        .unwrap();
-        let (fn_img, _) = r
-            .images
-            .capture(
-                &mut r.mmu,
-                &mut r.mem,
-                &mut r.snaps,
-                &mut uc,
-                SnapshotKind::Function,
-                "ctr",
-                Some(base),
-            )
+        uc.import_function(&mut r.mmu, &mut r.mem, STATEFUL)
             .unwrap();
+        let first = capture_fn(&mut r, &mut uc, base);
+
+        // The captured UC keeps running: it mutates the array, the object
+        // and the global, interns strings and creates objects.
+        for n in 1..=2 {
+            let (o, _) = uc.invoke(&mut r.mmu, &mut r.mem, &[]).unwrap();
+            assert_eq!(o, stateful_call(n));
+        }
+        assert!(uc.interp.own_objects() > 0, "written objects went inline");
+
+        // Two independent warm deploys each see the captured values.
+        for _ in 0..2 {
+            assert_eq!(first_warm_call(&mut r, first), stateful_call(1));
+        }
+
+        // A second capture of the mutated UC deploys with the mutations;
+        // the UC keeps its own objects on hot reuse after it, and neither
+        // image sees what the UC does next.
+        let second = capture_fn(&mut r, &mut uc, first);
+        let (o, _) = uc.invoke(&mut r.mmu, &mut r.mem, &[]).unwrap();
+        assert_eq!(o, stateful_call(3));
+        assert_eq!(first_warm_call(&mut r, second), stateful_call(3));
+        assert_eq!(first_warm_call(&mut r, first), stateful_call(1));
+        assert_eq!(r.images.image(first).unwrap().interp.own_objects(), 0);
         r.images
             .destroy_uc(&mut r.mmu, &mut r.mem, &mut r.snaps, uc);
-
-        // Two independent warm deploys each see counter = 1 on first call:
-        // snapshot isolation across UCs.
-        for _ in 0..2 {
-            let (mut w, _) = r
-                .images
-                .deploy(&mut r.mmu, &mut r.mem, &mut r.snaps, fn_img)
-                .unwrap();
-            let (o, _) = w.invoke(&mut r.mmu, &mut r.mem, &[]).unwrap();
-            assert_eq!(o, InvocationOutcome::Completed { result: "1".into() });
-            r.images.destroy_uc(&mut r.mmu, &mut r.mem, &mut r.snaps, w);
-        }
     }
 
     #[test]
