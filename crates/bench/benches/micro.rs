@@ -94,6 +94,29 @@ fn bench_paging(h: &mut Harness) {
         );
     });
 
+    // The same resume run over pages that each hold 256 written bytes
+    // (dense content): each break shares its source's content.
+    g.bench_function("cow_run_349_written", |b| {
+        b.iter_batched(
+            || {
+                let (mut mem, mut mmu, mut space) = rig(349);
+                for p in 0..349 {
+                    let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
+                    mmu.write_bytes(&mut mem, &mut space, va, &[0xA5; 256])
+                        .expect("fill");
+                }
+                let snap = mmu.shallow_clone(&mut mem, space.root()).expect("snap");
+                (mem, mmu, space, snap)
+            },
+            |(mut mem, mut mmu, mut space, _snap)| {
+                let va = VirtAddr::new(BASE);
+                mmu.write_run(&mut mem, &mut space, va, 349, &[])
+                    .expect("cow run");
+                (mem, mmu, space)
+            },
+        );
+    });
+
     // A heap commit: a demand-zero run writing one word per page.
     g.bench_function("commit_run_160", |b| {
         b.iter_batched(

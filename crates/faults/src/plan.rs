@@ -37,7 +37,7 @@ pub enum FaultKind {
         span: SimDuration,
     },
     /// The cached function snapshot for `fn_id` is corrupted in place;
-    /// the node detects the bad checksum on next use and degrades the
+    /// the node's integrity check fails on next use and degrades the
     /// invocation to the cold path.
     SnapshotCorruption {
         /// Function whose cached snapshot is damaged.

@@ -1,7 +1,7 @@
 //! Bytecode: opcodes, chunks, and compiled programs.
 
 /// One virtual-machine instruction.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Op {
     /// Push a number.
     Num(f64),

@@ -163,6 +163,9 @@ pub struct Interpreter {
     cycles: u64,
     did_first_compile: bool,
     did_first_exec: bool,
+    /// Whether `console` is in `globals` (set with it, by
+    /// `ensure_builtins`; globals are never removed).
+    has_builtins: bool,
     suspended: Option<Suspended>,
     rng: u64,
 }
@@ -181,6 +184,7 @@ impl Interpreter {
             cycles: 0,
             did_first_compile: false,
             did_first_exec: false,
+            has_builtins: false,
             suspended: None,
             rng: 0x5EED_5EED,
         }
@@ -258,7 +262,7 @@ impl Interpreter {
     /// Materializes the builtin namespace objects (console, Math) on the
     /// first execution of any code, without the first-exec charge.
     fn ensure_builtins(&mut self, backend: &mut dyn HeapBackend) -> Result<(), HeapError> {
-        if self.globals.contains_key("console") {
+        if self.has_builtins {
             return Ok(());
         }
         // Materialize the builtin namespace objects.
@@ -268,6 +272,7 @@ impl Interpreter {
         self.objects
             .set_prop(&mut self.heap, backend, console, "error", Value::Builtin(0))?;
         Rc::make_mut(&mut self.globals).insert("console".into(), Value::Object(console));
+        self.has_builtins = true;
         let math = self.objects.new_object(&mut self.heap, backend)?;
         for (name, idx) in [
             ("floor", 7u32),
@@ -522,7 +527,7 @@ impl Interpreter {
             }
             fuel -= 1;
             self.cycles += 1;
-            let op = chunk.code[frame.ip].clone();
+            let op = chunk.code[frame.ip];
             frame.ip += 1;
             let prog_idx = frame.prog;
 

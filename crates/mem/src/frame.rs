@@ -8,12 +8,14 @@ pub struct FrameId(pub(crate) u32);
 
 impl FrameId {
     /// Raw index of this frame in the pool.
+    #[inline]
     pub fn index(self) -> u32 {
         self.0
     }
 
     /// Rebuilds a frame id from a raw index (used by packed page-table
     /// entries, which store the index in PTE bits 12..52).
+    #[inline]
     pub fn from_index(index: u32) -> FrameId {
         FrameId(index)
     }

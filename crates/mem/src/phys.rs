@@ -10,9 +10,19 @@
 //! free slot), a one-byte [`FrameKind`] and a `u32` handle into a slab
 //! of [`PageContent`], where handle 0 means never written. Most frames
 //! on a node are never written (boot-image pages, zero-content COW
-//! copies), so they cost the host nine bytes each and no heap block. A
-//! freed frame returns its content slot to the slab, so a frame index
-//! handed out again reads as zeroes. Frame indices are reused LIFO.
+//! copies), so they cost the host nine bytes each and no heap block.
+//!
+//! Content slots are shared copy-on-write: each slot counts the frames
+//! that hold it. A COW break ([`PhysMemory::clone_frame`]) gives the
+//! clone the source's slot, and [`PhysMemory::share_content`] gives one
+//! frame's slot to another (every page of a committed run holds the
+//! same word). The first write through a frame whose slot is shared
+//! copies the slot first, so each frame still reads as its own bytes.
+//! Sharing follows copy lineage only: nothing is hashed or looked up,
+//! and no refcount, kind or [`MemStats`] counter sees it. A frame that
+//! is freed drops its share, and a slot whose last share goes returns
+//! to the slab, so a frame index handed out again reads as zeroes.
+//! Frame indices are reused LIFO.
 
 use crate::addr::PAGE_SIZE;
 use crate::content::PageContent;
@@ -84,6 +94,8 @@ pub struct PhysMemory {
     free_list: Vec<u32>,
     /// Content slab; slot 0 is a placeholder so that 0 can mean "none".
     contents: Vec<PageContent>,
+    /// Frames holding each slot of `contents`; 0 marks a free slot.
+    content_shares: Vec<u32>,
     /// Free slots of `contents`.
     free_contents: Vec<u32>,
     stats: MemStats,
@@ -108,6 +120,7 @@ impl PhysMemory {
             content_slots: Vec::new(),
             free_list: Vec::new(),
             contents: vec![PageContent::Zero],
+            content_shares: vec![0],
             free_contents: Vec::new(),
             stats: MemStats {
                 capacity_frames,
@@ -156,6 +169,7 @@ impl PhysMemory {
     }
 
     /// Allocates one frame of the given kind with refcount 1.
+    #[inline]
     pub fn alloc(&mut self, kind: FrameKind) -> Result<FrameId, MemError> {
         if self.stats.used_frames + self.pressure_frames >= self.stats.capacity_frames {
             return Err(MemError::OutOfFrames);
@@ -206,6 +220,7 @@ impl PhysMemory {
     }
 
     /// The slot index of a live frame.
+    #[inline]
     fn live(&self, frame: FrameId) -> usize {
         let idx = frame.0 as usize;
         assert!(self.refcounts[idx] > 0, "use of freed frame {frame:?}");
@@ -217,6 +232,7 @@ impl PhysMemory {
     /// # Panics
     ///
     /// Panics if the frame has been freed.
+    #[inline]
     pub fn inc_ref(&mut self, frame: FrameId) {
         let idx = self.live(frame);
         self.refcounts[idx] += 1;
@@ -229,6 +245,7 @@ impl PhysMemory {
     /// # Panics
     ///
     /// Panics if the frame has been freed already.
+    #[inline]
     pub fn dec_ref(&mut self, frame: FrameId) -> bool {
         let idx = self.live(frame);
         self.refcounts[idx] -= 1;
@@ -244,6 +261,7 @@ impl PhysMemory {
     }
 
     /// Current reference count of a frame.
+    #[inline]
     pub fn refcount(&self, frame: FrameId) -> u32 {
         self.refcounts[self.live(frame)]
     }
@@ -253,29 +271,79 @@ impl PhysMemory {
         &self.contents[self.content_slots[idx] as usize]
     }
 
-    /// The content of live frame slot `idx`, taking a content slot first
-    /// if the frame has none.
+    /// Takes a free content slot, holding `content` with one share.
+    fn new_slot(&mut self, content: PageContent) -> u32 {
+        match self.free_contents.pop() {
+            Some(slot) => {
+                self.contents[slot as usize] = content;
+                self.content_shares[slot as usize] = 1;
+                slot
+            }
+            None => {
+                self.contents.push(content);
+                self.content_shares.push(1);
+                self.contents.len() as u32 - 1
+            }
+        }
+    }
+
+    /// The content of live frame slot `idx`, ready for a write through
+    /// this frame alone: a frame with no content slot takes a fresh one,
+    /// and one whose slot is shared takes a copy of it.
     fn content_mut(&mut self, idx: usize) -> &mut PageContent {
-        if self.content_slots[idx] == 0 {
-            self.content_slots[idx] = match self.free_contents.pop() {
-                Some(slot) => slot,
-                None => {
-                    self.contents.push(PageContent::Zero);
-                    self.contents.len() as u32 - 1
-                }
-            };
+        let slot = self.content_slots[idx] as usize;
+        if slot == 0 {
+            self.content_slots[idx] = self.new_slot(PageContent::Zero);
+        } else if self.content_shares[slot] > 1 {
+            self.content_shares[slot] -= 1;
+            let copy = self.contents[slot].clone();
+            self.content_slots[idx] = self.new_slot(copy);
         }
         &mut self.contents[self.content_slots[idx] as usize]
     }
 
-    /// Drops the content of frame slot `idx` and returns its content
-    /// slot to the slab, leaving the frame reading as zeroes.
+    /// Drops frame slot `idx`'s share of its content, leaving the frame
+    /// reading as zeroes. A content slot with no shares left returns to
+    /// the slab.
     fn clear_content(&mut self, idx: usize) {
-        let slot = std::mem::take(&mut self.content_slots[idx]);
+        let slot = std::mem::take(&mut self.content_slots[idx]) as usize;
         if slot != 0 {
-            self.contents[slot as usize] = PageContent::Zero;
-            self.free_contents.push(slot);
+            self.content_shares[slot] -= 1;
+            if self.content_shares[slot] == 0 {
+                self.contents[slot] = PageContent::Zero;
+                self.free_contents.push(slot as u32);
+            }
         }
+    }
+
+    /// Gives live frame slot `dst` a share of `src`'s content in place
+    /// of its own.
+    fn share_slot(&mut self, dst: usize, src: usize) {
+        let slot = self.content_slots[src];
+        if self.content_slots[dst] == slot {
+            return;
+        }
+        self.clear_content(dst);
+        if slot != 0 {
+            self.content_shares[slot as usize] += 1;
+            self.content_slots[dst] = slot;
+        }
+    }
+
+    /// Whether a frame holds content, its own or shared: false until
+    /// the frame, or the frame it was cloned from, is written, and after
+    /// its content is set to zero. A frame that holds none reads as
+    /// zeroes.
+    #[inline]
+    pub fn is_written(&self, frame: FrameId) -> bool {
+        self.content_slots[self.live(frame)] != 0
+    }
+
+    /// Content slots in use: the distinct contents the pool keeps for
+    /// its written frames. A host-memory figure only; no simulated cost
+    /// or counter reads it.
+    pub fn content_slots_used(&self) -> usize {
+        self.contents.len() - 1 - self.free_contents.len()
     }
 
     /// Writes bytes into a frame at `offset`, materializing content
@@ -284,6 +352,7 @@ impl PhysMemory {
     /// # Panics
     ///
     /// Panics if the write crosses the frame boundary or the frame is freed.
+    #[inline]
     pub fn write(&mut self, frame: FrameId, offset: usize, bytes: &[u8]) {
         let idx = self.live(frame);
         self.content_mut(idx).write(offset, bytes);
@@ -295,22 +364,34 @@ impl PhysMemory {
     /// # Panics
     ///
     /// Panics if the read crosses the frame boundary or the frame is freed.
+    #[inline]
     pub fn read(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
         self.content(self.live(frame)).read(offset, out);
     }
 
-    /// Clones a frame's content into a newly allocated frame of the same kind.
+    /// Clones a frame into a newly allocated frame of the same kind,
+    /// sharing the source's content until either frame is written.
     ///
     /// This is the COW break / snapshot page-clone primitive. The clone's
     /// refcount is 1; the source keeps its count.
+    #[inline]
     pub fn clone_frame(&mut self, src: FrameId) -> Result<FrameId, MemError> {
         let src_idx = self.live(src);
         let dst = self.alloc(self.kinds[src_idx])?;
-        if self.content_slots[src_idx] != 0 {
-            let content = self.content(src_idx).clone();
-            *self.content_mut(dst.0 as usize) = content;
-        }
+        self.share_slot(dst.0 as usize, src_idx);
         Ok(dst)
+    }
+
+    /// Gives frame `dst` the content of frame `src` in place of its own,
+    /// shared until either frame is written: the copy a COW break makes,
+    /// into a frame that exists already.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either frame is freed.
+    pub fn share_content(&mut self, dst: FrameId, src: FrameId) {
+        let (dst_idx, src_idx) = (self.live(dst), self.live(src));
+        self.share_slot(dst_idx, src_idx);
     }
 
     /// A copy of a frame's logical content (snapshot export).
@@ -321,9 +402,9 @@ impl PhysMemory {
     /// Replaces a frame's content wholesale (snapshot import).
     pub fn set_content(&mut self, frame: FrameId, content: PageContent) {
         let idx = self.live(frame);
-        match content {
-            PageContent::Zero => self.clear_content(idx),
-            content => *self.content_mut(idx) = content,
+        self.clear_content(idx);
+        if !matches!(content, PageContent::Zero) {
+            self.content_slots[idx] = self.new_slot(content);
         }
     }
 }
@@ -398,6 +479,33 @@ mod tests {
         m.write(f, 100, &[9, 9, 9, 9]); // mutate source after clone
         m.read(g, 100, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn clones_share_content_until_written() {
+        let mut m = PhysMemory::with_mib(1);
+        let f = m.alloc(FrameKind::Data).unwrap();
+        m.write(f, 8, &[1; 200]); // dense
+        let g = m.clone_frame(f).unwrap();
+        let h = m.alloc(FrameKind::Data).unwrap();
+        m.share_content(h, g);
+        assert_eq!(m.content_slots_used(), 1);
+        m.write(g, 8, &[2]);
+        assert_eq!(m.content_slots_used(), 2);
+        let mut buf = [0u8; 2];
+        for (frame, want) in [(f, [1, 1]), (g, [2, 1]), (h, [1, 1])] {
+            m.read(frame, 8, &mut buf);
+            assert_eq!(buf, want, "{frame:?}");
+        }
+        // The slot outlives the frame that wrote it, and goes with its
+        // last sharer.
+        m.dec_ref(f);
+        assert_eq!(m.content_slots_used(), 2);
+        m.set_content(h, PageContent::Zero);
+        assert!(!m.is_written(h));
+        assert_eq!(m.content_slots_used(), 1);
+        m.dec_ref(g);
+        assert_eq!(m.content_slots_used(), 0);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property tests (driven by `seuss-check`): the frame pool must behave
 //! exactly like a dense model — one refcount, one kind and one 4 KiB
 //! byte array per frame, a LIFO free list and a fixed capacity — under
-//! any sequence of allocations, reference changes, writes, clones and
-//! wholesale content replacement.
+//! any sequence of allocations, reference changes, writes, clones,
+//! content shares and wholesale content replacement. The pool shares
+//! content slots between clones and sharers; the model copies bytes, so
+//! a write through one frame that leaks into another shows.
 //!
 //! After every operation the suite compares every live frame's refcount,
 //! the pool's `MemStats`, and every read the operation makes. A frame
@@ -32,6 +34,17 @@ enum Op {
     },
     Clone {
         f: usize,
+    },
+    /// Clone `f`, then write `a` through `f` and `b` through the clone.
+    CloneWrite {
+        f: usize,
+        a: (usize, Vec<u8>),
+        b: (usize, Vec<u8>),
+    },
+    /// `share_content(dst, src)`.
+    Share {
+        dst: usize,
+        src: usize,
     },
     /// `None` sets `PageContent::Zero`; `Some` sets content built by one
     /// write of `bytes` at `offset` into a zero page.
@@ -71,6 +84,9 @@ fn ops() -> impl Gen<Value = Vec<Op>> {
     let dec = frame().map(|f| Op::DecRef { f });
     let write = (frame(), page_write()).map(|(f, (offset, bytes))| Op::Write { f, offset, bytes });
     let clone = frame().map(|f| Op::Clone { f });
+    let clone_write =
+        (frame(), page_write(), page_write()).map(|(f, a, b)| Op::CloneWrite { f, a, b });
+    let share = (frame(), frame()).map(|(dst, src)| Op::Share { dst, src });
     let set_zero = frame().map(|f| Op::SetContent { f, write: None });
     let set = (frame(), page_write()).map(|(f, w)| Op::SetContent { f, write: Some(w) });
     let content_of = frame().map(|f| Op::ContentOf { f });
@@ -91,6 +107,8 @@ fn ops() -> impl Gen<Value = Vec<Op>> {
             dec.boxed(),
             write.boxed(),
             clone.boxed(),
+            clone_write.boxed(),
+            share.boxed(),
             set_zero.boxed(),
             set.boxed(),
             content_of.boxed(),
@@ -250,6 +268,31 @@ fn apply(mem: &mut PhysMemory, model: &mut Model, op: &Op) -> Result<(), String>
                 let m = model.frame(id);
                 let (kind, bytes) = (m.kind, m.bytes.clone());
                 alloc_both(mem, model, got, kind, bytes)?;
+            }
+        }
+        Op::CloneWrite { f, a, b } => {
+            if let Some(id) = pick(*f) {
+                let got = mem.clone_frame(id);
+                let m = model.frame(id);
+                let (kind, bytes) = (m.kind, m.bytes.clone());
+                if let Some(copy) = alloc_both(mem, model, got, kind, bytes)? {
+                    for (frame, (offset, w)) in [(id, a), (copy, b)] {
+                        mem.write(frame, *offset, w);
+                        model.frame(frame).bytes[*offset..*offset + w.len()].copy_from_slice(w);
+                    }
+                    for frame in [id, copy] {
+                        ensure!(
+                            read_page(mem, frame) == model.frame_ref(frame).bytes,
+                            "{frame:?} does not read as its own bytes"
+                        );
+                    }
+                }
+            }
+        }
+        Op::Share { dst, src } => {
+            if let (Some(dst), Some(src)) = (pick(*dst), pick(*src)) {
+                mem.share_content(dst, src);
+                model.frame(dst).bytes = model.frame_ref(src).bytes.clone();
             }
         }
         Op::SetContent { f, write } => {

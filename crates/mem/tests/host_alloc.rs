@@ -75,6 +75,22 @@ fn cloning_a_zero_frame_allocates_nothing() {
 }
 
 #[test]
+fn cloning_a_written_frame_allocates_nothing() {
+    let mut mem = warm_pool();
+    let src = mem.alloc(FrameKind::Data).expect("alloc");
+    mem.write(src, 0, &[7; 256]); // dense
+    let mut dst = None;
+    let n = allocations(|| dst = Some(mem.clone_frame(src).expect("clone")));
+    assert_eq!(
+        n, 0,
+        "a COW break must share the source's content, not copy it"
+    );
+    let mut buf = [0; 256];
+    mem.read(dst.expect("cloned"), 0, &mut buf);
+    assert_eq!(buf, [7; 256]);
+}
+
+#[test]
 fn first_word_written_to_a_zero_page_allocates_nothing() {
     let mut mem = warm_pool();
     let f = mem.alloc(FrameKind::Data).expect("alloc");

@@ -178,13 +178,59 @@ impl Mmu {
         flags: EntryFlags,
     ) -> Result<(), MemError> {
         let l1 = self.exclusive_l1(mem, space.root(), va)?;
-        let idx = va.table_index(1);
+        self.set_leaf(mem, l1, va.table_index(1), frame, flags);
+        Ok(())
+    }
+
+    /// Maps each of `pages` consecutive pages from `va` to a freshly
+    /// allocated data frame with `flags` (a boot loader mapping an
+    /// image), replacing and releasing any prior mappings.
+    ///
+    /// The outcome is exactly that of a frame allocation and a
+    /// [`Mmu::map_page`] per page, in ascending order: the same frame and
+    /// table ids (each page's frame is allocated before any table its
+    /// walk allocates), refcounts and counters, and on a full pool the
+    /// same error at the same page, with the pages before it mapped. Only
+    /// [`OpStats::levels_walked`] is lower, because the run walks to each
+    /// leaf table once.
+    pub fn map_fresh_run(
+        &mut self,
+        mem: &mut PhysMemory,
+        space: &mut AddressSpace,
+        va: VirtAddr,
+        pages: u64,
+        flags: EntryFlags,
+    ) -> Result<(), MemError> {
+        let mut l1 = None;
+        for k in 0..pages {
+            let page = va.offset(k * PAGE_SIZE as u64);
+            let idx = page.table_index(1);
+            let frame = mem.alloc(seuss_mem::FrameKind::Data)?;
+            let table = match l1 {
+                Some(table) if idx != 0 => table,
+                _ => self.exclusive_l1(mem, space.root(), page)?,
+            };
+            l1 = Some(table);
+            self.set_leaf(mem, table, idx, frame, flags);
+        }
+        Ok(())
+    }
+
+    /// Points entry `idx` of `l1`, an L1 table exclusive to its space,
+    /// at `frame`, releasing the frame it mapped before.
+    fn set_leaf(
+        &mut self,
+        mem: &mut PhysMemory,
+        l1: TableId,
+        idx: usize,
+        frame: FrameId,
+        flags: EntryFlags,
+    ) {
         let old = self.store.node(l1).entry(idx);
         if old.is_page() {
             mem.dec_ref(old.frame());
         }
         self.store.node_mut(l1).set(idx, Entry::page(frame, flags));
-        Ok(())
     }
 
     /// Walks the table chain to the L1 slot covering `va`, without
@@ -261,7 +307,7 @@ impl Mmu {
         space: &mut AddressSpace,
         va: VirtAddr,
     ) -> Result<FrameId, PageFault> {
-        self.write_leaf_run(mem, space, va, 1, &[])
+        self.write_leaf_run(mem, space, va, 1, &[], &mut None)
     }
 
     /// Writes `word` at `va`'s page offset in each of `pages` consecutive
@@ -272,6 +318,11 @@ impl Mmu {
     /// dirty set, and on a fault the same error at the same page, with
     /// the pages before it written. Only [`OpStats::levels_walked`] is
     /// lower, because the run walks to each leaf table once.
+    ///
+    /// The word is written once, into the run's first never-written
+    /// page; the run's other never-written pages share that page's
+    /// content ([`PhysMemory::share_content`]), which is exactly what
+    /// the same write would have given them.
     ///
     /// # Panics
     ///
@@ -289,17 +340,20 @@ impl Mmu {
             "run word crosses a page boundary"
         );
         let mut done = 0;
+        // The run's first never-written page, once the word is in it.
+        let mut written = None;
         while done < pages {
             let cur = va.offset(done * PAGE_SIZE as u64);
             let n = (pages - done).min((TABLE_ENTRIES - cur.table_index(1)) as u64);
-            self.write_leaf_run(mem, space, cur, n, word)?;
+            self.write_leaf_run(mem, space, cur, n, word, &mut written)?;
             done += n;
         }
         Ok(())
     }
 
     /// The part of a run under one leaf table: `n >= 1` pages from `va`'s.
-    /// Returns the last page's frame.
+    /// Returns the last page's frame. `written` is the run's first
+    /// never-written page once it holds `word`.
     fn write_leaf_run(
         &mut self,
         mem: &mut PhysMemory,
@@ -307,6 +361,7 @@ impl Mmu {
         va: VirtAddr,
         n: u64,
         word: &[u8],
+        written: &mut Option<FrameId>,
     ) -> Result<FrameId, PageFault> {
         let l1 = self
             .exclusive_l1(mem, space.root(), va)
@@ -317,7 +372,16 @@ impl Mmu {
             let page = va.offset(k as u64 * PAGE_SIZE as u64);
             let f = self.write_entry(mem, space, l1, idx, page)?;
             if !word.is_empty() {
-                mem.write(f, page.page_offset(), word);
+                let fresh = !mem.is_written(f);
+                match *written {
+                    Some(src) if fresh => mem.share_content(f, src),
+                    _ => {
+                        mem.write(f, page.page_offset(), word);
+                        if fresh {
+                            *written = Some(f);
+                        }
+                    }
+                }
             }
             frame = Some(f);
         }
@@ -905,6 +969,36 @@ mod tests {
         mmu.release_root(&mut mem, snap);
         mmu.destroy_space(&mut mem, space);
         assert_eq!(mem.stats().used_frames, 0);
+    }
+
+    #[test]
+    fn a_committed_run_over_fresh_pages_holds_one_content_slot() {
+        let (mut mem, mut mmu, mut space) = setup();
+        // 160 pages from slot 456 of a leaf table: the run crosses into
+        // the next one.
+        let va = VirtAddr::new(0x10_0000 + 200 * PAGE_SIZE as u64).offset(704);
+        let word = 1u64.to_le_bytes();
+        mmu.write_run(&mut mem, &mut space, va, 160, &word).unwrap();
+        assert_eq!(mem.content_slots_used(), 1);
+        // Every page reads the word; a write through one page copies the
+        // slot for that page alone.
+        let last = va.offset(159 * PAGE_SIZE as u64);
+        mmu.write_bytes(&mut mem, &mut space, last, &[7]).unwrap();
+        assert_eq!(mem.content_slots_used(), 2);
+        for p in 0..160 {
+            let mut buf = [0u8; 8];
+            let page = va.offset(p * PAGE_SIZE as u64);
+            mmu.read_bytes(&mut mem, &mut space, page, &mut buf)
+                .unwrap();
+            let want = if p == 159 {
+                [7, 0, 0, 0, 0, 0, 0, 0]
+            } else {
+                word
+            };
+            assert_eq!(buf, want, "page {p}");
+        }
+        mmu.destroy_space(&mut mem, space);
+        assert_eq!(mem.content_slots_used(), 0);
     }
 
     #[test]

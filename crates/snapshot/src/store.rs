@@ -87,38 +87,10 @@ pub struct Snapshot {
     diff_pages: u64,
     active_ucs: u32,
     children: u32,
-    /// Integrity checksum folded over the capture-time state. Every
-    /// field it covers is immutable after capture, so a mismatch can only
-    /// mean the snapshot was damaged ([`SnapshotStore::corrupt`]).
-    checksum: u64,
-}
-
-/// Folds the capture-time state into the integrity checksum.
-fn fold_checksum(
-    root: seuss_paging::TableId,
-    regs: &RegisterState,
-    kind: SnapshotKind,
-    label: &str,
-    diff_pages: u64,
-) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-    let mut h = mix(root.index() as u64);
-    h = mix(h ^ regs.rip.as_u64());
-    h = mix(h ^ regs.rsp.as_u64());
-    h = mix(h ^ regs.rflags);
-    for g in regs.gpr {
-        h = mix(h ^ g);
-    }
-    h = mix(h ^ matches!(kind, SnapshotKind::Function) as u64);
-    for b in label.bytes() {
-        h = mix(h ^ b as u64);
-    }
-    mix(h ^ diff_pages)
+    /// Set by [`SnapshotStore::corrupt`] (simulated bit rot); every
+    /// other field is immutable after capture, so this flag is the whole
+    /// of the snapshot's integrity state.
+    damaged: bool,
 }
 
 impl Snapshot {
@@ -171,18 +143,6 @@ impl Snapshot {
     /// cannot be deleted — or demoted to the storage tier).
     pub fn children(&self) -> u32 {
         self.children
-    }
-
-    /// Whether the stored checksum still matches the capture-time state.
-    pub(crate) fn is_intact(&self) -> bool {
-        self.checksum
-            == fold_checksum(
-                self.root,
-                &self.regs,
-                self.kind,
-                &self.label,
-                self.diff_pages,
-            )
     }
 }
 
@@ -265,7 +225,6 @@ impl SnapshotStore {
             self.get_mut(p)?.children += 1;
         }
         let label = label.into();
-        let checksum = fold_checksum(root, &regs, kind, &label, diff_pages);
         let snap = Snapshot {
             root,
             regs,
@@ -276,7 +235,7 @@ impl SnapshotStore {
             diff_pages,
             active_ucs: 0,
             children: 0,
-            checksum,
+            damaged: false,
         };
         match self.free.pop() {
             Some(Reverse(idx)) => {
@@ -348,18 +307,20 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Verifies a snapshot's integrity checksum. `Ok(true)` means the
-    /// capture-time state still hashes to the stored checksum.
+    /// Verifies a snapshot's integrity. `Ok(true)` means it has not been
+    /// damaged since capture (or was damaged twice, see
+    /// [`SnapshotStore::corrupt`]).
     pub fn verify(&self, id: SnapshotId) -> Result<bool, SnapshotError> {
-        Ok(self.get(id)?.is_intact())
+        Ok(!self.get(id)?.damaged)
     }
 
-    /// Damages a snapshot's stored checksum in place (fault injection:
-    /// simulated bit rot). The snapshot still deploys — detection is the
-    /// caller's job via [`SnapshotStore::verify`] before use.
+    /// Damages a snapshot in place (fault injection: simulated bit
+    /// rot). The snapshot still deploys — detection is the caller's job
+    /// via [`SnapshotStore::verify`] before use. Damage toggles, so a
+    /// second hit restores the snapshot.
     pub fn corrupt(&mut self, id: SnapshotId) -> Result<(), SnapshotError> {
         let snap = self.get_mut(id)?;
-        snap.checksum ^= 0xDEAD_BEEF_0BAD_F00D;
+        snap.damaged = !snap.damaged;
         Ok(())
     }
 
@@ -678,16 +639,11 @@ mod tests {
             .unwrap();
         assert!(store.verify(a).unwrap());
         assert!(store.verify(b).unwrap());
-        // Checksums depend on the captured state, so siblings differ.
-        assert_ne!(
-            store.get(a).unwrap().checksum,
-            store.get(b).unwrap().checksum
-        );
         store.corrupt(b).unwrap();
         assert!(!store.verify(b).unwrap(), "corruption must be detected");
         assert!(store.verify(a).unwrap(), "other snapshots unaffected");
-        // Corruption is involutive through the XOR mask; a second hit
-        // restores the checksum (handy for tests, irrelevant to policy).
+        // Corruption is involutive; a second hit restores the snapshot
+        // (handy for tests, irrelevant to policy).
         store.corrupt(b).unwrap();
         assert!(store.verify(b).unwrap());
         assert_eq!(store.verify(SnapshotId(99)), Err(SnapshotError::Dangling));

@@ -192,7 +192,10 @@ fn demote_moves_only_the_diff_and_promote_restores_it_byte_exact() {
     );
     let child_root = r.snaps.get(child).unwrap().root();
     assert_eq!(r.mmu.collect_swapped(child_root).len(), 5);
-    assert!(r.snaps.verify(child).unwrap(), "checksum survives demotion");
+    assert!(
+        r.snaps.verify(child).unwrap(),
+        "integrity survives demotion"
+    );
 
     r.tier
         .promote(&mut r.mmu, &mut r.mem, &r.snaps, child)

@@ -139,21 +139,27 @@ impl Tracer {
     }
 
     /// Records a typed event at the current clock, parented to the
-    /// innermost open span.
+    /// innermost open span. Inlined so that a disabled tracer costs the
+    /// page loops that call it one branch.
+    #[inline]
     pub fn event(&self, event: TraceEvent) {
         if let Some(inner) = &self.inner {
-            let mut b = inner.borrow_mut();
-            let at = b.clock;
-            let parent = b.open.last().copied();
-            let seq = b.next_seq();
-            b.events.push(EventRecord {
-                at,
-                parent,
-                event,
-                seq,
-            });
-            b.metrics.record_event(&event);
+            Self::push_event(inner, event);
         }
+    }
+
+    fn push_event(inner: &RefCell<TraceBuf>, event: TraceEvent) {
+        let mut b = inner.borrow_mut();
+        let at = b.clock;
+        let parent = b.open.last().copied();
+        let seq = b.next_seq();
+        b.events.push(EventRecord {
+            at,
+            parent,
+            event,
+            seq,
+        });
+        b.metrics.record_event(&event);
     }
 
     /// Feeds one finished segment's per-phase costs into the metrics —

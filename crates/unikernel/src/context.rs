@@ -143,11 +143,13 @@ impl UcContext {
         }
 
         // Map the guest image text read-only (rumprun + libc + runtime).
-        for i in 0..layout.text_pages {
-            let frame = mem.alloc(FrameKind::Data)?;
-            let va = VirtAddr::new(layout.text_base.as_u64() + i * PAGE_SIZE as u64);
-            mmu.map_page(mem, &mut space, va, frame, EntryFlags::USER)?;
-        }
+        mmu.map_fresh_run(
+            mem,
+            &mut space,
+            layout.text_base,
+            layout.text_pages,
+            EntryFlags::USER,
+        )?;
 
         let mut uc = UcContext {
             space,
