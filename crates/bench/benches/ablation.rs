@@ -95,8 +95,7 @@ fn ablation_capture(h: &mut Harness) {
                 // Capture = shallow clone + drain the dirty set (the lazy
                 // equivalent of cloning exactly the dirty pages).
                 let r = mmu.shallow_clone(&mut mem, uc.root()).expect("capture");
-                let drained = uc.take_dirty();
-                std::hint::black_box(drained.len());
+                std::hint::black_box(uc.clear_dirty());
                 (mem, mmu, uc, r)
             },
         );

@@ -15,7 +15,7 @@ use seuss_bench::Harness;
 use miniscript::{HostHeap, Interpreter, RuntimeProfile};
 use seuss_core::{SeussConfig, SeussNode};
 use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
-use seuss_paging::{AddressSpace, Mmu, Region, RegionKind};
+use seuss_paging::{AddressSpace, Mmu, Region, RegionKind, TableId};
 use seuss_snapshot::{RegisterState, SnapshotKind, SnapshotStore};
 use seuss_store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig, TieredStore};
 use seuss_unikernel::{ImageStore, Layout, UcContext, UcProfile};
@@ -24,7 +24,11 @@ use simcore::{EventId, Scheduler, SimDuration, SimTime, Simulation, World};
 const BASE: u64 = 0x10_0000;
 
 fn rig(pages: u64) -> (PhysMemory, Mmu, AddressSpace) {
-    let mut mem = PhysMemory::with_mib(512);
+    rig_in(PhysMemory::with_mib(512), pages)
+}
+
+/// [`rig`] over the pool `mem`.
+fn rig_in(mut mem: PhysMemory, pages: u64) -> (PhysMemory, Mmu, AddressSpace) {
     let mut mmu = Mmu::new();
     let mut space = mmu.create_space(&mut mem).expect("space");
     space.add_region(Region {
@@ -115,6 +119,45 @@ fn bench_paging(h: &mut Harness) {
                 (mem, mmu, space)
             },
         );
+    });
+
+    // A deploy's resume run on a node-sized pool: 4096 function
+    // snapshots, each 512 private pages over one 8192-page base
+    // snapshot (about 2.1 M live frames). Each iteration deploys the
+    // next function snapshot in turn (a shallow clone), COW-breaks 349
+    // pages through it and tears it down, so the frame records it
+    // touches are cold, unlike in the 512 MiB rigs above.
+    g.bench_function("deploy_run_large_pool", |b| {
+        const FUNCTIONS: usize = 4096;
+        let (mut mem, mut mmu, space) = rig_in(PhysMemory::with_mib(16 * 1024), 8192);
+        let regions = space.regions().to_vec();
+        let base_root = mmu.shallow_clone(&mut mem, space.root()).expect("base");
+        mmu.destroy_space(&mut mem, space);
+        let deploy = |mmu: &mut Mmu, mem: &mut PhysMemory, snap: TableId| {
+            let root = mmu.shallow_clone(mem, snap).expect("deploy");
+            let mut uc = AddressSpace::from_root(root);
+            uc.set_regions(regions.clone());
+            uc
+        };
+        let functions: Vec<TableId> = (0..FUNCTIONS)
+            .map(|_| {
+                let mut uc = deploy(&mut mmu, &mut mem, base_root);
+                mmu.write_run(&mut mem, &mut uc, VirtAddr::new(BASE), 512, &[])
+                    .expect("import");
+                let snap = mmu.shallow_clone(&mut mem, uc.root()).expect("capture");
+                mmu.destroy_space(&mut mem, uc);
+                snap
+            })
+            .collect();
+        assert!(mem.stats().used_frames > 2_000_000, "a node-sized pool");
+        let mut next = 0;
+        b.iter(|| {
+            let mut uc = deploy(&mut mmu, &mut mem, functions[next]);
+            next = (next + 1) % FUNCTIONS;
+            mmu.write_run(&mut mem, &mut uc, VirtAddr::new(BASE), 349, &[])
+                .expect("resume run");
+            mmu.destroy_space(&mut mem, uc);
+        });
     });
 
     // A heap commit: a demand-zero run writing one word per page.

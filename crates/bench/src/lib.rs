@@ -84,8 +84,8 @@ fn burst_cluster(
 /// per set size, in input order. `invocations_per_trial` overrides N
 /// when `Some`; `mem_mib` sizes the SEUSS node. The cells are
 /// independent trials run on `workers` threads via
-/// [`seuss_exec::ordered_parallel`]; results are identical at every
-/// worker count.
+/// [`seuss_exec::ordered_parallel`], handed out largest set size first;
+/// results are identical at every worker count.
 ///
 /// [`TrialParams::throughput`]: seuss_workload::TrialParams::throughput
 fn throughput_grid(
@@ -94,11 +94,15 @@ fn throughput_grid(
     mem_mib: u64,
     workers: usize,
 ) -> Vec<(u64, TrialAnalysis, TrialAnalysis)> {
-    let cells: Vec<(u64, bool)> = set_sizes
+    // Hand the largest cells out first, so the slowest trials do not
+    // start last, side by side; the stable sort keeps SEUSS before Linux.
+    let mut cells: Vec<(usize, (u64, bool))> = set_sizes
         .iter()
         .flat_map(|&m| [(m, true), (m, false)])
+        .enumerate()
         .collect();
-    let mut measured = seuss_exec::ordered_parallel(cells, workers, |_, (m, is_seuss)| {
+    cells.sort_by_key(|&(_, (m, _))| std::cmp::Reverse(m));
+    let mut results = seuss_exec::ordered_parallel(cells, workers, |_, (i, (m, is_seuss))| {
         let mut params = seuss_workload::TrialParams::throughput(m, 42);
         if let Some(n) = invocations_per_trial {
             params.invocations = n.max(m);
@@ -109,9 +113,10 @@ fn throughput_grid(
         } else {
             ClusterConfig::linux_paper()
         };
-        seuss_platform::run_trial(cfg, reg, &spec).analysis
-    })
-    .into_iter();
+        (i, seuss_platform::run_trial(cfg, reg, &spec).analysis)
+    });
+    results.sort_by_key(|&(i, _)| i);
+    let mut measured = results.into_iter().map(|(_, analysis)| analysis);
     set_sizes
         .iter()
         .map(|&m| {

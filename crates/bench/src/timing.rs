@@ -197,7 +197,8 @@ impl Bencher {
     }
 
     /// Measures `routine` over fresh `setup` output per batch; setup time
-    /// is excluded from the measurement.
+    /// and dropping what `routine` returns are excluded from the
+    /// measurement.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
     where
         S: FnMut() -> I,
@@ -209,8 +210,9 @@ impl Bencher {
         loop {
             let input = setup();
             let start = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             let once = start.elapsed();
+            drop(output);
             if once * iters as u32 >= self.sample_target || iters >= 1 << 20 {
                 break;
             }
@@ -219,13 +221,16 @@ impl Bencher {
 
         let mut samples_ns: Vec<f64> = Vec::with_capacity(self.sample_size as usize);
         for _ in 0..self.sample_size {
-            // Pre-build one input per iteration, outside the timed span.
+            // Pre-build one input per iteration, and drop the outputs
+            // (a returned rig's teardown), outside the timed span.
             let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
+            let mut outputs: Vec<O> = Vec::with_capacity(inputs.len());
             let start = Instant::now();
             for input in inputs {
-                black_box(routine(input));
+                outputs.push(black_box(routine(input)));
             }
             let elapsed = start.elapsed();
+            drop(outputs);
             samples_ns.push(elapsed.as_nanos() as f64 / iters as f64);
         }
         samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -286,6 +291,38 @@ mod tests {
         h.benchmark_group("g")
             .bench_function("b", |b| b.iter_batched(|| vec![1u8; 16], |v| v.len()));
         assert_eq!(h.results.len(), 1);
+    }
+
+    /// An output whose drop takes at least 5 ms.
+    struct SlowDrop;
+
+    impl Drop for SlowDrop {
+        fn drop(&mut self) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn dropping_outputs_is_not_timed() {
+        let mut h = Harness {
+            filter: None,
+            sample_target: Duration::from_micros(20),
+            results: Vec::new(),
+        };
+        h.benchmark_group("g")
+            .sample_size(5)
+            .bench_function("slow_drop", |b| {
+                // 50 µs a call: one call fills a sample.
+                b.iter_batched(
+                    || (),
+                    |()| {
+                        std::thread::sleep(Duration::from_micros(50));
+                        SlowDrop
+                    },
+                )
+            });
+        let s = h.results[0].1;
+        assert!(s.median_ns < 2.5e6, "teardown was timed: {s:?}");
     }
 
     #[test]

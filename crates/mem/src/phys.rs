@@ -6,11 +6,14 @@
 //! counters maintained here. Refcounting implements page sharing: a frame
 //! referenced by three snapshots and forty UCs is still one frame.
 //!
-//! The pool is struct-of-arrays: per frame a `u32` refcount (0 marks a
-//! free slot), a one-byte [`FrameKind`] and a `u32` handle into a slab
-//! of [`PageContent`], where handle 0 means never written. Most frames
-//! on a node are never written (boot-image pages, zero-content COW
-//! copies), so they cost the host nine bytes each and no heap block.
+//! The pool keeps one 8-byte record per frame: a `u32` holding the
+//! refcount (0 marks a free slot) in its low 30 bits and the
+//! [`FrameKind`] in its top 2, and a `u32` handle into a slab of
+//! [`PageContent`], where handle 0 means never written. What needs a
+//! frame's count, kind and slot together (an allocation, a COW break, a
+//! free) touches one cache line, not three. Most frames on a node are
+//! never written (boot-image pages, zero-content COW copies), so they
+//! cost the host eight bytes each and no heap block.
 //!
 //! Content slots are shared copy-on-write: each slot counts the frames
 //! that hold it. A COW break ([`PhysMemory::clone_frame`]) gives the
@@ -81,15 +84,56 @@ impl MemStats {
     }
 }
 
-/// A fixed-capacity pool of reference-counted 4 KiB frames, kept as
-/// parallel arrays indexed by [`FrameId`] (see the module docs).
+/// Bits of [`Frame::meta`] below the kind: the refcount.
+const REFS_MASK: u32 = (1 << 30) - 1;
+/// Shift of the [`FrameKind`] in [`Frame::meta`].
+const KIND_SHIFT: u32 = 30;
+
+/// One frame's host record (see the module docs).
+#[derive(Clone, Copy)]
+struct Frame {
+    /// Owners in the low 30 bits (0 marks a free slot), the usage class
+    /// in the top 2 (stale in free slots).
+    meta: u32,
+    /// Index into the content slab; 0 means never written.
+    slot: u32,
+}
+
+impl Frame {
+    /// A frame of `kind` with one owner and no content.
+    #[inline]
+    fn new(kind: FrameKind) -> Frame {
+        let bits = match kind {
+            FrameKind::PageTable => 0,
+            FrameKind::Data => 1,
+            FrameKind::KernelMeta => 2,
+        };
+        Frame {
+            meta: (bits << KIND_SHIFT) | 1,
+            slot: 0,
+        }
+    }
+
+    #[inline]
+    fn refs(self) -> u32 {
+        self.meta & REFS_MASK
+    }
+
+    #[inline]
+    fn kind(self) -> FrameKind {
+        match self.meta >> KIND_SHIFT {
+            0 => FrameKind::PageTable,
+            1 => FrameKind::Data,
+            _ => FrameKind::KernelMeta,
+        }
+    }
+}
+
+/// A fixed-capacity pool of reference-counted 4 KiB frames, one record
+/// per [`FrameId`] (see the module docs).
 pub struct PhysMemory {
-    /// Owners per frame; 0 marks a free slot.
-    refcounts: Vec<u32>,
-    /// Usage class per frame (stale in free slots).
-    kinds: Vec<FrameKind>,
-    /// Index into `contents` per frame; 0 means never written.
-    content_slots: Vec<u32>,
+    /// Refcount, kind and content slot per frame.
+    frames: Vec<Frame>,
     /// Free frame indices, reused last-freed first.
     free_list: Vec<u32>,
     /// Content slab; slot 0 is a placeholder so that 0 can mean "none".
@@ -115,9 +159,7 @@ impl PhysMemory {
     pub fn new(capacity_bytes: u64) -> Self {
         let capacity_frames = capacity_bytes / PAGE_SIZE as u64;
         PhysMemory {
-            refcounts: Vec::new(),
-            kinds: Vec::new(),
-            content_slots: Vec::new(),
+            frames: Vec::new(),
             free_list: Vec::new(),
             contents: vec![PageContent::Zero],
             content_shares: vec![0],
@@ -174,18 +216,15 @@ impl PhysMemory {
         if self.stats.used_frames + self.pressure_frames >= self.stats.capacity_frames {
             return Err(MemError::OutOfFrames);
         }
+        // A freed frame dropped its content, so a fresh record loses none.
         let idx = match self.free_list.pop() {
             Some(idx) => {
-                self.refcounts[idx as usize] = 1;
-                self.kinds[idx as usize] = kind;
+                self.frames[idx as usize] = Frame::new(kind);
                 idx
             }
             None => {
-                let idx = self.refcounts.len() as u32;
-                self.refcounts.push(1);
-                self.kinds.push(kind);
-                self.content_slots.push(0);
-                idx
+                self.frames.push(Frame::new(kind));
+                self.frames.len() as u32 - 1
             }
         };
         self.stats.used_frames += 1;
@@ -223,7 +262,7 @@ impl PhysMemory {
     #[inline]
     fn live(&self, frame: FrameId) -> usize {
         let idx = frame.0 as usize;
-        assert!(self.refcounts[idx] > 0, "use of freed frame {frame:?}");
+        assert!(self.frames[idx].refs() > 0, "use of freed frame {frame:?}");
         idx
     }
 
@@ -231,11 +270,14 @@ impl PhysMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the frame has been freed.
+    /// Panics if the frame has been freed, or if its count is at the
+    /// packed limit of 2^30 - 1 owners.
     #[inline]
     pub fn inc_ref(&mut self, frame: FrameId) {
         let idx = self.live(frame);
-        self.refcounts[idx] += 1;
+        let rec = &mut self.frames[idx];
+        assert!(rec.refs() < REFS_MASK, "refcount of {frame:?} at its limit");
+        rec.meta += 1;
     }
 
     /// Drops one reference; frees the frame when the count reaches zero.
@@ -248,27 +290,42 @@ impl PhysMemory {
     #[inline]
     pub fn dec_ref(&mut self, frame: FrameId) -> bool {
         let idx = self.live(frame);
-        self.refcounts[idx] -= 1;
-        if self.refcounts[idx] > 0 {
+        let rec = &mut self.frames[idx];
+        rec.meta -= 1;
+        if rec.refs() > 0 {
             return false;
         }
+        let kind = rec.kind();
         self.clear_content(idx);
         self.free_list.push(frame.0);
         self.stats.used_frames -= 1;
         self.stats.total_frees += 1;
-        *self.kind_counter(self.kinds[idx]) -= 1;
+        *self.kind_counter(kind) -= 1;
         true
     }
 
     /// Current reference count of a frame.
     #[inline]
     pub fn refcount(&self, frame: FrameId) -> u32 {
-        self.refcounts[self.live(frame)]
+        self.frames[self.live(frame)].refs()
+    }
+
+    /// Sets a live frame's reference count directly, so a test can reach
+    /// the packed limit without 2^30 increments.
+    #[cfg(test)]
+    fn set_refcount(&mut self, frame: FrameId, refs: u32) {
+        let idx = self.live(frame);
+        let rec = &mut self.frames[idx];
+        assert!(
+            (1..=REFS_MASK).contains(&refs),
+            "refcount {refs} out of range"
+        );
+        rec.meta = (rec.meta & !REFS_MASK) | refs;
     }
 
     /// The content of live frame slot `idx`.
     fn content(&self, idx: usize) -> &PageContent {
-        &self.contents[self.content_slots[idx] as usize]
+        &self.contents[self.frames[idx].slot as usize]
     }
 
     /// Takes a free content slot, holding `content` with one share.
@@ -291,22 +348,22 @@ impl PhysMemory {
     /// this frame alone: a frame with no content slot takes a fresh one,
     /// and one whose slot is shared takes a copy of it.
     fn content_mut(&mut self, idx: usize) -> &mut PageContent {
-        let slot = self.content_slots[idx] as usize;
+        let slot = self.frames[idx].slot as usize;
         if slot == 0 {
-            self.content_slots[idx] = self.new_slot(PageContent::Zero);
+            self.frames[idx].slot = self.new_slot(PageContent::Zero);
         } else if self.content_shares[slot] > 1 {
             self.content_shares[slot] -= 1;
             let copy = self.contents[slot].clone();
-            self.content_slots[idx] = self.new_slot(copy);
+            self.frames[idx].slot = self.new_slot(copy);
         }
-        &mut self.contents[self.content_slots[idx] as usize]
+        &mut self.contents[self.frames[idx].slot as usize]
     }
 
     /// Drops frame slot `idx`'s share of its content, leaving the frame
     /// reading as zeroes. A content slot with no shares left returns to
     /// the slab.
     fn clear_content(&mut self, idx: usize) {
-        let slot = std::mem::take(&mut self.content_slots[idx]) as usize;
+        let slot = std::mem::take(&mut self.frames[idx].slot) as usize;
         if slot != 0 {
             self.content_shares[slot] -= 1;
             if self.content_shares[slot] == 0 {
@@ -319,14 +376,14 @@ impl PhysMemory {
     /// Gives live frame slot `dst` a share of `src`'s content in place
     /// of its own.
     fn share_slot(&mut self, dst: usize, src: usize) {
-        let slot = self.content_slots[src];
-        if self.content_slots[dst] == slot {
+        let slot = self.frames[src].slot;
+        if self.frames[dst].slot == slot {
             return;
         }
         self.clear_content(dst);
         if slot != 0 {
             self.content_shares[slot as usize] += 1;
-            self.content_slots[dst] = slot;
+            self.frames[dst].slot = slot;
         }
     }
 
@@ -336,7 +393,7 @@ impl PhysMemory {
     /// zeroes.
     #[inline]
     pub fn is_written(&self, frame: FrameId) -> bool {
-        self.content_slots[self.live(frame)] != 0
+        self.frames[self.live(frame)].slot != 0
     }
 
     /// Content slots in use: the distinct contents the pool keeps for
@@ -377,7 +434,7 @@ impl PhysMemory {
     #[inline]
     pub fn clone_frame(&mut self, src: FrameId) -> Result<FrameId, MemError> {
         let src_idx = self.live(src);
-        let dst = self.alloc(self.kinds[src_idx])?;
+        let dst = self.alloc(self.frames[src_idx].kind())?;
         self.share_slot(dst.0 as usize, src_idx);
         Ok(dst)
     }
@@ -404,7 +461,7 @@ impl PhysMemory {
         let idx = self.live(frame);
         self.clear_content(idx);
         if !matches!(content, PageContent::Zero) {
-            self.content_slots[idx] = self.new_slot(content);
+            self.frames[idx].slot = self.new_slot(content);
         }
     }
 }
@@ -464,7 +521,7 @@ mod tests {
         m.dec_ref(f);
         let g = m.alloc(FrameKind::PageTable).unwrap();
         assert_eq!(g.index(), idx);
-        assert_eq!(m.kinds[g.index() as usize], FrameKind::PageTable);
+        assert_eq!(m.frames[g.index() as usize].kind(), FrameKind::PageTable);
     }
 
     #[test]
@@ -506,6 +563,33 @@ mod tests {
         assert_eq!(m.content_slots_used(), 1);
         m.dec_ref(g);
         assert_eq!(m.content_slots_used(), 0);
+    }
+
+    #[test]
+    fn frame_records_are_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 8);
+    }
+
+    #[test]
+    fn counts_up_to_the_packed_limit_keep_the_kind() {
+        let mut m = PhysMemory::with_mib(1);
+        let f = m.alloc(FrameKind::KernelMeta).unwrap();
+        m.set_refcount(f, REFS_MASK - 1);
+        m.inc_ref(f);
+        assert_eq!(m.refcount(f), REFS_MASK);
+        assert_eq!(m.frames[f.index() as usize].kind(), FrameKind::KernelMeta);
+        m.set_refcount(f, 1);
+        assert!(m.dec_ref(f));
+        assert_eq!(m.stats().kernel_meta_frames, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at its limit")]
+    fn inc_ref_at_the_packed_limit_panics() {
+        let mut m = PhysMemory::with_mib(1);
+        let f = m.alloc(FrameKind::Data).unwrap();
+        m.set_refcount(f, REFS_MASK);
+        m.inc_ref(f);
     }
 
     #[test]

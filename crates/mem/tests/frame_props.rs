@@ -8,7 +8,8 @@
 //!
 //! After every operation the suite compares every live frame's refcount,
 //! the pool's `MemStats`, and every read the operation makes. A frame
-//! index handed out again after a free must read as zeroes.
+//! index handed out again after a free must read as zeroes, and count
+//! under the kind it was handed out with, not the kind it had before.
 
 use seuss_check::{check_with, ensure, ensure_eq, gen::Gen, Config};
 use seuss_mem::{FrameId, FrameKind, MemError, MemStats, PageContent, PhysMemory, PAGE_SIZE};
@@ -40,6 +41,13 @@ enum Op {
         f: usize,
         a: (usize, Vec<u8>),
         b: (usize, Vec<u8>),
+    },
+    /// Drops every reference to `f`, then allocates again: the pool hands
+    /// the same index back, under a kind other than `f`'s (`shift` 0
+    /// or 1 picks which).
+    Recycle {
+        f: usize,
+        shift: usize,
     },
     /// `share_content(dst, src)`.
     Share {
@@ -86,6 +94,8 @@ fn ops() -> impl Gen<Value = Vec<Op>> {
     let clone = frame().map(|f| Op::Clone { f });
     let clone_write =
         (frame(), page_write(), page_write()).map(|(f, a, b)| Op::CloneWrite { f, a, b });
+    let recycle =
+        (frame(), seuss_check::range(0usize, 1)).map(|(f, shift)| Op::Recycle { f, shift });
     let share = (frame(), frame()).map(|(dst, src)| Op::Share { dst, src });
     let set_zero = frame().map(|f| Op::SetContent { f, write: None });
     let set = (frame(), page_write()).map(|(f, w)| Op::SetContent { f, write: Some(w) });
@@ -108,6 +118,7 @@ fn ops() -> impl Gen<Value = Vec<Op>> {
             write.boxed(),
             clone.boxed(),
             clone_write.boxed(),
+            recycle.boxed(),
             share.boxed(),
             set_zero.boxed(),
             set.boxed(),
@@ -178,6 +189,20 @@ impl Model {
         self.frames[id.index() as usize].as_mut().expect("live")
     }
 
+    /// Drops one reference to `id`; returns whether that freed it.
+    fn dec_ref(&mut self, id: FrameId) -> bool {
+        let m = self.frame(id);
+        m.refcount -= 1;
+        if m.refcount > 0 {
+            return false;
+        }
+        self.frames[id.index() as usize] = None;
+        self.free.push(id.index());
+        self.live.retain(|&l| l != id);
+        self.frees += 1;
+        true
+    }
+
     fn stats(&self) -> MemStats {
         let count =
             |k: FrameKind| self.frames.iter().flatten().filter(|f| f.kind == k).count() as u64;
@@ -244,16 +269,7 @@ fn apply(mem: &mut PhysMemory, model: &mut Model, op: &Op) -> Result<(), String>
         }
         Op::DecRef { f } => {
             if let Some(id) = pick(*f) {
-                let freed = mem.dec_ref(id);
-                let m = model.frame(id);
-                m.refcount -= 1;
-                ensure_eq!(freed, m.refcount == 0);
-                if freed {
-                    model.frames[id.index() as usize] = None;
-                    model.free.push(id.index());
-                    model.live.retain(|&l| l != id);
-                    model.frees += 1;
-                }
+                ensure_eq!(mem.dec_ref(id), model.dec_ref(id));
             }
         }
         Op::Write { f, offset, bytes } => {
@@ -287,6 +303,20 @@ fn apply(mem: &mut PhysMemory, model: &mut Model, op: &Op) -> Result<(), String>
                         );
                     }
                 }
+            }
+        }
+        Op::Recycle { f, shift } => {
+            if let Some(id) = pick(*f) {
+                let old = model.frame_ref(id).kind;
+                while !model.dec_ref(id) {
+                    ensure!(!mem.dec_ref(id), "{id:?} freed early");
+                }
+                ensure!(mem.dec_ref(id), "{id:?} not freed by its last reference");
+                let at = KINDS.iter().position(|&k| k == old).expect("a kind");
+                let kind = KINDS[(at + 1 + shift) % KINDS.len()];
+                let got = mem.alloc(kind);
+                let again = alloc_both(mem, model, got, kind, vec![0; PAGE_SIZE])?;
+                ensure_eq!(again, Some(id), "a freed index is handed out next");
             }
         }
         Op::Share { dst, src } => {

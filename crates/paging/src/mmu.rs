@@ -908,7 +908,7 @@ mod tests {
             .unwrap();
         // "Capture": clone the root, then keep writing through the space.
         let snapshot_root = mmu.shallow_clone(&mut mem, space.root()).unwrap();
-        space.take_dirty();
+        space.clear_dirty();
         space.reset_private_pages();
 
         mmu.write_bytes(&mut mem, &mut space, va, b"mutated!")
@@ -948,7 +948,7 @@ mod tests {
         mmu.write_run(&mut mem, &mut space, va, 100, b"seed")
             .unwrap();
         let snap = mmu.shallow_clone(&mut mem, space.root()).unwrap();
-        space.take_dirty();
+        space.clear_dirty();
         let before = mmu.stats;
         mmu.write_run(&mut mem, &mut space, va, 100, &[]).unwrap();
         let ops = mmu.stats.since(&before);

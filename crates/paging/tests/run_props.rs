@@ -210,7 +210,7 @@ fn build(case: &Case) -> Rig {
         }
     }
     // The run's dirty set and private pages start empty, as on a deploy.
-    live.take_dirty();
+    live.clear_dirty();
     live.reset_private_pages();
     let avail = match case.pool {
         Pool::Roomy => None,

@@ -209,8 +209,7 @@ impl SnapshotStore {
         parent: Option<SnapshotId>,
     ) -> Result<SnapshotId, SnapshotError> {
         let root = mmu.shallow_clone(mem, space.root())?;
-        let dirty = space.take_dirty();
-        let diff_pages = dirty.len() as u64;
+        let diff_pages = space.clear_dirty();
         space.reset_private_pages();
         // Account the paper's eager dirty-page clone cost; our lazy scheme
         // defers the copies to the UC's next writes, but the capture

@@ -237,7 +237,7 @@ mod props {
                 .expect("shared page");
         }
         mmu.shallow_clone(&mut mem, space.root()).expect("snapshot");
-        space.take_dirty();
+        space.clear_dirty();
         space.reset_private_pages();
         for p in case.private..HEAP_PAGES {
             mmu.write_bytes(&mut mem, &mut space, va_of(p, 8), &[0xAA])
