@@ -91,30 +91,7 @@ fn bench_paging(h: &mut Harness) {
             },
             |(mut mem, mut mmu, mut space, _snap)| {
                 let va = VirtAddr::new(BASE);
-                mmu.write_run(&mut mem, &mut space, va, 349, &[])
-                    .expect("cow run");
-                (mem, mmu, space)
-            },
-        );
-    });
-
-    // The same resume run over pages that each hold 256 written bytes
-    // (dense content): each break shares its source's content.
-    g.bench_function("cow_run_349_written", |b| {
-        b.iter_batched(
-            || {
-                let (mut mem, mut mmu, mut space) = rig(349);
-                for p in 0..349 {
-                    let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
-                    mmu.write_bytes(&mut mem, &mut space, va, &[0xA5; 256])
-                        .expect("fill");
-                }
-                let snap = mmu.shallow_clone(&mut mem, space.root()).expect("snap");
-                (mem, mmu, space, snap)
-            },
-            |(mut mem, mut mmu, mut space, _snap)| {
-                let va = VirtAddr::new(BASE);
-                mmu.write_run(&mut mem, &mut space, va, 349, &[])
+                mmu.write_run(&mut mem, &mut space, va, 349)
                     .expect("cow run");
                 (mem, mmu, space)
             },
@@ -142,7 +119,7 @@ fn bench_paging(h: &mut Harness) {
         let functions: Vec<TableId> = (0..FUNCTIONS)
             .map(|_| {
                 let mut uc = deploy(&mut mmu, &mut mem, base_root);
-                mmu.write_run(&mut mem, &mut uc, VirtAddr::new(BASE), 512, &[])
+                mmu.write_run(&mut mem, &mut uc, VirtAddr::new(BASE), 512)
                     .expect("import");
                 let snap = mmu.shallow_clone(&mut mem, uc.root()).expect("capture");
                 mmu.destroy_space(&mut mem, uc);
@@ -154,19 +131,19 @@ fn bench_paging(h: &mut Harness) {
         b.iter(|| {
             let mut uc = deploy(&mut mmu, &mut mem, functions[next]);
             next = (next + 1) % FUNCTIONS;
-            mmu.write_run(&mut mem, &mut uc, VirtAddr::new(BASE), 349, &[])
+            mmu.write_run(&mut mem, &mut uc, VirtAddr::new(BASE), 349)
                 .expect("resume run");
             mmu.destroy_space(&mut mem, uc);
         });
     });
 
-    // A heap commit: a demand-zero run writing one word per page.
+    // A heap commit: a demand-zero run over 160 pages.
     g.bench_function("commit_run_160", |b| {
         b.iter_batched(
             || rig(0),
             |(mut mem, mut mmu, mut space)| {
                 let va = VirtAddr::new(BASE);
-                mmu.write_run(&mut mem, &mut space, va, 160, &1u64.to_le_bytes())
+                mmu.write_run(&mut mem, &mut space, va, 160)
                     .expect("commit run");
                 (mem, mmu, space)
             },

@@ -59,7 +59,7 @@ pub(crate) fn reproduce(a: &Args, _workers: usize) -> Result<Vec<Artifact>, Stri
         let node = &cluster.nodes[0];
         let img = node.runtime_image().expect("runtime image");
         node.images
-            .export(&node.mmu, &node.mem, &node.snaps, img, None)
+            .export(&node.mmu, &node.snaps, img, None)
             .expect("export full")
     };
     let full_ship_ms = cluster.transfer_cost(full_pkg.wire_bytes()).as_millis_f64();
@@ -74,7 +74,7 @@ pub(crate) fn reproduce(a: &Args, _workers: usize) -> Result<Vec<Artifact>, Stri
         let runtime = node.runtime_image().expect("runtime image");
         let mut diff = node
             .images
-            .export(&node.mmu, &node.mem, &node.snaps, fn_img, Some(runtime))
+            .export(&node.mmu, &node.snaps, fn_img, Some(runtime))
             .expect("export diff")
             .snapshot;
         // The diff lists pages in address order; the driver's resume

@@ -8,7 +8,8 @@
 //! of samples, and reported as `median ns/iter` with min/max spread.
 //!
 //! Run via `cargo bench -p seuss-bench [-- <filter>]`; a filter substring
-//! restricts which benchmarks execute (matching on `group/name`). The
+//! restricts which benchmarks execute (matching on `group/name`), and a
+//! run in which no benchmark matched exits with status 1. The
 //! `SEUSS_BENCH_SAMPLE_MS` env var scales per-sample time for quick
 //! smoke runs.
 
@@ -16,6 +17,11 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const SAMPLE_MS_ENV: &str = "SEUSS_BENCH_SAMPLE_MS";
+
+/// Most inputs [`Bencher::iter_batched`] builds ahead of one timed
+/// chunk. A sample runs in chunks of at most this many iterations, so a
+/// bench holds at most this many rigs however long its sample is.
+const BATCH_CAP: u64 = 256;
 
 /// A named benchmark id with an attached parameter, mirroring
 /// `criterion::BenchmarkId`.
@@ -82,10 +88,24 @@ impl Harness {
     }
 
     /// Prints the final report table. Call once from `main`.
+    ///
+    /// Exits with status 1 if no benchmark ran, so a filter that names a
+    /// renamed or deleted group fails instead of passing with nothing
+    /// measured.
     pub fn finish(&self) {
+        if let Err(msg) = self.report() {
+            eprintln!("{msg}");
+            std::process::exit(1);
+        }
+    }
+
+    /// Prints the report table, or returns why there is none.
+    fn report(&self) -> Result<(), String> {
         if self.results.is_empty() {
-            println!("no benchmarks matched the filter");
-            return;
+            return Err(match &self.filter {
+                Some(filter) => format!("no benchmark matched the filter {filter:?}"),
+                None => "no benchmarks ran".to_string(),
+            });
         }
         let width = self.results.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
         println!(
@@ -101,6 +121,7 @@ impl Harness {
                 fmt_ns(s.max_ns)
             );
         }
+        Ok(())
     }
 }
 
@@ -196,9 +217,12 @@ impl Bencher {
         self.iter_batched(|| (), |()| routine());
     }
 
-    /// Measures `routine` over fresh `setup` output per batch; setup time
-    /// and dropping what `routine` returns are excluded from the
-    /// measurement.
+    /// Measures `routine` over fresh `setup` output per iteration; setup
+    /// time and dropping what `routine` returns are excluded from the
+    /// measurement. Each sample runs in timed chunks of at most
+    /// [`BATCH_CAP`] iterations whose inputs are built before the chunk
+    /// and whose outputs are dropped after it; the chunk times add up to
+    /// the sample's.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
     where
         S: FnMut() -> I,
@@ -221,16 +245,22 @@ impl Bencher {
 
         let mut samples_ns: Vec<f64> = Vec::with_capacity(self.sample_size as usize);
         for _ in 0..self.sample_size {
-            // Pre-build one input per iteration, and drop the outputs
-            // (a returned rig's teardown), outside the timed span.
-            let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
-            let mut outputs: Vec<O> = Vec::with_capacity(inputs.len());
-            let start = Instant::now();
-            for input in inputs {
-                outputs.push(black_box(routine(input)));
+            let mut elapsed = Duration::ZERO;
+            let mut left = iters;
+            while left > 0 {
+                // Build the chunk's inputs, and drop its outputs (a
+                // returned rig's teardown), outside the timed span.
+                let n = left.min(BATCH_CAP);
+                let inputs: Vec<I> = (0..n).map(|_| setup()).collect();
+                let mut outputs: Vec<O> = Vec::with_capacity(inputs.len());
+                let start = Instant::now();
+                for input in inputs {
+                    outputs.push(black_box(routine(input)));
+                }
+                elapsed += start.elapsed();
+                drop(outputs);
+                left -= n;
             }
-            let elapsed = start.elapsed();
-            drop(outputs);
             samples_ns.push(elapsed.as_nanos() as f64 / iters as f64);
         }
         samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -279,6 +309,70 @@ mod tests {
         };
         h.benchmark_group("g").bench_function("x", |b| b.iter(|| 1));
         assert!(h.results.is_empty());
+    }
+
+    #[test]
+    fn a_filter_that_matches_nothing_is_an_error() {
+        let mut h = Harness {
+            filter: Some("paging/".into()),
+            sample_target: Duration::from_micros(10),
+            results: Vec::new(),
+        };
+        h.benchmark_group("g").bench_function("x", |b| b.iter(|| 1));
+        let err = h.report().expect_err("nothing ran");
+        assert!(err.contains("\"paging/\""), "{err}");
+        h.filter = Some("g/".into());
+        h.benchmark_group("g").bench_function("x", |b| b.iter(|| 1));
+        assert_eq!(h.report(), Ok(()));
+    }
+
+    thread_local! {
+        /// Live [`Counted`] values on this thread, and their peak.
+        static LIVE: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    }
+
+    /// An input that counts itself while alive.
+    struct Counted;
+
+    impl Counted {
+        fn new() -> Counted {
+            LIVE.with(|c| {
+                let (live, peak) = c.get();
+                c.set((live + 1, peak.max(live + 1)));
+            });
+            Counted
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            LIVE.with(|c| c.set((c.get().0 - 1, c.get().1)));
+        }
+    }
+
+    #[test]
+    fn batched_inputs_stay_under_the_cap() {
+        let mut h = Harness {
+            filter: None,
+            sample_target: Duration::from_millis(5),
+            results: Vec::new(),
+        };
+        let mut calls = 0u64;
+        h.benchmark_group("g")
+            .sample_size(5)
+            .bench_function("counted", |b| {
+                b.iter_batched(Counted::new, |input| {
+                    calls += 1;
+                    input
+                })
+            });
+        assert!(
+            calls > 5 * BATCH_CAP,
+            "samples of {calls} calls fit one chunk"
+        );
+        let (live, peak) = LIVE.with(|c| c.get());
+        assert_eq!(live, 0, "every input dropped");
+        assert!(peak <= BATCH_CAP, "{peak} inputs alive at once");
     }
 
     #[test]

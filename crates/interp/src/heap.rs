@@ -5,7 +5,9 @@
 //! committed through a [`HeapBackend`]. The unikernel crate implements the
 //! trait over a UC address space (so every allocation dirties guest pages
 //! and participates in snapshots/COW); tests and host-side tools use the
-//! in-memory [`HostHeap`].
+//! bounds-checked [`HostHeap`]. The interpreter's values live in its
+//! host-side mirror, so a backend is told where it is written and how
+//! much, never what.
 
 use core::fmt;
 
@@ -29,34 +31,33 @@ impl fmt::Display for HeapError {
 
 impl std::error::Error for HeapError {}
 
-/// A byte-addressable backing store for the interpreter heap.
+/// An address-checked backing store for the interpreter heap.
 ///
 /// Addresses are absolute within the runtime's heap region; the backend
-/// decides what they mean (guest virtual addresses for a UC, plain vector
-/// offsets for [`HostHeap`]).
+/// decides what they mean (guest virtual addresses for a UC, offsets
+/// into a fixed range for [`HostHeap`]).
 pub trait HeapBackend {
-    /// Writes `bytes` at `addr`.
-    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), HeapError>;
-    /// Reads `out.len()` bytes from `addr`.
-    fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), HeapError>;
+    /// Writes `len` bytes at `addr`.
+    fn write(&mut self, addr: u64, len: u64) -> Result<(), HeapError>;
 
-    /// Commits `len` bytes at `addr`: writes the word 1 at `addr` and at
+    /// Commits `len` bytes at `addr`: writes a word at `addr` and at
     /// every 4 KiB step after it below `addr + len`, so every page of the
     /// allocation is genuinely written.
     fn commit(&mut self, addr: u64, len: u64) -> Result<(), HeapError> {
         let mut off = 0u64;
         while off < len {
-            self.write(addr + off, &1u64.to_le_bytes())?;
+            self.write(addr + off, 8)?;
             off += 4096;
         }
         Ok(())
     }
 }
 
-/// Simple growable in-memory backend for tests and host tools.
+/// A fixed-size backend for tests and host tools: it checks that every
+/// write lies inside its range.
 pub struct HostHeap {
     base: u64,
-    bytes: Vec<u8>,
+    capacity: usize,
 }
 
 impl HostHeap {
@@ -64,32 +65,22 @@ impl HostHeap {
     pub fn with_capacity(capacity: usize) -> Self {
         HostHeap {
             base: 0x1000,
-            bytes: vec![0; capacity],
+            capacity,
         }
     }
 
     /// Capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.bytes.len()
+        self.capacity
     }
 }
 
 impl HeapBackend for HostHeap {
-    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), HeapError> {
-        let off = addr.checked_sub(self.base).ok_or(HeapError::BackendFault)? as usize;
-        if off + bytes.len() > self.bytes.len() {
+    fn write(&mut self, addr: u64, len: u64) -> Result<(), HeapError> {
+        let off = addr.checked_sub(self.base).ok_or(HeapError::BackendFault)?;
+        if off + len > self.capacity as u64 {
             return Err(HeapError::BackendFault);
         }
-        self.bytes[off..off + bytes.len()].copy_from_slice(bytes);
-        Ok(())
-    }
-
-    fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), HeapError> {
-        let off = addr.checked_sub(self.base).ok_or(HeapError::BackendFault)? as usize;
-        if off + out.len() > self.bytes.len() {
-            return Err(HeapError::BackendFault);
-        }
-        out.copy_from_slice(&self.bytes[off..off + out.len()]);
         Ok(())
     }
 }
@@ -122,14 +113,14 @@ impl BumpHeap {
         Ok(addr)
     }
 
-    /// Allocates and writes `bytes`, returning the address.
+    /// Allocates and writes `n` bytes, returning the address.
     pub(crate) fn alloc_bytes(
         &mut self,
         backend: &mut dyn HeapBackend,
-        bytes: &[u8],
+        n: u64,
     ) -> Result<u64, HeapError> {
-        let addr = self.alloc(bytes.len() as u64)?;
-        backend.write(addr, bytes)?;
+        let addr = self.alloc(n)?;
+        backend.write(addr, n)?;
         Ok(addr)
     }
 
@@ -170,35 +161,32 @@ mod tests {
     }
 
     #[test]
-    fn host_heap_round_trip() {
-        let mut backend = HostHeap::with_capacity(1024);
-        let mut h = BumpHeap::new(backend.base, 1024);
-        let addr = h.alloc_bytes(&mut backend, b"hello").unwrap();
-        let mut buf = [0u8; 5];
-        backend.read(addr, &mut buf).unwrap();
-        assert_eq!(&buf, b"hello");
-    }
-
-    #[test]
     fn host_heap_bounds_checked() {
         let mut backend = HostHeap::with_capacity(16);
-        assert_eq!(
-            backend.write(0x1010, &[0u8; 8]),
-            Err(HeapError::BackendFault)
-        );
-        assert_eq!(backend.write(0, &[0]), Err(HeapError::BackendFault));
+        assert_eq!(backend.write(0x1000, 16), Ok(()));
+        assert_eq!(backend.write(0x1010, 8), Err(HeapError::BackendFault));
+        assert_eq!(backend.write(0x1008, 9), Err(HeapError::BackendFault));
+        assert_eq!(backend.write(0, 1), Err(HeapError::BackendFault));
+    }
+
+    /// Records every write it is sent.
+    #[derive(Default)]
+    struct Recorder(Vec<(u64, u64)>);
+
+    impl HeapBackend for Recorder {
+        fn write(&mut self, addr: u64, len: u64) -> Result<(), HeapError> {
+            self.0.push((addr, len));
+            Ok(())
+        }
     }
 
     #[test]
     fn alloc_committed_touches_every_page() {
-        let mut backend = HostHeap::with_capacity(64 * 1024);
-        let mut h = BumpHeap::new(backend.base, 64 * 1024);
+        let mut backend = Recorder::default();
+        let mut h = BumpHeap::new(0x1000, 64 * 1024);
         let addr = h.alloc_committed(&mut backend, 3 * 4096 + 1).unwrap();
         // Four pages touched → one word written at the start of each.
-        for page in 0..4 {
-            let mut word = [0u8; 8];
-            backend.read(addr + page * 4096, &mut word).unwrap();
-            assert_eq!(u64::from_le_bytes(word), 1, "page {page}");
-        }
+        let want: Vec<(u64, u64)> = (0..4).map(|page| (addr + page * 4096, 8)).collect();
+        assert_eq!(backend.0, want);
     }
 }

@@ -160,7 +160,7 @@ impl ObjStore {
         backend: &mut dyn HeapBackend,
     ) -> Result<ObjId, HeapError> {
         let backing = heap.alloc(INITIAL_SLOTS * SLOT_BYTES)?;
-        backend.write(backing, &0u64.to_le_bytes())?;
+        backend.write(backing, 8)?;
         self.objs.push(Slot::Own(ObjData::Object {
             props: HashMap::new(),
             backing,
@@ -176,7 +176,7 @@ impl ObjStore {
         backend: &mut dyn HeapBackend,
     ) -> Result<ObjId, HeapError> {
         let backing = heap.alloc(INITIAL_SLOTS * SLOT_BYTES)?;
-        backend.write(backing, &0u64.to_le_bytes())?;
+        backend.write(backing, 8)?;
         self.objs.push(Slot::Own(ObjData::Array {
             items: Vec::new(),
             backing,
@@ -202,31 +202,16 @@ impl ObjStore {
         // A real runtime memcpys the old slots into the new backing; model
         // the writes.
         let new_backing = heap.alloc(new_cap * SLOT_BYTES)?;
-        let copy = vec![0u8; (*cap_slots * SLOT_BYTES) as usize];
-        backend.write(new_backing, &copy)?;
+        backend.write(new_backing, *cap_slots * SLOT_BYTES)?;
         *backing = new_backing;
         *cap_slots = new_cap;
         Ok(())
     }
 
-    fn write_slot(
-        backend: &mut dyn HeapBackend,
-        backing: u64,
-        slot: u64,
-        value: Value,
-    ) -> Result<(), HeapError> {
-        // A tag word and a payload word, like a boxed slot.
-        let payload: u64 = match value {
-            Value::Num(n) => n.to_bits(),
-            Value::Bool(b) => b as u64,
-            Value::Null => 0,
-            Value::Str(s) => s.addr,
-            Value::Array(o) | Value::Object(o) => o.0 as u64,
-            Value::Function(p, c) => ((p as u64) << 32) | c as u64,
-            Value::Builtin(i) => i as u64,
-        };
-        backend.write(backing + slot * SLOT_BYTES, &payload.to_le_bytes())?;
-        backend.write(backing + slot * SLOT_BYTES + 8, &1u64.to_le_bytes())
+    /// Writes a slot's payload word and its tag word, like a boxed slot.
+    fn write_slot(backend: &mut dyn HeapBackend, backing: u64, slot: u64) -> Result<(), HeapError> {
+        backend.write(backing + slot * SLOT_BYTES, 8)?;
+        backend.write(backing + slot * SLOT_BYTES + 8, 8)
     }
 
     /// Sets an object property.
@@ -249,7 +234,7 @@ impl ObjStore {
                 if is_new {
                     Self::grow_if_needed(heap, backend, backing, cap_slots, slot + 1)?;
                 }
-                Self::write_slot(backend, *backing, slot.min(*cap_slots - 1), value)?;
+                Self::write_slot(backend, *backing, slot.min(*cap_slots - 1))?;
                 props.insert(key.to_string(), value);
                 Ok(())
             }
@@ -291,7 +276,7 @@ impl ObjStore {
                     items.resize(index as usize + 1, Value::Null);
                 }
                 items[index as usize] = value;
-                Self::write_slot(backend, *backing, index, value)
+                Self::write_slot(backend, *backing, index)
             }
             ObjData::Object { .. } => Err(HeapError::BackendFault),
         }
@@ -345,17 +330,17 @@ impl ObjStore {
         let mut moved = 0u64;
         let mut bytes = 0u64;
         for idx in 0..self.objs.len() as u32 {
-            let (cap, values): (u64, Vec<Value>) = match self.obj(ObjId(idx)) {
+            let (cap, len) = match self.obj(ObjId(idx)) {
                 ObjData::Object {
                     props, cap_slots, ..
-                } => (*cap_slots, props.values().copied().collect()),
+                } => (*cap_slots, props.len()),
                 ObjData::Array {
                     items, cap_slots, ..
-                } => (*cap_slots, items.clone()),
+                } => (*cap_slots, items.len()),
             };
             let new_backing = heap.alloc(cap * SLOT_BYTES)?;
-            for (slot, v) in values.iter().enumerate() {
-                Self::write_slot(backend, new_backing, slot as u64, *v)?;
+            for slot in 0..len as u64 {
+                Self::write_slot(backend, new_backing, slot)?;
             }
             match self.obj_mut(ObjId(idx)) {
                 ObjData::Object { backing, .. } | ObjData::Array { backing, .. } => {

@@ -290,7 +290,7 @@ impl Interpreter {
     }
 
     fn intern(&mut self, backend: &mut dyn HeapBackend, s: &str) -> Result<StrRef, HeapError> {
-        let addr = self.heap.alloc_bytes(backend, s.as_bytes())?;
+        let addr = self.heap.alloc_bytes(backend, s.len() as u64)?;
         let r = StrRef {
             addr,
             len: s.len() as u32,

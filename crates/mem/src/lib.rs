@@ -9,21 +9,18 @@
 //! daemon ("reclaim idle UCs as soon as available physical memory drops
 //! below a pre-defined threshold", §6).
 //!
-//! Frames optionally carry real byte content, allocated lazily on first
-//! write: the `miniscript` interpreter heap lives in frames with content,
-//! while bulk boot-image pages are accounting-only. Either way they count
-//! identically toward capacity, which is what the experiments measure.
+//! Frames carry no bytes. Every result the experiments report depends on
+//! which frames each page maps and how many owners each frame has, so a
+//! frame is a refcount and a usage class, and nothing else.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod addr;
-mod content;
 mod frame;
 mod phys;
 
 pub use addr::{VirtAddr, PAGE_SHIFT, PAGE_SIZE};
-pub use content::PageContent;
 pub use frame::{FrameId, FrameKind};
 pub use phys::{MemError, MemStats, PhysMemory};

@@ -6,29 +6,13 @@
 //! counters maintained here. Refcounting implements page sharing: a frame
 //! referenced by three snapshots and forty UCs is still one frame.
 //!
-//! The pool keeps one 8-byte record per frame: a `u32` holding the
-//! refcount (0 marks a free slot) in its low 30 bits and the
-//! [`FrameKind`] in its top 2, and a `u32` handle into a slab of
-//! [`PageContent`], where handle 0 means never written. What needs a
-//! frame's count, kind and slot together (an allocation, a COW break, a
-//! free) touches one cache line, not three. Most frames on a node are
-//! never written (boot-image pages, zero-content COW copies), so they
-//! cost the host eight bytes each and no heap block.
-//!
-//! Content slots are shared copy-on-write: each slot counts the frames
-//! that hold it. A COW break ([`PhysMemory::clone_frame`]) gives the
-//! clone the source's slot, and [`PhysMemory::share_content`] gives one
-//! frame's slot to another (every page of a committed run holds the
-//! same word). The first write through a frame whose slot is shared
-//! copies the slot first, so each frame still reads as its own bytes.
-//! Sharing follows copy lineage only: nothing is hashed or looked up,
-//! and no refcount, kind or [`MemStats`] counter sees it. A frame that
-//! is freed drops its share, and a slot whose last share goes returns
-//! to the slab, so a frame index handed out again reads as zeroes.
-//! Frame indices are reused LIFO.
+//! A frame holds no bytes: every result depends on which frames a page
+//! maps, never on what they contain. The pool keeps one 4-byte record
+//! per frame, holding the refcount (0 marks a free slot) in its low 30
+//! bits and the [`FrameKind`] in its top 2. Frame indices are reused
+//! LIFO.
 
 use crate::addr::PAGE_SIZE;
-use crate::content::PageContent;
 use crate::frame::{FrameId, FrameKind};
 
 /// Errors from the frame pool.
@@ -95,12 +79,10 @@ struct Frame {
     /// Owners in the low 30 bits (0 marks a free slot), the usage class
     /// in the top 2 (stale in free slots).
     meta: u32,
-    /// Index into the content slab; 0 means never written.
-    slot: u32,
 }
 
 impl Frame {
-    /// A frame of `kind` with one owner and no content.
+    /// A frame of `kind` with one owner.
     #[inline]
     fn new(kind: FrameKind) -> Frame {
         let bits = match kind {
@@ -110,7 +92,6 @@ impl Frame {
         };
         Frame {
             meta: (bits << KIND_SHIFT) | 1,
-            slot: 0,
         }
     }
 
@@ -132,16 +113,10 @@ impl Frame {
 /// A fixed-capacity pool of reference-counted 4 KiB frames, one record
 /// per [`FrameId`] (see the module docs).
 pub struct PhysMemory {
-    /// Refcount, kind and content slot per frame.
+    /// Refcount and kind per frame.
     frames: Vec<Frame>,
     /// Free frame indices, reused last-freed first.
     free_list: Vec<u32>,
-    /// Content slab; slot 0 is a placeholder so that 0 can mean "none".
-    contents: Vec<PageContent>,
-    /// Frames holding each slot of `contents`; 0 marks a free slot.
-    content_shares: Vec<u32>,
-    /// Free slots of `contents`.
-    free_contents: Vec<u32>,
     stats: MemStats,
     /// Free-frame threshold below which [`PhysMemory::below_reclaim_threshold`]
     /// reports true (drives the SEUSS OOM daemon).
@@ -161,9 +136,6 @@ impl PhysMemory {
         PhysMemory {
             frames: Vec::new(),
             free_list: Vec::new(),
-            contents: vec![PageContent::Zero],
-            content_shares: vec![0],
-            free_contents: Vec::new(),
             stats: MemStats {
                 capacity_frames,
                 ..MemStats::default()
@@ -216,7 +188,6 @@ impl PhysMemory {
         if self.stats.used_frames + self.pressure_frames >= self.stats.capacity_frames {
             return Err(MemError::OutOfFrames);
         }
-        // A freed frame dropped its content, so a fresh record loses none.
         let idx = match self.free_list.pop() {
             Some(idx) => {
                 self.frames[idx as usize] = Frame::new(kind);
@@ -296,7 +267,6 @@ impl PhysMemory {
             return false;
         }
         let kind = rec.kind();
-        self.clear_content(idx);
         self.free_list.push(frame.0);
         self.stats.used_frames -= 1;
         self.stats.total_frees += 1;
@@ -323,146 +293,13 @@ impl PhysMemory {
         rec.meta = (rec.meta & !REFS_MASK) | refs;
     }
 
-    /// The content of live frame slot `idx`.
-    fn content(&self, idx: usize) -> &PageContent {
-        &self.contents[self.frames[idx].slot as usize]
-    }
-
-    /// Takes a free content slot, holding `content` with one share.
-    fn new_slot(&mut self, content: PageContent) -> u32 {
-        match self.free_contents.pop() {
-            Some(slot) => {
-                self.contents[slot as usize] = content;
-                self.content_shares[slot as usize] = 1;
-                slot
-            }
-            None => {
-                self.contents.push(content);
-                self.content_shares.push(1);
-                self.contents.len() as u32 - 1
-            }
-        }
-    }
-
-    /// The content of live frame slot `idx`, ready for a write through
-    /// this frame alone: a frame with no content slot takes a fresh one,
-    /// and one whose slot is shared takes a copy of it.
-    fn content_mut(&mut self, idx: usize) -> &mut PageContent {
-        let slot = self.frames[idx].slot as usize;
-        if slot == 0 {
-            self.frames[idx].slot = self.new_slot(PageContent::Zero);
-        } else if self.content_shares[slot] > 1 {
-            self.content_shares[slot] -= 1;
-            let copy = self.contents[slot].clone();
-            self.frames[idx].slot = self.new_slot(copy);
-        }
-        &mut self.contents[self.frames[idx].slot as usize]
-    }
-
-    /// Drops frame slot `idx`'s share of its content, leaving the frame
-    /// reading as zeroes. A content slot with no shares left returns to
-    /// the slab.
-    fn clear_content(&mut self, idx: usize) {
-        let slot = std::mem::take(&mut self.frames[idx].slot) as usize;
-        if slot != 0 {
-            self.content_shares[slot] -= 1;
-            if self.content_shares[slot] == 0 {
-                self.contents[slot] = PageContent::Zero;
-                self.free_contents.push(slot as u32);
-            }
-        }
-    }
-
-    /// Gives live frame slot `dst` a share of `src`'s content in place
-    /// of its own.
-    fn share_slot(&mut self, dst: usize, src: usize) {
-        let slot = self.frames[src].slot;
-        if self.frames[dst].slot == slot {
-            return;
-        }
-        self.clear_content(dst);
-        if slot != 0 {
-            self.content_shares[slot as usize] += 1;
-            self.frames[dst].slot = slot;
-        }
-    }
-
-    /// Whether a frame holds content, its own or shared: false until
-    /// the frame, or the frame it was cloned from, is written, and after
-    /// its content is set to zero. A frame that holds none reads as
-    /// zeroes.
-    #[inline]
-    pub fn is_written(&self, frame: FrameId) -> bool {
-        self.frames[self.live(frame)].slot != 0
-    }
-
-    /// Content slots in use: the distinct contents the pool keeps for
-    /// its written frames. A host-memory figure only; no simulated cost
-    /// or counter reads it.
-    pub fn content_slots_used(&self) -> usize {
-        self.contents.len() - 1 - self.free_contents.len()
-    }
-
-    /// Writes bytes into a frame at `offset`, materializing content
-    /// lazily and sparsely (see [`PageContent`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the write crosses the frame boundary or the frame is freed.
-    #[inline]
-    pub fn write(&mut self, frame: FrameId, offset: usize, bytes: &[u8]) {
-        let idx = self.live(frame);
-        self.content_mut(idx).write(offset, bytes);
-    }
-
-    /// Reads bytes from a frame at `offset`. Unmaterialized content reads as
-    /// zeroes (fresh frames are zero-filled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read crosses the frame boundary or the frame is freed.
-    #[inline]
-    pub fn read(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
-        self.content(self.live(frame)).read(offset, out);
-    }
-
-    /// Clones a frame into a newly allocated frame of the same kind,
-    /// sharing the source's content until either frame is written.
-    ///
-    /// This is the COW break / snapshot page-clone primitive. The clone's
-    /// refcount is 1; the source keeps its count.
+    /// Allocates a frame of the same kind as `src`: the COW break /
+    /// snapshot page-clone primitive. The clone's refcount is 1; the
+    /// source keeps its count.
     #[inline]
     pub fn clone_frame(&mut self, src: FrameId) -> Result<FrameId, MemError> {
         let src_idx = self.live(src);
-        let dst = self.alloc(self.frames[src_idx].kind())?;
-        self.share_slot(dst.0 as usize, src_idx);
-        Ok(dst)
-    }
-
-    /// Gives frame `dst` the content of frame `src` in place of its own,
-    /// shared until either frame is written: the copy a COW break makes,
-    /// into a frame that exists already.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either frame is freed.
-    pub fn share_content(&mut self, dst: FrameId, src: FrameId) {
-        let (dst_idx, src_idx) = (self.live(dst), self.live(src));
-        self.share_slot(dst_idx, src_idx);
-    }
-
-    /// A copy of a frame's logical content (snapshot export).
-    pub fn content_of(&self, frame: FrameId) -> PageContent {
-        self.content(self.live(frame)).clone()
-    }
-
-    /// Replaces a frame's content wholesale (snapshot import).
-    pub fn set_content(&mut self, frame: FrameId, content: PageContent) {
-        let idx = self.live(frame);
-        self.clear_content(idx);
-        if !matches!(content, PageContent::Zero) {
-            self.frames[idx].slot = self.new_slot(content);
-        }
+        self.alloc(self.frames[src_idx].kind())
     }
 }
 
@@ -525,49 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn content_read_write_clone() {
-        let mut m = PhysMemory::with_mib(1);
-        let f = m.alloc(FrameKind::Data).unwrap();
-        let mut buf = [0xAAu8; 4];
-        m.read(f, 100, &mut buf);
-        assert_eq!(buf, [0; 4]); // fresh frames read as zero
-        m.write(f, 100, &[1, 2, 3, 4]);
-        let g = m.clone_frame(f).unwrap();
-        m.write(f, 100, &[9, 9, 9, 9]); // mutate source after clone
-        m.read(g, 100, &mut buf);
-        assert_eq!(buf, [1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn clones_share_content_until_written() {
-        let mut m = PhysMemory::with_mib(1);
-        let f = m.alloc(FrameKind::Data).unwrap();
-        m.write(f, 8, &[1; 200]); // dense
-        let g = m.clone_frame(f).unwrap();
-        let h = m.alloc(FrameKind::Data).unwrap();
-        m.share_content(h, g);
-        assert_eq!(m.content_slots_used(), 1);
-        m.write(g, 8, &[2]);
-        assert_eq!(m.content_slots_used(), 2);
-        let mut buf = [0u8; 2];
-        for (frame, want) in [(f, [1, 1]), (g, [2, 1]), (h, [1, 1])] {
-            m.read(frame, 8, &mut buf);
-            assert_eq!(buf, want, "{frame:?}");
-        }
-        // The slot outlives the frame that wrote it, and goes with its
-        // last sharer.
-        m.dec_ref(f);
-        assert_eq!(m.content_slots_used(), 2);
-        m.set_content(h, PageContent::Zero);
-        assert!(!m.is_written(h));
-        assert_eq!(m.content_slots_used(), 1);
-        m.dec_ref(g);
-        assert_eq!(m.content_slots_used(), 0);
-    }
-
-    #[test]
-    fn frame_records_are_eight_bytes() {
-        assert_eq!(std::mem::size_of::<Frame>(), 8);
+    fn frame_records_are_four_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 4);
     }
 
     #[test]
@@ -590,14 +386,6 @@ mod tests {
         let f = m.alloc(FrameKind::Data).unwrap();
         m.set_refcount(f, REFS_MASK);
         m.inc_ref(f);
-    }
-
-    #[test]
-    #[should_panic(expected = "crosses frame boundary")]
-    fn cross_boundary_write_panics() {
-        let mut m = PhysMemory::with_mib(1);
-        let f = m.alloc(FrameKind::Data).unwrap();
-        m.write(f, PAGE_SIZE - 2, &[0; 4]);
     }
 
     #[test]

@@ -115,8 +115,8 @@ impl Entry {
         Entry(((table.index() as u64) << TARGET_SHIFT) | flags.bits())
     }
 
-    /// Builds a swapped-out leaf entry: the page's content lives in
-    /// device block `block`, and `flags` records the pre-demotion flag
+    /// Builds a swapped-out leaf entry: the page lives in device block
+    /// `block`, and `flags` records the pre-demotion flag
     /// set so promotion can restore it (PRESENT removed, SWAPPED added).
     pub(crate) fn swapped(block: u64, flags: EntryFlags) -> Entry {
         let flags = flags

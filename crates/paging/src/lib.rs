@@ -44,16 +44,19 @@
 //! });
 //! let va = VirtAddr::new(0x10_0000);
 //! mmu.write_bytes(&mut mem, &mut space, va, b"before").unwrap();
+//! let before = mmu.translate(space.root(), va).unwrap().frame();
 //!
 //! // "Capture": freeze the current state behind a shallow root clone.
 //! let snapshot = mmu.shallow_clone(&mut mem, space.root()).unwrap();
 //! mmu.write_bytes(&mut mem, &mut space, va, b"after!").unwrap();
 //!
-//! // The snapshot still reads the frozen bytes (COW broke the sharing).
+//! // The snapshot still maps the frozen frame; the write broke the
+//! // sharing and gave the space a private one.
 //! let frozen = mmu.translate(snapshot, va).unwrap().frame();
-//! let mut buf = [0u8; 6];
-//! mem.read(frozen, 0, &mut buf);
-//! assert_eq!(&buf, b"before");
+//! let own = mmu.translate(space.root(), va).unwrap().frame();
+//! assert_eq!(frozen, before);
+//! assert_ne!(own, frozen);
+//! assert_eq!((mem.refcount(frozen), mem.refcount(own)), (1, 1));
 //! # mmu.release_root(&mut mem, snapshot);
 //! # mmu.destroy_space(&mut mem, space);
 //! # assert_eq!(mem.stats().used_frames, 0);

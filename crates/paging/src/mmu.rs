@@ -9,7 +9,7 @@
 //! (`refcount > 1`) correct afterwards.
 
 use seuss_mem::addr::TABLE_ENTRIES;
-use seuss_mem::{FrameId, MemError, PageContent, PhysMemory, VirtAddr, PAGE_SIZE};
+use seuss_mem::{FrameId, MemError, PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_trace::{TraceEvent, Tracer};
 
 use crate::entry::{Entry, EntryFlags};
@@ -22,10 +22,10 @@ use crate::table::{TableId, TableStore};
 /// [`EntryFlags::SWAPPED`]). Installed on the [`Mmu`] by the storage
 /// tier; the MMU consults it whenever a touch lands on a swapped entry.
 pub trait SwapPager {
-    /// Reads device `block`, returning the page content and the virtual
-    /// nanoseconds the read cost. `None` means the block is unreadable
-    /// and the fault is unresolvable.
-    fn page_in(&mut self, block: u64) -> Option<(PageContent, u64)>;
+    /// Reads device `block`, returning the virtual nanoseconds the read
+    /// cost. `None` means the block is unreadable and the fault is
+    /// unresolvable.
+    fn page_in(&mut self, block: u64) -> Option<u64>;
 }
 
 /// The software MMU shared by every address space on a node.
@@ -307,61 +307,41 @@ impl Mmu {
         space: &mut AddressSpace,
         va: VirtAddr,
     ) -> Result<FrameId, PageFault> {
-        self.write_leaf_run(mem, space, va, 1, &[], &mut None)
+        self.write_leaf_run(mem, space, va, 1)
     }
 
-    /// Writes `word` at `va`'s page offset in each of `pages` consecutive
-    /// pages, starting with `va`'s; an empty `word` only dirties them.
+    /// Writes `pages` consecutive pages, starting with `va`'s.
     ///
-    /// The outcome is exactly that of a [`Mmu::touch_write`] and a frame
-    /// write per page, in ascending order: the same frames, counters and
-    /// dirty set, and on a fault the same error at the same page, with
-    /// the pages before it written. Only [`OpStats::levels_walked`] is
-    /// lower, because the run walks to each leaf table once.
-    ///
-    /// The word is written once, into the run's first never-written
-    /// page; the run's other never-written pages share that page's
-    /// content ([`PhysMemory::share_content`]), which is exactly what
-    /// the same write would have given them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word` crosses the page boundary.
+    /// The outcome is exactly that of one [`Mmu::touch_write`] per page,
+    /// in ascending order: the same frames, counters and dirty set, and
+    /// on a fault the same error at the same page, with the pages before
+    /// it written. Only [`OpStats::levels_walked`] is lower, because the
+    /// run walks to each leaf table once.
     pub fn write_run(
         &mut self,
         mem: &mut PhysMemory,
         space: &mut AddressSpace,
         va: VirtAddr,
         pages: u64,
-        word: &[u8],
     ) -> Result<(), PageFault> {
-        assert!(
-            va.page_offset() + word.len() <= PAGE_SIZE,
-            "run word crosses a page boundary"
-        );
         let mut done = 0;
-        // The run's first never-written page, once the word is in it.
-        let mut written = None;
         while done < pages {
             let cur = va.offset(done * PAGE_SIZE as u64);
             let n = (pages - done).min((TABLE_ENTRIES - cur.table_index(1)) as u64);
-            self.write_leaf_run(mem, space, cur, n, word, &mut written)?;
+            self.write_leaf_run(mem, space, cur, n)?;
             done += n;
         }
         Ok(())
     }
 
     /// The part of a run under one leaf table: `n >= 1` pages from `va`'s.
-    /// Returns the last page's frame. `written` is the run's first
-    /// never-written page once it holds `word`.
+    /// Returns the last page's frame.
     fn write_leaf_run(
         &mut self,
         mem: &mut PhysMemory,
         space: &mut AddressSpace,
         va: VirtAddr,
         n: u64,
-        word: &[u8],
-        written: &mut Option<FrameId>,
     ) -> Result<FrameId, PageFault> {
         let l1 = self
             .exclusive_l1(mem, space.root(), va)
@@ -370,20 +350,7 @@ impl Mmu {
         let mut frame = None;
         for (k, idx) in (first..first + n as usize).enumerate() {
             let page = va.offset(k as u64 * PAGE_SIZE as u64);
-            let f = self.write_entry(mem, space, l1, idx, page)?;
-            if !word.is_empty() {
-                let fresh = !mem.is_written(f);
-                match *written {
-                    Some(src) if fresh => mem.share_content(f, src),
-                    _ => {
-                        mem.write(f, page.page_offset(), word);
-                        if fresh {
-                            *written = Some(f);
-                        }
-                    }
-                }
-            }
-            frame = Some(f);
+            frame = Some(self.write_entry(mem, space, l1, idx, page)?);
         }
         Ok(frame.expect("a leaf run holds at least one page"))
     }
@@ -481,14 +448,13 @@ impl Mmu {
             Some(p) => p.page_in(entry.swap_block()),
             None => None,
         };
-        let Some((content, nanos)) = paged else {
+        let Some(nanos) = paged else {
             self.stats.hard_faults += 1;
             return Err(PageFault::SwappedOut(va));
         };
         let frame = mem
             .alloc(seuss_mem::FrameKind::Data)
             .map_err(|_| self.oom(va))?;
-        mem.set_content(frame, content);
         let flags = match kind {
             AccessKind::Read => flags.union(EntryFlags::ACCESSED),
             AccessKind::Write => written(flags),
@@ -506,9 +472,8 @@ impl Mmu {
 
     /// Demotes the mapped page at `va` under `root` to device block
     /// `block`: the entry becomes a swapped placeholder preserving its
-    /// flags, the frame reference is dropped, and the page's content is
-    /// returned for the caller to persist. Splits shared tables on the
-    /// way down, so sharers (a resident ancestor snapshot, live UCs)
+    /// flags, and the frame reference is dropped. Splits shared tables on
+    /// the way down, so sharers (a resident ancestor snapshot, live UCs)
     /// keep their present mappings untouched.
     ///
     /// # Panics
@@ -520,24 +485,22 @@ impl Mmu {
         root: TableId,
         va: VirtAddr,
         block: u64,
-    ) -> Result<PageContent, MemError> {
+    ) -> Result<(), MemError> {
         let l1 = self.exclusive_l1(mem, root, va)?;
         let idx = va.table_index(1);
         let entry = self.store.node(l1).entry(idx);
         assert!(entry.is_page(), "demote_page on a non-present entry");
-        let frame = entry.frame();
-        let content = mem.content_of(frame);
         self.store
             .node_mut(l1)
             .set(idx, Entry::swapped(block, entry.flags()));
-        mem.dec_ref(frame);
-        Ok(content)
+        mem.dec_ref(entry.frame());
+        Ok(())
     }
 
     /// Promotes the swapped entry at `va` under `root` back to a present
-    /// mapping holding `content` in a fresh private frame, restoring the
-    /// preserved pre-demotion flags. Used by the eager and prefetch
-    /// restore policies (the lazy policy promotes through page faults).
+    /// mapping of a fresh private frame, restoring the preserved
+    /// pre-demotion flags. Used by the eager and prefetch restore
+    /// policies (the lazy policy promotes through page faults).
     ///
     /// # Panics
     ///
@@ -547,14 +510,12 @@ impl Mmu {
         mem: &mut PhysMemory,
         root: TableId,
         va: VirtAddr,
-        content: PageContent,
     ) -> Result<FrameId, MemError> {
         let l1 = self.exclusive_l1(mem, root, va)?;
         let idx = va.table_index(1);
         let entry = self.store.node(l1).entry(idx);
         assert!(entry.is_swapped(), "promote_page on a non-swapped entry");
         let frame = mem.alloc(seuss_mem::FrameKind::Data)?;
-        mem.set_content(frame, content);
         self.store
             .node_mut(l1)
             .set(idx, Entry::page(frame, entry.swap_flags()));
@@ -616,7 +577,9 @@ impl Mmu {
         PageFault::OutOfMemory(va)
     }
 
-    /// Writes bytes through the address space, spanning pages as needed.
+    /// Writes `bytes` at `va`: the [`Mmu::write_run`] over every page the
+    /// slice spans. Frames hold no bytes, so only the slice's length
+    /// matters, and an empty slice touches nothing.
     pub fn write_bytes(
         &mut self,
         mem: &mut PhysMemory,
@@ -624,36 +587,11 @@ impl Mmu {
         va: VirtAddr,
         bytes: &[u8],
     ) -> Result<(), PageFault> {
-        let mut off = 0usize;
-        while off < bytes.len() {
-            let cur = va.offset(off as u64);
-            let page_off = cur.page_offset();
-            let chunk = (PAGE_SIZE - page_off).min(bytes.len() - off);
-            let frame = self.touch_write(mem, space, cur)?;
-            mem.write(frame, page_off, &bytes[off..off + chunk]);
-            off += chunk;
-        }
-        Ok(())
-    }
-
-    /// Reads bytes through the address space, spanning pages as needed.
-    pub fn read_bytes(
-        &mut self,
-        mem: &mut PhysMemory,
-        space: &mut AddressSpace,
-        va: VirtAddr,
-        out: &mut [u8],
-    ) -> Result<(), PageFault> {
-        let mut off = 0usize;
-        while off < out.len() {
-            let cur = va.offset(off as u64);
-            let page_off = cur.page_offset();
-            let chunk = (PAGE_SIZE - page_off).min(out.len() - off);
-            let frame = self.touch_read(mem, space, cur)?;
-            mem.read(frame, page_off, &mut out[off..off + chunk]);
-            off += chunk;
-        }
-        Ok(())
+        let pages = match bytes.len() {
+            0 => 0,
+            len => (va.page_offset() + len).div_ceil(PAGE_SIZE) as u64,
+        };
+        self.write_run(mem, space, va, pages)
     }
 
     /// Shallow-clones a root: a new level-4 table whose entries reference
@@ -844,14 +782,15 @@ mod tests {
     }
 
     #[test]
-    fn write_read_round_trip() {
+    fn an_empty_write_touches_nothing() {
         let (mut mem, mut mmu, mut space) = setup();
         let va = VirtAddr::new(0x10_0800);
+        mmu.write_bytes(&mut mem, &mut space, va, &[]).unwrap();
+        assert_eq!(space.dirty_count(), 0);
+        assert_eq!(mem.stats().used_frames, 1, "the root table alone");
         mmu.write_bytes(&mut mem, &mut space, va, b"hello seuss")
             .unwrap();
-        let mut buf = [0u8; 11];
-        mmu.read_bytes(&mut mem, &mut space, va, &mut buf).unwrap();
-        assert_eq!(&buf, b"hello seuss");
+        assert_eq!(space.dirty_pages().collect::<Vec<_>>(), [va.page_number()]);
     }
 
     #[test]
@@ -860,10 +799,10 @@ mod tests {
         let va = VirtAddr::new(0x10_0000 + PAGE_SIZE as u64 - 4);
         mmu.write_bytes(&mut mem, &mut space, va, &[1, 2, 3, 4, 5, 6, 7, 8])
             .unwrap();
-        let mut buf = [0u8; 8];
-        mmu.read_bytes(&mut mem, &mut space, va, &mut buf).unwrap();
-        assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(space.dirty_count(), 2);
+        let first = mmu.translate(space.root(), va).unwrap().frame();
+        let second = mmu.translate(space.root(), va.offset(4)).unwrap().frame();
+        assert_ne!(first, second);
     }
 
     #[test]
@@ -917,14 +856,11 @@ mod tests {
         assert!(mmu.stats.tables_split >= 3, "path split down to L1");
         assert_eq!(space.private_pages(), 1);
 
-        // The snapshot still sees the original bytes.
+        // The snapshot keeps the original frame; the space maps its own.
         let snap_frame = mmu.translate(snapshot_root, va).unwrap().frame();
-        let mut buf = [0u8; 8];
-        mem.read(snap_frame, 0, &mut buf);
-        assert_eq!(&buf, b"original");
-        // The space sees the mutation.
         let live_frame = mmu.translate(space.root(), va).unwrap().frame();
         assert_ne!(snap_frame, live_frame);
+        assert_eq!((mem.refcount(snap_frame), mem.refcount(live_frame)), (1, 1));
         mmu.release_root(&mut mem, snapshot_root);
     }
 
@@ -945,12 +881,11 @@ mod tests {
     fn a_run_over_a_snapshot_splits_once_and_breaks_every_page() {
         let (mut mem, mut mmu, mut space) = setup();
         let va = VirtAddr::new(0x10_0000);
-        mmu.write_run(&mut mem, &mut space, va, 100, b"seed")
-            .unwrap();
+        mmu.write_run(&mut mem, &mut space, va, 100).unwrap();
         let snap = mmu.shallow_clone(&mut mem, space.root()).unwrap();
         space.clear_dirty();
         let before = mmu.stats;
-        mmu.write_run(&mut mem, &mut space, va, 100, &[]).unwrap();
+        mmu.write_run(&mut mem, &mut space, va, 100).unwrap();
         let ops = mmu.stats.since(&before);
         // One walk and one split per level; every page broken once.
         assert_eq!((ops.levels_walked, ops.tables_split), (3, 3));
@@ -962,43 +897,10 @@ mod tests {
             let frozen = mmu.translate(snap, page).unwrap().frame();
             assert_ne!(own, frozen);
             assert_eq!((mem.refcount(own), mem.refcount(frozen)), (1, 1));
-            let mut buf = [0u8; 4];
-            mem.read(own, 0, &mut buf);
-            assert_eq!(&buf, b"seed");
         }
         mmu.release_root(&mut mem, snap);
         mmu.destroy_space(&mut mem, space);
         assert_eq!(mem.stats().used_frames, 0);
-    }
-
-    #[test]
-    fn a_committed_run_over_fresh_pages_holds_one_content_slot() {
-        let (mut mem, mut mmu, mut space) = setup();
-        // 160 pages from slot 456 of a leaf table: the run crosses into
-        // the next one.
-        let va = VirtAddr::new(0x10_0000 + 200 * PAGE_SIZE as u64).offset(704);
-        let word = 1u64.to_le_bytes();
-        mmu.write_run(&mut mem, &mut space, va, 160, &word).unwrap();
-        assert_eq!(mem.content_slots_used(), 1);
-        // Every page reads the word; a write through one page copies the
-        // slot for that page alone.
-        let last = va.offset(159 * PAGE_SIZE as u64);
-        mmu.write_bytes(&mut mem, &mut space, last, &[7]).unwrap();
-        assert_eq!(mem.content_slots_used(), 2);
-        for p in 0..160 {
-            let mut buf = [0u8; 8];
-            let page = va.offset(p * PAGE_SIZE as u64);
-            mmu.read_bytes(&mut mem, &mut space, page, &mut buf)
-                .unwrap();
-            let want = if p == 159 {
-                [7, 0, 0, 0, 0, 0, 0, 0]
-            } else {
-                word
-            };
-            assert_eq!(buf, want, "page {p}");
-        }
-        mmu.destroy_space(&mut mem, space);
-        assert_eq!(mem.content_slots_used(), 0);
     }
 
     #[test]

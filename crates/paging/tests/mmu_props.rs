@@ -3,8 +3,9 @@
 //! 1. after any interleaving of writes, shallow clones, and releases,
 //!    destroying everything returns the frame pool to empty (no leaks,
 //!    no double frees — the refcount algebra is exact);
-//! 2. data written through one address space is never visible through a
-//!    snapshot taken before the write (COW isolation);
+//! 2. a snapshot keeps mapping the frames it had when taken, and a page
+//!    written through the live space after it maps a private frame
+//!    (COW isolation);
 //! 3. translate() agrees with the write path about mapped pages;
 //! 4. every mapped frame's refcount equals the number of address spaces
 //!    sharing it (checked against a brute-force recount), and no table
@@ -272,34 +273,33 @@ fn snapshots_are_isolated_from_later_writes() {
             }
             // "Capture": freeze a clone.
             let snap_root = mmu.shallow_clone(&mut mem, space.root()).expect("capture");
-            let expect: Vec<(u64, Option<u8>)> = (0..REGION_PAGES)
-                .map(|p| {
-                    let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
-                    (
-                        p,
-                        mmu.translate(snap_root, va).map(|e| {
-                            let mut b = [0u8];
-                            mem.read(e.frame(), 0, &mut b);
-                            b[0]
-                        }),
-                    )
-                })
-                .collect();
+            let frozen = |mmu: &Mmu, p: u64| {
+                let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
+                mmu.translate(snap_root, va).map(|e| e.frame())
+            };
+            let expect: Vec<_> = (0..REGION_PAGES).map(|p| frozen(&mmu, p)).collect();
             // Mutate the live space arbitrarily.
             for &(p, val) in mutate {
                 let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
                 mmu.write_bytes(&mut mem, &mut space, va, &[val])
                     .expect("mutate");
             }
-            // The snapshot still reads its frozen values.
-            for (p, want) in expect {
+            // The snapshot still maps its frozen frames, and every page
+            // the live space wrote is its own.
+            for (p, want) in (0..REGION_PAGES).zip(expect) {
+                ensure!(
+                    frozen(&mmu, p) == want,
+                    "page {p} changed under the snapshot"
+                );
+            }
+            for &(p, _) in mutate {
                 let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
-                let got = mmu.translate(snap_root, va).map(|e| {
-                    let mut b = [0u8];
-                    mem.read(e.frame(), 0, &mut b);
-                    b[0]
-                });
-                ensure!(got == want, "page {p} changed under the snapshot");
+                let own = mmu.translate(space.root(), va).expect("written").frame();
+                ensure!(
+                    frozen(&mmu, p) != Some(own),
+                    "page {p} shares the snapshot's frame"
+                );
+                ensure_eq!(mem.refcount(own), 1, "page {p}'s frame has other owners");
             }
             mmu.release_root(&mut mem, snap_root);
             mmu.destroy_space(&mut mem, space);

@@ -7,10 +7,10 @@
 //! two replicas, then writes one run that may cross leaf-table
 //! boundaries, run into the read-only text region or past every region,
 //! on a pool that may run out part-way. One replica calls
-//! `Mmu::write_run(va, n, word)`; the other makes `n` one-page runs and
-//! stops at the first fault. Both must give the same `Result`, the same
-//! tables (ids, refcounts, entries), the same frames (refcounts and
-//! contents), the same `MemStats`, the same `OpStats` apart from
+//! `Mmu::write_run(va, n)`; the other makes `n` calls to
+//! `Mmu::touch_write` and stops at the first fault. Both must give the
+//! same `Result`, the same tables (ids, refcounts, entries), the same
+//! frames (ids and refcounts), the same `MemStats`, the same `OpStats` apart from
 //! `levels_walked` (which the run may only lower), and the same dirty
 //! set and private-page count.
 //!
@@ -18,11 +18,11 @@
 //! replays it.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use seuss_check::{check_with, ensure, ensure_eq, gen::Gen, Config};
-use seuss_mem::{PageContent, PhysMemory, VirtAddr, PAGE_SIZE};
+use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_paging::{
     AddressSpace, Entry, EntryFlags, Mmu, OpStats, PageFault, Region, RegionKind, SwapPager,
     TableId,
@@ -61,9 +61,8 @@ struct Case {
     /// First page of the run (past the heap lands in text or nowhere).
     start: u64,
     pages: u64,
-    /// Page offset of the run's `word`, and whether the word is written.
+    /// Page offset of the run's start address.
     offset: usize,
-    word: bool,
     pool: Pool,
 }
 
@@ -107,40 +106,24 @@ fn cases() -> impl Gen<Value = Case> {
         seuss_check::range(0u64, HEAP_PAGES + TEXT_PAGES + 8),
         seuss_check::range(1u64, 600),
     );
-    let word = (
-        seuss_check::range(0usize, PAGE_SIZE - 8),
-        seuss_check::bools(),
-    );
+    let offset = seuss_check::range(0usize, PAGE_SIZE - 1);
     let setup = (seuss_check::range(0u64, HEAP_PAGES), setup);
-    (setup, run, word, pool).map(
-        |((base, setup), (start, pages), (offset, word), pool)| Case {
-            base,
-            setup,
-            start,
-            pages,
-            offset,
-            word,
-            pool,
-        },
-    )
+    (setup, run, offset, pool).map(|((base, setup), (start, pages), offset, pool)| Case {
+        base,
+        setup,
+        start,
+        pages,
+        offset,
+        pool,
+    })
 }
 
-/// Device blocks written by demotion, and the ones that fail to read.
-#[derive(Default)]
-struct Device {
-    blocks: HashMap<u64, PageContent>,
-    unreadable: HashSet<u64>,
-}
-
-struct Pager(Rc<RefCell<Device>>);
+/// Reads every demoted block except the ones marked unreadable.
+struct Pager(Rc<RefCell<HashSet<u64>>>);
 
 impl SwapPager for Pager {
-    fn page_in(&mut self, block: u64) -> Option<(PageContent, u64)> {
-        let dev = self.0.borrow();
-        if dev.unreadable.contains(&block) {
-            return None;
-        }
-        dev.blocks.get(&block).map(|c| (c.clone(), 1_000))
+    fn page_in(&mut self, block: u64) -> Option<u64> {
+        (!self.0.borrow().contains(&block)).then_some(1_000)
     }
 }
 
@@ -155,8 +138,8 @@ struct Rig {
 fn build(case: &Case) -> Rig {
     let mut mem = PhysMemory::with_mib(64);
     let mut mmu = Mmu::new();
-    let device = Rc::new(RefCell::new(Device::default()));
-    mmu.pager = Some(Box::new(Pager(Rc::clone(&device))));
+    let unreadable = Rc::new(RefCell::new(HashSet::new()));
+    mmu.pager = Some(Box::new(Pager(Rc::clone(&unreadable))));
     let mut live = mmu.create_space(&mut mem).expect("space");
     live.add_region(Region {
         start: va_of(0),
@@ -190,20 +173,16 @@ fn build(case: &Case) -> Rig {
             }
             Setup::ReadOnly { p } => {
                 let frame = mem.alloc(seuss_mem::FrameKind::Data).expect("frame");
-                mem.write(frame, 0, &[0xEE]);
                 mmu.map_page(&mut mem, &mut live, va_of(p), frame, EntryFlags::USER)
                     .expect("map");
             }
             Setup::Demote { p, readable } => {
                 if mmu.translate(live.root(), va_of(p)).is_some() {
                     let block = block as u64;
-                    let content = mmu
-                        .demote_page(&mut mem, live.root(), va_of(p), block)
+                    mmu.demote_page(&mut mem, live.root(), va_of(p), block)
                         .expect("demote");
-                    let mut dev = device.borrow_mut();
-                    dev.blocks.insert(block, content);
                     if !readable {
-                        dev.unreadable.insert(block);
+                        unreadable.borrow_mut().insert(block);
                     }
                 }
             }
@@ -231,11 +210,11 @@ fn build(case: &Case) -> Rig {
 
 /// Everything the run may change, in a comparable form: each table
 /// reachable from a live root (id, refcount, entries), and each mapped
-/// frame (id, refcount, content bytes), in traversal order.
+/// frame (id, refcount), in traversal order.
 #[derive(Debug, PartialEq)]
 struct State {
     tables: Vec<(u32, u32, Vec<Entry>)>,
-    frames: Vec<(u32, u32, Vec<u8>)>,
+    frames: Vec<(u32, u32)>,
     live_tables: usize,
     mem: seuss_mem::MemStats,
     ops: OpStats,
@@ -258,9 +237,7 @@ fn state(rig: &Rig) -> State {
             if e.is_table() {
                 stack.push(e.next_table());
             } else if e.is_page() {
-                let mut bytes = vec![0; PAGE_SIZE];
-                rig.mem.read(e.frame(), 0, &mut bytes);
-                frames.push((e.frame().index(), rig.mem.refcount(e.frame()), bytes));
+                frames.push((e.frame().index(), rig.mem.refcount(e.frame())));
             }
         }
         tables.push((t.index(), rig.mmu.store.refcount(t), entries));
@@ -286,14 +263,13 @@ fn a_run_equals_its_pages_one_by_one() {
         "paging_run_equals_pages",
         &cases(),
         |case| {
-            let word: &[u8] = if case.word { &[0x5A; 8] } else { &[] };
             let va = va_of(case.start).offset(case.offset as u64);
 
             let mut run = build(case);
             let walked = run.mmu.stats.levels_walked;
             let got = run
                 .mmu
-                .write_run(&mut run.mem, &mut run.live, va, case.pages, word);
+                .write_run(&mut run.mem, &mut run.live, va, case.pages);
             let run_walked = run.mmu.stats.levels_walked - walked;
 
             let mut one = build(case);
@@ -301,7 +277,8 @@ fn a_run_equals_its_pages_one_by_one() {
             let want: Result<(), PageFault> = (0..case.pages).try_for_each(|k| {
                 let page = va.offset(k * PAGE_SIZE as u64);
                 one.mmu
-                    .write_run(&mut one.mem, &mut one.live, page, 1, word)
+                    .touch_write(&mut one.mem, &mut one.live, page)
+                    .map(drop)
             });
             let one_walked = one.mmu.stats.levels_walked - walked;
 

@@ -178,7 +178,7 @@ impl DrSeussCluster {
             let parent = src_node.runtime_image();
             src_node
                 .images
-                .export(&src_node.mmu, &src_node.mem, &src_node.snaps, img, parent)
+                .export(&src_node.mmu, &src_node.snaps, img, parent)
                 .map_err(|e| NodeError::Function(e.to_string()))?
         };
         let bytes = package.wire_bytes();

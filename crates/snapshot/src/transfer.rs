@@ -15,10 +15,12 @@
 //!   the per-interpreter runtime snapshots, so a function snapshot ships
 //!   as its ~2 MiB diff).
 //!
-//! Import rebuilds the pages into the destination node's frame pool and
-//! captures a local snapshot with the same registers and region layout.
+//! An image lists page numbers, not page bytes: what a transfer costs
+//! and what it shares depend on which pages ship. Import writes each
+//! shipped page into the destination node's frame pool and captures a
+//! local snapshot with the same registers and region layout.
 
-use seuss_mem::{PageContent, PhysMemory, VirtAddr, PAGE_SIZE};
+use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_paging::{Mmu, Region};
 
 use crate::regs::RegisterState;
@@ -35,15 +37,15 @@ pub struct SnapshotImage {
     pub(crate) regs: RegisterState,
     /// Region layout of the source address space.
     pub(crate) regions: Vec<Region>,
-    /// `(virtual page number, content)` pairs.
-    pub pages: Vec<(u64, PageContent)>,
+    /// Virtual page numbers of the shipped pages, in address order.
+    pub pages: Vec<u64>,
     /// Whether this is a diff (import requires the parent present).
     pub(crate) is_diff: bool,
 }
 
 impl SnapshotImage {
-    /// Bytes this image occupies on the wire (page payloads + a small
-    /// per-page header; sparse pages ship compressed by nature).
+    /// Bytes this image occupies on the wire: a whole 4 KiB page plus a
+    /// 16-byte header per shipped page.
     pub fn wire_bytes(&self) -> u64 {
         self.pages.len() as u64 * (PAGE_SIZE as u64 + 16)
     }
@@ -57,7 +59,6 @@ impl SnapshotImage {
 /// Exports a snapshot's full resident set.
 pub fn export_full(
     mmu: &Mmu,
-    mem: &PhysMemory,
     store: &SnapshotStore,
     id: SnapshotId,
 ) -> Result<SnapshotImage, SnapshotError> {
@@ -65,7 +66,7 @@ pub fn export_full(
     let pages = mmu
         .collect_mapped(snap.root())
         .into_iter()
-        .map(|(vpn, frame)| (vpn, mem.content_of(frame)))
+        .map(|(vpn, _)| vpn)
         .collect();
     Ok(SnapshotImage {
         label: snap.label().to_string(),
@@ -82,7 +83,6 @@ pub fn export_full(
 /// a shared runtime image.
 pub fn export_diff(
     mmu: &Mmu,
-    mem: &PhysMemory,
     store: &SnapshotStore,
     id: SnapshotId,
     parent: SnapshotId,
@@ -92,7 +92,7 @@ pub fn export_diff(
     let pages = mmu
         .diff_mapped(snap.root(), Some(parent_snap.root()))
         .into_iter()
-        .map(|(vpn, frame)| (vpn, mem.content_of(frame)))
+        .map(|(vpn, _)| vpn)
         .collect();
     Ok(SnapshotImage {
         label: snap.label().to_string(),
@@ -107,7 +107,7 @@ pub fn export_diff(
 /// Imports an image into a destination node, producing a local snapshot.
 ///
 /// For a diff image, `parent` names the destination's copy of the parent
-/// snapshot: the import deploys a scratch space from it, overlays the
+/// snapshot: the import deploys a scratch space from it, writes the
 /// shipped pages, and captures — so unshipped pages stay shared with the
 /// local parent exactly as at the source.
 pub fn import(
@@ -131,12 +131,9 @@ pub fn import(
             s
         }
     };
-    for (vpn, content) in &image.pages {
-        let va = VirtAddr::from_page_number(*vpn);
-        let frame = mmu
-            .touch_write(mem, &mut space, va)
+    for &vpn in &image.pages {
+        mmu.touch_write(mem, &mut space, VirtAddr::from_page_number(vpn))
             .map_err(|_| SnapshotError::OutOfMemory)?;
-        mem.set_content(frame, content.clone());
     }
     let snap = store.capture(
         mmu,
@@ -168,7 +165,8 @@ mod tests {
         (PhysMemory::with_mib(256), Mmu::new(), SnapshotStore::new())
     }
 
-    fn seeded(mmu: &mut Mmu, mem: &mut PhysMemory, pages: &[&[u8]]) -> AddressSpace {
+    /// A space with its first `pages` heap pages written.
+    fn seeded(mmu: &mut Mmu, mem: &mut PhysMemory, pages: u64) -> AddressSpace {
         let mut s = mmu.create_space(mem).expect("space");
         s.add_region(Region {
             start: VirtAddr::new(BASE),
@@ -177,17 +175,25 @@ mod tests {
             writable: true,
             demand_zero: true,
         });
-        for (i, bytes) in pages.iter().enumerate() {
-            let va = VirtAddr::new(BASE + i as u64 * PAGE_SIZE as u64);
-            mmu.write_bytes(mem, &mut s, va, bytes).expect("write");
+        for i in 0..pages {
+            let va = VirtAddr::new(BASE + i * PAGE_SIZE as u64);
+            mmu.write_bytes(mem, &mut s, va, &[1]).expect("write");
         }
         s
     }
 
+    /// Virtual page numbers `root` maps, in address order.
+    fn pages_of(mmu: &Mmu, root: seuss_paging::TableId) -> Vec<u64> {
+        mmu.collect_mapped(root)
+            .into_iter()
+            .map(|(vpn, _)| vpn)
+            .collect()
+    }
+
     #[test]
-    fn full_export_import_round_trips_bytes() {
+    fn full_export_import_maps_the_same_pages() {
         let (mut mem_a, mut mmu_a, mut store_a) = node();
-        let mut space = seeded(&mut mmu_a, &mut mem_a, &[b"alpha", b"beta", b"gamma"]);
+        let mut space = seeded(&mut mmu_a, &mut mem_a, 3);
         let snap = store_a
             .capture(
                 &mut mmu_a,
@@ -199,25 +205,26 @@ mod tests {
                 None,
             )
             .expect("capture");
-        let image = export_full(&mmu_a, &mem_a, &store_a, snap).expect("export");
+        let image = export_full(&mmu_a, &store_a, snap).expect("export");
         assert_eq!(image.page_count(), 3);
         assert!(!image.is_diff);
+        let source = pages_of(&mmu_a, store_a.get(snap).expect("snap").root());
+        assert_eq!(image.pages, source);
 
         // A completely fresh "machine".
         let (mut mem_b, mut mmu_b, mut store_b) = node();
         let remote = import(&mut mmu_b, &mut mem_b, &mut store_b, &image, None).expect("import");
-        let (mut uc, regs) = store_b
+        let remote_root = store_b.get(remote).expect("remote").root();
+        assert_eq!(pages_of(&mmu_b, remote_root), source);
+        let (uc, regs) = store_b
             .deploy(&mut mmu_b, &mut mem_b, remote)
             .expect("deploy");
         assert_eq!(regs, RegisterState::default());
-        for (i, want) in [b"alpha".as_slice(), b"beta", b"gamma"].iter().enumerate() {
-            let va = VirtAddr::new(BASE + i as u64 * PAGE_SIZE as u64);
-            let mut buf = vec![0u8; want.len()];
-            mmu_b
-                .read_bytes(&mut mem_b, &mut uc, va, &mut buf)
-                .expect("read");
-            assert_eq!(&buf, want, "page {i}");
-        }
+        assert_eq!(
+            mmu_b.collect_mapped(uc.root()),
+            mmu_b.collect_mapped(remote_root),
+            "a deploy maps the imported frames"
+        );
         mmu_b.destroy_space(&mut mem_b, uc);
         store_b.release_uc(remote).expect("release");
     }
@@ -226,9 +233,7 @@ mod tests {
     fn diff_export_ships_only_the_function_pages() {
         let (mut mem, mut mmu, mut store) = node();
         // Base: 50 pages.
-        let contents: Vec<Vec<u8>> = (0..50u32).map(|i| i.to_le_bytes().to_vec()).collect();
-        let refs: Vec<&[u8]> = contents.iter().map(|v| v.as_slice()).collect();
-        let mut base_space = seeded(&mut mmu, &mut mem, &refs);
+        let mut base_space = seeded(&mut mmu, &mut mem, 50);
         let base = store
             .capture(
                 &mut mmu,
@@ -263,9 +268,9 @@ mod tests {
         mmu.destroy_space(&mut mem, uc);
         store.release_uc(base).expect("release");
 
-        let diff = export_diff(&mmu, &mem, &store, fn_snap, base).expect("diff");
+        let diff = export_diff(&mmu, &store, fn_snap, base).expect("diff");
         assert_eq!(diff.page_count(), 3, "only the dirty pages ship");
-        let full = export_full(&mmu, &mem, &store, fn_snap).expect("full");
+        let full = export_full(&mmu, &store, fn_snap).expect("full");
         assert_eq!(full.page_count(), 52);
         assert!(diff.wire_bytes() < full.wire_bytes() / 10);
     }
@@ -274,7 +279,7 @@ mod tests {
     fn diff_import_shares_with_local_parent() {
         // Source node: base + function snapshot.
         let (mut mem_a, mut mmu_a, mut store_a) = node();
-        let mut base_space_a = seeded(&mut mmu_a, &mut mem_a, &[b"rt0", b"rt1"]);
+        let mut base_space_a = seeded(&mut mmu_a, &mut mem_a, 2);
         let base_a = store_a
             .capture(
                 &mut mmu_a,
@@ -310,31 +315,43 @@ mod tests {
         // Destination node: already holds the runtime snapshot (imported
         // full earlier, like every node in a DR-SEUSS cluster).
         let (mut mem_b, mut mmu_b, mut store_b) = node();
-        let rt_image = export_full(&mmu_a, &mem_a, &store_a, base_a).expect("rt export");
+        let rt_image = export_full(&mmu_a, &store_a, base_a).expect("rt export");
         let base_b =
             import(&mut mmu_b, &mut mem_b, &mut store_b, &rt_image, None).expect("rt import");
 
         // Ship only the function diff.
-        let diff = export_diff(&mmu_a, &mem_a, &store_a, fn_a, base_a).expect("diff");
+        let diff = export_diff(&mmu_a, &store_a, fn_a, base_a).expect("diff");
         let frames_before = mem_b.stats().data_frames;
         let fn_b =
             import(&mut mmu_b, &mut mem_b, &mut store_b, &diff, Some(base_b)).expect("import");
         // Only the diff pages cost new frames on the destination.
         assert!(mem_b.stats().data_frames <= frames_before + diff.page_count());
 
-        // Deploys on the destination see both runtime and function bytes.
-        let (mut uc_b, _) = store_b
+        // The destination maps the source's pages: the shipped ones in
+        // private frames, the rest in the local parent's frames.
+        let fn_root = store_b.get(fn_b).expect("fn b").root();
+        let base_root = store_b.get(base_b).expect("base b").root();
+        let source_root = store_a.get(fn_a).expect("fn a").root();
+        assert_eq!(pages_of(&mmu_b, fn_root), pages_of(&mmu_a, source_root));
+        let shipped = mmu_b.diff_mapped(fn_root, Some(base_root));
+        assert_eq!(
+            shipped.iter().map(|&(vpn, _)| vpn).collect::<Vec<_>>(),
+            diff.pages,
+            "exactly the shipped pages differ from the local parent"
+        );
+        for (vpn, frame) in shipped {
+            assert_eq!(mem_b.refcount(frame), 1, "shipped page {vpn:#x} is shared");
+        }
+        // A deploy on the destination maps the imported snapshot's frames.
+        let (uc_b, _) = store_b
             .deploy(&mut mmu_b, &mut mem_b, fn_b)
             .expect("deploy b");
-        let mut buf = [0u8; 3];
-        mmu_b
-            .read_bytes(&mut mem_b, &mut uc_b, fva, &mut buf)
-            .expect("read");
-        assert_eq!(&buf, b"fn!");
-        mmu_b
-            .read_bytes(&mut mem_b, &mut uc_b, VirtAddr::new(BASE), &mut buf)
-            .expect("read");
-        assert_eq!(&buf, b"rt0");
+        for va in [fva, VirtAddr::new(BASE)] {
+            assert_eq!(
+                mmu_b.translate(uc_b.root(), va).map(|e| e.frame()),
+                mmu_b.translate(fn_root, va).map(|e| e.frame())
+            );
+        }
         assert_eq!(
             store_b.stack_of(fn_b).expect("stack"),
             vec![base_b, fn_b],

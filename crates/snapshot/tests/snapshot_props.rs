@@ -1,8 +1,8 @@
 //! Property tests on snapshot stacks (driven by `seuss-check`):
 //! arbitrary capture/deploy/delete trees keep frame accounting exact,
-//! respect the deletion-safety policy, always resolve a deployed UC to
-//! its snapshot's bytes, and replaying each stack level's page-level
-//! diff in order reconstructs the deepest snapshot's captured contents.
+//! respect the deletion-safety policy, a deployed UC maps exactly its
+//! snapshot's frames until it writes, and replaying each stack level's
+//! page-level diff in order reconstructs the deepest snapshot's mapping.
 //!
 //! The last test is a self-check of the harness itself: a deliberately
 //! violated property over snapshot op-sequences must shrink to the
@@ -154,26 +154,22 @@ fn snapshot_trees_never_leak() {
 }
 
 #[test]
-fn deploys_see_exact_snapshot_bytes() {
+fn deploys_map_exactly_their_snapshots_frames() {
     let cases = (
         seuss_check::range(1u64, 39),
-        seuss_check::vecs(
-            (seuss_check::range(0u64, 39), seuss_check::range(0u8, 255)),
-            0,
-            20,
-        ),
+        seuss_check::vecs(seuss_check::range(0u64, 39), 0, 20),
     );
     check_with(
         Config::with_cases(32),
-        "snap_exact_bytes",
+        "snap_exact_frames",
         &cases,
         |&(seed_pages, ref writes)| {
             let mut r = rig();
             let mut space = seeded_space(&mut r, seed_pages);
-            for &(p, v) in writes {
+            for &p in writes {
                 let va = VirtAddr::new(BASE + (p % seed_pages) * PAGE_SIZE as u64);
                 r.mmu
-                    .write_bytes(&mut r.mem, &mut space, va, &[v])
+                    .write_bytes(&mut r.mem, &mut space, va, &[1])
                     .expect("write");
             }
             let snap = r
@@ -188,33 +184,43 @@ fn deploys_see_exact_snapshot_bytes() {
                     None,
                 )
                 .expect("capture");
-            // Record expected bytes, then trash the original space.
-            let mut want = Vec::new();
-            for p in 0..seed_pages {
+            let root = r.store.get(snap).expect("snap").root();
+            let frame_at = |r: &Rig, root, p: u64| {
                 let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
-                let mut b = [0u8];
-                r.mmu
-                    .read_bytes(&mut r.mem, &mut space, va, &mut b)
-                    .expect("read");
-                want.push(b[0]);
-            }
+                r.mmu.translate(root, va).map(|e| e.frame())
+            };
+            // Record the snapshot's frames, then trash the original space:
+            // each write gives the space a frame of its own.
+            let want: Vec<_> = (0..seed_pages).map(|p| frame_at(&r, root, p)).collect();
             for p in 0..seed_pages {
                 let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
                 r.mmu
                     .write_bytes(&mut r.mem, &mut space, va, &[0xEE])
                     .expect("trash");
+                let own = frame_at(&r, space.root(), p).expect("mapped");
+                ensure!(
+                    Some(own) != want[p as usize],
+                    "trashed page {p} still shared"
+                );
             }
             let (mut uc, _) = r
                 .store
                 .deploy(&mut r.mmu, &mut r.mem, snap)
                 .expect("deploy");
             for p in 0..seed_pages {
+                ensure_eq!(frame_at(&r, uc.root(), p), want[p as usize], "page {p}");
+            }
+            // A UC's write leaves the snapshot's frame in place and maps
+            // a frame the UC alone owns.
+            for p in 0..seed_pages {
                 let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
-                let mut b = [0u8];
                 r.mmu
-                    .read_bytes(&mut r.mem, &mut uc, va, &mut b)
-                    .expect("read uc");
-                ensure_eq!(b[0], want[p as usize], "page {p}");
+                    .write_bytes(&mut r.mem, &mut uc, va, &[1])
+                    .expect("write uc");
+                let own = frame_at(&r, uc.root(), p).expect("mapped");
+                ensure_eq!(frame_at(&r, root, p), want[p as usize], "snapshot page {p}");
+                ensure!(Some(own) != want[p as usize], "page {p} still shared");
+                ensure_eq!(r.mem.refcount(own), 1, "page {p}'s frame has other owners");
             }
             r.mmu.destroy_space(&mut r.mem, uc);
             r.store.release_uc(snap).expect("release");
@@ -228,34 +234,15 @@ fn deploys_see_exact_snapshot_bytes() {
     );
 }
 
-/// Reads the first byte of every page mapped under `root`.
-fn view(r: &Rig, root: seuss_paging::TableId) -> BTreeMap<u64, u8> {
-    let mut out = BTreeMap::new();
-    for (vpn, frame) in r.mmu.collect_mapped(root) {
-        let mut b = [0u8];
-        r.mem.read(frame, 0, &mut b);
-        out.insert(vpn, b[0]);
-    }
-    out
-}
-
 #[test]
-fn replaying_stack_diffs_reconstructs_contents() {
+fn replaying_stack_diffs_reconstructs_the_deepest_mapping() {
     // Satellite invariant: a snapshot stack *is* a chain of page-level
     // diffs. Computing each level's diff against its parent (pages whose
     // backing frame changed) and overlaying them base-first must
-    // reconstruct exactly the deepest snapshot's captured view — and the
+    // reconstruct exactly the deepest snapshot's mapping — and the
     // structural diff size must agree with the store's `diff_pages()`
     // accounting.
-    let levels = seuss_check::vecs(
-        seuss_check::vecs(
-            (seuss_check::range(0u64, 59), seuss_check::range(0u8, 255)),
-            0,
-            6,
-        ),
-        1,
-        5,
-    );
+    let levels = seuss_check::vecs(seuss_check::vecs(seuss_check::range(0u64, 59), 0, 6), 1, 5);
     check_with(
         Config::with_cases(32),
         "snap_diff_replay",
@@ -284,10 +271,10 @@ fn replaying_stack_diffs_reconstructs_contents() {
                     .store
                     .deploy(&mut r.mmu, &mut r.mem, parent)
                     .expect("deploy");
-                for &(p, v) in writes {
+                for &p in writes {
                     let va = VirtAddr::new(BASE + p * PAGE_SIZE as u64);
                     r.mmu
-                        .write_bytes(&mut r.mem, &mut uc, va, &[v])
+                        .write_bytes(&mut r.mem, &mut uc, va, &[1])
                         .expect("write");
                 }
                 let child = r
@@ -315,34 +302,28 @@ fn replaying_stack_diffs_reconstructs_contents() {
 
             // Replay: overlay each level's diff (vs its parent's mapping)
             // onto an accumulator, base-first.
-            let mut overlay: BTreeMap<u64, u8> = BTreeMap::new();
-            let mut parent_frames: BTreeMap<u64, FrameId> = BTreeMap::new();
+            let mut overlay: BTreeMap<u64, FrameId> = BTreeMap::new();
+            let mut parent_root = None;
             for &id in &chain {
                 let snap = r.store.get(id).expect("get");
-                let mapped = r.mmu.collect_mapped(snap.root());
-                let mut diff_pages = 0u64;
-                for &(vpn, frame) in &mapped {
-                    if parent_frames.get(&vpn) != Some(&frame) {
-                        diff_pages += 1;
-                        let mut b = [0u8];
-                        r.mem.read(frame, 0, &mut b);
-                        overlay.insert(vpn, b[0]);
-                    }
-                }
+                let diff = r.mmu.diff_mapped(snap.root(), parent_root);
                 ensure_eq!(
-                    diff_pages,
+                    diff.len() as u64,
                     snap.diff_pages(),
                     "structural diff of {:?} disagrees with accounting",
                     snap.label()
                 );
-                parent_frames = mapped.into_iter().collect();
+                overlay.extend(diff);
+                parent_root = Some(snap.root());
             }
 
             let deepest = r.store.get(*chain.last().expect("nonempty")).expect("get");
+            let mapped: BTreeMap<u64, FrameId> =
+                r.mmu.collect_mapped(deepest.root()).into_iter().collect();
             ensure_eq!(
                 overlay,
-                view(&r, deepest.root()),
-                "diff replay reconstructs the deepest view"
+                mapped,
+                "diff replay reconstructs the deepest mapping"
             );
             Ok(())
         },
@@ -434,9 +415,9 @@ fn deep_snapshot_stacks_deploy_in_constant_frames() {
     assert_eq!(r.store.stack_of(deepest).expect("stack").len(), 11);
 
     // Deploy from the deepest: one root-table frame, and every ancestor's
-    // page resolves.
+    // page resolves to the frame its own level wrote.
     let before = r.mem.stats().used_frames;
-    let (mut uc, _) = r
+    let (uc, _) = r
         .store
         .deploy(&mut r.mmu, &mut r.mem, deepest)
         .expect("deploy deep");
@@ -447,11 +428,18 @@ fn deep_snapshot_stacks_deploy_in_constant_frames() {
     );
     for depth in 0..10u64 {
         let va = VirtAddr::new(BASE + (500 + depth) * PAGE_SIZE as u64);
-        let mut b = [0u8];
-        r.mmu
-            .read_bytes(&mut r.mem, &mut uc, va, &mut b)
-            .expect("read");
-        assert_eq!(b[0], depth as u8, "ancestor page at depth {depth}");
+        let level = r
+            .store
+            .get(chain[depth as usize + 1])
+            .expect("level")
+            .root();
+        let frame_under = |root| r.mmu.translate(root, va).map(|e| e.frame());
+        assert!(frame_under(level).is_some(), "depth {depth} wrote no page");
+        assert_eq!(
+            frame_under(uc.root()),
+            frame_under(level),
+            "ancestor page at depth {depth}"
+        );
     }
     r.mmu.destroy_space(&mut r.mem, uc);
     r.store.release_uc(deepest).expect("release");

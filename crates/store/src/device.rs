@@ -7,9 +7,9 @@
 //! pays the latency once, while N lazy page-ins pay it N times. That
 //! difference is the entire REAP argument, reproduced mechanically.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
-use seuss_mem::{PageContent, PAGE_SIZE};
+use seuss_mem::PAGE_SIZE;
 use simcore::SimDuration;
 
 /// Cost and capacity parameters of the simulated device.
@@ -63,10 +63,12 @@ pub struct DeviceStats {
     pub(crate) write_nanos: u64,
 }
 
-/// The simulated page-granular block device.
+/// The simulated page-granular block device. A block holds no bytes:
+/// what the tier needs is which blocks hold a page.
 pub(crate) struct BlockDevice {
     cfg: DeviceConfig,
-    blocks: HashMap<u64, PageContent>,
+    /// Blocks written since they were allocated.
+    written: HashSet<u64>,
     free: Vec<u64>,
     next_block: u64,
     allocated: u64,
@@ -78,7 +80,7 @@ impl BlockDevice {
     pub(crate) fn new(cfg: DeviceConfig) -> Self {
         BlockDevice {
             cfg,
-            blocks: HashMap::new(),
+            written: HashSet::new(),
             free: Vec::new(),
             next_block: 0,
             allocated: 0,
@@ -110,22 +112,22 @@ impl BlockDevice {
         }))
     }
 
-    /// Stores `content` in an allocated block (no cost booked — demotion
+    /// Writes a page to an allocated block (no cost booked — demotion
     /// batches are booked once via [`BlockDevice::book_write`]).
-    pub(crate) fn insert(&mut self, block: u64, content: PageContent) {
-        let prior = self.blocks.insert(block, content);
-        debug_assert!(prior.is_none(), "block {block} double-written");
+    pub(crate) fn write(&mut self, block: u64) {
+        let fresh = self.written.insert(block);
+        debug_assert!(fresh, "block {block} double-written");
     }
 
-    /// A copy of a block's content, if it holds one.
-    pub(crate) fn content(&self, block: u64) -> Option<PageContent> {
-        self.blocks.get(&block).cloned()
+    /// Whether a block holds a page.
+    pub(crate) fn is_written(&self, block: u64) -> bool {
+        self.written.contains(&block)
     }
 
     /// Releases a block back to the free pool.
     pub(crate) fn free_block(&mut self, block: u64) {
-        let prior = self.blocks.remove(&block);
-        debug_assert!(prior.is_some(), "block {block} double-freed");
+        let held = self.written.remove(&block);
+        debug_assert!(held, "block {block} double-freed");
         self.allocated -= 1;
         self.free.push(block);
     }
@@ -178,12 +180,12 @@ mod tests {
     fn alloc_write_read_free_round_trip() {
         let mut d = BlockDevice::new(DeviceConfig::test(4));
         let b = d.alloc_block().unwrap();
-        let mut c = PageContent::default();
-        c.write(7, b"tiered");
-        d.insert(b, c.clone());
+        assert!(!d.is_written(b));
+        d.write(b);
         assert_eq!(d.used_blocks(), 1);
-        assert_eq!(d.content(b).unwrap().digest(), c.digest());
+        assert!(d.is_written(b));
         d.free_block(b);
+        assert!(!d.is_written(b));
         assert_eq!(d.used_blocks(), 0);
         assert_eq!(d.free_blocks(), 4);
     }
@@ -193,11 +195,21 @@ mod tests {
         let mut d = BlockDevice::new(DeviceConfig::test(2));
         let a = d.alloc_block().unwrap();
         let b = d.alloc_block().unwrap();
-        d.insert(a, PageContent::default());
-        d.insert(b, PageContent::default());
+        d.write(a);
+        d.write(b);
         assert_eq!(d.alloc_block(), None, "device is full");
         d.free_block(a);
         assert_eq!(d.alloc_block(), Some(a), "freed block is recycled");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "double-written")]
+    fn writing_a_block_twice_panics() {
+        let mut d = BlockDevice::new(DeviceConfig::test(2));
+        let b = d.alloc_block().unwrap();
+        d.write(b);
+        d.write(b);
     }
 
     #[test]

@@ -162,14 +162,12 @@ pub(crate) struct DevicePager {
 }
 
 impl SwapPager for DevicePager {
-    fn page_in(&mut self, block: u64) -> Option<(seuss_mem::PageContent, u64)> {
-        if self.read_fault.get() {
+    fn page_in(&mut self, block: u64) -> Option<u64> {
+        let mut dev = self.device.borrow_mut();
+        if self.read_fault.get() || !dev.is_written(block) {
             return None;
         }
-        let mut dev = self.device.borrow_mut();
-        let content = dev.content(block)?;
-        let cost = dev.book_read(1);
-        Some((content, cost.as_nanos()))
+        Some(dev.book_read(1).as_nanos())
     }
 }
 
@@ -292,8 +290,8 @@ impl TieredStore {
                 .borrow_mut()
                 .alloc_block()
                 .expect("capacity checked above");
-            let content = mmu.demote_page(mem, root, vpn_to_va(vpn), block)?;
-            self.device.borrow_mut().insert(block, content);
+            mmu.demote_page(mem, root, vpn_to_va(vpn), block)?;
+            self.device.borrow_mut().write(block);
             pages.push((vpn, block));
         }
         let n = pages.len() as u64;
@@ -326,13 +324,8 @@ impl TieredStore {
         let root = snaps.get(sid)?.root();
         let n = meta.pages.len() as u64;
         for &(vpn, block) in &meta.pages {
-            let content = {
-                let mut dev = self.device.borrow_mut();
-                let c = dev.content(block).expect("tier owns its blocks");
-                dev.free_block(block);
-                c
-            };
-            mmu.promote_page(mem, root, vpn_to_va(vpn), content)?;
+            self.device.borrow_mut().free_block(block);
+            mmu.promote_page(mem, root, vpn_to_va(vpn))?;
         }
         let cost = self.device.borrow_mut().book_read(n);
         self.stats.promotions += 1;
@@ -367,12 +360,11 @@ impl TieredStore {
             })
             .collect();
         for (vpn, block) in lookup {
-            let content = self
-                .device
-                .borrow()
-                .content(block)
-                .expect("tier owns its blocks");
-            mmu.promote_page(mem, uc_root, vpn_to_va(vpn), content)?;
+            debug_assert!(
+                self.device.borrow().is_written(block),
+                "tier owns its blocks"
+            );
+            mmu.promote_page(mem, uc_root, vpn_to_va(vpn))?;
             fetched += 1;
         }
         let cost = self.device.borrow_mut().book_read(fetched);

@@ -435,7 +435,7 @@ fn commit(
     bytes: u64,
 ) -> Result<(), UcError> {
     let pages = bytes.div_ceil(PAGE_SIZE as u64);
-    let written = mmu.write_run(mem, space, VirtAddr::new(*brk), pages, &[]);
+    let written = mmu.write_run(mem, space, VirtAddr::new(*brk), pages);
     *brk = match written {
         Ok(()) => *brk + pages * PAGE_SIZE as u64,
         Err(fault) => fault.addr().as_u64(),

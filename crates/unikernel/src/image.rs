@@ -191,7 +191,6 @@ impl ImageStore {
             &mut uc.space,
             layout.data_base,
             profile.resume_touch_pages,
-            &[],
         );
         if let Err(e) = resumed {
             let _ = snaps.release_uc(id);
@@ -219,7 +218,6 @@ impl ImageStore {
     pub fn export(
         &self,
         mmu: &Mmu,
-        mem: &PhysMemory,
         snaps: &SnapshotStore,
         id: SnapshotId,
         parent: Option<SnapshotId>,
@@ -228,9 +226,9 @@ impl ImageStore {
         let snapshot = match parent {
             Some(p) => {
                 self.image(p)?;
-                export_diff(mmu, mem, snaps, id, p)
+                export_diff(mmu, snaps, id, p)
             }
-            None => export_full(mmu, mem, snaps, id),
+            None => export_full(mmu, snaps, id),
         }
         .map_err(map_snap_err)?;
         Ok(UcImagePackage {

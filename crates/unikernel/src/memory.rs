@@ -1,14 +1,13 @@
 //! Bridging the interpreter heap onto a UC address space.
 //!
 //! [`UcMemory`] implements `miniscript::HeapBackend` over an
-//! `(Mmu, PhysMemory, AddressSpace)` triple: every interpreter write goes
-//! through [`seuss_paging::Mmu::touch_write`] or
-//! [`seuss_paging::Mmu::write_bytes`], and every heap commit through one
-//! [`seuss_paging::Mmu::write_run`], so they fault, COW-break, and dirty
-//! pages exactly like guest memory traffic.
+//! `(Mmu, PhysMemory, AddressSpace)` triple: every interpreter write and
+//! every heap commit goes through one [`seuss_paging::Mmu::write_run`]
+//! over the pages it spans, so they fault, COW-break, and dirty pages
+//! exactly like guest memory traffic.
 
 use miniscript::{HeapBackend, HeapError};
-use seuss_mem::{FrameId, PhysMemory, VirtAddr, PAGE_SIZE};
+use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
 use seuss_paging::{AddressSpace, Mmu, PageFault};
 
 /// A borrowed view of a UC's memory, usable as an interpreter heap backend.
@@ -19,12 +18,11 @@ pub(crate) struct UcMemory<'a> {
     pub(crate) mem: &'a mut PhysMemory,
     /// The UC's address space.
     pub(crate) space: &'a mut AddressSpace,
-    /// The page number and frame of the last one-page write. Only this
-    /// space's writes run during the borrow, so that page stays private,
-    /// writable, dirty, accessed and in the dirty set: another
-    /// `touch_write` on it would return the same frame and change nothing
-    /// but [`seuss_paging::OpStats::levels_walked`].
-    last_write: Option<(u64, FrameId)>,
+    /// The page number of the last one-page write. Only this space's
+    /// writes run during the borrow, so that page stays private,
+    /// writable, dirty, accessed and in the dirty set: another write to
+    /// it would change nothing but [`seuss_paging::OpStats::levels_walked`].
+    last_write: Option<u64>,
 }
 
 impl<'a> UcMemory<'a> {
@@ -48,49 +46,29 @@ fn map_fault(_f: PageFault) -> HeapError {
 }
 
 impl HeapBackend for UcMemory<'_> {
-    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), HeapError> {
-        if bytes.is_empty() {
+    fn write(&mut self, addr: u64, len: u64) -> Result<(), HeapError> {
+        if len == 0 {
             return Ok(());
         }
         let va = VirtAddr::new(addr);
-        let offset = va.page_offset();
-        if offset + bytes.len() > PAGE_SIZE {
-            self.last_write = None;
-            return self
-                .mmu
-                .write_bytes(self.mem, self.space, va, bytes)
-                .map_err(map_fault);
+        let vpn = va.page_number();
+        let pages = (va.page_offset() as u64 + len).div_ceil(PAGE_SIZE as u64);
+        if pages == 1 && self.last_write == Some(vpn) {
+            return Ok(());
         }
-        let vpn = addr / PAGE_SIZE as u64;
-        let frame = match self.last_write.take() {
-            Some((last, frame)) if last == vpn => frame,
-            _ => self
-                .mmu
-                .touch_write(self.mem, self.space, va)
-                .map_err(map_fault)?,
-        };
-        self.last_write = Some((vpn, frame));
-        self.mem.write(frame, offset, bytes);
-        Ok(())
-    }
-
-    fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), HeapError> {
+        self.last_write = None;
         self.mmu
-            .read_bytes(self.mem, self.space, VirtAddr::new(addr), out)
-            .map_err(map_fault)
+            .write_run(self.mem, self.space, va, pages)
+            .map_err(map_fault)?;
+        self.last_write = (pages == 1).then_some(vpn);
+        Ok(())
     }
 
     fn commit(&mut self, addr: u64, len: u64) -> Result<(), HeapError> {
         self.last_write = None;
         let pages = len.div_ceil(PAGE_SIZE as u64);
         self.mmu
-            .write_run(
-                self.mem,
-                self.space,
-                VirtAddr::new(addr),
-                pages,
-                &1u64.to_le_bytes(),
-            )
+            .write_run(self.mem, self.space, VirtAddr::new(addr), pages)
             .map_err(map_fault)
     }
 }
@@ -114,12 +92,11 @@ mod tests {
         });
         {
             let mut ucm = UcMemory::new(&mut mmu, &mut mem, &mut space);
-            ucm.write(0x10_0000, b"interpreter state").unwrap();
-            let mut buf = [0u8; 17];
-            ucm.read(0x10_0000, &mut buf).unwrap();
-            assert_eq!(&buf, b"interpreter state");
+            ucm.write(0x10_0000, 17).unwrap();
+            ucm.write(0x10_0ffc, 8).unwrap();
         }
-        assert_eq!(space.dirty_count(), 1);
+        let base = VirtAddr::new(0x10_0000).page_number();
+        assert_eq!(space.dirty_pages().collect::<Vec<_>>(), [base, base + 1]);
     }
 
     #[test]
@@ -128,7 +105,7 @@ mod tests {
         let mut mmu = Mmu::new();
         let mut space = mmu.create_space(&mut mem).unwrap();
         let mut ucm = UcMemory::new(&mut mmu, &mut mem, &mut space);
-        assert_eq!(ucm.write(0xDEAD_0000, b"x"), Err(HeapError::BackendFault));
+        assert_eq!(ucm.write(0xDEAD_0000, 1), Err(HeapError::BackendFault));
     }
 }
 
@@ -141,7 +118,7 @@ mod tests {
 /// sequence of writes (0–16 bytes, some empty, some crossing a page or
 /// running past the heap) and commits through one [`UcMemory`]; its twin
 /// sends each through the MMU. Both must give the same results, page
-/// frames, page bytes, dirty set, private-page count, frame-pool stats
+/// frames, dirty set, private-page count, frame-pool stats
 /// and `OpStats`, except `levels_walked`, which the borrow may only lower.
 #[cfg(test)]
 mod props {
@@ -159,12 +136,11 @@ mod props {
 
     #[derive(Clone, Debug, PartialEq)]
     enum Op {
-        /// Writes `len` bytes of `val` at `offset` in page `page`.
+        /// Writes `len` bytes at `offset` in page `page`.
         Write {
             page: u64,
             offset: usize,
             len: usize,
-            val: u8,
         },
         /// Commits `pages` pages from page `page`.
         Commit { page: u64, pages: u64 },
@@ -188,18 +164,8 @@ mod props {
             seuss_check::range(PAGE_SIZE - 16, PAGE_SIZE - 1).boxed(),
         ]);
         // Lengths start at 0: an empty write must not touch its page.
-        let write = (
-            page(),
-            offset,
-            seuss_check::range(0usize, 16),
-            seuss_check::range(0u8, 255),
-        )
-            .map(|(page, offset, len, val)| Op::Write {
-                page,
-                offset,
-                len,
-                val,
-            });
+        let write = (page(), offset, seuss_check::range(0usize, 16))
+            .map(|(page, offset, len)| Op::Write { page, offset, len });
         let commit =
             (page(), seuss_check::range(1u64, 3)).map(|(page, pages)| Op::Commit { page, pages });
         let ops = seuss_check::vecs(
@@ -246,10 +212,10 @@ mod props {
         Rig { mem, mmu, space }
     }
 
-    /// Per-page frames and bytes, dirty set, private pages, pool stats
-    /// and op stats without `levels_walked`.
+    /// Per-page frames, dirty set, private pages, pool stats and op
+    /// stats without `levels_walked`.
     type State = (
-        Vec<Option<(FrameId, Vec<u8>)>>,
+        Vec<Option<seuss_mem::FrameId>>,
         Vec<u64>,
         u64,
         seuss_mem::MemStats,
@@ -258,12 +224,7 @@ mod props {
 
     fn state(rig: &Rig) -> State {
         let pages = (0..HEAP_PAGES)
-            .map(|p| {
-                let entry = rig.mmu.translate(rig.space.root(), va_of(p, 0))?;
-                let mut bytes = vec![0; PAGE_SIZE];
-                rig.mem.read(entry.frame(), 0, &mut bytes);
-                Some((entry.frame(), bytes))
-            })
+            .map(|p| Some(rig.mmu.translate(rig.space.root(), va_of(p, 0))?.frame()))
             .collect();
         (
             pages,
@@ -292,12 +253,9 @@ mod props {
                     case.ops
                         .iter()
                         .map(|op| match *op {
-                            Op::Write {
-                                page,
-                                offset,
-                                len,
-                                val,
-                            } => ucm.write(va_of(page, offset).as_u64(), &vec![val; len]),
+                            Op::Write { page, offset, len } => {
+                                ucm.write(va_of(page, offset).as_u64(), len as u64)
+                            }
                             Op::Commit { page, pages } => {
                                 ucm.commit(va_of(page, 0).as_u64(), pages * PAGE_SIZE as u64)
                             }
@@ -314,19 +272,12 @@ mod props {
                     .map(|op| {
                         let (mmu, mem, space) = (&mut twin.mmu, &mut twin.mem, &mut twin.space);
                         match *op {
-                            Op::Write {
-                                page,
-                                offset,
-                                len,
-                                val,
-                            } => mmu.write_bytes(mem, space, va_of(page, offset), &vec![val; len]),
-                            Op::Commit { page, pages } => mmu.write_run(
-                                mem,
-                                space,
-                                va_of(page, 0),
-                                pages,
-                                &1u64.to_le_bytes(),
-                            ),
+                            Op::Write { page, offset, len } => {
+                                mmu.write_bytes(mem, space, va_of(page, offset), &vec![0; len])
+                            }
+                            Op::Commit { page, pages } => {
+                                mmu.write_run(mem, space, va_of(page, 0), pages)
+                            }
                         }
                         .map_err(map_fault)
                     })
@@ -339,7 +290,7 @@ mod props {
                     "the borrow walked {cached_walked} levels, the MMU writes {twin_walked}"
                 );
                 let (a, b) = (state(&cached), state(&twin));
-                ensure!(a.0 == b.0, "page frames or bytes differ");
+                ensure_eq!(a.0, b.0, "page frames");
                 ensure_eq!(a.1, b.1, "dirty set");
                 ensure_eq!(a.2, b.2, "private pages");
                 ensure_eq!(a.3, b.3, "memory stats");

@@ -1,8 +1,9 @@
 //! Cross-crate tiering tests: the storage tier end to end through the
 //! node, the cluster, and the sharded executor.
 //!
-//! - a demoted snapshot round-trips byte-exact through a real deploy
-//!   under every restore policy;
+//! - a demoted snapshot keeps its results through a real deploy under
+//!   every restore policy, and a restore maps back exactly the demoted
+//!   pages;
 //! - working-set prefetch is strictly cheaper than lazy paging and
 //!   never dearer than the eager full restore on the recorded set;
 //! - a fault-free tiered run whose device never has to absorb pressure
@@ -83,8 +84,20 @@ fn demote_fn(node: &mut SeussNode, f: u64) -> seuss::snapshot::SnapshotId {
     sid
 }
 
+/// The virtual page numbers snapshot `sid` maps, and those it holds
+/// swapped out to the device.
+fn pages_of(node: &SeussNode, sid: seuss::snapshot::SnapshotId) -> (Vec<u64>, Vec<u64>) {
+    let root = node.snaps.get(sid).expect("snapshot alive").root();
+    let mapped = node.mmu.collect_mapped(root).into_iter();
+    let swapped = node.mmu.collect_swapped(root).into_iter();
+    (
+        mapped.map(|(vpn, _)| vpn).collect(),
+        swapped.map(|(vpn, _)| vpn).collect(),
+    )
+}
+
 #[test]
-fn demoted_snapshots_round_trip_byte_exact_under_every_policy() {
+fn demoted_snapshots_restore_exactly_their_pages_under_every_policy() {
     let src = checksum_src();
     for policy in [
         RestorePolicy::LazyPaging,
@@ -98,7 +111,13 @@ fn demoted_snapshots_round_trip_byte_exact_under_every_policy() {
         assert_eq!(p1, PathKind::Warm, "{policy:?}: resident redeploy");
         assert_eq!(warm, expected);
 
+        let resident = pages_of(&node, node.fn_cache.peek(7).expect("cached image"));
+        assert!(resident.1.is_empty(), "{policy:?}: swapped before demotion");
         let sid = demote_fn(&mut node, 7);
+        let demoted = pages_of(&node, sid);
+        let mut all = [demoted.0.clone(), demoted.1.clone()].concat();
+        all.sort_unstable();
+        assert_eq!(all, resident.0, "{policy:?}: demotion changed the page set");
         for round in 0..3 {
             let (path, result, _) = invoke_fresh(&mut node, 7, &src);
             assert_eq!(
@@ -120,6 +139,13 @@ fn demoted_snapshots_round_trip_byte_exact_under_every_policy() {
                 },
                 "{policy:?}: round {round}"
             );
+            // Eager maps every demoted page back into the snapshot; lazy
+            // and ws restore into the UC and leave the snapshot as it was.
+            let want = match policy {
+                RestorePolicy::EagerFull => &resident,
+                _ => &demoted,
+            };
+            assert_eq!(&pages_of(&node, sid), want, "{policy:?}: round {round}");
         }
         assert!(
             node.snaps.verify(sid).expect("snapshot alive"),
